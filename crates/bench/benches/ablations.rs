@@ -7,9 +7,6 @@
 //!   stateful element (Condition 2/3 in isolation).
 //! * `loop_decomposition` — one-body summarization vs generic unrolling
 //!   on the same loop element (Condition 1 in isolation).
-//! * `incremental` — step-2 solving on a persistent solve session
-//!   (assert-once blasting, learnt-clause reuse) vs a fresh solver per
-//!   query, same verdicts by construction.
 //! * `core_pruning` — the step-2 search with conflict-driven pruning
 //!   (UNSAT-core learning + subsumption-based subtree skipping) vs
 //!   asking the solver about every composed path, same verdicts by
@@ -94,39 +91,8 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Incremental sessions: step-2 query stream on a persistent
-    // session vs fresh solvers, router front + fragmenter proof.
-    {
-        let p = to_pipeline(
-            "edge+fixedfrag",
-            vec![
-                elements::classifier::classifier(),
-                elements::check_ip_header::check_ip_header(false),
-                elements::ip_fragmenter::ip_fragmenter(
-                    elements::ip_fragmenter::FragmenterVariant::Fixed,
-                    40,
-                ),
-            ],
-        );
-        for incremental in [true, false] {
-            let label = if incremental { "session" } else { "fresh" };
-            g.bench_function(format!("incremental/{label}"), |b| {
-                b.iter(|| {
-                    let cfg = VerifyConfig {
-                        incremental,
-                        ..fig_verify_config()
-                    };
-                    Verifier::new(&p)
-                        .config(cfg)
-                        .check_all(&[Property::CrashFreedom, Property::Bounded { imax: 5_000 }])
-                })
-            });
-        }
-    }
-
     // Conflict-driven pruning: the same refutation-heavy audit with
-    // core learning + subsumption skipping on vs off (both arms on
-    // incremental sessions, so the delta is pruning alone).
+    // core learning + subsumption skipping on vs off.
     {
         let p = to_pipeline(
             "edge+opt2+fixedfrag",

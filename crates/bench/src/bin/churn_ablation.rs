@@ -1,18 +1,18 @@
 //! `churn` — the config-update-stream ablation: per-update
-//! re-verification latency under control-plane churn, across the
-//! [`ReuseLevel`] ladder.
+//! re-verification latency under control-plane churn, the warm
+//! [`ChurnSession`] against its from-scratch oracle ([`ReuseLevel`]).
 //!
 //! Each scenario drives one seedable [`delta_stream`] (inserts,
 //! removes, overwrites, no-ops and whole-table replaces against the
-//! pipeline's exact-match and LPM tables) through four
-//! [`ChurnSession`]s — full re-verification, warm summary store,
-//! +persistent pool & learnt cores, +incremental solver sessions &
-//! replay — re-establishing the scenario's properties (crash-freedom
-//! and bounded-execution in Abstract mode, filtering in Tables mode)
-//! after **every** update.
+//! pipeline's exact-match and LPM tables) through two
+//! [`ChurnSession`]s — full re-verification, and the warm session
+//! (summary store, persistent pool, learnt cores, incremental solver
+//! sessions, replay) — re-establishing the scenario's properties
+//! (crash-freedom and bounded-execution in Abstract mode, filtering in
+//! Tables mode) after **every** update.
 //!
 //! Correctness is asserted continuously, not sampled: on every update
-//! every warm arm must match the full-reverify baseline on verdict,
+//! the warm arm must match the full-reverify baseline on verdict,
 //! counterexample bytes/description/trace, and composed-path count.
 //! The interesting output is the per-update latency distribution —
 //! under a latency budget (gate config pushes on a verdict), the p99,
@@ -22,7 +22,7 @@
 //! per-update latency plus the reuse counters.
 //!
 //! The headline number this reproduction targets: on a ≥100-update
-//! Tables-mode stream, the full ladder must re-verify ≥5x faster per
+//! Tables-mode stream, the warm session must re-verify ≥5x faster per
 //! update (mean step-1 + step-2) than re-verifying from scratch —
 //! asserted at the bottom of the run.
 
@@ -52,8 +52,8 @@ fn scenarios() -> Vec<Scenario> {
         // after every update. This is the production shape: a config
         // push must not regress crash-freedom or the instruction
         // budget either, so the full-reverify arm pays two Abstract
-        // searches plus the Tables one per update while the warm arms
-        // replay everything the delta provably cannot touch.
+        // searches plus the Tables one per update while the warm arm
+        // replays everything the delta provably cannot touch.
         Scenario {
             name: "firewalled-edge-churn",
             pipeline: to_pipeline(
@@ -77,7 +77,7 @@ fn scenarios() -> Vec<Scenario> {
         },
         // The stock Fig. 4(a) edge router under Abstract-only
         // properties: FIB churn is *table-blind* here, so the warm
-        // arms replay every check — the per-update floor of the
+        // arm replays every check — the per-update floor of the
         // approach (delta application + key check, microseconds).
         Scenario {
             name: "edge-router-churn",
@@ -93,12 +93,7 @@ fn cfg() -> VerifyConfig {
     fig_verify_config()
 }
 
-const ARMS: [ReuseLevel; 4] = [
-    ReuseLevel::FullReverify,
-    ReuseLevel::Summaries,
-    ReuseLevel::Cores,
-    ReuseLevel::Sessions,
-];
+const ARMS: [ReuseLevel; 2] = [ReuseLevel::FullReverify, ReuseLevel::Sessions];
 
 struct ArmRun {
     level: ReuseLevel,
@@ -131,7 +126,7 @@ fn cex_of(v: &Verdict) -> Option<CexPayload> {
     }
 }
 
-/// Every update of every warm arm must match the baseline exactly.
+/// Every update of the warm arm must match the baseline exactly.
 fn assert_stream_equal(name: &str, baseline: &ArmRun, warm: &ArmRun) {
     assert_eq!(baseline.updates.len(), warm.updates.len());
     for (u, (b, w)) in baseline.updates.iter().zip(&warm.updates).enumerate() {

@@ -8,13 +8,13 @@
 //! updates into **one** re-verification via
 //! [`ChurnSession::apply_batch`] and printing one JSON verdict line
 //! per burst. Learnt cores and summaries written back to `--store`
-//! make the *next* daemon start warm too — PR 9's in-process churn
-//! ladder, made cross-restart.
+//! make the *next* daemon start warm too. The session always runs at
+//! [`ReuseLevel::Sessions`] — the from-scratch level is a test oracle,
+//! not a way to run a daemon.
 //!
 //! ```text
 //! dpv-serve --pipeline firewalled-edge --store /var/lib/dpv \
-//!           --deltas /run/dpv/updates [--once] [--poll-ms 200] \
-//!           [--level incremental-session]
+//!           --deltas /run/dpv/updates [--once] [--poll-ms 200]
 //! ```
 //!
 //! The delta file is append-only text, one update per line (`#`
@@ -145,31 +145,18 @@ fn named_workload(name: &str) -> Option<(dataplane::Pipeline, Vec<Property>)> {
     }
 }
 
-fn parse_level(s: &str) -> Option<ReuseLevel> {
-    [
-        ReuseLevel::FullReverify,
-        ReuseLevel::Summaries,
-        ReuseLevel::Cores,
-        ReuseLevel::Sessions,
-    ]
-    .into_iter()
-    .find(|l| l.arm() == s)
-}
-
 struct Opts {
     pipeline: String,
     store: Option<String>,
     deltas: Option<String>,
     once: bool,
     poll_ms: u64,
-    level: ReuseLevel,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: dpv-serve --pipeline <firewalled-edge|edge-router> \
-         [--store <dir>] [--deltas <file>] [--once] [--poll-ms <n>] \
-         [--level <full-reverify|summary-reuse|core-reuse|incremental-session>]"
+         [--store <dir>] [--deltas <file>] [--once] [--poll-ms <n>]"
     );
     std::process::exit(2);
 }
@@ -181,7 +168,6 @@ fn parse_opts() -> Opts {
         deltas: None,
         once: false,
         poll_ms: 200,
-        level: ReuseLevel::Sessions,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -192,7 +178,6 @@ fn parse_opts() -> Opts {
             "--deltas" => opts.deltas = Some(val()),
             "--once" => opts.once = true,
             "--poll-ms" => opts.poll_ms = val().parse().unwrap_or_else(|_| usage()),
-            "--level" => opts.level = parse_level(&val()).unwrap_or_else(|| usage()),
             _ => usage(),
         }
     }
@@ -260,7 +245,7 @@ fn main() {
         eprintln!("dpv-serve: unknown pipeline {:?}", opts.pipeline);
         usage();
     };
-    let mut session = ChurnSession::new(pipeline, props, fig_verify_config(), opts.level)
+    let mut session = ChurnSession::new(pipeline, props, fig_verify_config(), ReuseLevel::Sessions)
         .expect("named workloads use search-based properties");
     if let Some(dir) = &opts.store {
         session = session

@@ -25,12 +25,10 @@
 //! To refresh the baseline after an intentional perf change:
 //!
 //! ```text
-//! DPV_JSON=1 cargo run --release -p dpv-bench --bin incremental_ablation  | grep '"bench"'  > BENCH_step2.json
-//! DPV_JSON=1 cargo run --release -p dpv-bench --bin core_pruning_ablation | grep '"bench"' >> BENCH_step2.json
+//! DPV_JSON=1 cargo run --release -p dpv-bench --bin core_pruning_ablation | grep '"bench"'  > BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin fleet_ablation        | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin static_simplify_ablation | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin fig4a                 | grep '"bench"' >> BENCH_step2.json
-//! DPV_JSON=1 cargo run --release -p dpv-bench --bin portfolio_ablation    | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin churn_ablation        | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin store_ablation        | grep '"bench"' >> BENCH_step2.json
 //! ```
@@ -60,19 +58,12 @@ fn num_field(line: &str, key: &str) -> Option<f64> {
 }
 
 /// `(bench, pipeline, mode, engine)` → `step2_ms` for every summary
-/// line in `path`. Lines marked `"gate":false` are excluded on both
-/// sides: the emitting bench has declared their wall clock
-/// scheduling-dependent (e.g. portfolio arms that race hundreds of
-/// queries past the exchange warmup), so they carry trajectory data
-/// but no regression signal.
+/// line in `path`.
 fn load(path: &str) -> BTreeMap<String, f64> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("perf_diff: cannot read {path}: {e}"));
     let mut out = BTreeMap::new();
     for line in text.lines() {
-        if line.contains("\"gate\":false") {
-            continue;
-        }
         let Some(bench) = str_field(line, "bench") else {
             continue;
         };

@@ -1,18 +1,18 @@
-//! Churn-vs-fresh differential: a [`ChurnSession`] at every reuse
-//! level must track full re-verification exactly, update by update.
+//! Churn-vs-fresh differential: a warm [`ChurnSession`] must track
+//! full re-verification exactly, update by update.
 //!
-//! Each stream drives the same seedable [`delta_stream`] through four
+//! Each stream drives the same seedable [`delta_stream`] through two
 //! sessions — one per [`ReuseLevel`] — over a table-bearing pipeline
 //! (IPFilter exact table + IPlookup LPM FIB), checking one Abstract
 //! property (crash-freedom) and one Tables property (filtering). After
-//! the initial verification and after **every** update, all levels
-//! must agree with the `FullReverify` baseline on:
+//! the initial verification and after **every** update, the
+//! `Sessions` run must agree with the `FullReverify` oracle on:
 //!
 //! * verdict labels per property (streams deliberately add and remove
 //!   blacklist entries, so the filtering verdict genuinely flips
 //!   mid-stream);
 //! * counterexample bytes, description and trace, byte-for-byte (the
-//!   warm arms re-extract models on patched persistent pools — the
+//!   warm arm re-extracts models on patched persistent pools — the
 //!   bytes must not care);
 //! * `composed_paths` per property (core reuse only skips would-be-
 //!   UNSAT solver calls, never compositions; replayed reports carry
@@ -89,36 +89,30 @@ fn cex_of(v: &Verdict) -> Option<CexPayload> {
 
 fn check_stream(seed: u64, updates: usize) -> Vec<&'static str> {
     let baseline = run_stream(ReuseLevel::FullReverify, seed, updates);
-    for level in [
-        ReuseLevel::Summaries,
-        ReuseLevel::Cores,
-        ReuseLevel::Sessions,
-    ] {
-        let warm = run_stream(level, seed, updates);
-        assert_eq!(warm.len(), baseline.len(), "stream {seed}: update count");
-        for (u, (w, b)) in warm.iter().zip(&baseline).enumerate() {
+    let warm = run_stream(ReuseLevel::Sessions, seed, updates);
+    assert_eq!(warm.len(), baseline.len(), "stream {seed}: update count");
+    for (u, (w, b)) in warm.iter().zip(&baseline).enumerate() {
+        assert_eq!(
+            w.reports.len(),
+            b.reports.len(),
+            "stream {seed} update {u}: report count"
+        );
+        for (wr, br) in w.reports.iter().zip(&b.reports) {
+            let what = format!("stream {seed} update {u} [{}]", br.property);
             assert_eq!(
-                w.reports.len(),
-                b.reports.len(),
-                "stream {seed} update {u}: report count"
+                wr.verdict.label(),
+                br.verdict.label(),
+                "{what}: verdict diverged"
             );
-            for (wr, br) in w.reports.iter().zip(&b.reports) {
-                let what = format!("stream {seed} update {u} {:?} [{}]", level, br.property);
-                assert_eq!(
-                    wr.verdict.label(),
-                    br.verdict.label(),
-                    "{what}: verdict diverged"
-                );
-                assert_eq!(
-                    cex_of(&wr.verdict),
-                    cex_of(&br.verdict),
-                    "{what}: counterexample diverged"
-                );
-                assert_eq!(
-                    wr.composed_paths, br.composed_paths,
-                    "{what}: composed_paths diverged"
-                );
-            }
+            assert_eq!(
+                cex_of(&wr.verdict),
+                cex_of(&br.verdict),
+                "{what}: counterexample diverged"
+            );
+            assert_eq!(
+                wr.composed_paths, br.composed_paths,
+                "{what}: composed_paths diverged"
+            );
         }
     }
     // The per-update filtering verdict trajectory, for mix assertions.
@@ -136,7 +130,7 @@ fn churn_smoke() {
     }
 }
 
-/// Paper-scale matrix: 20 generated streams of 12 updates, all four
+/// Paper-scale matrix: 20 generated streams of 12 updates, both
 /// reuse levels each. Run explicitly in release:
 /// `cargo test --release -p dpv-bench -- --ignored`.
 #[test]

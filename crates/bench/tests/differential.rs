@@ -1,10 +1,9 @@
 //! Differential testing of the verifier across every mode toggle.
 //!
-//! One generated pipeline ([`dpv_bench::gen`]) is checked under eight
-//! configurations — sequential baseline, `threads(4)`, incremental
-//! off, core-pruning off, summary store on, everything off, the
-//! static simplifier on, and portfolio racing on — and the reports
-//! must agree:
+//! One generated pipeline ([`dpv_bench::gen`]) is checked under five
+//! configurations — sequential baseline, `threads(4)`, core-pruning
+//! off, summary store on, and the static simplifier on — and the
+//! reports must agree:
 //!
 //! * verdict labels are identical in every mode (and match whether the
 //!   generator planted a violation);
@@ -22,72 +21,44 @@
 //! (`cargo test --release -p dpv-bench -- --ignored`).
 
 use dpv_bench::gen::{deep_pipeline_with, gen_verify_config, GenConfig, Generated};
-use verifier::{Property, Report, SummaryStore, Verdict, Verifier, VerifyReport};
+use verifier::{Property, Report, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport};
 
 struct Mode {
     name: &'static str,
     threads: usize,
-    incremental: bool,
     pruning: bool,
     store: bool,
     simplify: bool,
-    portfolio: Option<usize>,
 }
 
-const MODES: [Mode; 8] = [
+const MODES: [Mode; 5] = [
     Mode {
         name: "seq",
         threads: 1,
-        incremental: true,
         pruning: true,
         store: false,
         simplify: false,
-        portfolio: None,
     },
     Mode {
         name: "threads4",
         threads: 4,
-        incremental: true,
         pruning: true,
         store: false,
         simplify: false,
-        portfolio: None,
-    },
-    Mode {
-        name: "fresh-solver",
-        threads: 1,
-        incremental: false,
-        pruning: true,
-        store: false,
-        simplify: false,
-        portfolio: None,
     },
     Mode {
         name: "no-pruning",
         threads: 1,
-        incremental: true,
         pruning: false,
         store: false,
         simplify: false,
-        portfolio: None,
     },
     Mode {
         name: "store",
         threads: 1,
-        incremental: true,
         pruning: true,
         store: true,
         simplify: false,
-        portfolio: None,
-    },
-    Mode {
-        name: "bare",
-        threads: 1,
-        incremental: false,
-        pruning: false,
-        store: false,
-        simplify: false,
-        portfolio: None,
     },
     // Step 1 summarizes the statically simplified programs
     // (`VerifyConfig::static_simplify`): the simplifier is
@@ -97,39 +68,29 @@ const MODES: [Mode; 8] = [
     Mode {
         name: "simplify",
         threads: 1,
-        incremental: true,
         pruning: true,
         store: false,
         simplify: true,
-        portfolio: None,
-    },
-    // Portfolio racing decides each escalated query with whichever of
-    // N diversified solver clones finishes first. Decided verdicts are
-    // a property of the query, not the racer, and counterexample
-    // models are re-extracted on the session solver — so verdict,
-    // counterexample bytes and composed-path count must all match the
-    // sequential baseline exactly, race or no race.
-    Mode {
-        name: "portfolio",
-        threads: 1,
-        incremental: true,
-        pruning: true,
-        store: false,
-        simplify: false,
-        portfolio: Some(4),
     },
 ];
 
 fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
-    let mut cfg = gen_verify_config();
-    cfg.incremental = m.incremental;
-    cfg.core_pruning = m.pruning;
-    cfg.static_simplify = m.simplify;
-    cfg.portfolio = m.portfolio;
-    if m.portfolio.is_some() {
-        // A low bar so small generated pipelines actually race.
-        cfg.portfolio_escalation = 1;
-    }
+    // Exhaustive on purpose (no `..`): a new `VerifyConfig` toggle does
+    // not compile here until it is given a differential mode.
+    let VerifyConfig {
+        sym,
+        max_composed_paths,
+        solver_conflict_budget,
+        core_pruning: _,
+        static_simplify: _,
+    } = gen_verify_config();
+    let cfg = VerifyConfig {
+        sym,
+        max_composed_paths,
+        solver_conflict_budget,
+        core_pruning: m.pruning,
+        static_simplify: m.simplify,
+    };
     let mut v = Verifier::new(&g.pipeline).config(cfg).threads(m.threads);
     if m.store {
         v = v.with_store(SummaryStore::shared());
@@ -202,7 +163,7 @@ fn differential_smoke() {
 }
 
 /// The paper-scale matrix: 20 generated pipelines of 50+ stages, all
-/// eight modes each. Run explicitly in release:
+/// five modes each. Run explicitly in release:
 /// `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]
@@ -212,7 +173,7 @@ fn differential_full() {
     for seed in 0u64..20 {
         let mut cfg = GenConfig::from_seed(seed);
         // Bound the stage count: solver cost on proved pipelines grows
-        // superlinearly with depth, and the matrix is 8 runs per seed.
+        // superlinearly with depth, and the matrix is 5 runs per seed.
         cfg.stages = 50 + (seed as usize * 7) % 11;
         cfg.rounds = 2;
         if cfg.plant_violation {

@@ -14,13 +14,6 @@ use std::collections::HashMap;
 /// Blast terms with [`Blaster::assert_true`], then call
 /// [`Blaster::check`] and read back variable values with
 /// [`Blaster::model_var`].
-///
-/// `Clone` duplicates the whole context — circuits, learnt clauses,
-/// activities — so a clone answers the same queries over the same
-/// SAT-variable numbering. Portfolio races clone the session blaster
-/// once per racer, diversify each clone's search, and share learnt
-/// glue clauses back by literal vector.
-#[derive(Clone)]
 pub struct Blaster {
     sat: Solver,
     true_lit: Lit,
@@ -65,70 +58,6 @@ impl Blaster {
     /// [`Solver::last_core`]).
     pub fn last_core(&self) -> &[Lit] {
         self.sat.last_core()
-    }
-
-    /// Installs a cooperative cancellation flag on the CDCL backend
-    /// (see [`Solver::set_interrupt`]).
-    pub fn set_interrupt(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.sat.set_interrupt(flag);
-    }
-
-    /// Removes a previously installed interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.sat.clear_interrupt();
-    }
-
-    /// Diversifies this blaster's CDCL search as portfolio racer
-    /// `seed`: seed 0 is the undiversified baseline; higher seeds
-    /// perturb the saved phases (flipping ~1 in 8, so the clone keeps
-    /// the session's phase-saved warm start), stretch the restart
-    /// schedule and mix in a small random-decision fraction.
-    /// Verdicts are unaffected — only the search trajectory.
-    pub fn diversify(&mut self, seed: u64) {
-        if seed == 0 {
-            return;
-        }
-        self.sat.perturb_phases(seed, 8);
-        self.sat.set_restart_base(64 << (seed % 4));
-        self.sat
-            .set_random_decisions(0.005 * (1 + seed % 4) as f64, seed);
-    }
-
-    /// Cursor marking the current end of the clause arena — the start
-    /// position for [`Blaster::export_glue`] calls that should only
-    /// see clauses learnt after this point.
-    pub fn glue_cursor(&self) -> usize {
-        self.sat.glue_cursor()
-    }
-
-    /// Exports glue clauses learnt at or past `*cursor`, advancing it
-    /// (see [`Solver::export_glue`]).
-    pub fn export_glue(&self, cursor: &mut usize) -> Vec<Vec<Lit>> {
-        self.sat.export_glue(cursor)
-    }
-
-    /// Imports a glue clause learnt by a clone of this blaster (see
-    /// [`Solver::import_clause`]).
-    pub fn import_clause(&mut self, lits: &[Lit]) -> bool {
-        self.sat.import_clause(lits)
-    }
-
-    /// Attaches the CDCL backend to a shared glue pool for mid-search
-    /// exchange at restart boundaries, deferred behind a `warmup`
-    /// conflict count (see [`Solver::attach_exchange`]).
-    pub fn attach_exchange(
-        &mut self,
-        pool: std::sync::Arc<bitsat::SharedClausePool>,
-        epoch: u64,
-        warmup: u64,
-    ) {
-        self.sat.attach_exchange(pool, epoch, warmup);
-    }
-
-    /// Detaches the backend from its glue pool, returning the
-    /// `(imported, exported)` counts (see [`Solver::detach_exchange`]).
-    pub fn detach_exchange(&mut self) -> (u64, u64) {
-        self.sat.detach_exchange()
     }
 
     fn false_lit(&self) -> Lit {

@@ -61,5 +61,5 @@ pub use interval::{interval_of, Interval};
 pub use migrate::Migrator;
 pub use pretty::print_term;
 pub use session::SolveSession;
-pub use solver::{BvSolver, Infeasibility, Model, SatVerdict, SolverLayerStats, MAX_RACERS};
+pub use solver::{BvSolver, Infeasibility, Model, SatVerdict, SolverLayerStats};
 pub use term::{BinOp, Term, TermId, TermPool, UnOp, Width, MAX_WIDTH};

@@ -24,82 +24,35 @@
 //!   everything the session ever blasted.
 //!
 //! The cheap layers (constructor simplification, intervals) still run
-//! per query on the conjunction of the active set, exactly as in
-//! fresh mode, so the layer that answers any given query is identical
-//! to a fresh [`BvSolver::check`] on the same constraint list — and
-//! so is every *decided* (Sat/Unsat) verdict. Two caveats scope that
-//! guarantee:
+//! per query on the conjunction of the active set, so the layer that
+//! answers any given query is identical to a fresh
+//! [`BvSolver::check`] (the reference oracle in this crate's tests) on
+//! the same constraint list — and so is every *decided* (Sat/Unsat)
+//! verdict. Two caveats scope that guarantee:
 //!
-//! * under a **conflict budget**, which mode exhausts it can differ —
-//!   carried-over learnt clauses and dormant circuits change the CDCL
-//!   trajectory, so a query one mode decides may come back
-//!   [`SatVerdict::Unknown`] in the other (budget-free sessions never
-//!   diverge);
-//! * satisfying *models* for under-constrained queries may differ
-//!   from fresh mode's (they depend on learnt clauses and saved
-//!   phases accumulated by earlier queries); callers that need
-//!   deterministic model bytes re-solve the winning query on a fresh
-//!   solver.
+//! * under a **conflict budget**, which of the two exhausts it can
+//!   differ — carried-over learnt clauses and dormant circuits change
+//!   the CDCL trajectory, so a query one decides may come back
+//!   [`SatVerdict::Unknown`] from the other (budget-free sessions
+//!   never diverge);
+//! * satisfying *models* for under-constrained queries depend on the
+//!   learnt clauses and saved phases accumulated by earlier queries;
+//!   callers that need deterministic model bytes minimize the model
+//!   themselves, as the step-2 engine does per reported field.
 //!
 //! Because every query is assumption-driven, UNSAT answers come with
 //! an [`crate::Infeasibility`] **core** for free: the subset of the
 //! queried constraints whose activation literals the CDCL backend
 //! used to derive the contradiction ([`bitsat::Solver::last_core`]).
 //! The step-2 search feeds these cores into its subsumption pruner.
-//!
-//! ## Portfolio racing and determinism
-//!
-//! With [`SolveSession::set_portfolio`] enabled, a query that
-//! exhausts the *escalation* conflict budget single-threaded is
-//! re-run as a **race**: up to [`crate::MAX_RACERS`] clones of the
-//! session solver, each with a diversified search (phase-polarity
-//! perturbation, restart schedule, random-decision fraction), solve
-//! the same assumptions in parallel; the first decided clone raises a
-//! shared interrupt flag and cancels the rest. Racers cooperate
-//! *during* the race: each runs one continuous search and, at its
-//! own restart boundaries (backtracked to decision level 0, serviced
-//! inside the CDCL loop so the restart schedule and activity
-//! trajectory are never reset), publishes its fresh glue (LBD ≤ 2)
-//! clauses to a race-local [`bitsat::SharedClausePool`] and imports
-//! its peers' — sound because learnt clauses are implied by the
-//! problem clauses alone. Exchange begins only after a conflict
-//! warmup: imports land on the OS scheduler's timetable, so a racer
-//! is a deterministic function of its seed until its first import —
-//! a diversified clone that decides a stalled query quickly does so
-//! reproducibly, on any machine. When the race settles, the **winning clone
-//! replaces
-//! the session solver** (its learnt clauses, activities and saved
-//! phases carry the race's work forward into subsequent queries —
-//! without adoption every race would restart cold and racer cost
-//! would grow with the query prefix), the losers' glue is folded into
-//! the session pool, and the session's glue clauses also flow to any
-//! sibling sessions sharing the pool at the next solve-call boundary
-//! (compaction invalidates the pool by bumping its epoch, since a
-//! rebuilt solver renames every SAT variable).
-//!
-//! **Wall-clock order is nondeterministic; answers are not.** A
-//! decided verdict (Sat/Unsat) is a property of the query, so every
-//! racer that finishes agrees with every other and with the
-//! single-threaded session — which clone wins only moves wall time.
-//! What *does* vary with the winner is the satisfying model's bytes
-//! (and which correct UNSAT core is reported), exactly the
-//! already-documented session caveat above — callers that need
-//! byte-deterministic counterexamples re-solve the winning query on a
-//! fresh solver, and the step-2 engine does precisely that. Under a
-//! conflict budget the usual caveat widens: the race spends more
-//! total conflicts than one solver would, so a portfolio session may
-//! decide a query the plain session returns
-//! [`SatVerdict::Unknown`] for (never the reverse verdict).
 
 use crate::blast::Blaster;
 use crate::eval::{eval, Assignment};
 use crate::interval::{interval_of, Interval};
-use crate::solver::{cheap_core, map_core, Model, SatVerdict, SolverLayerStats, MAX_RACERS};
+use crate::solver::{Model, SatVerdict, SolverLayerStats};
 use crate::term::{TermId, TermPool};
-use bitsat::{Lit, SharedClausePool};
+use bitsat::Lit;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// An incremental solving session over one [`TermPool`].
 ///
@@ -148,29 +101,6 @@ pub struct SolveSession {
     /// ([`COMPACT_MIN_VARS`] by default; lowered only by tests that
     /// need to cross compaction boundaries on small formulas).
     compact_min_vars: usize,
-    /// Portfolio configuration: `None` (default) keeps every query
-    /// single-threaded.
-    portfolio: Option<PortfolioCfg>,
-    /// Shared glue-clause pool connecting this session's solver with
-    /// its portfolio racers (lives even with the portfolio off; it
-    /// just stays empty).
-    glue_pool: Arc<SharedClausePool>,
-    /// The pool epoch matching the current blaster's SAT-variable
-    /// numbering (compaction advances it).
-    glue_epoch: u64,
-    /// How many pool entries are already imported into the current
-    /// blaster.
-    glue_cursor: usize,
-}
-
-/// Portfolio knobs (see [`SolveSession::set_portfolio`]).
-#[derive(Debug, Clone, Copy)]
-struct PortfolioCfg {
-    /// Number of racers per race (2..=[`MAX_RACERS`]).
-    racers: usize,
-    /// Conflicts granted to the single-threaded attempt before a
-    /// query counts as *hard* and escalates to a race.
-    escalation: u64,
 }
 
 /// Compaction floor: below this many SAT variables a session never
@@ -180,18 +110,6 @@ const COMPACT_MIN_VARS: usize = 60_000;
 /// Compaction trigger: dormant circuits must outnumber the active
 /// constraint set by this factor before a rebuild pays off.
 const COMPACT_DORMANT_FACTOR: usize = 4;
-
-/// Conflicts a racer spends before its first glue-exchange service.
-/// Imports arrive on the OS scheduler's timetable, so the first one
-/// makes the rest of the racer's trajectory timing-dependent; until
-/// then a racer is a pure function of its diversification seed. The
-/// warmup is sized so the hedge's payoff case — a diversified racer
-/// that decides a stalled query within a few thousand conflicts —
-/// finishes inside it and is therefore reproducible run-to-run and
-/// machine-to-machine, while searches that outlive it (where glue
-/// sharing has something to prune) start cooperating after ~0.1 s of
-/// racer CPU.
-const EXCHANGE_WARMUP: u64 = 20_000;
 
 impl Default for SolveSession {
     fn default() -> Self {
@@ -205,10 +123,6 @@ impl Default for SolveSession {
             core_minimize_budget: None,
             extract_cores: true,
             compact_min_vars: COMPACT_MIN_VARS,
-            portfolio: None,
-            glue_pool: Arc::new(SharedClausePool::new()),
-            glue_epoch: 0,
-            glue_cursor: 0,
         }
     }
 }
@@ -286,37 +200,7 @@ impl SolveSession {
         self.blaster
             .set_core_minimize_budget(self.core_minimize_budget);
         self.acts.clear();
-        // The rebuilt solver renames every SAT variable, so pooled
-        // glue clauses are meaningless now: invalidate them wholesale.
-        self.glue_epoch = self.glue_pool.advance();
-        self.glue_cursor = 0;
         self.stats.compactions += 1;
-    }
-
-    /// Enables portfolio solving: a blast-layer query that exhausts
-    /// `escalation_budget` conflicts single-threaded is re-run as a
-    /// race of `racers` diversified clones of the session solver
-    /// (clamped to 2..=[`MAX_RACERS`]) under the session's full
-    /// conflict budget, first decided clone wins and cancels the
-    /// rest. `racers < 2` disables the portfolio (the default). See
-    /// the module docs for the determinism contract.
-    pub fn set_portfolio(&mut self, racers: usize, escalation_budget: u64) {
-        self.portfolio = (racers >= 2).then_some(PortfolioCfg {
-            racers: racers.min(MAX_RACERS),
-            escalation: escalation_budget.max(1),
-        });
-    }
-
-    /// Imports glue clauses racers published since the last
-    /// solve-call boundary into the session solver.
-    fn import_pending_glue(&mut self) {
-        if self.glue_pool.is_empty() {
-            return;
-        }
-        for clause in self.glue_pool.fetch(self.glue_epoch, &mut self.glue_cursor) {
-            self.blaster.import_clause(&clause);
-            self.stats.clauses_imported += 1;
-        }
     }
 
     /// Current assertion-stack depth (a mark for [`SolveSession::retire_to`]).
@@ -359,8 +243,8 @@ impl SolveSession {
         all.extend_from_slice(&self.stack);
         all.extend_from_slice(extra);
         // Layers 1 and 2 run on the conjunction of the full active
-        // set, exactly as the fresh solver does on the same list — so
-        // the answering layer (and the verdict) matches fresh mode.
+        // set, exactly as `BvSolver` does on the same list — so the
+        // answering layer (and the verdict) matches the oracle's.
         let conj = pool.mk_conj(&all);
         if pool.is_true(conj) {
             self.stats.by_simplify += 1;
@@ -408,16 +292,11 @@ impl SolveSession {
             }
             assumptions.push(act);
         }
-        self.import_pending_glue();
-        let (result, winner) = self.solve_blast(&assumptions);
-        // A race hands back the deciding clone; single-threaded
-        // queries are decided by the session solver itself.
-        let decider: &Blaster = winner.as_deref().unwrap_or(&self.blaster);
-        match result {
+        match self.blaster.check_assuming(&assumptions) {
             bitsat::SolveResult::Sat => {
                 let mut a = Assignment::new();
                 for id in pool.free_vars(conj) {
-                    if let Some(v) = decider.model_var(id) {
+                    if let Some(v) = self.blaster.model_var(id) {
                         a.set(id, v);
                     }
                 }
@@ -433,164 +312,12 @@ impl SolveSession {
                 // back to the constraint terms they gate. Dormant
                 // constraints from earlier queries cannot appear: only
                 // this query's assumptions are eligible for the core.
-                // Activation literals are position-stable across race
-                // clones, so a winning clone's core maps identically.
-                SatVerdict::Unsat(map_core(decider.last_core(), &act_term, &all))
+                SatVerdict::Unsat(map_core(self.blaster.last_core(), &act_term, &all))
             }
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(crate::Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
             bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
         }
-    }
-
-    /// Blast-layer CDCL dispatch. Without a portfolio this is one
-    /// solver call; with one, a hard query (single-threaded attempt
-    /// exhausts the escalation budget) escalates to a race of
-    /// diversified clones under the session's full budget.
-    fn solve_blast(&mut self, assumptions: &[Lit]) -> (bitsat::SolveResult, Option<Box<Blaster>>) {
-        let Some(cfg) = self.portfolio else {
-            return (self.blaster.check_assuming(assumptions), None);
-        };
-        let full = self.conflict_budget.unwrap_or(u64::MAX);
-        if cfg.escalation > 0 {
-            self.blaster.set_conflict_budget(cfg.escalation.min(full));
-            let quick = self.blaster.check_assuming(assumptions);
-            self.blaster.set_conflict_budget(full);
-            if !matches!(quick, bitsat::SolveResult::Unknown) {
-                return (quick, None);
-            }
-        }
-        self.race(assumptions, cfg.racers)
-    }
-
-    /// Races `racers` diversified clones of the session solver on the
-    /// same assumptions. The first clone to decide raises the shared
-    /// interrupt flag and cancels the rest.
-    ///
-    /// Racers cooperate *during* the race: each clone runs one
-    /// continuous search attached to a race-local
-    /// [`SharedClausePool`], publishing its fresh glue clauses and
-    /// importing its peers' at every restart boundary past the
-    /// [`EXCHANGE_WARMUP`] (serviced inside the CDCL loop, so the
-    /// restart schedule and activity trajectory are never reset) —
-    /// the clones prune each other's
-    /// search instead of quadrupling the work. The
-    /// winning clone **becomes** the session solver (its learnt
-    /// clauses and saved phases carry the decided query's model into
-    /// the next one, exactly as if the session had solved the query
-    /// itself); losers' CDCL counters are folded into the session
-    /// totals and their race-learnt glue is published to the session
-    /// pool for other workers.
-    fn race(
-        &mut self,
-        assumptions: &[Lit],
-        racers: usize,
-    ) -> (bitsat::SolveResult, Option<Box<Blaster>>) {
-        self.stats.portfolio_races += 1;
-        self.stats.sat_solve_calls += racers as u64;
-        let base = self.blaster.sat_stats();
-        // Clones share the session solver's clause arena prefix, so a
-        // cursor snapshot taken now exports only race-learnt glue.
-        let glue_base = self.blaster.glue_cursor();
-        let full = self.conflict_budget.unwrap_or(u64::MAX);
-        let stop = Arc::new(AtomicBool::new(false));
-        let winner = AtomicUsize::new(usize::MAX);
-        // Race-local glue exchange (epoch 0 of a private pool): the
-        // clones share one variable numbering, so no epoch dance.
-        let race_pool = Arc::new(SharedClausePool::new());
-        let mut clones: Vec<Blaster> = (0..racers)
-            .map(|i| {
-                let mut b = self.blaster.clone();
-                b.set_interrupt(Arc::clone(&stop));
-                // Seed 0 is the vanilla search: the race decides at
-                // least whatever the plain session would.
-                b.diversify(i as u64);
-                b
-            })
-            .collect();
-        let results: Vec<(bitsat::SolveResult, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = clones
-                .iter_mut()
-                .enumerate()
-                .map(|(i, b)| {
-                    let (stop, winner) = (&stop, &winner);
-                    let race_pool = Arc::clone(&race_pool);
-                    scope.spawn(move || {
-                        b.set_conflict_budget(full);
-                        b.attach_exchange(race_pool, 0, EXCHANGE_WARMUP);
-                        let r = b.check_assuming(assumptions);
-                        let (imported, _) = b.detach_exchange();
-                        let decided =
-                            matches!(r, bitsat::SolveResult::Sat | bitsat::SolveResult::Unsat);
-                        if decided
-                            && winner
-                                .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
-                                .is_ok()
-                        {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        (r, imported)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("portfolio racer panicked"))
-                .collect()
-        });
-        self.stats.clauses_imported += results.iter().map(|(_, im)| im).sum::<u64>();
-        let w = winner.load(Ordering::SeqCst);
-        let mut exported = 0usize;
-        for (i, b) in clones.iter().enumerate() {
-            let mut cursor = glue_base;
-            exported += self
-                .glue_pool
-                .publish(self.glue_epoch, b.export_glue(&mut cursor));
-            if i == w {
-                // The winner becomes the session solver below; its
-                // counters stay live rather than retiring.
-                continue;
-            }
-            let sat = b.sat_stats();
-            self.retired_sat.decisions += sat.decisions - base.decisions;
-            self.retired_sat.propagations += sat.propagations - base.propagations;
-            self.retired_sat.learnt_reused += sat.learnt_reused - base.learnt_reused;
-        }
-        self.stats.clauses_exported += exported as u64;
-        if w == usize::MAX {
-            // Every clone exhausted the budget (or was interrupted by
-            // a racer that then lost the CAS — impossible, but safe).
-            return (bitsat::SolveResult::Unknown, None);
-        }
-        self.stats.races_won_by[w] += 1;
-        let result = results[w].0;
-        let mut won = clones.swap_remove(w);
-        won.clear_interrupt();
-        won.set_conflict_budget(full);
-        // Adopt the winner: the session continues from the solver
-        // state that actually decided the query, preserving
-        // incrementality (phase-saved models, learnt clauses) across
-        // races. Clones answer the same queries over the same
-        // numbering, so the swap is transparent to the caller.
-        self.blaster = won;
-        (result, None)
-    }
-
-    /// Decides the active constraint set by racing `racers`
-    /// diversified clones immediately (no single-threaded escalation
-    /// attempt), regardless of the configured portfolio. Cheap-layer
-    /// answers still short-circuit before any race — only blast-layer
-    /// queries parallelize.
-    pub fn check_portfolio(&mut self, pool: &mut TermPool, racers: usize) -> SatVerdict {
-        let saved = self.portfolio;
-        self.portfolio = Some(PortfolioCfg {
-            racers: racers.clamp(2, MAX_RACERS),
-            // Zero escalation budget: race straight away.
-            escalation: 0,
-        });
-        let verdict = self.check_assuming(pool, &[]);
-        self.portfolio = saved;
-        verdict
     }
 
     /// Core for a cheap-layer refutation — empty (no clone) when core
@@ -638,6 +365,40 @@ impl SolveSession {
     pub fn sat_stats(&self) -> bitsat::SolverStats {
         self.blaster.sat_stats()
     }
+}
+
+/// The best core a cheap (non-blast) layer can offer: the single
+/// constraint that already simplified to `false`, or — when only the
+/// *conjunction* was refuted — the full queried set, which is a
+/// trivially correct (if unminimized) core.
+fn cheap_core(pool: &TermPool, constraints: &[TermId]) -> crate::Infeasibility {
+    let core = match constraints.iter().find(|&&t| pool.is_false(t)) {
+        Some(&t) => vec![t],
+        None => constraints.to_vec(),
+    };
+    crate::Infeasibility { core }
+}
+
+/// Maps the CDCL backend's assumption core (activation literals) back
+/// to the constraint terms they gate. An empty SAT-level core (the
+/// formula was UNSAT with no assumption needed — unreachable with
+/// all-gated assertion, but kept defensive) degrades to the full set.
+fn map_core(
+    sat_core: &[Lit],
+    act_term: &HashMap<Lit, TermId>,
+    constraints: &[TermId],
+) -> crate::Infeasibility {
+    let mut core: Vec<TermId> = sat_core
+        .iter()
+        .filter_map(|l| act_term.get(l).copied())
+        .collect();
+    if core.is_empty() {
+        core = constraints.to_vec();
+    } else {
+        core.sort_unstable();
+        core.dedup();
+    }
+    crate::Infeasibility { core }
 }
 
 impl std::fmt::Debug for SolveSession {

@@ -4,7 +4,6 @@ use crate::blast::Blaster;
 use crate::eval::{eval, Assignment};
 use crate::interval::{interval_of, Interval};
 use crate::term::{TermId, TermPool};
-use std::collections::HashMap;
 
 /// Why a query was infeasible: an **UNSAT core** over the queried
 /// constraint terms.
@@ -21,9 +20,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct Infeasibility {
     /// The core: constraint terms whose conjunction is UNSAT. Empty
-    /// means *no core information* (the solver was not asked to
-    /// attribute the refutation — see [`BvSolver::with_cores`]), never
-    /// "true is UNSAT"; consumers must treat an empty core as inert.
+    /// means *no core information* ([`BvSolver`] never attributes its
+    /// refutations; a [`crate::SolveSession`] can be told not to),
+    /// never "true is UNSAT"; consumers must treat an empty core as
+    /// inert.
     pub core: Vec<TermId>,
 }
 
@@ -37,10 +37,9 @@ pub enum SatVerdict {
     /// Budget exhausted (only possible with a conflict budget set).
     Unknown,
     /// The query was cancelled through the CDCL interrupt hook before
-    /// a verdict ([`bitsat::SolveResult::Interrupted`]). Surfaces only
-    /// from explicitly interrupted solves — inside a portfolio race the
-    /// driver absorbs the losers' `Interrupted` results and returns
-    /// the winner's verdict.
+    /// a verdict ([`bitsat::SolveResult::Interrupted`]). No solver in
+    /// this crate installs an interrupt flag today, so callers meet it
+    /// only as an arm to treat like [`SatVerdict::Unknown`].
     Interrupted,
 }
 
@@ -100,13 +99,13 @@ pub struct SolverLayerStats {
     pub queries: u64,
     /// Constraint terms found already blasted and asserted when a
     /// blast-layer query ran — the [`crate::SolveSession`] prefix
-    /// reuse counter. Always 0 in fresh-solver mode.
+    /// reuse counter. Always 0 from a [`BvSolver`].
     pub blast_cache_hits: u64,
     /// Constraint terms blasted and asserted for the first time by a
-    /// blast-layer query (fresh mode: one conjunction per query).
+    /// blast-layer query (a [`BvSolver`] counts one conjunction per query).
     pub blast_cache_misses: u64,
     /// Learnt clauses carried over across SAT calls (see
-    /// [`bitsat::SolverStats`]). Always 0 in fresh-solver mode.
+    /// [`bitsat::SolverStats`]). Always 0 from a [`BvSolver`].
     pub learnt_reused: u64,
     /// Underlying CDCL solve calls.
     pub sat_solve_calls: u64,
@@ -120,25 +119,7 @@ pub struct SolverLayerStats {
     /// grew past the compaction policy and the CNF was rebuilt from
     /// the active constraints (see [`crate::SolveSession`]).
     pub compactions: u64,
-    /// Portfolio races run ([`crate::SolveSession::check_portfolio`]
-    /// or budget-escalated hard queries). Always 0 with the portfolio
-    /// off.
-    pub portfolio_races: u64,
-    /// Races won per diversification seed (index = racer seed,
-    /// capped at [`MAX_RACERS`]); seed 0 is the undiversified clone.
-    /// Sums to at most `portfolio_races` (a race every racer loses to
-    /// the budget counts for no seed).
-    pub races_won_by: [u64; MAX_RACERS],
-    /// Glue clauses imported from the shared pool into the session's
-    /// main solver at solve-call boundaries.
-    pub clauses_imported: u64,
-    /// Glue clauses racers exported into the shared pool.
-    pub clauses_exported: u64,
 }
-
-/// Upper bound on portfolio racers per race (and the length of
-/// [`SolverLayerStats::races_won_by`]).
-pub const MAX_RACERS: usize = 8;
 
 impl SolverLayerStats {
     /// Per-field difference `self - earlier`: the counters accrued
@@ -161,16 +142,6 @@ impl SolverLayerStats {
             decisions: self.decisions.saturating_sub(earlier.decisions),
             propagations: self.propagations.saturating_sub(earlier.propagations),
             compactions: self.compactions.saturating_sub(earlier.compactions),
-            portfolio_races: self.portfolio_races.saturating_sub(earlier.portfolio_races),
-            races_won_by: std::array::from_fn(|i| {
-                self.races_won_by[i].saturating_sub(earlier.races_won_by[i])
-            }),
-            clauses_imported: self
-                .clauses_imported
-                .saturating_sub(earlier.clauses_imported),
-            clauses_exported: self
-                .clauses_exported
-                .saturating_sub(earlier.clauses_exported),
         }
     }
 
@@ -188,47 +159,7 @@ impl SolverLayerStats {
         self.decisions += other.decisions;
         self.propagations += other.propagations;
         self.compactions += other.compactions;
-        self.portfolio_races += other.portfolio_races;
-        for (mine, theirs) in self.races_won_by.iter_mut().zip(other.races_won_by) {
-            *mine += theirs;
-        }
-        self.clauses_imported += other.clauses_imported;
-        self.clauses_exported += other.clauses_exported;
     }
-}
-
-/// The best core a cheap (non-blast) layer can offer: the single
-/// constraint that already simplified to `false`, or — when only the
-/// *conjunction* was refuted — the full queried set, which is a
-/// trivially correct (if unminimized) core.
-pub(crate) fn cheap_core(pool: &TermPool, constraints: &[TermId]) -> Infeasibility {
-    let core = match constraints.iter().find(|&&t| pool.is_false(t)) {
-        Some(&t) => vec![t],
-        None => constraints.to_vec(),
-    };
-    Infeasibility { core }
-}
-
-/// Maps the CDCL backend's assumption core (activation literals) back
-/// to the constraint terms they gate. An empty SAT-level core (the
-/// formula was UNSAT with no assumption needed — unreachable with
-/// all-gated assertion, but kept defensive) degrades to the full set.
-pub(crate) fn map_core(
-    sat_core: &[bitsat::Lit],
-    act_term: &HashMap<bitsat::Lit, TermId>,
-    constraints: &[TermId],
-) -> Infeasibility {
-    let mut core: Vec<TermId> = sat_core
-        .iter()
-        .filter_map(|l| act_term.get(l).copied())
-        .collect();
-    if core.is_empty() {
-        core = constraints.to_vec();
-    } else {
-        core.sort_unstable();
-        core.dedup();
-    }
-    Infeasibility { core }
 }
 
 /// The layered bitvector solver.
@@ -243,7 +174,6 @@ pub(crate) fn map_core(
 pub struct BvSolver {
     stats: SolverLayerStats,
     conflict_budget: Option<u64>,
-    extract_cores: bool,
 }
 
 impl BvSolver {
@@ -261,34 +191,13 @@ impl BvSolver {
         }
     }
 
-    /// Enables UNSAT-core extraction: [`SatVerdict::Unsat`] verdicts
-    /// from the blast layer carry a real assumption-level core instead
-    /// of the trivial full-set one. Because a fresh solver decides the
-    /// plain conjunction first (keeping satisfying models byte-stable
-    /// for counterexample extraction, independent of term-pool
-    /// numbering), the core costs a *second*, assumption-driven solve
-    /// per UNSAT answer — callers that never read cores (step-1
-    /// feasibility, model re-extraction, the pruning-off baseline)
-    /// should leave this off. [`crate::SolveSession`] needs no such
-    /// knob: its queries are assumption-driven natively, so cores are
-    /// free there.
-    #[must_use]
-    pub fn with_cores(mut self) -> Self {
-        self.extract_cores = true;
-        self
-    }
-
     /// Layer statistics accumulated so far.
     pub fn stats(&self) -> SolverLayerStats {
         self.stats
     }
 
     /// Decides satisfiability of the conjunction of width-1 `constraints`.
-    ///
-    /// [`SatVerdict::Unsat`] carries an [`Infeasibility`] core: the
-    /// constraints are asserted under one-shot activation literals and
-    /// solved via assumptions, so the CDCL backend can report which
-    /// subset derived the contradiction.
+    /// [`SatVerdict::Unsat`] carries an empty (inert) [`Infeasibility`].
     pub fn check(&mut self, pool: &mut TermPool, constraints: &[TermId]) -> SatVerdict {
         self.stats.queries += 1;
         // Layer 1: constructor-level simplification.
@@ -299,7 +208,7 @@ impl BvSolver {
         }
         if pool.is_false(conj) {
             self.stats.by_simplify += 1;
-            return SatVerdict::Unsat(self.maybe_cheap_core(pool, constraints));
+            return SatVerdict::Unsat(Infeasibility::default());
         }
         // Layer 2: interval analysis.
         match interval_of(pool, conj) {
@@ -309,15 +218,11 @@ impl BvSolver {
             }
             Interval { hi: 0, .. } => {
                 self.stats.by_interval += 1;
-                return SatVerdict::Unsat(self.maybe_cheap_core(pool, constraints));
+                return SatVerdict::Unsat(Infeasibility::default());
             }
             _ => {}
         }
-        // Layer 3: bit-blast + CDCL. The conjunction itself is
-        // asserted and solved (models stay byte-stable across
-        // term-pool numberings — counterexample extraction relies on
-        // that); a second, assumption-driven pass names the core when
-        // the answer is UNSAT and the caller asked for cores.
+        // Layer 3: bit-blast + CDCL on the conjunction itself.
         self.stats.by_blast += 1;
         self.stats.blast_cache_misses += 1;
         self.stats.sat_solve_calls += 1;
@@ -348,56 +253,9 @@ impl BvSolver {
                 );
                 SatVerdict::Sat(Model::from_assignment(a))
             }
-            bitsat::SolveResult::Unsat if self.extract_cores => {
-                SatVerdict::Unsat(self.core_pass(pool, constraints))
-            }
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
             bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
-        }
-    }
-
-    /// Core for a cheap-layer refutation — empty (no allocation, no
-    /// scan) unless the caller opted into cores: hot non-core callers
-    /// (step-1 fork feasibility, model re-extraction, the pruning-off
-    /// baseline) drop the verdict's core unread.
-    fn maybe_cheap_core(&self, pool: &TermPool, constraints: &[TermId]) -> Infeasibility {
-        if self.extract_cores {
-            cheap_core(pool, constraints)
-        } else {
-            Infeasibility::default()
-        }
-    }
-
-    /// The one-shot core pass: re-solve the (known-UNSAT) query with
-    /// every constraint gated behind an activation literal, so the
-    /// CDCL backend's assumption-level conflict analysis names the
-    /// subset actually used. Falls back to the full set if the capped
-    /// re-solve fails to reconfirm UNSAT (possible only under a
-    /// conflict budget — a fresh solver may need a different number of
-    /// conflicts than the first pass did).
-    fn core_pass(&mut self, pool: &mut TermPool, constraints: &[TermId]) -> Infeasibility {
-        self.stats.sat_solve_calls += 1;
-        let mut bl = Blaster::new();
-        if let Some(b) = self.conflict_budget {
-            bl.set_conflict_budget(b);
-        }
-        let mut acts: Vec<bitsat::Lit> = Vec::with_capacity(constraints.len());
-        let mut act_term: HashMap<bitsat::Lit, TermId> = HashMap::new();
-        for &t in constraints {
-            let act = bl.assert_gated(pool, t);
-            act_term.insert(act, t);
-            acts.push(act);
-        }
-        let result = bl.check_assuming(&acts);
-        let sat = bl.sat_stats();
-        self.stats.decisions += sat.decisions;
-        self.stats.propagations += sat.propagations;
-        match result {
-            bitsat::SolveResult::Unsat => map_core(bl.last_core(), &act_term, constraints),
-            _ => Infeasibility {
-                core: constraints.to_vec(),
-            },
         }
     }
 

@@ -144,84 +144,6 @@ fn interleaved_assert_retire_check_matches_fresh() {
 }
 
 #[test]
-fn portfolio_session_matches_single_threaded_verdicts() {
-    // Same random walks, two sessions: one plain, one with a
-    // 4-racer portfolio whose escalation budget is tiny enough that
-    // essentially every blast-layer query escalates to a race. No
-    // overall conflict budget is set, so both must decide everything
-    // — any verdict divergence is a portfolio soundness bug (clone
-    // corruption, glue-import unsoundness, winner mixups).
-    let mut races = 0u64;
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(0xFACE ^ seed);
-        let mut pool = TermPool::new();
-        let vars: Vec<TermId> = (0..4)
-            .map(|i| pool.fresh_var(&format!("p{i}"), 8))
-            .collect();
-        let mut single = SolveSession::new();
-        let mut racing = SolveSession::new();
-        racing.set_portfolio(4, 1);
-        let mut cs: Vec<TermId> = Vec::new();
-        for step in 0..60 {
-            if cs.is_empty() || rng.gen_bool(0.6) {
-                cs.push(random_constraint(&mut pool, &vars, &mut rng));
-            } else {
-                cs.truncate(rng.gen_range(0..cs.len()));
-            }
-            let got = racing.check_constraints(&mut pool, &cs);
-            let want = single.check_constraints(&mut pool, &cs);
-            assert_eq!(
-                got.is_sat(),
-                want.is_sat(),
-                "seed {seed} step {step}: portfolio diverged on {} constraints",
-                cs.len()
-            );
-            if let SatVerdict::Unsat(inf) = &got {
-                assert_core_sound(&mut pool, inf, &cs, seed, step);
-            }
-        }
-        let st = racing.stats();
-        races += st.portfolio_races;
-        assert_eq!(
-            st.races_won_by.iter().sum::<u64>(),
-            st.portfolio_races,
-            "seed {seed}: every race must have exactly one winner: {st:?}"
-        );
-    }
-    assert!(races > 0, "the walks never escalated to a race");
-}
-
-#[test]
-fn forced_race_matches_fresh() {
-    // `check_portfolio` skips escalation entirely; every blast-layer
-    // query is a race from the start.
-    for seed in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(0xCAFE ^ seed);
-        let mut pool = TermPool::new();
-        let vars: Vec<TermId> = (0..3)
-            .map(|i| pool.fresh_var(&format!("q{i}"), 8))
-            .collect();
-        let mut session = SolveSession::new();
-        for _ in 0..25 {
-            let c = random_constraint(&mut pool, &vars, &mut rng);
-            session.assert_constraint(c);
-            let got = session.check_portfolio(&mut pool, 3);
-            let want = BvSolver::new().check(&mut pool, session.active());
-            assert_eq!(
-                got.is_sat(),
-                want.is_sat(),
-                "seed {seed}: forced race diverged"
-            );
-            if got.is_unsat() {
-                // Keep the walk satisfiable so it explores deep stacks.
-                let d = session.depth();
-                session.retire_to(d - 1);
-            }
-        }
-    }
-}
-
-#[test]
 fn sync_form_matches_fresh_on_random_walks() {
     // The one-call `check_constraints` form the step-2 search uses:
     // random tree walks over growing/shrinking constraint vectors.

@@ -20,10 +20,10 @@
 //!    untouched.
 //! 2. **Tables-mode keys are per-stage.** A delta re-keys only the
 //!    touched stages ([`SummaryKey`] over the incrementally-maintained
-//!    table fingerprint); unchanged stages keep their summaries — and,
-//!    at [`ReuseLevel::Cores`] and above, their exact terms in the
-//!    persistent pool, so re-composed paths re-intern to identical
-//!    `TermId`s and previously learnt UNSAT cores keep pruning.
+//!    table fingerprint); unchanged stages keep their summaries and
+//!    their exact terms in the persistent pool, so re-composed paths
+//!    re-intern to identical `TermId`s and previously learnt UNSAT
+//!    cores keep pruning.
 //!    Cores referring to a *replaced* stage's terms can never match a
 //!    new composition (the pool is append-only, so stale `TermId`s are
 //!    never reused) — retention across updates is sound by
@@ -31,14 +31,16 @@
 //! 3. **Verdicts are deterministic.** The step-2 search is
 //!    deterministic over its inputs, so when an update leaves a mode's
 //!    summaries byte-identical (every table delta, for Abstract; no-op
-//!    deltas, for Tables), the previous report can be replayed without
-//!    searching at all ([`ReuseLevel::Sessions`]).
+//!    deltas, for Tables), the previous *decided* report can be
+//!    replayed without searching at all. An `Unknown` is never
+//!    replayed: the warmer session may decide it on the next update.
 //!
-//! The reuse ladder is explicit ([`ReuseLevel`]) so each rung can be
-//! measured — the `churn_ablation` benchmark drives identical update
-//! streams through every level and asserts verdict, counterexample
-//! and composed-path equality against full re-verification on every
-//! update.
+//! [`ReuseLevel`] names the two ways to run a session: the product
+//! ([`ReuseLevel::Sessions`], everything above) and its test oracle
+//! ([`ReuseLevel::FullReverify`], a from-scratch verification per
+//! update). The `churn_ablation` benchmark and the differential tests
+//! drive identical update streams through both and assert verdict,
+//! counterexample and composed-path equality on every update.
 //!
 //! ```no_run
 //! use verifier::{ChurnSession, Property, ReuseLevel, VerifyConfig};
@@ -62,42 +64,36 @@ use crate::cores::CoreStore;
 use crate::persist::{load_cores, save_cores, CorePack};
 use crate::report::{SummaryCacheStats, Verdict, VerifyReport};
 use crate::session::{run_seq_search, Property, SearchProp, Verifier};
-use crate::step2::{aborted_report, segment_count, verdict_of, QuerySolver, VerifyConfig};
+use crate::step2::{aborted_report, new_session, segment_count, verdict_of, VerifyConfig};
 use crate::summary::{
     rebase_stage, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey,
     SummaryStore,
 };
-use bvsolve::TermPool;
+use bvsolve::{SolveSession, TermPool};
 use dataplane::{DeltaError, Pipeline, TableDelta};
 use dpir::fingerprint128;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How much state a [`ChurnSession`] carries across updates — the
-/// ablation ladder of the `churn_ablation` benchmark. Each level
-/// includes everything below it; all levels produce identical
-/// verdicts, counterexample bytes and composed-path counts (asserted
-/// continuously by the benchmark and the differential tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How a [`ChurnSession`] re-establishes its properties after an
+/// update: the product path or its from-scratch oracle. Both produce
+/// identical verdicts, counterexample bytes and composed-path counts
+/// (asserted continuously by the benchmark and the differential tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReuseLevel {
     /// Re-verify from scratch on every update: fresh summaries, fresh
-    /// pool, fresh solver, no carried cores. The baseline arm.
+    /// pool, fresh solver, no carried cores. The oracle.
     FullReverify,
-    /// Keep the content-addressed [`SummaryStore`] warm across
-    /// updates: only stages whose Tables-mode key changed re-execute;
-    /// everything else rebases from cache into a fresh per-update
-    /// pool.
-    Summaries,
-    /// Additionally keep the [`TermPool`] and the composed summaries
-    /// alive, patching only touched stages in place, and retain the
-    /// per-mode learnt-core stores — unchanged compositions re-intern
-    /// to identical `TermId`s, so old cores keep pruning new searches.
-    Cores,
-    /// Additionally keep the incremental solver sessions (blasted
-    /// constraints, learnt clauses, saved phases) across updates, and
-    /// replay the previous report outright for properties whose
-    /// mode's summaries this update did not change.
+    /// Keep everything warm across updates: the content-addressed
+    /// [`SummaryStore`] (only stages whose Tables-mode key changed
+    /// re-execute), the [`TermPool`] and the composed summaries
+    /// (patched in place, so unchanged compositions re-intern to
+    /// identical `TermId`s and old learnt cores keep pruning), the
+    /// incremental solver sessions (blasted constraints, learnt
+    /// clauses, saved phases) — and replay the previous decided report
+    /// outright for properties whose mode's summaries this update did
+    /// not change.
     Sessions,
 }
 
@@ -106,8 +102,6 @@ impl ReuseLevel {
     pub fn arm(&self) -> &'static str {
         match self {
             ReuseLevel::FullReverify => "full-reverify",
-            ReuseLevel::Summaries => "summary-reuse",
-            ReuseLevel::Cores => "core-reuse",
             ReuseLevel::Sessions => "incremental-session",
         }
     }
@@ -145,7 +139,7 @@ pub struct UpdateReport {
     /// Per property: whether the report was replayed from the
     /// previous update without searching (only at
     /// [`ReuseLevel::Sessions`], only when the property's mode saw no
-    /// summary change).
+    /// summary change and the previous verdict was decided).
     pub replayed: Vec<bool>,
     /// Stages symbolically re-executed this update (store misses).
     pub stages_reexecuted: usize,
@@ -217,10 +211,11 @@ pub struct ChurnSession {
     pool: TermPool,
     sums: [Option<PipelineSummaries>; N_MODES],
     keys: [Vec<SummaryKey>; N_MODES],
-    solvers: [Option<QuerySolver>; N_MODES],
+    solvers: [Option<SolveSession>; N_MODES],
     core_stores: [Arc<Mutex<CoreStore>>; N_MODES],
-    /// Last report per property, replayed at [`ReuseLevel::Sessions`]
-    /// when the property's mode saw no summary change.
+    /// Last *decided* report per property, replayed at
+    /// [`ReuseLevel::Sessions`] when the property's mode saw no
+    /// summary change. `Unknown` reports are never stored.
     memo: Vec<Option<VerifyReport>>,
     /// Directory for persisting learnt cores (and, via the persistent
     /// summary store, step-1 summaries) across processes. Set by
@@ -298,8 +293,8 @@ impl ChurnSession {
     /// Backs the session with the on-disk store directory `dir`
     /// (created if absent): step-1 summaries load through and write
     /// back to the directory's content-addressed files (see
-    /// [`SummaryStore::persistent`]), and — at [`ReuseLevel::Cores`]
-    /// and above — learnt UNSAT cores are persisted per
+    /// [`SummaryStore::persistent`]), and — at
+    /// [`ReuseLevel::Sessions`] — learnt UNSAT cores are persisted per
     /// `(mode, epoch)` after each update and re-imported on start-up,
     /// so a restarted verifier daemon begins warm. Replaces any store
     /// set earlier; call before [`ChurnSession::verify`].
@@ -380,7 +375,7 @@ impl ChurnSession {
         self.stats.updates += 1;
         // The per-delta `changed` flags can overstate the net effect
         // (an insert and a remove of the same entry cancel). When the
-        // session tracks per-stage keys (Cores+), recompute each flag
+        // session tracks per-stage keys (`Sessions`), recompute each flag
         // against the cached key, so cancelled bursts keep their
         // replay/no-op fast path.
         let idx = mode_idx(MapMode::Tables);
@@ -425,40 +420,17 @@ impl ChurnSession {
         mode_changed[mode_idx(MapMode::Tables)] = tables_changed;
 
         let (stages_reexecuted, stages_rebased) = match self.level {
-            ReuseLevel::FullReverify | ReuseLevel::Summaries => {
-                // Nothing persists below the summary store; drop any
-                // state a lower-level constructor may have left and,
-                // for the baseline arm, the store contents too.
-                self.pool = TermPool::new();
-                self.sums = [None, None];
-                self.keys = [Vec::new(), Vec::new()];
-                self.solvers = [None, None];
-                self.core_stores = [
-                    Arc::new(Mutex::new(CoreStore::new())),
-                    Arc::new(Mutex::new(CoreStore::new())),
-                ];
-                self.memo.iter_mut().for_each(|m| *m = None);
-                if self.level == ReuseLevel::FullReverify {
-                    self.store.clear();
+            // Nothing persists: the per-update `Verifier` below owns
+            // all state, including a private summary store.
+            ReuseLevel::FullReverify => (0, 0),
+            ReuseLevel::Sessions => match self.patch_tables(&touched) {
+                Ok(counts) => counts,
+                Err(e) => {
+                    // A patch failure poisons the Tables cache;
+                    // report it like a step-1 abort.
+                    return self.aborted_update(touched, t0, e);
                 }
-                (0, 0)
-            }
-            ReuseLevel::Cores | ReuseLevel::Sessions => {
-                if self.level == ReuseLevel::Cores {
-                    // Solver sessions are per-update at this level;
-                    // cores, pool and summaries persist.
-                    self.solvers = [None, None];
-                    self.memo.iter_mut().for_each(|m| *m = None);
-                }
-                match self.patch_tables(&touched) {
-                    Ok(counts) => counts,
-                    Err(e) => {
-                        // A patch failure poisons the Tables cache;
-                        // report it like a step-1 abort.
-                        return self.aborted_update(touched, t0, e);
-                    }
-                }
-            }
+            },
         };
         self.stats.stages_reexecuted += stages_reexecuted as u64;
         self.stats.stages_rebased += stages_rebased as u64;
@@ -467,20 +439,16 @@ impl ChurnSession {
         let mut reports = Vec::with_capacity(self.properties.len());
         let mut replayed = Vec::with_capacity(self.properties.len());
         match self.level {
-            ReuseLevel::FullReverify | ReuseLevel::Summaries => {
+            ReuseLevel::FullReverify => {
                 // A fresh session per update *is* the semantics of
-                // these arms; `Verifier` with the shared (or private)
-                // store implements them exactly.
+                // the oracle.
                 let mut v = Verifier::new(&self.pipeline).config(self.cfg.clone());
-                if self.level == ReuseLevel::Summaries {
-                    v = v.with_store(Arc::clone(&self.store));
-                }
                 for p in &self.properties {
                     reports.push(v.check(p.clone()).expect_verify());
                     replayed.push(false);
                 }
             }
-            ReuseLevel::Cores | ReuseLevel::Sessions => {
+            ReuseLevel::Sessions => {
                 let cache_stats = SummaryCacheStats {
                     hits: stages_rebased,
                     misses: stages_reexecuted,
@@ -489,10 +457,7 @@ impl ChurnSession {
                 for i in 0..self.properties.len() {
                     let spec = SearchProp::of(&self.properties[i]).expect("validated in new");
                     let midx = mode_idx(spec.mode());
-                    let can_replay = self.level == ReuseLevel::Sessions
-                        && !mode_changed[midx]
-                        && self.sums[midx].is_some();
-                    if can_replay {
+                    if !mode_changed[midx] && self.sums[midx].is_some() {
                         if let Some(prev) = &self.memo[i] {
                             // Deterministic search over byte-identical
                             // summaries: the previous report *is* the
@@ -508,22 +473,26 @@ impl ChurnSession {
                         }
                     }
                     let report = self.run_one(&spec, cache_stats, disk0);
-                    self.memo[i] = Some(report.clone());
+                    // `Unknown` (budget exhausted, step-1 abort) is
+                    // never laundered into a cached verdict: the
+                    // warmer session may decide it next update.
+                    self.memo[i] =
+                        (!matches!(report.verdict, Verdict::Unknown(_))).then(|| report.clone());
                     reports.push(report);
                     replayed.push(false);
                 }
             }
         }
-        // Persist the learnt cores the warm arms accumulated, under
-        // the current epoch (no-op when the count is unchanged for
-        // that epoch, or without a store directory).
-        if matches!(self.level, ReuseLevel::Cores | ReuseLevel::Sessions) {
+        // Persist the learnt cores the warm session accumulated,
+        // under the current epoch (no-op when the count is unchanged
+        // for that epoch, or without a store directory).
+        if self.level == ReuseLevel::Sessions {
             self.save_cores_to_disk();
         }
         // Attribute times uniformly across levels: step 1 is the
         // delta patching/reset plus whatever summary building the
-        // property checks report (the `Verifier`-driven arms pay it
-        // inside `check`, the warm arms inside `ensure`); step 2 is
+        // property checks report (the oracle pays it inside `check`,
+        // the warm session inside `ensure`); step 2 is
         // the search time the reports carry. Driver overhead shows
         // only in `total_time`.
         let step1_time = step1_patch + reports.iter().map(|r| r.step1_time).sum::<Duration>();
@@ -543,7 +512,7 @@ impl ChurnSession {
     }
 
     /// Ensures `mode`'s summaries exist in the persistent pool
-    /// (levels [`ReuseLevel::Cores`]+), recording per-stage keys.
+    /// ([`ReuseLevel::Sessions`]), recording per-stage keys.
     fn ensure(&mut self, mode: MapMode) -> Result<(), symexec::SymError> {
         let idx = mode_idx(mode);
         if self.sums[idx].is_some() {
@@ -644,8 +613,7 @@ impl ChurnSession {
         Ok((reexecuted, rebased))
     }
 
-    /// One warm sequential property check (levels
-    /// [`ReuseLevel::Cores`]+).
+    /// One warm sequential property check ([`ReuseLevel::Sessions`]).
     fn run_one(
         &mut self,
         spec: &SearchProp,
@@ -670,7 +638,7 @@ impl ChurnSession {
         // cores prune this very search.
         self.try_import_cores(idx);
         let t1 = Instant::now();
-        let (outcome, solver_stats, core_stats, prefilter_stats, composed_paths) = {
+        let (outcome, solver_stats, core_stats, composed_paths) = {
             let ChurnSession {
                 pipeline,
                 cfg,
@@ -681,7 +649,7 @@ impl ChurnSession {
                 ..
             } = &mut *self;
             let sums = sums[idx].as_ref().expect("ensured");
-            let solver = solvers[idx].get_or_insert_with(|| QuerySolver::new(cfg));
+            let solver = solvers[idx].get_or_insert_with(|| new_session(cfg));
             run_seq_search(pool, pipeline, sums, cfg, spec, solver, &core_stores[idx])
         };
         let step2_time = t1.elapsed();
@@ -713,7 +681,6 @@ impl ChurnSession {
                 ..cache_stats
             },
             static_stats: Default::default(),
-            prefilter: prefilter_stats,
             step1_time,
             step2_time,
         }

@@ -34,7 +34,7 @@
 //! with more tasks than workers the queue load-balances uneven
 //! variants (one slow disproof does not serialize its variant's other
 //! checks behind it). The cost is that the per-*session*
-//! cross-property reuse ([`VerifyConfig::incremental`] blast caches,
+//! cross-property reuse (solver-session blast caches,
 //! UNSAT-core stores) resets per task — step-1 reuse is unaffected
 //! (that is the store's job). When per-variant solver reuse matters
 //! more than intra-variant parallelism — few properties, many slow

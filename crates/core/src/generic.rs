@@ -47,19 +47,9 @@ struct GenState {
     constraint: Vec<TermId>,
 }
 
-/// Runs the baseline on `pipeline`. `loop_cap` bounds loop unrolling
-/// per element; `cfg.max_states` is the global budget.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).check(Property::Generic { loop_cap })` \
-            (see the README migration table)"
-)]
-pub fn generic_verify(pipeline: &Pipeline, cfg: &SymConfig, loop_cap: u32) -> GenericReport {
-    run_generic(pipeline, cfg, loop_cap)
-}
-
-/// The baseline engine behind [`generic_verify`] and
-/// [`crate::session::Property::Generic`].
+/// The baseline engine behind [`crate::session::Property::Generic`].
+/// `loop_cap` bounds loop unrolling per element; `cfg.max_states` is
+/// the global budget.
 pub(crate) fn run_generic(pipeline: &Pipeline, cfg: &SymConfig, loop_cap: u32) -> GenericReport {
     let mut pool = TermPool::new();
     let input = SymInput::fresh(&mut pool, cfg, "in");

@@ -19,8 +19,6 @@
 //! a [`SummaryStore`] ([`Verifier::with_store`]) so sessions,
 //! pipelines and config variants share them; the [`fleet`] module
 //! scales that to N pipeline variants × M properties on one store.
-//! The per-property free functions (`verify_crash_freedom`, …) are
-//! deprecated thin wrappers kept for migration.
 //!
 //! ## How it works (paper §3)
 //!
@@ -60,7 +58,6 @@ pub mod fleet;
 pub mod generic;
 pub mod parallel;
 pub(crate) mod persist;
-mod prefilter;
 pub mod report;
 pub mod session;
 pub mod stateful;
@@ -72,8 +69,6 @@ pub use compose::ComposedState;
 pub use cores::{CoreStats, CoreStore};
 pub use fleet::{Fleet, FleetReport, VariantReport};
 pub use generic::{GenericOutcome, GenericReport};
-pub use parallel::ParallelConfig;
-pub use prefilter::PrefilterStats;
 pub use report::{CounterExample, StaticStats, SummaryCacheStats, Verdict, VerifyReport};
 pub use session::{CustomProperty, GenericRun, Property, Report, StateReport, Verifier};
 pub use stateful::StateFinding;
@@ -82,13 +77,3 @@ pub use summary::{
     summarize_pipeline, summarize_pipeline_par, summarize_pipeline_with_store, MapMode,
     PipelineSummaries, StageSummary, SummaryKey, SummaryStore,
 };
-
-// Deprecated pre-session entry points, re-exported for migration.
-#[allow(deprecated)]
-pub use generic::generic_verify;
-#[allow(deprecated)]
-pub use parallel::{verify_bounded_execution_par, verify_crash_freedom_par, verify_filtering_par};
-#[allow(deprecated)]
-pub use stateful::analyze_private_state;
-#[allow(deprecated)]
-pub use step2::{longest_paths, verify_bounded_execution, verify_crash_freedom, verify_filtering};

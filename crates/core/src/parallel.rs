@@ -2,8 +2,7 @@
 //!
 //! Entry point: [`crate::session::Verifier::threads`] — a session with
 //! more than one worker dispatches into this module's frontier
-//! machinery; the `verify_*_par` free functions below are deprecated
-//! wrappers over such sessions.
+//! machinery.
 //!
 //! Runs both verification steps across a pool of worker threads:
 //!
@@ -37,14 +36,14 @@
 //!   sequential one when the property leaves input bytes
 //!   unconstrained: solver models are sensitive to term-pool interning
 //!   order, which step-1 migration changes. Both packets trigger the
-//!   same violation. Incremental sessions
-//!   ([`crate::VerifyConfig::incremental`], the default) add no new
+//!   same violation. The incremental solver sessions add no new
 //!   nondeterminism here: a session's in-flight models depend on the
 //!   learnt clauses and saved phases of earlier queries, so the
-//!   winning violation is always re-solved on a fresh solver — at
-//!   merge time here (`reextract`), and inline in the sequential
-//!   engine — making reported packets identical between incremental
-//!   and fresh modes and across thread counts.
+//!   reported bytes of a winning violation always come from canonical
+//!   minimal-model extraction (`step2::canonical_model`), and the
+//!   winning task is replayed on a brand-new session at merge time
+//!   (`reextract`) — making reported packets identical across thread
+//!   counts.
 //! * `composed_paths` accounting: the frontier split charges shallow
 //!   classify events exactly as the sequential search does (and
 //!   `run_task` does not re-count them), so on runs that explore the
@@ -75,81 +74,25 @@
 //! propagate at task boundaries only), and hence the per-run
 //! `cores_learned` / `core_hits` / `subtrees_pruned` counters and the
 //! solver-side query counters. Near the CDCL conflict budget the
-//! guarantee weakens exactly as it does for incremental sessions: a
-//! query the unpruned run answered `Unknown` may be pruned to a
-//! definite `Unsat` (changing which subtrees expand, and with them
-//! path counts), and skipped solves change the learnt-clause state
-//! behind *later* budget-limited queries in either direction —
-//! budget-free runs (every query decided, the normal case with the
-//! default 200k-conflict budget) never diverge.
-//!
-//! **Portfolio racing** ([`crate::VerifyConfig::portfolio`], default
-//! off) inherits the session-layer guarantee
-//! (see `bvsolve::session`): a race only ever changes *which* solver
-//! decides a query and how fast, never the Sat/Unsat answer, so
-//! verdicts, composed-path counts and — because every winning
-//! violation is re-solved on a fresh solver — counterexample bytes
-//! are identical with the portfolio on or off, at any racer count,
-//! under either engine; the differential harness asserts exactly
-//! this. What the race does perturb is accounting and wall time:
-//! `portfolio_races`, `races_won_by`, the glue-traffic counters and
-//! the solver-side decision/propagation totals all depend on which
-//! diversified clone wins, which is scheduling dependent. The same
-//! budget caveat as above applies: a race spends more total conflicts
-//! than one solver, so near a conflict budget it may decide a query
-//! the single-solver run leaves `Unknown` — never the reverse
-//! verdict.
+//! guarantee weakens: a query the unpruned run answered `Unknown` may
+//! be pruned to a definite `Unsat` (changing which subtrees expand,
+//! and with them path counts), and skipped solves change the
+//! learnt-clause state behind *later* budget-limited queries in either
+//! direction — budget-free runs (every query decided, the normal case
+//! with the default 200k-conflict budget) never diverge.
 
 use crate::compose::ComposedState;
 use crate::cores::{CoreStats, CoreStore, Pruner};
-use crate::prefilter::{Prefilter, PrefilterStats};
-use crate::report::{CounterExample, VerifyReport};
-use crate::session::{Property, Verifier};
+use crate::report::CounterExample;
 use crate::step2::{
-    check, classify, search, Feas, FilterProperty, Node, PropKind, QuerySolver, SearchOutcome,
+    canonical_model, check, classify, new_session, search, Feas, Node, PropKind, SearchOutcome,
     StepEvent, VerifyConfig,
 };
 use crate::summary::PipelineSummaries;
-use bvsolve::{BvSolver, SolverLayerStats, TermPool};
+use bvsolve::{SolveSession, SolverLayerStats, TermPool};
 use dataplane::Pipeline;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Thread-pool settings for the parallel driver.
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Worker threads; `0` uses all available cores.
-    pub threads: usize,
-    /// Composition depth at which the step-2 search is split into
-    /// independent subtree tasks. Larger values produce more (smaller)
-    /// tasks: better load balancing, slightly more duplicated prefix
-    /// work. The verdict does not depend on this value.
-    pub split_depth: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: 0,
-            split_depth: 2,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A config pinned to `threads` workers.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            ..Default::default()
-        }
-    }
-
-    /// The worker count this config resolves to (`0` → all cores).
-    pub fn effective_threads(&self) -> usize {
-        crate::summary::effective_threads(self.threads)
-    }
-}
 
 /// One unit of step-2 work, produced by the frontier split.
 pub(crate) enum Task {
@@ -196,9 +139,8 @@ enum TaskResult {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_frontier(
     pool: &mut TermPool,
-    solver: &mut QuerySolver,
+    solver: &mut SolveSession,
     pruner: &mut Pruner,
-    prefilter: &mut Prefilter,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     kind: &PropKind,
@@ -236,7 +178,7 @@ pub(crate) fn expand_frontier(
                 }
                 StepEvent::Continue(n) => {
                     composed.fetch_add(1, Ordering::Relaxed);
-                    match check(pool, solver, pruner, prefilter, &n.state, true) {
+                    match check(pool, solver, pruner, &n.state, true) {
                         Feas::Sat(_) | Feas::Unknown => stack.push(n),
                         Feas::Unsat => {}
                     }
@@ -265,9 +207,8 @@ pub(crate) struct WorkerCtx<'a> {
 fn run_task(
     task: &Task,
     pool: &mut TermPool,
-    solver: &mut QuerySolver,
+    solver: &mut SolveSession,
     pruner: &mut Pruner,
-    prefilter: &mut Prefilter,
     ctx: &WorkerCtx,
 ) -> TaskResult {
     if ctx.composed.load(Ordering::Relaxed) >= ctx.cfg.max_composed_paths {
@@ -278,10 +219,11 @@ fn run_task(
             // Already counted by `expand_frontier` at classify time —
             // counting here again would double-charge shallow checks
             // relative to the sequential engine.
-            let feas = check(pool, solver, pruner, prefilter, state, false);
+            let feas = check(pool, solver, pruner, state, false);
             match (feas, violation) {
                 (Feas::Sat(m), Some(desc)) => {
-                    let m = solver.confirm_model(pool, ctx.cfg, state, &ctx.sums.input, m);
+                    let m = canonical_model(pool, ctx.cfg, &state.constraint, &ctx.sums.input)
+                        .unwrap_or(m);
                     TaskResult::Violation(CounterExample::from_model(
                         pool,
                         &ctx.sums.input,
@@ -299,7 +241,6 @@ fn run_task(
             pool,
             solver,
             pruner,
-            prefilter,
             ctx.pipeline,
             ctx.sums,
             ctx.cfg,
@@ -319,9 +260,9 @@ fn run_task(
 /// Drains `tasks` across `threads` workers and merges the results in
 /// task order (ties between outcome classes resolved exactly as the
 /// sequential search would: first violation wins, then budget, then
-/// solver-unknown). Each worker owns its own query solver — in
-/// incremental mode an [`bvsolve::SolveSession`] seeded by the first
-/// frontier task it syncs to — plus a local [`CoreStore`] replica
+/// solver-unknown). Each worker owns its own [`SolveSession`] — seeded
+/// by the first frontier task it syncs to — plus a local [`CoreStore`]
+/// replica
 /// synced with the session's shared store at task boundaries, so no
 /// solver state is shared and no lock is held while solving. Cores
 /// containing worker-private terms (interned below the split point by
@@ -334,7 +275,7 @@ pub(crate) fn drain_tasks(
     tasks: &[Task],
     threads: usize,
     ctx: &WorkerCtx,
-) -> (SearchOutcome, SolverLayerStats, CoreStats, PrefilterStats) {
+) -> (SearchOutcome, SolverLayerStats, CoreStats) {
     let next = AtomicUsize::new(0);
     // Index of the earliest violation found so far: tasks after it
     // cannot influence the merged verdict and are skipped.
@@ -346,7 +287,6 @@ pub(crate) fn drain_tasks(
     let mut results: Vec<(usize, TaskResult)> = Vec::with_capacity(tasks.len());
     let mut stats = SolverLayerStats::default();
     let mut core_stats = CoreStats::default();
-    let mut prefilter_stats = PrefilterStats::default();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -354,17 +294,12 @@ pub(crate) fn drain_tasks(
                 let cutoff = &cutoff;
                 s.spawn(move || {
                     let mut pool = master.clone();
-                    let mut solver = QuerySolver::new(ctx.cfg);
+                    let mut solver = new_session(ctx.cfg);
                     let mut pruner = Pruner::new(
                         Arc::clone(ctx.core_store),
                         ctx.cfg.core_pruning,
                         shared_term_limit,
                     );
-                    // Worker-private, but the corpus is the same
-                    // deterministic function of the pipeline input on
-                    // every worker, so hits don't depend on scheduling.
-                    let mut prefilter =
-                        Prefilter::new(ctx.cfg.concrete_prefilter, &ctx.sums.input, &ctx.cfg.sym);
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -376,31 +311,22 @@ pub(crate) fn drain_tasks(
                             continue;
                         }
                         pruner.sync();
-                        let r = run_task(
-                            &tasks[i],
-                            &mut pool,
-                            &mut solver,
-                            &mut pruner,
-                            &mut prefilter,
-                            ctx,
-                        );
+                        let r = run_task(&tasks[i], &mut pool, &mut solver, &mut pruner, ctx);
                         pruner.publish();
                         if matches!(r, TaskResult::Violation(_)) {
                             cutoff.fetch_min(i, Ordering::Relaxed);
                         }
                         out.push((i, r));
                     }
-                    (out, solver.stats(), pruner.stats, prefilter.stats)
+                    (out, solver.stats(), pruner.stats)
                 })
             })
             .collect();
         for h in handles {
-            let (out, worker_stats, worker_cores, worker_prefilter) =
-                h.join().expect("step-2 worker panicked");
+            let (out, worker_stats, worker_cores) = h.join().expect("step-2 worker panicked");
             results.extend(out);
             stats.merge(&worker_stats);
             core_stats.merge(&worker_cores);
-            prefilter_stats.merge(&worker_prefilter);
         }
     });
     results.sort_by_key(|(i, _)| *i);
@@ -414,7 +340,6 @@ pub(crate) fn drain_tasks(
                     SearchOutcome::Violation(reextract(i, cex, master, tasks, ctx)),
                     stats,
                     core_stats,
-                    prefilter_stats,
                 );
             }
             TaskResult::Budget => saw_budget = true,
@@ -429,22 +354,20 @@ pub(crate) fn drain_tasks(
     } else {
         SearchOutcome::Clean
     };
-    (outcome, stats, core_stats, prefilter_stats)
+    (outcome, stats, core_stats)
 }
 
 /// Re-runs the winning violation task on a *fresh* clone of the master
 /// pool. The reported *bytes* are already scheduling-independent —
-/// `QuerySolver::confirm_model` extracts the canonical minimal model,
+/// `step2::canonical_model` extracts the canonical minimal model,
 /// a pure function of the path constraint's semantics — but the
 /// re-run keeps the rest of the counterexample (trace, description,
 /// feasibility bookkeeping) a function of the master pool and task
 /// index alone, independent of whichever diverged worker pool
 /// happened to find the violation first.
 ///
-/// The re-run uses a fresh (non-incremental) solver, whatever
-/// `VerifyConfig::incremental` says: its answers depend on nothing a
-/// worker accumulated, so the replayed task decides exactly as a
-/// single-threaded run would.
+/// The re-run uses a brand-new solver session: its answers depend on
+/// nothing a worker accumulated.
 fn reextract(
     i: usize,
     fallback: CounterExample,
@@ -453,95 +376,21 @@ fn reextract(
     ctx: &WorkerCtx,
 ) -> CounterExample {
     let mut pool = master.clone();
-    let mut solver = QuerySolver::Fresh(BvSolver::with_conflict_budget(
-        ctx.cfg.solver_conflict_budget,
-    ));
+    let mut solver = new_session(ctx.cfg);
     // Pruning is off for the re-run: it can only skip UNSAT queries,
     // but disabling it keeps the replay maximally independent of what
-    // other workers learned.
+    // other workers learned — so nothing reads the session's cores.
+    solver.set_core_extraction(false);
     let mut pruner = Pruner::new(Arc::new(Mutex::new(CoreStore::new())), false, usize::MAX);
-    // Same deterministic corpus as the workers'; its counters are
-    // replay bookkeeping and are not merged into the report. The
-    // reported bytes come from canonical minimal-model extraction
-    // inside `confirm_model`, never from a corpus packet directly.
-    let mut prefilter = Prefilter::new(ctx.cfg.concrete_prefilter, &ctx.sums.input, &ctx.cfg.sym);
     let composed = AtomicUsize::new(0);
     let ctx2 = WorkerCtx {
         composed: &composed,
         ..*ctx
     };
-    match run_task(
-        &tasks[i],
-        &mut pool,
-        &mut solver,
-        &mut pruner,
-        &mut prefilter,
-        &ctx2,
-    ) {
+    match run_task(&tasks[i], &mut pool, &mut solver, &mut pruner, &ctx2) {
         TaskResult::Violation(cex) => cex,
         // Only reachable if the shared budget truncated the original
         // run differently; the in-flight counterexample is still valid.
         _ => fallback,
     }
-}
-
-/// A session pinned to `par`'s thread and split-depth knobs.
-fn session<'p>(pipeline: &'p Pipeline, cfg: &VerifyConfig, par: &ParallelConfig) -> Verifier<'p> {
-    Verifier::new(pipeline)
-        .config(cfg.clone())
-        .threads(par.threads)
-        .split_depth(par.split_depth)
-}
-
-/// Parallel [`crate::verify_crash_freedom`]: same verdict, all cores.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).threads(n).check(Property::CrashFreedom)` — \
-            one session drives both engines and reuses step-1 summaries \
-            (see the README migration table)"
-)]
-pub fn verify_crash_freedom_par(
-    pipeline: &Pipeline,
-    cfg: &VerifyConfig,
-    par: &ParallelConfig,
-) -> VerifyReport {
-    session(pipeline, cfg, par)
-        .check(Property::CrashFreedom)
-        .expect_verify()
-}
-
-/// Parallel [`crate::verify_bounded_execution`]: same verdict, all cores.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).threads(n).check(Property::Bounded { imax })` — \
-            one session drives both engines and reuses step-1 summaries \
-            (see the README migration table)"
-)]
-pub fn verify_bounded_execution_par(
-    pipeline: &Pipeline,
-    imax: u64,
-    cfg: &VerifyConfig,
-    par: &ParallelConfig,
-) -> VerifyReport {
-    session(pipeline, cfg, par)
-        .check(Property::Bounded { imax })
-        .expect_verify()
-}
-
-/// Parallel [`crate::verify_filtering`]: same verdict, all cores.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).threads(n).check(Property::Filter(prop))` — \
-            one session drives both engines and reuses step-1 summaries \
-            (see the README migration table)"
-)]
-pub fn verify_filtering_par(
-    pipeline: &Pipeline,
-    prop: &FilterProperty,
-    cfg: &VerifyConfig,
-    par: &ParallelConfig,
-) -> VerifyReport {
-    session(pipeline, cfg, par)
-        .check(Property::Filter(prop.clone()))
-        .expect_verify()
 }

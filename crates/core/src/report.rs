@@ -1,7 +1,6 @@
 //! Verdicts, counterexamples and report formatting.
 
 use crate::cores::CoreStats;
-use crate::prefilter::PrefilterStats;
 use bvsolve::{Model, SolverLayerStats, TermPool};
 use std::time::Duration;
 use symexec::SymInput;
@@ -150,9 +149,7 @@ pub struct VerifyReport {
     pub composed_paths: usize,
     /// Solver layer/reuse counters for this check's step-2 queries
     /// (the per-check delta out of the session's long-lived solver;
-    /// summed over workers in parallel runs). The blast-cache and
-    /// learnt-clause counters are nonzero only in incremental mode
-    /// ([`crate::VerifyConfig::incremental`]).
+    /// summed over workers in parallel runs).
     pub solver: SolverLayerStats,
     /// Conflict-driven pruning counters for this check (cores learned,
     /// queries skipped via core subsumption, continuation subtrees cut
@@ -169,13 +166,6 @@ pub struct VerifyReport {
     /// Static-analysis counters (lints, simplifier effect). All zero
     /// unless [`crate::VerifyConfig::static_simplify`] is on.
     pub static_stats: StaticStats,
-    /// Concrete-execution prefilter counters (queries probed against
-    /// the packet corpus, queries decided `Sat` without a solver
-    /// call). All zero unless
-    /// [`crate::VerifyConfig::concrete_prefilter`] is on. The
-    /// portfolio counters live in `solver`
-    /// ([`bvsolve::SolverLayerStats`]).
-    pub prefilter: PrefilterStats,
     /// Wall-clock time of step 1.
     pub step1_time: Duration,
     /// Wall-clock time of step 2.
@@ -233,9 +223,7 @@ impl VerifyReport {
              \"blast_cache_hits\":{},\"blast_cache_misses\":{},\
              \"learnt_reused\":{},\"sat_solve_calls\":{},\
              \"decisions\":{},\"propagations\":{},\
-             \"compactions\":{},\"portfolio_races\":{},\
-             \"races_won_by\":[{}],\"clauses_imported\":{},\
-             \"clauses_exported\":{}}},\
+             \"compactions\":{}}},\
              \"cores\":{{\"cores_learned\":{},\"core_hits\":{},\
              \"subtrees_pruned\":{}}},\
              \"summary\":{{\"hits\":{},\"misses\":{},\"store_size\":{},\
@@ -243,7 +231,6 @@ impl VerifyReport {
              \"evictions\":{}}},\
              \"static\":{{\"lints_emitted\":{},\"blocks_removed\":{},\
              \"intervals_seeded\":{}}},\
-             \"prefilter\":{{\"checks\":{},\"hits\":{}}},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3}}}",
             json_escape(&self.property),
             json_escape(&self.pipeline),
@@ -268,14 +255,6 @@ impl VerifyReport {
             s.decisions,
             s.propagations,
             s.compactions,
-            s.portfolio_races,
-            s.races_won_by
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            s.clauses_imported,
-            s.clauses_exported,
             self.cores.cores_learned,
             self.cores.core_hits,
             self.cores.subtrees_pruned,
@@ -289,8 +268,6 @@ impl VerifyReport {
             self.static_stats.lints_emitted,
             self.static_stats.blocks_removed,
             self.static_stats.intervals_seeded,
-            self.prefilter.checks,
-            self.prefilter.hits,
             self.step1_time.as_secs_f64() * 1e3,
             self.step2_time.as_secs_f64() * 1e3,
         )

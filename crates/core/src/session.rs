@@ -54,31 +54,27 @@
 //! (both packets trigger the same violation) — the same caveat as the
 //! [`crate::parallel`] driver.
 //!
-//! Incremental solver reuse ([`VerifyConfig::incremental`], the
-//! default) does **not** widen that caveat: although a long-lived
+//! Solver reuse does **not** widen that caveat: although a long-lived
 //! [`bvsolve::SolveSession`]'s in-flight models depend on the learnt
-//! clauses and saved phases earlier queries left behind, every
-//! verdict-deciding violation is re-solved on a fresh solver before
-//! it is reported, so counterexample bytes are identical between
-//! incremental and fresh-solver mode for the same engine and thread
-//! count.
+//! clauses and saved phases earlier queries left behind, the bytes of
+//! every verdict-deciding violation come from canonical minimal-model
+//! extraction on a private session before it is reported.
 
 use crate::compose::ComposedState;
 use crate::cores::{CoreStore, Pruner};
 use crate::generic::{run_generic, GenericReport};
 use crate::parallel::{drain_tasks, expand_frontier, WorkerCtx};
-use crate::prefilter::Prefilter;
 use crate::report::{json_escape, StaticStats, Verdict, VerifyReport};
 use crate::stateful::{analyze, StateFinding};
 use crate::step2::{
     aborted_report, bounded_suspects, crash_reach, crash_suspects, filter_suspects,
-    longest_paths_from, lookahead, make_initial, search, segment_count, verdict_of, FilterProperty,
-    LongestPath, Node, PropKind, QuerySolver, VerifyConfig,
+    longest_paths_from, lookahead, make_initial, new_session, search, segment_count, verdict_of,
+    FilterProperty, LongestPath, Node, PropKind, VerifyConfig,
 };
 use crate::summary::{
     effective_threads, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryStore,
 };
-use bvsolve::TermPool;
+use bvsolve::{SolveSession, TermPool};
 use dataplane::{ElementKind, Pipeline};
 use dpir::analysis::{lint_program, simplify, Diagnostic, IvEnv};
 use std::sync::atomic::AtomicUsize;
@@ -452,20 +448,19 @@ impl SearchProp {
 /// both [`Verifier::check`] (`threads == 1`) and
 /// [`crate::churn::ChurnSession`], so a churn session's warm re-checks
 /// cannot diverge from a fresh session's. Returns the outcome, the
-/// solver/core/prefilter stat deltas and the composed-path count.
+/// solver/core stat deltas and the composed-path count.
 pub(crate) fn run_seq_search(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
     spec: &SearchProp,
-    solver: &mut QuerySolver,
+    solver: &mut SolveSession,
     core_store: &Arc<Mutex<CoreStore>>,
 ) -> (
     crate::step2::SearchOutcome,
     bvsolve::SolverLayerStats,
     crate::cores::CoreStats,
-    crate::prefilter::PrefilterStats,
     usize,
 ) {
     let mut init = make_initial(pool, sums);
@@ -475,13 +470,11 @@ pub(crate) fn run_seq_search(
     let composed = AtomicUsize::new(0);
     let mut pruner = Pruner::new(Arc::clone(core_store), cfg.core_pruning, usize::MAX);
     pruner.sync();
-    let mut prefilter = Prefilter::new(cfg.concrete_prefilter, &sums.input, &cfg.sym);
     let before = solver.stats();
     let outcome = search(
         pool,
         solver,
         &mut pruner,
-        &mut prefilter,
         pipeline,
         sums,
         cfg,
@@ -496,13 +489,7 @@ pub(crate) fn run_seq_search(
     );
     let stats = solver.stats().delta(&before);
     pruner.publish();
-    (
-        outcome,
-        stats,
-        pruner.stats,
-        prefilter.stats,
-        composed.into_inner(),
-    )
+    (outcome, stats, pruner.stats, composed.into_inner())
 }
 
 /// Cached step-1 output for one map mode.
@@ -568,15 +555,12 @@ pub struct Verifier<'p> {
     split_depth: usize,
     pool: TermPool,
     cache: [Option<CachedSummaries>; 2],
-    /// One long-lived step-2 query solver per [`MapMode`], created
-    /// lazily beside the cached summaries. In incremental mode (the
-    /// default) this is a [`bvsolve::SolveSession`] whose blasted
-    /// constraints and learnt clauses persist across every sequential
-    /// property check of the session; with
-    /// [`VerifyConfig::incremental`] `= false` it is a fresh-per-query
-    /// solver (the A/B baseline). Parallel checks use per-worker
-    /// sessions instead (see [`crate::parallel`]).
-    solvers: [Option<QuerySolver>; 2],
+    /// One long-lived step-2 solver session per [`MapMode`], created
+    /// lazily beside the cached summaries: its blasted constraints and
+    /// learnt clauses persist across every sequential property check
+    /// of the session. Parallel checks use per-worker sessions instead
+    /// (see [`crate::parallel`]).
+    solvers: [Option<SolveSession>; 2],
     /// One UNSAT-core store per [`MapMode`], beside the cached
     /// summaries: cores learned refuting paths for one property prune
     /// the step-2 searches of every later property in the same mode
@@ -901,14 +885,14 @@ impl<'p> Verifier<'p> {
 
         let t1 = Instant::now();
         let core_store = &core_stores[mode_idx(mode)];
-        let (outcome, solver_stats, core_stats, prefilter_stats, composed_paths) = if threads == 1 {
+        let (outcome, solver_stats, core_stats, composed_paths) = if threads == 1 {
             // The session beside the cache outlives this check: later
             // properties in the same map mode reuse its blasted
             // constraints and learnt clauses. Stats are reported as
             // the per-check delta. The pruner syncs cores learned by
             // earlier checks (either engine) in and publishes this
             // check's harvest back at the end.
-            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| QuerySolver::new(cfg));
+            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg));
             run_seq_search(pool, pipeline, sums, cfg, spec, solver, core_store)
         } else {
             let mut init = make_initial(pool, sums);
@@ -921,16 +905,13 @@ impl<'p> Verifier<'p> {
             // would use, so the set of explored nodes — and hence the
             // composed-path count — matches it exactly on exhaustive
             // runs. Its cores are published like any other check's.
-            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| QuerySolver::new(cfg));
+            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg));
             let mut pruner = Pruner::new(Arc::clone(core_store), cfg.core_pruning, usize::MAX);
             pruner.sync();
-            let mut frontier_prefilter =
-                Prefilter::new(cfg.concrete_prefilter, &sums.input, &cfg.sym);
             let tasks = expand_frontier(
                 pool,
                 solver,
                 &mut pruner,
-                &mut frontier_prefilter,
                 pipeline,
                 sums,
                 &kind,
@@ -949,9 +930,8 @@ impl<'p> Verifier<'p> {
                 composed: &composed,
                 core_store,
             };
-            let (outcome, stats, core_stats, mut pf) = drain_tasks(pool, &tasks, threads, &ctx);
-            pf.merge(&frontier_prefilter.stats);
-            (outcome, stats, core_stats, pf, composed.into_inner())
+            let (outcome, stats, core_stats) = drain_tasks(pool, &tasks, threads, &ctx);
+            (outcome, stats, core_stats, composed.into_inner())
         };
         VerifyReport {
             property: name,
@@ -981,7 +961,6 @@ impl<'p> Verifier<'p> {
             } else {
                 StaticStats::default()
             },
-            prefilter: prefilter_stats,
             step1_time,
             step2_time: t1.elapsed(),
         }

@@ -123,23 +123,8 @@ fn scan_segment(
     None
 }
 
-/// Runs the §3.4 sub-step (ii) pattern analysis over all stages.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).check(Property::StateConsistency)` — the \
-            session runs this analysis on its cached abstract summaries \
-            (see the README migration table)"
-)]
-pub fn analyze_private_state(
-    pool: &mut TermPool,
-    sums: &PipelineSummaries,
-    pipeline: &dataplane::Pipeline,
-) -> Vec<StateFinding> {
-    analyze(pool, sums, pipeline)
-}
-
-/// The analysis engine behind [`analyze_private_state`] and
-/// [`crate::session::Property::StateConsistency`].
+/// Runs the §3.4 sub-step (ii) pattern analysis over all stages — the
+/// engine behind [`crate::session::Property::StateConsistency`].
 pub(crate) fn analyze(
     pool: &mut TermPool,
     sums: &PipelineSummaries,

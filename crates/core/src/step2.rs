@@ -1,20 +1,19 @@
 //! Verification step 2: composing suspect paths and deciding
-//! feasibility — plus the deprecated pre-session property drivers.
+//! feasibility.
 //!
 //! The path search is written once (`search`) and parameterized by
 //! `PropKind`; the sequential engine and the parallel frontier in
 //! [`crate::parallel`] share it — dispatched from one code path in
 //! [`crate::session::Verifier`] — so the two can never diverge on
-//! property semantics. The `verify_*` free functions here are thin
-//! deprecated wrappers over single-property sessions.
+//! property semantics. Every feasibility query takes one path:
+//! learnt-core pruner, then an incremental [`SolveSession`].
 
 use crate::compose::{compose, ComposedState};
 use crate::cores::{CoreStats, Pruner};
-use crate::prefilter::Prefilter;
 use crate::report::{CounterExample, Verdict, VerifyReport};
-use crate::session::{CustomProperty, Property, Verifier};
+use crate::session::CustomProperty;
 use crate::summary::PipelineSummaries;
-use bvsolve::{BvSolver, SatVerdict, SolveSession, SolverLayerStats, TermPool};
+use bvsolve::{SatVerdict, SolveSession, SolverLayerStats, TermPool};
 use dataplane::{Pipeline, Route};
 use dpir::PORT_CONTINUE;
 use std::collections::BinaryHeap;
@@ -33,17 +32,6 @@ pub struct VerifyConfig {
     pub max_composed_paths: usize,
     /// CDCL conflict budget per step-2 feasibility query.
     pub solver_conflict_budget: u64,
-    /// Whether step-2 queries run on an incremental
-    /// [`bvsolve::SolveSession`] — persistent bit-blasting,
-    /// constraints asserted under activation literals as the search
-    /// composes and retired as it backtracks — instead of a fresh
-    /// solver per query. Every decided (Sat/Unsat) query answers
-    /// identically either way; only queries that exhaust
-    /// [`VerifyConfig::solver_conflict_budget`] may degrade to
-    /// Unknown in one mode and not the other, since solver reuse
-    /// changes how many conflicts a given query needs. `false` is
-    /// the A/B baseline for the `incremental` bench ablation.
-    pub incremental: bool,
     /// Whether the step-2 search learns **UNSAT cores** from refuted
     /// queries and skips any later query whose constraint set subsumes
     /// a known core (see [`crate::CoreStore`]). Pruning only ever
@@ -52,9 +40,8 @@ pub struct VerifyConfig {
     /// [`VerifyConfig::solver_conflict_budget`] — verdicts,
     /// counterexample bytes and composed-path counts are equivalent
     /// by construction (pruned compositions still count; only the
-    /// solver call is skipped). Near the budget the caveat is the
-    /// [`VerifyConfig::incremental`] one: a query the unpruned run
-    /// answered `Unknown` may be pruned to a definite `Unsat`, and
+    /// solver call is skipped). Near the budget a query the unpruned
+    /// run answered `Unknown` may be pruned to a definite `Unsat`, and
     /// skipped solves change the solver state behind later
     /// budget-limited queries. A [`crate::session::Verifier`] keeps
     /// one store per map mode, so cores learned proving one property
@@ -79,43 +66,6 @@ pub struct VerifyConfig {
     /// `false` is the A/B baseline for the `static_simplify` bench
     /// ablation.
     pub static_simplify: bool,
-    /// `Some(n)`: blast-layer step-2 queries that exhaust
-    /// [`VerifyConfig::portfolio_escalation`] conflicts
-    /// single-threaded are re-run as a **portfolio race** of `n`
-    /// diversified clones of the session solver (first decided clone
-    /// wins and cancels the rest; glue clauses the racers learn flow
-    /// back into the session — see
-    /// [`bvsolve::SolveSession::set_portfolio`]). Requires
-    /// [`VerifyConfig::incremental`]; the fresh-solver baseline
-    /// ignores it. Verdicts, counterexample bytes and composed-path
-    /// counts are unchanged: decided answers are a property of the
-    /// query, races only move wall time, and reported packets go
-    /// through canonical minimal-model extraction
-    /// (`QuerySolver::confirm_model`) regardless of which racer won.
-    /// The one widening is the usual budget caveat — a race spends
-    /// more total conflicts than one solver, so a portfolio run may
-    /// decide a query the single-threaded run left `Unknown` (never
-    /// the reverse). On a host with a single available core the race
-    /// is auto-disabled — the clones could only time-slice against
-    /// the attempt they are meant to overtake.
-    /// `None` (the default) keeps every query single-threaded.
-    pub portfolio: Option<usize>,
-    /// Conflicts granted to the single-threaded attempt before a
-    /// query counts as *hard* and escalates to a portfolio race
-    /// (inert unless [`VerifyConfig::portfolio`] is set). Cheap
-    /// queries — the overwhelming majority — never pay the clone and
-    /// thread-spawn cost.
-    pub portfolio_escalation: u64,
-    /// Whether the concrete-execution prefilter runs in front of the
-    /// step-2 solver: composed constraints are evaluated on a small
-    /// deterministic packet corpus, and a packet satisfying every
-    /// conjunct decides the query `Sat` by exhibition — no blast, no
-    /// CDCL (counters in [`crate::PrefilterStats`]). Sound by
-    /// construction (it can only accelerate SAT answers) and
-    /// deterministic (reported packets go through canonical
-    /// minimal-model extraction, so counterexample bytes match a run
-    /// with the filter off). `false` is the A/B baseline.
-    pub concrete_prefilter: bool,
 }
 
 impl Default for VerifyConfig {
@@ -124,12 +74,8 @@ impl Default for VerifyConfig {
             sym: SymConfig::default(),
             max_composed_paths: 1 << 20,
             solver_conflict_budget: 200_000,
-            incremental: true,
             core_pruning: true,
             static_simplify: false,
-            portfolio: None,
-            portfolio_escalation: 2_000,
-            concrete_prefilter: false,
         }
     }
 }
@@ -148,117 +94,43 @@ pub(crate) enum Feas {
     Unknown,
 }
 
-/// The step-2 query engine: an incremental [`SolveSession`] (the
-/// default) or a fresh-per-query [`BvSolver`]
-/// ([`VerifyConfig::incremental`] `= false`, the A/B baseline). Both
-/// decide the same conjunction queries through the same cheap layers,
-/// so decided (Sat/Unsat) verdicts are identical — only
-/// budget-exhausted Unknowns can differ between modes (see
-/// [`VerifyConfig::incremental`]); the session additionally reuses
-/// blasted prefixes and learnt clauses across the query stream.
-pub(crate) enum QuerySolver {
-    Fresh(BvSolver),
-    Session(Box<SolveSession>),
+/// The step-2 query solver: an incremental [`SolveSession`] under
+/// [`VerifyConfig::solver_conflict_budget`].
+pub(crate) fn new_session(cfg: &VerifyConfig) -> SolveSession {
+    // Note: drop-one core minimization stays off here — on the
+    // step-2 stream the analyze-final cores are already sharp
+    // enough that the capped re-solves cost far more than the
+    // extra subsumptions they buy (measured 2-3x slower on the
+    // refutation-heavy ablation with no extra hits).
+    let mut session = SolveSession::with_conflict_budget(cfg.solver_conflict_budget);
+    // No pruner will read the cores, so don't build them.
+    session.set_core_extraction(cfg.core_pruning);
+    session
 }
 
-impl QuerySolver {
-    pub(crate) fn new(cfg: &VerifyConfig) -> Self {
-        if cfg.incremental {
-            // Note: drop-one core minimization stays off here — on the
-            // step-2 stream the analyze-final cores are already sharp
-            // enough that the capped re-solves cost far more than the
-            // extra subsumptions they buy (measured 2-3x slower on the
-            // refutation-heavy ablation with no extra hits).
-            let mut session = SolveSession::with_conflict_budget(cfg.solver_conflict_budget);
-            // No pruner will read the cores, so don't build them.
-            session.set_core_extraction(cfg.core_pruning);
-            // Racing diversified clones only buys wall time when a
-            // second core can actually run one; on a single-core host
-            // the clones would time-slice against the main attempt and
-            // strictly lose to just continuing it. Auto-disable there
-            // (verdict-invariant: races never change decided answers).
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if let Some(racers) = cfg.portfolio {
-                if cores > 1 {
-                    session.set_portfolio(racers, cfg.portfolio_escalation);
-                }
-            }
-            QuerySolver::Session(Box::new(session))
-        } else {
-            // Sessions produce cores for free (assumption-driven
-            // queries); the fresh baseline pays a second solve per
-            // UNSAT for them, so only ask when pruning will use them.
-            let solver = BvSolver::with_conflict_budget(cfg.solver_conflict_budget);
-            QuerySolver::Fresh(if cfg.core_pruning {
-                solver.with_cores()
-            } else {
-                solver
-            })
-        }
-    }
-
-    /// Decides satisfiability of the conjunction of `cs`. The session
-    /// syncs its assertion stack to `cs` (retire past the common
-    /// prefix, assert the rest); the fresh solver rebuilds from
-    /// scratch.
-    pub(crate) fn check_terms(
-        &mut self,
-        pool: &mut TermPool,
-        cs: &[bvsolve::TermId],
-    ) -> SatVerdict {
-        match self {
-            QuerySolver::Fresh(s) => s.check(pool, cs),
-            QuerySolver::Session(s) => s.check_constraints(pool, cs),
-        }
-    }
-
-    /// Layer/reuse statistics accumulated so far.
-    pub(crate) fn stats(&self) -> SolverLayerStats {
-        match self {
-            QuerySolver::Fresh(s) => s.stats(),
-            QuerySolver::Session(s) => s.stats(),
-        }
-    }
-
-    /// **Canonical** model extraction for a *winning* query: the
-    /// reported packet is the lexicographically-minimal witness of the
-    /// path `constraint` alone, over `(length, byte 0, byte 1, …)`.
-    ///
-    /// Minimality makes the bytes a pure function of the constraint's
-    /// *semantics* — not of solver history (learnt clauses, saved
-    /// phases), not of [`ComposedState::assumed`] facts, not of the
-    /// prefilter corpus, and not of the term pool's node orientation
-    /// (pools warmed across config updates intern the same composition
-    /// with different [`bvsolve::TermId`] numbering, which flips
-    /// commutative operand order and thereby CNF variable order — an
-    /// arbitrary-model extraction would report different, equally
-    /// valid, packets). Every engine — fresh, incremental, parallel,
-    /// portfolio, core-pruned, simplified, churn-warmed — therefore
-    /// reports byte-identical counterexamples for the same violation.
-    ///
-    /// Cost: one solve plus ~`log₂(range)` assumption re-solves per
-    /// reported field on a private [`SolveSession`] (circuits blasted
-    /// once, cheap layers first), paid once per *winning* violation.
-    /// Falls back to the in-flight model (equally valid, possibly
-    /// non-canonical) if any minimization step exhausts the conflict
-    /// budget.
-    pub(crate) fn confirm_model(
-        &self,
-        pool: &mut TermPool,
-        cfg: &VerifyConfig,
-        state: &ComposedState,
-        input: &SymInput,
-        inflight: bvsolve::Model,
-    ) -> bvsolve::Model {
-        canonical_model(pool, cfg, &state.constraint, input).unwrap_or(inflight)
-    }
-}
-
-/// The lexicographically-minimal model of `constraint` over the
-/// reported fields, in report order: packet length first, then each
-/// byte below the minimized length. See
-/// [`QuerySolver::confirm_model`].
-fn canonical_model(
+/// **Canonical** model extraction for a *winning* query: the
+/// lexicographically-minimal witness of the path `constraint` alone,
+/// over the reported fields in report order — packet length first,
+/// then each byte below the minimized length.
+///
+/// Minimality makes the bytes a pure function of the constraint's
+/// *semantics* — not of solver history (learnt clauses, saved
+/// phases), not of [`ComposedState::assumed`] facts, and not of the
+/// term pool's node orientation (pools warmed across config updates
+/// intern the same composition with different [`bvsolve::TermId`]
+/// numbering, which flips commutative operand order and thereby CNF
+/// variable order — an arbitrary-model extraction would report
+/// different, equally valid, packets). Every engine — sequential,
+/// parallel, core-pruned, simplified, churn-warmed — therefore
+/// reports byte-identical counterexamples for the same violation.
+///
+/// Cost: one solve plus ~`log₂(range)` assumption re-solves per
+/// reported field on a private [`SolveSession`] (circuits blasted
+/// once, cheap layers first), paid once per *winning* violation.
+/// `None` if any minimization step exhausts the conflict budget —
+/// callers fall back to the in-flight model (equally valid, possibly
+/// non-canonical).
+pub(crate) fn canonical_model(
     pool: &mut TermPool,
     cfg: &VerifyConfig,
     constraint: &[bvsolve::TermId],
@@ -312,18 +184,16 @@ fn canonical_model(
     Some(bvsolve::Model::from_assignment(out))
 }
 
-/// One feasibility query, with two short-circuit layers in front of
-/// the solver: the **concrete prefilter** decides trivially feasible
-/// states `Sat` by exhibiting a corpus packet, and the
-/// **conflict-driven pruner** refutes any constraint set subsuming a
-/// learned UNSAT core (`subtree` marks continuation nodes, whose skip
-/// prunes a whole search subtree). Every solver `Unsat` feeds its
-/// core back into the pruner.
+/// One feasibility query: the **conflict-driven pruner** refutes any
+/// constraint set subsuming a learned UNSAT core (`subtree` marks
+/// continuation nodes, whose skip prunes a whole search subtree);
+/// everything else goes to the solver session (which syncs its
+/// assertion stack to the query: retire past the common prefix, assert
+/// the rest). Every solver `Unsat` feeds its core back into the pruner.
 pub(crate) fn check(
     pool: &mut TermPool,
-    solver: &mut QuerySolver,
+    solver: &mut SolveSession,
     pruner: &mut Pruner,
-    prefilter: &mut Prefilter,
     state: &ComposedState,
     subtree: bool,
 ) -> Feas {
@@ -333,9 +203,8 @@ pub(crate) fn check(
     // can refute more compositions without the CDCL core. Pruning on
     // the combined set is equally sound — an UNSAT subset of
     // constraint ∧ assumed makes `constraint` alone UNSAT. Model
-    // extraction (and [`QuerySolver::confirm_model`]) stays on
-    // `constraint`, so counterexample bytes are byte-identical to a
-    // run without facts.
+    // extraction ([`canonical_model`]) stays on `constraint`, so
+    // counterexample bytes are byte-identical to a run without facts.
     let combined: Vec<bvsolve::TermId>;
     let cs: &[bvsolve::TermId] = if state.assumed.is_empty() {
         &state.constraint
@@ -348,28 +217,17 @@ pub(crate) fn check(
             .collect();
         &combined
     };
-    // A corpus packet satisfying every conjunct is a sound Sat — and
-    // it cannot overlap the pruner (a concretely satisfied set has no
-    // UNSAT subset), so probing first never costs a core hit.
-    if let Some(a) = prefilter.try_sat(pool, cs) {
-        return Feas::Sat(bvsolve::Model::from_assignment(a.clone()));
-    }
     if pruner.known_unsat(cs, subtree) {
         return Feas::Unsat;
     }
-    match solver.check_terms(pool, cs) {
-        SatVerdict::Sat(m) => {
-            // Adopt the model: sibling paths share prefixes, so this
-            // packet likely decides the next extension check too.
-            prefilter.learn(m.assignment());
-            Feas::Sat(m)
-        }
+    match solver.check_constraints(pool, cs) {
+        SatVerdict::Sat(m) => Feas::Sat(m),
         SatVerdict::Unsat(infeasibility) => {
             pruner.learn(infeasibility.core);
             Feas::Unsat
         }
-        // A session-level interrupt surfaces like a budget Unknown:
-        // the query was cancelled, not decided.
+        // An interrupt surfaces like a budget Unknown: the query was
+        // cancelled, not decided.
         SatVerdict::Unknown | SatVerdict::Interrupted => Feas::Unknown,
     }
 }
@@ -586,9 +444,8 @@ pub(crate) fn classify(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     pool: &mut TermPool,
-    solver: &mut QuerySolver,
+    solver: &mut SolveSession,
     pruner: &mut Pruner,
-    prefilter: &mut Prefilter,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
@@ -606,9 +463,10 @@ pub(crate) fn search(
             match classify(pool, pipeline, sums, kind, &node, i, seg, reach) {
                 StepEvent::ViolationCheck(what, next) => {
                     composed.fetch_add(1, Ordering::Relaxed);
-                    match check(pool, solver, pruner, prefilter, &next, false) {
+                    match check(pool, solver, pruner, &next, false) {
                         Feas::Sat(m) => {
-                            let m = solver.confirm_model(pool, cfg, &next, &sums.input, m);
+                            let m = canonical_model(pool, cfg, &next.constraint, &sums.input)
+                                .unwrap_or(m);
                             return SearchOutcome::Violation(CounterExample::from_model(
                                 pool,
                                 &sums.input,
@@ -623,16 +481,13 @@ pub(crate) fn search(
                 }
                 StepEvent::BlockerCheck(next) => {
                     composed.fetch_add(1, Ordering::Relaxed);
-                    if !matches!(
-                        check(pool, solver, pruner, prefilter, &next, false),
-                        Feas::Unsat
-                    ) {
+                    if !matches!(check(pool, solver, pruner, &next, false), Feas::Unsat) {
                         saw_unknown = true;
                     }
                 }
                 StepEvent::Continue(n) => {
                     composed.fetch_add(1, Ordering::Relaxed);
-                    match check(pool, solver, pruner, prefilter, &n.state, true) {
+                    match check(pool, solver, pruner, &n.state, true) {
                         Feas::Sat(_) | Feas::Unknown => stack.push(n),
                         Feas::Unsat => {}
                     }
@@ -707,7 +562,6 @@ pub(crate) fn aborted_report(
         cores: CoreStats::default(),
         summary: Default::default(),
         static_stats: Default::default(),
-        prefilter: Default::default(),
         step1_time: t0.elapsed(),
         step2_time: Default::default(),
     }
@@ -755,42 +609,6 @@ pub(crate) fn verdict_of(outcome: SearchOutcome) -> Verdict {
         SearchOutcome::Budget => Verdict::Unknown("step-2 path budget exceeded".into()),
         SearchOutcome::SolverUnknown => Verdict::Unknown("solver budget exceeded".into()),
     }
-}
-
-/// Proves or disproves **crash-freedom** (§4) for `pipeline`, assuming
-/// arbitrary packets and arbitrary configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).check(Property::CrashFreedom)` — a session \
-            reuses step-1 summaries across properties (see the README \
-            migration table)"
-)]
-pub fn verify_crash_freedom(pipeline: &Pipeline, cfg: &VerifyConfig) -> VerifyReport {
-    Verifier::new(pipeline)
-        .config(cfg.clone())
-        .check(Property::CrashFreedom)
-        .expect_verify()
-}
-
-/// Proves or disproves **bounded-execution** (§4): no packet executes
-/// more than `imax` instructions. Loop-bound overruns and
-/// fuel-exhausted segments are the suspects — a feasible one is an
-/// (attacker-exploitable) unbounded path, as with §5.3 bugs #1/#2.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).check(Property::Bounded { imax })` — a \
-            session reuses step-1 summaries across properties (see the \
-            README migration table)"
-)]
-pub fn verify_bounded_execution(
-    pipeline: &Pipeline,
-    imax: u64,
-    cfg: &VerifyConfig,
-) -> VerifyReport {
-    Verifier::new(pipeline)
-        .config(cfg.clone())
-        .check(Property::Bounded { imax })
-        .expect_verify()
 }
 
 /// A filtering property (§4): packets matching the header pattern must
@@ -893,26 +711,6 @@ pub(crate) fn filter_suspects(pipeline: &Pipeline, sums: &PipelineSummaries) -> 
         .sum()
 }
 
-/// Proves or disproves a **filtering** property under the pipeline's
-/// *specific configuration* (static maps summarized from their
-/// configured contents).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).check(Property::Filter(prop))` — a session \
-            reuses step-1 summaries across properties (see the README \
-            migration table)"
-)]
-pub fn verify_filtering(
-    pipeline: &Pipeline,
-    prop: &FilterProperty,
-    cfg: &VerifyConfig,
-) -> VerifyReport {
-    Verifier::new(pipeline)
-        .config(cfg.clone())
-        .check(Property::Filter(prop.clone()))
-        .expect_verify()
-}
-
 /// One entry of the longest-path report (§5.3).
 #[derive(Debug)]
 pub struct LongestPath {
@@ -922,26 +720,14 @@ pub struct LongestPath {
     pub packet: CounterExample,
 }
 
-/// Finds the `n` longest feasible pipeline paths and packets that
-/// trigger them — the adversarial-workload construction of §5.3.
+/// The longest-path best-first search over already-built summaries
+/// (the engine behind [`crate::Verifier::longest_paths`]) — the
+/// adversarial-workload construction of §5.3.
 ///
 /// Implements the paper's step-2 search: segments are considered in
 /// decreasing instruction count via a best-first search whose
 /// heuristic (maximum remaining instructions per stage) is admissible,
 /// so paths pop in true length order.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Verifier::new(p).longest_paths(n)` — a session reuses \
-            step-1 summaries across properties (see the README migration \
-            table)"
-)]
-pub fn longest_paths(pipeline: &Pipeline, n: usize, cfg: &VerifyConfig) -> Vec<LongestPath> {
-    Verifier::new(pipeline).config(cfg.clone()).longest_paths(n)
-}
-
-/// The longest-path best-first search over already-built summaries
-/// (the engine behind [`Verifier::longest_paths`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn longest_paths_from(
     pool: &mut TermPool,
     pipeline: &Pipeline,
@@ -990,8 +776,7 @@ pub(crate) fn longest_paths_from(
         }
     }
 
-    let mut solver = QuerySolver::new(cfg);
-    let mut prefilter = Prefilter::new(cfg.concrete_prefilter, &sums.input, &cfg.sym);
+    let mut solver = new_session(cfg);
     let mut heap: BinaryHeap<QNode> = BinaryHeap::new();
     heap.push(QNode {
         f: suffix[0],
@@ -1008,15 +793,9 @@ pub(crate) fn longest_paths_from(
         }
         if node.terminal {
             // Admissible heuristic ⇒ this is the next-longest path.
-            if let Feas::Sat(m) = check(
-                pool,
-                &mut solver,
-                pruner,
-                &mut prefilter,
-                &node.state,
-                false,
-            ) {
-                let m = solver.confirm_model(pool, cfg, &node.state, &sums.input, m);
+            if let Feas::Sat(m) = check(pool, &mut solver, pruner, &node.state, false) {
+                let m =
+                    canonical_model(pool, cfg, &node.state.constraint, &sums.input).unwrap_or(m);
                 out.push(LongestPath {
                     instrs: node.state.instrs,
                     packet: CounterExample::from_model(
@@ -1039,10 +818,7 @@ pub(crate) fn longest_paths_from(
             }
             let next = compose(pool, &node.state, &summary.input, seg, node.stage, i);
             composed += 1;
-            let feasible = !matches!(
-                check(pool, &mut solver, pruner, &mut prefilter, &next, true),
-                Feas::Unsat
-            );
+            let feasible = !matches!(check(pool, &mut solver, pruner, &next, true), Feas::Unsat);
             if !feasible {
                 continue;
             }

@@ -1,17 +1,9 @@
 //! Verifier budget and degradation behavior: when resources run out the
 //! verdict must degrade to Unknown — never to a false Proved/Disproved.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use elements::pipelines::{to_pipeline, ROUTER_IP};
 use symexec::SymConfig;
-use verifier::{
-    verify_bounded_execution, verify_crash_freedom, verify_filtering, FilterProperty, Verdict,
-    VerifyConfig,
-};
+use verifier::{FilterProperty, Property, Verdict, Verifier, VerifyConfig};
 
 fn base_cfg() -> VerifyConfig {
     VerifyConfig {
@@ -39,7 +31,10 @@ fn router() -> dataplane::Pipeline {
 fn step1_state_budget_degrades_to_unknown() {
     let mut cfg = base_cfg();
     cfg.sym.max_states = 5;
-    let r = verify_crash_freedom(&router(), &cfg);
+    let r = Verifier::new(&router())
+        .config(cfg)
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(
         matches!(r.verdict, Verdict::Unknown(_)),
         "tiny step-1 budget must yield Unknown: {r}"
@@ -50,7 +45,10 @@ fn step1_state_budget_degrades_to_unknown() {
 fn step2_path_budget_degrades_to_unknown() {
     let mut cfg = base_cfg();
     cfg.max_composed_paths = 3;
-    let r = verify_crash_freedom(&router(), &cfg);
+    let r = Verifier::new(&router())
+        .config(cfg)
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(
         matches!(r.verdict, Verdict::Unknown(_)),
         "tiny step-2 budget must yield Unknown: {r}"
@@ -60,7 +58,10 @@ fn step2_path_budget_degrades_to_unknown() {
 
 #[test]
 fn ample_budget_proves_same_pipeline() {
-    let r = verify_crash_freedom(&router(), &base_cfg());
+    let r = Verifier::new(&router())
+        .config(base_cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
 }
 
@@ -68,7 +69,10 @@ fn ample_budget_proves_same_pipeline() {
 fn bounded_budget_degrades_to_unknown() {
     let mut cfg = base_cfg();
     cfg.max_composed_paths = 2;
-    let r = verify_bounded_execution(&router(), 10_000, &cfg);
+    let r = Verifier::new(&router())
+        .config(cfg)
+        .check(Property::Bounded { imax: 10_000 })
+        .expect_verify();
     assert!(matches!(r.verdict, Verdict::Unknown(_)), "{r}");
 }
 
@@ -84,7 +88,10 @@ fn filtering_dst_property() {
         dst_ip: Some(0x0A090909),
         min_len: 38,
     };
-    let r = verify_filtering(&p, &prop, &base_cfg());
+    let r = Verifier::new(&p)
+        .config(base_cfg())
+        .check(Property::Filter(prop.clone()))
+        .expect_verify();
     assert!(r.verdict.is_disproved(), "{r}");
     if let Verdict::Disproved(cex) = &r.verdict {
         let pkt = dpir::PacketData::new(cex.bytes.clone());
@@ -104,16 +111,78 @@ fn filtering_src_and_dst_conjunction() {
         dst_ip: Some(0x0A090909),
         min_len: 38,
     };
-    let r = verify_filtering(&p, &prop, &base_cfg());
+    let r = Verifier::new(&p)
+        .config(base_cfg())
+        .check(Property::Filter(prop.clone()))
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
 }
 
 #[test]
 fn report_display_is_informative() {
-    let r = verify_crash_freedom(&router(), &base_cfg());
+    let r = Verifier::new(&router())
+        .config(base_cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     let s = r.to_string();
     assert!(s.contains("crash-freedom"));
     assert!(s.contains("PROVED"));
     assert!(s.contains("step1"));
     assert!(s.contains("step2"));
+}
+
+#[test]
+fn unknown_is_never_replayed_from_the_churn_memo() {
+    use dataplane::{TableDelta, TableOp};
+    use verifier::{ChurnSession, ReuseLevel};
+
+    const BLACKLISTED: u32 = 0x0BAD_0001;
+    let pipeline = to_pipeline(
+        "fw-router",
+        vec![
+            elements::classifier::classifier(),
+            elements::check_ip_header::check_ip_header(false),
+            elements::ip_filter::ip_filter(vec![BLACKLISTED]),
+            elements::dec_ttl::dec_ttl(),
+            elements::ip_options::ip_options(2, Some(ROUTER_IP)),
+            elements::ip_lookup::ip_lookup(4, elements::pipelines::edge_fib()),
+        ],
+    );
+    let props = vec![
+        Property::CrashFreedom,
+        Property::Bounded { imax: 10_000 },
+        Property::Filter(FilterProperty::src(BLACKLISTED)),
+    ];
+    // One conflict per query: crash-freedom runs out of budget, while
+    // bounded-execution (pruned by the cores crash-freedom left) and
+    // filtering are still proved.
+    let mut cfg = base_cfg();
+    cfg.solver_conflict_budget = 1;
+    let mut session = ChurnSession::new(pipeline, props, cfg, ReuseLevel::Sessions)
+        .expect("search-based properties");
+    let before = session.verify();
+    let unknown: Vec<bool> = before
+        .verdicts()
+        .iter()
+        .map(|v| matches!(v, Verdict::Unknown(_)))
+        .collect();
+    assert!(unknown.contains(&true), "want an Unknown: {unknown:?}");
+    assert!(unknown.contains(&false), "want a verdict: {unknown:?}");
+
+    // Re-inserting an entry the blacklist already holds changes no
+    // table: every mode is untouched, so every *decided* property
+    // replays — and every Unknown one is searched again.
+    let noop = TableDelta::new(
+        "IPFilter",
+        dpir::MapId(0),
+        TableOp::ExactInsert(vec![(BLACKLISTED as u64, 1)]),
+    );
+    let after = session.apply_delta(&noop).expect("valid delta");
+    for (i, was_unknown) in unknown.iter().enumerate() {
+        assert_eq!(
+            after.replayed[i], !was_unknown,
+            "{}: replayed = {}, previous verdict unknown = {was_unknown}",
+            after.reports[i].property, after.replayed[i]
+        );
+    }
 }

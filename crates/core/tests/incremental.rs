@@ -1,9 +1,9 @@
-//! Incremental-session vs fresh-solver equivalence across the whole
-//! stack: identical verdicts, traces, counterexample bytes and path
-//! counts on real pipelines — sequentially and with worker threads —
-//! plus the solver reuse counters surfaced on [`verifier::VerifyReport`].
-//! The same discipline covers conflict-driven pruning
-//! ([`verifier::VerifyConfig::core_pruning`]): pruning only ever skips
+//! Step-2 solver sessions across the whole stack: sequential and
+//! worker-thread runs agree on verdicts, traces and counterexample
+//! bytes on real pipelines, and the solver reuse counters are surfaced
+//! on [`verifier::VerifyReport`]. Conflict-driven pruning
+//! ([`verifier::VerifyConfig::core_pruning`]) is held to verdict
+//! equality against its off arm: pruning only ever skips
 //! queries the solver would answer UNSAT, so on these budget-free
 //! workloads (no query comes near `solver_conflict_budget`) verdict,
 //! counterexample bytes *and composed-path counts* must match the
@@ -16,13 +16,12 @@ use elements::pipelines::{to_pipeline, ROUTER_IP};
 use symexec::SymConfig;
 use verifier::{FilterProperty, Property, Verdict, Verifier, VerifyConfig, VerifyReport};
 
-fn cfg(incremental: bool) -> VerifyConfig {
+fn cfg() -> VerifyConfig {
     VerifyConfig {
         sym: SymConfig {
             max_pkt_bytes: 48,
             ..Default::default()
         },
-        incremental,
         ..Default::default()
     }
 }
@@ -30,7 +29,7 @@ fn cfg(incremental: bool) -> VerifyConfig {
 fn cfg_pruning(core_pruning: bool) -> VerifyConfig {
     VerifyConfig {
         core_pruning,
-        ..cfg(true)
+        ..cfg()
     }
 }
 
@@ -66,92 +65,13 @@ fn audit_props() -> Vec<Property> {
     ]
 }
 
-/// Byte-for-byte agreement: verdict class, description, trace,
-/// counterexample packet, and the step-2 query count.
-fn assert_identical(a: &VerifyReport, b: &VerifyReport, what: &str) {
-    match (&a.verdict, &b.verdict) {
-        (Verdict::Proved, Verdict::Proved) => {}
-        (Verdict::Disproved(x), Verdict::Disproved(y)) => {
-            assert_eq!(x.trace, y.trace, "{what}: trace differs");
-            assert_eq!(x.description, y.description, "{what}: description differs");
-            assert_eq!(x.bytes, y.bytes, "{what}: counterexample bytes differ");
-        }
-        (Verdict::Unknown(x), Verdict::Unknown(y)) => {
-            assert_eq!(x, y, "{what}: unknown reason differs")
-        }
-        (x, y) => panic!("{what}: {x:?} vs {y:?}"),
-    }
-    assert_eq!(
-        a.composed_paths, b.composed_paths,
-        "{what}: both modes must walk the same composed paths"
-    );
-    assert_eq!(
-        a.solver.queries, b.solver.queries,
-        "{what}: same query stream"
-    );
-    assert_eq!(
-        a.solver.by_blast, b.solver.by_blast,
-        "{what}: the cheap layers must answer the same queries in both modes"
-    );
-}
-
-#[test]
-fn incremental_matches_fresh_on_proved_pipeline() {
-    let p = router();
-    let fresh = Verifier::new(&p)
-        .config(cfg(false))
-        .check_all(&audit_props());
-    let inc = Verifier::new(&p)
-        .config(cfg(true))
-        .check_all(&audit_props());
-    for ((prop, f), i) in audit_props().iter().zip(&fresh).zip(&inc) {
-        assert_identical(
-            f.as_verify().unwrap(),
-            i.as_verify().unwrap(),
-            &format!("router {prop:?}"),
-        );
-    }
-}
-
-#[test]
-fn incremental_matches_fresh_on_disproved_pipeline() {
-    let p = click_bug1();
-    let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
-    let fresh = Verifier::new(&p).config(cfg(false)).check_all(&props);
-    let inc = Verifier::new(&p).config(cfg(true)).check_all(&props);
-    for ((prop, f), i) in props.iter().zip(&fresh).zip(&inc) {
-        assert_identical(
-            f.as_verify().unwrap(),
-            i.as_verify().unwrap(),
-            &format!("click-bug {prop:?}"),
-        );
-    }
-    assert!(
-        inc[1].as_verify().unwrap().verdict.is_disproved(),
-        "bug #1 must still be found through the session: {}",
-        inc[1]
-    );
-}
-
 #[test]
 fn parallel_sessions_agree_with_sequential_and_fresh() {
     let p = click_bug1();
     let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
-    let seq = Verifier::new(&p).config(cfg(true)).check_all(&props);
-    let par_inc = Verifier::new(&p)
-        .config(cfg(true))
-        .threads(4)
-        .check_all(&props);
-    let par_fresh = Verifier::new(&p)
-        .config(cfg(false))
-        .threads(4)
-        .check_all(&props);
-    for (((prop, s), pi), pf) in props.iter().zip(&seq).zip(&par_inc).zip(&par_fresh) {
-        assert_identical(
-            pi.as_verify().unwrap(),
-            pf.as_verify().unwrap(),
-            &format!("threads(4) incremental-vs-fresh {prop:?}"),
-        );
+    let seq = Verifier::new(&p).config(cfg()).check_all(&props);
+    let par = Verifier::new(&p).config(cfg()).threads(4).check_all(&props);
+    for ((prop, s), pi) in props.iter().zip(&seq).zip(&par) {
         // Sequential vs parallel: verdict, trace and description (the
         // PR-1/PR-2 guarantee), bytes included since both re-extract
         // on the shared master pool.
@@ -328,11 +248,11 @@ fn cross_property_core_reuse_is_visible() {
 
 #[test]
 fn reuse_counters_are_visible_and_mode_faithful() {
-    // Incremental mode: prefix reuse and clause carry-over must show
-    // up both on the struct and in the JSON line.
+    // Prefix reuse and clause carry-over must show up both on the
+    // struct and in the JSON line.
     let p = click_bug1();
     let r = Verifier::new(&p)
-        .config(cfg(true))
+        .config(cfg())
         .check(Property::Bounded { imax: 5_000 })
         .expect_verify();
     assert!(r.solver.queries > 0, "{:?}", r.solver);
@@ -351,15 +271,6 @@ fn reuse_counters_are_visible_and_mode_faithful() {
     assert!(j.contains("\"solver\":{\"queries\":"), "{j}");
     assert!(j.contains("\"blast_cache_hits\":"), "{j}");
     assert!(j.contains("\"learnt_reused\":"), "{j}");
-
-    // Fresh mode: the same pipeline reports zero reuse, by definition.
-    let f = Verifier::new(&p)
-        .config(cfg(false))
-        .check(Property::Bounded { imax: 5_000 })
-        .expect_verify();
-    assert_eq!(f.solver.blast_cache_hits, 0, "{:?}", f.solver);
-    assert_eq!(f.solver.learnt_reused, 0, "{:?}", f.solver);
-    assert!(f.solver.by_blast > 0);
 }
 
 #[test]
@@ -369,7 +280,7 @@ fn session_solver_persists_across_checks_in_one_mode() {
     // base constraints, so its miss counter stays below its query
     // count from the very first blast-layer query.
     let p = router();
-    let mut v = Verifier::new(&p).config(cfg(true));
+    let mut v = Verifier::new(&p).config(cfg());
     let r1 = v.check(Property::CrashFreedom).expect_verify();
     let r2 = v.check(Property::Bounded { imax: 10_000 }).expect_verify();
     assert!(r1.verdict.is_proved(), "{r1}");

@@ -3,21 +3,14 @@
 //! disproofs the same counterexample packet, trace and description —
 //! for every thread count and split depth.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dataplane::{Element, Pipeline, Route, Stage};
 use dpir::ProgramBuilder;
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{network_gateway, to_pipeline, ROUTER_IP};
 use symexec::SymConfig;
 use verifier::{
-    summarize_pipeline, summarize_pipeline_par, verify_bounded_execution,
-    verify_bounded_execution_par, verify_crash_freedom, verify_crash_freedom_par, verify_filtering,
-    verify_filtering_par, FilterProperty, MapMode, ParallelConfig, Verdict, VerifyConfig,
-    VerifyReport,
+    summarize_pipeline, summarize_pipeline_par, FilterProperty, MapMode, Property, Verdict,
+    Verifier, VerifyConfig, VerifyReport,
 };
 
 fn cfg() -> VerifyConfig {
@@ -28,6 +21,22 @@ fn cfg() -> VerifyConfig {
         },
         ..Default::default()
     }
+}
+
+/// One property on a fresh sequential session.
+fn check_seq(p: &Pipeline, prop: Property) -> VerifyReport {
+    Verifier::new(p).config(cfg()).check(prop).expect_verify()
+}
+
+/// One property on a fresh session pinned to `threads` workers and a
+/// frontier split at `split_depth`.
+fn check_par(p: &Pipeline, prop: Property, threads: usize, split_depth: usize) -> VerifyReport {
+    Verifier::new(p)
+        .config(cfg())
+        .threads(threads)
+        .split_depth(split_depth)
+        .check(prop)
+        .expect_verify()
 }
 
 /// The Fig. 1 toy pipeline of `tests/toy_pipeline.rs`: clamp then
@@ -100,12 +109,9 @@ fn assert_same_verdict(seq: &VerifyReport, par: &VerifyReport, what: &str) {
     assert_eq!(seq.suspects, par.suspects, "{what}: suspect count");
 }
 
-fn sweep(par_of: impl Fn(&ParallelConfig) -> VerifyReport, seq: &VerifyReport, what: &str) {
+fn sweep(par_of: impl Fn(usize, usize) -> VerifyReport, seq: &VerifyReport, what: &str) {
     for (threads, split_depth) in [(1, 0), (1, 2), (2, 1), (8, 3)] {
-        let par = par_of(&ParallelConfig {
-            threads,
-            split_depth,
-        });
+        let par = par_of(threads, split_depth);
         assert_same_verdict(
             seq,
             &par,
@@ -116,10 +122,10 @@ fn sweep(par_of: impl Fn(&ParallelConfig) -> VerifyReport, seq: &VerifyReport, w
 
 #[test]
 fn toy_pipeline_crash_freedom_matches() {
-    let seq = verify_crash_freedom(&toy_pipeline(), &cfg());
+    let seq = check_seq(&toy_pipeline(), Property::CrashFreedom);
     assert!(matches!(seq.verdict, Verdict::Proved), "{seq}");
     sweep(
-        |p| verify_crash_freedom_par(&toy_pipeline(), &cfg(), p),
+        |t, d| check_par(&toy_pipeline(), Property::CrashFreedom, t, d),
         &seq,
         "toy/crash-freedom",
     );
@@ -127,10 +133,10 @@ fn toy_pipeline_crash_freedom_matches() {
 
 #[test]
 fn disproof_counterexamples_match_exactly() {
-    let seq = verify_crash_freedom(&broken_pipeline(), &cfg());
+    let seq = check_seq(&broken_pipeline(), Property::CrashFreedom);
     assert!(seq.verdict.is_disproved(), "{seq}");
     sweep(
-        |p| verify_crash_freedom_par(&broken_pipeline(), &cfg(), p),
+        |t, d| check_par(&broken_pipeline(), Property::CrashFreedom, t, d),
         &seq,
         "broken/crash-freedom",
     );
@@ -151,10 +157,11 @@ fn bounded_execution_bug_hunt_matches() {
             ],
         )
     };
-    let seq = verify_bounded_execution(&build(), 5_000, &cfg());
+    let bounded = Property::Bounded { imax: 5_000 };
+    let seq = check_seq(&build(), bounded.clone());
     assert!(seq.verdict.is_disproved(), "{seq}");
     sweep(
-        |p| verify_bounded_execution_par(&build(), 5_000, &cfg(), p),
+        |t, d| check_par(&build(), bounded.clone(), t, d),
         &seq,
         "frag-bug1/bounded",
     );
@@ -170,19 +177,11 @@ fn bounded_execution_bug_hunt_matches() {
             ],
         )
     };
-    let seq = verify_bounded_execution(&fixed(), 5_000, &cfg());
+    let seq = check_seq(&fixed(), bounded.clone());
     assert!(seq.verdict.is_proved(), "{seq}");
     // Proofs explore the full path space — sweep fewer configs.
     for (threads, split_depth) in [(2, 1), (8, 3)] {
-        let par = verify_bounded_execution_par(
-            &fixed(),
-            5_000,
-            &cfg(),
-            &ParallelConfig {
-                threads,
-                split_depth,
-            },
-        );
+        let par = check_par(&fixed(), bounded.clone(), threads, split_depth);
         assert_same_verdict(&seq, &par, "frag-fixed/bounded");
     }
 }
@@ -201,18 +200,15 @@ fn gateway_filtering_matches() {
     // sequential class and is only replay-checked.
     let build = || to_pipeline("gateway", network_gateway(3));
     let prop = FilterProperty::src(0x0A00_002A);
-    let seq = verify_filtering(&build(), &prop, &cfg());
+    let seq = check_seq(&build(), Property::Filter(prop.clone()));
 
     let mut parallel_packets = Vec::new();
     for (threads, split_depth) in [(1, 1), (2, 2), (4, 1), (8, 3)] {
-        let par = verify_filtering_par(
+        let par = check_par(
             &build(),
-            &prop,
-            &cfg(),
-            &ParallelConfig {
-                threads,
-                split_depth,
-            },
+            Property::Filter(prop.clone()),
+            threads,
+            split_depth,
         );
         assert_eq!(
             std::mem::discriminant(&seq.verdict),
@@ -225,7 +221,7 @@ fn gateway_filtering_matches() {
                 parallel_packets.push(cex.bytes.clone());
             } else if let Verdict::Disproved(seq_cex) = &seq.verdict {
                 // threads == 1 *is* the sequential engine: its packet
-                // must be byte-identical to the sequential wrapper's.
+                // must be byte-identical to the sequential session's.
                 assert_eq!(
                     seq_cex.bytes, cex.bytes,
                     "threads=1 must reproduce the sequential packet"

@@ -244,7 +244,7 @@ fn apply_batch_matches_one_by_one_deltas() {
     let mk = |level| {
         ChurnSession::new(router(), props(), cfg(), level).expect("search-based properties")
     };
-    for level in [ReuseLevel::Summaries, ReuseLevel::Sessions] {
+    for level in [ReuseLevel::FullReverify, ReuseLevel::Sessions] {
         let mut serial = mk(level);
         serial.verify();
         let mut last = None;

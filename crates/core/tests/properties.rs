@@ -5,21 +5,13 @@
 //! must trigger exactly the violation the verifier predicted. That
 //! closes the loop between the symbolic and concrete semantics.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dataplane::{PipelineOutcome, Runner};
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{
     build_all_stores, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP,
 };
 use symexec::SymConfig;
-use verifier::{
-    verify_bounded_execution, verify_crash_freedom, verify_filtering, FilterProperty, Verdict,
-    VerifyConfig,
-};
+use verifier::{FilterProperty, Property, Verdict, Verifier, VerifyConfig};
 
 fn cfg() -> VerifyConfig {
     VerifyConfig {
@@ -47,7 +39,10 @@ fn replay(elements: Vec<dataplane::Element>, bytes: &[u8]) -> PipelineOutcome {
 #[test]
 fn classifier_alone_is_crash_free() {
     let p = to_pipeline("clf", vec![elements::classifier::classifier()]);
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
     assert_eq!(r.suspects, 0);
 }
@@ -57,7 +52,10 @@ fn dec_ttl_alone_crashes_and_cex_replays() {
     // In isolation DecTTL reads byte 22 unconditionally: disproved.
     let elems = vec![elements::dec_ttl::dec_ttl()];
     let p = to_pipeline("ttl", elems.clone());
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     let Verdict::Disproved(cex) = &r.verdict else {
         panic!("expected disproof, got {r}");
     };
@@ -78,7 +76,10 @@ fn preproc_discharges_dec_ttl_suspect() {
         elements::dec_ttl::dec_ttl(),
     ];
     let p = to_pipeline("preproc+ttl", elems);
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
     assert!(r.suspects >= 1, "DecTTL is suspect in isolation");
     assert!(r.composed_paths >= 1, "step 2 had to discharge it");
@@ -94,7 +95,10 @@ fn bug3_click_nat_gateway_crashes() {
         elements::nat::nat_click_buggy(NAT_PUBLIC_IP, NAT_PUBLIC_PORT, 64),
     ];
     let p = to_pipeline("gateway+clicknat", elems.clone());
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     let Verdict::Disproved(cex) = &r.verdict else {
         panic!("expected disproof, got {r}");
     };
@@ -123,7 +127,10 @@ fn verified_nat_gateway_is_crash_free() {
         elements::nat::nat_verified(NAT_PUBLIC_IP, 64),
     ];
     let p = to_pipeline("gateway", elems);
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
 }
 
@@ -144,7 +151,10 @@ fn bug1_fragmenter_unbounded_with_options() {
         ip_fragmenter(FragmenterVariant::ClickBug1, 40),
     ];
     let p = to_pipeline("edge+frag1", elems.clone());
-    let r = verify_bounded_execution(&p, IMAX, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     let Verdict::Disproved(cex) = &r.verdict else {
         panic!("expected disproof, got {r}");
     };
@@ -164,7 +174,10 @@ fn bug2_fragmenter_unbounded_without_options_element() {
         ip_fragmenter(FragmenterVariant::ClickBug2, 40),
     ];
     let p = to_pipeline("edge+frag2", elems.clone());
-    let r = verify_bounded_execution(&p, IMAX, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     let Verdict::Disproved(cex) = &r.verdict else {
         panic!("expected disproof, got {r}");
     };
@@ -186,7 +199,10 @@ fn bug2_masked_by_options_element() {
         ip_fragmenter(FragmenterVariant::ClickBug2, 40),
     ];
     let p = to_pipeline("edge+opts+frag2", elems);
-    let r = verify_bounded_execution(&p, IMAX, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(r.verdict.is_proved(), "options element masks bug #2: {r}");
     assert!(r.composed_paths > 10, "the refutation is the pricey case");
 }
@@ -199,7 +215,10 @@ fn fixed_fragmenter_is_bounded() {
         ip_fragmenter(FragmenterVariant::Fixed, 40),
     ];
     let p = to_pipeline("edge+fixedfrag", elems);
-    let r = verify_bounded_execution(&p, IMAX, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
 }
 
@@ -219,7 +238,10 @@ fn lsrr_bypasses_firewall_and_cex_replays() {
         elements::ip_filter::ip_filter(vec![BLACKLISTED]),
     ];
     let p = to_pipeline("lsrr+fw", elems.clone());
-    let r = verify_filtering(&p, &FilterProperty::src(BLACKLISTED), &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Filter(FilterProperty::src(BLACKLISTED)))
+        .expect_verify();
     let Verdict::Disproved(cex) = &r.verdict else {
         panic!("expected violation, got {r}");
     };
@@ -247,7 +269,10 @@ fn firewall_holds_without_lsrr_rewriting() {
         elements::ip_filter::ip_filter(vec![BLACKLISTED]),
     ];
     let p = to_pipeline("opts+fw", elems);
-    let r = verify_filtering(&p, &FilterProperty::src(BLACKLISTED), &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Filter(FilterProperty::src(BLACKLISTED)))
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
 }
 
@@ -255,13 +280,19 @@ fn firewall_holds_without_lsrr_rewriting() {
 fn firewall_alone_filters() {
     let elems = vec![elements::ip_filter::ip_filter(vec![BLACKLISTED])];
     let p = to_pipeline("fw", elems);
-    let r = verify_filtering(&p, &FilterProperty::src(BLACKLISTED), &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Filter(FilterProperty::src(BLACKLISTED)))
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
     // A different source must NOT be provably dropped.
     let p2 = to_pipeline(
         "fw2",
         vec![elements::ip_filter::ip_filter(vec![BLACKLISTED])],
     );
-    let r2 = verify_filtering(&p2, &FilterProperty::src(0x0A00_0001), &cfg());
+    let r2 = Verifier::new(&p2)
+        .config(cfg())
+        .check(Property::Filter(FilterProperty::src(0x0A00_0001)))
+        .expect_verify();
     assert!(r2.verdict.is_disproved(), "{r2}");
 }

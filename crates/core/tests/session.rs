@@ -1,6 +1,6 @@
 //! Session-API tests: summary caching, multi-property audits, the
-//! sequential/parallel engine dispatch, custom properties, and the
-//! deprecated-wrapper migration guarantees.
+//! sequential/parallel engine dispatch, custom properties, and
+//! run-to-run reproducibility.
 
 use dataplane::{Element, Pipeline, Route, Stage};
 use dpir::ProgramBuilder;
@@ -398,19 +398,24 @@ fn filtering_reports_real_suspect_counts() {
 }
 
 // --------------------------------------------------------------------
-// Deprecated wrappers and JSON output
+// Reproducibility and JSON output
 // --------------------------------------------------------------------
 
+/// Two independent single-property sessions agree byte for byte (the
+/// name predates the removal of the free-function wrappers, which were
+/// exactly such sessions).
 #[test]
-#[allow(deprecated)]
 fn deprecated_wrappers_match_session_exactly() {
     let p = toy_broken();
-    let wrapper = verifier::verify_crash_freedom(&p, &cfg());
-    let session = Verifier::new(&p)
+    let first = Verifier::new(&p)
         .config(cfg())
         .check(Property::CrashFreedom)
         .expect_verify();
-    match (&wrapper.verdict, &session.verdict) {
+    let second = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
+    match (&first.verdict, &second.verdict) {
         (Verdict::Disproved(a), Verdict::Disproved(b)) => {
             assert_eq!(a.bytes, b.bytes);
             assert_eq!(a.trace, b.trace);
@@ -418,8 +423,8 @@ fn deprecated_wrappers_match_session_exactly() {
         }
         (a, b) => panic!("expected identical disproofs, got {a:?} vs {b:?}"),
     }
-    assert_eq!(wrapper.step1_states, session.step1_states);
-    assert_eq!(wrapper.composed_paths, session.composed_paths);
+    assert_eq!(first.step1_states, second.step1_states);
+    assert_eq!(first.composed_paths, second.composed_paths);
 }
 
 #[test]
@@ -612,100 +617,4 @@ fn simplified_summaries_fingerprint_apart() {
         "every rewritten stage must occupy a new key"
     );
     assert_eq!(r_raw.verdict.label(), r_simp.verdict.label());
-}
-
-// --------------------------------------------------------------------
-// Portfolio & concrete-prefilter counters: off by default, populated
-// and verdict-preserving when enabled
-// --------------------------------------------------------------------
-
-#[test]
-fn portfolio_prefilter_counters_zero_when_off() {
-    let p = click_bug1();
-    let r = Verifier::new(&p)
-        .config(cfg())
-        .check(Property::CrashFreedom)
-        .expect_verify();
-    assert_eq!(r.solver.portfolio_races, 0, "{:?}", r.solver);
-    assert_eq!(r.solver.clauses_imported, 0, "{:?}", r.solver);
-    assert_eq!(r.solver.clauses_exported, 0, "{:?}", r.solver);
-    assert!(r.solver.races_won_by.iter().all(|&n| n == 0));
-    assert_eq!(r.prefilter.checks, 0, "{:?}", r.prefilter);
-    assert_eq!(r.prefilter.hits, 0, "{:?}", r.prefilter);
-    let j = r.to_json();
-    assert!(j.contains("\"portfolio_races\":0"), "{j}");
-    assert!(j.contains("\"races_won_by\":[0,0,0,0,0,0,0,0]"), "{j}");
-    assert!(j.contains("\"clauses_imported\":0"), "{j}");
-    assert!(j.contains("\"clauses_exported\":0"), "{j}");
-    assert!(j.contains("\"prefilter\":{\"checks\":0,\"hits\":0}"), "{j}");
-}
-
-#[test]
-fn prefilter_counters_populate_and_preserve_outcomes() {
-    for p in [click_bug1(), fixed_frag()] {
-        let base = Verifier::new(&p)
-            .config(cfg())
-            .check(Property::CrashFreedom)
-            .expect_verify();
-        let mut pcfg = cfg();
-        pcfg.concrete_prefilter = true;
-        let pre = Verifier::new(&p)
-            .config(pcfg)
-            .check(Property::CrashFreedom)
-            .expect_verify();
-        assert_same_outcome(&base, &pre, &format!("prefilter/{}", p.name));
-        // Counterexample *bytes* must match too: the corpus may decide
-        // feasibility but never leaks its packets into reports.
-        if let (Verdict::Disproved(a), Verdict::Disproved(b)) = (&base.verdict, &pre.verdict) {
-            assert_eq!(a.bytes, b.bytes, "{}: cex bytes differ", p.name);
-        }
-        assert_eq!(base.composed_paths, pre.composed_paths, "{}", p.name);
-        assert!(pre.prefilter.checks > 0, "{:?}", pre.prefilter);
-        assert!(
-            pre.prefilter.hits <= pre.prefilter.checks,
-            "{:?}",
-            pre.prefilter
-        );
-        let j = pre.to_json();
-        let expected = format!(
-            "\"prefilter\":{{\"checks\":{},\"hits\":{}}}",
-            pre.prefilter.checks, pre.prefilter.hits
-        );
-        assert!(j.contains(&expected), "{j}");
-    }
-}
-
-#[test]
-fn portfolio_config_preserves_outcomes_and_counts_races() {
-    let p = click_bug1();
-    let base = Verifier::new(&p)
-        .config(cfg())
-        .check(Property::Bounded { imax: IMAX })
-        .expect_verify();
-    let mut rcfg = cfg();
-    rcfg.portfolio = Some(4);
-    // Escalation 1: any query costing more than one conflict races, so
-    // the counters actually move on this small pipeline.
-    rcfg.portfolio_escalation = 1;
-    let raced = Verifier::new(&p)
-        .config(rcfg)
-        .check(Property::Bounded { imax: IMAX })
-        .expect_verify();
-    assert_same_outcome(&base, &raced, "portfolio/bounded");
-    if let (Verdict::Disproved(a), Verdict::Disproved(b)) = (&base.verdict, &raced.verdict) {
-        assert_eq!(a.bytes, b.bytes, "portfolio cex bytes differ");
-    }
-    assert_eq!(base.composed_paths, raced.composed_paths);
-    // Racing auto-disables on single-core hosts (no parallelism to
-    // exploit); the equality contract above still holds there, but the
-    // race counters only move when a second core exists.
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-        assert!(raced.solver.portfolio_races > 0, "{:?}", raced.solver);
-    }
-    assert_eq!(
-        raced.solver.races_won_by.iter().sum::<u64>(),
-        raced.solver.portfolio_races,
-        "{:?}",
-        raced.solver
-    );
 }

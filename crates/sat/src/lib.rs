@@ -15,10 +15,7 @@
 //!   kept forever; activity is the tie-break),
 //! * assumption-level UNSAT cores ([`Solver::last_core`], with
 //!   optional drop-one minimization under a conflict budget),
-//! * the portfolio toolkit: cooperative cancellation
-//!   ([`Solver::set_interrupt`]), seedable search diversification
-//!   (phase polarity, restart base, random-decision fraction), and
-//!   glue-clause exchange through a [`SharedClausePool`].
+//! * cooperative cancellation ([`Solver::set_interrupt`]).
 //!
 //! The design goal mirrors the networking guides' advice for dataplane
 //! code: simple, deterministic, allocation-conscious, no `unsafe`.
@@ -46,13 +43,11 @@
 mod clause;
 mod dimacs;
 mod lit;
-mod pool;
 mod solver;
 
 pub use clause::{Clause, ClauseRef};
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use lit::{Lit, Var};
-pub use pool::SharedClausePool;
 pub use solver::{SolveResult, Solver, SolverStats};
 
 /// A CNF formula: a conjunction of clauses over variables `0..num_vars`.

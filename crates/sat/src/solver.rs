@@ -2,7 +2,6 @@
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::lit::{Lit, Var};
-use crate::pool::SharedClausePool;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -68,12 +67,9 @@ pub struct SolverStats {
     pub lbd_sum: u64,
 }
 
-/// Default base unit of the Luby restart schedule.
-const DEFAULT_RESTART_BASE: u64 = 64;
-
-/// Default xorshift seed (an arbitrary odd constant; seed 0 would
-/// lock the generator at 0).
-const DEFAULT_RNG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Base unit of the Luby restart schedule (conflicts between restarts
+/// = `RESTART_BASE * luby(n)`).
+const RESTART_BASE: u64 = 64;
 
 /// Watcher entry: a clause plus a "blocker" literal checked before
 /// touching the clause (MiniSat-style optimization).
@@ -170,11 +166,8 @@ impl VarOrder {
 /// A CDCL SAT solver. See the crate docs for the algorithm inventory.
 ///
 /// `Clone` duplicates the complete solver state (clause database,
-/// learnt clauses, activities, saved phases) — the basis for portfolio
-/// racing, where diversified clones of one incremental solver search
-/// the same query in parallel. The interrupt flag is shared by the
-/// clone (same `Arc`), which is exactly what a race wants; call
-/// [`Solver::set_interrupt`] on the clone to give it its own flag.
+/// learnt clauses, activities, saved phases); the interrupt flag is
+/// shared by the clone (same `Arc`).
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     db: ClauseDb,
@@ -210,38 +203,6 @@ pub struct Solver {
     /// Cooperative cancellation flag, checked once per search-loop
     /// iteration (i.e. at every conflict/decision/restart boundary).
     interrupt: Option<Arc<AtomicBool>>,
-    /// Base unit of the Luby restart schedule (conflicts between
-    /// restarts = `restart_base * luby(n)`). The portfolio diversifies
-    /// this across racers.
-    restart_base: u64,
-    /// Fraction of decisions taken on a random unassigned variable
-    /// instead of the VSIDS top (0.0 disables; a portfolio
-    /// diversification knob).
-    random_decision_freq: f64,
-    /// Xorshift state for random decisions (never 0).
-    rng_state: u64,
-    /// Mid-search glue exchange through a shared pool, serviced at
-    /// restart boundaries (see [`Solver::attach_exchange`]).
-    exchange: Option<RaceExchange>,
-}
-
-/// State of a solver's attachment to a [`SharedClausePool`]: the pool
-/// handle plus per-solver cursors so each clause crosses the pool
-/// exactly once in each direction.
-#[derive(Debug, Clone)]
-struct RaceExchange {
-    pool: Arc<SharedClausePool>,
-    epoch: u64,
-    /// Conflicts (counted from the attaching solve call's start)
-    /// before the first exchange service — see
-    /// [`Solver::attach_exchange`].
-    warmup: u64,
-    /// Pool index up to which this solver has imported.
-    fetch_cursor: usize,
-    /// Clause-arena index up to which this solver has exported.
-    export_cursor: usize,
-    imported: u64,
-    exported: u64,
 }
 
 impl Solver {
@@ -252,8 +213,6 @@ impl Solver {
             cla_inc: 1.0,
             max_learnt: 0.0,
             conflict_budget: u64::MAX,
-            restart_base: DEFAULT_RESTART_BASE,
-            rng_state: DEFAULT_RNG_SEED,
             ..Default::default()
         }
     }
@@ -295,9 +254,7 @@ impl Solver {
     /// Installs a cooperative cancellation flag. The search loop polls
     /// it (relaxed load) at every conflict/decision/restart boundary
     /// and returns [`SolveResult::Interrupted`] when it reads `true`,
-    /// after backtracking to level 0 — the solver stays reusable. The
-    /// portfolio driver shares one flag across all racers so the
-    /// first decided solver cancels the rest.
+    /// after backtracking to level 0 — the solver stays reusable.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
     }
@@ -312,199 +269,6 @@ impl Solver {
         self.interrupt
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-
-    // ------------------------------------------------------------------
-    // Search diversification (portfolio racers)
-    // ------------------------------------------------------------------
-
-    /// Re-seeds the saved phase of every existing variable from a
-    /// 64-bit mix of `seed` and the variable index. Seed 0 restores
-    /// the default all-`false` polarity. Diversifying the initial
-    /// polarities sends otherwise identical racers down different
-    /// regions of the search tree; verdicts are unaffected (only
-    /// which model a SAT call lands on).
-    pub fn seed_phases(&mut self, seed: u64) {
-        for (i, p) in self.saved_phase.iter_mut().enumerate() {
-            *p = seed != 0 && mix(seed, i as u64) & 1 == 1;
-        }
-    }
-
-    /// Flips roughly one in `flip_one_in` saved phases, chosen by a
-    /// deterministic mix of `seed` and the variable index. Unlike
-    /// [`Solver::seed_phases`] this *perturbs* the current phases
-    /// rather than replacing them, so a clone keeps most of the
-    /// warm-start model its session accumulated (phase saving) while
-    /// still branching into a different region of the search tree.
-    /// `flip_one_in == 0` is a no-op.
-    pub fn perturb_phases(&mut self, seed: u64, flip_one_in: u32) {
-        if flip_one_in == 0 {
-            return;
-        }
-        for (i, p) in self.saved_phase.iter_mut().enumerate() {
-            if mix(seed, i as u64).is_multiple_of(flip_one_in as u64) {
-                *p = !*p;
-            }
-        }
-    }
-
-    /// Sets the base unit of the Luby restart schedule (default 64
-    /// conflicts): racers with longer bases dive deeper between
-    /// restarts, shorter bases probe more broadly.
-    pub fn set_restart_base(&mut self, base: u64) {
-        self.restart_base = base.max(1);
-    }
-
-    /// Makes a `freq` fraction of decisions (0.0–1.0) pick a random
-    /// unassigned variable instead of the VSIDS top, drawn from a
-    /// deterministic xorshift stream seeded with `seed`. `0.0`
-    /// disables random decisions (the default).
-    pub fn set_random_decisions(&mut self, freq: f64, seed: u64) {
-        self.random_decision_freq = freq.clamp(0.0, 1.0);
-        self.rng_state = mix(seed, DEFAULT_RNG_SEED).max(1);
-    }
-
-    // ------------------------------------------------------------------
-    // Learnt-clause exchange (shared glue pool)
-    // ------------------------------------------------------------------
-
-    /// Cursor marking the current end of the clause arena: pass it to
-    /// [`Solver::export_glue`] (on this solver or a clone) to export
-    /// only clauses learnt after this point.
-    pub fn glue_cursor(&self) -> usize {
-        self.db.len()
-    }
-
-    /// Exports glue clauses (learnt, LBD ≤ 2, still live) whose arena
-    /// slot is at or past `*cursor`, advancing the cursor to the end
-    /// of the arena. The arena is append-only, so repeated calls with
-    /// the same cursor yield each glue clause exactly once. Literals
-    /// are meaningful only for solvers over the *same* variable
-    /// numbering (clones of this solver); the shared pool's epoch
-    /// token enforces that.
-    pub fn export_glue(&self, cursor: &mut usize) -> Vec<Vec<Lit>> {
-        let from = *cursor;
-        *cursor = self.db.len();
-        (from..self.db.len())
-            .map(|i| self.db.get(ClauseRef(i as u32)))
-            .filter(|c| c.learnt && !c.deleted && c.lbd <= 2 && c.len() >= 2)
-            .map(|c| c.lits.clone())
-            .collect()
-    }
-
-    /// Attaches this solver to a shared glue pool for **mid-search**
-    /// clause exchange: at every restart boundary (decision level 0,
-    /// the only point where clause import is cheap and safe) the
-    /// solver publishes the glue clauses it has learnt since the last
-    /// boundary and imports its peers' pending entries. This keeps
-    /// each racer's search *continuous* — one restart schedule, one
-    /// activity trajectory — unlike chunked re-solving, which resets
-    /// the Luby sequence every chunk and cripples deep dives.
-    ///
-    /// The attachment survives until [`Solver::detach_exchange`];
-    /// export starts at the current clause-arena end, so pre-existing
-    /// learnt clauses are not re-published.
-    ///
-    /// `warmup` defers the first service until the solve call has
-    /// spent that many conflicts. Imported clauses arrive on a
-    /// schedule set by the OS scheduler, so every import makes the
-    /// rest of the search trajectory timing-dependent; deferring
-    /// exchange keeps short searches bit-deterministic — a racer
-    /// whose diversified strategy decides the query within the warmup
-    /// does so identically on every run and every machine — while
-    /// searches hard enough to outlive the warmup get the glue
-    /// sharing, whose value grows with search length.
-    pub fn attach_exchange(&mut self, pool: Arc<SharedClausePool>, epoch: u64, warmup: u64) {
-        self.exchange = Some(RaceExchange {
-            pool,
-            epoch,
-            warmup,
-            fetch_cursor: 0,
-            export_cursor: self.db.len(),
-            imported: 0,
-            exported: 0,
-        });
-    }
-
-    /// Detaches the solver from its shared glue pool, returning the
-    /// `(imported, exported)` clause counts accrued while attached.
-    pub fn detach_exchange(&mut self) -> (u64, u64) {
-        self.exchange
-            .take()
-            .map_or((0, 0), |ex| (ex.imported, ex.exported))
-    }
-
-    /// Services a pool attachment at a restart boundary: exports
-    /// fresh glue, imports pending peer clauses. Caller must be at
-    /// decision level 0. May discover top-level UNSAT (via
-    /// [`Solver::import_clause`]), which the search loop re-checks.
-    fn service_exchange(&mut self) {
-        let Some(mut ex) = self.exchange.take() else {
-            return;
-        };
-        let fresh = self.export_glue(&mut ex.export_cursor);
-        if !fresh.is_empty() {
-            ex.exported += ex.pool.publish(ex.epoch, fresh) as u64;
-        }
-        for clause in ex.pool.fetch(ex.epoch, &mut ex.fetch_cursor) {
-            if self.unsat {
-                break;
-            }
-            if self.import_clause(&clause) {
-                ex.imported += 1;
-            }
-        }
-        self.exchange = Some(ex);
-    }
-
-    /// Imports a clause learnt by another solver over the same
-    /// variable numbering. The clause is added as a learnt glue
-    /// clause (LBD 2), so DB reduction never evicts it. Returns
-    /// `false` when the solver is already UNSAT at the top level.
-    /// Importing is sound because learnt clauses are implied by the
-    /// problem clauses alone (assumptions enter CDCL as decisions,
-    /// never as clauses).
-    pub fn import_clause(&mut self, lits: &[Lit]) -> bool {
-        self.backtrack_to(0);
-        if self.unsat {
-            return false;
-        }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
-            debug_assert!(l.var().index() < self.num_vars(), "unknown variable");
-            if sorted.binary_search(&!l).is_ok() && l.is_positive() {
-                return true; // tautology
-            }
-            match self.lit_value(l) {
-                Some(true) => return true, // satisfied at level 0
-                Some(false) => {}          // falsified at level 0: drop
-                None => c.push(l),
-            }
-        }
-        match c.len() {
-            0 => {
-                self.unsat = true;
-                false
-            }
-            1 => {
-                self.enqueue(c[0], ClauseRef::NONE);
-                if self.propagate().is_some() {
-                    self.unsat = true;
-                    false
-                } else {
-                    true
-                }
-            }
-            _ => {
-                let cref = self.db.add(c, true);
-                self.db.get_mut(cref).lbd = 2;
-                self.attach(cref);
-                true
-            }
-        }
     }
 
     /// Solver statistics so far.
@@ -692,13 +456,8 @@ impl Solver {
         }
         self.backtrack_to(0);
         self.max_learnt = (self.db.len() as f64 * 0.3).max(1000.0);
-        let restart_base = if self.restart_base == 0 {
-            DEFAULT_RESTART_BASE // a `Default`-built solver
-        } else {
-            self.restart_base
-        };
         let mut restarts: u64 = 0;
-        let mut conflicts_until_restart = restart_base * luby(restarts + 1);
+        let mut conflicts_until_restart = RESTART_BASE * luby(restarts + 1);
         let budget_start = self.stats.conflicts;
         let result = loop {
             if self.interrupted() {
@@ -726,18 +485,8 @@ impl Solver {
                 if conflicts_until_restart == 0 {
                     restarts += 1;
                     self.stats.restarts += 1;
-                    conflicts_until_restart = restart_base * luby(restarts + 1);
+                    conflicts_until_restart = RESTART_BASE * luby(restarts + 1);
                     self.backtrack_to(0);
-                    let warmed = self
-                        .exchange
-                        .as_ref()
-                        .is_some_and(|ex| self.stats.conflicts - budget_start >= ex.warmup);
-                    if warmed {
-                        self.service_exchange();
-                        if self.unsat {
-                            break SolveResult::Unsat;
-                        }
-                    }
                 }
                 if self.db.num_learnt() as f64 > self.max_learnt {
                     self.reduce_db();
@@ -1075,41 +824,12 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        if self.random_decision_freq > 0.0 {
-            // Draw even when the sample below misses, so the decision
-            // stream stays a pure function of the seed.
-            let coin = (self.next_rand() >> 11) as f64 / (1u64 << 53) as f64;
-            if coin < self.random_decision_freq {
-                for _ in 0..8 {
-                    let i = (self.next_rand() % self.num_vars() as u64) as usize;
-                    if self.assigns[i].is_none() && self.order.contains(Var::from_index(i)) {
-                        return Some(Var::from_index(i));
-                    }
-                }
-                // All samples hit assigned variables: fall through to
-                // the activity order.
-            }
-        }
         while let Some(v) = self.order.pop(&self.activity) {
             if self.assigns[v.index()].is_none() {
                 return Some(v);
             }
         }
         None
-    }
-
-    /// Xorshift64 step (never returns 0; state is never 0).
-    fn next_rand(&mut self) -> u64 {
-        let mut x = if self.rng_state == 0 {
-            DEFAULT_RNG_SEED
-        } else {
-            self.rng_state
-        };
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
     }
 
     fn bump_var(&mut self, v: Var) {
@@ -1180,15 +900,6 @@ impl Solver {
         let first = c.lits[0];
         self.reason[first.var().index()] == r && self.lit_value(first) == Some(true)
     }
-}
-
-/// SplitMix64-style finalizer over `seed ^ x` — a cheap, deterministic
-/// 64-bit mix used for phase seeding and RNG-seed whitening.
-fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The Luby restart sequence (1,1,2,1,1,2,4,...).
@@ -1564,60 +1275,6 @@ mod tests {
         );
         flag.store(false, Ordering::Relaxed);
         assert!(s.solve().is_unsat(), "reusable after cross-thread cancel");
-    }
-
-    #[test]
-    fn diversification_preserves_verdicts() {
-        // Any mix of phase seed, restart base and random decisions
-        // must leave verdicts untouched on both polarity of instance.
-        for seed in [1u64, 7, 42] {
-            let mut unsat = Solver::new();
-            pigeonhole(&mut unsat, 4);
-            unsat.seed_phases(seed);
-            unsat.set_restart_base(64 << (seed % 3));
-            unsat.set_random_decisions(0.05 * seed as f64 % 0.2, seed);
-            assert!(unsat.solve().is_unsat());
-
-            let mut sat = Solver::new();
-            let n = 30;
-            for i in 0..n {
-                let a = lit(&mut sat, i, true);
-                let b = lit(&mut sat, i + 1, true);
-                sat.add_clause(&[a, b]);
-                sat.add_clause(&[!a, !b]);
-            }
-            sat.seed_phases(seed);
-            sat.set_random_decisions(0.1, seed);
-            assert!(sat.solve().is_sat());
-            let m = sat.model();
-            for i in 0..n {
-                assert_ne!(m[i], m[i + 1], "model must satisfy the xor chain");
-            }
-        }
-    }
-
-    #[test]
-    fn glue_export_import_roundtrip() {
-        let mut teacher = Solver::new();
-        pigeonhole(&mut teacher, 4);
-        assert!(teacher.solve().is_unsat());
-        let mut cursor = 0;
-        let glue = teacher.export_glue(&mut cursor);
-        assert!(!glue.is_empty(), "a hard proof must learn glue clauses");
-        assert!(
-            teacher.export_glue(&mut cursor).is_empty(),
-            "cursor makes export incremental"
-        );
-        // A fresh solver over the same numbering accepts the clauses
-        // and still reaches the same verdicts.
-        let mut student = Solver::new();
-        pigeonhole(&mut student, 4);
-        let before = student.num_learnts();
-        for c in &glue {
-            assert!(student.import_clause(c));
-        }
-        assert!(student.num_learnts() >= before + glue.len());
-        assert!(student.solve().is_unsat());
     }
 
     #[test]

@@ -50,7 +50,11 @@ fn audit(name: &str, variant: FragmenterVariant, with_options_element: bool) {
     let mut session = Verifier::new(&p).config(cfg()).threads(threads());
     let reports = session.check_all(&[Property::CrashFreedom, Property::Bounded { imax: IMAX }]);
 
-    println!("== {name} (step-1 passes: {})", session.step1_runs());
+    println!(
+        "== {name} (step-1 passes: {}, {} threads)",
+        session.step1_runs(),
+        session.effective_threads()
+    );
     for report in &reports {
         println!("   {report}");
         if std::env::var_os("DPV_JSON").is_some() {
@@ -71,10 +75,8 @@ fn audit(name: &str, variant: FragmenterVariant, with_options_element: bool) {
 }
 
 fn main() {
-    let n = dpv::verifier::ParallelConfig::with_threads(threads()).effective_threads();
     println!(
-        "Auditing fragmenter variants for crash-freedom + bounded-execution \
-         (imax = {IMAX}, {n} threads)\n"
+        "Auditing fragmenter variants for crash-freedom + bounded-execution (imax = {IMAX})\n"
     );
     // Bug #1: the missing loop increment — any real option hangs it.
     audit(

@@ -11,11 +11,6 @@
 //! * **Bug #3** — Click IPRewriter: the hairpin tuple equal to the
 //!   NAT's own public tuple fires an internal heap assertion.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dpv::dataplane::{PipelineOutcome, Runner};
 use dpv::dpir::PacketData;
 use dpv::elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
@@ -24,10 +19,7 @@ use dpv::elements::pipelines::{
 };
 use dpv::elements::{check_ip_header::check_ip_header, classifier::classifier, nat};
 use dpv::symexec::SymConfig;
-use dpv::verifier::{
-    verify_bounded_execution, verify_bounded_execution_par, verify_crash_freedom,
-    verify_crash_freedom_par, ParallelConfig, Verdict, VerifyConfig, VerifyReport,
-};
+use dpv::verifier::{Property, Verdict, Verifier, VerifyConfig, VerifyReport};
 
 const IMAX: u64 = 5_000;
 
@@ -77,11 +69,10 @@ fn replay_wedges(pipeline: dpv::dataplane::Pipeline, report: &VerifyReport) {
 
 #[test]
 fn bug1_missing_increment_is_found() {
-    let report = verify_bounded_execution(
-        &fragmenter_pipeline(FragmenterVariant::ClickBug1, true),
-        IMAX,
-        &cfg(),
-    );
+    let report = Verifier::new(&fragmenter_pipeline(FragmenterVariant::ClickBug1, true))
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(report.verdict.is_disproved(), "{report}");
     replay_wedges(
         fragmenter_pipeline(FragmenterVariant::ClickBug1, true),
@@ -89,12 +80,11 @@ fn bug1_missing_increment_is_found() {
     );
 
     // The parallel driver finds it too.
-    let par = verify_bounded_execution_par(
-        &fragmenter_pipeline(FragmenterVariant::ClickBug1, true),
-        IMAX,
-        &cfg(),
-        &ParallelConfig::default(),
-    );
+    let par = Verifier::new(&fragmenter_pipeline(FragmenterVariant::ClickBug1, true))
+        .config(cfg())
+        .threads(0)
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(par.verdict.is_disproved(), "{par}");
 }
 
@@ -102,11 +92,10 @@ fn bug1_missing_increment_is_found() {
 fn bug2_zero_length_option_is_found_when_exposed() {
     // Without the sanitizing IPoptions element the length byte is
     // attacker controlled: disproof.
-    let report = verify_bounded_execution(
-        &fragmenter_pipeline(FragmenterVariant::ClickBug2, false),
-        IMAX,
-        &cfg(),
-    );
+    let report = Verifier::new(&fragmenter_pipeline(FragmenterVariant::ClickBug2, false))
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(report.verdict.is_disproved(), "{report}");
     replay_wedges(
         fragmenter_pipeline(FragmenterVariant::ClickBug2, false),
@@ -118,17 +107,19 @@ fn bug2_zero_length_option_is_found_when_exposed() {
 fn bug2_is_masked_by_upstream_sanitizer() {
     // With IPoptions dropping zero-length options first, the suspect
     // becomes infeasible in context — the Table 3 split.
-    let report = verify_bounded_execution(
-        &fragmenter_pipeline(FragmenterVariant::ClickBug2, true),
-        IMAX,
-        &cfg(),
-    );
+    let report = Verifier::new(&fragmenter_pipeline(FragmenterVariant::ClickBug2, true))
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(report.verdict.is_proved(), "{report}");
 }
 
 #[test]
 fn bug3_nat_hairpin_assert_is_found() {
-    let report = verify_crash_freedom(&nat_pipeline(true), &cfg());
+    let report = Verifier::new(&nat_pipeline(true))
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     let Verdict::Disproved(cex) = &report.verdict else {
         panic!("bug #3 must be found: {report}");
     };
@@ -147,19 +138,25 @@ fn bug3_nat_hairpin_assert_is_found() {
         PipelineOutcome::Crashed { .. }
     ));
 
-    let par = verify_crash_freedom_par(&nat_pipeline(true), &cfg(), &ParallelConfig::default());
+    let par = Verifier::new(&nat_pipeline(true))
+        .config(cfg())
+        .threads(0)
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(par.verdict.is_disproved(), "{par}");
 }
 
 #[test]
 fn fixed_variants_verify_clean() {
-    let frag = verify_bounded_execution(
-        &fragmenter_pipeline(FragmenterVariant::Fixed, false),
-        IMAX,
-        &cfg(),
-    );
+    let frag = Verifier::new(&fragmenter_pipeline(FragmenterVariant::Fixed, false))
+        .config(cfg())
+        .check(Property::Bounded { imax: IMAX })
+        .expect_verify();
     assert!(frag.verdict.is_proved(), "{frag}");
 
-    let nat = verify_crash_freedom(&nat_pipeline(false), &cfg());
+    let nat = Verifier::new(&nat_pipeline(false))
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(nat.verdict.is_proved(), "{nat}");
 }

@@ -2,15 +2,10 @@
 //! sound crash-freedom and bounded-execution proofs, plus agreement
 //! between the verified bound and observed concrete behavior.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dpv::dataplane::{PipelineOutcome, Runner};
 use dpv::elements::pipelines::{build_all_stores, edge_fib, to_pipeline, ROUTER_IP};
 use dpv::symexec::SymConfig;
-use dpv::verifier::{longest_paths, verify_bounded_execution, verify_crash_freedom, VerifyConfig};
+use dpv::verifier::{Property, Verifier, VerifyConfig};
 
 fn router() -> Vec<dpv::dataplane::Element> {
     vec![
@@ -37,7 +32,10 @@ fn cfg() -> VerifyConfig {
 #[test]
 fn edge_router_crash_freedom() {
     let p = to_pipeline("edge", router());
-    let report = verify_crash_freedom(&p, &cfg());
+    let report = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(report.verdict.is_proved(), "{report}");
     // Several elements are suspect in isolation (DecTTL's unguarded
     // load, the options walk) — all discharged by composition.
@@ -48,16 +46,22 @@ fn edge_router_crash_freedom() {
 fn edge_router_bounded_execution_and_latency_envelope() {
     let p = to_pipeline("edge", router());
     // Generous bound first: proves termination and yields an envelope.
-    let report = verify_bounded_execution(&p, 10_000, &cfg());
+    let report = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::Bounded { imax: 10_000 })
+        .expect_verify();
     assert!(report.verdict.is_proved(), "{report}");
 
     // The longest feasible path is the tight envelope; a bound below
     // it must be disproved.
-    let paths = longest_paths(&p, 1, &cfg());
+    let paths = Verifier::new(&p).config(cfg()).longest_paths(1);
     let imax = paths.first().expect("a longest path exists").instrs;
     assert!(imax > 0 && imax < 10_000);
     let p2 = to_pipeline("edge", router());
-    let tight = verify_bounded_execution(&p2, imax - 1, &cfg());
+    let tight = Verifier::new(&p2)
+        .config(cfg())
+        .check(Property::Bounded { imax: imax - 1 })
+        .expect_verify();
     assert!(
         tight.verdict.is_disproved(),
         "a bound below the longest path must fail: {tight}"
@@ -104,8 +108,14 @@ fn edge_and_core_router_verify_identically() {
     big[5] = dpv::elements::ip_lookup::ip_lookup(4, dpv::elements::pipelines::core_fib(5_000));
     let p_edge = to_pipeline("edge", router());
     let p_core = to_pipeline("core", big);
-    let r_edge = verify_crash_freedom(&p_edge, &cfg());
-    let r_core = verify_crash_freedom(&p_core, &cfg());
+    let r_edge = Verifier::new(&p_edge)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
+    let r_core = Verifier::new(&p_core)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r_edge.verdict.is_proved() && r_core.verdict.is_proved());
     assert_eq!(r_edge.step1_states, r_core.step1_states);
     assert_eq!(r_edge.step1_segments, r_core.step1_segments);

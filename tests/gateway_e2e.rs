@@ -2,15 +2,10 @@
 //! stateful operation under traffic, NAT mapping stability, and the
 //! monitor/control-plane expiration handshake.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dpv::dataplane::{headers, workload::PacketBuilder, PipelineOutcome, Runner};
 use dpv::elements::pipelines::{build_all_stores, network_gateway, to_pipeline, NAT_PUBLIC_IP};
 use dpv::symexec::SymConfig;
-use dpv::verifier::{verify_bounded_execution, verify_crash_freedom, VerifyConfig};
+use dpv::verifier::{Property, Verifier, VerifyConfig};
 
 fn cfg() -> VerifyConfig {
     VerifyConfig {
@@ -25,10 +20,16 @@ fn cfg() -> VerifyConfig {
 #[test]
 fn gateway_proofs_hold() {
     let p = to_pipeline("gateway", network_gateway(5));
-    let r = verify_crash_freedom(&p, &cfg());
+    let r = Verifier::new(&p)
+        .config(cfg())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(r.verdict.is_proved(), "{r}");
     let p2 = to_pipeline("gateway", network_gateway(5));
-    let r2 = verify_bounded_execution(&p2, 10_000, &cfg());
+    let r2 = Verifier::new(&p2)
+        .config(cfg())
+        .check(Property::Bounded { imax: 10_000 })
+        .expect_verify();
     assert!(r2.verdict.is_proved(), "{r2}");
 }
 

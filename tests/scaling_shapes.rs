@@ -1,15 +1,14 @@
 //! Integration test: the evaluation's *shapes* asserted as invariants —
 //! who blows up where (Fig. 4), independent of absolute timing.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
+use dpv::dataplane::Pipeline;
 use dpv::elements::micro::{field_filter, loop_micro, FilterField};
 use dpv::elements::pipelines::{edge_fib, to_pipeline, ROUTER_IP};
 use dpv::symexec::SymConfig;
-use dpv::verifier::{generic_verify, summarize_pipeline, GenericOutcome, MapMode};
+use dpv::verifier::{
+    summarize_pipeline, GenericOutcome, GenericReport, MapMode, Property, Report, Verifier,
+    VerifyConfig,
+};
 
 fn sym_cfg(max_states: usize) -> SymConfig {
     SymConfig {
@@ -17,6 +16,21 @@ fn sym_cfg(max_states: usize) -> SymConfig {
         max_states,
         exact_forks: false,
         ..Default::default()
+    }
+}
+
+/// The §5.2 monolithic baseline on `p`.
+fn generic_report(p: &Pipeline, sym: &SymConfig, loop_cap: u32) -> GenericReport {
+    let cfg = VerifyConfig {
+        sym: sym.clone(),
+        ..Default::default()
+    };
+    match Verifier::new(p)
+        .config(cfg)
+        .check(Property::Generic { loop_cap })
+    {
+        Report::Generic(g) => g.report,
+        other => panic!("expected a generic report, got {other:?}"),
     }
 }
 
@@ -42,7 +56,7 @@ fn fig4c_shape_specific_linear_generic_superlinear() {
         };
         let sums = summarize_pipeline(&mut pool, &mk(n), &cfg, MapMode::Abstract).expect("ok");
         spec.push(sums.total_states);
-        gen.push(generic_verify(&mk(n), &sym_cfg(1 << 20), 4).states);
+        gen.push(generic_report(&mk(n), &sym_cfg(1 << 20), 4).states);
     }
     // Specific grows at most linearly: each added element contributes a
     // constant number of its own states.
@@ -71,7 +85,7 @@ fn fig4d_shape_loop_decomposition_constant_vs_exponential() {
         let sums = summarize_pipeline(&mut pool, &p, &cfg, MapMode::Abstract).expect("ok");
         spec.push(sums.total_states);
         let pg = to_pipeline("loop", vec![loop_micro(iters)]);
-        gen.push(generic_verify(&pg, &sym_cfg(1 << 20), 2 * iters + 2).states);
+        gen.push(generic_report(&pg, &sym_cfg(1 << 20), 2 * iters + 2).states);
     }
     // One loop-body summary regardless of iteration count.
     assert_eq!(spec[0], spec[3], "step-1 states independent of t: {spec:?}");
@@ -110,8 +124,8 @@ fn fig4a_shape_large_fib_kills_generic_only() {
         .total_states;
     assert_eq!(s_small, s_big);
     // Generic: forks per entry — a 3k-entry table exceeds a 1k budget.
-    let g_small = generic_verify(&mk(0), &sym_cfg(1_000), 4);
-    let g_big = generic_verify(&mk(3_000), &sym_cfg(1_000), 4);
+    let g_small = generic_report(&mk(0), &sym_cfg(1_000), 4);
+    let g_big = generic_report(&mk(3_000), &sym_cfg(1_000), 4);
     assert_eq!(g_small.outcome, GenericOutcome::Completed);
     assert_eq!(g_big.outcome, GenericOutcome::Exceeded);
 }
@@ -135,11 +149,11 @@ fn fig4b_shape_stateful_elements_kill_generic_only() {
     );
     let budget = 10_000;
     assert_eq!(
-        generic_verify(&stateless, &sym_cfg(budget), 4).outcome,
+        generic_report(&stateless, &sym_cfg(budget), 4).outcome,
         GenericOutcome::Completed
     );
     assert_eq!(
-        generic_verify(&stateful, &sym_cfg(budget), 4).outcome,
+        generic_report(&stateful, &sym_cfg(budget), 4).outcome,
         GenericOutcome::Exceeded,
         "hash-slot walking must exceed the budget"
     );

@@ -3,17 +3,11 @@
 //! predicts (scaled down to a width where we can actually drive the
 //! counter over the edge).
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
-use dpv::bvsolve::TermPool;
-use dpv::dataplane::Element;
+use dpv::dataplane::{Element, Pipeline};
 use dpv::dpir::{MapDecl, ProgramBuilder};
 use dpv::elements::pipelines::to_pipeline;
 use dpv::symexec::SymConfig;
-use dpv::verifier::{analyze_private_state, summarize_pipeline, MapMode, StateFinding};
+use dpv::verifier::{Property, Report, StateFinding, Verifier, VerifyConfig};
 
 /// The Fig. 3 element with a configurable counter width.
 fn counter_elem(width: u32) -> Element {
@@ -56,12 +50,28 @@ fn sym_cfg() -> SymConfig {
     }
 }
 
+/// The §3.4 private-state findings for `p`.
+fn state_findings(p: &Pipeline) -> Vec<StateFinding> {
+    let cfg = VerifyConfig {
+        sym: sym_cfg(),
+        ..Default::default()
+    };
+    match Verifier::new(p)
+        .config(cfg)
+        .check(Property::StateConsistency)
+    {
+        Report::State(s) => {
+            assert!(s.error.is_none(), "step 1 aborted: {:?}", s.error);
+            s.findings
+        }
+        other => panic!("expected a state report, got {other:?}"),
+    }
+}
+
 #[test]
 fn fig3_counter_detected_with_induction_bound() {
     let p = to_pipeline("fig3", vec![counter_elem(32)]);
-    let mut pool = TermPool::new();
-    let sums = summarize_pipeline(&mut pool, &p, &sym_cfg(), MapMode::Abstract).expect("ok");
-    let findings = analyze_private_state(&mut pool, &sums, &p);
+    let findings = state_findings(&p);
     assert_eq!(findings.len(), 1);
     let StateFinding::CounterOverflow {
         packets_to_overflow,
@@ -80,9 +90,7 @@ fn induction_prediction_matches_concrete_wraparound() {
     // 256 packets of one flow — drive exactly that and watch it wrap.
     let elem = counter_elem(8);
     let p = to_pipeline("fig3-u8", vec![elem.clone()]);
-    let mut pool = TermPool::new();
-    let sums = summarize_pipeline(&mut pool, &p, &sym_cfg(), MapMode::Abstract).expect("ok");
-    let findings = analyze_private_state(&mut pool, &sums, &p);
+    let findings = state_findings(&p);
     let StateFinding::CounterOverflow {
         packets_to_overflow,
         ..

@@ -2,14 +2,9 @@
 //! API of the facade crate — element authoring, concrete execution,
 //! step-1 suspects, step-2 discharge.
 
-// These suites exercise the deprecated pre-session free functions on
-// purpose: each one doubles as a migration test that the thin wrappers
-// keep returning verdicts identical to the session API they delegate to.
-#![allow(deprecated)]
-
 use dpv::dataplane::{Element, Pipeline, PipelineOutcome, Route, Runner, Stage};
 use dpv::dpir::{PacketData, ProgramBuilder};
-use dpv::verifier::{verify_crash_freedom, Verdict, VerifyConfig};
+use dpv::verifier::{Property, Verdict, Verifier};
 
 fn clamp_elem() -> Element {
     let mut b = ProgramBuilder::new("E1");
@@ -47,7 +42,9 @@ fn pipeline() -> Pipeline {
 
 #[test]
 fn composed_pipeline_is_crash_free() {
-    let report = verify_crash_freedom(&pipeline(), &VerifyConfig::default());
+    let report = Verifier::new(&pipeline())
+        .check(Property::CrashFreedom)
+        .expect_verify();
     assert!(matches!(report.verdict, Verdict::Proved), "{report}");
     // The suspect existed (E2's assert) and was discharged in step 2.
     assert!(report.suspects >= 1);
@@ -58,7 +55,9 @@ fn composed_pipeline_is_crash_free() {
 fn second_element_alone_is_not_crash_free() {
     let broken = Pipeline::new("fig1-broken")
         .push_stage(Stage::passthrough(assert_elem()).route(0, Route::Sink(0)));
-    let report = verify_crash_freedom(&broken, &VerifyConfig::default());
+    let report = Verifier::new(&broken)
+        .check(Property::CrashFreedom)
+        .expect_verify();
     let Verdict::Disproved(cex) = report.verdict else {
         panic!("must be disproved: {report}");
     };
