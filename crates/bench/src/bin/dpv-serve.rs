@@ -7,10 +7,10 @@
 //! there), then tails a delta file, coalescing each burst of table
 //! updates into **one** re-verification via
 //! [`ChurnSession::apply_batch`] and printing one JSON verdict line
-//! per burst. Learnt cores and summaries written back to `--store`
-//! make the *next* daemon start warm too. The session always runs at
-//! [`ReuseLevel::Sessions`] — the from-scratch level is a test oracle,
-//! not a way to run a daemon.
+//! per burst. Summaries written back to `--store` make the *next*
+//! daemon's step 1 warm too (its first step-2 search still runs cold).
+//! The session always runs at [`ReuseLevel::Sessions`] — the
+//! from-scratch level is a test oracle, not a way to run a daemon.
 //!
 //! ```text
 //! dpv-serve --pipeline firewalled-edge --store /var/lib/dpv \
@@ -33,7 +33,8 @@
 //! the latest verdicts. `--once` processes the file's current
 //! contents and exits (the CI/test mode); otherwise the daemon polls
 //! the file for appended bytes every `--poll-ms` (default 200),
-//! waiting for the file to appear if it does not exist yet.
+//! waiting for the file to appear if it does not exist yet; a file
+//! that shrinks (truncated or rotated) is read again from the start.
 
 use dataplane::{TableDelta, TableOp};
 use dpv_bench::fig_verify_config;
@@ -239,6 +240,34 @@ fn flush_burst(session: &mut ChurnSession, burst: &mut Vec<TableDelta>, last: &m
     burst.clear();
 }
 
+/// The bytes appended to `path` since `offset`, advancing `offset` past
+/// them. A file shorter than `offset` was truncated or rotated: it is
+/// read again from the start (the caller sees `offset` move backwards).
+/// A missing file reads as nothing new — the daemon waits for it.
+fn read_appended(path: &str, offset: &mut u64) -> String {
+    use std::io::{Read as _, Seek as _, SeekFrom};
+    let mut read = || -> std::io::Result<String> {
+        let mut file = std::fs::File::open(path)?;
+        if file.metadata()?.len() < *offset {
+            eprintln!("dpv-serve: {path} shrank below offset {offset}, re-reading from the start");
+            *offset = 0;
+        }
+        file.seek(SeekFrom::Start(*offset))?;
+        let mut new = Vec::new();
+        file.read_to_end(&mut new)?;
+        *offset += new.len() as u64;
+        Ok(String::from_utf8_lossy(&new).into_owned())
+    };
+    match read() {
+        Ok(new) => new,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => {
+            eprintln!("dpv-serve: cannot read {path}: {e}");
+            String::new()
+        }
+    }
+}
+
 fn main() {
     let opts = parse_opts();
     let Some((pipeline, props)) = named_workload(&opts.pipeline) else {
@@ -268,19 +297,13 @@ fn main() {
     let mut offset = 0u64;
     let mut pending = String::new();
     loop {
-        let appended = match std::fs::read(deltas_path) {
-            Ok(bytes) if bytes.len() as u64 > offset => {
-                let new = bytes[offset as usize..].to_vec();
-                offset = bytes.len() as u64;
-                String::from_utf8_lossy(&new).into_owned()
-            }
-            Ok(_) => String::new(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                eprintln!("dpv-serve: cannot read {deltas_path}: {e}");
-                String::new()
-            }
-        };
+        let before = offset;
+        let appended = read_appended(deltas_path, &mut offset);
+        if offset < before {
+            // The file was truncated: the partial line belongs to the
+            // old contents.
+            pending.clear();
+        }
         pending.push_str(&appended);
         // Only complete lines are parsed; a partial trailing line
         // stays pending until its newline arrives.
@@ -368,6 +391,41 @@ mod tests {
         assert!(parse_line("IPFilter 0 exact-insert 7").is_err());
         assert!(parse_line("IPlookup 0 lpm-remove 0x0A000000").is_err());
         assert!(parse_line("IPFilter 0 exact-remove 7 trailing").is_err());
+    }
+
+    #[test]
+    fn read_appended_tails_and_recovers_from_truncation() {
+        let path = std::env::temp_dir().join(format!("dpv-serve-tail-{}", std::process::id()));
+        let path_str = path.to_str().expect("utf-8 temp path");
+        let _ = std::fs::remove_file(&path);
+        let mut offset = 0u64;
+        assert_eq!(read_appended(path_str, &mut offset), "", "missing file");
+
+        std::fs::write(&path, "a 0 exact-remove 1\npart").unwrap();
+        assert_eq!(
+            read_appended(path_str, &mut offset),
+            "a 0 exact-remove 1\npart"
+        );
+        assert_eq!(offset, 23);
+        assert_eq!(read_appended(path_str, &mut offset), "", "no change");
+        assert_eq!(offset, 23);
+
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(b"ial\n").unwrap();
+        assert_eq!(read_appended(path_str, &mut offset), "ial\n", "append");
+        assert_eq!(offset, 27);
+
+        // Truncate, then append less than was there before: the whole
+        // new contents come back and the offset moves backwards.
+        std::fs::write(&path, "?\n").unwrap();
+        assert_eq!(read_appended(path_str, &mut offset), "?\n");
+        assert_eq!(offset, 2);
+        file.write_all(b"b 0 exact-remove 2\n").unwrap();
+        assert_eq!(read_appended(path_str, &mut offset), "b 0 exact-remove 2\n");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

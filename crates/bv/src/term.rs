@@ -274,15 +274,6 @@ impl TermPool {
         TermId(idx as u32)
     }
 
-    /// Structural lookup: the id of an already-interned term equal to
-    /// `t`, or `None` if the pool holds no such term. Never interns —
-    /// useful for read-only matching against a pool whose construction
-    /// trajectory must not be disturbed (e.g. importing persisted
-    /// solver cores into a live session pool).
-    pub fn lookup(&self, t: &Term) -> Option<TermId> {
-        self.dedup.get(t).copied()
-    }
-
     /// The constant value of `t`, if it is a constant.
     pub fn const_value(&self, t: TermId) -> Option<u64> {
         match *self.get(t) {

@@ -61,7 +61,6 @@
 //! ```
 
 use crate::cores::CoreStore;
-use crate::persist::{load_cores, save_cores, CorePack};
 use crate::report::{SummaryCacheStats, Verdict, VerifyReport};
 use crate::session::{run_seq_search, Property, SearchProp, Verifier};
 use crate::step2::{aborted_report, new_session, segment_count, verdict_of, VerifyConfig};
@@ -71,7 +70,6 @@ use crate::summary::{
 };
 use bvsolve::{SolveSession, TermPool};
 use dataplane::{DeltaError, Pipeline, TableDelta};
-use dpir::fingerprint128;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -175,14 +173,6 @@ pub struct ChurnStats {
     pub stages_rebased: u64,
     /// Property checks replayed without searching.
     pub checks_replayed: u64,
-    /// Learnt cores resolved from the on-disk store into the session
-    /// across all updates (always zero without
-    /// [`ChurnSession::with_store_path`]). Resolution is find-only and
-    /// deduplicated by core subsumption, so on a deterministically
-    /// replayed stream these act as a checked backup of what the
-    /// session re-learns; they add pruning power when the restarted
-    /// stream diverges from the one that persisted them.
-    pub cores_imported: u64,
 }
 
 const N_MODES: usize = 2;
@@ -217,32 +207,8 @@ pub struct ChurnSession {
     /// [`ReuseLevel::Sessions`] when the property's mode saw no
     /// summary change. `Unknown` reports are never stored.
     memo: Vec<Option<VerifyReport>>,
-    /// Directory for persisting learnt cores (and, via the persistent
-    /// summary store, step-1 summaries) across processes. Set by
-    /// [`ChurnSession::with_store_path`].
-    store_dir: Option<std::path::PathBuf>,
-    /// Per-mode cores loaded from disk but not yet imported into the
-    /// session (find-only import succeeds once the session's
-    /// deterministic term trajectory has interned the cores' terms;
-    /// the rest retry on later updates).
-    pending_cores: [Option<CorePack>; N_MODES],
-    /// Per-mode `(epoch, core count)` at the last on-disk save, so
-    /// unchanged stores are not rewritten every update.
-    cores_saved: [Option<(u128, usize)>; N_MODES],
     updates: u64,
     stats: ChurnStats,
-}
-
-/// The on-disk core-file epoch for one mode: a fingerprint of the
-/// per-stage summary keys, so a process that comes up with a different
-/// pipeline, table state or symexec configuration misses cleanly
-/// instead of loading another epoch's cores. (Loading them would still
-/// be *sound* — a core is an UNSAT term set, and the find-only import
-/// only materializes cores whose terms exist with identical variables
-/// — but epoch keying keeps the store tidy and the hit rate
-/// meaningful.)
-fn core_epoch(keys: &[SummaryKey]) -> u128 {
-    fingerprint128(&keys)
 }
 
 impl ChurnSession {
@@ -282,9 +248,6 @@ impl ChurnSession {
                 Arc::new(Mutex::new(CoreStore::new())),
             ],
             memo,
-            store_dir: None,
-            pending_cores: [None, None],
-            cores_saved: [None, None],
             updates: 0,
             stats: ChurnStats::default(),
         })
@@ -293,15 +256,13 @@ impl ChurnSession {
     /// Backs the session with the on-disk store directory `dir`
     /// (created if absent): step-1 summaries load through and write
     /// back to the directory's content-addressed files (see
-    /// [`SummaryStore::persistent`]), and — at
-    /// [`ReuseLevel::Sessions`] — learnt UNSAT cores are persisted per
-    /// `(mode, epoch)` after each update and re-imported on start-up,
-    /// so a restarted verifier daemon begins warm. Replaces any store
-    /// set earlier; call before [`ChurnSession::verify`].
+    /// [`SummaryStore::persistent`]), so a restarted verifier daemon
+    /// comes up without re-executing a stage. Only step 1 is
+    /// persisted: the restarted session's first step-2 search runs
+    /// cold. Replaces any store set earlier; call before
+    /// [`ChurnSession::verify`].
     pub fn with_store_path(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        self.store = Arc::new(SummaryStore::persistent(&dir)?);
-        self.store_dir = Some(dir);
+        self.store = Arc::new(SummaryStore::persistent(dir)?);
         Ok(self)
     }
 
@@ -483,12 +444,6 @@ impl ChurnSession {
                 }
             }
         }
-        // Persist the learnt cores the warm session accumulated,
-        // under the current epoch (no-op when the count is unchanged
-        // for that epoch, or without a store directory).
-        if self.level == ReuseLevel::Sessions {
-            self.save_cores_to_disk();
-        }
         // Attribute times uniformly across levels: step 1 is the
         // delta patching/reset plus whatever summary building the
         // property checks report (the oracle pays it inside `check`,
@@ -533,44 +488,7 @@ impl ChurnSession {
             .map(|s| SummaryKey::of(&s.element, mode, &self.cfg.sym))
             .collect();
         self.sums[idx] = Some(sums);
-        // First build of this mode: pick up any cores a previous
-        // process persisted under the same epoch. They import lazily
-        // (find-only) as this session's term trajectory catches up —
-        // see `run_one`.
-        if let Some(dir) = &self.store_dir {
-            self.pending_cores[idx] = load_cores(dir, mode, core_epoch(&self.keys[idx]));
-        }
         Ok(())
-    }
-
-    /// Writes each mode's learnt cores to the store directory under
-    /// the mode's current epoch, skipping modes whose `(epoch, count)`
-    /// already matches the last save. Cores survive table churn (the
-    /// pool is append-only, so retention is sound — module docs), so
-    /// after an epoch move the full current set is re-saved under the
-    /// new epoch.
-    fn save_cores_to_disk(&mut self) {
-        let Some(dir) = &self.store_dir else { return };
-        for mode in [MapMode::Abstract, MapMode::Tables] {
-            let idx = mode_idx(mode);
-            if self.sums[idx].is_none() {
-                continue;
-            }
-            let cores: Vec<_> = {
-                let store = self.core_stores[idx].lock().expect("core store poisoned");
-                store.entries().cloned().collect()
-            };
-            if cores.is_empty() {
-                continue;
-            }
-            let epoch = core_epoch(&self.keys[idx]);
-            if self.cores_saved[idx] == Some((epoch, cores.len())) {
-                continue;
-            }
-            if save_cores(dir, mode, epoch, &self.pool, &cores) {
-                self.cores_saved[idx] = Some((epoch, cores.len()));
-            }
-        }
     }
 
     /// Re-summarizes, in place, every touched-and-changed stage of the
@@ -633,10 +551,6 @@ impl ChurnSession {
         } else {
             t_build.elapsed()
         };
-        // Find-only import of any disk-loaded cores: on a diverged
-        // stream the terms may already be interned, in which case the
-        // cores prune this very search.
-        self.try_import_cores(idx);
         let t1 = Instant::now();
         let (outcome, solver_stats, core_stats, composed_paths) = {
             let ChurnSession {
@@ -653,14 +567,6 @@ impl ChurnSession {
             run_seq_search(pool, pipeline, sums, cfg, spec, solver, &core_stores[idx])
         };
         let step2_time = t1.elapsed();
-        // Retry after the search: on a deterministically replayed
-        // stream the search itself is what interns the terms a
-        // persisted core refers to, so a pack only becomes resolvable
-        // once the search that re-derives its cores has run. Resolved
-        // cores are deduplicated by core subsumption; the counter
-        // records recovery, while the pruning benefit accrues to
-        // diverged streams (pre-search attempt above).
-        self.try_import_cores(idx);
         let sums = self.sums[idx].as_ref().expect("ensured");
         VerifyReport {
             property: spec.name(),
@@ -683,21 +589,6 @@ impl ChurnSession {
             static_stats: Default::default(),
             step1_time,
             step2_time,
-        }
-    }
-
-    /// One find-only import pass over this mode's pending disk-loaded
-    /// cores, if any. Clears the pack once nothing is pending.
-    fn try_import_cores(&mut self, idx: usize) {
-        if let Some(pack) = self.pending_cores[idx].as_mut() {
-            let imported = {
-                let mut store = self.core_stores[idx].lock().expect("core store poisoned");
-                pack.import_into(&self.pool, &mut store)
-            };
-            self.stats.cores_imported += imported as u64;
-            if pack.pending() == 0 {
-                self.pending_cores[idx] = None;
-            }
         }
     }
 

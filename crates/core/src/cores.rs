@@ -125,11 +125,6 @@ impl CoreStore {
         true
     }
 
-    /// The stored cores, for persistence (order is append order).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &Arc<Vec<TermId>>> {
-        self.cores.iter().map(|(_, core)| core)
-    }
-
     /// Appends entries `[from..]` of `other` (a shared store this
     /// replica syncs from). Skips entries an existing core subsumes.
     fn merge_from(&mut self, other: &CoreStore, from: usize) {

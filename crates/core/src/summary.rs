@@ -474,6 +474,38 @@ impl SummaryStore {
         }
     }
 
+    /// Caches `stored` under `key` as the most recently used entry and
+    /// returns the entry to use — the one already there when another
+    /// thread won a load/execute race on the key (both hold identical
+    /// summaries; keeping the winner keeps one copy resident).
+    fn insert(&self, key: SummaryKey, stored: Arc<StoredStage>) -> Arc<StoredStage> {
+        use std::collections::hash_map::Entry;
+        let mut inner = self.inner.lock().expect("summary store poisoned");
+        let inner = &mut *inner;
+        inner.clock += 1;
+        let clock = inner.clock;
+        let out = match inner.entries.entry(key) {
+            Entry::Occupied(mut o) => {
+                o.get_mut().last_used = clock;
+                Arc::clone(&o.get().stage)
+            }
+            Entry::Vacant(v) => {
+                let bytes = stored.approx_bytes();
+                inner.bytes += bytes;
+                Arc::clone(
+                    &v.insert(StoreEntry {
+                        stage: stored,
+                        bytes,
+                        last_used: clock,
+                    })
+                    .stage,
+                )
+            }
+        };
+        self.enforce_bounds(inner);
+        out
+    }
+
     /// Fetches the summary for `element` under `(mode, cfg)`,
     /// executing and caching it on a miss. Returns whether this was a
     /// hit. Execution happens outside the store lock; if two threads
@@ -506,32 +538,7 @@ impl SummaryStore {
                 self.store_loads.fetch_add(1, Ordering::Relaxed);
                 self.load_bytes.fetch_add(nbytes, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let stored = Arc::new(stage);
-                let mut inner = self.inner.lock().expect("summary store poisoned");
-                let inner = &mut *inner;
-                inner.clock += 1;
-                let clock = inner.clock;
-                let out = match inner.entries.entry(key) {
-                    // Another thread raced the load/execute: keep it.
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        o.get_mut().last_used = clock;
-                        Arc::clone(&o.get().stage)
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let bytes = stored.approx_bytes();
-                        inner.bytes += bytes;
-                        Arc::clone(
-                            &v.insert(StoreEntry {
-                                stage: stored,
-                                bytes,
-                                last_used: clock,
-                            })
-                            .stage,
-                        )
-                    }
-                };
-                self.enforce_bounds(inner);
-                return Ok((out, true));
+                return Ok((self.insert(key, Arc::new(stage)), true));
             }
         }
         let mut exec_pool = TermPool::new();
@@ -559,39 +566,16 @@ impl SummaryStore {
             states: report.states,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Write-back (outside the lock; atomic temp+rename, so racing
-        // writers of the same key are harmless — both write identical
-        // bytes and either file is complete).
+        // Write-back, outside the lock. Racing writers of one key
+        // (fleet workers missing on the same stage at once) are
+        // harmless: each renames a temp file of its own over the final
+        // name, so every rename publishes a complete, identical file.
         if let Some(dir) = &self.disk {
             if crate::persist::save_summary(dir, &key, &stored) {
                 self.store_writes.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut inner = self.inner.lock().expect("summary store poisoned");
-        let inner = &mut *inner;
-        inner.clock += 1;
-        let clock = inner.clock;
-        let out = match inner.entries.entry(key) {
-            // Lost an execution race: keep the winner, refresh recency.
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                o.get_mut().last_used = clock;
-                Arc::clone(&o.get().stage)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let bytes = stored.approx_bytes();
-                inner.bytes += bytes;
-                Arc::clone(
-                    &v.insert(StoreEntry {
-                        stage: stored,
-                        bytes,
-                        last_used: clock,
-                    })
-                    .stage,
-                )
-            }
-        };
-        self.enforce_bounds(inner);
-        Ok((out, false))
+        Ok((self.insert(key, stored), false))
     }
 }
 

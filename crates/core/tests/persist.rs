@@ -1,5 +1,5 @@
-//! Persistent-store integration: disk-loaded summaries and cores must
-//! be byte-indistinguishable from freshly built ones, corrupt store
+//! Persistent-store integration: disk-loaded summaries must be
+//! byte-indistinguishable from freshly built ones, corrupt store
 //! files must degrade to cache misses (never wrong answers, never
 //! panics), and [`ChurnSession::apply_batch`] must coalesce a burst of
 //! deltas into one re-verification that matches applying them one by
@@ -67,6 +67,20 @@ impl Drop for TmpDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// `(file name, contents)` of every file in `dir`, sorted by name.
+fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().into_string().expect("utf-8 file name");
+            (name, std::fs::read(e.path()).expect("readable store file"))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn assert_identical(a: &VerifyReport, b: &VerifyReport, what: &str) {
@@ -346,7 +360,7 @@ fn churn_session_restarts_warm_from_store_path() {
         expect.push(plain.apply_delta(d).expect("valid delta"));
     }
 
-    // First "process": populates summaries and cores on disk.
+    // First "process": populates summaries on disk.
     let mut first = ChurnSession::new(router(), props(), pruning_cfg.clone(), ReuseLevel::Sessions)
         .expect("search-based properties")
         .with_store_path(&tmp.0)
@@ -364,12 +378,20 @@ fn churn_session_restarts_warm_from_store_path() {
         first.store().store_writes() > 0,
         "summaries must be persisted"
     );
+    // The store holds one file kind: a summary per write, nothing else.
+    let files = dir_files(&tmp.0);
+    assert!(
+        files
+            .iter()
+            .all(|(name, _)| name.starts_with("s-") && name.ends_with(".dpvs")),
+        "only summary files belong in the store: {:?}",
+        files.iter().map(|(name, _)| name).collect::<Vec<_>>()
+    );
+    assert_eq!(files.len() as u64, first.store().store_writes());
     drop(first);
 
     // Second "process" over the same directory and the same stream:
-    // step 1 loads instead of executing, and the previous process's
-    // learnt cores import once the deterministic term trajectory
-    // catches up.
+    // step 1 loads instead of executing.
     let mut second = ChurnSession::new(router(), props(), pruning_cfg, ReuseLevel::Sessions)
         .expect("search-based properties")
         .with_store_path(&tmp.0)
@@ -392,9 +414,43 @@ fn churn_session_restarts_warm_from_store_path() {
         0,
         "the restarted process must never re-execute a stage"
     );
-    assert!(
-        second.stats().cores_imported > 0,
-        "persisted cores must import on restart: {:?}",
-        second.stats()
+}
+
+#[test]
+fn stale_core_files_from_older_builds_are_never_touched() {
+    let tmp = TmpDir::new("stale-cores");
+    let mut first = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
+        .expect("search-based properties")
+        .with_store_path(&tmp.0)
+        .expect("store dir");
+    let expect = first.verify();
+    drop(first);
+
+    // What a build that still persisted learnt cores left behind.
+    let junk = [
+        (
+            format!("c-a-{:032x}.dpvc", 0x1234u128),
+            b"DPVS junk".to_vec(),
+        ),
+        (format!("c-t-{:032x}.dpvc", 0xabcdu128), vec![0xFF; 4096]),
+    ];
+    for (name, bytes) in &junk {
+        std::fs::write(tmp.0.join(name), bytes).expect("seed junk file");
+    }
+    let before = dir_files(&tmp.0);
+
+    let mut second = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
+        .expect("search-based properties")
+        .with_store_path(&tmp.0)
+        .expect("store dir");
+    let got = second.verify();
+    for (er, gr) in expect.reports.iter().zip(&got.reports) {
+        assert_identical(er, gr, &format!("beside stale files {}", er.property));
+    }
+    assert_eq!(second.store().misses(), 0, "the start must be warm");
+    assert_eq!(
+        dir_files(&tmp.0),
+        before,
+        "stale core files are neither read, rewritten nor deleted"
     );
 }
