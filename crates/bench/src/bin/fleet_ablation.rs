@@ -6,12 +6,17 @@
 //! differing only in FIB contents — the deployment shape the store
 //! targets: abstract-mode summaries (crash-freedom / bounded) are
 //! table-blind, so the whole fleet shares one step-1 pass per
-//! distinct element; a warm store shares even that across runs.
+//! distinct element; a warm store shares even that across runs. The
+//! same table-blindness makes the twenty checks two step-2
+//! equivalence classes (one per property), so every arm runs two
+//! searches and replays eighteen reports.
 //!
 //! Asserted invariants (the store's soundness contract):
 //! * per-(variant, property) verdicts, counterexample bytes and
 //!   composed-path counts identical across `nostore` / `cold` / `warm`;
-//! * `cold` hits the store (variants overlap), `warm` never misses;
+//! * every arm finds 2 classes and replays the other 18 checks;
+//! * `cold` hits the store (the two searches share every element),
+//!   `warm` never misses;
 //! * warm-store step-1 wall-clock beats cold by ≥ 1.3x.
 //!
 //! With `DPV_JSON=1` each mode emits a `{"bench":"fleet",...}`
@@ -101,9 +106,12 @@ fn emit_json(mode: &str, r: &FleetReport) {
     println!(
         "{{\"bench\":\"fleet\",\"pipeline\":\"router-fleet\",\"mode\":\"{mode}\",\
          \"engine\":\"par{FLEET_THREADS}\",\"variants\":{VARIANTS},\
+         \"classes\":{},\"checks_replayed\":{},\
          \"summary_hits\":{},\"summary_misses\":{},\"store_size\":{},\
          \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
          \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"total_ms\":{:.3}{gate}}}",
+        r.classes,
+        r.checks_replayed(),
         r.summary_hits,
         r.summary_misses,
         r.store_size,
@@ -122,6 +130,7 @@ fn print_row(mode: &str, r: &FleetReport, warm_step1: Option<Duration>) {
         fmt_dur(r.time),
         fmt_dur(r.step1_time()),
         fmt_dur(r.step2_time()),
+        r.classes.to_string(),
         format!("{}/{}", r.summary_hits, r.summary_misses),
         r.store_size.to_string(),
         match warm_step1 {
@@ -144,16 +153,18 @@ fn main() {
         "wall".into(),
         "step 1".into(),
         "step 2".into(),
+        "classes".into(),
         "hits/misses".into(),
         "stored".into(),
         "step1 vs warm".into(),
     ]);
 
-    // Baseline: no sharing — every (variant, property) task re-executes
-    // step 1 for itself.
+    // Baseline: no sharing — every search re-executes step 1 for
+    // itself.
     let nostore = fleet().share_store(false).run();
 
-    // Cold shared store: first tasks miss, the rest of the fleet hits.
+    // Cold shared store: each element is executed by whichever of the
+    // two searches asks first and served to the other.
     let store = SummaryStore::shared();
     let cold = fleet().store(std::sync::Arc::clone(&store)).run();
 
@@ -162,7 +173,14 @@ fn main() {
 
     assert_equivalent(&nostore, &cold, "nostore vs cold");
     assert_equivalent(&nostore, &warm, "nostore vs warm");
-    assert!(cold.summary_hits > 0, "fleet variants share elements");
+    for (r, what) in [(&nostore, "nostore"), (&cold, "cold"), (&warm, "warm")] {
+        assert_eq!(
+            r.classes, 2,
+            "{what}: FIB-only variants, one class per property"
+        );
+        assert_eq!(r.checks_replayed(), 2 * VARIANTS as usize - 2, "{what}");
+    }
+    assert!(cold.summary_hits > 0, "the two searches share elements");
     assert!(
         warm.summary_misses == 0,
         "warm run must be fully cached (got {} misses)",

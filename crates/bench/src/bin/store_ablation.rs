@@ -98,11 +98,14 @@ fn eq_lines(r: &FleetReport) -> Vec<String> {
 }
 
 /// Numbers one arm reports upward: `(step1_ms, step2_ms, total_ms,
-/// hits, misses, store_size, loads, writes, load_bytes)`.
+/// classes, replayed, hits, misses, store_size, loads, writes,
+/// load_bytes)`.
 struct ArmRow {
     step1_ms: f64,
     step2_ms: f64,
     total_ms: f64,
+    classes: usize,
+    replayed: usize,
     hits: u64,
     misses: u64,
     store_size: usize,
@@ -117,6 +120,8 @@ impl ArmRow {
             step1_ms: r.step1_time().as_secs_f64() * 1e3,
             step2_ms: r.step2_time().as_secs_f64() * 1e3,
             total_ms: r.time.as_secs_f64() * 1e3,
+            classes: r.classes,
+            replayed: r.checks_replayed(),
             hits: r.summary_hits,
             misses: r.summary_misses,
             store_size: r.store_size,
@@ -129,11 +134,13 @@ impl ArmRow {
     /// The machine line a child prints and the parent re-parses.
     fn to_line(&self) -> String {
         format!(
-            "ROW step1_ms={:.3} step2_ms={:.3} total_ms={:.3} hits={} misses={} \
-             store_size={} loads={} writes={} load_bytes={}",
+            "ROW step1_ms={:.3} step2_ms={:.3} total_ms={:.3} classes={} replayed={} \
+             hits={} misses={} store_size={} loads={} writes={} load_bytes={}",
             self.step1_ms,
             self.step2_ms,
             self.total_ms,
+            self.classes,
+            self.replayed,
             self.hits,
             self.misses,
             self.store_size,
@@ -155,6 +162,8 @@ impl ArmRow {
             step1_ms: field("step1_ms"),
             step2_ms: field("step2_ms"),
             total_ms: field("total_ms"),
+            classes: field("classes") as usize,
+            replayed: field("replayed") as usize,
             hits: field("hits") as u64,
             misses: field("misses") as u64,
             store_size: field("store_size") as usize,
@@ -211,9 +220,12 @@ fn emit_json(mode: &str, r: &ArmRow) {
     println!(
         "{{\"bench\":\"store\",\"pipeline\":\"router-fleet\",\"mode\":\"{mode}\",\
          \"engine\":\"par{FLEET_THREADS}\",\"variants\":{VARIANTS},\
+         \"classes\":{},\"checks_replayed\":{},\
          \"summary_hits\":{},\"summary_misses\":{},\"store_size\":{},\
          \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
          \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"total_ms\":{:.3}}}",
+        r.classes,
+        r.replayed,
         r.hits,
         r.misses,
         r.store_size,
@@ -232,6 +244,7 @@ fn print_row(mode: &str, r: &ArmRow, nostore_step1: f64) {
         format!("{:.1} ms", r.total_ms),
         format!("{:.1} ms", r.step1_ms),
         format!("{:.1} ms", r.step2_ms),
+        r.classes.to_string(),
         format!("{}/{}", r.hits, r.misses),
         format!("{}/{}", r.loads, r.writes),
         if r.step1_ms > 0.0 {
@@ -258,6 +271,7 @@ fn main() {
         "wall".into(),
         "step 1".into(),
         "step 2".into(),
+        "classes".into(),
         "hits/misses".into(),
         "loads/writes".into(),
         "step1 vs nostore".into(),
@@ -282,6 +296,17 @@ fn main() {
 
     assert_eq!(nostore_eq, cold_eq, "nostore vs cold-disk equality lines");
     assert_eq!(nostore_eq, warm_eq, "nostore vs warm-disk equality lines");
+    for (r, what) in [
+        (&nostore, "nostore"),
+        (&cold, "cold-disk"),
+        (&warm, "warm-disk"),
+    ] {
+        assert_eq!(
+            r.classes, 2,
+            "{what}: FIB-only variants, one class per property"
+        );
+        assert_eq!(r.replayed, 2 * VARIANTS as usize - 2, "{what}");
+    }
     assert!(cold.writes > 0, "cold arm must populate the store");
     assert_eq!(
         warm.misses, 0,

@@ -15,13 +15,20 @@
 //!   before the violation cutoff propagates — see
 //!   `verifier::parallel`'s module docs).
 //!
+//! Consecutive seeds are then audited together as a three-variant
+//! [`Fleet`] — a pipeline, its clone, and the next seed's pipeline —
+//! which must find exactly two step-2 equivalence classes and hand
+//! every variant the report its own `seq` baseline produced.
+//!
 //! `differential_smoke` keeps debug-mode tier-1 fast by shrinking the
 //! pipelines; `differential_full` is the paper-scale matrix (20 seeds,
 //! 50+ stages) and is `#[ignore]`d so CI runs it explicitly in release
 //! (`cargo test --release -p dpv-bench -- --ignored`).
 
 use dpv_bench::gen::{deep_pipeline_with, gen_verify_config, GenConfig, Generated};
-use verifier::{Property, Report, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport};
+use verifier::{
+    Fleet, Property, Report, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport,
+};
 
 struct Mode {
     name: &'static str,
@@ -116,7 +123,9 @@ fn cex_of(rep: &VerifyReport) -> Option<CexPayload> {
     }
 }
 
-fn check_seed(seed: u64, cfg: GenConfig) {
+/// Checks one generated pipeline under every mode; returns it with its
+/// `seq` baseline for the fleet leg.
+fn check_seed(seed: u64, cfg: GenConfig) -> (Generated, VerifyReport) {
     let g = deep_pipeline_with(seed, cfg);
     let expected = if g.planted { "disproved" } else { "proved" };
     let baseline = run_mode(&g, &MODES[0]);
@@ -148,17 +157,51 @@ fn check_seed(seed: u64, cfg: GenConfig) {
             );
         }
     }
+    (g, baseline)
+}
+
+/// The fleet leg: `[a, a.clone(), b]` is two equivalence classes — the
+/// clone replays `a`'s search, `b` runs its own — and every variant's
+/// report equals the baseline of a standalone sequential session.
+fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) {
+    let report = Fleet::new()
+        .config(gen_verify_config())
+        .variant("a", a.0.pipeline.clone())
+        .variant("a-clone", a.0.pipeline.clone())
+        .variant("b", b.0.pipeline.clone())
+        .properties(&[Property::CrashFreedom])
+        .run();
+    assert_eq!(report.classes, 2, "{}", a.0.pipeline.name);
+    for ((v, baseline), replayed) in report
+        .variants
+        .iter()
+        .zip([&a.1, &a.1, &b.1])
+        .zip([false, true, false])
+    {
+        let what = format!("fleet over {}: variant {}", a.0.pipeline.name, v.variant);
+        assert_eq!(v.replayed, [replayed], "{what}");
+        let rep = v.reports[0].as_verify().expect("verify");
+        assert_eq!(rep.verdict.label(), baseline.verdict.label(), "{what}");
+        assert_eq!(cex_of(rep), cex_of(baseline), "{what}");
+        assert_eq!(rep.composed_paths, baseline.composed_paths, "{what}");
+    }
 }
 
 /// Debug-friendly matrix: four seeds (proved and disproved mixes) at
 /// reduced stage count, so plain `cargo test` stays quick.
 #[test]
 fn differential_smoke() {
-    for seed in [0u64, 1, 2, 3] {
-        let mut cfg = GenConfig::from_seed(seed);
-        cfg.stages = 20;
-        cfg.rounds = 2;
-        check_seed(seed, cfg);
+    let checked: Vec<_> = [0u64, 1, 2, 3]
+        .into_iter()
+        .map(|seed| {
+            let mut cfg = GenConfig::from_seed(seed);
+            cfg.stages = 20;
+            cfg.rounds = 2;
+            check_seed(seed, cfg)
+        })
+        .collect();
+    for pair in checked.windows(2) {
+        check_fleet(&pair[0], &pair[1]);
     }
 }
 
@@ -170,6 +213,7 @@ fn differential_smoke() {
 fn differential_full() {
     let mut proved = 0usize;
     let mut disproved = 0usize;
+    let mut checked = Vec::new();
     for seed in 0u64..20 {
         let mut cfg = GenConfig::from_seed(seed);
         // Bound the stage count: solver cost on proved pipelines grows
@@ -181,7 +225,10 @@ fn differential_full() {
         } else {
             proved += 1;
         }
-        check_seed(seed, cfg);
+        checked.push(check_seed(seed, cfg));
+    }
+    for pair in checked.windows(2) {
+        check_fleet(&pair[0], &pair[1]);
     }
     // The matrix must exercise both outcomes.
     assert!(proved >= 5, "want a healthy proved mix, got {proved}");

@@ -1,17 +1,21 @@
-//! Fleet verification: N pipeline variants × M properties on one
-//! shared summary store.
+//! Fleet verification: N pipeline variants × M properties, proved once
+//! per behaviour on one shared summary store.
 //!
 //! Real deployments rarely verify one pipeline: they audit hundreds of
 //! *variants* — the same handful of elements (CheckIPHeader, DecTTL,
 //! NAT, IPLookup, …) wired into different pipelines or loaded with
 //! different table configurations. A [`Fleet`] makes that the unit of
 //! work: register variants and properties, call [`Fleet::run`], and
-//! every `(pipeline, property)` pair is verified as an independent
-//! task scheduled across worker threads, all consulting one
-//! content-addressed [`SummaryStore`] — so step 1 runs once per
-//! *distinct element*, not once per variant (and, for
-//! [`MapMode::Abstract`](crate::MapMode) properties, not even once per
-//! table configuration, since abstract keys ignore table contents).
+//! two layers of sharing apply. The content-addressed [`SummaryStore`]
+//! makes step 1 once per *distinct element*, not once per variant.
+//! Step-2 **equivalence classes** make the search once per *distinct
+//! behaviour*: `(variant, property)` checks that would run the same
+//! search are searched once and the report replayed to the rest — for
+//! [`MapMode::Abstract`](crate::MapMode) properties (crash-freedom,
+//! bounded-execution) that means once per wiring however many table
+//! configurations are loaded into it, which is the paper's point in
+//! abstracting data structures away: such a proof holds for *any*
+//! table contents.
 //!
 //! ```no_run
 //! use verifier::fleet::Fleet;
@@ -25,42 +29,74 @@
 //!     .properties(&[Property::CrashFreedom, Property::Bounded { imax: 10_000 }])
 //!     .run();
 //! println!("{report}");
-//! assert!(report.summary_hits > 0, "variants share step-1 work");
+//! assert_eq!(report.classes, 2, "config-only variants: one search per property");
 //! ```
 //!
 //! ## Scheduling granularity
 //!
-//! Tasks are deliberately per-`(variant, property)`, not per-variant:
-//! with more tasks than workers the queue load-balances uneven
-//! variants (one slow disproof does not serialize its variant's other
-//! checks behind it). The cost is that the per-*session*
-//! cross-property reuse (solver-session blast caches,
-//! UNSAT-core stores) resets per task — step-1 reuse is unaffected
-//! (that is the store's job). When per-variant solver reuse matters
-//! more than intra-variant parallelism — few properties, many slow
-//! refutation proofs — run one [`Verifier::check_all`] session per
-//! variant over a shared store instead; verdicts are identical either
-//! way.
+//! The unit of work is the equivalence class. Before scheduling, every
+//! `(variant, property)` check is keyed by what the deterministic
+//! step-2 search reads (`session::search_class`): per stage, the
+//! [`SummaryKey`](crate::SummaryKey) under the property's map mode —
+//! element name, program, `SymConfig`, and in Tables mode the table
+//! contents — the loop composition bound, and where each output port
+//! resolves to. The verification config and the property list are
+//! fleet-wide, so checks are grouped by `(property index, key)`; the
+//! first member of each class (in registration order) is searched by a
+//! fresh [`Verifier`] on the worker pool, and every other member gets
+//! that report with its own pipeline name and zero
+//! `step1_time`/`step2_time` — the convention of a replayed
+//! [`ChurnSession`](crate::ChurnSession) check.
+//! [`FleetReport::classes`] and [`VariantReport::replayed`] say which
+//! was which.
+//!
+//! Never shared — each a class of one: [`Property::Custom`] (its hooks
+//! receive the pipeline and may read anything in it, tables included),
+//! [`Property::Generic`] and [`Property::StateConsistency`]. A
+//! [`Property::Filter`] check shares only between variants whose table
+//! *contents* are equal, because its Tables-mode summary keys say so.
+//! Everything a class decides is fanned out, `Unknown` included: every
+//! member would have computed the same `Unknown`, and nothing is
+//! carried to a later run.
+//!
+//! Classes, not variants, are scheduled: with more classes than
+//! workers the queue load-balances uneven searches (one slow disproof
+//! does not serialize its variant's other checks behind it). The cost
+//! is that the per-*session* cross-property reuse (solver-session
+//! blast caches, UNSAT-core stores) resets per class — step-1 reuse is
+//! unaffected (that is the store's job). A check that panics (a
+//! hostile custom property, an internal `expect`) yields
+//! `Unknown("internal: check panicked: …")` for its class; every other
+//! class finishes.
 //!
 //! ## Determinism
 //!
-//! Every task runs a fresh single-threaded [`Verifier`] session over
-//! its own pipeline: no solver state, core store or term pool is
-//! shared between tasks, so per-variant verdicts, counterexample
-//! bytes and composed-path counts are **identical** whatever the fleet
-//! thread count and task interleaving. The summary store is the only
-//! shared state, and it only changes *who executes* a stage summary,
-//! never its content (the executor is deterministic and hits are
-//! rebased through [`bvsolve::Migrator`] exactly like misses) — so
-//! results are also identical with the store shared, private, or
-//! disabled ([`Fleet::share_store`] `= false`, the ablation baseline).
-//! Only the cache counters and wall-clock times vary.
+//! Every class runs a fresh single-threaded [`Verifier`] session over
+//! its first member's pipeline: no solver state, core store or term
+//! pool is shared between classes, so its verdict, counterexample
+//! bytes, trace and composed-path count are a function of its inputs
+//! alone — the inputs the class key is made of. That is what makes a
+//! replayed report exact rather than approximate: running the member's
+//! own session would reproduce it byte for byte (the fleet tests
+//! compare every report against a standalone session, and re-run
+//! fanned-out counterexamples on each member's concrete dataplane).
+//! Results are therefore **identical** whatever the fleet thread count
+//! and class interleaving. The summary store is the only shared state,
+//! and it only changes *who executes* a stage summary, never its
+//! content (the executor is deterministic, hits are rebased through
+//! [`bvsolve::Migrator`] exactly like misses, and a key two workers
+//! miss on together is executed by one of them) — so results are also
+//! identical with the store shared, private, or disabled
+//! ([`Fleet::share_store`] `= false`, the ablation baseline). Only the
+//! cache counters and wall-clock times vary.
 
 use crate::report::Verdict;
-use crate::session::{Property, Report, Verifier};
-use crate::step2::VerifyConfig;
-use crate::summary::{effective_threads, run_indexed, SummaryStore};
+use crate::session::{search_class, Property, Report, SearchClass, SearchProp, Verifier};
+use crate::step2::{unknown_report, VerifyConfig};
+use crate::summary::{effective_threads, panic_message, run_indexed, SummaryStore};
 use dataplane::Pipeline;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,10 +138,11 @@ impl Fleet {
         self
     }
 
-    /// Sets the worker count for `(pipeline, property)` task
-    /// scheduling: `0` (the default) uses all available cores, `1`
-    /// runs tasks in place. Each task itself runs the sequential
-    /// engine — fleet-level parallelism replaces step-2 splitting.
+    /// Sets the worker count for class scheduling: `0` (the default)
+    /// uses all available cores, `1` runs the searches in place; never
+    /// more workers than classes. Each search itself runs the
+    /// sequential engine — fleet-level parallelism replaces step-2
+    /// splitting.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -131,10 +168,10 @@ impl Fleet {
         Ok(self)
     }
 
-    /// Whether tasks share the fleet's summary store (the default).
-    /// `false` gives every task a throwaway store — the "cold, no
-    /// sharing" A/B baseline used by the `fleet_ablation` bench;
-    /// verdicts are identical either way.
+    /// Whether the searches share the fleet's summary store (the
+    /// default). `false` gives every search a throwaway store — the
+    /// "cold, no sharing" A/B baseline used by the `fleet_ablation`
+    /// bench; verdicts and classes are identical either way.
     #[must_use]
     pub fn share_store(mut self, share: bool) -> Self {
         self.share_store = share;
@@ -161,9 +198,12 @@ impl Fleet {
     }
 
     /// Verifies every variant against every property and aggregates
-    /// the reports. Tasks are `(variant, property)` pairs, claimed
-    /// from a shared queue by `threads` workers; results are merged in
-    /// (variant, property) order regardless of completion order.
+    /// the reports. The `(variant, property)` checks are grouped into
+    /// step-2 equivalence classes (see the [module docs](self)); one
+    /// search per class is claimed from a shared queue by `threads`
+    /// workers and its report replayed to the class's other members.
+    /// Results are merged in (variant, property) order regardless of
+    /// completion order.
     pub fn run(&self) -> FleetReport {
         let t0 = Instant::now();
         let hits0 = self.store.hits();
@@ -171,32 +211,88 @@ impl Fleet {
         let loads0 = self.store.store_loads();
         let writes0 = self.store.store_writes();
         let lbytes0 = self.store.load_bytes();
-        let n_tasks = self.variants.len() * self.properties.len();
-        let threads = effective_threads(self.threads).clamp(1, n_tasks.max(1));
+        let n_props = self.properties.len();
 
-        let reports = run_indexed(n_tasks, threads, |i| {
-            let (v, p) = (i / self.properties.len(), i % self.properties.len());
-            let (_, pipeline) = &self.variants[v];
-            let mut session = Verifier::new(pipeline).config(self.cfg.clone()).threads(1);
-            if self.share_store {
-                session = session.with_store(Arc::clone(&self.store));
+        // One entry per class: the property index and the member
+        // variants in registration order; the first member is searched.
+        let specs: Vec<Option<SearchProp>> = self.properties.iter().map(SearchProp::of).collect();
+        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut by_key: HashMap<(usize, SearchClass), usize> = HashMap::new();
+        for (v, (_, pipeline)) in self.variants.iter().enumerate() {
+            for (p, spec) in specs.iter().enumerate() {
+                let key = spec
+                    .as_ref()
+                    .and_then(|spec| search_class(pipeline, spec, &self.cfg.sym));
+                let fresh = classes.len();
+                let class = match key {
+                    Some(key) => *by_key.entry((p, key)).or_insert(fresh),
+                    None => fresh,
+                };
+                if class == fresh {
+                    classes.push((p, Vec::new()));
+                }
+                classes[class].1.push(v);
             }
-            session.check(self.properties[p].clone())
+        }
+
+        let threads = effective_threads(self.threads).clamp(1, classes.len().max(1));
+        let searched = run_indexed(classes.len(), threads, |c| {
+            let (p, members) = &classes[c];
+            let pipeline = &self.variants[members[0]].1;
+            let property = &self.properties[*p];
+            // One panicking check (a hostile custom property, an
+            // internal `expect`) costs its class an `Unknown`, never
+            // the audit. Unwind safety: everything the closure mutates
+            // is the session it owns, dropped with the panic; the
+            // shared store clears its in-flight markers on unwind.
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut session = Verifier::new(pipeline).config(self.cfg.clone()).threads(1);
+                if self.share_store {
+                    session = session.with_store(Arc::clone(&self.store));
+                }
+                session.check(property.clone())
+            }))
+            .unwrap_or_else(|payload| {
+                Report::Verify(unknown_report(
+                    &property.name(),
+                    pipeline,
+                    format!(
+                        "internal: check panicked: {}",
+                        panic_message(payload.as_ref())
+                    ),
+                    Duration::ZERO,
+                ))
+            })
         });
 
-        let mut variants = Vec::with_capacity(self.variants.len());
-        let mut it = reports.into_iter();
-        for (name, _) in &self.variants {
-            let vreports: Vec<Report> = (0..self.properties.len())
-                .map(|_| it.next().expect("fleet task completed"))
-                .collect();
-            variants.push(VariantReport {
-                variant: name.clone(),
-                reports: vreports,
-            });
+        let mut slots: Vec<Option<(Report, bool)>> = Vec::new();
+        slots.resize_with(self.variants.len() * n_props, || None);
+        for ((p, members), report) in classes.iter().zip(searched) {
+            for &v in &members[1..] {
+                slots[v * n_props + p] = Some((replay(&report, &self.variants[v].1), true));
+            }
+            slots[members[0] * n_props + p] = Some((report, false));
         }
+        let mut slots = slots.into_iter();
+        let variants = self
+            .variants
+            .iter()
+            .map(|(name, _)| {
+                let (reports, replayed) = slots
+                    .by_ref()
+                    .take(n_props)
+                    .map(|slot| slot.expect("every check belongs to a class"))
+                    .unzip();
+                VariantReport {
+                    variant: name.clone(),
+                    reports,
+                    replayed,
+                }
+            })
+            .collect();
         FleetReport {
             variants,
+            classes: classes.len(),
             summary_hits: self.store.hits() - hits0,
             summary_misses: self.store.misses() - misses0,
             store_size: self.store.len(),
@@ -209,6 +305,25 @@ impl Fleet {
     }
 }
 
+/// A class member's copy of the report its class's search produced:
+/// the member's own pipeline name and zero step times (nothing ran for
+/// it — the convention of a replayed [`crate::ChurnSession`] check);
+/// verdict, counterexample, trace and counters are the search's.
+fn replay(searched: &Report, member: &Pipeline) -> Report {
+    match searched {
+        Report::Verify(r) => {
+            let mut r = r.clone();
+            r.pipeline = member.name.clone();
+            r.step1_time = Duration::ZERO;
+            r.step2_time = Duration::ZERO;
+            Report::Verify(r)
+        }
+        Report::Generic(_) | Report::State(_) => {
+            unreachable!("only search-based checks are keyed into shared classes")
+        }
+    }
+}
+
 /// One variant's reports, in fleet property order.
 #[derive(Debug)]
 pub struct VariantReport {
@@ -216,6 +331,10 @@ pub struct VariantReport {
     pub variant: String,
     /// One report per fleet property, in order.
     pub reports: Vec<Report>,
+    /// Per property: whether the report was replayed from another
+    /// variant in the same step-2 equivalence class (same verdict and
+    /// counters, zero step times) instead of searched for this one.
+    pub replayed: Vec<bool>,
 }
 
 impl VariantReport {
@@ -234,15 +353,19 @@ impl VariantReport {
 pub struct FleetReport {
     /// Per-variant reports, in registration order.
     pub variants: Vec<VariantReport>,
+    /// Step-2 equivalence classes among the `(variant, property)`
+    /// checks — the number of searches this run actually performed.
+    pub classes: usize,
     /// Stage summaries served from the **fleet's shared store**
     /// during this run. Zero when sharing is disabled
-    /// ([`Fleet::share_store`] `= false`); `> 0` on any fleet whose
-    /// variants overlap in elements (or on a warm store).
+    /// ([`Fleet::share_store`] `= false`); `> 0` whenever two of the
+    /// run's searches overlap in elements (or on a warm store).
+    /// Replayed checks never consult the store.
     pub summary_hits: u64,
     /// Stage summaries executed into (and cached by) the **fleet's
     /// shared store** during this run. Like
     /// [`summary_hits`](FleetReport::summary_hits) this counts
-    /// shared-store traffic only: with sharing disabled, tasks
+    /// shared-store traffic only: with sharing disabled, searches
     /// execute into private
     /// per-session stores and both counters read zero — the per-check
     /// execution counts are still on each report's
@@ -283,9 +406,21 @@ impl FleetReport {
             .count()
     }
 
+    /// Count of `(variant, property)` checks answered by replaying
+    /// their class's search: total checks minus
+    /// [`classes`](FleetReport::classes).
+    pub fn checks_replayed(&self) -> usize {
+        self.variants
+            .iter()
+            .flat_map(|v| &v.replayed)
+            .filter(|&&r| r)
+            .count()
+    }
+
     /// Summed step-1 wall-clock across all reports (the quantity the
     /// summary store amortizes; rebases from cache count, execution
-    /// avoided does not).
+    /// avoided does not). Replayed reports carry zero, so this is CPU
+    /// actually spent.
     pub fn step1_time(&self) -> Duration {
         self.variants
             .iter()
@@ -295,7 +430,8 @@ impl FleetReport {
             .sum()
     }
 
-    /// Summed step-2 wall-clock across all reports.
+    /// Summed step-2 wall-clock across all reports — one search per
+    /// class; replayed reports carry zero.
     pub fn step2_time(&self) -> Duration {
         self.variants
             .iter()
@@ -333,10 +469,13 @@ impl FleetReport {
             .join(",");
         format!(
             "{{\"kind\":\"fleet\",\"variants\":[{variants}],\
+             \"classes\":{},\"checks_replayed\":{},\
              \"summary_hits\":{},\"summary_misses\":{},\"store_size\":{},\
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
              \"evictions\":{},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"time_ms\":{:.3}}}",
+            self.classes,
+            self.checks_replayed(),
             self.summary_hits,
             self.summary_misses,
             self.store_size,
@@ -355,9 +494,11 @@ impl std::fmt::Display for FleetReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "fleet: {} variants x {} checks | step1 {:?} (cache: {} hits / {} misses, {} stored) | step2 {:?} | wall {:?}",
+            "fleet: {} variants x {} properties = {} checks in {} classes | step1 {:?} (cache: {} hits / {} misses, {} stored) | step2 {:?} | wall {:?}",
             self.variants.len(),
             self.variants.first().map_or(0, |v| v.reports.len()),
+            self.variants.iter().map(|v| v.reports.len()).sum::<usize>(),
+            self.classes,
             self.step1_time(),
             self.summary_hits,
             self.summary_misses,

@@ -86,9 +86,9 @@ use crate::cores::{CoreStats, CoreStore, Pruner};
 use crate::report::CounterExample;
 use crate::step2::{
     canonical_model, check, classify, new_session, search, Feas, Node, PropKind, SearchOutcome,
-    StepEvent, VerifyConfig,
+    StepEvent, VerifyConfig, SOLVER_BUDGET,
 };
-use crate::summary::PipelineSummaries;
+use crate::summary::{panic_message, PipelineSummaries};
 use bvsolve::{SolveSession, SolverLayerStats, TermPool};
 use dataplane::Pipeline;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -252,7 +252,7 @@ fn run_task(
             SearchOutcome::Clean => TaskResult::Clean,
             SearchOutcome::Violation(cex) => TaskResult::Violation(cex),
             SearchOutcome::Budget => TaskResult::Budget,
-            SearchOutcome::SolverUnknown => TaskResult::Unknown,
+            SearchOutcome::SolverUnknown(_) => TaskResult::Unknown,
         },
     }
 }
@@ -270,6 +270,12 @@ fn run_task(
 /// published for siblings, later properties, and later engines.
 /// Returns the merged outcome plus the workers' summed solver and
 /// pruning counters.
+///
+/// A worker that panics (a hostile [`crate::CustomProperty`] hook, an
+/// internal `expect`) loses its results and counters but not the
+/// check: a violation found by a surviving worker still wins — its
+/// counterexample is concrete — and otherwise the outcome is
+/// `SolverUnknown("internal: …")` carrying the panic message.
 pub(crate) fn drain_tasks(
     master: &TermPool,
     tasks: &[Task],
@@ -287,6 +293,7 @@ pub(crate) fn drain_tasks(
     let mut results: Vec<(usize, TaskResult)> = Vec::with_capacity(tasks.len());
     let mut stats = SolverLayerStats::default();
     let mut core_stats = CoreStats::default();
+    let mut panicked: Option<String> = None;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -323,10 +330,16 @@ pub(crate) fn drain_tasks(
             })
             .collect();
         for h in handles {
-            let (out, worker_stats, worker_cores) = h.join().expect("step-2 worker panicked");
-            results.extend(out);
-            stats.merge(&worker_stats);
-            core_stats.merge(&worker_cores);
+            match h.join() {
+                Ok((out, worker_stats, worker_cores)) => {
+                    results.extend(out);
+                    stats.merge(&worker_stats);
+                    core_stats.merge(&worker_cores);
+                }
+                Err(payload) => {
+                    panicked.get_or_insert_with(|| panic_message(payload.as_ref()));
+                }
+            }
         }
     });
     results.sort_by_key(|(i, _)| *i);
@@ -347,10 +360,12 @@ pub(crate) fn drain_tasks(
             TaskResult::Clean | TaskResult::Skipped => {}
         }
     }
-    let outcome = if saw_budget {
+    let outcome = if let Some(why) = panicked {
+        SearchOutcome::SolverUnknown(format!("internal: step-2 worker panicked: {why}"))
+    } else if saw_budget {
         SearchOutcome::Budget
     } else if saw_unknown {
-        SearchOutcome::SolverUnknown
+        SearchOutcome::SolverUnknown(SOLVER_BUDGET.into())
     } else {
         SearchOutcome::Clean
     };

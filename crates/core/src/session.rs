@@ -72,11 +72,13 @@ use crate::step2::{
     FilterProperty, LongestPath, Node, PropKind, VerifyConfig,
 };
 use crate::summary::{
-    effective_threads, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryStore,
+    effective_threads, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey,
+    SummaryStore,
 };
 use bvsolve::{SolveSession, TermPool};
-use dataplane::{ElementKind, Pipeline};
+use dataplane::{Element, ElementKind, Pipeline, Route, Stage};
 use dpir::analysis::{lint_program, simplify, Diagnostic, IvEnv};
+use dpir::PortId;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -179,6 +181,20 @@ pub enum Property {
     Custom(Arc<dyn CustomProperty>),
 }
 
+impl Property {
+    /// The name this property's reports answer under (what
+    /// [`Report::property`] returns).
+    pub(crate) fn name(&self) -> String {
+        match self {
+            Property::Generic { loop_cap } => format!("generic (loop_cap={loop_cap})"),
+            Property::StateConsistency => "state-consistency".into(),
+            search => SearchProp::of(search)
+                .expect("every other property is search-based")
+                .name(),
+        }
+    }
+}
+
 impl std::fmt::Debug for Property {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -246,8 +262,11 @@ impl Report {
     pub fn property(&self) -> String {
         match self {
             Report::Verify(r) => r.property.clone(),
-            Report::Generic(g) => format!("generic (loop_cap={})", g.loop_cap),
-            Report::State(_) => "state-consistency".into(),
+            Report::Generic(g) => Property::Generic {
+                loop_cap: g.loop_cap,
+            }
+            .name(),
+            Report::State(_) => Property::StateConsistency.name(),
         }
     }
 
@@ -439,6 +458,82 @@ impl SearchProp {
             _ => {}
         }
     }
+}
+
+/// What the step-2 search of one property reads from one stage: the
+/// step-1 summary it composes (by content address), the loop
+/// composition bound, and where each output port leads.
+#[derive(PartialEq, Eq, Hash)]
+struct StageClass {
+    summary: SummaryKey,
+    max_iters: Option<u32>,
+    routes: Vec<(PortId, Route)>,
+}
+
+/// The step-2 equivalence class of a `(pipeline, property)` check
+/// under a fixed [`VerifyConfig`] and a fixed property value: two
+/// checks with equal classes run the same deterministic search over
+/// byte-identical summaries, so one's verdict, counterexample, trace
+/// and counters are the other's (only the pipeline display name
+/// differs). [`crate::fleet::Fleet::run`] searches once per class.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct SearchClass(Vec<StageClass>);
+
+/// Keys `pipeline` for `spec`'s search, or `None` when the check must
+/// never share a result: a [`CustomProperty`]'s hooks receive the
+/// pipeline itself and may read anything in it (table contents
+/// included), so no key can speak for them.
+///
+/// Every input struct is destructured exhaustively (no `..`), like
+/// [`SummaryKey::of`] does for `SymConfig`: a new `Pipeline`, `Stage`
+/// or `Element` field fails to compile here until it is keyed or
+/// explicitly ignored. Key the *raw* pipeline — the static pass is a
+/// function of the program and `sym`, so equal raw programs simplify
+/// equally.
+pub(crate) fn search_class(
+    pipeline: &Pipeline,
+    spec: &SearchProp,
+    sym: &SymConfig,
+) -> Option<SearchClass> {
+    let mode = match spec {
+        SearchProp::Custom(_) => return None,
+        SearchProp::Crash | SearchProp::Bounded { .. } | SearchProp::Filter(_) => spec.mode(),
+    };
+    // The display name only labels the report; members keep their own.
+    let Pipeline { name: _, stages } = pipeline;
+    let stages = stages
+        .iter()
+        .map(|stage| {
+            // `routes` is keyed as resolved below, so list order,
+            // shadowed entries and implicit `Drop` do not split classes.
+            let Stage { element, routes: _ } = stage;
+            // `name`, the program and (in Tables mode only — step 2
+            // never reads `element.tables`) the table contents are
+            // inside the summary key; `info` is inventory metadata.
+            let Element {
+                name: _,
+                kind,
+                info: _,
+                tables: _,
+            } = element;
+            StageClass {
+                summary: SummaryKey::of(element, mode, sym),
+                max_iters: match kind {
+                    ElementKind::Straight(_) => None,
+                    ElementKind::Loop { body: _, max_iters } => Some(*max_iters),
+                },
+                // Every port an `Emit` can name: a straight element may
+                // emit (and route) `PORT_CONTINUE` like any other port.
+                routes: element
+                    .output_ports()
+                    .into_iter()
+                    .chain([dpir::PORT_CONTINUE])
+                    .map(|port| (port, stage.resolve(port)))
+                    .collect(),
+            }
+        })
+        .collect();
+    Some(SearchClass(stages))
 }
 
 /// The sequential step-2 engine for one resolved property: builds the

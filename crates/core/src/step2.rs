@@ -19,7 +19,7 @@ use dpir::PORT_CONTINUE;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use symexec::{SegOutcome, Segment, SymConfig, SymInput};
 
 /// Configuration of a verification run.
@@ -247,8 +247,14 @@ pub(crate) enum SearchOutcome {
     Clean,
     Violation(CounterExample),
     Budget,
-    SolverUnknown,
+    /// Some query stayed undecided; the payload says why
+    /// ([`SOLVER_BUDGET`], or an internal fault in the parallel driver).
+    SolverUnknown(String),
 }
+
+/// The [`SearchOutcome::SolverUnknown`] reason of a query that ran out
+/// of its CDCL conflict budget.
+pub(crate) const SOLVER_BUDGET: &str = "solver budget exceeded";
 
 /// Which §4 property the search decides. Encodes, for each segment
 /// event along a composed path, whether it is a *violation suspect* (a
@@ -497,7 +503,7 @@ pub(crate) fn search(
         }
     }
     if saw_unknown {
-        SearchOutcome::SolverUnknown
+        SearchOutcome::SolverUnknown(SOLVER_BUDGET.into())
     } else {
         SearchOutcome::Clean
     }
@@ -550,10 +556,26 @@ pub(crate) fn aborted_report(
     e: symexec::SymError,
     t0: Instant,
 ) -> VerifyReport {
+    unknown_report(
+        property,
+        pipeline,
+        format!("step 1 aborted: {e}"),
+        t0.elapsed(),
+    )
+}
+
+/// The report of a check that produced nothing but a reason: every
+/// counter zero, the time spent booked to step 1.
+pub(crate) fn unknown_report(
+    property: &str,
+    pipeline: &Pipeline,
+    reason: String,
+    step1_time: Duration,
+) -> VerifyReport {
     VerifyReport {
         property: property.into(),
         pipeline: pipeline.name.clone(),
-        verdict: Verdict::Unknown(format!("step 1 aborted: {e}")),
+        verdict: Verdict::Unknown(reason),
         step1_states: 0,
         step1_segments: 0,
         suspects: 0,
@@ -562,7 +584,7 @@ pub(crate) fn aborted_report(
         cores: CoreStats::default(),
         summary: Default::default(),
         static_stats: Default::default(),
-        step1_time: t0.elapsed(),
+        step1_time,
         step2_time: Default::default(),
     }
 }
@@ -607,7 +629,7 @@ pub(crate) fn verdict_of(outcome: SearchOutcome) -> Verdict {
         SearchOutcome::Clean => Verdict::Proved,
         SearchOutcome::Violation(cex) => Verdict::Disproved(cex),
         SearchOutcome::Budget => Verdict::Unknown("step-2 path budget exceeded".into()),
-        SearchOutcome::SolverUnknown => Verdict::Unknown("solver budget exceeded".into()),
+        SearchOutcome::SolverUnknown(why) => Verdict::Unknown(why),
     }
 }
 

@@ -26,9 +26,9 @@
 use bvsolve::{Migrator, TermPool};
 use dataplane::{Element, ElementKind, Pipeline};
 use dpir::fingerprint128;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use symexec::{
     execute, AbstractMapModel, MapBranch, MapModel, MapOpRecord, Segment, SymConfig, SymError,
     SymInput, TableMapModel,
@@ -271,6 +271,33 @@ struct StoreInner {
     bytes: usize,
     /// Monotonic access counter backing the LRU order.
     clock: u64,
+    /// Keys some thread is loading or executing right now. A second
+    /// request for one of them waits on [`SummaryStore::landed`] and
+    /// then takes the hit path, so a key is produced once per process
+    /// however many workers miss on it together.
+    in_flight: HashSet<SummaryKey>,
+}
+
+/// Clears a key's in-flight marker and wakes its waiters when the
+/// producing call leaves [`SummaryStore::stage`] — by return, `Err` or
+/// panic alike; waiters that find no entry produce it themselves.
+struct Flight<'s> {
+    store: &'s SummaryStore,
+    key: SummaryKey,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        // May run while unwinding: recover a poisoned guard (removing
+        // a set element leaves the store valid) instead of panicking.
+        let mut inner = self
+            .store
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.in_flight.remove(&self.key);
+        self.store.landed.notify_all();
+    }
 }
 
 /// A content-addressed, thread-safe cache of stage summaries.
@@ -319,6 +346,8 @@ struct StoreInner {
 #[derive(Debug, Default)]
 pub struct SummaryStore {
     inner: Mutex<StoreInner>,
+    /// Signalled whenever an in-flight key lands or is abandoned.
+    landed: Condvar,
     max_entries: Option<usize>,
     max_bytes: Option<usize>,
     /// Directory backing the store on disk, if persistent.
@@ -475,42 +504,31 @@ impl SummaryStore {
     }
 
     /// Caches `stored` under `key` as the most recently used entry and
-    /// returns the entry to use — the one already there when another
-    /// thread won a load/execute race on the key (both hold identical
-    /// summaries; keeping the winner keeps one copy resident).
+    /// hands it back. The key is vacant: only the caller holding its
+    /// in-flight marker inserts it (a leftover would just be replaced).
     fn insert(&self, key: SummaryKey, stored: Arc<StoredStage>) -> Arc<StoredStage> {
-        use std::collections::hash_map::Entry;
         let mut inner = self.inner.lock().expect("summary store poisoned");
         let inner = &mut *inner;
         inner.clock += 1;
-        let clock = inner.clock;
-        let out = match inner.entries.entry(key) {
-            Entry::Occupied(mut o) => {
-                o.get_mut().last_used = clock;
-                Arc::clone(&o.get().stage)
-            }
-            Entry::Vacant(v) => {
-                let bytes = stored.approx_bytes();
-                inner.bytes += bytes;
-                Arc::clone(
-                    &v.insert(StoreEntry {
-                        stage: stored,
-                        bytes,
-                        last_used: clock,
-                    })
-                    .stage,
-                )
-            }
+        let bytes = stored.approx_bytes();
+        let entry = StoreEntry {
+            stage: Arc::clone(&stored),
+            bytes,
+            last_used: inner.clock,
         };
+        if let Some(replaced) = inner.entries.insert(key, entry) {
+            inner.bytes -= replaced.bytes;
+        }
+        inner.bytes += bytes;
         self.enforce_bounds(inner);
-        out
+        stored
     }
 
     /// Fetches the summary for `element` under `(mode, cfg)`,
     /// executing and caching it on a miss. Returns whether this was a
-    /// hit. Execution happens outside the store lock; if two threads
-    /// race on the same key both execute (identically — the executor
-    /// is deterministic) and the first insert wins.
+    /// hit. Loading and execution happen outside the store lock, once
+    /// per key: a thread that misses on a key another thread is
+    /// already producing waits for it to land and is served as a hit.
     pub(crate) fn stage(
         &self,
         element: &Element,
@@ -518,16 +536,22 @@ impl SummaryStore {
         cfg: &SymConfig,
     ) -> Result<(Arc<StoredStage>, bool), SymError> {
         let key = SummaryKey::of(element, mode, cfg);
-        {
-            let mut inner = self.inner.lock().expect("summary store poisoned");
-            let inner = &mut *inner;
-            if let Some(found) = inner.entries.get_mut(&key) {
-                inner.clock += 1;
-                found.last_used = inner.clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&found.stage), true));
+        let _flight = {
+            let mut guard = self.inner.lock().expect("summary store poisoned");
+            loop {
+                let inner = &mut *guard;
+                if let Some(found) = inner.entries.get_mut(&key) {
+                    inner.clock += 1;
+                    found.last_used = inner.clock;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok((Arc::clone(&found.stage), true));
+                }
+                if inner.in_flight.insert(key) {
+                    break Flight { store: self, key };
+                }
+                guard = self.landed.wait(guard).expect("summary store poisoned");
             }
-        }
+        };
         // Memory miss: consult the backing directory before paying for
         // execution. A successful load is a *hit* — the stage was not
         // re-executed — and any decode failure (missing, truncated,
@@ -566,10 +590,13 @@ impl SummaryStore {
             states: report.states,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Write-back, outside the lock. Racing writers of one key
-        // (fleet workers missing on the same stage at once) are
-        // harmless: each renames a temp file of its own over the final
-        // name, so every rename publishes a complete, identical file.
+        // Write-back, outside the lock. Within a process the in-flight
+        // marker makes this the key's only writer at any moment, so
+        // the write race fleet workers used to run no longer exists;
+        // racing writers in *other* processes sharing the directory
+        // still rely on `persist::write_atomic` renaming a temp file
+        // of its own over the final name — every rename publishes a
+        // complete, identical file.
         if let Some(dir) = &self.disk {
             if crate::persist::save_summary(dir, &key, &stored) {
                 self.store_writes.fetch_add(1, Ordering::Relaxed);
@@ -709,6 +736,17 @@ pub(crate) fn run_indexed<T: Send>(
                 .expect("worker pool ran every task")
         })
         .collect()
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or
+/// `String`), for the `Unknown("internal: …")` verdicts the worker
+/// pools degrade to instead of unwinding through their caller.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Rebases a pool-independent stored summary into the master pool.

@@ -291,3 +291,49 @@ fn parallel_step1_reproduces_sequential_numbering() {
         }
     }
 }
+
+/// A property whose hook panics once the search is past the first
+/// stage — i.e. inside a step-2 worker, not in the frontier split the
+/// calling thread performs.
+struct PanicsBelowTheSplit;
+
+impl verifier::CustomProperty for PanicsBelowTheSplit {
+    fn name(&self) -> String {
+        "panics-below-the-split".into()
+    }
+
+    fn violation(
+        &self,
+        _pipeline: &Pipeline,
+        stage: usize,
+        _seg: &symexec::Segment,
+        _state: &verifier::ComposedState,
+    ) -> Option<String> {
+        assert!(stage == 0, "hostile hook at stage {stage}");
+        None
+    }
+}
+
+#[test]
+fn panicking_step2_worker_degrades_to_unknown_and_the_session_survives() {
+    let p = to_pipeline("gateway", network_gateway(3));
+    let mut v = Verifier::new(&p).config(cfg()).threads(4).split_depth(1);
+    let hostile = v
+        .check(Property::Custom(std::sync::Arc::new(PanicsBelowTheSplit)))
+        .expect_verify();
+    match &hostile.verdict {
+        Verdict::Unknown(why) => assert!(
+            why.starts_with("internal: step-2 worker panicked: hostile hook at stage"),
+            "{why}"
+        ),
+        other => panic!("expected an internal Unknown, got {other:?}"),
+    }
+    // Nothing the workers shared is left poisoned: the same session
+    // goes on to decide the next property like a fresh one.
+    let after = v.check(Property::CrashFreedom).expect_verify();
+    assert_same_verdict(
+        &check_seq(&p, Property::CrashFreedom),
+        &after,
+        "after a panic",
+    );
+}

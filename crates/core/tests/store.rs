@@ -1,18 +1,21 @@
 //! Content-addressed summary store and fleet tests: key hashing,
 //! deterministic (byte-identical) rebasing, store-on vs store-off
-//! verdict/counterexample/path equivalence for both engines, and
-//! fleet scheduling determinism.
+//! verdict/counterexample/path equivalence for both engines, fleet
+//! scheduling determinism, step-2 equivalence classes (what shares a
+//! search, what must not) and once-per-key production under racing
+//! misses.
 
 use bvsolve::TermPool;
-use dataplane::Pipeline;
+use dataplane::{ElementKind, Pipeline, PipelineOutcome, Route, Runner};
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{to_pipeline, ROUTER_IP};
 use std::sync::Arc;
 use symexec::SymConfig;
 use verifier::fleet::Fleet;
 use verifier::{
-    summarize_pipeline, summarize_pipeline_with_store, MapMode, Property, SummaryKey, SummaryStore,
-    Verifier, VerifyConfig, VerifyReport,
+    summarize_pipeline, summarize_pipeline_with_store, ComposedState, CustomProperty,
+    FilterProperty, MapMode, Property, SummaryKey, SummaryStore, Verdict, Verifier, VerifyConfig,
+    VerifyReport,
 };
 
 fn cfg() -> VerifyConfig {
@@ -313,19 +316,37 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
         }
     }
 
+    // Both properties are Abstract-mode and the variants differ in
+    // table contents only: one search per property, run for variant 0
+    // and replayed to the rest — whatever the schedule or the store.
+    for (fleet_run, what) in [(&seq, "seq"), (&par, "par"), (&isolated, "isolated")] {
+        assert_eq!(fleet_run.classes, 2, "{what}");
+        assert_eq!(fleet_run.checks_replayed(), 6, "{what}");
+        for (i, v) in fleet_run.variants.iter().enumerate() {
+            assert_eq!(v.replayed, [i > 0, i > 0], "{what}: variant {i}");
+        }
+    }
+
     // Aggregates agree across schedules.
     assert_eq!(seq.disproved(), par.disproved());
     assert_eq!(seq.all_proved(), par.all_proved());
     let json = seq.to_json();
     assert!(json.contains("\"kind\":\"fleet\""), "{json}");
     assert!(json.contains("\"summary_hits\""), "{json}");
+    assert!(
+        json.contains("\"classes\":2,\"checks_replayed\":6"),
+        "{json}"
+    );
     assert!(json.contains("fib-3"), "{json}");
+    assert!(seq.to_string().contains("8 checks in 2 classes"), "{seq}");
 }
 
 #[test]
 fn fleet_abstract_checks_share_across_table_variants() {
     // Variants differing ONLY in table contents: abstract-mode keys
-    // ignore tables, so after variant 0 every abstract stage hits.
+    // ignore tables, so the three checks are one equivalence class —
+    // one session summarizes and searches, nobody else touches the
+    // store at all.
     let fibs: Vec<Vec<(u32, u32, u32)>> = (0..3).map(|i| vec![(0x0A00_0000, 8, i)]).collect();
     let mut fleet = Fleet::new().config(cfg()).threads(1);
     for (i, fib) in fibs.iter().enumerate() {
@@ -333,13 +354,267 @@ fn fleet_abstract_checks_share_across_table_variants() {
     }
     let report = fleet.properties(&[Property::CrashFreedom]).run();
     let stages = 3;
+    assert_eq!(report.classes, 1, "three table-only variants, one search");
     assert_eq!(
         report.summary_misses as usize, stages,
         "step 1 executes once per distinct element, not per variant"
     );
     assert_eq!(
-        report.summary_hits as usize,
-        (fibs.len() - 1) * stages,
-        "every later variant is all hits"
+        report.summary_hits, 0,
+        "replayed members never consult the store"
     );
+    for (i, fib) in fibs.iter().enumerate() {
+        let p = lookup_variant(fib.clone());
+        let reference = Verifier::new(&p)
+            .config(cfg())
+            .check(Property::CrashFreedom)
+            .expect_verify();
+        assert_identical_reports(
+            &reference,
+            report.variants[i].reports[0].as_verify().expect("verify"),
+            &format!("variant {i}"),
+        );
+        assert_eq!(report.variants[i].replayed, [i > 0]);
+    }
+}
+
+/// Crash-freedom as a user-defined property: its `violation` hook
+/// receives the pipeline, so the fleet must never share its searches.
+struct CustomNoCrash;
+
+impl CustomProperty for CustomNoCrash {
+    fn name(&self) -> String {
+        "custom-no-crash".into()
+    }
+
+    fn violation(
+        &self,
+        pipeline: &Pipeline,
+        stage: usize,
+        seg: &symexec::Segment,
+        _state: &ComposedState,
+    ) -> Option<String> {
+        seg.outcome
+            .is_crash()
+            .then(|| format!("{} crashes", pipeline.stages[stage].element.name))
+    }
+}
+
+/// A firewalled router front whose unguarded DecTTL reads past short
+/// packets (crash-freedom is disproved) and whose filtering verdict depends on
+/// the blacklist contents.
+fn firewalled(name: &str, blacklist: Vec<u32>) -> Pipeline {
+    to_pipeline(
+        name,
+        vec![
+            elements::classifier::classifier(),
+            elements::dec_ttl::dec_ttl(),
+            elements::ip_filter::ip_filter(blacklist),
+            elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+        ],
+    )
+}
+
+/// Runs counterexample bytes through the concrete dataplane.
+fn run_concretely(p: &Pipeline, bytes: &[u8]) -> PipelineOutcome {
+    let stores = elements::pipelines::build_all_stores(p);
+    let mut r = Runner::new(p.clone(), stores);
+    r.fuel_per_stage = 20_000;
+    r.run_packet(&mut dpir::PacketData::new(bytes.to_vec()))
+}
+
+#[test]
+fn fleet_classes_split_where_step2_could_differ() {
+    const BAD: u32 = 0x0BAD_0001;
+    // ARP frames forwarded instead of dropped: same elements, one
+    // port re-routed.
+    let mut rerouted = firewalled("rerouted", vec![BAD]);
+    let classifier = rerouted.stages.remove(0);
+    rerouted.stages.insert(0, classifier.route(1, Route::Next));
+    // The options loop composed one iteration further: same programs,
+    // same routes, a different search.
+    let mut longer_loop = firewalled("longer-loop", vec![BAD]);
+    match &mut longer_loop.stages[3].element.kind {
+        ElementKind::Loop { max_iters, .. } => *max_iters += 1,
+        ElementKind::Straight(_) => panic!("IPoptions is a loop element"),
+    }
+    let variants = [
+        firewalled("base", vec![BAD]),
+        // Equal contents under another name: shares everything a key
+        // can speak for.
+        firewalled("twin", vec![BAD]),
+        // Another blacklist: table-blind checks share, filtering (which
+        // reads the table) must not — here the verdict even differs.
+        firewalled("other-acl", vec![0x0BAD_0002]),
+        rerouted,
+        longer_loop,
+    ];
+    let props = [
+        Property::CrashFreedom,
+        Property::Filter(FilterProperty::src(BAD)),
+        Property::Custom(Arc::new(CustomNoCrash)),
+    ];
+    let expect_replayed = [
+        [false, false, false],
+        [true, true, false],
+        [true, false, false],
+        [false, false, false],
+        [false, false, false],
+    ];
+
+    for threads in [1usize, 4] {
+        let mut fleet = Fleet::new().config(cfg()).threads(threads);
+        for p in &variants {
+            fleet = fleet.variant(p.name.clone(), p.clone());
+        }
+        let report = fleet.properties(&props).run();
+        // crash-freedom 3 + filtering 4 + custom 5.
+        assert_eq!(report.classes, 12, "threads={threads}");
+        assert_eq!(report.checks_replayed(), 3);
+
+        let mut disproved_replays = 0;
+        for ((p, v), replayed) in variants.iter().zip(&report.variants).zip(expect_replayed) {
+            assert_eq!(v.replayed, replayed, "{}", p.name);
+            let mut reference = Verifier::new(p).config(cfg());
+            for ((prop, r), was_replayed) in props.iter().zip(&v.reports).zip(replayed) {
+                let r = r.as_verify().expect("verify");
+                let what = format!("{} / {} threads={threads}", p.name, r.property);
+                // A class of one is exactly a standalone session; a
+                // replayed report must be indistinguishable from one.
+                let standalone = reference.check(prop.clone()).expect_verify();
+                assert_identical_reports(&standalone, r, &what);
+                assert_eq!(r.pipeline, p.name, "{what}: the member's own name");
+                // Whoever searched, the bytes must do on *this*
+                // member's concrete dataplane what the verdict says.
+                if let Verdict::Disproved(cex) = &r.verdict {
+                    let out = run_concretely(p, &cex.bytes);
+                    match prop {
+                        Property::Filter(_) => assert!(
+                            matches!(out, PipelineOutcome::Delivered(_)),
+                            "{what}: {out:?}"
+                        ),
+                        _ => assert!(
+                            matches!(out, PipelineOutcome::Crashed { .. }),
+                            "{what}: {out:?}"
+                        ),
+                    }
+                    disproved_replays += usize::from(was_replayed);
+                }
+            }
+        }
+        assert!(
+            disproved_replays >= 2,
+            "a Disproved report is fanned out to twin and other-acl"
+        );
+        // The verdict that must not leak across blacklists.
+        let filtering = |i: usize| report.variants[i].reports[1].verdict().expect("verify");
+        assert!(filtering(0).is_proved(), "base blocks BAD");
+        assert!(filtering(1).is_proved(), "twin blocks BAD");
+        assert!(filtering(2).is_disproved(), "other-acl lets BAD through");
+    }
+}
+
+/// A property whose hook panics on the first segment it is shown.
+struct Hostile;
+
+impl CustomProperty for Hostile {
+    fn name(&self) -> String {
+        "hostile".into()
+    }
+
+    fn violation(
+        &self,
+        _pipeline: &Pipeline,
+        _stage: usize,
+        _seg: &symexec::Segment,
+        _state: &ComposedState,
+    ) -> Option<String> {
+        panic!("hostile hook")
+    }
+}
+
+#[test]
+fn fleet_panicking_check_degrades_to_unknown_for_its_class_only() {
+    let props = [
+        Property::CrashFreedom,
+        Property::Custom(Arc::new(Hostile)),
+        Property::Bounded { imax: 5_000 },
+    ];
+    for threads in [1usize, 3] {
+        let report = Fleet::new()
+            .config(cfg())
+            .threads(threads)
+            .variant("a", lookup_variant(vec![(0x0A00_0000, 8, 0)]))
+            .variant("b", lookup_variant(vec![(0x0B00_0000, 8, 1)]))
+            .properties(&props)
+            .run();
+        // crash-freedom and bounded share across the table-only pair;
+        // the custom property is one class per variant.
+        assert_eq!(report.classes, 4);
+        for v in &report.variants {
+            let verdicts: Vec<&Verdict> = v.reports.iter().filter_map(|r| r.verdict()).collect();
+            assert!(verdicts[0].is_proved(), "{}: {:?}", v.variant, verdicts[0]);
+            assert!(verdicts[2].is_proved(), "{}: {:?}", v.variant, verdicts[2]);
+            match verdicts[1] {
+                Verdict::Unknown(why) => assert_eq!(
+                    why, "internal: check panicked: hostile hook",
+                    "{}",
+                    v.variant
+                ),
+                other => panic!("{}: expected an internal Unknown, got {other:?}", v.variant),
+            }
+            assert_eq!(v.reports[1].property(), "hostile");
+        }
+    }
+}
+
+#[test]
+fn racing_misses_on_one_key_execute_once() {
+    const N: usize = 6;
+    let p = to_pipeline("one", vec![elements::ip_options::ip_options(2, None)]);
+    let sym = cfg().sym;
+    let store = SummaryStore::new();
+    let barrier = std::sync::Barrier::new(N);
+    let race = |sym: &SymConfig| {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut pool = TermPool::new();
+                        barrier.wait();
+                        summarize_pipeline_with_store(
+                            &mut pool,
+                            &p,
+                            sym,
+                            MapMode::Abstract,
+                            &store,
+                            1,
+                        )
+                        .is_ok()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no deadlock, no panic"))
+                .collect::<Vec<bool>>()
+        })
+    };
+
+    // A failing execution (state budget of one) must wake its waiters,
+    // who then run — and fail — themselves: nobody is stranded behind
+    // a marker, nothing is cached.
+    let starved = SymConfig {
+        max_states: 1,
+        ..sym.clone()
+    };
+    assert_eq!(race(&starved), [false; N]);
+    assert_eq!((store.misses(), store.hits(), store.len()), (0, 0, 0));
+
+    // All N miss together; one executes, the rest wait and are served
+    // as hits.
+    assert_eq!(race(&sym), [true; N]);
+    assert_eq!(store.misses(), 1, "one execution per key");
+    assert_eq!(store.hits(), N as u64 - 1, "waiters take the hit path");
+    assert_eq!(store.len(), 1);
 }

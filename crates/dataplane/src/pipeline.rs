@@ -10,7 +10,7 @@ use crate::element::Element;
 use dpir::PortId;
 
 /// Where a stage's output port leads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
     /// To the next stage in declaration order.
     Next,

@@ -4,9 +4,12 @@
 //! content-addressed step-1 store.
 //!
 //! Abstract-mode properties (crash-freedom, bounded-execution) are
-//! table-blind, so all variants share one step-1 pass per distinct
-//! element; a second audit on the same store (the "warm" run below —
-//! think re-checking after a config push) executes nothing at all.
+//! table-blind, so the eight production sites are *one* step-2
+//! equivalence class per property: the fleet searches once for site 0
+//! and replays the report to the other seven, while the staging site —
+//! different elements — keeps classes of its own. A second audit on the
+//! same store (the "warm" run below — think re-checking after a config
+//! push) executes no step-1 stage at all.
 //!
 //! ```sh
 //! cargo run --release --example fleet_audit
@@ -93,7 +96,20 @@ fn main() {
         warm.disproved(),
         "verdicts are store-independent"
     );
-    assert!(cold.summary_hits > 0, "sites share step-1 work");
+    // 18 checks, 4 searches: the FIB-only sites collapse into one class
+    // per property, the staging site does not collapse into them.
+    println!(
+        "step-2 classes: {} searches for {} checks ({} replayed)",
+        cold.classes,
+        cold.classes + cold.checks_replayed(),
+        cold.checks_replayed()
+    );
+    assert_eq!(cold.classes, 4, "production x 2 properties + staging x 2");
+    for (i, v) in cold.variants.iter().enumerate() {
+        let expect = (1..8).contains(&i);
+        assert_eq!(v.replayed, [expect, expect], "{}", v.variant);
+    }
+    assert!(cold.summary_hits > 0, "the searches share step-1 work");
     assert_eq!(warm.summary_misses, 0, "warm audit executes nothing");
     let staging = cold.variants.last().expect("staging site");
     for r in staging.reports.iter().filter_map(|r| r.as_verify()) {
