@@ -62,6 +62,13 @@ fn num_field(line: &str, key: &str) -> Option<f64> {
 fn load(path: &str) -> BTreeMap<String, f64> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("perf_diff: cannot read {path}: {e}"));
+    parse(&text)
+}
+
+/// [`load`] on the file's text. Only the key fields and `step2_ms` are
+/// read, so a row may carry `null` elsewhere (`churn`'s
+/// `speedup_vs_full` on a pure-replay arm).
+fn parse(text: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
         let Some(bench) = str_field(line, "bench") else {
@@ -180,4 +187,23 @@ fn main() -> ExitCode {
         baseline.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_with_a_null_ratio_still_load() {
+        let rows = "{\"bench\":\"churn\",\"pipeline\":\"edge-router-churn\",\"mode\":\"incremental-session\",\
+                    \"engine\":\"seq\",\"updates\":40,\"step1_ms\":0.000,\"step2_ms\":0.000,\
+                    \"mean_update_ms\":0.000,\"speedup_vs_full\":null,\"checks_replayed\":80}\n\
+                    {\"bench\":\"churn\",\"pipeline\":\"edge-router-churn\",\"mode\":\"full-reverify\",\
+                    \"engine\":\"seq\",\"step2_ms\":219.5,\"speedup_vs_full\":1.00}\n";
+        let got = parse(rows);
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!(got["churn/edge-router-churn/incremental-session/seq"], 0.0);
+        assert_eq!(got["churn/edge-router-churn/full-reverify/seq"], 219.5);
+        assert_eq!(num_field(rows, "speedup_vs_full"), None);
+    }
 }

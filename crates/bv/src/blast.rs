@@ -4,6 +4,12 @@
 //! Tseitin-encoded gate clauses. Word-level operations use the textbook
 //! circuits: ripple-carry adders, borrow-chain comparators, shift-add
 //! multipliers, barrel shifters, and restoring division.
+//!
+//! The per-term memo is **scoped**: [`Blaster::mark`] /
+//! [`Blaster::rollback`] drop every circuit blasted since the mark
+//! from the solver ([`bitsat::Solver::rollback`]) and forget the memo
+//! entries that pointed into it, so a term blasted again after its
+//! scope was popped gets a fresh circuit.
 
 use crate::term::{Term, TermId, TermPool, UnOp};
 use bitsat::{Lit, SolveResult, Solver};
@@ -19,6 +25,22 @@ pub struct Blaster {
     true_lit: Lit,
     bits: HashMap<TermId, Vec<Lit>>,
     var_bits: HashMap<u32, Vec<Lit>>,
+    /// Keys of `bits` / `var_bits` in insertion order — what
+    /// [`Blaster::rollback`] forgets past a mark.
+    memo_log: Vec<MemoKey>,
+}
+
+#[derive(Clone, Copy)]
+enum MemoKey {
+    Term(TermId),
+    Var(u32),
+}
+
+/// A point in a blaster's history (see [`Blaster::mark`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BlastMark {
+    sat: bitsat::Mark,
+    memo: usize,
 }
 
 impl Default for Blaster {
@@ -39,7 +61,34 @@ impl Blaster {
             true_lit,
             bits: HashMap::new(),
             var_bits: HashMap::new(),
+            memo_log: Vec::new(),
         }
+    }
+
+    /// Records the current point: [`Blaster::rollback`] to it removes
+    /// every circuit blasted and every gated assertion made after it.
+    pub fn mark(&self) -> BlastMark {
+        BlastMark {
+            sat: self.sat.mark(),
+            memo: self.memo_log.len(),
+        }
+    }
+
+    /// Drops everything blasted since `mark` — SAT variables, gate
+    /// clauses, gated assertions and the memo entries naming them.
+    /// Everything a blaster adds is a gate definition over fresh
+    /// variables or a clause gated on a fresh activation literal, the
+    /// conservative extensions [`bitsat::Solver::rollback`] requires,
+    /// so learnt clauses over the surviving circuit are kept. Not for
+    /// use across [`Blaster::assert_true`], whose unit is permanent.
+    pub fn rollback(&mut self, mark: BlastMark) {
+        for key in self.memo_log.drain(mark.memo..) {
+            match key {
+                MemoKey::Term(t) => drop(self.bits.remove(&t)),
+                MemoKey::Var(id) => drop(self.var_bits.remove(&id)),
+            }
+        }
+        self.sat.rollback(mark.sat);
     }
 
     /// Sets the CDCL conflict budget (see [`Solver::set_conflict_budget`]).
@@ -373,6 +422,7 @@ impl Blaster {
                     let out = self.build_bits(pool, x);
                     debug_assert_eq!(out.len(), pool.width(x) as usize, "blasted width mismatch");
                     self.bits.insert(x, out);
+                    self.memo_log.push(MemoKey::Term(x));
                 }
             }
         }
@@ -390,6 +440,7 @@ impl Blaster {
                 } else {
                     let b: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
                     self.var_bits.insert(id, b.clone());
+                    self.memo_log.push(MemoKey::Var(id));
                     b
                 }
             }
@@ -471,10 +522,8 @@ impl Blaster {
     /// Asserts the width-1 term `t` gated on a fresh activation
     /// literal: the constraint holds only in
     /// [`Blaster::check_assuming`] calls whose assumptions include
-    /// the returned literal. The blasted circuit stays in the solver
-    /// (memoized per [`TermId`] by [`Blaster::blast`]), so asserting
-    /// a hash-consed term a second time costs one map lookup at the
-    /// call site, not a re-blast.
+    /// the returned literal. The circuit is memoized per [`TermId`]
+    /// by [`Blaster::blast`] until a [`Blaster::rollback`] past it.
     pub fn assert_gated(&mut self, pool: &TermPool, t: TermId) -> Lit {
         debug_assert_eq!(pool.width(t), 1);
         let b = self.blast(pool, t);
@@ -514,8 +563,8 @@ impl Blaster {
         self.sat.stats()
     }
 
-    /// Number of SAT variables allocated so far (a proxy for the size
-    /// of the blasted circuit; sessions use it to decide compaction).
+    /// Number of SAT variables currently allocated (a proxy for the
+    /// size of the blasted circuit).
     pub fn num_sat_vars(&self) -> usize {
         self.sat.num_vars()
     }

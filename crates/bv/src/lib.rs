@@ -18,11 +18,12 @@
 //!
 //! Two front-ends drive the stack: [`BvSolver`] answers isolated
 //! queries on a fresh SAT instance, and [`SolveSession`] answers
-//! *streams* of related queries incrementally — constraints are
-//! blasted once, asserted under activation literals, and retired by
-//! popping an assertion stack, while the CDCL core keeps its learnt
-//! clauses. Verdicts are identical; sessions are the fast path for
-//! the step-2 search.
+//! *streams* of related queries incrementally — each constraint on
+//! its assertion stack is blasted once, in a scope of its own, and
+//! asserted under an activation literal; popping the stack drops the
+//! scope's circuit from the solver, while the CDCL core keeps the
+//! learnt clauses over what survives. Verdicts are identical;
+//! sessions are the fast path for the step-2 search.
 //!
 //! ## Example
 //!
@@ -55,7 +56,7 @@ mod session;
 mod solver;
 mod term;
 
-pub use blast::Blaster;
+pub use blast::{BlastMark, Blaster};
 pub use eval::{eval, substitute, Assignment};
 pub use interval::{interval_of, Interval};
 pub use migrate::Migrator;

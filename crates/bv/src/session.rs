@@ -8,20 +8,28 @@
 //! [`SolveSession`] instead keeps one [`Blaster`] alive for its whole
 //! lifetime and maintains an *assertion stack* of active constraints:
 //!
-//! * every constraint term is blasted **once** — the CNF circuit is
-//!   memoized per [`TermId`] (terms are hash-consed, so structurally
-//!   equal constraints share one circuit);
-//! * each constraint is asserted under an **activation literal**, and
-//!   a query solves under the assumptions of the currently-active
-//!   constraints only — retiring a constraint is popping the stack,
-//!   no solver state is torn down;
-//! * the CDCL core keeps its learnt clauses, variable activities and
-//!   saved phases across queries ([`bitsat`]'s incremental mode);
-//! * growth is bounded by **size-triggered compaction**: once the
-//!   dormant (retired) circuits dominate the active set, the CNF is
-//!   rebuilt from the active constraints — long refutation searches
-//!   keep per-query cost proportional to the live path, not to
-//!   everything the session ever blasted.
+//! * every stack entry is blasted **once**, lazily, on the first
+//!   blast-layer query that sees it active, inside a **scope** of its
+//!   own ([`Blaster::mark`]): its circuit (sharing the gates of the
+//!   entries below it — terms are hash-consed and memoized per
+//!   [`TermId`]) plus one clause gating its root on a fresh
+//!   activation literal;
+//! * a query solves under the activation literals of the active
+//!   entries; ephemeral extras get a scope that lasts for the one
+//!   query;
+//! * retiring an entry rolls the blaster back to the entry's mark
+//!   ([`Blaster::rollback`]): the circuit, its variables and every
+//!   learnt clause that names them **leave the solver**, so it holds
+//!   exactly the circuits of the active stack and a query costs
+//!   O(live path) however long the session has run. A term asserted
+//!   again later is blasted again;
+//! * the CDCL core keeps, across queries and pops alike, its variable
+//!   activities, saved phases and the learnt clauses over the
+//!   surviving variables ([`bitsat`]'s incremental mode). That is
+//!   sound because a popped scope is a conservative extension of what
+//!   is below it — gate definitions of fresh outputs and a clause
+//!   that a fresh literal switches off — so anything it implied about
+//!   the surviving variables alone already followed without it.
 //!
 //! The cheap layers (constructor simplification, intervals) still run
 //! per query on the conjunction of the active set, so the layer that
@@ -31,8 +39,8 @@
 //! verdict. Two caveats scope that guarantee:
 //!
 //! * under a **conflict budget**, which of the two exhausts it can
-//!   differ — carried-over learnt clauses and dormant circuits change
-//!   the CDCL trajectory, so a query one decides may come back
+//!   differ — carried-over learnt clauses, activities and phases
+//!   change the CDCL trajectory, so a query one decides may come back
 //!   [`SatVerdict::Unknown`] from the other (budget-free sessions
 //!   never diverge);
 //! * satisfying *models* for under-constrained queries depend on the
@@ -46,13 +54,12 @@
 //! used to derive the contradiction ([`bitsat::Solver::last_core`]).
 //! The step-2 search feeds these cores into its subsumption pruner.
 
-use crate::blast::Blaster;
+use crate::blast::{BlastMark, Blaster};
 use crate::eval::{eval, Assignment};
 use crate::interval::{interval_of, Interval};
 use crate::solver::{Model, SatVerdict, SolverLayerStats};
 use crate::term::{TermId, TermPool};
 use bitsat::Lit;
-use std::collections::HashMap;
 
 /// An incremental solving session over one [`TermPool`].
 ///
@@ -79,50 +86,26 @@ use std::collections::HashMap;
 pub struct SolveSession {
     blaster: Blaster,
     stats: SolverLayerStats,
-    conflict_budget: Option<u64>,
     /// Active constraints, in assertion order.
     stack: Vec<TermId>,
-    /// Activation literal per constraint term blasted into the
-    /// current blaster — the blast cache index.
-    acts: HashMap<TermId, Lit>,
-    /// CDCL counters accrued by blasters retired at compaction
-    /// (`learnt_reused`, `decisions`, `propagations` are surfaced
-    /// through [`SolveSession::stats`]).
-    retired_sat: bitsat::SolverStats,
-    /// Drop-one core-minimization budget forwarded to every blaster
-    /// (incl. rebuilds after compaction). `None` = off.
-    core_minimize_budget: Option<u64>,
+    /// One scope per blasted stack entry — a prefix of `stack`: the
+    /// mark taken before the entry was blasted and the activation
+    /// literal gating it.
+    scopes: Vec<(BlastMark, Lit)>,
     /// Whether UNSAT verdicts carry a mapped [`crate::Infeasibility`]
     /// core (default). Callers that never read cores can switch this
-    /// off to skip the per-query activation-literal reverse map and
-    /// the cheap-layer core clones.
+    /// off to skip the core mapping and the cheap-layer core clones.
     extract_cores: bool,
-    /// SAT-variable floor below which the session never compacts
-    /// ([`COMPACT_MIN_VARS`] by default; lowered only by tests that
-    /// need to cross compaction boundaries on small formulas).
-    compact_min_vars: usize,
 }
-
-/// Compaction floor: below this many SAT variables a session never
-/// compacts, so short query streams keep every circuit and clause.
-const COMPACT_MIN_VARS: usize = 60_000;
-
-/// Compaction trigger: dormant circuits must outnumber the active
-/// constraint set by this factor before a rebuild pays off.
-const COMPACT_DORMANT_FACTOR: usize = 4;
 
 impl Default for SolveSession {
     fn default() -> Self {
         SolveSession {
             blaster: Blaster::new(),
             stats: SolverLayerStats::default(),
-            conflict_budget: None,
             stack: Vec::new(),
-            acts: HashMap::new(),
-            retired_sat: bitsat::SolverStats::default(),
-            core_minimize_budget: None,
+            scopes: Vec::new(),
             extract_cores: true,
-            compact_min_vars: COMPACT_MIN_VARS,
         }
     }
 }
@@ -133,28 +116,19 @@ impl SolveSession {
         Self::default()
     }
 
-    /// Lowers the compaction floor (SAT-variable count) so tests can
-    /// exercise compaction on small formulas. Not part of the stable
-    /// API.
-    #[doc(hidden)]
-    pub fn set_compaction_floor(&mut self, vars: usize) {
-        self.compact_min_vars = vars;
-    }
-
     /// Enables (`Some(budget)`) or disables (`None`, the default)
     /// drop-one minimization of the UNSAT cores this session reports:
     /// smaller cores subsume more future constraint sets, at the cost
     /// of up to `core.len()` extra budget-capped CDCL calls per UNSAT
     /// answer (see [`bitsat::Solver::set_core_minimize_budget`]).
     pub fn set_core_minimize_budget(&mut self, budget: Option<u64>) {
-        self.core_minimize_budget = budget;
         self.blaster.set_core_minimize_budget(budget);
     }
 
     /// Disables (or re-enables; on by default) UNSAT-core reporting.
     /// Verdicts are unaffected — the queries are assumption-driven
-    /// either way — but with cores off the session skips the
-    /// activation-literal reverse map per blast query and the
+    /// either way — but with cores off the session skips mapping the
+    /// assumption core back to terms per refuted blast query and the
     /// constraint-vector clone per cheap-layer refutation, returning
     /// an empty (inert) [`crate::Infeasibility`] instead. Callers that
     /// never consume cores (e.g. the step-2 engine with conflict-driven
@@ -166,41 +140,9 @@ impl SolveSession {
     /// Creates a session whose CDCL calls each get a `budget`-conflict
     /// budget; exceeding it yields [`SatVerdict::Unknown`].
     pub fn with_conflict_budget(budget: u64) -> Self {
-        let mut s = SolveSession {
-            conflict_budget: Some(budget),
-            ..Self::default()
-        };
+        let mut s = Self::default();
         s.blaster.set_conflict_budget(budget);
         s
-    }
-
-    /// Size-triggered compaction. A long search retires far more
-    /// constraints than it keeps; their circuits stay in the solver as
-    /// dormant gated clauses, and CDCL must still assign every one of
-    /// their variables per satisfiable answer — unbounded growth turns
-    /// query cost from O(path) into O(everything ever blasted). When
-    /// dormant circuits dominate the active set, drop the blaster and
-    /// re-blast the active constraints on demand. Learnt clauses are
-    /// lost at the boundary (counted separately so the reuse counters
-    /// stay monotonic); verdicts are unaffected.
-    fn maybe_compact(&mut self, live_terms: usize) {
-        if self.blaster.num_sat_vars() < self.compact_min_vars
-            || self.acts.len() <= COMPACT_DORMANT_FACTOR * live_terms.max(1)
-        {
-            return;
-        }
-        let sat = self.blaster.sat_stats();
-        self.retired_sat.learnt_reused += sat.learnt_reused;
-        self.retired_sat.decisions += sat.decisions;
-        self.retired_sat.propagations += sat.propagations;
-        self.blaster = Blaster::new();
-        if let Some(b) = self.conflict_budget {
-            self.blaster.set_conflict_budget(b);
-        }
-        self.blaster
-            .set_core_minimize_budget(self.core_minimize_budget);
-        self.acts.clear();
-        self.stats.compactions += 1;
     }
 
     /// Current assertion-stack depth (a mark for [`SolveSession::retire_to`]).
@@ -213,6 +155,12 @@ impl SolveSession {
         &self.stack
     }
 
+    /// SAT variables the blaster currently holds: the circuits of the
+    /// blasted part of the active stack and nothing else.
+    pub fn num_sat_vars(&self) -> usize {
+        self.blaster.num_sat_vars()
+    }
+
     /// Pushes the width-1 constraint `t` onto the assertion stack. The
     /// term is blasted lazily, on the first blast-layer query that
     /// sees it active.
@@ -221,12 +169,15 @@ impl SolveSession {
     }
 
     /// Retires every constraint asserted after `depth` (stack pop back
-    /// to a [`SolveSession::depth`] mark). Retired constraints keep
-    /// their blasted circuit — re-asserting the same term later is a
-    /// map lookup, not a re-blast.
+    /// to a [`SolveSession::depth`] mark) and drops their circuits
+    /// from the solver.
     pub fn retire_to(&mut self, depth: usize) {
         debug_assert!(depth <= self.stack.len());
         self.stack.truncate(depth);
+        if let Some(&(mark, _)) = self.scopes.get(depth) {
+            self.blaster.rollback(mark);
+            self.scopes.truncate(depth);
+        }
     }
 
     /// Decides satisfiability of the active constraint set.
@@ -235,8 +186,8 @@ impl SolveSession {
     }
 
     /// Decides satisfiability of the active set conjoined with the
-    /// ephemeral width-1 `extra` constraints (asserted for this query
-    /// only; their circuits stay cached for later queries).
+    /// ephemeral width-1 `extra` constraints (asserted, blasted and
+    /// dropped again within this query).
     pub fn check_assuming(&mut self, pool: &mut TermPool, extra: &[TermId]) -> SatVerdict {
         self.stats.queries += 1;
         let mut all: Vec<TermId> = Vec::with_capacity(self.stack.len() + extra.len());
@@ -268,31 +219,18 @@ impl SolveSession {
         // Layer 3: persistent bit-blast, assumption-driven CDCL.
         self.stats.by_blast += 1;
         self.stats.sat_solve_calls += 1;
-        self.maybe_compact(all.len());
-        let mut assumptions = Vec::with_capacity(all.len());
-        let mut act_term: HashMap<Lit, TermId> = HashMap::new();
-        if self.extract_cores {
-            act_term.reserve(all.len());
+        self.stats.blast_cache_hits += self.scopes.len() as u64;
+        self.stats.blast_cache_misses += (all.len() - self.scopes.len()) as u64;
+        for &t in &self.stack[self.scopes.len()..] {
+            let mark = self.blaster.mark();
+            self.scopes.push((mark, self.blaster.assert_gated(pool, t)));
         }
-        for &t in &all {
-            let act = match self.acts.get(&t) {
-                Some(&a) => {
-                    self.stats.blast_cache_hits += 1;
-                    a
-                }
-                None => {
-                    let a = self.blaster.assert_gated(pool, t);
-                    self.acts.insert(t, a);
-                    self.stats.blast_cache_misses += 1;
-                    a
-                }
-            };
-            if self.extract_cores {
-                act_term.insert(act, t);
-            }
-            assumptions.push(act);
+        let mut assumptions: Vec<Lit> = self.scopes.iter().map(|&(_, act)| act).collect();
+        let query_scope = self.blaster.mark();
+        for &t in extra {
+            assumptions.push(self.blaster.assert_gated(pool, t));
         }
-        match self.blaster.check_assuming(&assumptions) {
+        let verdict = match self.blaster.check_assuming(&assumptions) {
             bitsat::SolveResult::Sat => {
                 let mut a = Assignment::new();
                 for id in pool.free_vars(conj) {
@@ -308,16 +246,16 @@ impl SolveSession {
                 SatVerdict::Sat(Model::from_assignment(a))
             }
             bitsat::SolveResult::Unsat if self.extract_cores => {
-                // Map the assumption-level core (activation literals)
-                // back to the constraint terms they gate. Dormant
-                // constraints from earlier queries cannot appear: only
-                // this query's assumptions are eligible for the core.
-                SatVerdict::Unsat(map_core(self.blaster.last_core(), &act_term, &all))
+                SatVerdict::Unsat(map_core(self.blaster.last_core(), &assumptions, &all))
             }
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(crate::Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
             bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
+        };
+        if !extra.is_empty() {
+            self.blaster.rollback(query_scope);
         }
+        verdict
     }
 
     /// Core for a cheap-layer refutation — empty (no clone) when core
@@ -343,25 +281,24 @@ impl SolveSession {
             .zip(cs)
             .take_while(|(a, b)| *a == *b)
             .count();
-        self.stack.truncate(lcp);
+        self.retire_to(lcp);
         self.stack.extend_from_slice(&cs[lcp..]);
         self.check_assuming(pool, &[])
     }
 
     /// Layer statistics accumulated over the session's lifetime,
-    /// including the SAT-level reuse counters (summed across
-    /// compactions).
+    /// including the SAT-level reuse counters.
     pub fn stats(&self) -> SolverLayerStats {
-        let mut s = self.stats;
         let sat = self.blaster.sat_stats();
-        s.learnt_reused = self.retired_sat.learnt_reused + sat.learnt_reused;
-        s.decisions = self.retired_sat.decisions + sat.decisions;
-        s.propagations = self.retired_sat.propagations + sat.propagations;
-        s
+        SolverLayerStats {
+            learnt_reused: sat.learnt_reused,
+            decisions: sat.decisions,
+            propagations: sat.propagations,
+            ..self.stats
+        }
     }
 
-    /// Propositional statistics of the underlying CDCL solver (the
-    /// current blaster only — compaction resets them).
+    /// Propositional statistics of the underlying CDCL solver.
     pub fn sat_stats(&self) -> bitsat::SolverStats {
         self.blaster.sat_stats()
     }
@@ -379,18 +316,17 @@ fn cheap_core(pool: &TermPool, constraints: &[TermId]) -> crate::Infeasibility {
     crate::Infeasibility { core }
 }
 
-/// Maps the CDCL backend's assumption core (activation literals) back
-/// to the constraint terms they gate. An empty SAT-level core (the
-/// formula was UNSAT with no assumption needed — unreachable with
-/// all-gated assertion, but kept defensive) degrades to the full set.
-fn map_core(
-    sat_core: &[Lit],
-    act_term: &HashMap<Lit, TermId>,
-    constraints: &[TermId],
-) -> crate::Infeasibility {
-    let mut core: Vec<TermId> = sat_core
+/// Maps the CDCL backend's assumption core back to the constraint
+/// terms: `assumptions[i]` is the activation literal gating
+/// `constraints[i]`. An empty SAT-level core (the formula was UNSAT
+/// with no assumption needed — unreachable with all-gated assertion,
+/// but kept defensive) degrades to the full set.
+fn map_core(sat_core: &[Lit], assumptions: &[Lit], constraints: &[TermId]) -> crate::Infeasibility {
+    let mut core: Vec<TermId> = assumptions
         .iter()
-        .filter_map(|l| act_term.get(l).copied())
+        .zip(constraints)
+        .filter(|(act, _)| sat_core.contains(act))
+        .map(|(_, &t)| t)
         .collect();
     if core.is_empty() {
         core = constraints.to_vec();
@@ -405,7 +341,7 @@ impl std::fmt::Debug for SolveSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveSession")
             .field("active", &self.stack.len())
-            .field("blasted", &self.acts.len())
+            .field("blasted", &self.scopes.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -501,24 +437,25 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_verdicts_and_counts_rebuilds() {
-        // A tiny floor forces compaction between queries; verdicts on
-        // either side of every rebuild must still match a fresh
-        // solver, and retired-blaster reuse counters stay monotonic.
+    fn popped_scopes_leave_the_solver_and_verdicts_hold() {
+        // Rotate through disjoint multiplier constraints: each query
+        // pops the previous one's circuits. Verdicts must match a
+        // fresh solver — also for a term asserted again after its
+        // scope was popped — the reuse counter never regresses, and
+        // the solver never holds more than one product's circuits.
         let mut pool = TermPool::new();
         let x = pool.fresh_var("x", 8);
         let y = pool.fresh_var("y", 8);
+        let prod = pool.mk_mul(x, y);
+        let one = pool.mk_const(8, 1);
+        let gx = pool.mk_ult(one, x);
         let mut s = SolveSession::new();
-        s.set_compaction_floor(1);
         let mut last_learnt = 0u64;
-        for i in 0..24u64 {
-            // Rotate through disjoint multiplier constraints so most
-            // of what was blasted is dormant by the next query.
-            let prod = pool.mk_mul(x, y);
+        let mut one_product = None;
+        // The second round re-asserts every term of the first.
+        for i in (0..24u64).chain(0..24) {
             let c = pool.mk_const(8, 3 + 2 * i);
             let eq = pool.mk_eq(prod, c);
-            let one = pool.mk_const(8, 1);
-            let gx = pool.mk_ult(one, x);
             let cs = [eq, gx];
             let got = s.check_constraints(&mut pool, &cs);
             let want = fresh_check(&mut pool, &cs);
@@ -526,12 +463,15 @@ mod tests {
             let st = s.stats();
             assert!(st.learnt_reused >= last_learnt, "reuse counter regressed");
             last_learnt = st.learnt_reused;
+            let vars = *one_product.get_or_insert(s.num_sat_vars());
+            assert!(
+                s.num_sat_vars() <= vars + 16,
+                "query {i} left circuits behind"
+            );
         }
-        assert!(
-            s.stats().compactions > 0,
-            "tiny floor must trigger compaction: {:?}",
-            s.stats()
-        );
+        assert_eq!(s.stats().compactions, 0);
+        s.retire_to(0);
+        assert_eq!(s.num_sat_vars(), SolveSession::new().num_sat_vars());
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct SolverLayerStats {
     pub by_blast: u64,
     /// Total queries.
     pub queries: u64,
-    /// Constraint terms found already blasted and asserted when a
+    /// Stack entries found already blasted and asserted when a
     /// blast-layer query ran — the [`crate::SolveSession`] prefix
     /// reuse counter. Always 0 from a [`BvSolver`].
     pub blast_cache_hits: u64,
@@ -109,15 +109,15 @@ pub struct SolverLayerStats {
     pub learnt_reused: u64,
     /// Underlying CDCL solve calls.
     pub sat_solve_calls: u64,
-    /// CDCL decisions across all solve calls (incl. blasters retired
-    /// by session compaction).
+    /// CDCL decisions across all solve calls.
     pub decisions: u64,
-    /// CDCL unit propagations across all solve calls (incl. blasters
-    /// retired by session compaction).
+    /// CDCL unit propagations across all solve calls.
     pub propagations: u64,
-    /// Session compactions: how often the dormant blasted circuits
-    /// grew past the compaction policy and the CNF was rebuilt from
-    /// the active constraints (see [`crate::SolveSession`]).
+    /// Always 0. It counted whole-CNF rebuilds of a mechanism
+    /// [`crate::SolveSession`] no longer has (retired circuits now
+    /// leave the solver as they are popped); the field stays because
+    /// the repo benchmark reads it, and is to be removed together with
+    /// that benchmark's `bvsolve.compactions` metric.
     pub compactions: u64,
 }
 

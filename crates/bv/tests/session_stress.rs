@@ -5,9 +5,10 @@
 //! No conflict budget is set, so both engines can only answer Sat or
 //! Unsat — any divergence is a real soundness bug in the incremental
 //! machinery (stale activation literals, leaked retired constraints,
-//! blast-cache corruption).
+//! blast-memo corruption across scope pops). The SAT-variable count is
+//! watched alongside: a popped scope must take its circuit with it.
 
-use bvsolve::{BvSolver, SatVerdict, SolveSession, TermId, TermPool};
+use bvsolve::{Blaster, BvSolver, SatVerdict, SolveSession, TermId, TermPool};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A random width-8 term over `vars`, at most `depth` operators deep.
@@ -87,11 +88,7 @@ fn interleaved_assert_retire_check_matches_fresh() {
             .map(|i| pool.fresh_var(&format!("v{i}"), 8))
             .collect();
         let mut session = SolveSession::new();
-        // Half the seeds run with an artificially tiny compaction
-        // floor so the rebuild path is stressed too.
-        if seed % 2 == 0 {
-            session.set_compaction_floor(64);
-        }
+        let empty_vars = session.num_sat_vars();
         let mut active: Vec<TermId> = Vec::new();
         let mut checks = 0usize;
         for step in 0..150 {
@@ -107,6 +104,13 @@ fn interleaved_assert_retire_check_matches_fresh() {
                     let keep = rng.gen_range(0..active.len());
                     session.retire_to(keep);
                     active.truncate(keep);
+                    if keep == 0 {
+                        assert_eq!(
+                            session.num_sat_vars(),
+                            empty_vars,
+                            "seed {seed} step {step}: an empty stack still holds circuits"
+                        );
+                    }
                 }
                 // Check, with or without an ephemeral extra.
                 _ => {
@@ -116,6 +120,18 @@ fn interleaved_assert_retire_check_matches_fresh() {
                         Vec::new()
                     };
                     let got = session.check_assuming(&mut pool, &extra);
+                    if !extra.is_empty() {
+                        // The first query may have blasted the stack;
+                        // the extra itself must not stay behind.
+                        let vars = session.num_sat_vars();
+                        let again = session.check_assuming(&mut pool, &extra);
+                        assert_eq!(again.is_sat(), got.is_sat(), "seed {seed} step {step}");
+                        assert_eq!(
+                            session.num_sat_vars(),
+                            vars,
+                            "seed {seed} step {step}: an ephemeral extra leaked its circuit"
+                        );
+                    }
                     let mut cs = active.clone();
                     cs.extend_from_slice(&extra);
                     let want = BvSolver::new().check(&mut pool, &cs);
@@ -176,4 +192,63 @@ fn sync_form_matches_fresh_on_random_walks() {
             assert_eq!(session.active(), &cs[..], "stack must mirror the vector");
         }
     }
+}
+
+#[test]
+fn solver_size_stays_bounded_over_5000_cycles() {
+    // A long-lived session over a fixed vocabulary of constraints:
+    // however many assert/retire/check cycles it has served, it holds
+    // at most the circuits of its (depth-capped) active stack.
+    const DEPTH_CAP: usize = 6;
+    let mut rng = StdRng::seed_from_u64(0x5C09ED);
+    let mut pool = TermPool::new();
+    let vars: Vec<TermId> = (0..4)
+        .map(|i| pool.fresh_var(&format!("v{i}"), 8))
+        .collect();
+    let vocab: Vec<TermId> = (0..24)
+        .map(|_| random_constraint(&mut pool, &vars, &mut rng))
+        .collect();
+    // Every circuit of the vocabulary at once, plus the activation
+    // literals of a full stack and one extra.
+    let mut all_at_once = Blaster::new();
+    for &c in &vocab {
+        all_at_once.blast(&pool, c);
+    }
+    let bound = all_at_once.num_sat_vars() + DEPTH_CAP + 1;
+
+    let mut session = SolveSession::new();
+    let empty_vars = session.num_sat_vars();
+    let mut peak_early = 0;
+    let mut peak = 0;
+    for cycle in 0..5000 {
+        if session.depth() == DEPTH_CAP || (session.depth() > 0 && rng.gen_bool(0.4)) {
+            session.retire_to(rng.gen_range(0..session.depth()));
+        }
+        session.assert_constraint(vocab[rng.gen_range(0..vocab.len())]);
+        let extra: Vec<TermId> = if rng.gen_bool(0.3) {
+            vec![vocab[rng.gen_range(0..vocab.len())]]
+        } else {
+            Vec::new()
+        };
+        let got = session.check_assuming(&mut pool, &extra);
+        let mut cs = session.active().to_vec();
+        cs.extend_from_slice(&extra);
+        let want = BvSolver::new().check(&mut pool, &cs);
+        assert_eq!(got.is_sat(), want.is_sat(), "cycle {cycle} diverged");
+        peak = peak.max(session.num_sat_vars());
+        if cycle < 500 {
+            peak_early = peak;
+        }
+        assert!(
+            session.num_sat_vars() <= bound,
+            "cycle {cycle}: {} SAT variables, the whole vocabulary is {bound}",
+            session.num_sat_vars()
+        );
+    }
+    assert!(
+        peak <= peak_early + peak_early / 4,
+        "solver grew with session age: peak {peak_early} in the first 500 cycles, {peak} overall"
+    );
+    session.retire_to(0);
+    assert_eq!(session.num_sat_vars(), empty_vars);
 }

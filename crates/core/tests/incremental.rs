@@ -8,13 +8,18 @@
 //! workloads (no query comes near `solver_conflict_budget`) verdict,
 //! counterexample bytes *and composed-path counts* must match the
 //! unpruned run exactly (compositions still count; only the solver
-//! call is skipped).
+//! call is skipped). And a long-lived [`verifier::ChurnSession`] is
+//! held to a count: the CDCL work per solver query must not grow with
+//! the session's age.
 
-use dataplane::Pipeline;
+use dataplane::{Pipeline, TableDelta, TableOp};
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{to_pipeline, ROUTER_IP};
 use symexec::SymConfig;
-use verifier::{FilterProperty, Property, Verdict, Verifier, VerifyConfig, VerifyReport};
+use verifier::{
+    ChurnSession, FilterProperty, Property, ReuseLevel, Verdict, Verifier, VerifyConfig,
+    VerifyReport,
+};
 
 fn cfg() -> VerifyConfig {
     VerifyConfig {
@@ -292,4 +297,81 @@ fn session_solver_persists_across_checks_in_one_mode() {
             r2.solver
         );
     }
+}
+
+#[test]
+fn solver_work_per_query_does_not_drift_along_a_stationary_stream() {
+    // A stationary stream: every 12 updates three keys cycle in,
+    // change value and cycle out of the firewall blacklist, and the
+    // watched source leaves and re-enters it, so the table never grows
+    // and the filtering verdict flips twice per cycle. The three keys
+    // are new in every cycle — constraint terms the solver has not
+    // seen, as a real control plane produces — and every update
+    // changes the Tables-mode summary, so every update searches.
+    const WATCHED: u64 = 0x0BAD_0001;
+    let p = to_pipeline(
+        "firewalled-edge",
+        vec![
+            elements::classifier::classifier(),
+            elements::check_ip_header::check_ip_header(false),
+            elements::ip_filter::ip_filter(vec![WATCHED as u32, 0x0BAD_0010]),
+            elements::dec_ttl::dec_ttl(),
+            elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+            elements::ip_lookup::ip_lookup(4, elements::pipelines::edge_fib()),
+        ],
+    );
+    let blacklist = p.stages[2].element.tables[0].0;
+    let cycle = |n: u64| -> Vec<TableOp> {
+        let keys = [0, 1, 2].map(|j| 0x0BAD_0100 + 3 * n + j);
+        (keys.iter().map(|&k| TableOp::ExactInsert(vec![(k, 1)])))
+            .chain(keys.iter().map(|&k| TableOp::ExactInsert(vec![(k, 2)])))
+            .chain([TableOp::ExactRemove(vec![WATCHED])])
+            .chain(keys.iter().map(|&k| TableOp::ExactRemove(vec![k])))
+            .chain([
+                TableOp::ExactInsert(vec![(WATCHED, 2)]),
+                TableOp::ExactInsert(vec![(WATCHED, 1)]),
+            ])
+            .collect()
+    };
+    let props = vec![Property::Filter(FilterProperty::src(WATCHED as u32))];
+    let mut warm = ChurnSession::new(p.clone(), props.clone(), cfg(), ReuseLevel::Sessions)
+        .expect("search-based property");
+    let mut oracle = ChurnSession::new(p, props, cfg(), ReuseLevel::FullReverify)
+        .expect("search-based property");
+    warm.verify();
+    oracle.verify();
+
+    // (propagations, queries) of every update that searched.
+    let mut searched: Vec<(u64, u64)> = Vec::new();
+    let mut labels: Vec<&str> = Vec::new();
+    for (u, op) in (0..25).flat_map(cycle).enumerate() {
+        let delta = TableDelta::new("IPFilter", blacklist, op);
+        let w = warm.apply_delta(&delta).expect("valid delta");
+        let o = oracle.apply_delta(&delta).expect("valid delta");
+        let (wr, or) = (&w.reports[0], &o.reports[0]);
+        assert_eq!(wr.verdict.label(), or.verdict.label(), "update {u}");
+        assert_eq!(wr.composed_paths, or.composed_paths, "update {u}");
+        if let (Verdict::Disproved(a), Verdict::Disproved(b)) = (&wr.verdict, &or.verdict) {
+            assert_eq!(a.bytes, b.bytes, "update {u}: counterexample bytes");
+        }
+        labels.push(wr.verdict.label());
+        if !w.replayed[0] && wr.solver.queries > 0 {
+            searched.push((wr.solver.propagations, wr.solver.queries));
+        }
+    }
+    assert_eq!(labels.len(), 300);
+    let flips = labels.windows(2).filter(|w| w[0] != w[1]).count();
+    assert!(flips >= 40, "the verdict must keep flipping: {flips} flips");
+    assert!(searched.len() >= 200, "{} searched updates", searched.len());
+    let per_query = |w: &[(u64, u64)]| {
+        let (props, queries) = w.iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        props as f64 / queries as f64
+    };
+    let first = per_query(&searched[..50]);
+    let last = per_query(&searched[searched.len() - 50..]);
+    assert!(
+        last <= 1.5 * first,
+        "propagations per solver query drifted with session age: \
+         {first:.0} over the first 50 searched updates, {last:.0} over the last 50"
+    );
 }

@@ -36,7 +36,7 @@ pub struct Clause {
     /// never deletes clauses with LBD ≤ 2. Always 0 for problem
     /// clauses.
     pub lbd: u32,
-    /// Marked for deletion by the reducer; skipped by propagation.
+    /// Deleted by the reducer: a dead arena slot, watched by nothing.
     pub deleted: bool,
 }
 
@@ -93,12 +93,36 @@ impl ClauseDb {
         &mut self.clauses[r.0 as usize]
     }
 
-    /// Marks a learnt clause deleted (lazily removed from watch lists).
+    /// Marks a learnt clause deleted (the caller detaches its watchers).
     pub fn delete(&mut self, r: ClauseRef) {
         let c = &mut self.clauses[r.0 as usize];
         debug_assert!(c.learnt && !c.deleted);
         c.deleted = true;
         self.num_learnt -= 1;
+    }
+
+    /// Drops every clause at index `base` or above except the live
+    /// learnt clauses whose variables are all below `vars`, which are
+    /// compacted down to `base..` in order. Returns the new reference
+    /// of each old slot `base + i` ([`ClauseRef::NONE`] = dropped).
+    pub fn truncate_keeping_learnts(&mut self, base: usize, vars: usize) -> Vec<ClauseRef> {
+        let mut remap = vec![ClauseRef::NONE; self.clauses.len() - base];
+        let mut kept = base;
+        for old in base..self.clauses.len() {
+            let c = &self.clauses[old];
+            if !c.learnt || c.deleted {
+                continue;
+            }
+            if c.lits.iter().all(|l| l.var().index() < vars) {
+                remap[old - base] = ClauseRef(kept as u32);
+                self.clauses.swap(kept, old);
+                kept += 1;
+            } else {
+                self.num_learnt -= 1;
+            }
+        }
+        self.clauses.truncate(kept);
+        remap
     }
 
     /// Number of live learnt clauses.

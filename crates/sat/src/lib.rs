@@ -15,6 +15,9 @@
 //!   kept forever; activity is the tie-break),
 //! * assumption-level UNSAT cores ([`Solver::last_core`], with
 //!   optional drop-one minimization under a conflict budget),
+//! * scoped allocation ([`Solver::mark`] / [`Solver::rollback`]):
+//!   variables and clauses added since a mark are dropped for good,
+//!   learnt clauses over the surviving variables are kept,
 //! * cooperative cancellation ([`Solver::set_interrupt`]).
 //!
 //! The design goal mirrors the networking guides' advice for dataplane
@@ -48,7 +51,7 @@ mod solver;
 pub use clause::{Clause, ClauseRef};
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use lit::{Lit, Var};
-pub use solver::{SolveResult, Solver, SolverStats};
+pub use solver::{Mark, SolveResult, Solver, SolverStats};
 
 /// A CNF formula: a conjunction of clauses over variables `0..num_vars`.
 ///

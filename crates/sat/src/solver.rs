@@ -79,6 +79,14 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// A point in a solver's allocation history: what [`Solver::mark`]
+/// returns and [`Solver::rollback`] returns to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    vars: usize,
+    clauses: usize,
+}
+
 /// An indexed max-heap over variable activities (the VSIDS order).
 #[derive(Debug, Clone, Default)]
 struct VarOrder {
@@ -123,6 +131,21 @@ impl VarOrder {
         let p = self.pos[v.index()];
         if p != usize::MAX {
             self.sift_up(p, act);
+        }
+    }
+
+    fn remove(&mut self, v: Var, act: &[f64]) {
+        let p = self.pos[v.index()];
+        if p == usize::MAX {
+            return;
+        }
+        self.pos[v.index()] = usize::MAX;
+        let last = self.heap.pop().expect("v is in the heap");
+        if p < self.heap.len() {
+            self.heap[p] = last;
+            self.pos[last.index()] = p;
+            self.sift_up(p, act);
+            self.sift_down(self.pos[last.index()], act);
         }
     }
 
@@ -354,6 +377,137 @@ impl Solver {
         self.add_clause(&[!act])
     }
 
+    /// Records the current allocation point: every variable and clause
+    /// added from here on is undone by [`Solver::rollback`]. Marks are
+    /// plain positions and nest — rolling back to one invalidates every
+    /// mark taken after it.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            vars: self.num_vars(),
+            clauses: self.db.len(),
+        }
+    }
+
+    /// Returns the solver to `mark`: every variable and problem clause
+    /// allocated since is dropped, along with every learnt clause and
+    /// level-0 fact that names a dropped variable. Learnt clauses and
+    /// level-0 facts over surviving variables, activities, saved
+    /// phases and the counters are kept, and so is a top-level UNSAT
+    /// state.
+    ///
+    /// Keeping them is sound only if the clauses added since the mark
+    /// were a **conservative extension** of the formula before it —
+    /// every model of the old formula extends to one of the new. Then
+    /// whatever the new formula implies over the old variables alone,
+    /// the old formula implies too. Tseitin gate definitions of fresh
+    /// output variables and clauses gated on a fresh activation
+    /// literal that occurs only negatively are of that kind; a
+    /// clause that constrains old variables directly is not, and the
+    /// caller must not roll one back.
+    ///
+    /// Costs the dropped variables and clauses plus the watch lists of
+    /// the surviving literals those clauses watched.
+    pub fn rollback(&mut self, mark: Mark) {
+        debug_assert!(
+            mark.vars <= self.num_vars() && mark.clauses <= self.db.len(),
+            "mark is newer than the solver"
+        );
+        if mark == self.mark() {
+            return;
+        }
+        self.backtrack_to(0);
+        self.last_core.clear();
+
+        let mut touched: Vec<usize> = self.db.clauses[mark.clauses..]
+            .iter()
+            .filter(|c| !c.deleted)
+            .flat_map(|c| &c.lits[..2])
+            .filter(|l| l.var().index() < mark.vars)
+            .map(|&l| (!l).code())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let remap = self.db.truncate_keeping_learnts(mark.clauses, mark.vars);
+        for code in touched {
+            self.watches[code].retain_mut(|w| {
+                if let Some(i) = (w.cref.0 as usize).checked_sub(mark.clauses) {
+                    w.cref = remap[i];
+                }
+                !w.cref.is_none()
+            });
+        }
+
+        // Level-0 reasons are never read, so one that pointed past the
+        // mark is simply forgotten.
+        let (mut kept, mut propagated) = (0, 0);
+        for i in 0..self.trail.len() {
+            let l = self.trail[i];
+            let vi = l.var().index();
+            if vi >= mark.vars {
+                continue;
+            }
+            if self.reason[vi].0 as usize >= mark.clauses {
+                self.reason[vi] = ClauseRef::NONE;
+            }
+            self.trail[kept] = l;
+            kept += 1;
+            propagated += usize::from(i < self.qhead);
+        }
+        self.trail.truncate(kept);
+        self.qhead = propagated;
+
+        for vi in mark.vars..self.num_vars() {
+            self.order.remove(Var::from_index(vi), &self.activity);
+        }
+        self.order.pos.truncate(mark.vars);
+        self.watches.truncate(2 * mark.vars);
+        self.assigns.truncate(mark.vars);
+        self.level.truncate(mark.vars);
+        self.reason.truncate(mark.vars);
+        self.activity.truncate(mark.vars);
+        self.saved_phase.truncate(mark.vars);
+        self.seen.truncate(mark.vars);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+    }
+
+    /// Panics on any dangling reference: run after every `rollback`
+    /// in debug builds, so a stale watcher or variable index fails a
+    /// test instead of corrupting a release proof.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        let n = self.num_vars();
+        let in_range = |l: Lit| l.var().index() < n;
+        let live_learnt = self.db.clauses.iter().filter(|c| c.learnt && !c.deleted);
+        assert_eq!(self.db.num_learnt(), live_learnt.count(), "learnt count");
+        for c in &self.db.clauses {
+            assert!(c.lits.iter().all(|&l| in_range(l)), "clause {c:?}");
+        }
+        assert_eq!(self.watches.len(), 2 * n);
+        for (code, ws) in self.watches.iter().enumerate() {
+            let watched = !Lit::from_code(code);
+            for w in ws {
+                assert!((w.cref.0 as usize) < self.db.len(), "watcher {w:?}");
+                let c = self.db.get(w.cref);
+                assert!(!c.deleted, "watcher {w:?} of a deleted clause");
+                assert!(c.lits[..2].contains(&watched), "{w:?} not on {watched:?}");
+            }
+        }
+        for &l in &self.trail {
+            assert!(in_range(l), "trail literal {l:?}");
+            assert_eq!(self.lit_value(l), Some(true), "trail literal {l:?}");
+        }
+        for &r in &self.reason {
+            assert!(r.is_none() || (r.0 as usize) < self.db.len(), "{r:?}");
+        }
+        assert!(self.qhead <= self.trail.len());
+        assert_eq!(self.order.pos.len(), n);
+        for (i, &v) in self.order.heap.iter().enumerate() {
+            assert!(v.index() < n, "heap variable {v:?}");
+            assert_eq!(self.order.pos[v.index()], i, "heap position of {v:?}");
+        }
+    }
+
     /// Number of live learnt clauses currently in the database.
     pub fn num_learnts(&self) -> usize {
         self.db.num_learnt()
@@ -576,10 +730,6 @@ impl Solver {
                 let w = ws[i];
                 if self.lit_value(w.blocker) == Some(true) {
                     i += 1;
-                    continue;
-                }
-                if self.db.get(w.cref).deleted {
-                    ws.swap_remove(i);
                     continue;
                 }
                 // Normalize: put the false literal (¬p) at position 1.
@@ -890,6 +1040,12 @@ impl Solver {
             self.db.delete(r);
             self.stats.deleted_clauses += 1;
         }
+        // Detach eagerly: a watch list never names a deleted clause,
+        // so `rollback` only has to visit the lists of the clauses it
+        // drops.
+        for ws in &mut self.watches {
+            ws.retain(|w| !self.db.get(w.cref).deleted);
+        }
     }
 
     fn is_reason(&self, r: ClauseRef) -> bool {
@@ -1076,6 +1232,86 @@ mod tests {
         assert!(s.solve_with_assumptions(&[on_na]).is_sat());
         assert!(s.solve_with_assumptions(&[on_a]).is_unsat());
         assert!(s.solve().is_sat(), "release never poisons the formula");
+    }
+
+    #[test]
+    fn rollback_to_the_current_mark_is_a_no_op() {
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 4);
+        let extra = lit(&mut s, 30, true);
+        assert!(s.solve_with_assumptions(&[extra]).is_unsat());
+        let (vars, learnts, core) = (s.num_vars(), s.num_learnts(), s.last_core().to_vec());
+        s.rollback(s.mark());
+        assert_eq!((s.num_vars(), s.num_learnts()), (vars, learnts));
+        assert_eq!(s.last_core(), core, "nothing to undo, nothing touched");
+        assert!(s.solve().is_unsat());
+    }
+
+    #[test]
+    fn rollback_keeps_learnts_over_survivors_and_drops_the_rest() {
+        // Base: p ∧ x → y, p ∧ x → z, ¬(y ∧ z). Assuming p then x
+        // learns (¬x ∨ ¬p) — over base variables only.
+        let mut s = Solver::new();
+        let p = lit(&mut s, 0, true);
+        let x = lit(&mut s, 1, true);
+        let y = lit(&mut s, 2, true);
+        let z = lit(&mut s, 3, true);
+        s.add_clause(&[!p, !x, y]);
+        s.add_clause(&[!p, !x, z]);
+        s.add_clause(&[!y, !z]);
+        let m = s.mark();
+        assert!(s.solve_with_assumptions(&[p, x]).is_unsat());
+        assert_eq!(s.num_learnts(), 1);
+        // Scope: act ∧ q → y, act ∧ q → z over fresh act, q. Assuming
+        // act then q learns (¬q ∨ ¬act) — over scoped variables.
+        let act = s.new_activation_lit();
+        let q = Lit::pos(s.new_var());
+        s.add_gated_clause(act, &[!q, y]);
+        s.add_gated_clause(act, &[!q, z]);
+        assert!(s.solve_with_assumptions(&[act, q]).is_unsat());
+        assert_eq!(s.num_learnts(), 2);
+
+        s.rollback(m);
+        assert_eq!(s.num_vars(), 4);
+        assert_eq!(s.num_learnts(), 1, "the scoped learnt went with its scope");
+        // The survivor still propagates: p now implies ¬x with no
+        // conflict, where the base clauses alone need one.
+        let before = s.stats().conflicts;
+        assert!(s.solve_with_assumptions(&[p, x]).is_unsat());
+        assert_eq!(s.stats().conflicts, before, "kept learnt clause must fire");
+        assert!(s.solve_with_assumptions(&[p]).is_sat());
+        assert_eq!(s.value(x.var()), Some(false));
+    }
+
+    #[test]
+    fn rollback_takes_level_0_units_on_dropped_variables_off_the_trail() {
+        let mut s = Solver::new();
+        let a = lit(&mut s, 0, true);
+        s.add_clause(&[a]);
+        let m = s.mark();
+        let act = s.new_activation_lit();
+        assert!(s.release(act), "¬act is now a level-0 fact");
+        assert_eq!(s.value(act.var()), Some(false));
+        s.rollback(m);
+        assert_eq!(s.value(a.var()), Some(true), "facts below the mark stay");
+        // The index is handed out again and must come back unassigned.
+        let again = s.new_activation_lit();
+        assert_eq!(again, act);
+        assert_eq!(s.value(again.var()), None);
+        assert!(s.solve_with_assumptions(&[again]).is_sat());
+    }
+
+    #[test]
+    fn rollback_keeps_a_top_level_unsat_state() {
+        let mut s = Solver::new();
+        let a = lit(&mut s, 0, true);
+        s.add_clause(&[a]);
+        let m = s.mark();
+        s.new_var();
+        assert!(!s.add_clause(&[!a]));
+        s.rollback(m);
+        assert_eq!(s.num_vars(), 1);
+        assert!(s.solve().is_unsat());
     }
 
     #[test]

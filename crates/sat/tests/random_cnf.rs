@@ -86,6 +86,78 @@ proptest! {
     }
 }
 
+/// One push/pop step: pop the newest group (when the tag is 0 and a
+/// group is live), else push a group of `fresh` new variables and the
+/// given clauses, literals drawn by index modulo the variable count.
+type Step = (u8, usize, Vec<Vec<(u16, bool)>>);
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let clause = proptest::collection::vec((any::<u16>(), any::<bool>()), 1..=3);
+    (0u8..3, 1usize..=3, proptest::collection::vec(clause, 0..=8))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn push_pop_matches_a_fresh_solver(
+        base in arb_cnf(6, 10),
+        script in proptest::collection::vec(arb_step(), 1..40),
+    ) {
+        // Every group is a conservative extension — each clause is
+        // gated on the group's own fresh activation literal — which is
+        // what lets `rollback` keep learnt clauses across a pop.
+        let mut s = Solver::new();
+        s.reserve_vars(base.num_vars);
+        for c in &base.clauses {
+            s.add_clause(c);
+        }
+        let mut live: Vec<(bitsat::Mark, Lit, Vec<Vec<Lit>>)> = Vec::new();
+        for (tag, fresh, clauses) in script {
+            if tag == 0 && !live.is_empty() {
+                let (mark, _, _) = live.pop().expect("non-empty");
+                s.rollback(mark);
+            } else {
+                let mark = s.mark();
+                let act = s.new_activation_lit();
+                s.reserve_vars(s.num_vars() + fresh);
+                let n = s.num_vars();
+                let group: Vec<Vec<Lit>> = clauses
+                    .iter()
+                    .map(|c| {
+                        let pick = |&(v, pos)| Lit::new(Var::from_index(v as usize % n), pos);
+                        std::iter::once(!act).chain(c.iter().map(pick)).collect()
+                    })
+                    .collect();
+                for c in &group {
+                    s.add_clause(c);
+                }
+                live.push((mark, act, group));
+            }
+            // LIFO pops keep the live groups' variables a prefix, so a
+            // brand-new solver can take their clauses as they are.
+            let mut cnf = base.clone();
+            cnf.num_vars = s.num_vars();
+            cnf.clauses.extend(live.iter().flat_map(|(_, _, g)| g.iter().cloned()));
+            let assumptions: Vec<Lit> = live.iter().map(|&(_, act, _)| act).collect();
+            let mut fresh_solver = Solver::new();
+            fresh_solver.reserve_vars(cnf.num_vars);
+            for c in &cnf.clauses {
+                fresh_solver.add_clause(c);
+            }
+            let got = s.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(got, fresh_solver.solve_with_assumptions(&assumptions));
+            if got.is_sat() {
+                let model = s.model();
+                prop_assert!(cnf.eval(&model), "model must satisfy base and live groups");
+                prop_assert!(assumptions.iter().all(|a| model[a.var().index()]));
+            } else {
+                prop_assert!(s.last_core().iter().all(|l| assumptions.contains(l)));
+            }
+        }
+    }
+}
+
 #[test]
 fn dimacs_corpus_roundtrip_and_solve() {
     // A small embedded corpus with known verdicts.
