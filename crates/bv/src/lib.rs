@@ -16,19 +16,23 @@
 //!    [`bitsat`] CDCL solver, with model extraction for counterexample
 //!    packets.
 //!
-//! Two front-ends drive the stack: [`BvSolver`] answers isolated
-//! queries on a fresh SAT instance, and [`SolveSession`] answers
-//! *streams* of related queries incrementally — each constraint on
-//! its assertion stack is blasted once, in a scope of its own, and
-//! asserted under an activation literal; popping the stack drops the
-//! scope's circuit from the solver, while the CDCL core keeps the
-//! learnt clauses over what survives. Verdicts are identical;
-//! sessions are the fast path for the step-2 search.
+//! One front-end drives the stack in the product: [`SolveSession`]
+//! answers *streams* of related queries incrementally — each
+//! constraint on its assertion stack is blasted once, in a scope of
+//! its own, and asserted under an activation literal; popping the
+//! stack drops the scope's circuit from the solver, while the CDCL
+//! core keeps the learnt clauses over what survives. Both verification
+//! steps ask their questions this way: step 1's fork-feasibility checks
+//! (the stack follows the executor's path condition) and step 2's
+//! composed-path search. [`BvSolver`] answers one isolated query on a
+//! fresh SAT instance with the same layering; it is the **oracle** the
+//! test suites and the repo benchmark hold sessions to (decided
+//! verdicts are identical), and no product crate names it.
 //!
 //! ## Example
 //!
 //! ```
-//! use bvsolve::{TermPool, BvSolver, SatVerdict};
+//! use bvsolve::{TermPool, SolveSession, SatVerdict};
 //!
 //! let mut pool = TermPool::new();
 //! let x = pool.fresh_var("x", 8);
@@ -36,8 +40,8 @@
 //! let lt = pool.mk_ult(x, five);          // x < 5
 //! let three = pool.mk_const(8, 3);
 //! let gt = pool.mk_ult(three, x);         // x > 3
-//! let mut solver = BvSolver::new();
-//! let verdict = solver.check(&mut pool, &[lt, gt]);
+//! let mut session = SolveSession::new();
+//! let verdict = session.check_constraints(&mut pool, &[lt, gt]);
 //! assert!(matches!(verdict, SatVerdict::Sat(_)));
 //! if let SatVerdict::Sat(model) = verdict {
 //!     assert_eq!(model.value_of(x, &pool), 4); // only solution

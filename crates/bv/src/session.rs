@@ -1,12 +1,16 @@
 //! Incremental solve sessions: persistent bit-blasting and
 //! assumption-driven feasibility queries.
 //!
-//! The step-2 path search issues thousands of closely-related queries:
-//! each composed path extends its parent's constraint vector by a few
-//! conjuncts, and siblings share their whole prefix. A [`BvSolver`]
-//! (crate::BvSolver) re-bit-blasts everything per query; a
-//! [`SolveSession`] instead keeps one [`Blaster`] alive for its whole
-//! lifetime and maintains an *assertion stack* of active constraints:
+//! Both verification steps issue streams of closely-related queries.
+//! Step 1's executor asks one feasibility question per fork, and its
+//! LIFO worklist makes consecutive questions extend or share a path
+//! condition; the step-2 path search issues thousands more, each
+//! composed path extending its parent's constraint vector by a few
+//! conjuncts, siblings sharing their whole prefix. A [`BvSolver`]
+//! (crate::BvSolver) — the test oracle — re-bit-blasts everything per
+//! query; a [`SolveSession`] instead keeps one [`Blaster`] alive for
+//! its whole lifetime and maintains an *assertion stack* of active
+//! constraints:
 //!
 //! * every stack entry is blasted **once**, lazily, on the first
 //!   blast-layer query that sees it active, inside a **scope** of its
@@ -42,7 +46,11 @@
 //!   differ — carried-over learnt clauses, activities and phases
 //!   change the CDCL trajectory, so a query one decides may come back
 //!   [`SatVerdict::Unknown`] from the other (budget-free sessions
-//!   never diverge);
+//!   never diverge). Both callers read `Unknown` conservatively —
+//!   step 1 as "feasible" (a spurious segment step 2 then discards),
+//!   step 2 as an `Unknown` verdict — and a session stays correct
+//!   after one: the next query rolls the starved scope back like any
+//!   other;
 //! * satisfying *models* for under-constrained queries depend on the
 //!   learnt clauses and saved phases accumulated by earlier queries;
 //!   callers that need deterministic model bytes minimize the model
@@ -52,7 +60,9 @@
 //! an [`crate::Infeasibility`] **core** for free: the subset of the
 //! queried constraints whose activation literals the CDCL backend
 //! used to derive the contradiction ([`bitsat::Solver::last_core`]).
-//! The step-2 search feeds these cores into its subsumption pruner.
+//! The step-2 search feeds these cores into its subsumption pruner;
+//! step 1 reads none and switches the mapping off
+//! ([`SolveSession::set_core_extraction`]).
 
 use crate::blast::{BlastMark, Blaster};
 use crate::eval::{eval, Assignment};
@@ -131,8 +141,8 @@ impl SolveSession {
     /// assumption core back to terms per refuted blast query and the
     /// constraint-vector clone per cheap-layer refutation, returning
     /// an empty (inert) [`crate::Infeasibility`] instead. Callers that
-    /// never consume cores (e.g. the step-2 engine with conflict-driven
-    /// pruning disabled) should switch this off.
+    /// never consume cores (the step-1 executor; the step-2 engine with
+    /// conflict-driven pruning disabled) should switch this off.
     pub fn set_core_extraction(&mut self, enabled: bool) {
         self.extract_cores = enabled;
     }
@@ -270,10 +280,11 @@ impl SolveSession {
 
     /// Syncs the assertion stack to exactly `cs` — retiring past their
     /// longest common prefix and asserting the remainder — then checks
-    /// satisfiability. This is the one-call form the path search uses:
-    /// composing a segment asserts its new conjuncts, backtracking to
-    /// a sibling retires the abandoned suffix, and the shared prefix
-    /// is never re-sent to the solver.
+    /// satisfiability. This is the one-call form both steps use:
+    /// composing a segment (step 2) or taking a branch (step 1) asserts
+    /// its new conjuncts, backtracking to a sibling retires the
+    /// abandoned suffix, and the shared prefix is never re-sent to the
+    /// solver.
     pub fn check_constraints(&mut self, pool: &mut TermPool, cs: &[TermId]) -> SatVerdict {
         let lcp = self
             .stack

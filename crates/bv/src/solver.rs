@@ -162,14 +162,18 @@ impl SolverLayerStats {
     }
 }
 
-/// The layered bitvector solver.
+/// The layered bitvector solver in its simplest form: the **reference
+/// oracle** for [`crate::SolveSession`].
 ///
 /// Stateless between queries (each `check` builds a fresh SAT
-/// instance); the [`TermPool`] provides cross-query sharing of the
-/// term structure. For query streams with shared structure — the
-/// step-2 path search — prefer [`crate::SolveSession`], which keeps
-/// the blasted CNF and the learnt clauses alive across queries and
-/// answers them via assumptions. The two produce identical verdicts.
+/// instance), so nothing a query learns can leak into the next — which
+/// is what makes it a reference, and what made it the slow arm: both
+/// verification steps (step 1's fork checks, step 2's path search)
+/// ask streams of queries with shared prefixes and go through a
+/// [`crate::SolveSession`], which keeps the blasted CNF and the learnt
+/// clauses alive across queries and answers them via assumptions. The
+/// two produce identical decided verdicts; the test suites and the
+/// repo benchmark assert it, and no product crate names this type.
 #[derive(Debug, Default)]
 pub struct BvSolver {
     stats: SolverLayerStats,

@@ -2,11 +2,12 @@
 //! through interleaved assert/retire/check sequences and require every
 //! verdict to match a fresh [`BvSolver::check`] on the same active set.
 //!
-//! No conflict budget is set, so both engines can only answer Sat or
-//! Unsat — any divergence is a real soundness bug in the incremental
-//! machinery (stale activation literals, leaked retired constraints,
-//! blast-memo corruption across scope pops). The SAT-variable count is
-//! watched alongside: a popped scope must take its circuit with it.
+//! Outside the one budgeted walk, no conflict budget is set, so both
+//! engines can only answer Sat or Unsat — any divergence is a real
+//! soundness bug in the incremental machinery (stale activation
+//! literals, leaked retired constraints, blast-memo corruption across
+//! scope pops). The SAT-variable count is watched alongside: a popped
+//! scope must take its circuit with it.
 
 use bvsolve::{Blaster, BvSolver, SatVerdict, SolveSession, TermId, TermPool};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -251,4 +252,99 @@ fn solver_size_stays_bounded_over_5000_cycles() {
     );
     session.retire_to(0);
     assert_eq!(session.num_sat_vars(), empty_vars);
+}
+
+/// What [`fork_walk`] saw.
+struct Walk {
+    deepest: usize,
+    unknown: usize,
+    /// Decided verdicts that came after an `Unknown`.
+    decided_after_unknown: usize,
+}
+
+/// The step-1 executor's query shape: a LIFO worklist of path
+/// conditions; each fork asks `path ∧ c` and then its sibling
+/// `path ∧ ¬c` through [`SolveSession::check_constraints`], so the
+/// stack follows the path, a sibling is a rollback plus one conjunct,
+/// and popping the worklist jumps back to a shallower prefix. `Unknown`
+/// reads as feasible, as in the executor. Every decided verdict must
+/// match a fresh, budget-free [`BvSolver`] on the same list.
+fn fork_walk(session: &mut SolveSession, seed: u64, queries: usize) -> Walk {
+    const MAX_DEPTH: usize = 72;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool = TermPool::new();
+    let vars: Vec<TermId> = (0..6)
+        .map(|i| pool.fresh_var(&format!("v{i}"), 8))
+        .collect();
+    let mut walk = Walk {
+        deepest: 0,
+        unknown: 0,
+        decided_after_unknown: 0,
+    };
+    let mut asked = 0;
+    let mut worklist: Vec<Vec<TermId>> = vec![Vec::new()];
+    while let Some(path) = worklist.pop() {
+        if asked >= queries {
+            break;
+        }
+        if path.len() == MAX_DEPTH {
+            continue;
+        }
+        let c = random_constraint(&mut pool, &vars, &mut rng);
+        let notc = pool.mk_not(c);
+        for cond in [c, notc] {
+            let mut cs = path.clone();
+            cs.push(cond);
+            let got = session.check_constraints(&mut pool, &cs);
+            asked += 1;
+            walk.deepest = walk.deepest.max(session.depth());
+            let want = BvSolver::new().check(&mut pool, &cs);
+            match got {
+                SatVerdict::Unknown | SatVerdict::Interrupted => walk.unknown += 1,
+                _ => {
+                    assert_eq!(
+                        (got.is_sat(), got.is_unsat()),
+                        (want.is_sat(), want.is_unsat()),
+                        "seed {seed:#x} query {asked} (depth {}) diverged",
+                        cs.len()
+                    );
+                    walk.decided_after_unknown += usize::from(walk.unknown > 0);
+                }
+            }
+            if !got.is_unsat() {
+                worklist.push(cs);
+            }
+        }
+    }
+    walk
+}
+
+#[test]
+fn deep_fork_walk_matches_fresh_solver() {
+    for seed in [0xF0_4B1u64, 0xF0_4B2] {
+        let mut session = SolveSession::new();
+        session.set_core_extraction(false);
+        let walk = fork_walk(&mut session, seed, 400);
+        assert!(
+            walk.deepest >= 64,
+            "seed {seed:#x}: stack only {} deep",
+            walk.deepest
+        );
+        assert_eq!(walk.unknown, 0, "no budget, no Unknown");
+        let st = session.stats();
+        assert!(st.blast_cache_hits > st.blast_cache_misses, "{st:?}");
+    }
+}
+
+#[test]
+fn fork_walk_stays_correct_after_unknown() {
+    // One conflict per query: the hard questions come back Unknown,
+    // their scopes are rolled back by the next question, and whatever
+    // the session decides afterwards must still be right.
+    let mut session = SolveSession::with_conflict_budget(1);
+    session.set_core_extraction(false);
+    let walk = fork_walk(&mut session, 0xF0_4B3, 400);
+    assert!(walk.deepest >= 64, "stack only {} deep", walk.deepest);
+    assert!(walk.unknown > 0, "a one-conflict budget starved no query");
+    assert!(walk.decided_after_unknown > 0);
 }

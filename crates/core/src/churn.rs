@@ -374,6 +374,7 @@ impl ChurnSession {
             self.store.store_loads(),
             self.store.store_writes(),
             self.store.load_bytes(),
+            self.store.fork_stats(),
         );
         // Which modes' summaries this update may have changed. Abstract
         // keys are table-blind: no table delta ever touches them.
@@ -536,7 +537,7 @@ impl ChurnSession {
         &mut self,
         spec: &SearchProp,
         cache_stats: SummaryCacheStats,
-        disk0: (u64, u64, u64),
+        disk0: (u64, u64, u64, bvsolve::SolverLayerStats),
     ) -> VerifyReport {
         let t0 = Instant::now();
         let mode = spec.mode();
@@ -585,7 +586,8 @@ impl ChurnSession {
                 load_bytes: self.store.load_bytes() - disk0.2,
                 evictions: self.store.evictions(),
                 ..cache_stats
-            },
+            }
+            .with_fork_stats(&self.store.fork_stats().delta(&disk0.3)),
             static_stats: Default::default(),
             step1_time,
             step2_time,

@@ -211,6 +211,7 @@ impl Fleet {
         let loads0 = self.store.store_loads();
         let writes0 = self.store.store_writes();
         let lbytes0 = self.store.load_bytes();
+        let fork0 = self.store.fork_stats();
         let n_props = self.properties.len();
 
         // One entry per class: the property index and the member
@@ -300,6 +301,7 @@ impl Fleet {
             store_writes: self.store.store_writes() - writes0,
             load_bytes: self.store.load_bytes() - lbytes0,
             evictions: self.store.evictions(),
+            fork: self.store.fork_stats().delta(&fork0),
             time: t0.elapsed(),
         }
     }
@@ -386,6 +388,12 @@ pub struct FleetReport {
     /// In-memory LRU evictions over the store's lifetime (not a
     /// per-run delta; always zero for unbounded stores).
     pub evictions: u64,
+    /// Step-1 solver work of this run's `summary_misses`: the
+    /// fork-feasibility counters of every stage the shared store
+    /// executed (`queries` asked, `sat_solve_calls` that reached CDCL,
+    /// `blast_cache_hits` = path-condition conjuncts found already
+    /// blasted, `learnt_reused`). A warm run reads all zero.
+    pub fork: bvsolve::SolverLayerStats,
     /// Wall-clock time of the whole run.
     pub time: Duration,
 }
@@ -472,7 +480,8 @@ impl FleetReport {
              \"classes\":{},\"checks_replayed\":{},\
              \"summary_hits\":{},\"summary_misses\":{},\"store_size\":{},\
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
-             \"evictions\":{},\
+             \"evictions\":{},\"fork_queries\":{},\"fork_sat_calls\":{},\
+             \"fork_blast_cache_hits\":{},\"fork_learnt_reused\":{},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"time_ms\":{:.3}}}",
             self.classes,
             self.checks_replayed(),
@@ -483,6 +492,10 @@ impl FleetReport {
             self.store_writes,
             self.load_bytes,
             self.evictions,
+            self.fork.queries,
+            self.fork.sat_solve_calls,
+            self.fork.blast_cache_hits,
+            self.fork.learnt_reused,
             self.step1_time().as_secs_f64() * 1e3,
             self.step2_time().as_secs_f64() * 1e3,
             self.time.as_secs_f64() * 1e3,

@@ -109,6 +109,32 @@ pub struct SummaryCacheStats {
     /// its LRU bounds (a store-lifetime counter, not a per-check
     /// delta; disk files are never evicted).
     pub evictions: u64,
+    /// Fork-feasibility questions step 1 asked while executing this
+    /// check's `misses` (a hit or a disk load executes nothing and
+    /// adds 0 to this and the three counters below).
+    pub fork_queries: u64,
+    /// Of those, the ones that reached the CDCL solver.
+    pub fork_sat_calls: u64,
+    /// Path-condition conjuncts those solver calls found already
+    /// blasted on the executor's session — the prefix step 1 reused
+    /// instead of blasting it again per question.
+    pub fork_blast_cache_hits: u64,
+    /// Learnt clauses carried from one fork question to the next.
+    pub fork_learnt_reused: u64,
+}
+
+impl SummaryCacheStats {
+    /// These counters with the four `fork_*` ones read off `fork`, a
+    /// [`crate::SummaryStore::fork_stats`] delta.
+    pub(crate) fn with_fork_stats(self, fork: &SolverLayerStats) -> Self {
+        SummaryCacheStats {
+            fork_queries: fork.queries,
+            fork_sat_calls: fork.sat_solve_calls,
+            fork_blast_cache_hits: fork.blast_cache_hits,
+            fork_learnt_reused: fork.learnt_reused,
+            ..self
+        }
+    }
 }
 
 /// Static-analysis counters for one check (see
@@ -228,7 +254,8 @@ impl VerifyReport {
              \"subtrees_pruned\":{}}},\
              \"summary\":{{\"hits\":{},\"misses\":{},\"store_size\":{},\
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
-             \"evictions\":{}}},\
+             \"evictions\":{},\"fork_queries\":{},\"fork_sat_calls\":{},\
+             \"fork_blast_cache_hits\":{},\"fork_learnt_reused\":{}}},\
              \"static\":{{\"lints_emitted\":{},\"blocks_removed\":{},\
              \"intervals_seeded\":{}}},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3}}}",
@@ -265,6 +292,10 @@ impl VerifyReport {
             self.summary.store_writes,
             self.summary.load_bytes,
             self.summary.evictions,
+            self.summary.fork_queries,
+            self.summary.fork_sat_calls,
+            self.summary.fork_blast_cache_hits,
+            self.summary.fork_learnt_reused,
             self.static_stats.lints_emitted,
             self.static_stats.blocks_removed,
             self.static_stats.intervals_seeded,

@@ -598,6 +598,8 @@ struct CachedSummaries {
     store_loads: u64,
     store_writes: u64,
     load_bytes: u64,
+    /// Fork-solver work of the stages the build executed.
+    fork: bvsolve::SolverLayerStats,
 }
 
 fn mode_idx(mode: MapMode) -> usize {
@@ -801,10 +803,11 @@ impl<'p> Verifier<'p> {
             Some((p, _)) => p,
             None => pipeline,
         };
-        let (loads0, writes0, lbytes0) = (
+        let (loads0, writes0, lbytes0, fork0) = (
             store.store_loads(),
             store.store_writes(),
             store.load_bytes(),
+            store.fork_stats(),
         );
         let sums = summarize_pipeline_with_store(pool, summarized, &cfg.sym, mode, store, threads)?;
         self.step1_runs += 1;
@@ -821,6 +824,7 @@ impl<'p> Verifier<'p> {
             store_loads: self.store.store_loads() - loads0,
             store_writes: self.store.store_writes() - writes0,
             load_bytes: self.store.load_bytes() - lbytes0,
+            fork: self.store.fork_stats().delta(&fork0),
         });
         Ok(true)
     }
@@ -972,10 +976,15 @@ impl<'p> Verifier<'p> {
         // Step-1 cost is attributed to the check that paid it; cache
         // hits report zero. The summary-store counters follow the same
         // attribution.
-        let (step1_time, summary_hits, summary_misses) = if built {
-            (cached.build_time, sums.summary_hits, sums.summary_misses)
+        let (step1_time, summary_hits, summary_misses, fork) = if built {
+            (
+                cached.build_time,
+                sums.summary_hits,
+                sums.summary_misses,
+                cached.fork,
+            )
         } else {
-            (Duration::ZERO, 0, 0)
+            (Duration::ZERO, 0, 0, Default::default())
         };
 
         let t1 = Instant::now();
@@ -1048,7 +1057,9 @@ impl<'p> Verifier<'p> {
                 // Lifetime counter of the (possibly shared) store, like
                 // `store_size` — not a per-check delta.
                 evictions: store.evictions(),
-            },
+                ..Default::default()
+            }
+            .with_fork_stats(&fork),
             // Attributed like `step1_time`: the check that built this
             // mode's summaries reports the static pass's counters.
             static_stats: if built {

@@ -15,7 +15,7 @@
 //! overflow.
 
 use crate::summary::PipelineSummaries;
-use bvsolve::{BvSolver, Term, TermId, TermPool};
+use bvsolve::{SolveSession, Term, TermId, TermPool};
 use symexec::{MapOpKind, Segment};
 
 /// A finding of the private-state analysis.
@@ -75,7 +75,7 @@ fn match_increment(pool: &TermPool, value: TermId, read_var: u32) -> Option<u64>
 /// Scans one segment for the counter pattern.
 fn scan_segment(
     pool: &mut TermPool,
-    solver: &mut BvSolver,
+    session: &mut SolveSession,
     seg: &Segment,
 ) -> Option<(dpir::MapId, u64, u32)> {
     for (wi, w) in seg.map_ops.iter().enumerate() {
@@ -114,7 +114,7 @@ fn scan_segment(
                 let eq = pool.mk_eq(var_term, maxc);
                 let mut cs = seg.constraint.clone();
                 cs.push(eq);
-                if solver.check(pool, &cs).is_sat() {
+                if session.check_constraints(pool, &cs).is_sat() {
                     return Some((w.map, c, width));
                 }
             }
@@ -130,12 +130,15 @@ pub(crate) fn analyze(
     sums: &PipelineSummaries,
     pipeline: &dataplane::Pipeline,
 ) -> Vec<StateFinding> {
-    let mut solver = BvSolver::new();
+    // One session for the whole scan: consecutive segments of a stage
+    // share most of their path condition, which stays blasted.
+    let mut session = SolveSession::new();
+    session.set_core_extraction(false);
     let mut findings = Vec::new();
     let mut seen: Vec<(usize, u32)> = Vec::new();
     for (k, stage) in sums.stages.iter().enumerate() {
         for seg in &stage.segments {
-            if let Some((map, inc, width)) = scan_segment(pool, &mut solver, seg) {
+            if let Some((map, inc, width)) = scan_segment(pool, &mut session, seg) {
                 if seen.contains(&(k, map.0)) {
                     continue;
                 }

@@ -358,6 +358,8 @@ pub struct SummaryStore {
     store_loads: AtomicU64,
     store_writes: AtomicU64,
     load_bytes: AtomicU64,
+    /// Fork-solver counters of every execution (miss), summed.
+    fork: Mutex<bvsolve::SolverLayerStats>,
 }
 
 impl SummaryStore {
@@ -470,6 +472,13 @@ impl SummaryStore {
     /// loads.
     pub fn load_bytes(&self) -> u64 {
         self.load_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Lifetime solver work of step 1: the fork-feasibility counters
+    /// ([`symexec::ExecReport::solver_stats`]) of every stage this
+    /// store executed, summed. Hits and disk loads add nothing.
+    pub fn fork_stats(&self) -> bvsolve::SolverLayerStats {
+        *self.fork.lock().expect("summary store poisoned")
     }
 
     /// Drops every cached summary (the hit/miss/eviction counters are
@@ -590,6 +599,10 @@ impl SummaryStore {
             states: report.states,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
+        self.fork
+            .lock()
+            .expect("summary store poisoned")
+            .merge(&report.solver_stats);
         // Write-back, outside the lock. Within a process the in-flight
         // marker makes this the key's only writer at any moment, so
         // the write race fleet workers used to run no longer exists;

@@ -249,10 +249,15 @@ fn report_json_carries_summary_counters() {
     assert!(
         json.contains(
             "\"summary\":{\"hits\":0,\"misses\":4,\"store_size\":4,\
-             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0}"
+             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0,\
+             \"fork_queries\":"
         ),
         "cold session executes every stage: {json}"
     );
+    // Step 1's solver work is on the line, and it reused its prefix.
+    let s = r.as_verify().expect("verify").summary;
+    assert!(s.fork_queries >= s.fork_sat_calls && s.fork_sat_calls > 0);
+    assert!(s.fork_blast_cache_hits > 0 && s.fork_learnt_reused > 0);
     let mut v2 = Verifier::new(&p)
         .config(cfg())
         .with_store(Arc::clone(&store));
@@ -260,9 +265,11 @@ fn report_json_carries_summary_counters() {
     assert!(
         r2.to_json().contains(
             "\"summary\":{\"hits\":4,\"misses\":0,\"store_size\":4,\
-             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0}"
+             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0,\
+             \"fork_queries\":0,\"fork_sat_calls\":0,\
+             \"fork_blast_cache_hits\":0,\"fork_learnt_reused\":0}"
         ),
-        "warm session is all hits: {}",
+        "warm session is all hits, and a hit adds no solver work: {}",
         r2.to_json()
     );
 }
@@ -333,6 +340,11 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
     let json = seq.to_json();
     assert!(json.contains("\"kind\":\"fleet\""), "{json}");
     assert!(json.contains("\"summary_hits\""), "{json}");
+    assert!(
+        json.contains(&format!("\"fork_queries\":{},", seq.fork.queries)),
+        "{json}"
+    );
+    assert!(seq.fork.blast_cache_hits > 0, "step 1 reused its prefix");
     assert!(
         json.contains("\"classes\":2,\"checks_replayed\":6"),
         "{json}"

@@ -1,5 +1,17 @@
 //! The symbolic interpreter: one IR program → all feasible segments.
 //!
+//! ## One solver per call
+//!
+//! Every exact fork question — "can the path condition, extended by
+//! this branch's conjuncts, still hold?" — goes to one
+//! [`bvsolve::SolveSession`] owned by the [`execute`] call, as the full
+//! constraint list ([`SolveSession::check_constraints`]). The worklist
+//! is an explicit LIFO `Vec`, so consecutive questions share a prefix:
+//! the session keeps that prefix blasted, pops what the previous
+//! question added, blasts only the new conjuncts, and carries its learnt
+//! clauses from fork to fork. Cheap fork checking
+//! ([`SymConfig::exact_forks`] off) never touches the session.
+//!
 //! ## Determinism guarantee
 //!
 //! [`execute`] is a pure function of its inputs: for identical
@@ -8,21 +20,39 @@
 //! starting from identical [`TermPool`] states perform **the same
 //! sequence of pool operations** — same variables in the same creation
 //! order, same terms, same segments with the same [`bvsolve::TermId`]s.
-//! The worklist is an explicit LIFO `Vec`, branch feasibility is
-//! decided by the deterministic layered solver, and no step iterates a
-//! hash map, so there is no hidden ordering to vary between runs.
+//! No step iterates a hash map, and the one input that is not a
+//! function of the current state — the fork verdict — is
+//! *verdict-deterministic*: the session's learnt clauses, activities
+//! and phases depend on the questions asked before, but a decided
+//! (Sat/Unsat) verdict is a property of the question alone, the layer
+//! that answers it is the one a fresh solver would use, the only terms
+//! the session interns are the question's conjunction, and no model is
+//! read. Two runs ask the same questions in the same order, so even
+//! the solver's internal state repeats.
+//!
+//! The caveat is the conflict budget
+//! ([`SymConfig::fork_conflict_budget`]; see the `bvsolve::session`
+//! module docs): which questions exhaust it depends on the CDCL
+//! trajectory, hence on the questions asked before. Within one build
+//! that trajectory repeats; across a change to the solver or to the
+//! order of questions, a question that was decided may come back
+//! `Unknown`, which reads as *feasible* — a superset of segments, still
+//! sound. The stock programs decide every question well inside the
+//! default budget (`tests/session_oracle.rs` asserts no `Unknown`).
 //!
 //! The verifier's content-addressed summary store depends on this: it
 //! keys step-1 summaries by a structural hash of
 //! `(program, map mode, table config)` and replays a cached summary by
 //! pool migration, which is indistinguishable from re-executing only
 //! because execution is reproducible. `crates/symexec/tests/`
-//! `determinism.rs` pins the guarantee.
+//! `determinism.rs` pins the guarantee; `session_oracle.rs` pins every
+//! fork verdict to a fresh reference solver and the persisted summary
+//! bytes to the ones written before the executor had a session.
 
 use crate::input::{SymConfig, SymInput};
-use crate::mapmodel::MapModel;
+use crate::mapmodel::{MapBranch, MapModel};
 use crate::segment::{MapOpKind, MapOpRecord, SegOutcome, Segment};
-use bvsolve::{BvSolver, SatVerdict, TermId, TermPool};
+use bvsolve::{SatVerdict, SolveSession, TermId, TermPool};
 use dpir::{BinOp, CrashReason, Instr, Operand, Program, Terminator, UnOp, META_WIDTH};
 
 /// Errors aborting a symbolic execution.
@@ -63,7 +93,9 @@ pub struct ExecReport {
     pub states: usize,
     /// Branch targets discarded as infeasible.
     pub pruned: usize,
-    /// Solver layer statistics for the ablation bench.
+    /// Counters of the call's fork-feasibility session: questions
+    /// asked, the layer that answered each, and how much of the blasted
+    /// prefix and of the learnt clauses carried between them.
     pub solver_stats: bvsolve::SolverLayerStats,
 }
 
@@ -89,28 +121,34 @@ pub fn execute(
     model: &mut dyn MapModel,
     cfg: &SymConfig,
 ) -> Result<ExecReport, SymError> {
-    let mut solver = if cfg.exact_forks {
-        BvSolver::with_conflict_budget(cfg.fork_conflict_budget)
-    } else {
-        BvSolver::new()
-    };
-    let zero_reg = pool.mk_const(1, 0);
+    execute_observed(pool, prog, input, model, cfg, &mut |_, _, _| {})
+}
+
+/// [`execute`], handing every exact fork question — the constraint
+/// list asked and the session's verdict on it — to `observe` as soon
+/// as it is answered. The oracle tests use it to put the same list to
+/// a fresh reference solver; an observer that interns no new term
+/// leaves the execution as it is.
+#[doc(hidden)]
+pub fn execute_observed(
+    pool: &mut TermPool,
+    prog: &Program,
+    input: &SymInput,
+    model: &mut dyn MapModel,
+    cfg: &SymConfig,
+    observe: &mut dyn FnMut(&mut TermPool, &[TermId], &SatVerdict),
+) -> Result<ExecReport, SymError> {
+    // The 1-bit zero is interned ahead of the registers' initial
+    // values: term numbering — which commutative operands are ordered
+    // by — has always started with it.
+    pool.mk_const(1, 0);
     let init = PathState {
         bb: 0,
         iidx: 0,
         regs: prog
             .reg_widths
             .iter()
-            .map(|&w| {
-                if w == 1 {
-                    zero_reg
-                } else {
-                    // Placeholder; overwritten before read in valid
-                    // programs (registers are written before use by the
-                    // builder API). Zero keeps semantics defined anyway.
-                    zero_reg
-                }
-            })
+            .map(|&w| pool.mk_const(w, 0))
             .collect(),
         pkt: input.pkt_bytes.clone(),
         len: input.pkt_len,
@@ -119,122 +157,46 @@ pub fn execute(
         instrs: 0,
         map_ops: Vec::new(),
     };
-    // Correct register initialization: a zero constant of each width.
-    let mut init = init;
-    for (i, &w) in prog.reg_widths.iter().enumerate() {
-        init.regs[i] = pool.mk_const(w, 0);
-    }
-
-    let mut worklist = vec![init];
-    let mut segments = Vec::new();
-    let mut states = 1usize;
-    let mut pruned = 0usize;
-
-    while let Some(mut st) = worklist.pop() {
-        if states > cfg.max_states {
-            return Err(SymError::StateBudget { explored: states });
-        }
-        // Run this state until it terminates or forks.
-        'state: loop {
-            let block = &prog.blocks[st.bb];
-            while st.iidx < block.instrs.len() {
-                let ins = &block.instrs[st.iidx];
-                st.iidx += 1;
-                st.instrs += 1;
-                if st.instrs > cfg.max_instrs_per_path {
-                    segments.push(finish(pool, &st, SegOutcome::FuelExhausted, cfg));
-                    break 'state;
-                }
-                match step(
-                    pool,
-                    prog,
-                    ins,
-                    &mut st,
-                    model,
-                    cfg,
-                    &mut solver,
-                    &mut states,
-                    &mut pruned,
-                    &mut worklist,
-                    &mut segments,
-                ) {
-                    Ok(StepFlow::Continue) => {}
-                    Ok(StepFlow::EndState) => break 'state,
-                    Err(e) => return Err(e),
-                }
-            }
-            // Terminator.
-            st.instrs += 1;
-            if st.instrs > cfg.max_instrs_per_path {
-                segments.push(finish(pool, &st, SegOutcome::FuelExhausted, cfg));
-                break 'state;
-            }
-            match block.term {
-                Terminator::Jump(b) => {
-                    st.bb = b.index();
-                    st.iidx = 0;
-                }
-                Terminator::Branch { cond, then_, else_ } => {
-                    let c = operand(pool, &st, cond, 1);
-                    if pool.is_true(c) {
-                        st.bb = then_.index();
-                        st.iidx = 0;
-                        continue 'state;
-                    }
-                    if pool.is_false(c) {
-                        st.bb = else_.index();
-                        st.iidx = 0;
-                        continue 'state;
-                    }
-                    // Fork.
-                    let notc = pool.mk_not(c);
-                    let mut then_st = st.clone();
-                    then_st.constraint.push(c);
-                    then_st.bb = then_.index();
-                    then_st.iidx = 0;
-                    let mut else_st = st;
-                    else_st.constraint.push(notc);
-                    else_st.bb = else_.index();
-                    else_st.iidx = 0;
-                    for branch in [then_st, else_st] {
-                        if feasible(pool, &mut solver, &branch.constraint, cfg) {
-                            states += 1;
-                            worklist.push(branch);
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                    break 'state;
-                }
-                Terminator::Emit(p) => {
-                    let mut seg = finish(pool, &st, SegOutcome::Emit(p), cfg);
-                    attach_assumed(pool, prog, &st, &mut seg);
-                    segments.push(seg);
-                    break 'state;
-                }
-                Terminator::Drop => {
-                    segments.push(finish(pool, &st, SegOutcome::Drop, cfg));
-                    break 'state;
-                }
-                Terminator::Crash(r) => {
-                    segments.push(finish(pool, &st, SegOutcome::Crash(r), cfg));
-                    break 'state;
-                }
-            }
-        }
-    }
-
-    if states > cfg.max_states {
-        // Branch materialization was cut short: the exploration is
-        // incomplete and must be reported as a budget failure.
-        return Err(SymError::StateBudget { explored: states });
-    }
+    let mut session = SolveSession::with_conflict_budget(cfg.fork_conflict_budget);
+    session.set_core_extraction(false);
+    let mut ex = Exec {
+        pool,
+        prog,
+        model,
+        cfg,
+        session,
+        observe,
+        worklist: vec![init],
+        segments: Vec::new(),
+        states: 1,
+        pruned: 0,
+    };
+    ex.run()?;
     Ok(ExecReport {
-        segments,
-        states,
-        pruned,
-        solver_stats: solver.stats(),
+        segments: ex.segments,
+        states: ex.states,
+        pruned: ex.pruned,
+        solver_stats: ex.session.stats(),
     })
+}
+
+/// What one [`execute`] call carries to every fork site.
+struct Exec<'a> {
+    pool: &'a mut TermPool,
+    prog: &'a Program,
+    model: &'a mut dyn MapModel,
+    cfg: &'a SymConfig,
+    /// The call's one solver: its assertion stack is the path
+    /// condition last asked about. The worklist is LIFO, so the next
+    /// question shares a prefix with it; that prefix stays blasted, a
+    /// sibling costs a rollback plus its own conjuncts, and learnt
+    /// clauses carry from fork to fork.
+    session: SolveSession,
+    observe: &'a mut dyn FnMut(&mut TermPool, &[TermId], &SatVerdict),
+    worklist: Vec<PathState>,
+    segments: Vec<Segment>,
+    states: usize,
+    pruned: usize,
 }
 
 enum StepFlow {
@@ -242,283 +204,310 @@ enum StepFlow {
     EndState,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step(
-    pool: &mut TermPool,
-    prog: &Program,
-    ins: &Instr,
-    st: &mut PathState,
-    model: &mut dyn MapModel,
-    cfg: &SymConfig,
-    solver: &mut BvSolver,
-    states: &mut usize,
-    pruned: &mut usize,
-    worklist: &mut Vec<PathState>,
-    segments: &mut Vec<Segment>,
-) -> Result<StepFlow, SymError> {
-    match *ins {
-        Instr::Bin { op, w, dst, a, b } => {
-            let x = operand(pool, st, a, w);
-            let y = operand(pool, st, b, w);
-            if op.can_crash() {
-                let zero = pool.mk_const(w, 0);
-                let is_zero = pool.mk_eq(y, zero);
-                if pool.is_true(is_zero) {
-                    segments.push(finish(
-                        pool,
-                        st,
-                        SegOutcome::Crash(CrashReason::DivByZero),
-                        cfg,
-                    ));
+impl Exec<'_> {
+    fn run(&mut self) -> Result<(), SymError> {
+        let prog = self.prog;
+        while let Some(mut st) = self.worklist.pop() {
+            if self.states > self.cfg.max_states {
+                break;
+            }
+            // Run this state until it terminates or forks.
+            'state: loop {
+                let block = &prog.blocks[st.bb];
+                while st.iidx < block.instrs.len() {
+                    let ins = &block.instrs[st.iidx];
+                    st.iidx += 1;
+                    st.instrs += 1;
+                    if st.instrs > self.cfg.max_instrs_per_path {
+                        self.finish(&st, SegOutcome::FuelExhausted);
+                        break 'state;
+                    }
+                    if let StepFlow::EndState = self.step(ins, &mut st)? {
+                        break 'state;
+                    }
+                }
+                // Terminator.
+                st.instrs += 1;
+                if st.instrs > self.cfg.max_instrs_per_path {
+                    self.finish(&st, SegOutcome::FuelExhausted);
+                    break 'state;
+                }
+                match block.term {
+                    Terminator::Jump(b) => {
+                        st.bb = b.index();
+                        st.iidx = 0;
+                    }
+                    Terminator::Branch { cond, then_, else_ } => {
+                        let c = operand(self.pool, &st, cond, 1);
+                        if self.pool.is_true(c) {
+                            st.bb = then_.index();
+                            st.iidx = 0;
+                            continue 'state;
+                        }
+                        if self.pool.is_false(c) {
+                            st.bb = else_.index();
+                            st.iidx = 0;
+                            continue 'state;
+                        }
+                        // Fork.
+                        let notc = self.pool.mk_not(c);
+                        for (cond, target) in [(c, then_), (notc, else_)] {
+                            self.fork_state(&st, &[cond], |_, branch| {
+                                branch.bb = target.index();
+                                branch.iidx = 0;
+                            });
+                        }
+                        break 'state;
+                    }
+                    Terminator::Emit(p) => {
+                        self.finish(&st, SegOutcome::Emit(p));
+                        break 'state;
+                    }
+                    Terminator::Drop => {
+                        self.finish(&st, SegOutcome::Drop);
+                        break 'state;
+                    }
+                    Terminator::Crash(r) => {
+                        self.finish(&st, SegOutcome::Crash(r));
+                        break 'state;
+                    }
+                }
+            }
+        }
+        if self.states > self.cfg.max_states {
+            // Exploration (or the materialization of some fork's
+            // branches) was cut short: incomplete, so a budget failure.
+            return Err(SymError::StateBudget {
+                explored: self.states,
+            });
+        }
+        Ok(())
+    }
+
+    /// Whether the path condition `path` extended by `extra` can hold
+    /// — the one question every fork site asks. No `extra` means
+    /// nothing to ask: `path` is the condition of a state already
+    /// being run.
+    fn feasible(&mut self, path: &[TermId], extra: &[TermId]) -> bool {
+        if extra.is_empty() {
+            return true;
+        }
+        let cs = [path, extra].concat();
+        if self.cfg.exact_forks {
+            let verdict = self.session.check_constraints(self.pool, &cs);
+            (self.observe)(self.pool, &cs, &verdict);
+            // Unknown (budget) counts as feasible: over-approximation
+            // keeps verification sound (extra suspects, never missed
+            // ones).
+            !verdict.is_unsat()
+        } else {
+            // Cheap layers only.
+            let conj = self.pool.mk_conj(&cs);
+            if self.pool.is_false(conj) {
+                return false;
+            }
+            let iv = bvsolve::interval_of(self.pool, conj);
+            !(iv.lo == 0 && iv.hi == 0)
+        }
+    }
+
+    /// Ends `st` in a segment with `outcome`.
+    fn finish(&mut self, st: &PathState, outcome: SegOutcome) {
+        let mut seg = segment_of(st, outcome);
+        if let SegOutcome::Emit(_) = outcome {
+            attach_assumed(self.pool, self.prog, st, &mut seg);
+        }
+        self.segments.push(seg);
+    }
+
+    /// Forks a crash segment off `st` under the extra conjunct `when`,
+    /// if that is feasible. Only the question is asked of `st`; it is
+    /// copied (into the segment) when the answer is yes.
+    fn crash_fork(&mut self, st: &PathState, when: TermId, reason: CrashReason) {
+        if self.feasible(&st.constraint, &[when]) {
+            self.states += 1;
+            let mut seg = segment_of(st, SegOutcome::Crash(reason));
+            seg.constraint.push(when);
+            self.segments.push(seg);
+        } else {
+            self.pruned += 1;
+        }
+    }
+
+    /// Forks a new state off `st` under the conjuncts `extra`, if that
+    /// is feasible: a copy of `st` constrained by them, finished by
+    /// `apply`, goes on the worklist.
+    fn fork_state(
+        &mut self,
+        st: &PathState,
+        extra: &[TermId],
+        apply: impl FnOnce(&mut TermPool, &mut PathState),
+    ) {
+        if !self.feasible(&st.constraint, extra) {
+            self.pruned += 1;
+            return;
+        }
+        let mut branch = st.clone();
+        branch.constraint.extend_from_slice(extra);
+        apply(self.pool, &mut branch);
+        self.states += 1;
+        self.worklist.push(branch);
+    }
+
+    fn step(&mut self, ins: &Instr, st: &mut PathState) -> Result<StepFlow, SymError> {
+        let (prog, cfg) = (self.prog, self.cfg);
+        match *ins {
+            Instr::Bin { op, w, dst, a, b } => {
+                let x = operand(self.pool, st, a, w);
+                let y = operand(self.pool, st, b, w);
+                if op.can_crash() {
+                    let zero = self.pool.mk_const(w, 0);
+                    let is_zero = self.pool.mk_eq(y, zero);
+                    if self.pool.is_true(is_zero) {
+                        self.finish(st, SegOutcome::Crash(CrashReason::DivByZero));
+                        return Ok(StepFlow::EndState);
+                    }
+                    if !self.pool.is_false(is_zero) {
+                        // Fork a crash branch for divisor == 0.
+                        self.crash_fork(st, is_zero, CrashReason::DivByZero);
+                        let nz = self.pool.mk_not(is_zero);
+                        st.constraint.push(nz);
+                    }
+                }
+                st.regs[dst.index()] = bin_term(self.pool, op, x, y);
+            }
+            Instr::Un { op, w, dst, a } => {
+                let x = operand(self.pool, st, a, w);
+                st.regs[dst.index()] = match op {
+                    UnOp::Not => self.pool.mk_not(x),
+                    UnOp::Neg => self.pool.mk_neg(x),
+                };
+            }
+            Instr::Mov { w, dst, a } => {
+                st.regs[dst.index()] = operand(self.pool, st, a, w);
+            }
+            Instr::Cast {
+                kind,
+                from,
+                to,
+                dst,
+                a,
+            } => {
+                let x = operand(self.pool, st, a, from);
+                st.regs[dst.index()] = match kind {
+                    dpir::CastKind::Zext => self.pool.mk_zext(x, to),
+                    dpir::CastKind::Sext => self.pool.mk_sext(x, to),
+                    dpir::CastKind::Trunc => {
+                        if to == from {
+                            x
+                        } else {
+                            self.pool.mk_extract(x, to - 1, 0)
+                        }
+                    }
+                };
+            }
+            Instr::PktLoad { w, dst, off } => {
+                let off_t = operand(self.pool, st, off, 16);
+                let k = (w / 8) as usize;
+                if !self.bounds_fork(st, off_t, k, CrashReason::OobRead) {
                     return Ok(StepFlow::EndState);
                 }
-                if !pool.is_false(is_zero) {
-                    // Fork a crash branch for divisor == 0.
-                    let mut crash_st = st.clone();
-                    crash_st.constraint.push(is_zero);
-                    if feasible(pool, solver, &crash_st.constraint, cfg) {
-                        *states += 1;
-                        segments.push(finish(
-                            pool,
-                            &crash_st,
-                            SegOutcome::Crash(CrashReason::DivByZero),
-                            cfg,
-                        ));
+                if cfg.fork_on_symbolic_offset && self.pool.const_value(off_t).is_none() {
+                    // Generic-engine behavior: concretize the offset
+                    // by forking one state per feasible value.
+                    self.fork_offsets(st, off_t, k, |pool, s, c| {
+                        s.regs[dst.index()] = concat_be(pool, &s.pkt[c..c + k]);
+                    });
+                    return Ok(StepFlow::EndState);
+                }
+                st.regs[dst.index()] = load_bytes(self.pool, st, off_t, k, cfg);
+            }
+            Instr::PktStore { w, off, val } => {
+                let off_t = operand(self.pool, st, off, 16);
+                let v = operand(self.pool, st, val, w);
+                let k = (w / 8) as usize;
+                if !self.bounds_fork(st, off_t, k, CrashReason::OobWrite) {
+                    return Ok(StepFlow::EndState);
+                }
+                if cfg.fork_on_symbolic_offset && self.pool.const_value(off_t).is_none() {
+                    self.fork_offsets(st, off_t, k, |pool, s, c| {
+                        let cc = pool.mk_const(16, c as u64);
+                        store_bytes(pool, s, cc, k, v, cfg);
+                    });
+                    return Ok(StepFlow::EndState);
+                }
+                store_bytes(self.pool, st, off_t, k, v, cfg);
+            }
+            Instr::PktLen { dst } => {
+                st.regs[dst.index()] = st.len;
+            }
+            Instr::PktPush { n } => {
+                let n_t = operand(self.pool, st, n, 16);
+                let Some(k) = self.pool.const_value(n_t) else {
+                    return Err(SymError::SymbolicPushPull);
+                };
+                let k = k as usize;
+                // Capacity check: len + k ≤ window.
+                let len32 = self.pool.mk_zext(st.len, 32);
+                let kc = self.pool.mk_const(32, k as u64);
+                let newlen32 = self.pool.mk_add(len32, kc);
+                let cap = self.pool.mk_const(32, cfg.max_pkt_bytes as u64);
+                let fits = self.pool.mk_ule(newlen32, cap);
+                if !self.fork_crash_unless(st, fits, CrashReason::OobWrite, false) {
+                    return Ok(StepFlow::EndState);
+                }
+                let zero8 = self.pool.mk_const(8, 0);
+                let mut newpkt = Vec::with_capacity(st.pkt.len());
+                for i in 0..st.pkt.len() {
+                    if i < k {
+                        newpkt.push(zero8);
                     } else {
-                        *pruned += 1;
+                        newpkt.push(st.pkt[i - k]);
                     }
-                    let nz = pool.mk_not(is_zero);
-                    st.constraint.push(nz);
                 }
+                st.pkt = newpkt;
+                let kc16 = self.pool.mk_const(16, k as u64);
+                st.len = self.pool.mk_add(st.len, kc16);
             }
-            st.regs[dst.index()] = bin_term(pool, op, x, y);
-            Ok(StepFlow::Continue)
-        }
-        Instr::Un { op, w, dst, a } => {
-            let x = operand(pool, st, a, w);
-            st.regs[dst.index()] = match op {
-                UnOp::Not => pool.mk_not(x),
-                UnOp::Neg => pool.mk_neg(x),
-            };
-            Ok(StepFlow::Continue)
-        }
-        Instr::Mov { w, dst, a } => {
-            st.regs[dst.index()] = operand(pool, st, a, w);
-            Ok(StepFlow::Continue)
-        }
-        Instr::Cast {
-            kind,
-            from,
-            to,
-            dst,
-            a,
-        } => {
-            let x = operand(pool, st, a, from);
-            st.regs[dst.index()] = match kind {
-                dpir::CastKind::Zext => pool.mk_zext(x, to),
-                dpir::CastKind::Sext => pool.mk_sext(x, to),
-                dpir::CastKind::Trunc => {
-                    if to == from {
-                        x
+            Instr::PktPull { n } => {
+                let n_t = operand(self.pool, st, n, 16);
+                let Some(k) = self.pool.const_value(n_t) else {
+                    return Err(SymError::SymbolicPushPull);
+                };
+                let k = k as usize;
+                let kc16 = self.pool.mk_const(16, k as u64);
+                let fits = self.pool.mk_ule(kc16, st.len);
+                if !self.fork_crash_unless(st, fits, CrashReason::OobRead, false) {
+                    return Ok(StepFlow::EndState);
+                }
+                let zero8 = self.pool.mk_const(8, 0);
+                let mut newpkt = Vec::with_capacity(st.pkt.len());
+                for i in 0..st.pkt.len() {
+                    if i + k < st.pkt.len() {
+                        newpkt.push(st.pkt[i + k]);
                     } else {
-                        pool.mk_extract(x, to - 1, 0)
+                        newpkt.push(zero8);
                     }
                 }
-            };
-            Ok(StepFlow::Continue)
-        }
-        Instr::PktLoad { w, dst, off } => {
-            let off_t = operand(pool, st, off, 16);
-            let k = (w / 8) as usize;
-            match bounds_fork(
-                pool,
-                st,
-                off_t,
-                k,
-                CrashReason::OobRead,
-                site_proven_safe(prog, st),
-                cfg,
-                solver,
-                states,
-                pruned,
-                segments,
-            ) {
-                BoundsFlow::AlwaysCrash => Ok(StepFlow::EndState),
-                BoundsFlow::Proceed => {
-                    if cfg.fork_on_symbolic_offset && pool.const_value(off_t).is_none() {
-                        // Generic-engine behavior: concretize the offset
-                        // by forking one state per feasible value.
-                        fork_offsets(
-                            pool,
-                            st,
-                            off_t,
-                            k,
-                            cfg,
-                            solver,
-                            states,
-                            pruned,
-                            worklist,
-                            |pool_, s, c| {
-                                let v = concat_be(pool_, &s.pkt[c..c + k]);
-                                s.regs[dst.index()] = v;
-                            },
-                        );
-                        return Ok(StepFlow::EndState);
-                    }
-                    let v = load_bytes(pool, st, off_t, k, cfg);
-                    st.regs[dst.index()] = v;
-                    Ok(StepFlow::Continue)
-                }
+                st.pkt = newpkt;
+                st.len = self.pool.mk_sub(st.len, kc16);
             }
-        }
-        Instr::PktStore { w, off, val } => {
-            let off_t = operand(pool, st, off, 16);
-            let v = operand(pool, st, val, w);
-            let k = (w / 8) as usize;
-            match bounds_fork(
-                pool,
-                st,
-                off_t,
-                k,
-                CrashReason::OobWrite,
-                site_proven_safe(prog, st),
-                cfg,
-                solver,
-                states,
-                pruned,
-                segments,
-            ) {
-                BoundsFlow::AlwaysCrash => Ok(StepFlow::EndState),
-                BoundsFlow::Proceed => {
-                    if cfg.fork_on_symbolic_offset && pool.const_value(off_t).is_none() {
-                        fork_offsets(
-                            pool,
-                            st,
-                            off_t,
-                            k,
-                            cfg,
-                            solver,
-                            states,
-                            pruned,
-                            worklist,
-                            |pool_, s, c| {
-                                let cc = pool_.mk_const(16, c as u64);
-                                store_bytes(pool_, s, cc, k, v, cfg);
-                            },
-                        );
-                        return Ok(StepFlow::EndState);
-                    }
-                    store_bytes(pool, st, off_t, k, v, cfg);
-                    Ok(StepFlow::Continue)
-                }
+            Instr::MetaLoad { slot, dst } => {
+                st.regs[dst.index()] = st.meta[slot as usize];
             }
-        }
-        Instr::PktLen { dst } => {
-            st.regs[dst.index()] = st.len;
-            Ok(StepFlow::Continue)
-        }
-        Instr::PktPush { n } => {
-            let n_t = operand(pool, st, n, 16);
-            let Some(k) = pool.const_value(n_t) else {
-                return Err(SymError::SymbolicPushPull);
-            };
-            let k = k as usize;
-            // Capacity check: len + k ≤ window.
-            let len32 = pool.mk_zext(st.len, 32);
-            let kc = pool.mk_const(32, k as u64);
-            let newlen32 = pool.mk_add(len32, kc);
-            let cap = pool.mk_const(32, cfg.max_pkt_bytes as u64);
-            let fits = pool.mk_ule(newlen32, cap);
-            if !fork_crash_unless(
-                pool,
-                st,
-                fits,
-                CrashReason::OobWrite,
-                false,
-                cfg,
-                solver,
-                states,
-                pruned,
-                segments,
-            ) {
-                return Ok(StepFlow::EndState);
+            Instr::MetaStore { slot, val } => {
+                st.meta[slot as usize] = operand(self.pool, st, val, META_WIDTH);
             }
-            let zero8 = pool.mk_const(8, 0);
-            let mut newpkt = Vec::with_capacity(st.pkt.len());
-            for i in 0..st.pkt.len() {
-                if i < k {
-                    newpkt.push(zero8);
-                } else {
-                    newpkt.push(st.pkt[i - k]);
-                }
-            }
-            st.pkt = newpkt;
-            let kc16 = pool.mk_const(16, k as u64);
-            st.len = pool.mk_add(st.len, kc16);
-            Ok(StepFlow::Continue)
-        }
-        Instr::PktPull { n } => {
-            let n_t = operand(pool, st, n, 16);
-            let Some(k) = pool.const_value(n_t) else {
-                return Err(SymError::SymbolicPushPull);
-            };
-            let k = k as usize;
-            let kc16 = pool.mk_const(16, k as u64);
-            let fits = pool.mk_ule(kc16, st.len);
-            if !fork_crash_unless(
-                pool,
-                st,
-                fits,
-                CrashReason::OobRead,
-                false,
-                cfg,
-                solver,
-                states,
-                pruned,
-                segments,
-            ) {
-                return Ok(StepFlow::EndState);
-            }
-            let zero8 = pool.mk_const(8, 0);
-            let mut newpkt = Vec::with_capacity(st.pkt.len());
-            for i in 0..st.pkt.len() {
-                if i + k < st.pkt.len() {
-                    newpkt.push(st.pkt[i + k]);
-                } else {
-                    newpkt.push(zero8);
-                }
-            }
-            st.pkt = newpkt;
-            st.len = pool.mk_sub(st.len, kc16);
-            Ok(StepFlow::Continue)
-        }
-        Instr::MetaLoad { slot, dst } => {
-            st.regs[dst.index()] = st.meta[slot as usize];
-            Ok(StepFlow::Continue)
-        }
-        Instr::MetaStore { slot, val } => {
-            st.meta[slot as usize] = operand(pool, st, val, META_WIDTH);
-            Ok(StepFlow::Continue)
-        }
-        Instr::MapRead {
-            map,
-            key,
-            found,
-            val,
-        } => {
-            let decl = &prog.maps[map.index()];
-            let key_t = operand(pool, st, key, decl.key_width);
-            let branches = model.read(pool, map, decl, key_t);
-            fork_map_branches(
-                pool,
-                st,
-                branches,
-                cfg,
-                solver,
-                states,
-                pruned,
-                worklist,
-                |pool_, s, br| {
+            Instr::MapRead {
+                map,
+                key,
+                found,
+                val,
+            } => {
+                let decl = &prog.maps[map.index()];
+                let key_t = operand(self.pool, st, key, decl.key_width);
+                let branches = self.model.read(self.pool, map, decl, key_t);
+                self.fork_map_branches(st, branches, |s, br| {
                     s.regs[found.index()] = br.flag;
                     s.regs[val.index()] = br.value;
                     s.map_ops.push(MapOpRecord {
@@ -529,26 +518,15 @@ fn step(
                         havoc_value_var: br.havoc_value_var,
                         havoc_flag_var: br.havoc_flag_var,
                     });
-                    let _ = pool_;
-                },
-            );
-            Ok(StepFlow::EndState)
-        }
-        Instr::MapWrite { map, key, val, ok } => {
-            let decl = &prog.maps[map.index()];
-            let key_t = operand(pool, st, key, decl.key_width);
-            let val_t = operand(pool, st, val, decl.value_width);
-            let branches = model.write(pool, map, decl, key_t, val_t);
-            fork_map_branches(
-                pool,
-                st,
-                branches,
-                cfg,
-                solver,
-                states,
-                pruned,
-                worklist,
-                |pool_, s, br| {
+                });
+                return Ok(StepFlow::EndState);
+            }
+            Instr::MapWrite { map, key, val, ok } => {
+                let decl = &prog.maps[map.index()];
+                let key_t = operand(self.pool, st, key, decl.key_width);
+                let val_t = operand(self.pool, st, val, decl.value_width);
+                let branches = self.model.write(self.pool, map, decl, key_t, val_t);
+                self.fork_map_branches(st, branches, |s, br| {
                     s.regs[ok.index()] = br.flag;
                     s.map_ops.push(MapOpRecord {
                         map,
@@ -558,25 +536,14 @@ fn step(
                         havoc_value_var: None,
                         havoc_flag_var: br.havoc_flag_var,
                     });
-                    let _ = pool_;
-                },
-            );
-            Ok(StepFlow::EndState)
-        }
-        Instr::MapTest { map, key, found } => {
-            let decl = &prog.maps[map.index()];
-            let key_t = operand(pool, st, key, decl.key_width);
-            let branches = model.test(pool, map, decl, key_t);
-            fork_map_branches(
-                pool,
-                st,
-                branches,
-                cfg,
-                solver,
-                states,
-                pruned,
-                worklist,
-                |pool_, s, br| {
+                });
+                return Ok(StepFlow::EndState);
+            }
+            Instr::MapTest { map, key, found } => {
+                let decl = &prog.maps[map.index()];
+                let key_t = operand(self.pool, st, key, decl.key_width);
+                let branches = self.model.test(self.pool, map, decl, key_t);
+                self.fork_map_branches(st, branches, |s, br| {
                     s.regs[found.index()] = br.flag;
                     s.map_ops.push(MapOpRecord {
                         map,
@@ -586,231 +553,135 @@ fn step(
                         havoc_value_var: None,
                         havoc_flag_var: br.havoc_flag_var,
                     });
-                    let _ = pool_;
-                },
-            );
-            Ok(StepFlow::EndState)
-        }
-        Instr::MapExpire { map, key } => {
-            let decl = &prog.maps[map.index()];
-            let key_t = operand(pool, st, key, decl.key_width);
-            st.map_ops.push(MapOpRecord {
-                map,
-                kind: MapOpKind::Expire,
-                key: key_t,
-                value: None,
-                havoc_value_var: None,
-                havoc_flag_var: None,
-            });
-            Ok(StepFlow::Continue)
-        }
-        Instr::Assert { cond, msg } => {
-            let c = operand(pool, st, cond, 1);
-            if pool.is_true(c) {
-                return Ok(StepFlow::Continue);
-            }
-            if pool.is_false(c) {
-                segments.push(finish(
-                    pool,
-                    st,
-                    SegOutcome::Crash(CrashReason::AssertFailed(msg)),
-                    cfg,
-                ));
+                });
                 return Ok(StepFlow::EndState);
             }
-            let notc = pool.mk_not(c);
-            let mut crash_st = st.clone();
-            crash_st.constraint.push(notc);
-            if feasible(pool, solver, &crash_st.constraint, cfg) {
-                *states += 1;
-                segments.push(finish(
-                    pool,
-                    &crash_st,
-                    SegOutcome::Crash(CrashReason::AssertFailed(msg)),
-                    cfg,
-                ));
-            } else {
-                *pruned += 1;
+            Instr::MapExpire { map, key } => {
+                let decl = &prog.maps[map.index()];
+                let key_t = operand(self.pool, st, key, decl.key_width);
+                st.map_ops.push(MapOpRecord {
+                    map,
+                    kind: MapOpKind::Expire,
+                    key: key_t,
+                    value: None,
+                    havoc_value_var: None,
+                    havoc_flag_var: None,
+                });
             }
-            st.constraint.push(c);
-            Ok(StepFlow::Continue)
+            Instr::Assert { cond, msg } => {
+                let c = operand(self.pool, st, cond, 1);
+                if !self.fork_crash_unless(st, c, CrashReason::AssertFailed(msg), false) {
+                    return Ok(StepFlow::EndState);
+                }
+            }
         }
+        Ok(StepFlow::Continue)
     }
-}
 
-enum BoundsFlow {
-    AlwaysCrash,
-    Proceed,
-}
-
-/// Whether the static simplifier proved the *current* instruction's
-/// packet access in bounds on every feasible path (`st.iidx` was
-/// already advanced past it by the instruction loop).
-fn site_proven_safe(prog: &Program, st: &PathState) -> bool {
-    debug_assert!(st.iidx > 0);
-    let site = (st.bb as u32, (st.iidx - 1) as u32);
-    // `Facts::safe_sites` comes out of the analysis in (block, instr)
-    // order.
-    prog.facts.safe_sites.binary_search(&site).is_ok()
-}
-
-/// Emits a crash segment for the out-of-bounds case (if feasible) and
-/// constrains the surviving path to be in bounds. With `proven_safe`,
-/// the crash fork (and its feasibility query) is skipped — the static
-/// interval analysis already refuted it — but the surviving path still
-/// records the identical in-bounds constraint.
-#[allow(clippy::too_many_arguments)]
-fn bounds_fork(
-    pool: &mut TermPool,
-    st: &mut PathState,
-    off_t: TermId,
-    k: usize,
-    reason: CrashReason,
-    proven_safe: bool,
-    cfg: &SymConfig,
-    solver: &mut BvSolver,
-    states: &mut usize,
-    pruned: &mut usize,
-    segments: &mut Vec<Segment>,
-) -> BoundsFlow {
-    // In-bounds: zext(off) + k ≤ zext(len), computed at width 32 so the
-    // addition cannot wrap.
-    let off32 = pool.mk_zext(off_t, 32);
-    let kc = pool.mk_const(32, k as u64);
-    let end = pool.mk_add(off32, kc);
-    let len32 = pool.mk_zext(st.len, 32);
-    let inb = pool.mk_ule(end, len32);
-    if fork_crash_unless(
-        pool,
-        st,
-        inb,
-        reason,
-        proven_safe,
-        cfg,
-        solver,
-        states,
-        pruned,
-        segments,
-    ) {
-        BoundsFlow::Proceed
-    } else {
-        BoundsFlow::AlwaysCrash
+    /// Forks a crash segment for the out-of-bounds case of a `k`-byte
+    /// access at `off_t` (if feasible) and constrains the surviving
+    /// path to be in bounds; false if the access always crashes. Where
+    /// the static simplifier proved the *current* instruction's access
+    /// in bounds on every feasible path, the crash fork (and its
+    /// feasibility query) is skipped — the interval analysis already
+    /// refuted it — but the surviving path still records the identical
+    /// in-bounds constraint.
+    fn bounds_fork(
+        &mut self,
+        st: &mut PathState,
+        off_t: TermId,
+        k: usize,
+        reason: CrashReason,
+    ) -> bool {
+        // `st.iidx` was already advanced past the instruction, and
+        // `Facts::safe_sites` comes out of the analysis in (block,
+        // instr) order.
+        debug_assert!(st.iidx > 0);
+        let site = (st.bb as u32, (st.iidx - 1) as u32);
+        let proven_safe = self.prog.facts.safe_sites.binary_search(&site).is_ok();
+        // In-bounds: zext(off) + k ≤ zext(len), computed at width 32 so
+        // the addition cannot wrap.
+        let off32 = self.pool.mk_zext(off_t, 32);
+        let kc = self.pool.mk_const(32, k as u64);
+        let end = self.pool.mk_add(off32, kc);
+        let len32 = self.pool.mk_zext(st.len, 32);
+        let inb = self.pool.mk_ule(end, len32);
+        self.fork_crash_unless(st, inb, reason, proven_safe)
     }
-}
 
-/// Forks a crash segment on `¬cond` (if feasible); constrains the
-/// current path with `cond`. Returns false if the path itself is dead
-/// (cond constant-false). With `skip_crash_branch` the crash fork is
-/// elided outright — callers pass it only when a static proof showed
-/// `¬cond` infeasible under the path constraints, in which case an
-/// exact fork check would have refuted the branch anyway (this only
-/// skips the query, and under cheap fork checking it also removes the
-/// spurious crash suspects the cheap layers cannot refute).
-#[allow(clippy::too_many_arguments)]
-fn fork_crash_unless(
-    pool: &mut TermPool,
-    st: &mut PathState,
-    cond: TermId,
-    reason: CrashReason,
-    skip_crash_branch: bool,
-    cfg: &SymConfig,
-    solver: &mut BvSolver,
-    states: &mut usize,
-    pruned: &mut usize,
-    segments: &mut Vec<Segment>,
-) -> bool {
-    if pool.is_true(cond) {
-        return true;
-    }
-    if pool.is_false(cond) {
-        segments.push(finish(pool, st, SegOutcome::Crash(reason), cfg));
-        return false;
-    }
-    if skip_crash_branch {
-        *pruned += 1;
+    /// Forks a crash segment on `¬cond` (if feasible); constrains the
+    /// current path with `cond`. Returns false if the path itself is
+    /// dead (cond constant-false). With `skip_crash_branch` the crash
+    /// fork is elided outright — callers pass it only when a static
+    /// proof showed `¬cond` infeasible under the path constraints, in
+    /// which case an exact fork check would have refuted the branch
+    /// anyway (this only skips the query, and under cheap fork
+    /// checking it also removes the spurious crash suspects the cheap
+    /// layers cannot refute).
+    fn fork_crash_unless(
+        &mut self,
+        st: &mut PathState,
+        cond: TermId,
+        reason: CrashReason,
+        skip_crash_branch: bool,
+    ) -> bool {
+        if self.pool.is_true(cond) {
+            return true;
+        }
+        if self.pool.is_false(cond) {
+            self.finish(st, SegOutcome::Crash(reason));
+            return false;
+        }
+        if skip_crash_branch {
+            self.pruned += 1;
+        } else {
+            let notc = self.pool.mk_not(cond);
+            self.crash_fork(st, notc, reason);
+        }
         st.constraint.push(cond);
-        return true;
+        true
     }
-    let notc = pool.mk_not(cond);
-    let mut crash_st = st.clone();
-    crash_st.constraint.push(notc);
-    if feasible(pool, solver, &crash_st.constraint, cfg) {
-        *states += 1;
-        segments.push(finish(pool, &crash_st, SegOutcome::Crash(reason), cfg));
-    } else {
-        *pruned += 1;
-    }
-    st.constraint.push(cond);
-    true
-}
 
-/// Applies map-op branches: each feasible branch becomes a new state on
-/// the worklist (continuing at the current instruction index).
-#[allow(clippy::too_many_arguments)]
-fn fork_map_branches(
-    pool: &mut TermPool,
-    st: &PathState,
-    branches: Vec<crate::mapmodel::MapBranch>,
-    cfg: &SymConfig,
-    solver: &mut BvSolver,
-    states: &mut usize,
-    pruned: &mut usize,
-    worklist: &mut Vec<PathState>,
-    mut apply: impl FnMut(&mut TermPool, &mut PathState, &crate::mapmodel::MapBranch),
-) {
-    for br in branches {
-        if *states > cfg.max_states {
-            // Stop materializing branches past the budget; the caller
-            // reports StateBudget (the "12h+" bars of Fig. 4).
-            return;
+    /// Applies map-op branches: each feasible branch becomes a new
+    /// state on the worklist (continuing at the current instruction
+    /// index).
+    fn fork_map_branches(
+        &mut self,
+        st: &PathState,
+        branches: Vec<MapBranch>,
+        mut apply: impl FnMut(&mut PathState, &MapBranch),
+    ) {
+        for br in branches {
+            if self.states > self.cfg.max_states {
+                // Stop materializing branches past the budget; `run`
+                // reports StateBudget (the "12h+" bars of Fig. 4).
+                return;
+            }
+            self.fork_state(st, &br.constraints, |_, s| apply(s, &br));
         }
-        let mut s = st.clone();
-        s.constraint.extend(br.constraints.iter().copied());
-        if !br.constraints.is_empty() && !feasible(pool, solver, &s.constraint, cfg) {
-            *pruned += 1;
-            continue;
-        }
-        apply(pool, &mut s, &br);
-        *states += 1;
-        worklist.push(s);
     }
-}
 
-/// Generic-engine offset concretization: one state per feasible offset
-/// value, each constrained with `off == s` and continuing at the
-/// current instruction position.
-#[allow(clippy::too_many_arguments)]
-fn fork_offsets(
-    pool: &mut TermPool,
-    st: &PathState,
-    off_t: TermId,
-    k: usize,
-    cfg: &SymConfig,
-    solver: &mut BvSolver,
-    states: &mut usize,
-    pruned: &mut usize,
-    worklist: &mut Vec<PathState>,
-    mut apply: impl FnMut(&mut TermPool, &mut PathState, usize),
-) {
-    let last = cfg.max_pkt_bytes.saturating_sub(k);
-    for s in 0..=last {
-        if *states > cfg.max_states {
-            return;
+    /// Generic-engine offset concretization: one state per feasible
+    /// offset value, each constrained with `off == s` and continuing
+    /// at the current instruction position.
+    fn fork_offsets(
+        &mut self,
+        st: &PathState,
+        off_t: TermId,
+        k: usize,
+        mut apply: impl FnMut(&mut TermPool, &mut PathState, usize),
+    ) {
+        let last = self.cfg.max_pkt_bytes.saturating_sub(k);
+        for s in 0..=last {
+            if self.states > self.cfg.max_states {
+                return;
+            }
+            let sc = self.pool.mk_const(16, s as u64);
+            let hit = self.pool.mk_eq(off_t, sc);
+            if !self.pool.is_false(hit) {
+                self.fork_state(st, &[hit], |pool, branch| apply(pool, branch, s));
+            }
         }
-        let sc = pool.mk_const(16, s as u64);
-        let hit = pool.mk_eq(off_t, sc);
-        if pool.is_false(hit) {
-            continue;
-        }
-        let mut branch = st.clone();
-        branch.constraint.push(hit);
-        if !feasible(pool, solver, &branch.constraint, cfg) {
-            *pruned += 1;
-            continue;
-        }
-        apply(pool, &mut branch, s);
-        *states += 1;
-        worklist.push(branch);
     }
 }
 
@@ -915,22 +786,6 @@ fn concat_be(pool: &mut TermPool, bytes: &[TermId]) -> TermId {
     acc
 }
 
-fn feasible(pool: &mut TermPool, solver: &mut BvSolver, cs: &[TermId], cfg: &SymConfig) -> bool {
-    if cfg.exact_forks {
-        // Treat Unknown (budget) as feasible: over-approximation keeps
-        // verification sound (extra suspects, never missed ones).
-        !matches!(solver.check(pool, cs), SatVerdict::Unsat(_))
-    } else {
-        // Cheap layers only.
-        let conj = pool.mk_conj(cs);
-        if pool.is_false(conj) {
-            return false;
-        }
-        let iv = bvsolve::interval_of(pool, conj);
-        !(iv.lo == 0 && iv.hi == 0)
-    }
-}
-
 /// Attaches statically proven exit facts to an `Emit` segment: the
 /// simplifier's exit-length interval becomes `assumed` terms. Each
 /// term is implied by the segment's path constraints (the interval
@@ -960,8 +815,7 @@ fn attach_assumed(pool: &mut TermPool, prog: &Program, st: &PathState, seg: &mut
     }
 }
 
-fn finish(pool: &mut TermPool, st: &PathState, outcome: SegOutcome, _cfg: &SymConfig) -> Segment {
-    let _ = pool;
+fn segment_of(st: &PathState, outcome: SegOutcome) -> Segment {
     Segment {
         constraint: st.constraint.clone(),
         assumed: Vec::new(),
