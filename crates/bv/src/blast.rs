@@ -1,15 +1,53 @@
 //! Bit-blasting: bitvector terms → CNF gates on a [`bitsat::Solver`].
 //!
-//! Every term is lowered to a vector of literals (LSB first) with
-//! Tseitin-encoded gate clauses. Word-level operations use the textbook
-//! circuits: ripple-carry adders, borrow-chain comparators, shift-add
-//! multipliers, barrel shifters, and restoring division.
+//! Every term is lowered to a vector of literals (LSB first). Every
+//! solver layer below — clause addition, rollback, propagation,
+//! branching — pays per variable and per clause, so the circuits are
+//! built to be small, from four gates of **one fresh output each**,
+//! emitted only after constant, repeated and complemented operands
+//! have been folded away (`maj(a, b, ⊥) = and(a, b)`,
+//! `ite(c, t, ¬t) = ¬xor(c, t)`, …):
 //!
-//! The per-term memo is **scoped**: [`Blaster::mark`] /
-//! [`Blaster::rollback`] drop every circuit blasted since the mark
-//! from the solver ([`bitsat::Solver::rollback`]) and forget the memo
-//! entries that pointed into it, so a term blasted again after its
-//! scope was popped gets a fresh circuit.
+//! | gate              | variables | clauses |
+//! |-------------------|-----------|---------|
+//! | AND (OR by De Morgan) | 1     | 3       |
+//! | XOR               | 1         | 4       |
+//! | ITE (mux)         | 1         | 6 (4 + the 2 redundant `t, e` clauses) |
+//! | MAJ (carry/borrow)| 1         | 6       |
+//! | n-ary AND         | 1         | n + 1   |
+//!
+//! Word-level operators at width n over symbolic operands (constant
+//! bits fold to less; `crates/bv/tests/circuit_size.rs` pins the
+//! 32-bit variable counts):
+//!
+//! | operator          | circuit | variables | clauses |
+//! |-------------------|---------|-----------|---------|
+//! | `add`, `sub`      | one ripple adder (`a - b = a + ¬b + 1`), no top carry | 3n − 2 | 14n − 13 |
+//! | `neg`             | the same adder over a zero operand | 2n − 3 | 7n − 10 |
+//! | `ult`, `ule`      | borrow chain | n | 6n − 3 |
+//! | `slt`, `sle`      | borrow chain + 2 XOR | n + 2 | 6n + 5 |
+//! | `eq`              | n XNOR under one n-ary AND | n + 1 | 5n + 1 |
+//! | `ite`             | n muxes | n | 6n |
+//! | `and`, `or`, `xor`| n gates | n | 3n, 3n, 4n |
+//! | `mul`             | shift-add: n(n+1)/2 ANDs, n − 1 shrinking adders | ≈ 2n² | ≈ 8.5n² |
+//! | `shl`, `lshr`     | ⌈log₂ n⌉ mux stages, a range check, n ANDs | ≈ n·(log₂ n + 2) | ≈ 6n·(log₂ n + 1) |
+//! | `udiv`, `urem`    | restoring: n rounds of compare, subtract (one shared chain), mux | ≈ 4n² | ≈ 20n² |
+//!
+//! Gates are **structurally hashed**: a table maps `(kind, normalised
+//! operands)` to the gate's output, so a gate asked for twice exists
+//! once — `ult(a, b)` and `ule(b, a)` are one borrow chain, and so are
+//! `ult(a, b)` and the carries of `a - b`. Keys are normalised
+//! (operands sorted; XOR over positive literals, MAJ with a positive
+//! first operand and ITE with a positive selector, the sign moved to
+//! the operands or the output).
+//!
+//! Both memos — per term and per gate — are **scoped**:
+//! [`Blaster::mark`] / [`Blaster::rollback`] drop every circuit blasted
+//! since the mark from the solver ([`bitsat::Solver::rollback`]) and
+//! forget the memo and gate-table entries logged since, so an entry
+//! never outlives a variable it names and a term blasted again after
+//! its scope was popped gets a fresh circuit. A gate in a live scope
+//! is shared by every scope above it.
 
 use crate::term::{Term, TermId, TermPool, UnOp};
 use bitsat::{Lit, SolveResult, Solver};
@@ -28,6 +66,12 @@ pub struct Blaster {
     /// Keys of `bits` / `var_bits` in insertion order — what
     /// [`Blaster::rollback`] forgets past a mark.
     memo_log: Vec<MemoKey>,
+    /// Structural hashing: the output of every gate defined in a live
+    /// scope. Only ever looked up, never iterated, so the circuits do
+    /// not depend on the hasher's seed.
+    gates: HashMap<Gate, Lit>,
+    /// Keys of `gates` in insertion order, truncated like `memo_log`.
+    gate_log: Vec<Gate>,
 }
 
 #[derive(Clone, Copy)]
@@ -36,11 +80,34 @@ enum MemoKey {
     Var(u32),
 }
 
+/// A gate over normalised operands — the structural-hashing key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// Operands sorted.
+    And(Lit, Lit),
+    /// Operands positive and sorted.
+    Xor(Lit, Lit),
+    /// `(selector, then, else)`, selector positive.
+    Ite(Lit, Lit, Lit),
+    /// Operands sorted, the first positive.
+    Maj(Lit, Lit, Lit),
+}
+
+impl Gate {
+    fn operands(self) -> [Lit; 3] {
+        match self {
+            Gate::And(a, b) | Gate::Xor(a, b) => [a, b, b],
+            Gate::Ite(a, b, c) | Gate::Maj(a, b, c) => [a, b, c],
+        }
+    }
+}
+
 /// A point in a blaster's history (see [`Blaster::mark`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BlastMark {
     sat: bitsat::Mark,
     memo: usize,
+    gates: usize,
 }
 
 impl Default for Blaster {
@@ -62,6 +129,8 @@ impl Blaster {
             bits: HashMap::new(),
             var_bits: HashMap::new(),
             memo_log: Vec::new(),
+            gates: HashMap::new(),
+            gate_log: Vec::new(),
         }
     }
 
@@ -71,16 +140,18 @@ impl Blaster {
         BlastMark {
             sat: self.sat.mark(),
             memo: self.memo_log.len(),
+            gates: self.gate_log.len(),
         }
     }
 
     /// Drops everything blasted since `mark` — SAT variables, gate
-    /// clauses, gated assertions and the memo entries naming them.
-    /// Everything a blaster adds is a gate definition over fresh
-    /// variables or a clause gated on a fresh activation literal, the
-    /// conservative extensions [`bitsat::Solver::rollback`] requires,
-    /// so learnt clauses over the surviving circuit are kept. Not for
-    /// use across [`Blaster::assert_true`], whose unit is permanent.
+    /// clauses, gated assertions and the memo and gate-table entries
+    /// naming them. Everything a blaster adds is a gate definition of
+    /// a fresh output or a clause gated on a fresh activation literal,
+    /// the conservative extensions [`bitsat::Solver::rollback`]
+    /// requires, so learnt clauses over the surviving circuit are kept.
+    /// Not for use across [`Blaster::assert_true`], whose unit is
+    /// permanent.
     pub fn rollback(&mut self, mark: BlastMark) {
         for key in self.memo_log.drain(mark.memo..) {
             match key {
@@ -88,7 +159,18 @@ impl Blaster {
                 MemoKey::Var(id) => drop(self.var_bits.remove(&id)),
             }
         }
+        for key in self.gate_log.drain(mark.gates..) {
+            self.gates.remove(&key);
+        }
         self.sat.rollback(mark.sat);
+        debug_assert!(
+            self.gates.len() == self.gate_log.len()
+                && self.gate_log.iter().all(|key| {
+                    let live = |l: &Lit| l.var().index() < self.sat.num_vars();
+                    key.operands().iter().all(live) && live(&self.gates[key])
+                }),
+            "a gate-table entry outlived a variable it names"
+        );
     }
 
     /// Sets the CDCL conflict budget (see [`Solver::set_conflict_budget`]).
@@ -126,6 +208,55 @@ impl Blaster {
     }
 
     // --- gates ---------------------------------------------------------
+    //
+    // Each `g_*` folds constant, repeated and complemented operands,
+    // normalises what is left into a `Gate` key and leaves the table
+    // lookup and the clauses to `gate`. Literals order by variable, a
+    // literal next to its complement and the constants (variable 0)
+    // first, which is what the sorts below rely on.
+
+    /// The output of `key`'s gate: the one already defined in a live
+    /// scope, or a fresh variable constrained to the gate's function.
+    fn gate(&mut self, key: Gate) -> Lit {
+        if let Some(&o) = self.gates.get(&key) {
+            return o;
+        }
+        let o = self.fresh();
+        match key {
+            Gate::And(a, b) => {
+                self.sat.add_clause(&[!o, a]);
+                self.sat.add_clause(&[!o, b]);
+                self.sat.add_clause(&[o, !a, !b]);
+            }
+            Gate::Xor(a, b) => {
+                self.sat.add_clause(&[!o, a, b]);
+                self.sat.add_clause(&[!o, !a, !b]);
+                self.sat.add_clause(&[o, !a, b]);
+                self.sat.add_clause(&[o, a, !b]);
+            }
+            Gate::Ite(c, t, e) => {
+                self.sat.add_clause(&[!o, !c, t]);
+                self.sat.add_clause(&[o, !c, !t]);
+                self.sat.add_clause(&[!o, c, e]);
+                self.sat.add_clause(&[o, c, !e]);
+                // Redundant, but they let `t` and `e` alone force the
+                // output while the selector is still open.
+                self.sat.add_clause(&[!o, t, e]);
+                self.sat.add_clause(&[o, !t, !e]);
+            }
+            Gate::Maj(a, b, c) => {
+                self.sat.add_clause(&[o, !a, !b]);
+                self.sat.add_clause(&[o, !a, !c]);
+                self.sat.add_clause(&[o, !b, !c]);
+                self.sat.add_clause(&[!o, a, b]);
+                self.sat.add_clause(&[!o, a, c]);
+                self.sat.add_clause(&[!o, b, c]);
+            }
+        }
+        self.gates.insert(key, o);
+        self.gate_log.push(key);
+        o
+    }
 
     fn g_and(&mut self, a: Lit, b: Lit) -> Lit {
         if a == self.false_lit() || b == self.false_lit() {
@@ -143,11 +274,7 @@ impl Blaster {
         if a == !b {
             return self.false_lit();
         }
-        let o = self.fresh();
-        self.sat.add_clause(&[!o, a]);
-        self.sat.add_clause(&[!o, b]);
-        self.sat.add_clause(&[!a, !b, o]);
-        o
+        self.gate(Gate::And(a.min(b), a.max(b)))
     }
 
     fn g_or(&mut self, a: Lit, b: Lit) -> Lit {
@@ -176,12 +303,15 @@ impl Blaster {
         if a == !b {
             return self.true_lit;
         }
-        let o = self.fresh();
-        self.sat.add_clause(&[!o, a, b]);
-        self.sat.add_clause(&[!o, !a, !b]);
-        self.sat.add_clause(&[o, !a, b]);
-        self.sat.add_clause(&[o, a, !b]);
-        o
+        // xor(¬a, b) = ¬xor(a, b): one gate serves all four sign
+        // patterns, the sign carried on the output.
+        let (pa, pb) = (Lit::pos(a.var()), Lit::pos(b.var()));
+        let o = self.gate(Gate::Xor(pa.min(pb), pa.max(pb)));
+        if a.is_positive() == b.is_positive() {
+            o
+        } else {
+            !o
+        }
     }
 
     fn g_ite(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
@@ -194,46 +324,120 @@ impl Blaster {
         if t == e {
             return t;
         }
-        let a = self.g_and(c, t);
-        let b = self.g_and(!c, e);
-        self.g_or(a, b)
+        if t == !e {
+            let x = self.g_xor(c, t);
+            return !x;
+        }
+        if t == self.true_lit || t == c {
+            return self.g_or(c, e);
+        }
+        if t == self.false_lit() || t == !c {
+            return self.g_and(!c, e);
+        }
+        if e == self.true_lit || e == !c {
+            return self.g_or(!c, t);
+        }
+        if e == self.false_lit() || e == c {
+            return self.g_and(c, t);
+        }
+        if c.is_positive() {
+            self.gate(Gate::Ite(c, t, e))
+        } else {
+            self.gate(Gate::Ite(!c, e, t))
+        }
     }
 
     /// Majority of three — the carry/borrow gate.
     fn g_maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
-        let ab = self.g_and(a, b);
-        let ac = self.g_and(a, c);
-        let bc = self.g_and(b, c);
-        let t = self.g_or(ab, ac);
-        self.g_or(t, bc)
+        let mut ops = [a, b, c];
+        ops.sort();
+        let [a, b, c] = ops;
+        if a == self.true_lit {
+            return self.g_or(b, c);
+        }
+        if a == self.false_lit() {
+            return self.g_and(b, c);
+        }
+        if a == b || b == c {
+            return b;
+        }
+        if a == !b {
+            return c;
+        }
+        if b == !c {
+            return a;
+        }
+        // maj(¬a, ¬b, ¬c) = ¬maj(a, b, c): keyed with a positive first
+        // operand, so a borrow chain (`ult`) and the carry chain of the
+        // matching subtraction are one chain.
+        if a.is_positive() {
+            self.gate(Gate::Maj(a, b, c))
+        } else {
+            !self.gate(Gate::Maj(!a, !b, !c))
+        }
+    }
+
+    /// Conjunction of any number of literals on one output. Three or
+    /// more are not entered in the gate table: the one caller, `eq`, is
+    /// already shared per term.
+    fn g_and_all(&mut self, mut lits: Vec<Lit>) -> Lit {
+        lits.sort();
+        lits.dedup();
+        if lits.first() == Some(&self.true_lit) {
+            lits.remove(0);
+        }
+        if lits.first() == Some(&self.false_lit()) || lits.windows(2).any(|w| w[0] == !w[1]) {
+            return self.false_lit();
+        }
+        match lits[..] {
+            [] => self.true_lit,
+            [a] => a,
+            [a, b] => self.g_and(a, b),
+            _ => {
+                let o = self.fresh();
+                for &l in &lits {
+                    self.sat.add_clause(&[!o, l]);
+                }
+                for l in &mut lits {
+                    *l = !*l;
+                }
+                lits.push(o);
+                self.sat.add_clause(&lits);
+                o
+            }
+        }
     }
 
     // --- word-level circuits --------------------------------------------
 
-    fn add_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
+    /// `a + b + carry_in`, truncated to the operands' width.
+    fn add_vec_carry(&mut self, a: &[Lit], b: &[Lit], carry_in: Lit) -> Vec<Lit> {
         debug_assert_eq!(a.len(), b.len());
         let mut out = Vec::with_capacity(a.len());
-        let mut carry = self.false_lit();
+        let mut carry = carry_in;
         for i in 0..a.len() {
             let axb = self.g_xor(a[i], b[i]);
-            let s = self.g_xor(axb, carry);
-            carry = self.g_maj(a[i], b[i], carry);
-            out.push(s);
+            out.push(self.g_xor(axb, carry));
+            if i + 1 < a.len() {
+                carry = self.g_maj(a[i], b[i], carry);
+            }
         }
         out
     }
 
-    fn neg_vec(&mut self, a: &[Lit]) -> Vec<Lit> {
-        // -a = ~a + 1
-        let inv: Vec<Lit> = a.iter().map(|&l| !l).collect();
-        let mut one = vec![self.false_lit(); a.len()];
-        one[0] = self.true_lit;
-        self.add_vec(&inv, &one)
+    fn add_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
+        self.add_vec_carry(a, b, self.false_lit())
     }
 
+    /// `a - b = a + ¬b + 1`.
     fn sub_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        let nb = self.neg_vec(b);
-        self.add_vec(a, &nb)
+        let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
+        self.add_vec_carry(a, &nb, self.true_lit)
+    }
+
+    fn neg_vec(&mut self, a: &[Lit]) -> Vec<Lit> {
+        let zero = vec![self.false_lit(); a.len()];
+        self.sub_vec(&zero, a)
     }
 
     /// `a <u b` via the borrow chain.
@@ -255,12 +459,10 @@ impl Blaster {
     }
 
     fn eq_vec(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        let mut acc = self.true_lit;
-        for i in 0..a.len() {
-            let x = self.g_xor(a[i], b[i]);
-            acc = self.g_and(acc, !x);
-        }
-        acc
+        let same = (0..a.len())
+            .map(|i| !self.g_xor(a[i], b[i]))
+            .collect::<Vec<_>>();
+        self.g_and_all(same)
     }
 
     fn mul_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
@@ -547,7 +749,11 @@ impl Blaster {
     /// After a SAT verdict: the value of symbolic variable `id`.
     /// Variables that never appeared in an asserted term return `None`.
     pub fn model_var(&self, id: u32) -> Option<u64> {
-        let bits = self.var_bits.get(&id)?;
+        self.var_bits.get(&id).map(|bits| self.model_bits(bits))
+    }
+
+    /// After a SAT verdict: the word `bits` (LSB first) spell.
+    fn model_bits(&self, bits: &[Lit]) -> u64 {
         let mut v = 0u64;
         for (i, &l) in bits.iter().enumerate() {
             let bit = self.sat.value(l.var()).unwrap_or(false) == l.is_positive();
@@ -555,7 +761,7 @@ impl Blaster {
                 v |= 1 << i;
             }
         }
-        Some(v)
+        v
     }
 
     /// Propositional statistics of the underlying solver.
@@ -595,6 +801,188 @@ mod tests {
         let mut bl = Blaster::new();
         bl.assert_true(pool, t);
         assert!(bl.check().is_unsat());
+    }
+
+    /// Drives `gate` over every operand shape — ⊤, ⊥, an input, a
+    /// complemented input, so repeated and complementary operands are
+    /// among them — on one blaster, so later shapes meet the table
+    /// entries of earlier ones. Under every input assignment the
+    /// returned literal must be forced to `spec` of the operand values
+    /// by unit propagation alone.
+    fn gate_is_forced_to(
+        arity: usize,
+        gate: impl Fn(&mut Blaster, &[Lit]) -> Lit,
+        spec: impl Fn(&[bool]) -> bool,
+    ) {
+        let mut bl = Blaster::new();
+        let inputs: Vec<Lit> = (0..arity).map(|_| bl.fresh()).collect();
+        let mut shapes = vec![bl.true_lit, bl.false_lit()];
+        shapes.extend(inputs.iter().flat_map(|&x| [x, !x]));
+        for pick in 0..shapes.len().pow(arity as u32) {
+            let ops: Vec<Lit> = (0..arity)
+                .map(|k| shapes[pick / shapes.len().pow(k as u32) % shapes.len()])
+                .collect();
+            let vars = bl.num_sat_vars();
+            let out = gate(&mut bl, &ops);
+            assert!(
+                bl.num_sat_vars() <= vars + 1,
+                "{ops:?}: more than one output"
+            );
+            for bits in 0..1usize << arity {
+                let mut assume: Vec<Lit> = (0..arity)
+                    .map(|j| {
+                        if bits >> j & 1 == 1 {
+                            inputs[j]
+                        } else {
+                            !inputs[j]
+                        }
+                    })
+                    .collect();
+                let value = |l: Lit| assume.contains(&l) || l == bl.true_lit;
+                let want = spec(&ops.iter().map(|&l| value(l)).collect::<Vec<_>>());
+                let decisions = bl.sat_stats().decisions;
+                assume.push(if want { out } else { !out });
+                assert!(
+                    bl.check_assuming(&assume).is_sat(),
+                    "{ops:?} under {bits:b}"
+                );
+                *assume.last_mut().unwrap() = if want { !out } else { out };
+                assert!(
+                    bl.check_assuming(&assume).is_unsat(),
+                    "{ops:?} under {bits:b}"
+                );
+                assert_eq!(bl.sat_stats().decisions, decisions, "{ops:?} needed search");
+            }
+        }
+    }
+
+    #[test]
+    fn gates_are_forced_by_propagation_on_every_operand_shape() {
+        gate_is_forced_to(2, |bl, o| bl.g_and(o[0], o[1]), |v| v[0] && v[1]);
+        gate_is_forced_to(2, |bl, o| bl.g_or(o[0], o[1]), |v| v[0] || v[1]);
+        gate_is_forced_to(2, |bl, o| bl.g_xor(o[0], o[1]), |v| v[0] != v[1]);
+        gate_is_forced_to(
+            3,
+            |bl, o| bl.g_ite(o[0], o[1], o[2]),
+            |v| if v[0] { v[1] } else { v[2] },
+        );
+        gate_is_forced_to(
+            3,
+            |bl, o| bl.g_maj(o[0], o[1], o[2]),
+            |v| usize::from(v[0]) + usize::from(v[1]) + usize::from(v[2]) >= 2,
+        );
+        gate_is_forced_to(
+            3,
+            |bl, o| bl.g_and_all(o.iter().chain(o).copied().collect()),
+            |v| v[0] && v[1] && v[2],
+        );
+    }
+
+    /// How the blaster sees the second 4-bit operand `y`.
+    #[derive(Clone, Copy, Debug)]
+    enum Alias {
+        /// A variable of its own.
+        Free,
+        /// The very literals of `x` — `x - x`, `ult(x, x)`.
+        SameAsX,
+        /// The complemented literals of `x` — `ite(c, x, ¬x)`.
+        NotX,
+    }
+
+    /// Every word-level circuit over 4-bit `x`, `y` and 1-bit `c`, all
+    /// in one blaster (so `ult(x, y)`, `ule(y, x)` and `x - y` meet in
+    /// the gate table), against [`eval`] on every input assignment.
+    /// The aliasing is invisible to the term layer, whose constructors
+    /// would fold `x - x` before the blaster saw it.
+    fn words_match_eval(alias: Alias) {
+        let mut p = TermPool::new();
+        let x = p.fresh_var("x", 4);
+        let y = p.fresh_var("y", 4);
+        let c = p.fresh_var("c", 1);
+        let k = p.mk_const(4, 0b0110);
+        let terms = [
+            p.mk_add(x, y),
+            p.mk_sub(x, y),
+            p.mk_sub(y, x),
+            p.mk_neg(x),
+            p.mk_mul(x, y),
+            p.mk_udiv(x, y),
+            p.mk_urem(x, y),
+            p.mk_shl(x, y),
+            p.mk_lshr(x, y),
+            p.mk_ult(x, y),
+            p.mk_ule(y, x),
+            p.mk_ule(x, y),
+            p.mk_slt(x, y),
+            p.mk_sle(x, y),
+            p.mk_eq(x, y),
+            p.mk_ite(c, x, y),
+            p.mk_eq(x, k),
+            p.mk_ult(x, k),
+            p.mk_sub(k, x),
+        ];
+        let mut bl = Blaster::new();
+        let xv = bl.blast(&p, x);
+        match alias {
+            Alias::Free => {}
+            // Variable 1 is `y`.
+            Alias::SameAsX => drop(bl.var_bits.insert(1, xv.clone())),
+            Alias::NotX => drop(bl.var_bits.insert(1, xv.iter().map(|&l| !l).collect())),
+        }
+        let yv = bl.blast(&p, y);
+        let cv = bl.blast(&p, c);
+        let outs: Vec<Vec<Lit>> = terms.iter().map(|&t| bl.blast(&p, t)).collect();
+        for input in 0..1u64 << 9 {
+            let (vx, vy, vc) = (input & 0xF, input >> 4 & 0xF, input >> 8);
+            let possible = match alias {
+                Alias::Free => true,
+                Alias::SameAsX => vy == vx,
+                Alias::NotX => vy == !vx & 0xF,
+            };
+            if !possible {
+                continue;
+            }
+            // Variable ids follow creation order: x, y, c.
+            let mut a = Assignment::new();
+            a.set(0, vx);
+            a.set(1, vy);
+            a.set(2, vc);
+            // Redundant under an alias, but never contradictory.
+            let assume: Vec<Lit> = [(&xv, vx), (&yv, vy), (&cv, vc)]
+                .into_iter()
+                .flat_map(|(bits, v)| {
+                    bits.iter()
+                        .enumerate()
+                        .map(move |(i, &l)| if v >> i & 1 == 1 { l } else { !l })
+                })
+                .collect();
+            let decisions = bl.sat_stats().decisions;
+            assert!(bl.check_assuming(&assume).is_sat());
+            assert_eq!(
+                bl.sat_stats().decisions,
+                decisions,
+                "a circuit's outputs are functions of its inputs"
+            );
+            for (&t, out) in terms.iter().zip(&outs) {
+                assert_eq!(
+                    bl.model_bits(out),
+                    eval(&p, t, &a),
+                    "{alias:?}: {} at x={vx} y={vy} c={vc}",
+                    crate::pretty::print_term(&p, t)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_circuits_match_eval_on_all_width_4_operands() {
+        words_match_eval(Alias::Free);
+    }
+
+    #[test]
+    fn word_circuits_match_eval_on_aliased_operands() {
+        words_match_eval(Alias::SameAsX);
+        words_match_eval(Alias::NotX);
     }
 
     #[test]

@@ -399,13 +399,16 @@ mod tests {
 
     #[test]
     fn blast_cache_and_learnt_reuse_counters() {
+        // Factoring 251 * 241 over a product too wide to wrap: the
+        // first call cannot find the one factor pair without conflicts.
         let mut pool = TermPool::new();
-        let x = pool.fresh_var("x", 8);
-        let y = pool.fresh_var("y", 8);
-        let one = pool.mk_const(8, 1);
-        let c35 = pool.mk_const(8, 35);
-        let prod = pool.mk_mul(x, y);
-        let eq = pool.mk_eq(prod, c35);
+        let x = pool.fresh_var("x", 16);
+        let y = pool.fresh_var("y", 16);
+        let one = pool.mk_const(16, 1);
+        let semiprime = pool.mk_const(32, 251 * 241);
+        let (wx, wy) = (pool.mk_zext(x, 32), pool.mk_zext(y, 32));
+        let prod = pool.mk_mul(wx, wy);
+        let eq = pool.mk_eq(prod, semiprime);
         let gx = pool.mk_ult(one, x);
         let gy = pool.mk_ult(one, y);
 

@@ -254,6 +254,63 @@ fn solver_size_stays_bounded_over_5000_cycles() {
     assert_eq!(session.num_sat_vars(), empty_vars);
 }
 
+#[test]
+fn gate_table_entries_leave_with_their_scope() {
+    // `a + b` and `ult(a, b)` fill the blaster's gate table inside a
+    // scope. Rolled back, their variable indices go to other circuits
+    // over the same (surviving) inputs; asserted again, the first terms
+    // must get gates of their own. A table entry that outlived its
+    // scope would wire them to whatever owns the index now.
+    let mut pool = TermPool::new();
+    let a = pool.fresh_var("a", 8);
+    let b = pool.fresh_var("b", 8);
+    // Below every scope that comes and goes: keeps the inputs blasted,
+    // and — both odd — makes half the sums and differences infeasible
+    // in a way only the circuits can see.
+    let one = pool.mk_const(8, 1);
+    let base = [a, b].map(|v| {
+        let low = pool.mk_and(v, one);
+        pool.mk_eq(low, one)
+    });
+    let sum = pool.mk_add(a, b);
+    let lt = pool.mk_ult(a, b);
+    let diff = pool.mk_sub(b, a);
+    let mix = pool.mk_xor(a, b);
+    let mix_gt = pool.mk_ult(a, mix);
+
+    let mut session = SolveSession::new();
+    let mut queries = 0;
+    let mut verdicts = [0usize; 2];
+    let mut ask = |session: &mut SolveSession, pool: &mut TermPool, top: [TermId; 2]| {
+        let cs = [base[0], base[1], top[0], top[1]];
+        let got = session.check_constraints(pool, &cs);
+        let want = BvSolver::new().check(pool, &cs);
+        assert_eq!(
+            (got.is_sat(), got.is_unsat()),
+            (want.is_sat(), want.is_unsat()),
+            "query {queries} diverged from the fresh solver"
+        );
+        queries += 1;
+        verdicts[usize::from(got.is_sat())] += 1;
+        session.num_sat_vars()
+    };
+    for k in 0..40u64 {
+        let sum_is = pool.mk_const(8, 11 * k);
+        let sum_is = pool.mk_eq(sum, sum_is);
+        let diff_is = pool.mk_const(8, 7 * k + 1);
+        let diff_is = pool.mk_eq(diff, diff_is);
+        let first = ask(&mut session, &mut pool, [sum_is, lt]);
+        ask(&mut session, &mut pool, [diff_is, mix_gt]);
+        let again = ask(&mut session, &mut pool, [sum_is, lt]);
+        assert_eq!(
+            first, again,
+            "round {k}: the same stack, a different circuit"
+        );
+    }
+    assert_eq!(session.stats().by_blast, queries, "every query must blast");
+    assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+}
+
 /// What [`fork_walk`] saw.
 struct Walk {
     deepest: usize,
@@ -343,7 +400,7 @@ fn fork_walk_stays_correct_after_unknown() {
     // the session decides afterwards must still be right.
     let mut session = SolveSession::with_conflict_budget(1);
     session.set_core_extraction(false);
-    let walk = fork_walk(&mut session, 0xF0_4B3, 400);
+    let walk = fork_walk(&mut session, 0xF0_4B4, 400);
     assert!(walk.deepest >= 64, "stack only {} deep", walk.deepest);
     assert!(walk.unknown > 0, "a one-conflict budget starved no query");
     assert!(walk.decided_after_unknown > 0);

@@ -1,8 +1,11 @@
 //! Clause storage.
 //!
-//! Clauses live in a single arena (`ClauseDb`) and are referred to by
-//! [`ClauseRef`] indices, so the propagation inner loop never chases
-//! pointers and learnt clauses can be compacted in place.
+//! Clause headers live in a single arena (`ClauseDb`) and are referred
+//! to by [`ClauseRef`] indices, so watchers and reasons stay valid as
+//! the arena grows and the learnt tail can be compacted in place. The
+//! literals are not in the arena: each [`Clause`] owns a heap
+//! `Vec<Lit>`, so the propagation loop follows one pointer per visited
+//! watcher whose blocker is not already true.
 
 use crate::lit::Lit;
 

@@ -71,6 +71,9 @@ pub struct SolverStats {
 /// = `RESTART_BASE * luby(n)`).
 const RESTART_BASE: u64 = 64;
 
+/// Longest clause [`Solver::add_clause`] simplifies without sorting.
+const SHORT_CLAUSE: usize = 8;
+
 /// Watcher entry: a clause plus a "blocker" literal checked before
 /// touching the clause (MiniSat-style optimization).
 #[derive(Debug, Clone, Copy)]
@@ -309,22 +312,49 @@ impl Solver {
         if self.unsat {
             return false;
         }
+        debug_assert!(
+            lits.iter().all(|l| l.var().index() < self.num_vars()),
+            "unknown variable"
+        );
         // Simplify: drop duplicate/false literals, detect tautologies.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
-            debug_assert!(l.var().index() < self.num_vars(), "unknown variable");
-            if sorted.binary_search(&!l).is_ok() && l.is_positive() {
-                return true; // tautology: contains l and ¬l
+        // Gate clauses — nearly every call — are two or three literals
+        // long: those are scanned in place, unsorted, and allocate only
+        // if they end up stored.
+        if lits.len() <= SHORT_CLAUSE {
+            let mut c = [Lit::from_code(0); SHORT_CLAUSE];
+            let mut n = 0;
+            for &l in lits {
+                if c[..n].contains(&!l) {
+                    return true; // tautology: contains l and ¬l
+                }
+                match self.lit_value(l) {
+                    Some(true) => return true, // already satisfied at level 0
+                    Some(false) => {}          // falsified at level 0: drop
+                    None if c[..n].contains(&l) => {}
+                    None => {
+                        c[n] = l;
+                        n += 1;
+                    }
+                }
             }
-            match self.lit_value(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => {}          // falsified at level 0: drop
-                None => c.push(l),
-            }
+            return self.add_simplified(&c[..n]);
         }
+        let mut c = lits.to_vec();
+        c.sort();
+        c.dedup();
+        // Sorted, a literal sits next to its complement.
+        let tautology = c.windows(2).any(|w| w[0] == !w[1]);
+        if tautology || c.iter().any(|&l| self.lit_value(l) == Some(true)) {
+            return true;
+        }
+        c.retain(|&l| self.lit_value(l).is_none());
+        self.add_simplified(&c)
+    }
+
+    /// Stores a clause of distinct, unassigned, non-complementary
+    /// literals (at level 0): empty is a top-level conflict, a unit is
+    /// propagated, anything longer is attached.
+    fn add_simplified(&mut self, c: &[Lit]) -> bool {
         match c.len() {
             0 => {
                 self.unsat = true;
@@ -340,7 +370,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.add(c, false);
+                let cref = self.db.add(c.to_vec(), false);
                 self.attach(cref);
                 true
             }
