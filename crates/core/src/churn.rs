@@ -311,27 +311,26 @@ impl ChurnSession {
         Ok(self.run_update(effect.touched, tables_changed, t0))
     }
 
-    /// Applies a burst of table updates as **one** incremental step:
-    /// every delta is validated and applied atomically (any error
-    /// leaves the pipeline exactly as before `apply_batch` and nothing
-    /// re-verifies), the touched stages are coalesced, and the
-    /// property set is re-established once for the whole burst — not
-    /// once per delta. Control planes batch naturally (a BGP
-    /// convergence event is thousands of FIB updates), and per-stage
-    /// re-execution is keyed on the *net* table state, so a burst that
-    /// touches one stage fifty times re-summarizes it once — and a
-    /// burst whose deltas cancel out replays like a no-op.
+    /// Applies a burst of table updates as **one** incremental step
+    /// (this is `dpv-serve`'s burst path): the whole burst is
+    /// validated first and only then applied, in place
+    /// ([`TableDelta::apply_burst`] — once validation passes no delta
+    /// can fail, so any error leaves the pipeline exactly as before
+    /// `apply_batch` and nothing re-verifies), the touched stages are
+    /// coalesced, and the property set is re-established once for the
+    /// whole burst — not once per delta. Control planes batch naturally
+    /// (a BGP convergence event is thousands of FIB updates), and
+    /// per-stage re-execution is keyed on the *net* table state, so a
+    /// burst that touches one stage fifty times re-summarizes it once —
+    /// and a burst whose deltas cancel out replays like a no-op.
     pub fn apply_batch(&mut self, deltas: &[TableDelta]) -> Result<UpdateReport, DeltaError> {
         let t0 = Instant::now();
-        let mut next = self.pipeline.clone();
         let mut coalesced: BTreeMap<usize, bool> = BTreeMap::new();
-        for delta in deltas {
-            let effect = delta.apply(&mut next)?;
+        for effect in TableDelta::apply_burst(deltas, &mut self.pipeline)? {
             for (k, changed) in effect.touched {
                 *coalesced.entry(k).or_insert(false) |= changed;
             }
         }
-        self.pipeline = next;
         self.updates += 1;
         self.stats.updates += 1;
         // The per-delta `changed` flags can overstate the net effect

@@ -10,8 +10,10 @@
 //! and composed-path counts — cache temperature may only change who
 //! executes, never what is concluded.
 
-use dataplane::{Pipeline, TableDelta, TableOp};
-use elements::pipelines::{edge_fib, to_pipeline};
+use dataplane::{
+    DeltaError, Pipeline, TableConfig, TableContents, TableDelta, TableKindError, TableOp,
+};
+use elements::pipelines::{core_fib, edge_fib, ip_router, to_pipeline};
 use std::path::PathBuf;
 use std::sync::Arc;
 use symexec::SymConfig;
@@ -340,6 +342,160 @@ fn apply_batch_is_atomic_on_error() {
     assert_eq!(
         keys_before, keys_after,
         "a failed batch must leave every table untouched (first delta included)"
+    );
+}
+
+#[test]
+fn apply_batch_validates_against_the_kinds_its_replaces_install() {
+    let mut session = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
+        .expect("search-based properties");
+    session.verify();
+    let before = tables_of(session.pipeline());
+    let fib_to_exact = || fib_delta(TableOp::Replace(TableConfig::exact(vec![(0x0C00_0000, 2)])));
+
+    // The FIB is exact by the time the second delta lands: an LPM op
+    // no longer fits, whatever the table was when the burst arrived.
+    let err = session
+        .apply_batch(&[
+            fib_to_exact(),
+            fib_delta(TableOp::LpmInsert(vec![(0x0C00_0000, 8, 2)])),
+        ])
+        .expect_err("LPM op on a table the burst made exact");
+    assert!(matches!(
+        err,
+        DeltaError::KindMismatch {
+            kind: TableKindError::ExpectedLpm,
+            ..
+        }
+    ));
+    let err = session
+        .apply_batch(&[
+            filter_delta(TableOp::ExactInsert(vec![(0x0BAD_4242, 1)])),
+            fib_delta(TableOp::LpmInsert(vec![(0x0C00_0000, 8, 2)])),
+            TableDelta::new(
+                "NoSuchElement",
+                dpir::MapId(0),
+                TableOp::ExactRemove(vec![1]),
+            ),
+        ])
+        .expect_err("third delta names no stage");
+    assert_eq!(err, DeltaError::NoSuchStage("NoSuchElement".into()));
+    assert_eq!(tables_of(session.pipeline()), before);
+    assert_eq!(session.stats().updates, 0, "a rejected burst is no update");
+
+    // ... and an exact op, which the table as it stands would refuse,
+    // does.
+    let report = session
+        .apply_batch(&[
+            fib_to_exact(),
+            fib_delta(TableOp::ExactInsert(vec![(0x0D00_0000, 3)])),
+        ])
+        .expect("exact op on a table the burst made exact");
+    assert_eq!(report.update, 1);
+    assert_eq!(session.stats().updates, 1);
+    let fib = &session.pipeline().stages[3].element.tables[0].1;
+    assert_eq!(fib.as_pairs(), [(0x0C00_0000, 2), (0x0D00_0000, 3)]);
+}
+
+/// Every table of every stage, entry order included.
+fn tables_of(p: &Pipeline) -> Vec<Vec<(dpir::MapId, TableContents, u128)>> {
+    p.stages
+        .iter()
+        .map(|s| {
+            s.element
+                .tables
+                .iter()
+                .map(|(m, c)| (*m, c.contents().clone(), c.pairs_fingerprint()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A session outlives a rejected burst at the table size the
+/// allocation guards are stated for: nothing of the rejected burst
+/// stays behind, and the bursts around it still match a session fed
+/// one delta at a time.
+#[test]
+fn rejected_burst_on_a_100k_route_fib_leaves_no_trace() {
+    let core_router = || to_pipeline("core-router", ip_router(7, 1, core_fib(100_000)));
+    // Table-blind properties: no Tables-mode term over 100 k routes.
+    let abstract_props = || vec![Property::CrashFreedom, Property::Bounded { imax: 10_000 }];
+    let mk = || {
+        let mut s = ChurnSession::new(core_router(), abstract_props(), cfg(), ReuseLevel::Sessions)
+            .expect("search-based properties");
+        s.verify();
+        s
+    };
+    // core_fib(n) holds 0.x.y.0/24 → i % 4; 224.0.0.0/3 is outside it.
+    let valid = vec![
+        fib_delta(TableOp::LpmInsert(vec![(0xE000_0100, 24, 1)])),
+        fib_delta(TableOp::LpmRemove(vec![(7 << 8, 24)])),
+        fib_delta(TableOp::LpmInsert(vec![
+            (9 << 8, 24, 3),
+            (0xE000_0200, 24, 2),
+        ])),
+    ];
+    let inverse = vec![
+        fib_delta(TableOp::LpmRemove(vec![
+            (0xE000_0100, 24),
+            (0xE000_0200, 24),
+        ])),
+        fib_delta(TableOp::LpmInsert(vec![(7 << 8, 24, 7 % 4)])),
+        fib_delta(TableOp::LpmInsert(vec![(9 << 8, 24, 9 % 4)])),
+    ];
+    let rejected = vec![
+        fib_delta(TableOp::LpmInsert(vec![(0xE000_0300, 24, 0)])),
+        fib_delta(TableOp::LpmRemove(vec![(11 << 8, 24)])),
+        fib_delta(TableOp::ExactInsert(vec![(0xE000_0400, 1)])),
+        fib_delta(TableOp::LpmRemove(vec![(13 << 8, 24)])),
+    ];
+
+    let mut batched = mk();
+    let mut serial = mk();
+    let mut fresh = core_router();
+    let mut updates = 0;
+    for (what, burst, fits) in [
+        ("valid", &valid, true),
+        ("rejected", &rejected, false),
+        ("inverse", &inverse, true),
+    ] {
+        if !fits {
+            let err = batched
+                .apply_batch(burst)
+                .expect_err("exact op on the LPM FIB");
+            assert_eq!(
+                err,
+                DeltaError::KindMismatch {
+                    stage: "IPlookup".into(),
+                    map: dpir::MapId(0),
+                    kind: TableKindError::ExpectedExact,
+                }
+            );
+        } else {
+            let report = batched.apply_batch(burst).expect("valid burst");
+            updates += 1;
+            let mut last = None;
+            for d in burst {
+                d.apply(&mut fresh).expect("valid delta");
+                last = Some(serial.apply_delta(d).expect("valid delta"));
+            }
+            let last = last.expect("non-empty burst");
+            for (s, b) in last.reports.iter().zip(&report.reports) {
+                assert_identical(s, b, &format!("{what} burst, {}", s.property));
+            }
+        }
+        assert_eq!(batched.stats().updates, updates, "after the {what} burst");
+        assert!(
+            tables_of(batched.pipeline()) == tables_of(&fresh),
+            "after the {what} burst the pipeline holds exactly the valid deltas"
+        );
+    }
+    let fib = &batched.pipeline().stages[5].element.tables[0].1;
+    assert_eq!(
+        fib.pairs_fingerprint(),
+        core_router().stages[5].element.tables[0]
+            .1
+            .pairs_fingerprint()
     );
 }
 

@@ -176,7 +176,7 @@ impl TableMapModel {
         decl: &MapDecl,
         key: TermId,
     ) -> (TermId, TermId) {
-        let entries = self.tables.get(&map.0).cloned().unwrap_or_default();
+        let entries = self.tables.get(&map.0).map_or(&[][..], Vec::as_slice);
         let mut found = pool.mk_false();
         let mut value = pool.mk_const(decl.value_width, 0);
         // Build the chain back-to-front so the first entry wins.
@@ -271,13 +271,13 @@ impl MapModel for ForkingMapModel {
         decl: &MapDecl,
         key: TermId,
     ) -> Vec<MapBranch> {
-        if let Some(entries) = self.tables.get(&map.0).cloned() {
+        if let Some(entries) = self.tables.get(&map.0) {
             // One branch per entry + one miss branch.
             let mut out = Vec::with_capacity(entries.len() + 1);
             let mut miss_constraints = Vec::with_capacity(entries.len());
             let tt = pool.mk_true();
             let ff = pool.mk_false();
-            for &(k, v) in &entries {
+            for &(k, v) in entries {
                 let kc = pool.mk_const(decl.key_width, k);
                 let vc = pool.mk_const(decl.value_width, v);
                 let hit = pool.mk_eq(key, kc);
