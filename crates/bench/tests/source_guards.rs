@@ -2,6 +2,23 @@
 
 use std::path::{Path, PathBuf};
 
+fn crates_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/")
+        .to_path_buf()
+}
+
+/// The numbered lines of `text` above its unit tests, which sit in a
+/// trailing `mod tests` (a `#[cfg(test)]` alone may also mark a
+/// test-only counter in the middle of product code).
+fn product_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .take_while(|l| !l.trim_end().ends_with("mod tests {"))
+        .enumerate()
+        .map(|(i, l)| (i + 1, l))
+}
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("source dir") {
         let path = entry.expect("dir entry").path();
@@ -20,9 +37,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// outside its `#[cfg(test)]` module has grown a second solver path.
 #[test]
 fn no_product_crate_names_the_oracle_solver() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("crates/");
+    let crates = crates_dir();
     let mut files = Vec::new();
     for name in ["symexec", "core", "dataplane", "elements", "dpir"] {
         rust_files(&crates.join(name).join("src"), &mut files);
@@ -31,11 +46,9 @@ fn no_product_crate_names_the_oracle_solver() {
     let mut hits = Vec::new();
     for file in files {
         let text = std::fs::read_to_string(&file).expect("source file");
-        // Unit tests sit in a trailing `#[cfg(test)] mod tests`.
-        let product = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
-        for (i, line) in product.enumerate() {
+        for (i, line) in product_lines(&text) {
             if line.contains("BvSolver") {
-                hits.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+                hits.push(format!("{}:{}: {}", file.display(), i, line.trim()));
             }
         }
     }
@@ -44,4 +57,48 @@ fn no_product_crate_names_the_oracle_solver() {
         "BvSolver named in product code:\n{}",
         hits.join("\n")
     );
+}
+
+/// A free-variable walk is a DFS with two fresh hash sets. Step 2 used
+/// to run one per term per composition to find a segment's havocs, and
+/// the solver session one per `Sat` answer to build its model; the
+/// havocs are now a list on the stage summary and the model is read off
+/// the blaster's live variables. `compose.rs` and `step2.rs` name
+/// `free_vars` only in their test oracles, `bvsolve`'s `session.rs`
+/// only inside the `debug_assert!` that holds the live model to it.
+#[test]
+fn step_two_walks_no_free_variables() {
+    let crates = crates_dir();
+    for file in ["core/src/compose.rs", "core/src/step2.rs"] {
+        let text = std::fs::read_to_string(crates.join(file)).expect("source file");
+        assert!(
+            text.lines().count() > product_lines(&text).count(),
+            "{file}: no `mod tests` found"
+        );
+        let hits: Vec<_> = product_lines(&text)
+            .filter(|(_, l)| l.contains("free_vars"))
+            .collect();
+        assert!(hits.is_empty(), "{file} names free_vars: {hits:?}");
+    }
+    let text = std::fs::read_to_string(crates.join("bv/src/session.rs")).expect("source file");
+    let product: Vec<_> = product_lines(&text).collect();
+    let mut named = 0;
+    for (at, (i, line)) in product.iter().enumerate() {
+        if !line.contains("free_vars") {
+            continue;
+        }
+        named += 1;
+        // The statement the line belongs to opens at the last line
+        // above it that follows a `;` or a brace.
+        let opens = product[..at]
+            .iter()
+            .rposition(|(_, l)| matches!(l.trim_end().chars().last(), Some(';' | '{' | '}')))
+            .map_or(0, |p| p + 1);
+        assert!(
+            product[opens].1.trim_start().starts_with("debug_assert!("),
+            "bv/src/session.rs:{i}: free_vars outside a debug_assert!: {}",
+            line.trim()
+        );
+    }
+    assert_eq!(named, 1, "the live-model debug_assert! is gone or doubled");
 }

@@ -49,9 +49,10 @@
 //! its scope was popped gets a fresh circuit. A gate in a live scope
 //! is shared by every scope above it.
 
+use crate::eval::Assignment;
+use crate::idhash::IdMap;
 use crate::term::{Term, TermId, TermPool, UnOp};
 use bitsat::{Lit, SolveResult, Solver};
-use std::collections::HashMap;
 
 /// A bit-blasting context wrapping a SAT solver.
 ///
@@ -61,15 +62,20 @@ use std::collections::HashMap;
 pub struct Blaster {
     sat: Solver,
     true_lit: Lit,
-    bits: HashMap<TermId, Vec<Lit>>,
-    var_bits: HashMap<u32, Vec<Lit>>,
+    /// The circuit of every term blasted in a live scope. Only ever
+    /// looked up, never iterated.
+    bits: IdMap<TermId, Vec<Lit>>,
+    /// The input bits of every variable blasted in a live scope.
+    /// Looked up, and iterated only by [`Blaster::live_model`], which
+    /// fills an id-keyed [`Assignment`] — no order reaches an output.
+    var_bits: IdMap<u32, Vec<Lit>>,
     /// Keys of `bits` / `var_bits` in insertion order — what
     /// [`Blaster::rollback`] forgets past a mark.
     memo_log: Vec<MemoKey>,
     /// Structural hashing: the output of every gate defined in a live
     /// scope. Only ever looked up, never iterated, so the circuits do
-    /// not depend on the hasher's seed.
-    gates: HashMap<Gate, Lit>,
+    /// not depend on the hasher.
+    gates: IdMap<Gate, Lit>,
     /// Keys of `gates` in insertion order, truncated like `memo_log`.
     gate_log: Vec<Gate>,
 }
@@ -126,10 +132,10 @@ impl Blaster {
         Blaster {
             sat,
             true_lit,
-            bits: HashMap::new(),
-            var_bits: HashMap::new(),
+            bits: IdMap::default(),
+            var_bits: IdMap::default(),
             memo_log: Vec::new(),
-            gates: HashMap::new(),
+            gates: IdMap::default(),
             gate_log: Vec::new(),
         }
     }
@@ -750,6 +756,17 @@ impl Blaster {
     /// Variables that never appeared in an asserted term return `None`.
     pub fn model_var(&self, id: u32) -> Option<u64> {
         self.var_bits.get(&id).map(|bits| self.model_bits(bits))
+    }
+
+    /// After a SAT verdict: the value of every variable blasted in a
+    /// live scope — the variables of exactly the terms the verdict is
+    /// about, read off without walking those terms.
+    pub(crate) fn live_model(&self) -> Assignment {
+        let mut a = Assignment::new();
+        for (&id, bits) in &self.var_bits {
+            a.set(id, self.model_bits(bits));
+        }
+        a
     }
 
     /// After a SAT verdict: the word `bits` (LSB first) spell.

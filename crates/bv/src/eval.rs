@@ -6,13 +6,15 @@
 //! with its upstream neighbor's output is exactly a substitution of
 //! symbolic input variables by output terms.
 
+use crate::idhash::IdMap;
 use crate::term::{mask, sext64, BinOp, Term, TermId, TermPool, UnOp};
 use std::collections::HashMap;
 
 /// An assignment of concrete values to symbolic variables (by var id).
+/// Only ever looked up by id, never iterated.
 #[derive(Debug, Clone, Default)]
 pub struct Assignment {
-    values: HashMap<u32, u64>,
+    values: IdMap<u32, u64>,
 }
 
 impl Assignment {
@@ -48,7 +50,7 @@ enum Step {
 /// term DAGs (deep generic-mode constraints reach depths far beyond
 /// the default thread stack).
 pub fn eval(pool: &TermPool, t: TermId, a: &Assignment) -> u64 {
-    let mut memo: HashMap<TermId, u64> = HashMap::new();
+    let mut memo: IdMap<TermId, u64> = IdMap::default();
     let mut stack = vec![Step::Visit(t)];
     while let Some(step) = stack.pop() {
         match step {
@@ -165,13 +167,64 @@ pub(crate) fn eval_binop(op: BinOp, w: u32, x: u64, y: u64) -> u64 {
 /// Variables absent from `map` are left in place. This is the
 /// composition primitive of verification step 2: substituting element
 /// A's output terms for element B's input variables yields
-/// `C_B(S_A(in))` exactly as in the paper's §3.1 walkthrough.
+/// `C_B(S_A(in))` exactly as in the paper's §3.1 walkthrough. Callers
+/// that push many terms through one map use a [`Substitution`], which
+/// rebuilds a shared subterm once.
 ///
 /// Iterative over an explicit visit/build work stack (the
 /// `Migrator::import` idiom), so composition never recurses on term
 /// depth — deep pipelines compose within a bounded thread stack.
 pub fn substitute(pool: &mut TermPool, t: TermId, map: &HashMap<u32, TermId>) -> TermId {
-    let mut memo: HashMap<TermId, TermId> = HashMap::new();
+    rebuild(pool, t, |id| map.get(&id).copied(), &mut IdMap::default())
+}
+
+/// One variable substitution applied to many terms: the bindings and a
+/// memo of every subterm rebuilt under them so far, so the terms of one
+/// segment summary — which share most of their structure — cost one
+/// rebuild per distinct node, not one per occurrence. Each
+/// [`Substitution::apply`] returns what [`substitute`] returns for the
+/// same bindings and interns the same new terms in the same order.
+/// Both tables are only looked up, never iterated.
+#[derive(Debug, Default)]
+pub struct Substitution {
+    map: IdMap<u32, TermId>,
+    memo: IdMap<TermId, TermId>,
+}
+
+impl Substitution {
+    /// A substitution with no bindings.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Binds variable `var` to `rep`. All bindings come before the
+    /// first [`Substitution::apply`]: the memo holds results under the
+    /// bindings it was filled with.
+    pub fn bind(&mut self, var: u32, rep: TermId) {
+        debug_assert!(self.memo.is_empty(), "bound after the first apply");
+        self.map.insert(var, rep);
+    }
+
+    /// What `var` is bound to, if anything.
+    pub fn get(&self, var: u32) -> Option<TermId> {
+        self.map.get(&var).copied()
+    }
+
+    /// `t` with every bound variable replaced.
+    pub fn apply(&mut self, pool: &mut TermPool, t: TermId) -> TermId {
+        let map = &self.map;
+        rebuild(pool, t, |id| map.get(&id).copied(), &mut self.memo)
+    }
+}
+
+/// The walk behind [`substitute`] and [`Substitution::apply`]: `memo`
+/// maps every node already rebuilt under `binding` to its result.
+fn rebuild(
+    pool: &mut TermPool,
+    t: TermId,
+    binding: impl Fn(u32) -> Option<TermId>,
+    memo: &mut IdMap<TermId, TermId>,
+) -> TermId {
     let mut stack = vec![Step::Visit(t)];
     while let Some(step) = stack.pop() {
         match step {
@@ -184,8 +237,8 @@ pub fn substitute(pool: &mut TermPool, t: TermId, map: &HashMap<u32, TermId>) ->
                         memo.insert(x, x);
                     }
                     Term::Var { id, width } => {
-                        let r = match map.get(&id) {
-                            Some(&rep) => {
+                        let r = match binding(id) {
+                            Some(rep) => {
                                 debug_assert_eq!(
                                     pool.width(rep),
                                     width,
@@ -326,5 +379,33 @@ mod tests {
         let s = p.mk_add(x, y);
         let r = substitute(&mut p, s, &HashMap::new());
         assert_eq!(r, s);
+    }
+
+    #[test]
+    fn one_memo_across_terms_changes_no_result() {
+        // Three terms over a shared subterm, pushed through one
+        // `Substitution` on one pool and through `substitute` — a memo
+        // per term — on a clone: same results, same pool growth.
+        let mut p = TermPool::new();
+        let x = p.fresh_var("x", 8);
+        let y = p.fresh_var("y", 8);
+        let z = p.fresh_var("z", 8);
+        let c7 = p.mk_const(8, 7);
+        let shared = p.mk_mul(x, y);
+        let sum = p.mk_add(shared, c7);
+        let terms = [p.mk_ult(shared, c7), p.mk_eq(sum, x), p.mk_xor(sum, shared)];
+        let rep = p.mk_add(z, c7);
+        let mut q = p.clone();
+
+        let mut sub = Substitution::new();
+        sub.bind(0, rep);
+        sub.bind(1, z);
+        assert_eq!(sub.get(0), Some(rep));
+        assert_eq!(sub.get(2), None);
+        let map: HashMap<u32, TermId> = [(0, rep), (1, z)].into();
+        for t in terms {
+            assert_eq!(sub.apply(&mut p, t), substitute(&mut q, t, &map));
+            assert_eq!(p.len(), q.len());
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! against constants) this discharges the majority of queries without
 //! touching the SAT solver — measured by the `ablation_solver` bench.
 
+use crate::idhash::IdMap;
 use crate::term::{mask, BinOp, Term, TermId, TermPool, UnOp};
-use std::collections::HashMap;
 
 /// An inclusive unsigned range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,131 +39,170 @@ impl Interval {
     }
 }
 
-/// Computes a conservative unsigned interval for `t`.
-///
-/// Iterative over an explicit visit/build work stack: each node's
-/// interval is a pure function of its children's, so evaluating all
-/// children before combining yields exactly the recursive result
-/// (including for `Ite` with a decided condition, where the combine
-/// simply selects the taken branch's interval) while staying safe on
-/// arbitrarily deep term DAGs.
+/// Computes a conservative unsigned interval for `t`, walking all of
+/// it: the standalone entry point, and the oracle a
+/// [`crate::SolveSession`]'s scoped interval memo is held to.
 pub fn interval_of(pool: &TermPool, t: TermId) -> Interval {
-    enum Step {
-        Visit(TermId),
-        Build(TermId),
+    IntervalMemo::default().interval(pool, t)
+}
+
+/// Interval results that outlive one query, with the scope discipline
+/// of the blaster's term memo: `log` holds the keys in insertion
+/// order, so [`IntervalMemo::truncate`] back to an earlier
+/// [`IntervalMemo::len`] forgets exactly what was added since. An
+/// interval is a pure function of its term, so an entry is right for
+/// as long as it stays; the scopes bound memory, not validity. Only
+/// looked up, never iterated.
+#[derive(Debug, Default)]
+pub(crate) struct IntervalMemo {
+    memo: IdMap<TermId, Interval>,
+    log: Vec<TermId>,
+}
+
+impl IntervalMemo {
+    /// Entries held — a mark for [`IntervalMemo::truncate`].
+    pub(crate) fn len(&self) -> usize {
+        self.log.len()
     }
-    let mut memo: HashMap<TermId, Interval> = HashMap::new();
-    let mut stack = vec![Step::Visit(t)];
-    while let Some(step) = stack.pop() {
-        match step {
-            Step::Visit(x) => {
-                if memo.contains_key(&x) {
-                    continue;
+
+    /// Forgets every entry added since [`IntervalMemo::len`] read `mark`.
+    pub(crate) fn truncate(&mut self, mark: usize) {
+        for t in self.log.drain(mark..) {
+            self.memo.remove(&t);
+        }
+    }
+
+    /// The interval of `t`, visiting only the nodes not yet held.
+    ///
+    /// Iterative over an explicit visit/build work stack: each node's
+    /// interval is a pure function of its children's, so evaluating all
+    /// children before combining yields exactly the recursive result
+    /// (including for `Ite` with a decided condition, where the combine
+    /// simply selects the taken branch's interval) while staying safe on
+    /// arbitrarily deep term DAGs.
+    pub(crate) fn interval(&mut self, pool: &TermPool, t: TermId) -> Interval {
+        enum Step {
+            Visit(TermId),
+            Build(TermId),
+        }
+        let IntervalMemo { memo, log } = self;
+        let mut stack = vec![Step::Visit(t)];
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Visit(x) => {
+                    if memo.contains_key(&x) {
+                        continue;
+                    }
+                    match *pool.get(x) {
+                        Term::Const { value, .. } => {
+                            memo.insert(x, Interval::point(value));
+                            log.push(x);
+                        }
+                        Term::Var { width, .. } => {
+                            memo.insert(x, Interval::full(width));
+                            log.push(x);
+                        }
+                        Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
+                            stack.push(Step::Build(x));
+                            stack.push(Step::Visit(c));
+                        }
+                        Term::Extract { arg, .. } => {
+                            stack.push(Step::Build(x));
+                            stack.push(Step::Visit(arg));
+                        }
+                        Term::Binary(_, c, d) | Term::Concat(c, d) => {
+                            stack.push(Step::Build(x));
+                            stack.push(Step::Visit(c));
+                            stack.push(Step::Visit(d));
+                        }
+                        Term::Ite(c, d, e) => {
+                            stack.push(Step::Build(x));
+                            stack.push(Step::Visit(c));
+                            stack.push(Step::Visit(d));
+                            stack.push(Step::Visit(e));
+                        }
+                    }
                 }
-                match *pool.get(x) {
-                    Term::Const { value, .. } => {
-                        memo.insert(x, Interval::point(value));
+                Step::Build(x) => {
+                    if memo.contains_key(&x) {
+                        continue;
                     }
-                    Term::Var { width, .. } => {
-                        memo.insert(x, Interval::full(width));
-                    }
-                    Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                    }
-                    Term::Extract { arg, .. } => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(arg));
-                    }
-                    Term::Binary(_, c, d) | Term::Concat(c, d) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                    }
-                    Term::Ite(c, d, e) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                        stack.push(Step::Visit(e));
-                    }
-                }
-            }
-            Step::Build(x) => {
-                if memo.contains_key(&x) {
-                    continue;
-                }
-                let w = pool.width(x);
-                let full = Interval::full(w);
-                let r = match *pool.get(x) {
-                    Term::Const { .. } | Term::Var { .. } => unreachable!("handled in Visit"),
-                    Term::Unary(op, c) => {
-                        let ia = memo[&c];
-                        match op {
-                            // ¬[lo,hi] = [¬hi, ¬lo] within the width.
-                            UnOp::Not => Interval {
-                                lo: mask(w, !ia.hi),
-                                hi: mask(w, !ia.lo),
-                            },
-                            UnOp::Neg => {
-                                if ia.is_point() {
-                                    Interval::point(mask(w, ia.lo.wrapping_neg()))
-                                } else {
-                                    full
+                    let w = pool.width(x);
+                    let full = Interval::full(w);
+                    let r = match *pool.get(x) {
+                        Term::Const { .. } | Term::Var { .. } => unreachable!("handled in Visit"),
+                        Term::Unary(op, c) => {
+                            let ia = memo[&c];
+                            match op {
+                                // ¬[lo,hi] = [¬hi, ¬lo] within the width.
+                                UnOp::Not => Interval {
+                                    lo: mask(w, !ia.hi),
+                                    hi: mask(w, !ia.lo),
+                                },
+                                UnOp::Neg => {
+                                    if ia.is_point() {
+                                        Interval::point(mask(w, ia.lo.wrapping_neg()))
+                                    } else {
+                                        full
+                                    }
                                 }
                             }
                         }
-                    }
-                    Term::Binary(op, c, d) => binop_interval(op, pool.width(c), memo[&c], memo[&d]),
-                    Term::Ite(c, d, e) => {
-                        let (ic, ia, ib) = (memo[&c], memo[&d], memo[&e]);
-                        if ic == Interval::point(1) {
-                            ia
-                        } else if ic == Interval::point(0) {
-                            ib
-                        } else {
-                            Interval {
-                                lo: ia.lo.min(ib.lo),
-                                hi: ia.hi.max(ib.hi),
+                        Term::Binary(op, c, d) => {
+                            binop_interval(op, pool.width(c), memo[&c], memo[&d])
+                        }
+                        Term::Ite(c, d, e) => {
+                            let (ic, ia, ib) = (memo[&c], memo[&d], memo[&e]);
+                            if ic == Interval::point(1) {
+                                ia
+                            } else if ic == Interval::point(0) {
+                                ib
+                            } else {
+                                Interval {
+                                    lo: ia.lo.min(ib.lo),
+                                    hi: ia.hi.max(ib.hi),
+                                }
                             }
                         }
-                    }
-                    Term::ZExt(c, _) => memo[&c],
-                    Term::SExt(c, wid) => {
-                        let aw = pool.width(c);
-                        let ia = memo[&c];
-                        // Values with the sign bit clear stay small;
-                        // otherwise the extension fills high bits —
-                        // approximate by width split.
-                        let sign_bit = 1u64 << (aw - 1);
-                        if ia.hi < sign_bit {
-                            ia
-                        } else {
-                            Interval::full(wid)
+                        Term::ZExt(c, _) => memo[&c],
+                        Term::SExt(c, wid) => {
+                            let aw = pool.width(c);
+                            let ia = memo[&c];
+                            // Values with the sign bit clear stay small;
+                            // otherwise the extension fills high bits —
+                            // approximate by width split.
+                            let sign_bit = 1u64 << (aw - 1);
+                            if ia.hi < sign_bit {
+                                ia
+                            } else {
+                                Interval::full(wid)
+                            }
                         }
-                    }
-                    Term::Extract { hi, lo, arg } => {
-                        let ia = memo[&arg];
-                        if lo == 0 && ia.hi <= mask(hi + 1, u64::MAX) {
-                            // Low slice of a small value keeps its range.
-                            ia
-                        } else {
-                            full
+                        Term::Extract { hi, lo, arg } => {
+                            let ia = memo[&arg];
+                            if lo == 0 && ia.hi <= mask(hi + 1, u64::MAX) {
+                                // Low slice of a small value keeps its range.
+                                ia
+                            } else {
+                                full
+                            }
                         }
-                    }
-                    Term::Concat(c, d) => {
-                        let lw = pool.width(d);
-                        let (ia, ib) = (memo[&c], memo[&d]);
-                        Interval {
-                            lo: (ia.lo << lw) | ib.lo,
-                            hi: (ia.hi << lw) | ib.hi,
+                        Term::Concat(c, d) => {
+                            let lw = pool.width(d);
+                            let (ia, ib) = (memo[&c], memo[&d]);
+                            Interval {
+                                lo: (ia.lo << lw) | ib.lo,
+                                hi: (ia.hi << lw) | ib.hi,
+                            }
                         }
-                    }
-                };
-                memo.insert(x, r);
+                    };
+                    memo.insert(x, r);
+                    log.push(x);
+                }
             }
         }
+        memo[&t]
     }
-    memo[&t]
 }
 
 fn binop_interval(op: BinOp, w: u32, a: Interval, b: Interval) -> Interval {

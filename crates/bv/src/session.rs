@@ -35,12 +35,24 @@
 //!   that a fresh literal switches off — so anything it implied about
 //!   the surviving variables alone already followed without it.
 //!
-//! The cheap layers (constructor simplification, intervals) still run
-//! per query on the conjunction of the active set, so the layer that
-//! answers any given query is identical to a fresh
+//! The cheap layers (constructor simplification, intervals) still
+//! answer per query for the conjunction of the active set, so the
+//! layer that answers any given query is identical to a fresh
 //! [`BvSolver::check`] (the reference oracle in this crate's tests) on
 //! the same constraint list — and so is every *decided* (Sat/Unsat)
-//! verdict. Two caveats scope that guarantee:
+//! verdict. They too pay only for what a query adds: the conjunction
+//! is a left fold kept per stack entry, and the interval of every term
+//! under it sits in a memo with **the blaster's scope rule** — an
+//! entry is logged under the stack entry whose fold first reached it
+//! and leaves in [`SolveSession::retire_to`] with that entry, an
+//! ephemeral extra's entries leave with its query. An interval is a
+//! pure function of its term, so the memo answers exactly as
+//! [`interval_of`] on the whole conjunction does (a `debug_assert!`
+//! holds it to that); the scopes keep it at O(live path) entries. A
+//! `Sat` model is likewise read off the blaster's live variables —
+//! every live scope belongs to a queried constraint — not collected
+//! by a walk of the conjunction. Two caveats scope the verdict
+//! guarantee:
 //!
 //! * under a **conflict budget**, which of the two exhausts it can
 //!   differ — carried-over learnt clauses, activities and phases
@@ -65,8 +77,8 @@
 //! ([`SolveSession::set_core_extraction`]).
 
 use crate::blast::{BlastMark, Blaster};
-use crate::eval::{eval, Assignment};
-use crate::interval::{interval_of, Interval};
+use crate::eval::eval;
+use crate::interval::{interval_of, Interval, IntervalMemo};
 use crate::solver::{Model, SatVerdict, SolverLayerStats};
 use crate::term::{TermId, TermPool};
 use bitsat::Lit;
@@ -102,6 +114,12 @@ pub struct SolveSession {
     /// mark taken before the entry was blasted and the activation
     /// literal gating it.
     scopes: Vec<(BlastMark, Lit)>,
+    /// One entry per folded stack entry — a prefix of `stack`: the
+    /// conjunction of the stack up to and including the entry, and the
+    /// size of `intervals` before the entry's terms went in.
+    folded: Vec<(TermId, usize)>,
+    /// The interval of every term under the folded conjunctions.
+    intervals: IntervalMemo,
     /// Whether UNSAT verdicts carry a mapped [`crate::Infeasibility`]
     /// core (default). Callers that never read cores can switch this
     /// off to skip the core mapping and the cheap-layer core clones.
@@ -115,6 +133,8 @@ impl Default for SolveSession {
             stats: SolverLayerStats::default(),
             stack: Vec::new(),
             scopes: Vec::new(),
+            folded: Vec::new(),
+            intervals: IntervalMemo::default(),
             extract_cores: true,
         }
     }
@@ -171,19 +191,31 @@ impl SolveSession {
         self.blaster.num_sat_vars()
     }
 
+    /// Interval results the session currently holds: at most one per
+    /// term under the conjunction of the active stack, and none once
+    /// the stack is empty.
+    pub fn num_intervals(&self) -> usize {
+        self.intervals.len()
+    }
+
     /// Pushes the width-1 constraint `t` onto the assertion stack. The
-    /// term is blasted lazily, on the first blast-layer query that
-    /// sees it active.
+    /// term is folded into the conjunction by the next query and
+    /// blasted lazily, on the first blast-layer query that sees it
+    /// active.
     pub fn assert_constraint(&mut self, t: TermId) {
         self.stack.push(t);
     }
 
     /// Retires every constraint asserted after `depth` (stack pop back
     /// to a [`SolveSession::depth`] mark) and drops their circuits
-    /// from the solver.
+    /// from the solver and their intervals from the memo.
     pub fn retire_to(&mut self, depth: usize) {
         debug_assert!(depth <= self.stack.len());
         self.stack.truncate(depth);
+        if let Some(&(_, mark)) = self.folded.get(depth) {
+            self.intervals.truncate(mark);
+            self.folded.truncate(depth);
+        }
         if let Some(&(mark, _)) = self.scopes.get(depth) {
             self.blaster.rollback(mark);
             self.scopes.truncate(depth);
@@ -200,29 +232,48 @@ impl SolveSession {
     /// dropped again within this query).
     pub fn check_assuming(&mut self, pool: &mut TermPool, extra: &[TermId]) -> SatVerdict {
         self.stats.queries += 1;
-        let mut all: Vec<TermId> = Vec::with_capacity(self.stack.len() + extra.len());
-        all.extend_from_slice(&self.stack);
-        all.extend_from_slice(extra);
-        // Layers 1 and 2 run on the conjunction of the full active
-        // set, exactly as `BvSolver` does on the same list — so the
-        // answering layer (and the verdict) matches the oracle's.
-        let conj = pool.mk_conj(&all);
+        // Layers 1 and 2 answer for the conjunction of the full active
+        // set, the left fold `BvSolver` builds from the same list — so
+        // the answering layer (and the verdict) matches the oracle's.
+        // Only the entries no earlier query folded are folded here,
+        // each with its intervals logged in a scope of its own.
+        let mut conj = match self.folded.last() {
+            Some(&(prefix, _)) => prefix,
+            None => pool.mk_true(),
+        };
+        for &t in &self.stack[self.folded.len()..] {
+            let mark = self.intervals.len();
+            conj = pool.mk_bool_and(conj, t);
+            self.intervals.interval(pool, conj);
+            self.folded.push((conj, mark));
+        }
+        let ephemeral = self.intervals.len();
+        for &t in extra {
+            conj = pool.mk_bool_and(conj, t);
+        }
+        let range = self.intervals.interval(pool, conj);
+        self.intervals.truncate(ephemeral);
+        debug_assert_eq!(
+            range,
+            interval_of(pool, conj),
+            "the scoped interval memo must answer as a whole walk does"
+        );
         if pool.is_true(conj) {
             self.stats.by_simplify += 1;
             return SatVerdict::Sat(Model::default());
         }
         if pool.is_false(conj) {
             self.stats.by_simplify += 1;
-            return SatVerdict::Unsat(self.maybe_cheap_core(pool, &all));
+            return SatVerdict::Unsat(self.maybe_cheap_core(pool, extra));
         }
-        match interval_of(pool, conj) {
+        match range {
             Interval { lo: 1, .. } => {
                 self.stats.by_interval += 1;
                 return SatVerdict::Sat(Model::default());
             }
             Interval { hi: 0, .. } => {
                 self.stats.by_interval += 1;
-                return SatVerdict::Unsat(self.maybe_cheap_core(pool, &all));
+                return SatVerdict::Unsat(self.maybe_cheap_core(pool, extra));
             }
             _ => {}
         }
@@ -230,7 +281,8 @@ impl SolveSession {
         self.stats.by_blast += 1;
         self.stats.sat_solve_calls += 1;
         self.stats.blast_cache_hits += self.scopes.len() as u64;
-        self.stats.blast_cache_misses += (all.len() - self.scopes.len()) as u64;
+        self.stats.blast_cache_misses +=
+            (self.stack.len() + extra.len() - self.scopes.len()) as u64;
         for &t in &self.stack[self.scopes.len()..] {
             let mark = self.blaster.mark();
             self.scopes.push((mark, self.blaster.assert_gated(pool, t)));
@@ -242,22 +294,27 @@ impl SolveSession {
         }
         let verdict = match self.blaster.check_assuming(&assumptions) {
             bitsat::SolveResult::Sat => {
-                let mut a = Assignment::new();
-                for id in pool.free_vars(conj) {
-                    if let Some(v) = self.blaster.model_var(id) {
-                        a.set(id, v);
-                    }
-                }
+                // Every live scope belongs to a queried constraint, so
+                // the blaster's variables are the query's variables.
+                let a = self.blaster.live_model();
                 debug_assert_eq!(
                     eval(pool, conj, &a),
                     1,
                     "session model must satisfy the query"
                 );
+                debug_assert!(
+                    pool.free_vars(conj)
+                        .into_iter()
+                        .all(|id| Some(a.get(id)) == self.blaster.model_var(id)),
+                    "the live model must cover every free variable of the query"
+                );
                 SatVerdict::Sat(Model::from_assignment(a))
             }
-            bitsat::SolveResult::Unsat if self.extract_cores => {
-                SatVerdict::Unsat(map_core(self.blaster.last_core(), &assumptions, &all))
-            }
+            bitsat::SolveResult::Unsat if self.extract_cores => SatVerdict::Unsat(map_core(
+                self.blaster.last_core(),
+                &assumptions,
+                &self.queried(extra),
+            )),
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(crate::Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
             bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
@@ -268,11 +325,16 @@ impl SolveSession {
         verdict
     }
 
+    /// The constraint list a query with `extra` is about.
+    fn queried(&self, extra: &[TermId]) -> Vec<TermId> {
+        [&self.stack[..], extra].concat()
+    }
+
     /// Core for a cheap-layer refutation — empty (no clone) when core
     /// extraction is off.
-    fn maybe_cheap_core(&self, pool: &TermPool, all: &[TermId]) -> crate::Infeasibility {
+    fn maybe_cheap_core(&self, pool: &TermPool, extra: &[TermId]) -> crate::Infeasibility {
         if self.extract_cores {
-            cheap_core(pool, all)
+            cheap_core(pool, &self.queried(extra))
         } else {
             crate::Infeasibility::default()
         }

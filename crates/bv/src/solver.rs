@@ -177,22 +177,12 @@ impl SolverLayerStats {
 #[derive(Debug, Default)]
 pub struct BvSolver {
     stats: SolverLayerStats,
-    conflict_budget: Option<u64>,
 }
 
 impl BvSolver {
     /// Creates a solver with no budget.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Limits each SAT call to `budget` conflicts; exceeding it yields
-    /// [`SatVerdict::Unknown`].
-    pub fn with_conflict_budget(budget: u64) -> Self {
-        BvSolver {
-            conflict_budget: Some(budget),
-            ..Self::default()
-        }
     }
 
     /// Layer statistics accumulated so far.
@@ -231,9 +221,6 @@ impl BvSolver {
         self.stats.blast_cache_misses += 1;
         self.stats.sat_solve_calls += 1;
         let mut bl = Blaster::new();
-        if let Some(b) = self.conflict_budget {
-            bl.set_conflict_budget(b);
-        }
         bl.assert_true(pool, conj);
         let result = bl.check();
         let sat = bl.sat_stats();

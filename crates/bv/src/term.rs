@@ -5,7 +5,7 @@
 //! twice yields the same id, so equality of ids implies semantic
 //! equality (the converse is approximated by the simplifier).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Bit width of a term, between 1 and 64.
 pub type Width = u32;
@@ -751,21 +751,28 @@ impl TermPool {
 
     /// Collects the free variables of `t` (deduplicated, sorted by id).
     pub fn free_vars(&self, t: TermId) -> Vec<u32> {
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
+        self.vars_into(t, &mut HashSet::new(), &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    /// Appends to `out` the variables under `t` that `visited` has not
+    /// met, in no particular order, and adds every node it enters to
+    /// `visited`; a node already there is not entered again. A
+    /// variable has one `Var` node, so with one `visited` across
+    /// several calls each variable is reported once, by the first term
+    /// that mentions it — and `visited` ends up holding every node the
+    /// terms reach.
+    pub fn vars_into(&self, t: TermId, visited: &mut HashSet<TermId>, out: &mut Vec<u32>) {
         let mut stack = vec![t];
-        let mut visited = std::collections::HashSet::new();
         while let Some(x) = stack.pop() {
             if !visited.insert(x) {
                 continue;
             }
             match *self.get(x) {
                 Term::Const { .. } => {}
-                Term::Var { id, .. } => {
-                    if seen.insert(id) {
-                        out.push(id);
-                    }
-                }
+                Term::Var { id, .. } => out.push(id),
                 Term::Unary(_, a) | Term::ZExt(a, _) | Term::SExt(a, _) => stack.push(a),
                 Term::Extract { arg, .. } => stack.push(arg),
                 Term::Binary(_, a, b) | Term::Concat(a, b) => {
@@ -779,8 +786,6 @@ impl TermPool {
                 }
             }
         }
-        out.sort_unstable();
-        out
     }
 }
 

@@ -11,6 +11,7 @@
 
 use bvsolve::{Blaster, BvSolver, SatVerdict, SolveSession, TermId, TermPool};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// A random width-8 term over `vars`, at most `depth` operators deep.
 fn random_expr(pool: &mut TermPool, vars: &[TermId], rng: &mut StdRng, depth: u32) -> TermId {
@@ -311,6 +312,15 @@ fn gate_table_entries_leave_with_their_scope() {
     assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
 }
 
+/// How many distinct terms `roots` reach.
+fn reachable(pool: &TermPool, roots: &[TermId]) -> usize {
+    let mut visited = HashSet::new();
+    for &t in roots {
+        pool.vars_into(t, &mut visited, &mut Vec::new());
+    }
+    visited.len()
+}
+
 /// What [`fork_walk`] saw.
 struct Walk {
     deepest: usize,
@@ -325,7 +335,13 @@ struct Walk {
 /// stack follows the path, a sibling is a rollback plus one conjunct,
 /// and popping the worklist jumps back to a shallower prefix. `Unknown`
 /// reads as feasible, as in the executor. Every decided verdict must
-/// match a fresh, budget-free [`BvSolver`] on the same list.
+/// match a fresh, budget-free [`BvSolver`] on the same list — and so
+/// must the layer that gave it, which holds the session's scoped
+/// interval memo to the oracle's whole walk of the conjunction (in a
+/// debug build `check_assuming` also asserts the two intervals equal).
+/// A `Sat` model, read off the blaster's live variables, must satisfy
+/// the conjunction; and the memo never holds more than the terms under
+/// the live stack and its fold.
 fn fork_walk(session: &mut SolveSession, seed: u64, queries: usize) -> Walk {
     const MAX_DEPTH: usize = 72;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -352,10 +368,37 @@ fn fork_walk(session: &mut SolveSession, seed: u64, queries: usize) -> Walk {
         for cond in [c, notc] {
             let mut cs = path.clone();
             cs.push(cond);
+            let before = session.stats();
             let got = session.check_constraints(&mut pool, &cs);
             asked += 1;
             walk.deepest = walk.deepest.max(session.depth());
-            let want = BvSolver::new().check(&mut pool, &cs);
+            let mut oracle = BvSolver::new();
+            let want = oracle.check(&mut pool, &cs);
+            let (layer, oracle_layer) = (session.stats().delta(&before), oracle.stats());
+            assert_eq!(
+                (layer.by_simplify, layer.by_interval, layer.by_blast),
+                (
+                    oracle_layer.by_simplify,
+                    oracle_layer.by_interval,
+                    oracle_layer.by_blast
+                ),
+                "seed {seed:#x} query {asked}: another layer answered"
+            );
+            if let SatVerdict::Sat(model) = &got {
+                let conj = pool.mk_conj(&cs);
+                assert_eq!(
+                    model.value_of(conj, &pool),
+                    1,
+                    "seed {seed:#x} query {asked}: the model misses the query"
+                );
+            }
+            // The stack's terms, one fold node per entry, and `true`.
+            let bound = reachable(&pool, &cs) + cs.len() + 1;
+            assert!(
+                session.num_intervals() <= bound,
+                "seed {seed:#x} query {asked}: {} intervals held for {bound} live terms",
+                session.num_intervals()
+            );
             match got {
                 SatVerdict::Unknown | SatVerdict::Interrupted => walk.unknown += 1,
                 _ => {
@@ -390,6 +433,14 @@ fn deep_fork_walk_matches_fresh_solver() {
         assert_eq!(walk.unknown, 0, "no budget, no Unknown");
         let st = session.stats();
         assert!(st.blast_cache_hits > st.blast_cache_misses, "{st:?}");
+        assert!(st.by_interval > 0, "{st:?}");
+        assert!(session.num_intervals() > 0);
+        session.retire_to(0);
+        assert_eq!(
+            session.num_intervals(),
+            0,
+            "an empty stack holds no interval"
+        );
     }
 }
 

@@ -6,10 +6,22 @@
 //! variables (abstracted map reads) are renamed fresh per
 //! instantiation, so two loop iterations (or two paths through the
 //! same element) never alias each other's unknown state.
+//!
+//! What one composition costs, by how often each part is paid:
+//!
+//! * **per segment**, once per rebase: which of its variables are
+//!   havocs, and in which order they are renamed — a constant of the
+//!   summary, read from [`StageSummary::havocs`];
+//! * **per composition**: one [`Substitution`] — the element's input
+//!   variables bound to the state's terms, each havoc to a fresh
+//!   variable — and the clones of the state's vectors;
+//! * **per term**: a rebuild of the nodes no earlier term of the same
+//!   segment shared with it; the constraints, outputs and map keys of
+//!   a segment overlap heavily and go through the one memo.
 
-use bvsolve::{substitute, TermId, TermPool};
-use std::collections::{HashMap, HashSet};
-use symexec::{MapOpRecord, SegOutcome, Segment, SymInput};
+use crate::summary::StageSummary;
+use bvsolve::{Substitution, TermId, TermPool};
+use symexec::{MapOpRecord, SymInput};
 
 /// The composed symbolic state after a prefix of pipeline segments —
 /// all terms range over the *pipeline* input variables plus renamed
@@ -57,76 +69,44 @@ impl ComposedState {
     }
 }
 
-/// Composes `segment` (a summary over `elem_input`) onto `state`.
+/// Composes segment `seg_idx` of `stage` (a summary over the stage's
+/// own symbolic input) onto `state`.
 ///
-/// * every input variable of `elem_input` is replaced by the
+/// * every input variable of the stage is replaced by the
 ///   corresponding term of `state` (packet bytes, length, metadata);
-/// * every *other* free variable of the segment (havocs) is replaced by
-///   a fresh variable;
+/// * every *other* variable of the segment (its havocs, listed by the
+///   summary) is replaced by a fresh variable — including havocs a map
+///   operation records but no term mentions (an unused `found` flag),
+///   so the §3.4 analysis sees per-instantiation variables;
 /// * the segment's constraint is substituted and conjoined, its
 ///   transforms substituted into the new state.
 pub fn compose(
     pool: &mut TermPool,
     state: &ComposedState,
-    elem_input: &SymInput,
-    segment: &Segment,
+    stage: &StageSummary,
     stage_idx: usize,
     seg_idx: usize,
 ) -> ComposedState {
-    // Build the substitution for declared inputs.
-    let mut map: HashMap<u32, TermId> = HashMap::new();
-    for (i, &vid) in elem_input.pkt_byte_vars.iter().enumerate() {
-        map.insert(vid, state.pkt[i]);
+    #[cfg(test)]
+    COMPOSITIONS.with(|n| n.set(n.get() + 1));
+    let segment = &stage.segments[seg_idx];
+    let mut sub = Substitution::new();
+    for (i, &vid) in stage.input.pkt_byte_vars.iter().enumerate() {
+        sub.bind(vid, state.pkt[i]);
     }
-    map.insert(elem_input.len_var, state.len);
-    for (s, &vid) in elem_input.meta_vars.iter().enumerate() {
-        map.insert(vid, state.meta[s]);
+    sub.bind(stage.input.len_var, state.len);
+    for (s, &vid) in stage.input.meta_vars.iter().enumerate() {
+        sub.bind(vid, state.meta[s]);
     }
-
-    // Collect havoc variables: free vars of the segment not in the map.
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut all_terms: Vec<TermId> = Vec::new();
-    all_terms.extend(segment.constraint.iter().copied());
-    all_terms.extend(segment.assumed.iter().copied());
-    all_terms.extend(segment.pkt_out.iter().copied());
-    all_terms.push(segment.len_out);
-    all_terms.extend(segment.meta_out.iter().copied());
-    for op in &segment.map_ops {
-        all_terms.push(op.key);
-        if let Some(v) = op.value {
-            all_terms.push(v);
-        }
-    }
-    for &t in &all_terms {
-        for vid in pool.free_vars(t) {
-            if !map.contains_key(&vid) && seen.insert(vid) {
-                let w = pool.var_width(vid);
-                let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
-                let fresh = pool.fresh_var(&name, w);
-                map.insert(vid, fresh);
-            }
-        }
-    }
-    // Havoc variables recorded by map ops may not occur in any term
-    // (e.g. an unused `found` flag); rename them too so the §3.4
-    // analysis sees per-instantiation variables.
-    for op in &segment.map_ops {
-        for vid in [op.havoc_value_var, op.havoc_flag_var]
-            .into_iter()
-            .flatten()
-        {
-            map.entry(vid).or_insert_with(|| {
-                let w = pool.var_width(vid);
-                let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
-
-                pool.fresh_var(&name, w)
-            });
-        }
+    for &vid in &stage.havocs[seg_idx] {
+        let w = pool.var_width(vid);
+        let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
+        sub.bind(vid, pool.fresh_var(&name, w));
     }
 
     let mut constraint = state.constraint.clone();
     for &c in &segment.constraint {
-        let c2 = substitute(pool, c, &map);
+        let c2 = sub.apply(pool, c);
         // Skip trivially-true conjuncts to keep constraints compact.
         if !pool.is_true(c2) {
             constraint.push(c2);
@@ -134,7 +114,7 @@ pub fn compose(
     }
     let mut assumed = state.assumed.clone();
     for &c in &segment.assumed {
-        let c2 = substitute(pool, c, &map);
+        let c2 = sub.apply(pool, c);
         if !pool.is_true(c2) {
             assumed.push(c2);
         }
@@ -142,27 +122,28 @@ pub fn compose(
     let pkt = segment
         .pkt_out
         .iter()
-        .map(|&t| substitute(pool, t, &map))
+        .map(|&t| sub.apply(pool, t))
         .collect();
-    let len = substitute(pool, segment.len_out, &map);
+    let len = sub.apply(pool, segment.len_out);
     let meta = segment
         .meta_out
         .iter()
-        .map(|&t| substitute(pool, t, &map))
+        .map(|&t| sub.apply(pool, t))
         .collect();
     let mut map_ops = state.map_ops.clone();
     for op in &segment.map_ops {
+        let renamed = |v: u32| sub.get(v).and_then(|t| term_var_id(pool, t)).unwrap_or(v);
+        let (havoc_value_var, havoc_flag_var) = (
+            op.havoc_value_var.map(renamed),
+            op.havoc_flag_var.map(renamed),
+        );
         map_ops.push(MapOpRecord {
             map: op.map,
             kind: op.kind,
-            key: substitute(pool, op.key, &map),
-            value: op.value.map(|v| substitute(pool, v, &map)),
-            havoc_value_var: op
-                .havoc_value_var
-                .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
-            havoc_flag_var: op
-                .havoc_flag_var
-                .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
+            key: sub.apply(pool, op.key),
+            value: op.value.map(|v| sub.apply(pool, v)),
+            havoc_value_var,
+            havoc_flag_var,
         });
     }
     let mut trace = state.trace.clone();
@@ -186,15 +167,145 @@ fn term_var_id(pool: &TermPool, t: TermId) -> Option<u32> {
     }
 }
 
-/// The outcome of a composed segment (re-exported for engine use).
-pub fn outcome_of(seg: &Segment) -> SegOutcome {
-    seg.outcome
+#[cfg(test)]
+thread_local! {
+    /// [`compose`] calls made on this thread — what the step-2 count
+    /// guard holds equal to the `composed_paths` a search reports.
+    pub(crate) static COMPOSITIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use symexec::{execute, AbstractMapModel, SymConfig};
+    use bvsolve::substitute;
+    use std::collections::{HashMap, HashSet};
+    use symexec::{execute, AbstractMapModel, SegOutcome, Segment, SymConfig};
+
+    /// [`compose`] as it was before the summary carried havoc lists:
+    /// the havocs found by walking the free variables of every term,
+    /// every term substituted under a memo of its own. The oracle of
+    /// the step-2 differential tests — same state, `TermId` for
+    /// `TermId`, and the same pool growth.
+    pub(crate) fn compose_oracle(
+        pool: &mut TermPool,
+        state: &ComposedState,
+        elem_input: &SymInput,
+        segment: &Segment,
+        stage_idx: usize,
+        seg_idx: usize,
+    ) -> ComposedState {
+        let mut map: HashMap<u32, TermId> = HashMap::new();
+        for (i, &vid) in elem_input.pkt_byte_vars.iter().enumerate() {
+            map.insert(vid, state.pkt[i]);
+        }
+        map.insert(elem_input.len_var, state.len);
+        for (s, &vid) in elem_input.meta_vars.iter().enumerate() {
+            map.insert(vid, state.meta[s]);
+        }
+        let mut seen: HashSet<u32> = HashSet::new();
+        let mut all_terms: Vec<TermId> = Vec::new();
+        all_terms.extend(segment.constraint.iter().copied());
+        all_terms.extend(segment.assumed.iter().copied());
+        all_terms.extend(segment.pkt_out.iter().copied());
+        all_terms.push(segment.len_out);
+        all_terms.extend(segment.meta_out.iter().copied());
+        for op in &segment.map_ops {
+            all_terms.push(op.key);
+            if let Some(v) = op.value {
+                all_terms.push(v);
+            }
+        }
+        let fresh = |pool: &mut TermPool, vid: u32| {
+            let w = pool.var_width(vid);
+            let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
+            pool.fresh_var(&name, w)
+        };
+        for &t in &all_terms {
+            for vid in pool.free_vars(t) {
+                if !map.contains_key(&vid) && seen.insert(vid) {
+                    let renamed = fresh(pool, vid);
+                    map.insert(vid, renamed);
+                }
+            }
+        }
+        for op in &segment.map_ops {
+            for vid in [op.havoc_value_var, op.havoc_flag_var]
+                .into_iter()
+                .flatten()
+            {
+                map.entry(vid).or_insert_with(|| fresh(pool, vid));
+            }
+        }
+        let mut constraint = state.constraint.clone();
+        for &c in &segment.constraint {
+            let c2 = substitute(pool, c, &map);
+            if !pool.is_true(c2) {
+                constraint.push(c2);
+            }
+        }
+        let mut assumed = state.assumed.clone();
+        for &c in &segment.assumed {
+            let c2 = substitute(pool, c, &map);
+            if !pool.is_true(c2) {
+                assumed.push(c2);
+            }
+        }
+        let pkt = segment
+            .pkt_out
+            .iter()
+            .map(|&t| substitute(pool, t, &map))
+            .collect();
+        let len = substitute(pool, segment.len_out, &map);
+        let meta = segment
+            .meta_out
+            .iter()
+            .map(|&t| substitute(pool, t, &map))
+            .collect();
+        let mut map_ops = state.map_ops.clone();
+        for op in &segment.map_ops {
+            map_ops.push(MapOpRecord {
+                map: op.map,
+                kind: op.kind,
+                key: substitute(pool, op.key, &map),
+                value: op.value.map(|v| substitute(pool, v, &map)),
+                havoc_value_var: op
+                    .havoc_value_var
+                    .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
+                havoc_flag_var: op
+                    .havoc_flag_var
+                    .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
+            });
+        }
+        let mut trace = state.trace.clone();
+        trace.push((stage_idx, seg_idx));
+        ComposedState {
+            constraint,
+            assumed,
+            pkt,
+            len,
+            meta,
+            instrs: state.instrs + segment.instrs,
+            trace,
+            map_ops,
+        }
+    }
+
+    /// A one-stage summary of `report`'s segments over `input`.
+    fn stage_of(
+        pool: &TermPool,
+        name: &str,
+        input: &SymInput,
+        report: symexec::ExecReport,
+    ) -> StageSummary {
+        StageSummary::new(
+            pool,
+            name.into(),
+            input.clone(),
+            report.segments,
+            None,
+            report.states,
+        )
+    }
 
     /// The paper's Fig. 1 toy pipeline, byte-sized: E1 clamps byte 0 to
     /// ≥ 16 (out = in < 16 ? 16 : in); E2 asserts byte 0 ≥ 16 — crash
@@ -235,12 +346,14 @@ mod tests {
         let mut m = AbstractMapModel::new();
         let r1 = execute(&mut pool, &p1, &in1, &mut m, &cfg).expect("ok");
         let r2 = execute(&mut pool, &p2, &in2, &mut m, &cfg).expect("ok");
+        let (e1, e2) = (
+            stage_of(&pool, "E1", &in1, r1),
+            stage_of(&pool, "E2", &in2, r2),
+        );
 
         // E2 alone has a feasible crash segment (suspect e3 of Fig. 1).
-        let crash_segs: Vec<&Segment> = r2
-            .segments
-            .iter()
-            .filter(|s| s.outcome.is_crash())
+        let crash_segs: Vec<usize> = (0..e2.segments.len())
+            .filter(|&i| e2.segments[i].outcome.is_crash())
             .collect();
         assert_eq!(crash_segs.len(), 1);
 
@@ -249,12 +362,12 @@ mod tests {
         let mut solver = bvsolve::BvSolver::new();
         let init = ComposedState::initial(&pipeline_input);
         let mut checked = 0;
-        for (i, s1) in r1.segments.iter().enumerate() {
+        for (i, s1) in e1.segments.iter().enumerate() {
             if s1.outcome != SegOutcome::Emit(0) {
                 continue;
             }
-            let mid = compose(&mut pool, &init, &in1, s1, 0, i);
-            let full = compose(&mut pool, &mid, &in2, crash_segs[0], 1, 0);
+            let mid = compose(&mut pool, &init, &e1, 0, i);
+            let full = compose(&mut pool, &mid, &e2, 1, crash_segs[0]);
             let verdict = solver.check(&mut pool, &full.constraint);
             assert!(verdict.is_unsat(), "suspect must be infeasible in context");
             checked += 1;
@@ -288,14 +401,15 @@ mod tests {
         let ein = SymInput::fresh(&mut pool, &cfg, "e0");
         let mut model = AbstractMapModel::new();
         let r = execute(&mut pool, &prog, &ein, &mut model, &cfg).expect("ok");
-        let seg = r
+        let stage = stage_of(&pool, "rd", &ein, r);
+        let seg = stage
             .segments
             .iter()
-            .find(|s| s.outcome == SegOutcome::Emit(0))
+            .position(|s| s.outcome == SegOutcome::Emit(0))
             .expect("emit segment");
         let init = ComposedState::initial(&pipeline_input);
-        let c1 = compose(&mut pool, &init, &ein, seg, 0, 0);
-        let c2 = compose(&mut pool, &c1, &ein, seg, 1, 0);
+        let c1 = compose(&mut pool, &init, &stage, 0, seg);
+        let c2 = compose(&mut pool, &c1, &stage, 1, seg);
         // Byte 0 after the second instantiation differs from the first
         // (different havoc), so "byte changed between the two reads" is
         // satisfiable.

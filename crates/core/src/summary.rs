@@ -59,6 +59,87 @@ pub struct StageSummary {
     pub loop_iters: Option<u32>,
     /// States explored during step 1 (Fig. 4(c) "#states").
     pub states: usize,
+    /// Per segment, its havoc variables — every variable of the
+    /// segment that is not one of `input`'s — in the order composition
+    /// renames them (see [`StageSummary::new`]). A constant of the
+    /// segment, so it is found once here and not once per composition.
+    pub havocs: Vec<Vec<u32>>,
+}
+
+impl StageSummary {
+    /// A summary of `segments` over `input`, with each segment's havoc
+    /// list: term by term — constraints, assumed facts, packet bytes,
+    /// length, metadata, then each map operation's key and value — the
+    /// variables a term is the first to mention, in ascending id; then
+    /// the havoc variables a map operation records that no term
+    /// mentions (an unused `found` flag).
+    pub fn new(
+        pool: &TermPool,
+        name: String,
+        input: SymInput,
+        segments: Vec<Segment>,
+        loop_iters: Option<u32>,
+        states: usize,
+    ) -> Self {
+        let inputs: HashSet<u32> = input
+            .pkt_byte_vars
+            .iter()
+            .chain(&input.meta_vars)
+            .copied()
+            .chain([input.len_var])
+            .collect();
+        let havocs = segments
+            .iter()
+            .map(|seg| segment_havocs(pool, &inputs, seg))
+            .collect();
+        StageSummary {
+            name,
+            input,
+            segments,
+            loop_iters,
+            states,
+            havocs,
+        }
+    }
+}
+
+/// The havoc list of one segment (see [`StageSummary::new`]).
+fn segment_havocs(pool: &TermPool, inputs: &HashSet<u32>, seg: &Segment) -> Vec<u32> {
+    let terms = seg
+        .constraint
+        .iter()
+        .chain(&seg.assumed)
+        .chain(&seg.pkt_out)
+        .chain([&seg.len_out])
+        .chain(&seg.meta_out)
+        .copied()
+        .chain(
+            seg.map_ops
+                .iter()
+                .flat_map(|op| [Some(op.key), op.value])
+                .flatten(),
+        );
+    let mut havocs = Vec::new();
+    // One visited set for the segment: a node an earlier term reached
+    // has reported its variables already.
+    let mut visited = HashSet::new();
+    for t in terms {
+        let first = havocs.len();
+        pool.vars_into(t, &mut visited, &mut havocs);
+        havocs[first..].sort_unstable();
+    }
+    for op in &seg.map_ops {
+        for id in [op.havoc_value_var, op.havoc_flag_var]
+            .into_iter()
+            .flatten()
+        {
+            if visited.insert(pool.var_term(id)) {
+                havocs.push(id);
+            }
+        }
+    }
+    havocs.retain(|id| !inputs.contains(id));
+    havocs
 }
 
 /// Step-1 result for the whole pipeline.
@@ -769,16 +850,18 @@ pub(crate) fn rebase_stage(
     element: &Element,
 ) -> StageSummary {
     let (input, segments) = import_summary(pool, &stored.pool, &stored.input, &stored.segments);
-    StageSummary {
-        name: element.name.clone(),
+    let loop_iters = match &element.kind {
+        ElementKind::Straight(_) => None,
+        ElementKind::Loop { max_iters, .. } => Some(*max_iters),
+    };
+    StageSummary::new(
+        pool,
+        element.name.clone(),
         input,
         segments,
-        loop_iters: match &element.kind {
-            ElementKind::Straight(_) => None,
-            ElementKind::Loop { max_iters, .. } => Some(*max_iters),
-        },
-        states: stored.states,
-    }
+        loop_iters,
+        stored.states,
+    )
 }
 
 /// Imports a stage summary from `src` into `pool`: all source
