@@ -7,10 +7,6 @@
 //!   stateful element (Condition 2/3 in isolation).
 //! * `loop_decomposition` — one-body summarization vs generic unrolling
 //!   on the same loop element (Condition 1 in isolation).
-//! * `core_pruning` — the step-2 search with conflict-driven pruning
-//!   (UNSAT-core learning + subsumption-based subtree skipping) vs
-//!   asking the solver about every composed path, same verdicts by
-//!   construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpv_bench::{fig_sym_config, fig_verify_config, generic_sym_config};
@@ -89,37 +85,6 @@ fn bench(c: &mut Criterion) {
                 }
             })
         });
-    }
-
-    // Conflict-driven pruning: the same refutation-heavy audit with
-    // core learning + subsumption skipping on vs off.
-    {
-        let p = to_pipeline(
-            "edge+opt2+fixedfrag",
-            vec![
-                elements::classifier::classifier(),
-                elements::check_ip_header::check_ip_header(false),
-                elements::ip_options::ip_options(2, Some(elements::pipelines::ROUTER_IP)),
-                elements::ip_fragmenter::ip_fragmenter(
-                    elements::ip_fragmenter::FragmenterVariant::Fixed,
-                    24,
-                ),
-            ],
-        );
-        for pruning in [true, false] {
-            let label = if pruning { "pruned" } else { "baseline" };
-            g.bench_function(format!("core_pruning/{label}"), |b| {
-                b.iter(|| {
-                    let cfg = VerifyConfig {
-                        core_pruning: pruning,
-                        ..fig_verify_config()
-                    };
-                    Verifier::new(&p)
-                        .config(cfg)
-                        .check_all(&[Property::CrashFreedom, Property::Bounded { imax: 5_000 }])
-                })
-            });
-        }
     }
 
     // Loop decomposition: specific vs generic on 3 iterations.

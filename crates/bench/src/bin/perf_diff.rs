@@ -25,8 +25,7 @@
 //! To refresh the baseline after an intentional perf change:
 //!
 //! ```text
-//! DPV_JSON=1 cargo run --release -p dpv-bench --bin core_pruning_ablation | grep '"bench"'  > BENCH_step2.json
-//! DPV_JSON=1 cargo run --release -p dpv-bench --bin fleet_ablation        | grep '"bench"' >> BENCH_step2.json
+//! DPV_JSON=1 cargo run --release -p dpv-bench --bin fleet_ablation        | grep '"bench"'  > BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin static_simplify_ablation | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin fig4a                 | grep '"bench"' >> BENCH_step2.json
 //! DPV_JSON=1 cargo run --release -p dpv-bench --bin churn_ablation        | grep '"bench"' >> BENCH_step2.json

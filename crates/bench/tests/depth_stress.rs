@@ -77,20 +77,3 @@ fn disproved_200_stages_in_1mib_stack() {
         other => panic!("expected Disproved, got {}", other.label()),
     }
 }
-
-/// The parallel driver under the same 1 MiB-per-worker regime: worker
-/// threads are spawned by the verifier itself, so this checks their
-/// stacks too (they inherit the default, but the composing thread is
-/// the bounded one).
-#[test]
-fn proved_120_stages_threads4_in_1mib_stack() {
-    let g = stress_pipeline(13, 120, 16, false);
-    let rep = check_in_small_stack("stress-par", move || {
-        Verifier::new(&g.pipeline)
-            .config(gen_verify_config())
-            .threads(4)
-            .check(Property::CrashFreedom)
-            .expect_verify()
-    });
-    assert_eq!(rep.verdict.label(), "proved");
-}

@@ -1,19 +1,15 @@
 //! Differential testing of the verifier across every mode toggle.
 //!
-//! One generated pipeline ([`dpv_bench::gen`]) is checked under five
-//! configurations — sequential baseline, `threads(4)`, core-pruning
-//! off, summary store on, and the static simplifier on — and the
-//! reports must agree:
+//! One generated pipeline ([`dpv_bench::gen`]) is checked under four
+//! configurations — the `seq` baseline, the unpruned reference search
+//! (`Verifier::reference_without_core_pruning`), summary store on, and
+//! the static simplifier on — and the reports must agree:
 //!
 //! * verdict labels are identical in every mode (and match whether the
 //!   generator planted a violation);
 //! * counterexample **bytes**, description and violating trace are
 //!   byte-identical in every mode;
-//! * `composed_paths` is identical across all sequential modes, and
-//!   identical to the parallel run on proved pipelines (on disproved
-//!   runs parallel workers may legitimately over-count tasks started
-//!   before the violation cutoff propagates — see
-//!   `verifier::parallel`'s module docs).
+//! * `composed_paths` is identical in every mode.
 //!
 //! Consecutive seeds are then audited together as a three-variant
 //! [`Fleet`] — a pipeline, its clone, and the next seed's pipeline —
@@ -32,37 +28,26 @@ use verifier::{
 
 struct Mode {
     name: &'static str,
-    threads: usize,
     pruning: bool,
     store: bool,
     simplify: bool,
 }
 
-const MODES: [Mode; 5] = [
+const MODES: [Mode; 4] = [
     Mode {
         name: "seq",
-        threads: 1,
         pruning: true,
         store: false,
         simplify: false,
     },
     Mode {
-        name: "threads4",
-        threads: 4,
-        pruning: true,
-        store: false,
-        simplify: false,
-    },
-    Mode {
-        name: "no-pruning",
-        threads: 1,
+        name: "reference-no-pruning",
         pruning: false,
         store: false,
         simplify: false,
     },
     Mode {
         name: "store",
-        threads: 1,
         pruning: true,
         store: true,
         simplify: false,
@@ -74,7 +59,6 @@ const MODES: [Mode; 5] = [
     // raw baseline exactly.
     Mode {
         name: "simplify",
-        threads: 1,
         pruning: true,
         store: false,
         simplify: true,
@@ -88,17 +72,18 @@ fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
         sym,
         max_composed_paths,
         solver_conflict_budget,
-        core_pruning: _,
         static_simplify: _,
     } = gen_verify_config();
     let cfg = VerifyConfig {
         sym,
         max_composed_paths,
         solver_conflict_budget,
-        core_pruning: m.pruning,
         static_simplify: m.simplify,
     };
-    let mut v = Verifier::new(&g.pipeline).config(cfg).threads(m.threads);
+    let mut v = Verifier::new(&g.pipeline).config(cfg);
+    if !m.pruning {
+        v = v.reference_without_core_pruning();
+    }
     if m.store {
         v = v.with_store(SummaryStore::shared());
     }
@@ -149,20 +134,18 @@ fn check_seed(seed: u64, cfg: GenConfig) -> (Generated, VerifyReport) {
             "seed {seed}: counterexample diverged in mode {}",
             m.name
         );
-        if m.threads == 1 || base_cex.is_none() {
-            assert_eq!(
-                rep.composed_paths, baseline.composed_paths,
-                "seed {seed}: composed_paths diverged in mode {}",
-                m.name
-            );
-        }
+        assert_eq!(
+            rep.composed_paths, baseline.composed_paths,
+            "seed {seed}: composed_paths diverged in mode {}",
+            m.name
+        );
     }
     (g, baseline)
 }
 
 /// The fleet leg: `[a, a.clone(), b]` is two equivalence classes — the
 /// clone replays `a`'s search, `b` runs its own — and every variant's
-/// report equals the baseline of a standalone sequential session.
+/// report equals the baseline of a standalone session.
 fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) {
     let report = Fleet::new()
         .config(gen_verify_config())
@@ -206,7 +189,7 @@ fn differential_smoke() {
 }
 
 /// The paper-scale matrix: 20 generated pipelines of 50+ stages, all
-/// five modes each. Run explicitly in release:
+/// four modes each. Run explicitly in release:
 /// `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]
@@ -217,7 +200,7 @@ fn differential_full() {
     for seed in 0u64..20 {
         let mut cfg = GenConfig::from_seed(seed);
         // Bound the stage count: solver cost on proved pipelines grows
-        // superlinearly with depth, and the matrix is 5 runs per seed.
+        // superlinearly with depth, and the matrix is 4 runs per seed.
         cfg.stages = 50 + (seed as usize * 7) % 11;
         cfg.rounds = 2;
         if cfg.plant_violation {

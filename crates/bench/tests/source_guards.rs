@@ -1,4 +1,4 @@
-//! Source scans that keep a deleted dependency deleted.
+//! Source scans that keep a deleted dependency or engine deleted.
 
 use std::path::{Path, PathBuf};
 
@@ -101,4 +101,46 @@ fn step_two_walks_no_free_variables() {
         );
     }
     assert_eq!(named, 1, "the live-model debug_assert! is gone or doubled");
+}
+
+/// Step 2 is one single-threaded search; parallelism lives at one
+/// level, the behaviour classes of a `Fleet`, and both worker pools
+/// (the fleet's and step 1's fetch phase) are `summary.rs`'s
+/// `run_indexed`. So no other product line of `crates/core/src` spawns
+/// a thread, and the search path has nothing to share one with: no
+/// atomic path counter, no core store behind a mutex. The intra-check
+/// driver measured slower than the sequential search at every thread
+/// count on every audit workload (ROADMAP, "Sized"); this keeps it
+/// from growing back.
+#[test]
+fn step_two_has_one_engine_and_no_threads() {
+    let core = crates_dir().join("core/src");
+    assert!(
+        !core.join("parallel.rs").exists(),
+        "crates/core/src/parallel.rs is back"
+    );
+    let mut files = Vec::new();
+    rust_files(&core, &mut files);
+    assert!(files.len() > 8, "scanned only {} files", files.len());
+    let mut hits = Vec::new();
+    for file in files {
+        let name = file
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("file name");
+        let text = std::fs::read_to_string(&file).expect("source file");
+        let search_path = ["step2.rs", "session.rs", "cores.rs", "churn.rs"].contains(&name);
+        for (i, line) in product_lines(&text) {
+            let spawns = line.contains("thread::scope") || line.contains("thread::spawn");
+            let shares = line.contains("AtomicUsize") || line.contains("Mutex<CoreStore>");
+            if (spawns && name != "summary.rs") || (shares && search_path) {
+                hits.push(format!("{}:{}: {}", file.display(), i, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "threads or shared search state outside `run_indexed`:\n{}",
+        hits.join("\n")
+    );
 }

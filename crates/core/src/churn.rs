@@ -62,7 +62,7 @@
 
 use crate::cores::CoreStore;
 use crate::report::{SummaryCacheStats, Verdict, VerifyReport};
-use crate::session::{run_seq_search, Property, SearchProp, Verifier};
+use crate::session::{run_step2, Property, SearchProp, Verifier};
 use crate::step2::{aborted_report, new_session, segment_count, verdict_of, VerifyConfig};
 use crate::summary::{
     rebase_stage, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey,
@@ -71,7 +71,7 @@ use crate::summary::{
 use bvsolve::{SolveSession, TermPool};
 use dataplane::{DeltaError, Pipeline, TableDelta};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a [`ChurnSession`] re-establishes its properties after an
@@ -187,11 +187,10 @@ fn mode_idx(mode: MapMode) -> usize {
 /// A long-lived verification session over one owned pipeline,
 /// re-establishing a fixed property set after every table update.
 ///
-/// See the [module docs](self) for the reuse model. All step-2 work is
-/// sequential — the session is built for per-update *latency* under a
-/// stream, where the warm state, not parallelism, is the lever (a
-/// fleet of variants still parallelizes across sessions, see
-/// [`crate::fleet`]).
+/// See the [module docs](self) for the reuse model. The session is
+/// built for per-update *latency* under a stream, where the warm
+/// state, not parallelism, is the lever (a fleet of variants
+/// parallelizes across sessions, see [`crate::fleet`]).
 pub struct ChurnSession {
     pipeline: Pipeline,
     properties: Vec<Property>,
@@ -202,7 +201,7 @@ pub struct ChurnSession {
     sums: [Option<PipelineSummaries>; N_MODES],
     keys: [Vec<SummaryKey>; N_MODES],
     solvers: [Option<SolveSession>; N_MODES],
-    core_stores: [Arc<Mutex<CoreStore>>; N_MODES],
+    core_stores: [CoreStore; N_MODES],
     /// Last *decided* report per property, replayed at
     /// [`ReuseLevel::Sessions`] when the property's mode saw no
     /// summary change. `Unknown` reports are never stored.
@@ -243,10 +242,7 @@ impl ChurnSession {
             sums: [None, None],
             keys: [Vec::new(), Vec::new()],
             solvers: [None, None],
-            core_stores: [
-                Arc::new(Mutex::new(CoreStore::new())),
-                Arc::new(Mutex::new(CoreStore::new())),
-            ],
+            core_stores: [CoreStore::new(), CoreStore::new()],
             memo,
             updates: 0,
             stats: ChurnStats::default(),
@@ -531,7 +527,7 @@ impl ChurnSession {
         Ok((reexecuted, rebased))
     }
 
-    /// One warm sequential property check ([`ReuseLevel::Sessions`]).
+    /// One warm property check ([`ReuseLevel::Sessions`]).
     fn run_one(
         &mut self,
         spec: &SearchProp,
@@ -563,8 +559,9 @@ impl ChurnSession {
                 ..
             } = &mut *self;
             let sums = sums[idx].as_ref().expect("ensured");
-            let solver = solvers[idx].get_or_insert_with(|| new_session(cfg));
-            run_seq_search(pool, pipeline, sums, cfg, spec, solver, &core_stores[idx])
+            let cores = &mut core_stores[idx];
+            let solver = solvers[idx].get_or_insert_with(|| new_session(cfg, cores));
+            run_step2(pool, pipeline, sums, cfg, spec, solver, cores)
         };
         let step2_time = t1.elapsed();
         let sums = self.sums[idx].as_ref().expect("ensured");

@@ -1,5 +1,5 @@
 //! Conflict-driven step-2 pruning: UNSAT-core learning, subsumption
-//! lookup, and the shared core store.
+//! lookup, and the per-session core store.
 //!
 //! Every infeasible composed path the step-2 search refutes comes with
 //! an [`bvsolve::Infeasibility`] core — a subset of the path's
@@ -13,18 +13,13 @@
 //! ever replaces queries the solver would have answered `Unsat`.
 //!
 //! Because terms are hash-consed per [`bvsolve::TermPool`], a core is
-//! a set of `TermId`s valid for exactly the pool that produced it:
-//!
-//! * the sequential engine and every property checked by one
-//!   [`crate::Verifier`] share the session pool, so cores learned
-//!   proving crash-freedom prune the bounded-execution and filtering
-//!   searches too (the store is kept per [`crate::MapMode`] beside
-//!   the cached summaries);
-//! * parallel workers operate on *clones* of the master pool and
-//!   intern private terms as they compose deeper, so workers publish
-//!   only cores whose every term exists in the master pool (id below
-//!   the clone boundary) to the shared store — worker-local cores
-//!   still prune that worker's own later tasks.
+//! a set of `TermId`s valid for exactly the pool that produced it. A
+//! session has one pool and, per [`crate::MapMode`], one store held by
+//! value beside the cached summaries — no replicas, nothing to sync:
+//! every property checked by one [`crate::Verifier`] (or re-checked by
+//! one [`crate::ChurnSession`]) searches through the same store, so
+//! cores learned proving crash-freedom prune the bounded-execution
+//! search too.
 //!
 //! Lookup cost is kept off the hot path by a 64-bit **fingerprint**
 //! pre-filter (each term hashes to one bit; a core can only be a
@@ -33,13 +28,13 @@
 //! merge walk.
 
 use bvsolve::TermId;
-use std::sync::{Arc, Mutex};
 
-/// Counters for the conflict-driven pruning layer, reported per check
-/// on [`crate::VerifyReport`].
+/// Counters for the conflict-driven pruning layer. A [`CoreStore`]
+/// keeps them cumulatively; [`crate::VerifyReport`] carries one check's
+/// [`CoreStats::delta`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoreStats {
-    /// New UNSAT cores recorded in the store by this check.
+    /// New UNSAT cores recorded in the store.
     pub cores_learned: u64,
     /// Solver queries skipped because the constraint set subsumed a
     /// known core (includes `subtrees_pruned`).
@@ -50,12 +45,14 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
-    /// Adds `other`'s counters into `self` (for merging per-worker
-    /// stats in the parallel driver).
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.cores_learned += other.cores_learned;
-        self.core_hits += other.core_hits;
-        self.subtrees_pruned += other.subtrees_pruned;
+    /// The counters accrued since `before` was read off the same store
+    /// (what one check reports, like `SolverLayerStats::delta`).
+    pub fn delta(&self, before: &CoreStats) -> CoreStats {
+        CoreStats {
+            cores_learned: self.cores_learned - before.cores_learned,
+            core_hits: self.core_hits - before.core_hits,
+            subtrees_pruned: self.subtrees_pruned - before.subtrees_pruned,
+        }
     }
 }
 
@@ -77,23 +74,46 @@ fn fingerprint(terms: &[TermId]) -> u64 {
 /// 64-bit fingerprint pre-filter; [`CoreStore::subsumed`] answers
 /// "is some stored core a subset of this constraint set?" — the
 /// query the step-2 search asks before every solver call. The store
-/// is append-only (a [`crate::Verifier`] shares one per map mode
-/// across property checks and engines; parallel workers sync by
-/// remembering how many entries they have already merged), and
-/// inserting a core that is a superset of an existing one is a no-op
-/// since the existing core already subsumes everything the new one
-/// would.
+/// is append-only (a [`crate::Verifier`] keeps one per map mode across
+/// property checks), and inserting a core that is a superset of an
+/// existing one is a no-op since the existing core already subsumes
+/// everything the new one would.
 #[derive(Debug, Default)]
 pub struct CoreStore {
-    /// `(fingerprint, sorted core)`, append-only. The `Arc` makes
-    /// syncing a store into a worker-local replica a pointer copy.
-    cores: Vec<(u64, Arc<Vec<TermId>>)>,
+    /// `(fingerprint, sorted core)`, append-only.
+    cores: Vec<(u64, Vec<TermId>)>,
+    /// Turns [`CoreStore::known_unsat`] and [`CoreStore::learn`] into
+    /// no-ops: the unpruned reference search of
+    /// [`crate::Verifier::reference_without_core_pruning`].
+    disabled: bool,
+    /// Scratch for sorting constraint sets without re-allocating.
+    scratch: Vec<TermId>,
+    stats: CoreStats,
 }
 
 impl CoreStore {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A store that never learns and never prunes.
+    pub(crate) fn disabled() -> Self {
+        CoreStore {
+            disabled: true,
+            ..Self::default()
+        }
+    }
+
+    /// Whether the search reads cores from this store at all — if not,
+    /// its solver need not extract them.
+    pub(crate) fn is_enabled(&self) -> bool {
+        !self.disabled
+    }
+
+    /// Lifetime counters; a check reports their [`CoreStats::delta`].
+    pub fn stats(&self) -> CoreStats {
+        self.stats
     }
 
     /// Number of stored cores.
@@ -116,7 +136,7 @@ impl CoreStore {
 
     /// Records `core` (sorted, deduped). Returns `false` (and stores
     /// nothing) when an existing core already subsumes it.
-    pub fn insert(&mut self, core: Arc<Vec<TermId>>) -> bool {
+    pub fn insert(&mut self, core: Vec<TermId>) -> bool {
         let fp = fingerprint(&core);
         if self.subsumed(fp, &core) {
             return false;
@@ -125,11 +145,36 @@ impl CoreStore {
         true
     }
 
-    /// Appends entries `[from..]` of `other` (a shared store this
-    /// replica syncs from). Skips entries an existing core subsumes.
-    fn merge_from(&mut self, other: &CoreStore, from: usize) {
-        for (_, core) in &other.cores[from..] {
-            self.insert(Arc::clone(core));
+    /// Whether `constraints` is known UNSAT (subsumes a stored core).
+    /// Counts a hit; `subtree = true` additionally counts a pruned
+    /// continuation subtree.
+    pub(crate) fn known_unsat(&mut self, constraints: &[TermId], subtree: bool) -> bool {
+        if self.disabled || self.cores.is_empty() {
+            return false;
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(constraints);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        let hit = self.subsumed(fingerprint(&self.scratch), &self.scratch);
+        if hit {
+            self.stats.core_hits += 1;
+            if subtree {
+                self.stats.subtrees_pruned += 1;
+            }
+        }
+        hit
+    }
+
+    /// Records a core returned by an UNSAT query.
+    pub(crate) fn learn(&mut self, mut core: Vec<TermId>) {
+        if self.disabled || core.is_empty() {
+            return;
+        }
+        core.sort_unstable();
+        core.dedup();
+        if self.insert(core) {
+            self.stats.cores_learned += 1;
         }
     }
 }
@@ -153,112 +198,6 @@ fn is_subset(a: &[TermId], b: &[TermId]) -> bool {
     i == a.len()
 }
 
-/// The per-engine pruning handle threaded through the step-2 search:
-/// a local [`CoreStore`] replica plus the shared session store it
-/// syncs with at check/task boundaries.
-pub(crate) struct Pruner {
-    enabled: bool,
-    shared: Arc<Mutex<CoreStore>>,
-    local: CoreStore,
-    /// How many entries of `shared` are already merged into `local`.
-    synced: usize,
-    /// Cores learned locally since the last publish.
-    pending: Vec<Arc<Vec<TermId>>>,
-    /// Exclusive upper bound on `TermId::index` for *published* cores:
-    /// parallel workers intern terms their siblings don't have, so
-    /// only cores made entirely of master-pool terms may leave the
-    /// worker. `usize::MAX` for the sequential engine (single pool).
-    publish_limit: usize,
-    /// Scratch for sorting constraint sets without re-allocating.
-    scratch: Vec<TermId>,
-    pub(crate) stats: CoreStats,
-}
-
-impl Pruner {
-    /// A pruner over `shared`. `enabled = false` turns every method
-    /// into a no-op (the `core_pruning = false` A/B baseline).
-    pub(crate) fn new(shared: Arc<Mutex<CoreStore>>, enabled: bool, publish_limit: usize) -> Self {
-        Pruner {
-            enabled,
-            shared,
-            local: CoreStore::new(),
-            synced: 0,
-            pending: Vec::new(),
-            publish_limit,
-            scratch: Vec::new(),
-            stats: CoreStats::default(),
-        }
-    }
-
-    /// Pulls cores other engines/workers have published since the
-    /// last sync into the local replica.
-    pub(crate) fn sync(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        let shared = self.shared.lock().expect("core store poisoned");
-        if shared.len() > self.synced {
-            self.local.merge_from(&shared, self.synced);
-            self.synced = shared.len();
-        }
-    }
-
-    /// Publishes locally-learned cores to the shared store (skipping
-    /// cores with worker-private terms) and re-syncs.
-    pub(crate) fn publish(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        let mut shared = self.shared.lock().expect("core store poisoned");
-        if shared.len() > self.synced {
-            self.local.merge_from(&shared, self.synced);
-        }
-        for core in self.pending.drain(..) {
-            if core.iter().all(|t| t.index() < self.publish_limit) {
-                shared.insert(core);
-            }
-        }
-        self.synced = shared.len();
-    }
-
-    /// Whether `constraints` is known UNSAT (subsumes a stored core).
-    /// Counts a hit; `subtree = true` additionally counts a pruned
-    /// continuation subtree.
-    pub(crate) fn known_unsat(&mut self, constraints: &[TermId], subtree: bool) -> bool {
-        if !self.enabled || self.local.is_empty() {
-            return false;
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(constraints);
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        let fp = fingerprint(&self.scratch);
-        if self.local.subsumed(fp, &self.scratch) {
-            self.stats.core_hits += 1;
-            if subtree {
-                self.stats.subtrees_pruned += 1;
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a core returned by an UNSAT query.
-    pub(crate) fn learn(&mut self, mut core: Vec<TermId>) {
-        if !self.enabled || core.is_empty() {
-            return;
-        }
-        core.sort_unstable();
-        core.dedup();
-        let core = Arc::new(core);
-        if self.local.insert(Arc::clone(&core)) {
-            self.stats.cores_learned += 1;
-            self.pending.push(core);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,11 +213,11 @@ mod tests {
         let mut pool = bvsolve::TermPool::new();
         let v = ids(&mut pool, 8);
         let mut store = CoreStore::new();
-        assert!(store.insert(Arc::new(vec![v[1], v[3]])));
+        assert!(store.insert(vec![v[1], v[3]]));
         // Superset of a stored core: rejected as redundant.
-        assert!(!store.insert(Arc::new(vec![v[1], v[2], v[3]])));
+        assert!(!store.insert(vec![v[1], v[2], v[3]]));
         // Different core: kept.
-        assert!(store.insert(Arc::new(vec![v[4]])));
+        assert!(store.insert(vec![v[4]]));
         assert_eq!(store.len(), 2);
 
         let set = |xs: &[TermId]| {
@@ -292,60 +231,27 @@ mod tests {
         assert!(!store.subsumed(fp, &s), "misses term 3");
         let (fp, s) = set(&[v[4], v[7]]);
         assert!(store.subsumed(fp, &s), "contains {{4}}");
+
+        // The search's view: unsorted sets in, counters out.
+        assert!(!store.known_unsat(&[v[6], v[5]], false));
+        store.learn(vec![v[6], v[5], v[6]]);
+        assert!(store.known_unsat(&[v[7], v[6], v[5]], true));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.cores_learned, stats.core_hits, stats.subtrees_pruned),
+            (1, 1, 1)
+        );
     }
 
     #[test]
-    fn pruner_learns_hits_and_publishes() {
-        let mut pool = bvsolve::TermPool::new();
-        let v = ids(&mut pool, 6);
-        let shared = Arc::new(Mutex::new(CoreStore::new()));
-        let mut a = Pruner::new(Arc::clone(&shared), true, usize::MAX);
-        let mut b = Pruner::new(Arc::clone(&shared), true, usize::MAX);
-
-        assert!(!a.known_unsat(&[v[0], v[1]], false));
-        a.learn(vec![v[1], v[0]]);
-        assert!(a.known_unsat(&[v[0], v[1], v[2]], true));
-        assert_eq!(a.stats.core_hits, 1);
-        assert_eq!(a.stats.subtrees_pruned, 1);
-
-        // b sees nothing until a publishes.
-        b.sync();
-        assert!(!b.known_unsat(&[v[0], v[1]], false));
-        a.publish();
-        b.sync();
-        assert!(b.known_unsat(&[v[0], v[1]], false));
-    }
-
-    #[test]
-    fn publish_limit_keeps_private_terms_local() {
-        let mut pool = bvsolve::TermPool::new();
-        let v = ids(&mut pool, 6);
-        let shared = Arc::new(Mutex::new(CoreStore::new()));
-        // Everything at index ≥ v[3] is "worker-private".
-        let limit = v[3].index();
-        let mut w = Pruner::new(Arc::clone(&shared), true, limit);
-        w.learn(vec![v[4], v[5]]); // private: stays local
-        w.learn(vec![v[0], v[1]]); // shared-safe: published
-        assert!(w.known_unsat(&[v[4], v[5]], false), "local core still hits");
-        w.publish();
-        assert_eq!(shared.lock().unwrap().len(), 1);
-
-        let mut other = Pruner::new(Arc::clone(&shared), true, limit);
-        other.sync();
-        assert!(other.known_unsat(&[v[0], v[1], v[2]], false));
-        assert!(!other.known_unsat(&[v[4], v[5]], false));
-    }
-
-    #[test]
-    fn disabled_pruner_is_inert() {
+    fn disabled_store_is_inert() {
         let mut pool = bvsolve::TermPool::new();
         let v = ids(&mut pool, 3);
-        let shared = Arc::new(Mutex::new(CoreStore::new()));
-        let mut p = Pruner::new(Arc::clone(&shared), false, usize::MAX);
-        p.learn(vec![v[0]]);
-        assert!(!p.known_unsat(&[v[0], v[1]], true));
-        p.publish();
-        assert!(shared.lock().unwrap().is_empty());
-        assert_eq!(p.stats.cores_learned, 0);
+        let mut store = CoreStore::disabled();
+        store.learn(vec![v[0]]);
+        assert!(!store.known_unsat(&[v[0], v[1]], true));
+        assert!(store.is_empty());
+        assert_eq!(store.stats().cores_learned, 0);
+        assert_eq!(store.stats().core_hits, 0);
     }
 }

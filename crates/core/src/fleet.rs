@@ -140,9 +140,8 @@ impl Fleet {
 
     /// Sets the worker count for class scheduling: `0` (the default)
     /// uses all available cores, `1` runs the searches in place; never
-    /// more workers than classes. Each search itself runs the
-    /// sequential engine — fleet-level parallelism replaces step-2
-    /// splitting.
+    /// more workers than classes. This is the one level parallelism
+    /// lives at: each search is single-threaded.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -247,7 +246,7 @@ impl Fleet {
             // is the session it owns, dropped with the panic; the
             // shared store clears its in-flight markers on unwind.
             catch_unwind(AssertUnwindSafe(|| {
-                let mut session = Verifier::new(pipeline).config(self.cfg.clone()).threads(1);
+                let mut session = Verifier::new(pipeline).config(self.cfg.clone());
                 if self.share_store {
                     session = session.with_store(Arc::clone(&self.store));
                 }

@@ -14,11 +14,13 @@
 //!
 //! The entry point is the [`session`] API: a [`Verifier`] caches the
 //! step-1 summaries per [`MapMode`] and checks any number of
-//! [`Property`] values against them, sequentially or across all cores
-//! ([`Verifier::threads`]). Step-1 summaries are content-addressed in
+//! [`Property`] values against them, each by one deterministic
+//! single-threaded search. Step-1 summaries are content-addressed in
 //! a [`SummaryStore`] ([`Verifier::with_store`]) so sessions,
 //! pipelines and config variants share them; the [`fleet`] module
-//! scales that to N pipeline variants × M properties on one store.
+//! scales that to N pipeline variants × M properties on one store —
+//! and is where the worker threads are: one search per behaviour class
+//! ([`Fleet::threads`]).
 //!
 //! ## How it works (paper §3)
 //!
@@ -56,7 +58,6 @@ pub mod compose;
 pub mod cores;
 pub mod fleet;
 pub mod generic;
-pub mod parallel;
 pub(crate) mod persist;
 pub mod report;
 pub mod session;
@@ -74,6 +75,6 @@ pub use session::{CustomProperty, GenericRun, Property, Report, StateReport, Ver
 pub use stateful::StateFinding;
 pub use step2::{FilterProperty, LongestPath, VerifyConfig};
 pub use summary::{
-    summarize_pipeline, summarize_pipeline_par, summarize_pipeline_with_store, MapMode,
-    PipelineSummaries, StageSummary, SummaryKey, SummaryStore,
+    summarize_pipeline, summarize_pipeline_with_store, MapMode, PipelineSummaries, StageSummary,
+    SummaryKey, SummaryStore,
 };

@@ -174,15 +174,14 @@ pub struct VerifyReport {
     /// "# Paths".
     pub composed_paths: usize,
     /// Solver layer/reuse counters for this check's step-2 queries
-    /// (the per-check delta out of the session's long-lived solver;
-    /// summed over workers in parallel runs).
+    /// (the per-check delta out of the session's long-lived solver).
     pub solver: SolverLayerStats,
     /// Conflict-driven pruning counters for this check (cores learned,
     /// queries skipped via core subsumption, continuation subtrees cut
-    /// before expansion). All zero with
-    /// [`crate::VerifyConfig::core_pruning`] `= false`; `core_hits`
-    /// from the very first query of a check indicate cores carried
-    /// over from an earlier property in the same session.
+    /// before expansion) — the per-check delta out of the session's
+    /// [`crate::CoreStore`]. `core_hits` from the very first query of a
+    /// check indicate cores carried over from an earlier property in
+    /// the same session.
     pub cores: CoreStats,
     /// Step-1 summary-store counters: stages rebased from cache vs
     /// executed, and the store's current size. Hits on the check that

@@ -15,9 +15,7 @@
 //! ```no_run
 //! use verifier::{FilterProperty, Property, Verifier, VerifyConfig};
 //! # let pipeline = dataplane::Pipeline::new("p");
-//! let mut v = Verifier::new(&pipeline)
-//!     .config(VerifyConfig::default())
-//!     .threads(4);
+//! let mut v = Verifier::new(&pipeline).config(VerifyConfig::default());
 //! for report in v.check_all(&[
 //!     Property::CrashFreedom,
 //!     Property::Bounded { imax: 5_000 },
@@ -38,49 +36,41 @@
 //! Properties are values ([`Property`]), so audits can be assembled,
 //! stored and replayed; user-defined invariants plug in through
 //! [`CustomProperty`] and run on the same cached summaries and the
-//! same search engine. The sequential and multi-threaded drivers are
-//! one code path here — [`Verifier::threads`] picks the engine, and
-//! both classify segments through the single `step2::classify`
-//! kernel, so they cannot diverge on property semantics.
+//! same search. There is one step-2 engine — a single-threaded,
+//! deterministic DFS ([`Verifier::check`] has no engine choice);
+//! parallelism lives one level up, across the behaviour classes of a
+//! [`crate::fleet::Fleet`].
 //!
 //! ## Determinism notes
 //!
-//! Proof status (proved / disproved / unknown) and the violating
-//! `(stage, segment)` trace are independent of thread count and of
-//! which properties were checked earlier in the session. The concrete
-//! counterexample *packet bytes* for under-constrained properties are
-//! solver-model dependent and may differ between a session that
-//! summarized another map mode first and a fresh single-property run
-//! (both packets trigger the same violation) — the same caveat as the
-//! [`crate::parallel`] driver.
-//!
-//! Solver reuse does **not** widen that caveat: although a long-lived
-//! [`bvsolve::SolveSession`]'s in-flight models depend on the learnt
-//! clauses and saved phases earlier queries left behind, the bytes of
-//! every verdict-deciding violation come from canonical minimal-model
-//! extraction on a private session before it is reported.
+//! Proof status (proved / disproved / unknown), the violating
+//! `(stage, segment)` trace and the counterexample packet are
+//! independent of which properties were checked earlier in the
+//! session: although a long-lived [`bvsolve::SolveSession`]'s
+//! in-flight models depend on the learnt clauses and saved phases
+//! earlier queries left behind, the bytes of every verdict-deciding
+//! violation come from canonical minimal-model extraction on a private
+//! session before it is reported (only when that extraction runs out
+//! of conflict budget is the in-flight model reported instead).
 
 use crate::compose::ComposedState;
-use crate::cores::{CoreStore, Pruner};
+use crate::cores::{CoreStats, CoreStore};
 use crate::generic::{run_generic, GenericReport};
-use crate::parallel::{drain_tasks, expand_frontier, WorkerCtx};
 use crate::report::{json_escape, StaticStats, Verdict, VerifyReport};
 use crate::stateful::{analyze, StateFinding};
 use crate::step2::{
     aborted_report, bounded_suspects, crash_reach, crash_suspects, filter_suspects,
     longest_paths_from, lookahead, make_initial, new_session, search, segment_count, verdict_of,
-    FilterProperty, LongestPath, Node, PropKind, VerifyConfig,
+    FilterProperty, LongestPath, Node, PropKind, SearchOutcome, VerifyConfig,
 };
 use crate::summary::{
-    effective_threads, summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey,
-    SummaryStore,
+    summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
 };
-use bvsolve::{SolveSession, TermPool};
+use bvsolve::{SolveSession, SolverLayerStats, TermPool};
 use dataplane::{Element, ElementKind, Pipeline, Route, Stage};
 use dpir::analysis::{lint_program, simplify, Diagnostic, IvEnv};
 use dpir::PortId;
-use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symexec::{SegOutcome, Segment, SymConfig, SymInput};
 
@@ -536,55 +526,51 @@ pub(crate) fn search_class(
     Some(SearchClass(stages))
 }
 
-/// The sequential step-2 engine for one resolved property: builds the
-/// initial state, syncs the conflict-driven pruner with the mode's
-/// core store, runs the DFS through the given (usually long-lived)
-/// solver, and publishes the learnt cores back. One code path behind
-/// both [`Verifier::check`] (`threads == 1`) and
-/// [`crate::churn::ChurnSession`], so a churn session's warm re-checks
-/// cannot diverge from a fresh session's. Returns the outcome, the
-/// solver/core stat deltas and the composed-path count.
-pub(crate) fn run_seq_search(
+/// The step-2 engine for one resolved property: builds the initial
+/// state and runs the DFS through the given (usually long-lived) solver
+/// and the mode's core store. One code path behind both
+/// [`Verifier::check`] and [`crate::churn::ChurnSession`], so a churn
+/// session's warm re-checks cannot diverge from a fresh session's.
+/// Returns the outcome, the solver/core stat deltas and the
+/// composed-path count.
+pub(crate) fn run_step2(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
     spec: &SearchProp,
     solver: &mut SolveSession,
-    core_store: &Arc<Mutex<CoreStore>>,
-) -> (
-    crate::step2::SearchOutcome,
-    bvsolve::SolverLayerStats,
-    crate::cores::CoreStats,
-    usize,
-) {
+    cores: &mut CoreStore,
+) -> (SearchOutcome, SolverLayerStats, CoreStats, usize) {
     let mut init = make_initial(pool, sums);
     spec.init_extra(pool, sums, &mut init);
     let reach = spec.reach(sums);
     let kind = spec.kind();
-    let composed = AtomicUsize::new(0);
-    let mut pruner = Pruner::new(Arc::clone(core_store), cfg.core_pruning, usize::MAX);
-    pruner.sync();
-    let before = solver.stats();
+    let root = Node {
+        stage: 0,
+        iter: 0,
+        state: init,
+    };
+    let mut composed = 0;
+    let (solver_before, cores_before) = (solver.stats(), cores.stats());
     let outcome = search(
         pool,
         solver,
-        &mut pruner,
+        cores,
         pipeline,
         sums,
         cfg,
         &kind,
-        vec![Node {
-            stage: 0,
-            iter: 0,
-            state: init,
-        }],
+        root,
         &reach,
-        &composed,
+        &mut composed,
     );
-    let stats = solver.stats().delta(&before);
-    pruner.publish();
-    (outcome, stats, pruner.stats, composed.into_inner())
+    (
+        outcome,
+        solver.stats().delta(&solver_before),
+        cores.stats().delta(&cores_before),
+        composed,
+    )
 }
 
 /// Cached step-1 output for one map mode.
@@ -648,24 +634,20 @@ fn static_pass(pipeline: &Pipeline, sym: &SymConfig) -> (Pipeline, StaticStats) 
 pub struct Verifier<'p> {
     pipeline: &'p Pipeline,
     cfg: VerifyConfig,
-    threads: usize,
-    split_depth: usize,
     pool: TermPool,
     cache: [Option<CachedSummaries>; 2],
     /// One long-lived step-2 solver session per [`MapMode`], created
     /// lazily beside the cached summaries: its blasted constraints and
-    /// learnt clauses persist across every sequential property check
-    /// of the session. Parallel checks use per-worker sessions instead
-    /// (see [`crate::parallel`]).
+    /// learnt clauses persist across every property check of the
+    /// session.
     solvers: [Option<SolveSession>; 2],
     /// One UNSAT-core store per [`MapMode`], beside the cached
     /// summaries: cores learned refuting paths for one property prune
     /// the step-2 searches of every later property in the same mode
     /// (the constraint terms are hash-consed in the shared pool, so
     /// identical compositions re-intern to identical `TermId`s).
-    /// Parallel workers sync with the same store at task boundaries.
-    /// Inert with [`VerifyConfig::core_pruning`] `= false`.
-    core_stores: [Arc<Mutex<CoreStore>>; 2],
+    /// Inert after [`Verifier::reference_without_core_pruning`].
+    core_stores: [CoreStore; 2],
     /// The content-addressed step-1 summary store consulted (and fed)
     /// by [`Verifier::summaries`]. Private per session by default;
     /// [`Verifier::with_store`] shares one across sessions, pipelines
@@ -693,21 +675,15 @@ pub struct Verifier<'p> {
 }
 
 impl<'p> Verifier<'p> {
-    /// A session over `pipeline` with the default configuration,
-    /// sequential engine.
+    /// A session over `pipeline` with the default configuration.
     pub fn new(pipeline: &'p Pipeline) -> Self {
         Verifier {
             pipeline,
             cfg: VerifyConfig::default(),
-            threads: 1,
-            split_depth: 2,
             pool: TermPool::new(),
             cache: [None, None],
             solvers: [None, None],
-            core_stores: [
-                Arc::new(Mutex::new(CoreStore::new())),
-                Arc::new(Mutex::new(CoreStore::new())),
-            ],
+            core_stores: [CoreStore::new(), CoreStore::new()],
             store: SummaryStore::shared(),
             store_shared: false,
             simplified: None,
@@ -745,27 +721,17 @@ impl<'p> Verifier<'p> {
         self
     }
 
-    /// Sets the worker-thread count for both steps: `1` (the default)
-    /// runs the sequential engine in-place, `0` uses all available
-    /// cores, any other value pins that many workers.
+    /// The unpruned reference search: no UNSAT core is learnt, none
+    /// prunes, and the solver sessions extract none. Not a mode of the
+    /// product — the differential suites hold the pruned search to this
+    /// arm (same verdicts, counterexample bytes and composed-path
+    /// counts wherever every query is decided). Call before the first
+    /// `check`.
+    #[doc(hidden)]
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn reference_without_core_pruning(mut self) -> Self {
+        self.core_stores = [CoreStore::disabled(), CoreStore::disabled()];
         self
-    }
-
-    /// Sets the composition depth at which the parallel step-2 search
-    /// splits into independent subtree tasks (ignored by the
-    /// sequential engine; the verdict never depends on it).
-    #[must_use]
-    pub fn split_depth(mut self, split_depth: usize) -> Self {
-        self.split_depth = split_depth;
-        self
-    }
-
-    /// The worker count this session resolves to (`0` → all cores).
-    pub fn effective_threads(&self) -> usize {
-        effective_threads(self.threads)
     }
 
     /// How many step-1 summarization passes this session has run —
@@ -782,7 +748,6 @@ impl<'p> Verifier<'p> {
         if self.cache[idx].is_some() {
             return Ok(false);
         }
-        let threads = self.effective_threads();
         let t0 = Instant::now();
         if self.cfg.static_simplify && self.simplified.is_none() {
             self.simplified = Some(static_pass(self.pipeline, &self.cfg.sym));
@@ -809,7 +774,7 @@ impl<'p> Verifier<'p> {
             store.load_bytes(),
             store.fork_stats(),
         );
-        let sums = summarize_pipeline_with_store(pool, summarized, &cfg.sym, mode, store, threads)?;
+        let sums = summarize_pipeline_with_store(pool, summarized, &cfg.sym, mode, store, 1)?;
         self.step1_runs += 1;
         if !self.store_shared {
             // Nothing in this session will hit these entries again —
@@ -933,27 +898,15 @@ impl<'p> Verifier<'p> {
         let init = make_initial(pool, sums);
         // The longest-path search prunes with (and feeds) the same
         // abstract-mode core store as the property checks.
-        let mut pruner = Pruner::new(
-            Arc::clone(&core_stores[mode_idx(MapMode::Abstract)]),
-            cfg.core_pruning,
-            usize::MAX,
-        );
-        pruner.sync();
-        let out = longest_paths_from(pool, pipeline, sums, init, cfg, &mut pruner, n);
-        pruner.publish();
-        out
+        let cores = &mut core_stores[mode_idx(MapMode::Abstract)];
+        longest_paths_from(pool, pipeline, sums, init, cfg, cores, n)
     }
 
-    /// The shared step-2 driver: cached summaries, one engine
-    /// dispatch. Sequential (`threads == 1`) runs the DFS in-place
-    /// (through [`run_seq_search`], shared with
-    /// [`crate::churn::ChurnSession`]); otherwise the search splits
-    /// into a frontier of subtree tasks drained by workers — both
-    /// classify segments through the same `step2::classify` kernel.
+    /// One search-based check: cached summaries, then [`run_step2`]
+    /// (shared with [`crate::churn::ChurnSession`]).
     fn run_search(&mut self, spec: &SearchProp) -> VerifyReport {
         let name = spec.name();
         let mode = spec.mode();
-        let threads = self.effective_threads();
         let t0 = Instant::now();
         let built = match self.ensure(mode) {
             Ok(b) => b,
@@ -962,7 +915,6 @@ impl<'p> Verifier<'p> {
         let Verifier {
             pipeline,
             cfg,
-            split_depth,
             pool,
             cache,
             solvers,
@@ -988,55 +940,14 @@ impl<'p> Verifier<'p> {
         };
 
         let t1 = Instant::now();
-        let core_store = &core_stores[mode_idx(mode)];
-        let (outcome, solver_stats, core_stats, composed_paths) = if threads == 1 {
-            // The session beside the cache outlives this check: later
-            // properties in the same map mode reuse its blasted
-            // constraints and learnt clauses. Stats are reported as
-            // the per-check delta. The pruner syncs cores learned by
-            // earlier checks (either engine) in and publishes this
-            // check's harvest back at the end.
-            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg));
-            run_seq_search(pool, pipeline, sums, cfg, spec, solver, core_store)
-        } else {
-            let mut init = make_initial(pool, sums);
-            spec.init_extra(pool, sums, &mut init);
-            let reach = spec.reach(sums);
-            let kind = spec.kind();
-            let composed = AtomicUsize::new(0);
-            // Frontier expansion prunes infeasible shallow prefixes
-            // with the same persistent solver the sequential engine
-            // would use, so the set of explored nodes — and hence the
-            // composed-path count — matches it exactly on exhaustive
-            // runs. Its cores are published like any other check's.
-            let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg));
-            let mut pruner = Pruner::new(Arc::clone(core_store), cfg.core_pruning, usize::MAX);
-            pruner.sync();
-            let tasks = expand_frontier(
-                pool,
-                solver,
-                &mut pruner,
-                pipeline,
-                sums,
-                &kind,
-                init,
-                &reach,
-                *split_depth,
-                &composed,
-            );
-            pruner.publish();
-            let ctx = WorkerCtx {
-                pipeline,
-                sums,
-                cfg,
-                kind: &kind,
-                reach: &reach,
-                composed: &composed,
-                core_store,
-            };
-            let (outcome, stats, core_stats) = drain_tasks(pool, &tasks, threads, &ctx);
-            (outcome, stats, core_stats, composed.into_inner())
-        };
+        // The session beside the cache outlives this check: later
+        // properties in the same map mode reuse its blasted constraints
+        // and learnt clauses, and prune with the cores this one learns.
+        // Both report their counters as the per-check delta.
+        let cores = &mut core_stores[mode_idx(mode)];
+        let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg, cores));
+        let (outcome, solver_stats, core_stats, composed_paths) =
+            run_step2(pool, pipeline, sums, cfg, spec, solver, cores);
         VerifyReport {
             property: name,
             pipeline: pipeline.name.clone(),

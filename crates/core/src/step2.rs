@@ -2,14 +2,13 @@
 //! feasibility.
 //!
 //! The path search is written once (`search`) and parameterized by
-//! `PropKind`; the sequential engine and the parallel frontier in
-//! [`crate::parallel`] share it — dispatched from one code path in
-//! [`crate::session::Verifier`] — so the two can never diverge on
-//! property semantics. Every feasibility query takes one path:
-//! learnt-core pruner, then an incremental [`SolveSession`].
+//! `PropKind`; [`crate::session::Verifier`] and
+//! [`crate::churn::ChurnSession`] both run it, so the two can never
+//! diverge on property semantics. Every feasibility query takes one
+//! path: learnt-core store, then an incremental [`SolveSession`].
 
 use crate::compose::{compose, ComposedState};
-use crate::cores::{CoreStats, Pruner};
+use crate::cores::{CoreStats, CoreStore};
 use crate::report::{CounterExample, Verdict, VerifyReport};
 use crate::session::CustomProperty;
 use crate::summary::PipelineSummaries;
@@ -17,7 +16,6 @@ use bvsolve::{SatVerdict, SolveSession, SolverLayerStats, TermPool};
 use dataplane::{Pipeline, Route};
 use dpir::PORT_CONTINUE;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symexec::{SegOutcome, Segment, SymConfig, SymInput};
@@ -32,24 +30,6 @@ pub struct VerifyConfig {
     pub max_composed_paths: usize,
     /// CDCL conflict budget per step-2 feasibility query.
     pub solver_conflict_budget: u64,
-    /// Whether the step-2 search learns **UNSAT cores** from refuted
-    /// queries and skips any later query whose constraint set subsumes
-    /// a known core (see [`crate::CoreStore`]). Pruning only ever
-    /// replaces queries the solver would answer `Unsat`, so on runs
-    /// where every query is decided — the normal case, far from
-    /// [`VerifyConfig::solver_conflict_budget`] — verdicts,
-    /// counterexample bytes and composed-path counts are equivalent
-    /// by construction (pruned compositions still count; only the
-    /// solver call is skipped). Near the budget a query the unpruned
-    /// run answered `Unknown` may be pruned to a definite `Unsat`, and
-    /// skipped solves change the solver state behind later
-    /// budget-limited queries. A [`crate::session::Verifier`] keeps
-    /// one store per map mode, so cores learned proving one property
-    /// prune the session's other properties too; parallel workers
-    /// share the session store behind a mutex, publishing at task
-    /// boundaries. `false` is the A/B baseline for the `core_pruning`
-    /// bench ablation.
-    pub core_pruning: bool,
     /// Whether step-1 summarization runs on the statically simplified
     /// programs ([`dpir::analysis::simplify()`]) instead of the raw
     /// ones. The simplifier is verdict-preserving by construction —
@@ -74,7 +54,6 @@ impl Default for VerifyConfig {
             sym: SymConfig::default(),
             max_composed_paths: 1 << 20,
             solver_conflict_budget: 200_000,
-            core_pruning: true,
             static_simplify: false,
         }
     }
@@ -94,17 +73,18 @@ pub(crate) enum Feas {
     Unknown,
 }
 
-/// The step-2 query solver: an incremental [`SolveSession`] under
+/// The step-2 query solver for searches that prune through `cores`:
+/// an incremental [`SolveSession`] under
 /// [`VerifyConfig::solver_conflict_budget`].
-pub(crate) fn new_session(cfg: &VerifyConfig) -> SolveSession {
+pub(crate) fn new_session(cfg: &VerifyConfig, cores: &CoreStore) -> SolveSession {
     // Note: drop-one core minimization stays off here — on the
     // step-2 stream the analyze-final cores are already sharp
     // enough that the capped re-solves cost far more than the
     // extra subsumptions they buy (measured 2-3x slower on the
     // refutation-heavy ablation with no extra hits).
     let mut session = SolveSession::with_conflict_budget(cfg.solver_conflict_budget);
-    // No pruner will read the cores, so don't build them.
-    session.set_core_extraction(cfg.core_pruning);
+    // A disabled store reads no cores, so don't build them.
+    session.set_core_extraction(cores.is_enabled());
     session
 }
 
@@ -120,9 +100,9 @@ pub(crate) fn new_session(cfg: &VerifyConfig) -> SolveSession {
 /// intern the same composition with different [`bvsolve::TermId`]
 /// numbering, which flips commutative operand order and thereby CNF
 /// variable order — an arbitrary-model extraction would report
-/// different, equally valid, packets). Every engine — sequential,
-/// parallel, core-pruned, simplified, churn-warmed — therefore
-/// reports byte-identical counterexamples for the same violation.
+/// different, equally valid, packets). Every session — fresh,
+/// unpruned reference, simplified, churn-warmed — therefore reports
+/// byte-identical counterexamples for the same violation.
 ///
 /// Cost: one solve plus ~`log₂(range)` assumption re-solves per
 /// reported field on a private [`SolveSession`] (circuits blasted
@@ -184,16 +164,16 @@ pub(crate) fn canonical_model(
     Some(bvsolve::Model::from_assignment(out))
 }
 
-/// One feasibility query: the **conflict-driven pruner** refutes any
-/// constraint set subsuming a learned UNSAT core (`subtree` marks
-/// continuation nodes, whose skip prunes a whole search subtree);
-/// everything else goes to the solver session (which syncs its
-/// assertion stack to the query: retire past the common prefix, assert
-/// the rest). Every solver `Unsat` feeds its core back into the pruner.
+/// One feasibility query: the **core store** refutes any constraint
+/// set subsuming a learned UNSAT core (`subtree` marks continuation
+/// nodes, whose skip prunes a whole search subtree); everything else
+/// goes to the solver session (which syncs its assertion stack to the
+/// query: retire past the common prefix, assert the rest). Every solver
+/// `Unsat` feeds its core back into the store.
 pub(crate) fn check(
     pool: &mut TermPool,
     solver: &mut SolveSession,
-    pruner: &mut Pruner,
+    cores: &mut CoreStore,
     state: &ComposedState,
     subtree: bool,
 ) -> Feas {
@@ -217,13 +197,13 @@ pub(crate) fn check(
             .collect();
         &combined
     };
-    if pruner.known_unsat(cs, subtree) {
+    if cores.known_unsat(cs, subtree) {
         return Feas::Unsat;
     }
     match solver.check_constraints(pool, cs) {
         SatVerdict::Sat(m) => Feas::Sat(m),
         SatVerdict::Unsat(infeasibility) => {
-            pruner.learn(infeasibility.core);
+            cores.learn(infeasibility.core);
             Feas::Unsat
         }
         // An interrupt surfaces like a budget Unknown: the query was
@@ -248,7 +228,7 @@ pub(crate) enum SearchOutcome {
     Violation(CounterExample),
     Budget,
     /// Some query stayed undecided; the payload says why
-    /// ([`SOLVER_BUDGET`], or an internal fault in the parallel driver).
+    /// ([`SOLVER_BUDGET`]).
     SolverUnknown(String),
 }
 
@@ -345,9 +325,7 @@ impl PropKind {
 }
 
 /// How one composed segment affects the search — the single
-/// classification point shared by the sequential [`search`] and the
-/// parallel frontier expansion, so the two cannot diverge on property
-/// semantics.
+/// classification point of [`search`].
 pub(crate) enum StepEvent {
     /// Feasible ⇒ the property is violated, with this description.
     ViolationCheck(String, ComposedState),
@@ -463,39 +441,40 @@ enum Role {
     Continue { stage: usize, iter: u32 },
 }
 
-/// Step-2 DFS over composed paths, from an arbitrary initial worklist.
+/// Step-2 DFS over composed paths, from `root`.
 ///
 /// Segment events come from [`classify`]; this function adds the
 /// solver: violation checks return counterexamples, blocker checks
 /// degrade proofs to Unknown, continuations are feasibility-pruned
 /// before they are pushed.
 ///
-/// `composed` is shared with concurrent searches in the parallel
-/// driver, so the path budget is global; counts near the budget edge
-/// are approximate under concurrency.
+/// `composed` counts the paths composed; the search stops with
+/// [`SearchOutcome::Budget`] at exactly
+/// [`VerifyConfig::max_composed_paths`] of them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     pool: &mut TermPool,
     solver: &mut SolveSession,
-    pruner: &mut Pruner,
+    cores: &mut CoreStore,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
     kind: &PropKind,
-    mut stack: Vec<Node>,
+    root: Node,
     reach: &[bool],
-    composed: &AtomicUsize,
+    composed: &mut usize,
 ) -> SearchOutcome {
     let mut saw_unknown = false;
+    let mut stack = vec![root];
     while let Some(node) = stack.pop() {
         for (i, seg) in sums.stages[node.stage].segments.iter().enumerate() {
-            if composed.load(Ordering::Relaxed) >= cfg.max_composed_paths {
+            if *composed >= cfg.max_composed_paths {
                 return SearchOutcome::Budget;
             }
             match classify(pool, pipeline, sums, kind, &node, i, seg, reach) {
                 StepEvent::ViolationCheck(what, next) => {
-                    composed.fetch_add(1, Ordering::Relaxed);
-                    match check(pool, solver, pruner, &next, false) {
+                    *composed += 1;
+                    match check(pool, solver, cores, &next, false) {
                         Feas::Sat(m) => {
                             let m = canonical_model(pool, cfg, &next.constraint, &sums.input)
                                 .unwrap_or(m);
@@ -512,14 +491,14 @@ pub(crate) fn search(
                     }
                 }
                 StepEvent::BlockerCheck(next) => {
-                    composed.fetch_add(1, Ordering::Relaxed);
-                    if !matches!(check(pool, solver, pruner, &next, false), Feas::Unsat) {
+                    *composed += 1;
+                    if !matches!(check(pool, solver, cores, &next, false), Feas::Unsat) {
                         saw_unknown = true;
                     }
                 }
                 StepEvent::Continue(n) => {
-                    composed.fetch_add(1, Ordering::Relaxed);
-                    match check(pool, solver, pruner, &n.state, true) {
+                    *composed += 1;
+                    match check(pool, solver, cores, &n.state, true) {
                         Feas::Sat(_) | Feas::Unknown => stack.push(n),
                         Feas::Unsat => {}
                     }
@@ -782,7 +761,7 @@ pub(crate) fn longest_paths_from(
     sums: &PipelineSummaries,
     init: ComposedState,
     cfg: &VerifyConfig,
-    pruner: &mut Pruner,
+    cores: &mut CoreStore,
     n: usize,
 ) -> Vec<LongestPath> {
     // Optimistic per-stage remaining cost.
@@ -824,7 +803,7 @@ pub(crate) fn longest_paths_from(
         }
     }
 
-    let mut solver = new_session(cfg);
+    let mut solver = new_session(cfg, cores);
     let mut heap: BinaryHeap<QNode> = BinaryHeap::new();
     heap.push(QNode {
         f: suffix[0],
@@ -841,7 +820,7 @@ pub(crate) fn longest_paths_from(
         }
         if node.terminal {
             // Admissible heuristic ⇒ this is the next-longest path.
-            if let Feas::Sat(m) = check(pool, &mut solver, pruner, &node.state, false) {
+            if let Feas::Sat(m) = check(pool, &mut solver, cores, &node.state, false) {
                 let m =
                     canonical_model(pool, cfg, &node.state.constraint, &sums.input).unwrap_or(m);
                 out.push(LongestPath {
@@ -866,7 +845,7 @@ pub(crate) fn longest_paths_from(
             }
             let next = compose(pool, &node.state, summary, node.stage, i);
             composed += 1;
-            let feasible = !matches!(check(pool, &mut solver, pruner, &next, true), Feas::Unsat);
+            let feasible = !matches!(check(pool, &mut solver, cores, &next, true), Feas::Unsat);
             if !feasible {
                 continue;
             }
@@ -947,13 +926,11 @@ mod tests {
     use super::*;
     use crate::compose::tests::compose_oracle;
     use crate::compose::COMPOSITIONS;
-    use crate::cores::CoreStore;
     use crate::session::{Property, SearchProp, Verifier};
     use crate::summary::summarize_pipeline;
     use dataplane::Element;
     use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
     use elements::pipelines::{edge_fib, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP};
-    use std::sync::Mutex;
 
     const IMAX: u64 = 5_000;
     const WATCHED_SRC: u32 = 0x0BAD_0001;
@@ -1079,7 +1056,7 @@ mod tests {
     }
 
     /// Step 1 and the initial state of one check, as
-    /// `session::run_seq_search` sets them up.
+    /// `session::run_step2` sets them up.
     struct Check {
         pool: TermPool,
         sums: PipelineSummaries,
@@ -1102,10 +1079,6 @@ mod tests {
             sums,
             init,
         }
-    }
-
-    fn pruner() -> Pruner {
-        Pruner::new(Arc::new(Mutex::new(CoreStore::new())), true, usize::MAX)
     }
 
     /// [`classify`] as it was: the state composed first, then read.
@@ -1221,8 +1194,8 @@ mod tests {
             init,
         } = set_up(pipeline, property);
         let mut shadow = pool.clone();
-        let mut solvers = [new_session(&cfg()), new_session(&cfg())];
-        let mut pruners = [pruner(), pruner()];
+        let mut stores = [CoreStore::new(), CoreStore::new()];
+        let mut solvers = [0, 1].map(|i| new_session(&cfg(), &stores[i]));
         let mut compared = 0;
         let mut stack = vec![Node {
             stage: 0,
@@ -1245,14 +1218,8 @@ mod tests {
                     continue;
                 };
                 let [a, b] = [
-                    check(&mut pool, &mut solvers[0], &mut pruners[0], state, subtree),
-                    check(
-                        &mut shadow,
-                        &mut solvers[1],
-                        &mut pruners[1],
-                        state,
-                        subtree,
-                    ),
+                    check(&mut pool, &mut solvers[0], &mut stores[0], state, subtree),
+                    check(&mut shadow, &mut solvers[1], &mut stores[1], state, subtree),
                 ]
                 .map(|f| matches!(f, Feas::Unsat));
                 assert_eq!(a, b, "{at}: the two searches parted");
@@ -1299,8 +1266,8 @@ mod tests {
             reach,
             init,
         } = set_up(pipeline, property);
-        let mut solver = new_session(&cfg());
-        let mut pruner = pruner();
+        let mut cores = CoreStore::new();
+        let mut solver = new_session(&cfg(), &cores);
         let mut stack = vec![Node {
             stage: 0,
             iter: 0,
@@ -1344,7 +1311,7 @@ mod tests {
                     continue;
                 };
                 let refuted = matches!(
-                    check(&mut pool, &mut solver, &mut pruner, state, subtree),
+                    check(&mut pool, &mut solver, &mut cores, state, subtree),
                     Feas::Unsat
                 );
                 match event {

@@ -18,10 +18,11 @@
 //! reproduce the summary exactly, so replaying a cache hit by
 //! migration is indistinguishable — variable numbering, term
 //! structure, verdicts, counterexample bytes — from re-executing.
-//! Both [`summarize_pipeline`] and [`summarize_pipeline_par`] are thin
-//! wrappers over the store-consulting driver (with a throwaway store),
-//! so cached and uncached runs build byte-identical master pools by
-//! construction.
+//! [`summarize_pipeline`] is a thin wrapper over the store-consulting
+//! driver [`summarize_pipeline_with_store`] (with a throwaway store),
+//! so cached and uncached runs build byte-identical pools by
+//! construction — and so do the driver's thread counts: only its fetch
+//! phase fans out, the rebase into the caller's pool is in stage order.
 
 use bvsolve::{Migrator, TermPool};
 use dataplane::{Element, ElementKind, Pipeline};
@@ -715,27 +716,6 @@ pub fn summarize_pipeline(
     mode: MapMode,
 ) -> Result<PipelineSummaries, SymError> {
     summarize_pipeline_with_store(pool, pipeline, cfg, mode, &SummaryStore::new(), 1)
-}
-
-/// Runs step 1 over every stage of `pipeline`, one stage per worker
-/// across `threads` threads (0 = all available cores), with a
-/// throwaway store.
-///
-/// Identical output to [`summarize_pipeline`] — both drivers fetch
-/// pool-independent summaries (executed in private pools) and migrate
-/// them into `pool` in stage order, importing every summary variable
-/// in creation order, so the master pool's variable numbering — and
-/// therefore every downstream model and counterexample — is
-/// independent of the thread count.
-pub fn summarize_pipeline_par(
-    pool: &mut TermPool,
-    pipeline: &Pipeline,
-    cfg: &SymConfig,
-    mode: MapMode,
-    threads: usize,
-) -> Result<PipelineSummaries, SymError> {
-    let threads = effective_threads(threads);
-    summarize_pipeline_with_store(pool, pipeline, cfg, mode, &SummaryStore::new(), threads)
 }
 
 /// The step-1 driver: fetches every stage summary from `store`

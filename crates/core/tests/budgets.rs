@@ -53,7 +53,10 @@ fn step2_path_budget_degrades_to_unknown() {
         matches!(r.verdict, Verdict::Unknown(_)),
         "tiny step-2 budget must yield Unknown: {r}"
     );
-    assert!(r.composed_paths <= 3);
+    assert_eq!(
+        r.composed_paths, 3,
+        "one counter, no in-flight workers: the search stops at the budget"
+    );
 }
 
 #[test]
@@ -74,6 +77,7 @@ fn bounded_budget_degrades_to_unknown() {
         .check(Property::Bounded { imax: 10_000 })
         .expect_verify();
     assert!(matches!(r.verdict, Verdict::Unknown(_)), "{r}");
+    assert_eq!(r.composed_paths, 2, "the budget is exact");
 }
 
 #[test]

@@ -1,10 +1,9 @@
-//! Step-2 solver sessions across the whole stack: sequential and
-//! worker-thread runs agree on verdicts, traces and counterexample
-//! bytes on real pipelines, and the solver reuse counters are surfaced
-//! on [`verifier::VerifyReport`]. Conflict-driven pruning
-//! ([`verifier::VerifyConfig::core_pruning`]) is held to verdict
-//! equality against its off arm: pruning only ever skips
-//! queries the solver would answer UNSAT, so on these budget-free
+//! Step-2 solver sessions across the whole stack: the solver reuse
+//! counters are surfaced on [`verifier::VerifyReport`], and
+//! conflict-driven pruning is held to verdict equality against the
+//! unpruned reference search
+//! (`Verifier::reference_without_core_pruning`): pruning only ever
+//! skips queries the solver would answer UNSAT, so on these budget-free
 //! workloads (no query comes near `solver_conflict_budget`) verdict,
 //! counterexample bytes *and composed-path counts* must match the
 //! unpruned run exactly (compositions still count; only the solver
@@ -28,13 +27,6 @@ fn cfg() -> VerifyConfig {
             ..Default::default()
         },
         ..Default::default()
-    }
-}
-
-fn cfg_pruning(core_pruning: bool) -> VerifyConfig {
-    VerifyConfig {
-        core_pruning,
-        ..cfg()
     }
 }
 
@@ -68,34 +60,6 @@ fn audit_props() -> Vec<Property> {
         Property::Bounded { imax: 5_000 },
         Property::Filter(FilterProperty::src(0x0BAD_0001)),
     ]
-}
-
-#[test]
-fn parallel_sessions_agree_with_sequential_and_fresh() {
-    let p = click_bug1();
-    let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
-    let seq = Verifier::new(&p).config(cfg()).check_all(&props);
-    let par = Verifier::new(&p).config(cfg()).threads(4).check_all(&props);
-    for ((prop, s), pi) in props.iter().zip(&seq).zip(&par) {
-        // Sequential vs parallel: verdict, trace and description (the
-        // PR-1/PR-2 guarantee), bytes included since both re-extract
-        // on the shared master pool.
-        match (
-            &s.as_verify().unwrap().verdict,
-            &pi.as_verify().unwrap().verdict,
-        ) {
-            (Verdict::Proved, Verdict::Proved) => {}
-            (Verdict::Disproved(a), Verdict::Disproved(b)) => {
-                assert_eq!(a.trace, b.trace, "{prop:?}: trace");
-                assert_eq!(a.description, b.description, "{prop:?}: description");
-                assert_eq!(a.bytes, b.bytes, "{prop:?}: bytes");
-            }
-            (Verdict::Unknown(a), Verdict::Unknown(b)) => {
-                assert_eq!(a, b, "{prop:?}: unknown reason")
-            }
-            (a, b) => panic!("{prop:?}: {a:?} vs {b:?}"),
-        }
-    }
 }
 
 /// Pruned-vs-unpruned agreement: verdict class, trace, description,
@@ -133,12 +97,12 @@ fn assert_prune_equivalent(pruned: &VerifyReport, plain: &VerifyReport, what: &s
 fn pruning_matches_unpruned_on_proved_pipeline() {
     let p = router();
     let plain = Verifier::new(&p)
-        .config(cfg_pruning(false))
+        .config(cfg())
+        .reference_without_core_pruning()
         .check_all(&audit_props());
-    let pruned = Verifier::new(&p)
-        .config(cfg_pruning(true))
-        .check_all(&audit_props());
+    let pruned = Verifier::new(&p).config(cfg()).check_all(&audit_props());
     let mut learned_total = 0;
+    let mut subtrees_pruned = 0;
     for ((prop, pl), pr) in audit_props().iter().zip(&plain).zip(&pruned) {
         assert_prune_equivalent(
             pr.as_verify().unwrap(),
@@ -146,10 +110,15 @@ fn pruning_matches_unpruned_on_proved_pipeline() {
             &format!("router {prop:?}"),
         );
         learned_total += pr.as_verify().unwrap().cores.cores_learned;
+        subtrees_pruned += pr.as_verify().unwrap().cores.subtrees_pruned;
     }
     assert!(
         learned_total > 0,
         "a refutation-heavy proof must learn cores"
+    );
+    assert!(
+        subtrees_pruned > 0,
+        "pruning must cut whole continuation subtrees, not only leaf queries"
     );
 }
 
@@ -158,11 +127,10 @@ fn pruning_matches_unpruned_on_disproved_pipeline() {
     let p = click_bug1();
     let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
     let plain = Verifier::new(&p)
-        .config(cfg_pruning(false))
+        .config(cfg())
+        .reference_without_core_pruning()
         .check_all(&props);
-    let pruned = Verifier::new(&p)
-        .config(cfg_pruning(true))
-        .check_all(&props);
+    let pruned = Verifier::new(&p).config(cfg()).check_all(&props);
     for ((prop, pl), pr) in props.iter().zip(&plain).zip(&pruned) {
         assert_prune_equivalent(
             pr.as_verify().unwrap(),
@@ -178,48 +146,6 @@ fn pruning_matches_unpruned_on_disproved_pipeline() {
 }
 
 #[test]
-fn parallel_pruning_matches_unpruned_and_sequential() {
-    let p = click_bug1();
-    let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
-    let seq = Verifier::new(&p)
-        .config(cfg_pruning(true))
-        .check_all(&props);
-    let par_pruned = Verifier::new(&p)
-        .config(cfg_pruning(true))
-        .threads(4)
-        .check_all(&props);
-    let par_plain = Verifier::new(&p)
-        .config(cfg_pruning(false))
-        .threads(4)
-        .check_all(&props);
-    for (((prop, s), pp), pl) in props.iter().zip(&seq).zip(&par_pruned).zip(&par_plain) {
-        assert_prune_equivalent(
-            pp.as_verify().unwrap(),
-            pl.as_verify().unwrap(),
-            &format!("threads(4) pruned-vs-plain {prop:?}"),
-        );
-        // And against the sequential pruned run: the PR-1/PR-2/PR-3
-        // guarantee (verdict, trace, description, bytes) must survive
-        // pruning too.
-        match (
-            &s.as_verify().unwrap().verdict,
-            &pp.as_verify().unwrap().verdict,
-        ) {
-            (Verdict::Proved, Verdict::Proved) => {}
-            (Verdict::Disproved(a), Verdict::Disproved(b)) => {
-                assert_eq!(a.trace, b.trace, "{prop:?}: trace");
-                assert_eq!(a.description, b.description, "{prop:?}: description");
-                assert_eq!(a.bytes, b.bytes, "{prop:?}: bytes");
-            }
-            (Verdict::Unknown(a), Verdict::Unknown(b)) => {
-                assert_eq!(a, b, "{prop:?}: unknown reason")
-            }
-            (a, b) => panic!("{prop:?}: {a:?} vs {b:?}"),
-        }
-    }
-}
-
-#[test]
 fn cross_property_core_reuse_is_visible() {
     // Two Abstract-mode properties in one session: compositions along
     // the same prefixes re-intern to identical hash-consed terms, so
@@ -227,7 +153,7 @@ fn cross_property_core_reuse_is_visible() {
     // core_hits in the bounded-execution search before it learns
     // anything itself.
     let p = router();
-    let mut v = Verifier::new(&p).config(cfg_pruning(true));
+    let mut v = Verifier::new(&p).config(cfg());
     let r1 = v.check(Property::CrashFreedom).expect_verify();
     let r2 = v.check(Property::Bounded { imax: 10_000 }).expect_verify();
     assert!(r1.verdict.is_proved(), "{r1}");

@@ -104,8 +104,8 @@ fn assert_identical(a: &VerifyReport, b: &VerifyReport, what: &str) {
     );
 }
 
-fn check_all(p: &Pipeline, store: Option<Arc<SummaryStore>>, threads: usize) -> Vec<VerifyReport> {
-    let mut v = Verifier::new(p).config(cfg()).threads(threads);
+fn check_all(p: &Pipeline, store: Option<Arc<SummaryStore>>) -> Vec<VerifyReport> {
+    let mut v = Verifier::new(p).config(cfg());
     if let Some(s) = store {
         v = v.with_store(s);
     }
@@ -119,11 +119,11 @@ fn check_all(p: &Pipeline, store: Option<Arc<SummaryStore>>, threads: usize) -> 
 fn disk_loaded_summaries_match_fresh_builds_byte_for_byte() {
     let tmp = TmpDir::new("roundtrip");
     let p = router();
-    let baseline = check_all(&p, None, 1);
+    let baseline = check_all(&p, None);
 
     // Cold disk: everything executes, everything is written back.
     let cold_store = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-    let cold = check_all(&p, Some(Arc::clone(&cold_store)), 1);
+    let cold = check_all(&p, Some(Arc::clone(&cold_store)));
     for (b, c) in baseline.iter().zip(&cold) {
         assert_identical(b, c, &format!("cold-disk {}", b.property));
     }
@@ -134,7 +134,7 @@ fn disk_loaded_summaries_match_fresh_builds_byte_for_byte() {
     // simulates a process restart. Step 1 must be all loads, zero
     // executions, and every report byte-identical.
     let warm_store = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-    let warm = check_all(&p, Some(Arc::clone(&warm_store)), 1);
+    let warm = check_all(&p, Some(Arc::clone(&warm_store)));
     for (b, w) in baseline.iter().zip(&warm) {
         assert_identical(b, w, &format!("warm-disk {}", b.property));
     }
@@ -155,13 +155,6 @@ fn disk_loaded_summaries_match_fresh_builds_byte_for_byte() {
     assert!(j.contains("\"store_writes\":"), "{j}");
     assert!(j.contains("\"load_bytes\":"), "{j}");
     assert!(j.contains("\"evictions\":"), "{j}");
-
-    // Same contract through the parallel engine.
-    let par_store = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-    let par = check_all(&p, Some(par_store), 4);
-    for (b, w) in baseline.iter().zip(&par) {
-        assert_identical(b, w, &format!("warm-disk threads(4) {}", b.property));
-    }
 }
 
 #[test]
@@ -174,10 +167,10 @@ fn corrupt_store_files_degrade_to_misses_never_wrong_answers() {
             elements::dec_ttl::dec_ttl(),
         ],
     );
-    let baseline = check_all(&p, None, 1);
+    let baseline = check_all(&p, None);
 
     let populate = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-    check_all(&p, Some(populate), 1);
+    check_all(&p, Some(populate));
     let files: Vec<PathBuf> = std::fs::read_dir(&tmp.0)
         .expect("dir")
         .map(|e| e.expect("entry").path())
@@ -218,7 +211,7 @@ fn corrupt_store_files_degrade_to_misses_never_wrong_answers() {
             std::fs::write(path, f(image)).expect("write corrupt image");
         }
         let store = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-        let got = check_all(&p, Some(Arc::clone(&store)), 1);
+        let got = check_all(&p, Some(Arc::clone(&store)));
         for (b, g) in baseline.iter().zip(&got) {
             assert_identical(b, g, &format!("{what} {}", b.property));
         }
@@ -231,7 +224,7 @@ fn corrupt_store_files_degrade_to_misses_never_wrong_answers() {
     // The corrupt runs re-wrote good files; the directory is warm
     // again.
     let healed = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
-    let got = check_all(&p, Some(Arc::clone(&healed)), 1);
+    let got = check_all(&p, Some(Arc::clone(&healed)));
     for (b, g) in baseline.iter().zip(&got) {
         assert_identical(b, g, &format!("healed {}", b.property));
     }
@@ -502,14 +495,10 @@ fn rejected_burst_on_a_100k_route_fib_leaves_no_trace() {
 #[test]
 fn churn_session_restarts_warm_from_store_path() {
     let tmp = TmpDir::new("churn-restart");
-    let pruning_cfg = VerifyConfig {
-        core_pruning: true,
-        ..cfg()
-    };
     let stream = burst();
 
     // Reference trajectory without any persistence.
-    let mut plain = ChurnSession::new(router(), props(), pruning_cfg.clone(), ReuseLevel::Sessions)
+    let mut plain = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
         .expect("search-based properties");
     let mut expect = vec![plain.verify()];
     for d in &stream {
@@ -517,7 +506,7 @@ fn churn_session_restarts_warm_from_store_path() {
     }
 
     // First "process": populates summaries on disk.
-    let mut first = ChurnSession::new(router(), props(), pruning_cfg.clone(), ReuseLevel::Sessions)
+    let mut first = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
         .expect("search-based properties")
         .with_store_path(&tmp.0)
         .expect("store dir");
@@ -548,7 +537,7 @@ fn churn_session_restarts_warm_from_store_path() {
 
     // Second "process" over the same directory and the same stream:
     // step 1 loads instead of executing.
-    let mut second = ChurnSession::new(router(), props(), pruning_cfg, ReuseLevel::Sessions)
+    let mut second = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
         .expect("search-based properties")
         .with_store_path(&tmp.0)
         .expect("store dir");

@@ -1,14 +1,15 @@
 //! Content-addressed summary store and fleet tests: key hashing,
-//! deterministic (byte-identical) rebasing, store-on vs store-off
-//! verdict/counterexample/path equivalence for both engines, fleet
-//! scheduling determinism, step-2 equivalence classes (what shares a
+//! deterministic (byte-identical) rebasing — across the step-1 fetch
+//! phase's thread counts too — store-on vs store-off
+//! verdict/counterexample/path equivalence, fleet scheduling
+//! determinism, step-2 equivalence classes (what shares a
 //! search, what must not) and once-per-key production under racing
 //! misses.
 
 use bvsolve::TermPool;
 use dataplane::{ElementKind, Pipeline, PipelineOutcome, Route, Runner};
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
-use elements::pipelines::{to_pipeline, ROUTER_IP};
+use elements::pipelines::{network_gateway, to_pipeline, ROUTER_IP};
 use std::sync::Arc;
 use symexec::SymConfig;
 use verifier::fleet::Fleet;
@@ -29,7 +30,7 @@ fn cfg() -> VerifyConfig {
 }
 
 /// Router front: preproc, TTL, options loop (crash disproof, bounded
-/// proof — both engines exercise suspects and refutations).
+/// proof — suspects and refutations both come up).
 fn router() -> Pipeline {
     to_pipeline(
         "router",
@@ -143,6 +144,42 @@ fn warm_store_rebases_byte_identically_threaded() {
     assert_eq!(render(&a_pool, &a), render(&s_pool, &s));
 }
 
+/// The one parallel path left in the crate: the fetch phase of
+/// `summarize_pipeline_with_store` fans stages out over `threads`
+/// workers, each executing misses in a private pool; the rebase into
+/// the caller's pool is in stage order. So variable numbering, every
+/// `TermId`, the segment order and the keys produced must not depend
+/// on the thread count.
+#[test]
+fn parallel_step1_reproduces_sequential_numbering() {
+    let p = to_pipeline("gateway", network_gateway(3));
+    let c = cfg();
+    let summarize = |threads: usize| {
+        let store = SummaryStore::new();
+        let mut pool = TermPool::new();
+        let sums = summarize_pipeline_with_store(
+            &mut pool,
+            &p,
+            &c.sym,
+            MapMode::Abstract,
+            &store,
+            threads,
+        )
+        .expect("ok");
+        (
+            render(&pool, &sums),
+            sums.total_states,
+            store.len(),
+            store.misses(),
+        )
+    };
+    let seq = summarize(1);
+    assert!(seq.2 > 1, "several distinct keys to race on: {}", seq.2);
+    for threads in [2, 8] {
+        assert_eq!(seq, summarize(threads), "threads={threads}");
+    }
+}
+
 #[test]
 fn table_contents_change_the_key() {
     let a = lookup_variant(vec![(0x0A00_0000, 8, 0)]).stages[2]
@@ -192,48 +229,45 @@ fn assert_identical_reports(a: &VerifyReport, b: &VerifyReport, what: &str) {
 }
 
 #[test]
-fn store_on_off_identical_verdicts_seq_and_par() {
+fn store_on_off_identical_verdicts() {
     let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
-    for threads in [1usize, 4] {
-        for p in [router(), click_bug1()] {
-            // Store off: a session's default private store, cold.
-            let mut off = Verifier::new(&p).config(cfg()).threads(threads);
-            let off_reports = off.check_all(&props);
+    for p in [router(), click_bug1()] {
+        // Store off: a session's default private store, cold.
+        let mut off = Verifier::new(&p).config(cfg());
+        let off_reports = off.check_all(&props);
 
-            // Store on: a store pre-warmed by a full unrelated session.
-            let store = SummaryStore::shared();
-            let mut warmer = Verifier::new(&p)
-                .config(cfg())
-                .with_store(Arc::clone(&store));
-            let _ = warmer.check_all(&props);
-            assert!(store.misses() > 0, "warmer populated the store");
+        // Store on: a store pre-warmed by a full unrelated session.
+        let store = SummaryStore::shared();
+        let mut warmer = Verifier::new(&p)
+            .config(cfg())
+            .with_store(Arc::clone(&store));
+        let _ = warmer.check_all(&props);
+        assert!(store.misses() > 0, "warmer populated the store");
 
-            let mut on = Verifier::new(&p)
-                .config(cfg())
-                .threads(threads)
-                .with_store(Arc::clone(&store));
-            let on_reports = on.check_all(&props);
+        let mut on = Verifier::new(&p)
+            .config(cfg())
+            .with_store(Arc::clone(&store));
+        let on_reports = on.check_all(&props);
 
-            let hits_before = store.hits();
-            assert!(hits_before > 0, "warm session hit the store");
+        let hits_before = store.hits();
+        assert!(hits_before > 0, "warm session hit the store");
 
-            for (a, b) in off_reports.iter().zip(&on_reports) {
-                assert_identical_reports(
-                    a.as_verify().expect("verify"),
-                    b.as_verify().expect("verify"),
-                    &format!("{} threads={threads}", p.name),
-                );
-            }
-            // The building check reports its cache traffic.
-            let first = on_reports[0].as_verify().expect("verify");
-            assert_eq!(first.summary.hits, p.stages.len(), "all stages rebased");
-            assert_eq!(first.summary.misses, 0);
-            assert!(first.summary.store_size > 0);
-            // The cache-warm check (same mode) reports zero, like
-            // step1_time.
-            let second = on_reports[1].as_verify().expect("verify");
-            assert_eq!(second.summary.hits + second.summary.misses, 0);
+        for (a, b) in off_reports.iter().zip(&on_reports) {
+            assert_identical_reports(
+                a.as_verify().expect("verify"),
+                b.as_verify().expect("verify"),
+                &p.name,
+            );
         }
+        // The building check reports its cache traffic.
+        let first = on_reports[0].as_verify().expect("verify");
+        assert_eq!(first.summary.hits, p.stages.len(), "all stages rebased");
+        assert_eq!(first.summary.misses, 0);
+        assert!(first.summary.store_size > 0);
+        // The cache-warm check (same mode) reports zero, like
+        // step1_time.
+        let second = on_reports[1].as_verify().expect("verify");
+        assert_eq!(second.summary.hits + second.summary.misses, 0);
     }
 }
 

@@ -3,7 +3,7 @@
 //! verifier hunt for crash and termination bugs before deployment.
 //!
 //! One `Verifier` session per candidate pipeline checks *both*
-//! properties on one set of cached element summaries, across all cores.
+//! properties on one set of cached element summaries.
 //!
 //! ```sh
 //! cargo run --release --example router_audit
@@ -27,14 +27,6 @@ fn cfg() -> VerifyConfig {
     }
 }
 
-/// Worker threads for the audit: `DPV_THREADS` if set, else all cores.
-fn threads() -> usize {
-    std::env::var("DPV_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 fn audit(name: &str, variant: FragmenterVariant, with_options_element: bool) {
     let mut elems = vec![
         dpv::elements::classifier::classifier(),
@@ -47,14 +39,10 @@ fn audit(name: &str, variant: FragmenterVariant, with_options_element: bool) {
     let p = to_pipeline(name, elems.clone());
 
     // One session: step 1 runs once, both properties reuse it.
-    let mut session = Verifier::new(&p).config(cfg()).threads(threads());
+    let mut session = Verifier::new(&p).config(cfg());
     let reports = session.check_all(&[Property::CrashFreedom, Property::Bounded { imax: IMAX }]);
 
-    println!(
-        "== {name} (step-1 passes: {}, {} threads)",
-        session.step1_runs(),
-        session.effective_threads()
-    );
+    println!("== {name} (step-1 passes: {})", session.step1_runs());
     for report in &reports {
         println!("   {report}");
         if std::env::var_os("DPV_JSON").is_some() {

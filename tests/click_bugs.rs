@@ -1,7 +1,6 @@
 //! Integration test: the three real Click bugs of §5.3, reproduced in
 //! `crates/elements`, must each be *found* (counterexample verdict) by
-//! the verifier, and each fixed variant must verify clean — through
-//! both the sequential and the parallel driver.
+//! the verifier, and each fixed variant must verify clean.
 //!
 //! * **Bug #1** — IPFragmenter option walk without an increment:
 //!   unbounded execution for any fragmented packet with options.
@@ -78,14 +77,6 @@ fn bug1_missing_increment_is_found() {
         fragmenter_pipeline(FragmenterVariant::ClickBug1, true),
         &report,
     );
-
-    // The parallel driver finds it too.
-    let par = Verifier::new(&fragmenter_pipeline(FragmenterVariant::ClickBug1, true))
-        .config(cfg())
-        .threads(0)
-        .check(Property::Bounded { imax: IMAX })
-        .expect_verify();
-    assert!(par.verdict.is_disproved(), "{par}");
 }
 
 #[test]
@@ -137,13 +128,6 @@ fn bug3_nat_hairpin_assert_is_found() {
         r.run_packet(&mut pkt),
         PipelineOutcome::Crashed { .. }
     ));
-
-    let par = Verifier::new(&nat_pipeline(true))
-        .config(cfg())
-        .threads(0)
-        .check(Property::CrashFreedom)
-        .expect_verify();
-    assert!(par.verdict.is_disproved(), "{par}");
 }
 
 #[test]
