@@ -37,10 +37,9 @@
 //! that shrinks (truncated or rotated) is read again from the start.
 
 use dataplane::{TableDelta, TableOp};
-use dpv_bench::fig_verify_config;
-use elements::pipelines::{edge_fib, ip_router, to_pipeline, ROUTER_IP};
+use dpv_bench::{fig_verify_config, named_workload};
 use std::io::Write as _;
-use verifier::{ChurnSession, FilterProperty, Property, ReuseLevel, UpdateReport, Verdict};
+use verifier::{ChurnSession, ReuseLevel, UpdateReport, Verdict};
 
 /// One parsed line of the delta file.
 #[derive(Debug)]
@@ -113,37 +112,6 @@ fn parse_line(line: &str) -> Result<Line, String> {
         other => return Err(format!("unknown op {other:?}")),
     };
     Ok(Line::Delta(TableDelta::new(stage, dpir::MapId(map), op)))
-}
-
-/// The named workloads the daemon can serve: `(pipeline, properties)`.
-fn named_workload(name: &str) -> Option<(dataplane::Pipeline, Vec<Property>)> {
-    match name {
-        // The churn_ablation headline: edge router + §5.2 firewall,
-        // both table kinds live, all three paper properties.
-        "firewalled-edge" => Some((
-            to_pipeline(
-                "firewalled-edge",
-                vec![
-                    elements::classifier::classifier(),
-                    elements::check_ip_header::check_ip_header(false),
-                    elements::ip_filter::ip_filter(vec![0x0BAD_0001, 0x0BAD_0010]),
-                    elements::dec_ttl::dec_ttl(),
-                    elements::ip_options::ip_options(1, Some(ROUTER_IP)),
-                    elements::ip_lookup::ip_lookup(4, edge_fib()),
-                ],
-            ),
-            vec![
-                Property::CrashFreedom,
-                Property::Bounded { imax: 5_000 },
-                Property::Filter(FilterProperty::src(0x0BAD_0001)),
-            ],
-        )),
-        "edge-router" => Some((
-            to_pipeline("edge-router", ip_router(7, 1, edge_fib())),
-            vec![Property::CrashFreedom, Property::Bounded { imax: 5_000 }],
-        )),
-        _ => None,
-    }
 }
 
 struct Opts {

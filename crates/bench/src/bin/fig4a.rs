@@ -11,29 +11,7 @@
 use dataplane::Element;
 use dpv_bench::*;
 use elements::pipelines::{core_fib, edge_fib, to_pipeline, ROUTER_IP};
-use verifier::{GenericOutcome, Property, Verifier};
-
-/// Emits one `{"bench":"fig4a",...}` summary line per (pipeline, mode)
-/// under `DPV_JSON`, keyed the same way as the ablation binaries so
-/// `perf_diff` gates this figure's timing trajectory too. For the
-/// generic baselines the whole (budgeted) run is the step-2 analogue.
-fn emit_summary(label: &str, mode: &str, step2_ms: f64, total_ms: f64, states: usize, tag: &str) {
-    if std::env::var_os("DPV_JSON").is_none() {
-        return;
-    }
-    println!(
-        "{{\"bench\":\"fig4a\",\"pipeline\":\"{label}\",\"mode\":\"{mode}\",\
-         \"step2_ms\":{step2_ms:.3},\"total_ms\":{total_ms:.3},\
-         \"states\":{states},\"result\":\"{tag}\"}}"
-    );
-}
-
-fn outcome_tag(g: &verifier::GenericRun) -> &'static str {
-    match g.report.outcome {
-        GenericOutcome::Completed => "completed",
-        GenericOutcome::Exceeded => "exceeded",
-    }
-}
+use verifier::{Property, Verifier};
 
 /// The Fig. 4(a) growth sequence.
 fn stages(label: &str, opts: u32, fib: Vec<(u32, u32, u32)>) -> (String, Vec<Element>) {
@@ -112,42 +90,16 @@ fn main() {
         });
         maybe_json(&report);
         let rep = report.as_verify().expect("crash-freedom report");
-        emit_summary(
-            label,
-            "specific",
-            rep.step2_time.as_secs_f64() * 1e3,
-            t_spec.as_secs_f64() * 1e3,
-            rep.step1_states,
-            verdict_cell(&rep.verdict),
-        );
 
         // Generic baseline, edge FIB.
         let (_, elems_e) = stages(label, opts, edge_fib());
         let pe = to_pipeline(label, elems_e);
         let ge = run_generic_baseline(&pe, 16);
-        let ms_e = ge.time.as_secs_f64() * 1e3;
-        emit_summary(
-            label,
-            "generic-edge",
-            ms_e,
-            ms_e,
-            ge.report.states,
-            outcome_tag(&ge),
-        );
 
         // Generic baseline, core FIB.
         let (_, elems_c) = stages(label, opts, core_fib(core_entries));
         let pc = to_pipeline(label, elems_c);
         let gc = run_generic_baseline(&pc, 16);
-        let ms_c = gc.time.as_secs_f64() * 1e3;
-        emit_summary(
-            label,
-            "generic-core",
-            ms_c,
-            ms_c,
-            gc.report.states,
-            outcome_tag(&gc),
-        );
 
         row(&[
             label.into(),

@@ -450,8 +450,8 @@ fn planted_crash_stage(r: &mut StdRng, k: usize) -> Element {
 use dataplane::{TableConfig, TableContents, TableDelta, TableOp};
 
 /// A seedable stream of valid [`TableDelta`]s over `pipeline`'s static
-/// tables — the input half of the churn differential harness and the
-/// `churn_ablation` benchmark.
+/// tables — the input half of the churn differential harness
+/// (`crates/bench/tests/churn.rs`).
 ///
 /// The generator tracks a shadow copy of every table so the stream
 /// looks like control-plane churn rather than noise: most updates are

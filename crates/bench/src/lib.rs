@@ -14,8 +14,10 @@
 //! | `longest_paths` | §5.3 — adversarial workload construction |
 //! | `lsrr` | §5.3 — LSRR firewall bypass |
 //!
-//! Criterion benches in `benches/` time the same harnesses at reduced
-//! scale, plus the DESIGN.md ablations.
+//! `dpv-serve` and `dpv-lint` are the product binaries; `tests/` holds
+//! the differential harnesses (modes, fleet × store arms, churn
+//! streams, static analysis). Timings are the repo benchmark's
+//! (`benchmark/`), not this crate's.
 
 #![forbid(unsafe_code)]
 
@@ -57,6 +59,42 @@ pub fn generic_sym_config() -> SymConfig {
     }
 }
 
+/// The named workloads `dpv-serve` can serve and `tests/churn.rs`
+/// streams updates through: `(pipeline, properties)`.
+pub fn named_workload(name: &str) -> Option<(dataplane::Pipeline, Vec<verifier::Property>)> {
+    use elements::pipelines::{edge_fib, ip_router, to_pipeline, ROUTER_IP};
+    use verifier::{FilterProperty, Property};
+    match name {
+        // Edge router + §5.2 firewall: both table kinds live, all
+        // three paper properties.
+        "firewalled-edge" => Some((
+            to_pipeline(
+                "firewalled-edge",
+                vec![
+                    elements::classifier::classifier(),
+                    elements::check_ip_header::check_ip_header(false),
+                    elements::ip_filter::ip_filter(vec![0x0BAD_0001, 0x0BAD_0010]),
+                    elements::dec_ttl::dec_ttl(),
+                    elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+                    elements::ip_lookup::ip_lookup(4, edge_fib()),
+                ],
+            ),
+            vec![
+                Property::CrashFreedom,
+                Property::Bounded { imax: 5_000 },
+                Property::Filter(FilterProperty::src(0x0BAD_0001)),
+            ],
+        )),
+        // The stock edge router under Abstract-only properties: FIB
+        // churn is table-blind here.
+        "edge-router" => Some((
+            to_pipeline("edge-router", ip_router(7, 1, edge_fib())),
+            vec![Property::CrashFreedom, Property::Bounded { imax: 5_000 }],
+        )),
+        _ => None,
+    }
+}
+
 /// Times a closure.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
@@ -83,6 +121,43 @@ pub fn verdict_cell(v: &verifier::Verdict) -> &'static str {
         verifier::Verdict::Disproved(_) => "DISPROVED",
         verifier::Verdict::Unknown(_) => "unknown",
     }
+}
+
+/// Panics unless two verdicts are the same answer: the same kind, and
+/// for a counterexample the same packet bytes, description and
+/// `(stage, segment)` trace; for an `Unknown` the same reason. `what`
+/// names the comparison in the message.
+#[track_caller]
+pub fn assert_same_verdict(a: &verifier::Verdict, b: &verifier::Verdict, what: &str) {
+    use verifier::Verdict;
+    match (a, b) {
+        (Verdict::Proved, Verdict::Proved) => {}
+        (Verdict::Disproved(x), Verdict::Disproved(y)) => {
+            assert_eq!(x.bytes, y.bytes, "{what}: counterexample bytes diverged");
+            assert_eq!(x.description, y.description, "{what}: description diverged");
+            assert_eq!(x.trace, y.trace, "{what}: trace diverged");
+        }
+        (Verdict::Unknown(x), Verdict::Unknown(y)) => {
+            assert_eq!(x, y, "{what}: unknown reason diverged")
+        }
+        (x, y) => panic!("{what}: verdict diverged: {x:?} vs {y:?}"),
+    }
+}
+
+/// The equality every differential harness in `tests/` holds two runs
+/// of one check to: [`assert_same_verdict`] plus the composed-path
+/// count.
+#[track_caller]
+pub fn assert_identical_reports(
+    a: &verifier::VerifyReport,
+    b: &verifier::VerifyReport,
+    what: &str,
+) {
+    assert_same_verdict(&a.verdict, &b.verdict, what);
+    assert_eq!(
+        a.composed_paths, b.composed_paths,
+        "{what}: composed_paths diverged"
+    );
 }
 
 /// Runs the generic (§5.2 monolithic) baseline on `p` through a

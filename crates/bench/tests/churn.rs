@@ -1,12 +1,13 @@
 //! Churn-vs-fresh differential: a warm [`ChurnSession`] must track
 //! full re-verification exactly, update by update.
 //!
-//! Each stream drives the same seedable [`delta_stream`] through two
-//! sessions — one per [`ReuseLevel`] — over a table-bearing pipeline
-//! (IPFilter exact table + IPlookup LPM FIB), checking one Abstract
-//! property (crash-freedom) and one Tables property (filtering). After
-//! the initial verification and after **every** update, the
-//! `Sessions` run must agree with the `FullReverify` oracle on:
+//! Each [`Scenario`] drives the same seedable [`delta_stream`] through
+//! two sessions — one per [`ReuseLevel`] — over a table-bearing
+//! pipeline (IPFilter exact table and/or IPlookup LPM FIB), checking
+//! Abstract properties (crash-freedom, bounded execution) and the
+//! Tables one (filtering). After the initial verification and after
+//! **every** update, the `Sessions` run must agree with the
+//! `FullReverify` oracle on:
 //!
 //! * verdict labels per property (streams deliberately add and remove
 //!   blacklist entries, so the filtering verdict genuinely flips
@@ -19,127 +20,125 @@
 //!   the counts a real search would have produced).
 //!
 //! `churn_smoke` keeps debug tier-1 quick; `churn_differential_full`
-//! is the paper-scale matrix (20 streams × 12 updates) and runs in
-//! release via `cargo test --release -p dpv-bench -- --ignored`.
+//! is the paper-scale matrix (20 streams × 12 updates, then long
+//! streams over the two `dpv-serve` workloads with their reuse counts)
+//! and runs in release via
+//! `cargo test --release -p dpv-bench -- --ignored`.
 
 use dataplane::Pipeline;
 use dpv_bench::gen::delta_stream;
+use dpv_bench::{assert_identical_reports, fig_verify_config, named_workload};
 use elements::pipelines::{edge_fib, to_pipeline};
-use symexec::SymConfig;
-use verifier::{
-    ChurnSession, FilterProperty, Property, ReuseLevel, UpdateReport, Verdict, VerifyConfig,
-};
+use verifier::{ChurnSession, ChurnStats, FilterProperty, Property, ReuseLevel, UpdateReport};
 
-/// A street-corner router with both table kinds: an exact-match
-/// firewall and an LPM FIB.
-fn churn_pipeline(seed: u64) -> Pipeline {
+/// One update stream: a pipeline, the properties re-established after
+/// every update, and the [`delta_stream`] seed and length.
+struct Scenario {
+    name: String,
+    pipeline: Pipeline,
+    props: Vec<Property>,
+    seed: u64,
+    updates: usize,
+}
+
+/// A street-corner router with both table kinds — an exact-match
+/// firewall and an LPM FIB — under one Abstract property and the
+/// filtering (Tables) one.
+fn corner_router(seed: u64, updates: usize) -> Scenario {
     let blacklist = vec![0x0BAD_0001 + (seed as u32 % 3), 0x0BAD_0010];
-    to_pipeline(
-        &format!("churn-{seed}"),
-        vec![
-            elements::classifier::classifier(),
-            elements::check_ip_header::check_ip_header(false),
-            elements::ip_filter::ip_filter(blacklist),
-            elements::ip_lookup::ip_lookup(4, edge_fib()),
+    Scenario {
+        name: format!("stream {seed}"),
+        pipeline: to_pipeline(
+            &format!("churn-{seed}"),
+            vec![
+                elements::classifier::classifier(),
+                elements::check_ip_header::check_ip_header(false),
+                elements::ip_filter::ip_filter(blacklist),
+                elements::ip_lookup::ip_lookup(4, edge_fib()),
+            ],
+        ),
+        props: vec![
+            Property::CrashFreedom,
+            Property::Filter(FilterProperty::src(0x0BAD_0001)),
         ],
-    )
-}
-
-fn props() -> Vec<Property> {
-    vec![
-        Property::CrashFreedom,
-        Property::Filter(FilterProperty::src(0x0BAD_0001)),
-    ]
-}
-
-fn cfg() -> VerifyConfig {
-    VerifyConfig {
-        sym: SymConfig {
-            max_pkt_bytes: 48,
-            ..Default::default()
-        },
-        ..Default::default()
+        seed,
+        updates,
     }
 }
 
-fn run_stream(level: ReuseLevel, seed: u64, updates: usize) -> Vec<UpdateReport> {
-    let pipeline = churn_pipeline(seed);
-    let deltas = delta_stream(seed, &pipeline, updates);
-    let mut session =
-        ChurnSession::new(pipeline, props(), cfg(), level).expect("search-based properties");
+/// A `dpv-serve` workload under `updates` of seeded churn.
+fn served(name: &str, updates: usize) -> Scenario {
+    let (pipeline, props) = named_workload(name).expect("known workload");
+    Scenario {
+        name: name.into(),
+        pipeline,
+        props,
+        seed: 0xC0FFEE ^ updates as u64,
+        updates,
+    }
+}
+
+fn run_stream(s: &Scenario, level: ReuseLevel) -> (Vec<UpdateReport>, ChurnStats) {
+    let deltas = delta_stream(s.seed, &s.pipeline, s.updates);
+    let mut session = ChurnSession::new(
+        s.pipeline.clone(),
+        s.props.clone(),
+        fig_verify_config(),
+        level,
+    )
+    .expect("search-based properties");
     let mut out = vec![session.verify()];
     for d in &deltas {
         out.push(session.apply_delta(d).expect("generated deltas are valid"));
     }
-    out
+    (out, session.stats())
 }
 
-type CexPayload = (Vec<u8>, String, Vec<(usize, usize)>);
-
-fn cex_of(v: &Verdict) -> Option<CexPayload> {
-    match v {
-        Verdict::Disproved(cex) => Some((
-            cex.bytes.clone(),
-            cex.description.clone(),
-            cex.trace.clone(),
-        )),
-        _ => None,
-    }
-}
-
-fn check_stream(seed: u64, updates: usize) -> Vec<&'static str> {
-    let baseline = run_stream(ReuseLevel::FullReverify, seed, updates);
-    let warm = run_stream(ReuseLevel::Sessions, seed, updates);
-    assert_eq!(warm.len(), baseline.len(), "stream {seed}: update count");
+/// Holds the warm session to the oracle on every update; returns the
+/// filtering verdict per update (for mix assertions) and the warm
+/// session's reuse counts.
+fn check_stream(s: &Scenario) -> (Vec<&'static str>, ChurnStats) {
+    let name = &s.name;
+    let (baseline, _) = run_stream(s, ReuseLevel::FullReverify);
+    let (warm, stats) = run_stream(s, ReuseLevel::Sessions);
+    assert_eq!(warm.len(), baseline.len(), "{name}: update count");
     for (u, (w, b)) in warm.iter().zip(&baseline).enumerate() {
         assert_eq!(
             w.reports.len(),
             b.reports.len(),
-            "stream {seed} update {u}: report count"
+            "{name} update {u}: report count"
         );
         for (wr, br) in w.reports.iter().zip(&b.reports) {
-            let what = format!("stream {seed} update {u} [{}]", br.property);
-            assert_eq!(
-                wr.verdict.label(),
-                br.verdict.label(),
-                "{what}: verdict diverged"
-            );
-            assert_eq!(
-                cex_of(&wr.verdict),
-                cex_of(&br.verdict),
-                "{what}: counterexample diverged"
-            );
-            assert_eq!(
-                wr.composed_paths, br.composed_paths,
-                "{what}: composed_paths diverged"
-            );
+            assert_identical_reports(wr, br, &format!("{name} update {u} [{}]", br.property));
         }
     }
-    // The per-update filtering verdict trajectory, for mix assertions.
-    baseline
+    let filtering = baseline
         .iter()
-        .map(|u| u.reports[1].verdict.label())
-        .collect()
+        .flat_map(|u| &u.reports)
+        .filter(|r| r.property == "filtering")
+        .map(|r| r.verdict.label())
+        .collect();
+    (filtering, stats)
 }
 
 /// Debug-friendly: four streams, six updates each.
 #[test]
 fn churn_smoke() {
     for seed in 0u64..4 {
-        check_stream(seed, 6);
+        check_stream(&corner_router(seed, 6));
     }
 }
 
-/// Paper-scale matrix: 20 generated streams of 12 updates, both
-/// reuse levels each. Run explicitly in release:
-/// `cargo test --release -p dpv-bench -- --ignored`.
+/// Paper-scale matrix: 20 generated streams of 12 updates, then the
+/// two long streams, both reuse levels each. Run explicitly in
+/// release: `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]
 fn churn_differential_full() {
     let mut proved = 0usize;
     let mut disproved = 0usize;
     for seed in 0u64..20 {
-        for label in check_stream(seed, 12) {
+        for label in check_stream(&corner_router(seed, 12)).0 {
             match label {
                 "proved" => proved += 1,
                 "disproved" => disproved += 1,
@@ -154,4 +153,31 @@ fn churn_differential_full() {
         disproved >= 20,
         "want a healthy disproved mix, got {disproved}"
     );
+
+    // The two served workloads, with the warm session's reuse counts
+    // over the whole stream — what makes a warm update cheap. The
+    // counts are a function of `delta_stream(seed)` and the reuse
+    // model alone, so they are pinned exactly; re-take them when
+    // either changes on purpose. On the firewalled edge (both table
+    // kinds churn, six stages) only the stages a delta's Tables-mode
+    // key reaches re-execute and the two Abstract checks replay on
+    // every update; FIB churn under Abstract-only properties is
+    // table-blind, so nothing executes and every check (2 × 40)
+    // replays.
+    for (scenario, reuse) in [
+        (served("firewalled-edge", 120), (106, 4, 250)),
+        (served("edge-router", 40), (0, 0, 80)),
+    ] {
+        let (_, stats) = check_stream(&scenario);
+        assert_eq!(
+            (
+                stats.stages_reexecuted,
+                stats.stages_rebased,
+                stats.checks_replayed
+            ),
+            reuse,
+            "{}: warm-session (re-executed, rebased, replayed)",
+            scenario.name
+        );
+    }
 }

@@ -21,10 +21,9 @@
 //! 50+ stages) and is `#[ignore]`d so CI runs it explicitly in release
 //! (`cargo test --release -p dpv-bench -- --ignored`).
 
+use dpv_bench::assert_identical_reports;
 use dpv_bench::gen::{deep_pipeline_with, gen_verify_config, GenConfig, Generated};
-use verifier::{
-    Fleet, Property, Report, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport,
-};
+use verifier::{Fleet, Property, Report, SummaryStore, Verifier, VerifyConfig, VerifyReport};
 
 struct Mode {
     name: &'static str,
@@ -93,21 +92,6 @@ fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
     }
 }
 
-/// The comparable payload of a counterexample: packet bytes,
-/// description, and the `(stage, segment)` trace.
-type CexPayload = (Vec<u8>, String, Vec<(usize, usize)>);
-
-fn cex_of(rep: &VerifyReport) -> Option<CexPayload> {
-    match &rep.verdict {
-        Verdict::Disproved(cex) => Some((
-            cex.bytes.clone(),
-            cex.description.clone(),
-            cex.trace.clone(),
-        )),
-        _ => None,
-    }
-}
-
 /// Checks one generated pipeline under every mode; returns it with its
 /// `seq` baseline for the fleet leg.
 fn check_seed(seed: u64, cfg: GenConfig) -> (Generated, VerifyReport) {
@@ -119,26 +103,9 @@ fn check_seed(seed: u64, cfg: GenConfig) -> (Generated, VerifyReport) {
         expected,
         "seed {seed}: baseline verdict"
     );
-    let base_cex = cex_of(&baseline);
     for m in &MODES[1..] {
-        let rep = run_mode(&g, m);
-        assert_eq!(
-            rep.verdict.label(),
-            baseline.verdict.label(),
-            "seed {seed}: verdict diverged in mode {}",
-            m.name
-        );
-        assert_eq!(
-            cex_of(&rep),
-            base_cex,
-            "seed {seed}: counterexample diverged in mode {}",
-            m.name
-        );
-        assert_eq!(
-            rep.composed_paths, baseline.composed_paths,
-            "seed {seed}: composed_paths diverged in mode {}",
-            m.name
-        );
+        let what = format!("seed {seed} mode {}", m.name);
+        assert_identical_reports(&run_mode(&g, m), &baseline, &what);
     }
     (g, baseline)
 }
@@ -164,9 +131,7 @@ fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) {
         let what = format!("fleet over {}: variant {}", a.0.pipeline.name, v.variant);
         assert_eq!(v.replayed, [replayed], "{what}");
         let rep = v.reports[0].as_verify().expect("verify");
-        assert_eq!(rep.verdict.label(), baseline.verdict.label(), "{what}");
-        assert_eq!(cex_of(rep), cex_of(baseline), "{what}");
-        assert_eq!(rep.composed_paths, baseline.composed_paths, "{what}");
+        assert_identical_reports(rep, baseline, &what);
     }
 }
 

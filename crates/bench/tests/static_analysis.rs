@@ -13,6 +13,10 @@
 //!   emitted packet;
 //! * all four analyses must terminate on every generated stage program
 //!   (loop bodies included) — the widening bound at work.
+//!
+//! And the pass's effect on verification where it is allowed one:
+//! under cheap fork checking, `static_simplify` removes suspects and
+//! composed paths on figure pipelines and never changes the answer.
 
 use dpir::analysis::reach::reachable_from;
 use dpir::analysis::{lint_program, simplify, ConstProp, Effects, Intervals, IvEnv};
@@ -223,4 +227,59 @@ fn verifier_lint_covers_every_stage() {
     for ((name, _), stage) in lints.iter().zip(&g.pipeline.stages) {
         assert_eq!(name, &stage.element.name);
     }
+}
+
+/// Under *cheap* fork checking (`exact_forks = false`: infeasible
+/// crash forks survive step 1 as spurious suspects) the statically
+/// proven in-bounds sites must remove suspects — prune composed paths
+/// — on figure pipelines, while the answer stays the same. Under exact
+/// forks the solver refutes those forks anyway, which is why the
+/// differential harness's `simplify` mode can demand path *equality*.
+#[test]
+fn simplification_only_removes_suspects_under_cheap_forks() {
+    use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
+    use elements::pipelines::{to_pipeline, ROUTER_IP};
+    use verifier::{Property, Verifier};
+
+    let frag = vec![
+        elements::classifier::classifier(),
+        elements::check_ip_header::check_ip_header(false),
+        elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+        ip_fragmenter(FragmenterVariant::Fixed, 24),
+    ];
+    let router = vec![
+        elements::classifier::classifier(),
+        elements::check_ip_header::check_ip_header(false),
+        elements::dec_ttl::dec_ttl(),
+        elements::ip_options::ip_options(2, Some(ROUTER_IP)),
+    ];
+
+    let mut pruned = 0usize;
+    for (name, stages) in [("edge+opt1+fixedfrag", frag), ("router", router)] {
+        let p = to_pipeline(name, stages);
+        let run = |simplify: bool| {
+            let mut cfg = dpv_bench::fig_verify_config();
+            cfg.sym.exact_forks = false;
+            cfg.static_simplify = simplify;
+            Verifier::new(&p)
+                .config(cfg)
+                .check(Property::CrashFreedom)
+                .expect_verify()
+        };
+        let (raw, simp) = (run(false), run(true));
+        dpv_bench::assert_same_verdict(&raw.verdict, &simp.verdict, name);
+        assert!(
+            simp.suspects <= raw.suspects && simp.composed_paths <= raw.composed_paths,
+            "{name}: simplification added suspects ({} → {}) or paths ({} → {})",
+            raw.suspects,
+            simp.suspects,
+            raw.composed_paths,
+            simp.composed_paths
+        );
+        pruned += raw.composed_paths - simp.composed_paths;
+    }
+    assert!(
+        pruned > 0,
+        "static simplification pruned no composed path on any figure pipeline"
+    );
 }

@@ -84,8 +84,8 @@ impl Model {
     }
 }
 
-/// Counters for the solver-layering and incremental-session
-/// ablations (DESIGN.md §6).
+/// Which layer of the stack answered each query, and what the
+/// incremental session reused.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverLayerStats {
     /// Queries answered by constructor-level simplification alone

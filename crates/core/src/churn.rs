@@ -38,9 +38,10 @@
 //! [`ReuseLevel`] names the two ways to run a session: the product
 //! ([`ReuseLevel::Sessions`], everything above) and its test oracle
 //! ([`ReuseLevel::FullReverify`], a from-scratch verification per
-//! update). The `churn_ablation` benchmark and the differential tests
-//! drive identical update streams through both and assert verdict,
-//! counterexample and composed-path equality on every update.
+//! update). The differential tests (`crates/bench/tests/churn.rs`) and
+//! the repo benchmark's oracle drive identical update streams through
+//! both and assert verdict, counterexample and composed-path equality
+//! on every update.
 //!
 //! ```no_run
 //! use verifier::{ChurnSession, Property, ReuseLevel, VerifyConfig};
@@ -77,7 +78,8 @@ use std::time::{Duration, Instant};
 /// How a [`ChurnSession`] re-establishes its properties after an
 /// update: the product path or its from-scratch oracle. Both produce
 /// identical verdicts, counterexample bytes and composed-path counts
-/// (asserted continuously by the benchmark and the differential tests).
+/// (asserted on every update by `crates/bench/tests/churn.rs` and by
+/// the repo benchmark's oracle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReuseLevel {
     /// Re-verify from scratch on every update: fresh summaries, fresh
@@ -93,16 +95,6 @@ pub enum ReuseLevel {
     /// outright for properties whose mode's summaries this update did
     /// not change.
     Sessions,
-}
-
-impl ReuseLevel {
-    /// The benchmark arm name for this level.
-    pub fn arm(&self) -> &'static str {
-        match self {
-            ReuseLevel::FullReverify => "full-reverify",
-            ReuseLevel::Sessions => "incremental-session",
-        }
-    }
 }
 
 /// A property was passed that the churn engine cannot re-check

@@ -169,8 +169,9 @@ impl Fleet {
 
     /// Whether the searches share the fleet's summary store (the
     /// default). `false` gives every search a throwaway store — the
-    /// "cold, no sharing" A/B baseline used by the `fleet_ablation`
-    /// bench; verdicts and classes are identical either way.
+    /// "cold, no sharing" arm `crates/bench/tests/fleet_store.rs`
+    /// holds every store arm to; verdicts and classes are identical
+    /// either way.
     #[must_use]
     pub fn share_store(mut self, share: bool) -> Self {
         self.share_store = share;

@@ -43,8 +43,8 @@ pub struct VerifyConfig {
     /// Simplified programs hash differently whenever any fact was
     /// derived (the `facts` field participates in the fingerprint),
     /// so [`crate::SummaryStore`] entries never mix the two modes.
-    /// `false` is the A/B baseline for the `static_simplify` bench
-    /// ablation.
+    /// `false` is the raw arm the differential harness's `simplify`
+    /// mode and `crates/bench/tests/static_analysis.rs` compare against.
     pub static_simplify: bool,
 }
 
