@@ -9,8 +9,7 @@
 //! [`ChurnSession::apply_batch`] and printing one JSON verdict line
 //! per burst. Summaries written back to `--store` make the *next*
 //! daemon's step 1 warm too (its first step-2 search still runs cold).
-//! The session always runs at [`ReuseLevel::Sessions`] — the
-//! from-scratch level is a test oracle, not a way to run a daemon.
+//! The session runs at [`ReuseLevel::Sessions`], the only level.
 //!
 //! ```text
 //! dpv-serve --pipeline firewalled-edge --store /var/lib/dpv \

@@ -1,19 +1,19 @@
 //! Churn-vs-fresh differential: a warm [`ChurnSession`] must track
 //! full re-verification exactly, update by update.
 //!
-//! Each [`Scenario`] drives the same seedable [`delta_stream`] through
-//! two sessions — one per [`ReuseLevel`] — over a table-bearing
-//! pipeline (IPFilter exact table and/or IPlookup LPM FIB), checking
-//! Abstract properties (crash-freedom, bounded execution) and the
-//! Tables one (filtering). After the initial verification and after
-//! **every** update, the `Sessions` run must agree with the
-//! `FullReverify` oracle on:
+//! Each [`Scenario`] drives a seedable [`delta_stream`] through one
+//! warm session over a table-bearing pipeline (IPFilter exact table
+//! and/or IPlookup LPM FIB), checking Abstract properties
+//! (crash-freedom, bounded execution) and the Tables one (filtering).
+//! After the initial verification and after **every** update, the
+//! session must agree with a fresh [`Verifier`] over its pipeline as
+//! it stands then, on:
 //!
 //! * verdict labels per property (streams deliberately add and remove
 //!   blacklist entries, so the filtering verdict genuinely flips
 //!   mid-stream);
 //! * counterexample bytes, description and trace, byte-for-byte (the
-//!   warm arm re-extracts models on patched persistent pools — the
+//!   warm session re-extracts models on patched persistent pools — the
 //!   bytes must not care);
 //! * `composed_paths` per property (core reuse only skips would-be-
 //!   UNSAT solver calls, never compositions; replayed reports carry
@@ -29,7 +29,9 @@ use dataplane::Pipeline;
 use dpv_bench::gen::delta_stream;
 use dpv_bench::{assert_identical_reports, fig_verify_config, named_workload};
 use elements::pipelines::{edge_fib, to_pipeline};
-use verifier::{ChurnSession, ChurnStats, FilterProperty, Property, ReuseLevel, UpdateReport};
+use verifier::{
+    ChurnSession, ChurnStats, FilterProperty, Property, Report, ReuseLevel, Verifier, VerifyReport,
+};
 
 /// One update stream: a pipeline, the properties re-established after
 /// every update, and the [`delta_stream`] seed and length.
@@ -78,47 +80,51 @@ fn served(name: &str, updates: usize) -> Scenario {
     }
 }
 
-fn run_stream(s: &Scenario, level: ReuseLevel) -> (Vec<UpdateReport>, ChurnStats) {
-    let deltas = delta_stream(s.seed, &s.pipeline, s.updates);
+/// Drives the stream through a warm session and holds every update to
+/// a fresh [`Verifier`] over the session's pipeline, under the
+/// session's configuration; returns the filtering verdict per update
+/// (for mix assertions) and the session's reuse counts.
+fn check_stream(s: &Scenario) -> (Vec<&'static str>, ChurnStats) {
+    let name = &s.name;
+    let cfg = fig_verify_config();
     let mut session = ChurnSession::new(
         s.pipeline.clone(),
         s.props.clone(),
-        fig_verify_config(),
-        level,
+        cfg.clone(),
+        ReuseLevel::Sessions,
     )
     .expect("search-based properties");
-    let mut out = vec![session.verify()];
-    for d in &deltas {
-        out.push(session.apply_delta(d).expect("generated deltas are valid"));
-    }
-    (out, session.stats())
-}
-
-/// Holds the warm session to the oracle on every update; returns the
-/// filtering verdict per update (for mix assertions) and the warm
-/// session's reuse counts.
-fn check_stream(s: &Scenario) -> (Vec<&'static str>, ChurnStats) {
-    let name = &s.name;
-    let (baseline, _) = run_stream(s, ReuseLevel::FullReverify);
-    let (warm, stats) = run_stream(s, ReuseLevel::Sessions);
-    assert_eq!(warm.len(), baseline.len(), "{name}: update count");
-    for (u, (w, b)) in warm.iter().zip(&baseline).enumerate() {
+    let deltas = delta_stream(s.seed, &s.pipeline, s.updates);
+    let mut filtering = Vec::new();
+    for u in 0..=deltas.len() {
+        let warm = match u {
+            0 => session.verify(),
+            _ => session
+                .apply_delta(&deltas[u - 1])
+                .expect("generated deltas are valid"),
+        };
+        let fresh: Vec<VerifyReport> = Verifier::new(session.pipeline())
+            .config(cfg.clone())
+            .check_all(&s.props)
+            .into_iter()
+            .map(Report::expect_verify)
+            .collect();
         assert_eq!(
-            w.reports.len(),
-            b.reports.len(),
+            warm.reports.len(),
+            fresh.len(),
             "{name} update {u}: report count"
         );
-        for (wr, br) in w.reports.iter().zip(&b.reports) {
-            assert_identical_reports(wr, br, &format!("{name} update {u} [{}]", br.property));
+        for (w, f) in warm.reports.iter().zip(&fresh) {
+            assert_identical_reports(w, f, &format!("{name} update {u} [{}]", f.property));
         }
+        filtering.extend(
+            fresh
+                .iter()
+                .filter(|r| r.property == "filtering")
+                .map(|r| r.verdict.label()),
+        );
     }
-    let filtering = baseline
-        .iter()
-        .flat_map(|u| &u.reports)
-        .filter(|r| r.property == "filtering")
-        .map(|r| r.verdict.label())
-        .collect();
-    (filtering, stats)
+    (filtering, session.stats())
 }
 
 /// Debug-friendly: four streams, six updates each.
@@ -130,7 +136,7 @@ fn churn_smoke() {
 }
 
 /// Paper-scale matrix: 20 generated streams of 12 updates, then the
-/// two long streams, both reuse levels each. Run explicitly in
+/// two long streams, each update against a fresh verifier. Run explicitly in
 /// release: `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]

@@ -1,4 +1,5 @@
-//! Source scans that keep a deleted dependency or engine deleted.
+//! Source scans that keep a deleted dependency, engine or owner of
+//! state deleted.
 
 use std::path::{Path, PathBuf};
 
@@ -19,15 +20,24 @@ fn product_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
         .map(|(i, l)| (i + 1, l))
 }
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+fn every_file(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("source dir") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            every_file(&path, out);
+        } else {
             out.push(path);
         }
     }
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut all = Vec::new();
+    every_file(dir, &mut all);
+    out.extend(
+        all.into_iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+    );
 }
 
 /// `bvsolve::BvSolver` (a fresh SAT instance per query) is the oracle
@@ -215,6 +225,57 @@ fn there_is_one_measurement_system() {
     assert!(
         hits.is_empty(),
         "a store-path env var or a bench summary row is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// `Verifier` and `ChurnSession` run on one engine
+/// (`crates/core/src/engine.rs`): the term pool, each map mode's
+/// summaries, solver session and core store, and the summary store
+/// live there; step 1 is built and patched there, and every search
+/// report is built there. `churn.rs` keeps only what a stream adds —
+/// its memo, its counters and the stages a delta changed — and the
+/// from-scratch reuse level it once drove beside the warm one is gone:
+/// the oracle is a fresh `Verifier`.
+#[test]
+fn warm_state_has_one_owner() {
+    let crates = crates_dir();
+    let churn = crates.join("core/src/churn.rs");
+    let text = std::fs::read_to_string(&churn).expect("source file");
+    let mut hits = Vec::new();
+    for (i, line) in product_lines(&text) {
+        for needle in [
+            "TermPool::new",
+            "SolveSession",
+            "summarize_pipeline_with_store",
+            "run_step2",
+            "VerifyReport {",
+            "fn mode_idx",
+        ] {
+            if line.contains(needle) {
+                hits.push(format!("{}:{}: {}", churn.display(), i, line.trim()));
+            }
+        }
+    }
+
+    // Built in pieces so that this file does not match itself.
+    let gone = ["Full", "Reverify"].concat();
+    let root = crates.parent().expect("repo root");
+    let mut files = vec![root.join("README.md")];
+    every_file(&crates, &mut files);
+    every_file(&root.join("examples"), &mut files);
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    for file in files {
+        let bytes = std::fs::read(&file).expect("readable file");
+        for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+            if line.contains(&gone) {
+                hits.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "warm state outside the engine, or the from-scratch reuse level is back:\n{}",
         hits.join("\n")
     );
 }

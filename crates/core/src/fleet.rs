@@ -45,8 +45,8 @@
 //! first member of each class (in registration order) is searched by a
 //! fresh [`Verifier`] on the worker pool, and every other member gets
 //! that report with its own pipeline name and zero
-//! `step1_time`/`step2_time` — the convention of a replayed
-//! [`ChurnSession`](crate::ChurnSession) check.
+//! `step1_time`/`step2_time`, as a replayed
+//! [`ChurnSession`](crate::ChurnSession) check has.
 //! [`FleetReport::classes`] and [`VariantReport::replayed`] say which
 //! was which.
 //!
@@ -309,8 +309,8 @@ impl Fleet {
 
 /// A class member's copy of the report its class's search produced:
 /// the member's own pipeline name and zero step times (nothing ran for
-/// it — the convention of a replayed [`crate::ChurnSession`] check);
-/// verdict, counterexample, trace and counters are the search's.
+/// it, as for a replayed [`crate::ChurnSession`] check); verdict,
+/// counterexample, trace and counters are the search's.
 fn replay(searched: &Report, member: &Pipeline) -> Report {
     match searched {
         Report::Verify(r) => {

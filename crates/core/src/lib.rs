@@ -56,6 +56,7 @@
 pub mod churn;
 pub mod compose;
 pub mod cores;
+mod engine;
 pub mod fleet;
 pub mod generic;
 pub(crate) mod persist;

@@ -823,8 +823,9 @@ mod tests {
             ..Default::default()
         };
         let store = crate::SummaryStore::new();
-        let (stage, _) = store.stage(&e, MapMode::Abstract, &cfg).expect("ok");
-        (SummaryKey::of(&e, MapMode::Abstract, &cfg), stage)
+        let key = SummaryKey::of(&e, MapMode::Abstract, &cfg);
+        let (stage, _) = store.stage(key, &e, &cfg).expect("ok");
+        (key, stage)
     }
 
     fn pool_fingerprint(p: &TermPool) -> String {

@@ -54,22 +54,21 @@
 //! of conflict budget is the in-flight model reported instead).
 
 use crate::compose::ComposedState;
-use crate::cores::{CoreStats, CoreStore};
+use crate::engine::{iv_env, Engine, Step1};
 use crate::generic::{run_generic, GenericReport};
-use crate::report::{json_escape, StaticStats, Verdict, VerifyReport};
+use crate::report::{json_escape, Verdict, VerifyReport};
 use crate::stateful::{analyze, StateFinding};
 use crate::step2::{
     aborted_report, bounded_suspects, crash_reach, crash_suspects, filter_suspects,
-    longest_paths_from, lookahead, make_initial, new_session, search, segment_count, verdict_of,
-    FilterProperty, LongestPath, Node, PropKind, SearchOutcome, VerifyConfig,
+    longest_paths_from, lookahead, make_initial, FilterProperty, LongestPath, PropKind,
+    VerifyConfig,
 };
-use crate::summary::{
-    summarize_pipeline_with_store, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
-};
-use bvsolve::{SolveSession, SolverLayerStats, TermPool};
+use crate::summary::{MapMode, PipelineSummaries, SummaryKey, SummaryStore};
+use bvsolve::TermPool;
 use dataplane::{Element, ElementKind, Pipeline, Route, Stage};
-use dpir::analysis::{lint_program, simplify, Diagnostic, IvEnv};
+use dpir::analysis::{lint_program, Diagnostic};
 use dpir::PortId;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symexec::{SegOutcome, Segment, SymConfig, SymInput};
@@ -371,9 +370,8 @@ impl std::fmt::Display for Report {
 
 /// A search-based property in resolved form: the single mapping from
 /// [`Property`] to the step-2 search parameters (mode, kind,
-/// reachability, suspects, initial-state constraints), shared by
-/// [`Verifier::check`] and [`crate::churn::ChurnSession`] so the two
-/// drivers cannot diverge on property semantics.
+/// reachability, suspects, initial-state constraints) that the engine's
+/// search and the fleet's class keys read.
 pub(crate) enum SearchProp {
     Crash,
     Bounded { imax: u64 },
@@ -526,152 +524,13 @@ pub(crate) fn search_class(
     Some(SearchClass(stages))
 }
 
-/// The step-2 engine for one resolved property: builds the initial
-/// state and runs the DFS through the given (usually long-lived) solver
-/// and the mode's core store. One code path behind both
-/// [`Verifier::check`] and [`crate::churn::ChurnSession`], so a churn
-/// session's warm re-checks cannot diverge from a fresh session's.
-/// Returns the outcome, the solver/core stat deltas and the
-/// composed-path count.
-pub(crate) fn run_step2(
-    pool: &mut TermPool,
-    pipeline: &Pipeline,
-    sums: &PipelineSummaries,
-    cfg: &VerifyConfig,
-    spec: &SearchProp,
-    solver: &mut SolveSession,
-    cores: &mut CoreStore,
-) -> (SearchOutcome, SolverLayerStats, CoreStats, usize) {
-    let mut init = make_initial(pool, sums);
-    spec.init_extra(pool, sums, &mut init);
-    let reach = spec.reach(sums);
-    let kind = spec.kind();
-    let root = Node {
-        stage: 0,
-        iter: 0,
-        state: init,
-    };
-    let mut composed = 0;
-    let (solver_before, cores_before) = (solver.stats(), cores.stats());
-    let outcome = search(
-        pool,
-        solver,
-        cores,
-        pipeline,
-        sums,
-        cfg,
-        &kind,
-        root,
-        &reach,
-        &mut composed,
-    );
-    (
-        outcome,
-        solver.stats().delta(&solver_before),
-        cores.stats().delta(&cores_before),
-        composed,
-    )
-}
-
-/// Cached step-1 output for one map mode.
-struct CachedSummaries {
-    sums: PipelineSummaries,
-    build_time: Duration,
-    /// Disk-tier deltas of the build (summaries loaded from / written
-    /// to the store's backing directory, bytes read) — zero for
-    /// in-memory stores. Attributed to the check that built this mode,
-    /// like `build_time`.
-    store_loads: u64,
-    store_writes: u64,
-    load_bytes: u64,
-    /// Fork-solver work of the stages the build executed.
-    fork: bvsolve::SolverLayerStats,
-}
-
-fn mode_idx(mode: MapMode) -> usize {
-    match mode {
-        MapMode::Abstract => 0,
-        MapMode::Tables => 1,
-    }
-}
-
-/// The interval-analysis environment matching what the executor will
-/// constrain the entry packet length to.
-fn iv_env(sym: &SymConfig) -> IvEnv {
-    IvEnv {
-        len_lo: sym.min_pkt_len,
-        len_hi: sym.max_pkt_bytes as u64,
-    }
-}
-
-/// The static pass behind [`VerifyConfig::static_simplify`]: lints
-/// every stage program (for the report counters), then replaces each
-/// with its verdict-preserving simplification. Loop elements are
-/// processed on their iteration body. Map-mode independent, so one
-/// result serves both summary caches.
-fn static_pass(pipeline: &Pipeline, sym: &SymConfig) -> (Pipeline, StaticStats) {
-    let env = iv_env(sym);
-    let mut out = pipeline.clone();
-    let mut stats = StaticStats::default();
-    for stage in &mut out.stages {
-        let prog = match &mut stage.element.kind {
-            ElementKind::Straight(p) => p,
-            ElementKind::Loop { body, .. } => body,
-        };
-        stats.lints_emitted += lint_program(prog, env).len();
-        let (simplified, s) = simplify(prog, env);
-        stats.blocks_removed += s.blocks_removed;
-        stats.intervals_seeded += s.intervals_exported;
-        *prog = simplified;
-    }
-    (out, stats)
-}
-
 /// A verification session over one pipeline: summaries are built
 /// lazily, cached per [`MapMode`], and shared by every property check.
 ///
 /// See the [module docs](self) for the full workflow.
 pub struct Verifier<'p> {
     pipeline: &'p Pipeline,
-    cfg: VerifyConfig,
-    pool: TermPool,
-    cache: [Option<CachedSummaries>; 2],
-    /// One long-lived step-2 solver session per [`MapMode`], created
-    /// lazily beside the cached summaries: its blasted constraints and
-    /// learnt clauses persist across every property check of the
-    /// session.
-    solvers: [Option<SolveSession>; 2],
-    /// One UNSAT-core store per [`MapMode`], beside the cached
-    /// summaries: cores learned refuting paths for one property prune
-    /// the step-2 searches of every later property in the same mode
-    /// (the constraint terms are hash-consed in the shared pool, so
-    /// identical compositions re-intern to identical `TermId`s).
-    /// Inert after [`Verifier::reference_without_core_pruning`].
-    core_stores: [CoreStore; 2],
-    /// The content-addressed step-1 summary store consulted (and fed)
-    /// by [`Verifier::summaries`]. Private per session by default;
-    /// [`Verifier::with_store`] shares one across sessions, pipelines
-    /// and config variants, so the Abstract/Tables caches survive the
-    /// session that built them. Cache hits rebase the stored
-    /// pool-independent summaries into this session's `pool` via
-    /// [`bvsolve::Migrator`], reproducing exactly what execution would
-    /// have interned — verdicts and counterexample bytes are
-    /// independent of the store's prior contents.
-    store: Arc<SummaryStore>,
-    /// Whether `store` was supplied via [`Verifier::with_store`]. A
-    /// session-private store is cleared after each step-1 build: its
-    /// entries each own a full [`bvsolve::TermPool`], and once a
-    /// mode's summaries sit in `cache` nothing in this session reads
-    /// them again (the other map mode hashes to different keys), so
-    /// keeping them would roughly double step-1 memory for nothing.
-    store_shared: bool,
-    /// The statically simplified pipeline and the pass's counters,
-    /// built lazily by the first step-1 build when
-    /// [`VerifyConfig::static_simplify`] is on, then shared by both
-    /// map modes (the pass only rewrites programs, which the modes
-    /// share). `None` when the flag is off or no build ran yet.
-    simplified: Option<(Pipeline, StaticStats)>,
-    step1_runs: usize,
+    engine: Engine,
 }
 
 impl<'p> Verifier<'p> {
@@ -679,15 +538,7 @@ impl<'p> Verifier<'p> {
     pub fn new(pipeline: &'p Pipeline) -> Self {
         Verifier {
             pipeline,
-            cfg: VerifyConfig::default(),
-            pool: TermPool::new(),
-            cache: [None, None],
-            solvers: [None, None],
-            core_stores: [CoreStore::new(), CoreStore::new()],
-            store: SummaryStore::shared(),
-            store_shared: false,
-            simplified: None,
-            step1_runs: 0,
+            engine: Engine::new(VerifyConfig::default(), false),
         }
     }
 
@@ -698,8 +549,8 @@ impl<'p> Verifier<'p> {
     /// in the session were built against the previous store.
     #[must_use]
     pub fn with_store(mut self, store: Arc<SummaryStore>) -> Self {
-        self.store = store;
-        self.store_shared = true;
+        self.engine.store = store;
+        self.engine.retain_store = true;
         self
     }
 
@@ -709,7 +560,7 @@ impl<'p> Verifier<'p> {
     /// sessions), so reading it here is mostly useful for its hit/miss
     /// counters.
     pub fn store(&self) -> &Arc<SummaryStore> {
-        &self.store
+        &self.engine.store
     }
 
     /// Sets the verification configuration (step-1 settings and
@@ -717,7 +568,7 @@ impl<'p> Verifier<'p> {
     /// already cached were built with the previous configuration.
     #[must_use]
     pub fn config(mut self, cfg: VerifyConfig) -> Self {
-        self.cfg = cfg;
+        self.engine.cfg = cfg;
         self
     }
 
@@ -730,7 +581,7 @@ impl<'p> Verifier<'p> {
     #[doc(hidden)]
     #[must_use]
     pub fn reference_without_core_pruning(mut self) -> Self {
-        self.core_stores = [CoreStore::disabled(), CoreStore::disabled()];
+        self.engine.disable_core_pruning();
         self
     }
 
@@ -738,67 +589,22 @@ impl<'p> Verifier<'p> {
     /// at most one per [`MapMode`], however many properties were
     /// checked. Exposed for the cache-behavior tests.
     pub fn step1_runs(&self) -> usize {
-        self.step1_runs
+        self.engine.step1_runs
     }
 
-    /// Ensures summaries for `mode` are cached; returns whether this
-    /// call built them.
-    fn ensure(&mut self, mode: MapMode) -> Result<bool, symexec::SymError> {
-        let idx = mode_idx(mode);
-        if self.cache[idx].is_some() {
-            return Ok(false);
-        }
-        let t0 = Instant::now();
-        if self.cfg.static_simplify && self.simplified.is_none() {
-            self.simplified = Some(static_pass(self.pipeline, &self.cfg.sym));
-        }
-        let Verifier {
-            pool,
-            pipeline,
-            cfg,
-            store,
-            simplified,
-            ..
-        } = &mut *self;
-        // With `static_simplify` on, step 1 summarizes the simplified
-        // programs — their `Facts` make them fingerprint (and hence
-        // store-key) differently from the raw ones whenever any fact
-        // was derived, so the two modes never share cache entries.
-        let summarized: &Pipeline = match simplified {
-            Some((p, _)) => p,
-            None => pipeline,
-        };
-        let (loads0, writes0, lbytes0, fork0) = (
-            store.store_loads(),
-            store.store_writes(),
-            store.load_bytes(),
-            store.fork_stats(),
-        );
-        let sums = summarize_pipeline_with_store(pool, summarized, &cfg.sym, mode, store, 1)?;
-        self.step1_runs += 1;
-        if !self.store_shared {
-            // Nothing in this session will hit these entries again —
-            // the summaries are cached above and the other map mode
-            // keys differently. Drop the duplicate pools (intra-build
-            // dedup across repeated elements already happened).
-            self.store.clear();
-        }
-        self.cache[idx] = Some(CachedSummaries {
-            sums,
-            build_time: t0.elapsed(),
-            store_loads: self.store.store_loads() - loads0,
-            store_writes: self.store.store_writes() - writes0,
-            load_bytes: self.store.load_bytes() - lbytes0,
-            fork: self.store.fork_stats().delta(&fork0),
-        });
-        Ok(true)
+    /// Ensures summaries for `mode` are cached; returns the step-1 work
+    /// when this call built them.
+    fn ensure(&mut self, mode: MapMode) -> Result<Option<Step1>, symexec::SymError> {
+        // A borrowed pipeline never changes: nothing to re-key.
+        self.engine
+            .ensure(self.pipeline, mode, &mut BTreeSet::new())
     }
 
     /// The cached step-1 summaries for `mode`, building them if this
     /// is the first property to need them.
     pub fn summaries(&mut self, mode: MapMode) -> Result<&PipelineSummaries, symexec::SymError> {
         self.ensure(mode)?;
-        Ok(&self.cache[mode_idx(mode)].as_ref().expect("ensured").sums)
+        Ok(self.engine.summaries(mode).expect("ensured"))
     }
 
     /// Runs the [`dpir::analysis`] lint pass over every stage program
@@ -812,7 +618,7 @@ impl<'p> Verifier<'p> {
     /// summarized or cached, and the raw (unsimplified) programs are
     /// linted regardless of [`VerifyConfig::static_simplify`].
     pub fn lint(&self) -> Vec<(String, Vec<Diagnostic>)> {
-        let env = iv_env(&self.cfg.sym);
+        let env = iv_env(&self.engine.cfg.sym);
         self.pipeline
             .stages
             .iter()
@@ -827,16 +633,20 @@ impl<'p> Verifier<'p> {
 
     /// Checks one property. Step-1 summaries are reused from the
     /// session cache when a previous check already built them for the
-    /// same map mode.
+    /// same map mode; the check that builds them reports the build.
     pub fn check(&mut self, property: Property) -> Report {
-        if let Some(spec) = SearchProp::of(&property) {
-            return Report::Verify(self.run_search(&spec));
-        }
         let pipeline = self.pipeline;
+        if let Some(spec) = SearchProp::of(&property) {
+            let t0 = Instant::now();
+            return Report::Verify(match self.ensure(spec.mode()) {
+                Ok(step1) => self.engine.check(pipeline, &spec, step1),
+                Err(e) => aborted_report(&spec.name(), pipeline, e, t0),
+            });
+        }
         match property {
             Property::Generic { loop_cap } => {
                 let t0 = Instant::now();
-                let report = run_generic(pipeline, &self.cfg.sym, loop_cap);
+                let report = run_generic(pipeline, &self.engine.cfg.sym, loop_cap);
                 Report::Generic(GenericRun {
                     pipeline: pipeline.name.clone(),
                     loop_cap,
@@ -857,10 +667,8 @@ impl<'p> Verifier<'p> {
                         error: Some(format!("step 1 aborted: {e}")),
                     });
                 }
-                let cached = self.cache[mode_idx(MapMode::Abstract)]
-                    .as_ref()
-                    .expect("ensured");
-                let findings = analyze(&mut self.pool, &cached.sums, pipeline);
+                let (pool, sums, _, _) = self.engine.warm(MapMode::Abstract);
+                let findings = analyze(pool, sums, pipeline);
                 Report::State(StateReport {
                     pipeline: pipeline.name.clone(),
                     findings,
@@ -885,101 +693,10 @@ impl<'p> Verifier<'p> {
         if self.ensure(MapMode::Abstract).is_err() {
             return Vec::new();
         }
-        let Verifier {
-            pipeline,
-            cfg,
-            pool,
-            cache,
-            core_stores,
-            ..
-        } = self;
-        let cached = cache[mode_idx(MapMode::Abstract)].as_ref().expect("built");
-        let sums = &cached.sums;
-        let init = make_initial(pool, sums);
         // The longest-path search prunes with (and feeds) the same
         // abstract-mode core store as the property checks.
-        let cores = &mut core_stores[mode_idx(MapMode::Abstract)];
-        longest_paths_from(pool, pipeline, sums, init, cfg, cores, n)
-    }
-
-    /// One search-based check: cached summaries, then [`run_step2`]
-    /// (shared with [`crate::churn::ChurnSession`]).
-    fn run_search(&mut self, spec: &SearchProp) -> VerifyReport {
-        let name = spec.name();
-        let mode = spec.mode();
-        let t0 = Instant::now();
-        let built = match self.ensure(mode) {
-            Ok(b) => b,
-            Err(e) => return aborted_report(&name, self.pipeline, e, t0),
-        };
-        let Verifier {
-            pipeline,
-            cfg,
-            pool,
-            cache,
-            solvers,
-            core_stores,
-            store,
-            simplified,
-            ..
-        } = self;
-        let cached = cache[mode_idx(mode)].as_ref().expect("ensured");
-        let sums = &cached.sums;
-        // Step-1 cost is attributed to the check that paid it; cache
-        // hits report zero. The summary-store counters follow the same
-        // attribution.
-        let (step1_time, summary_hits, summary_misses, fork) = if built {
-            (
-                cached.build_time,
-                sums.summary_hits,
-                sums.summary_misses,
-                cached.fork,
-            )
-        } else {
-            (Duration::ZERO, 0, 0, Default::default())
-        };
-
-        let t1 = Instant::now();
-        // The session beside the cache outlives this check: later
-        // properties in the same map mode reuse its blasted constraints
-        // and learnt clauses, and prune with the cores this one learns.
-        // Both report their counters as the per-check delta.
-        let cores = &mut core_stores[mode_idx(mode)];
-        let solver = solvers[mode_idx(mode)].get_or_insert_with(|| new_session(cfg, cores));
-        let (outcome, solver_stats, core_stats, composed_paths) =
-            run_step2(pool, pipeline, sums, cfg, spec, solver, cores);
-        VerifyReport {
-            property: name,
-            pipeline: pipeline.name.clone(),
-            verdict: verdict_of(outcome),
-            step1_states: sums.total_states,
-            step1_segments: segment_count(sums),
-            suspects: spec.suspects(pipeline, sums),
-            composed_paths,
-            solver: solver_stats,
-            cores: core_stats,
-            summary: crate::report::SummaryCacheStats {
-                hits: summary_hits,
-                misses: summary_misses,
-                store_size: store.len(),
-                store_loads: if built { cached.store_loads } else { 0 },
-                store_writes: if built { cached.store_writes } else { 0 },
-                load_bytes: if built { cached.load_bytes } else { 0 },
-                // Lifetime counter of the (possibly shared) store, like
-                // `store_size` — not a per-check delta.
-                evictions: store.evictions(),
-                ..Default::default()
-            }
-            .with_fork_stats(&fork),
-            // Attributed like `step1_time`: the check that built this
-            // mode's summaries reports the static pass's counters.
-            static_stats: if built {
-                simplified.as_ref().map(|(_, s)| *s).unwrap_or_default()
-            } else {
-                StaticStats::default()
-            },
-            step1_time,
-            step2_time: t1.elapsed(),
-        }
+        let (pool, sums, cores, cfg) = self.engine.warm(MapMode::Abstract);
+        let init = make_initial(pool, sums);
+        longest_paths_from(pool, self.pipeline, sums, init, cfg, cores, n)
     }
 }

@@ -2,10 +2,9 @@
 //! feasibility.
 //!
 //! The path search is written once (`search`) and parameterized by
-//! `PropKind`; [`crate::session::Verifier`] and
-//! [`crate::churn::ChurnSession`] both run it, so the two can never
-//! diverge on property semantics. Every feasibility query takes one
-//! path: learnt-core store, then an incremental [`SolveSession`].
+//! `PropKind`; one engine runs it for both [`crate::session::Verifier`]
+//! and [`crate::churn::ChurnSession`]. Every feasibility query takes
+//! one path: learnt-core store, then an incremental [`SolveSession`].
 
 use crate::compose::{compose, ComposedState};
 use crate::cores::{CoreStats, CoreStore};
@@ -1056,7 +1055,7 @@ mod tests {
     }
 
     /// Step 1 and the initial state of one check, as
-    /// `session::run_step2` sets them up.
+    /// `engine::Engine::check` sets them up.
     struct Check {
         pool: TermPool,
         sums: PipelineSummaries,

@@ -615,18 +615,18 @@ impl SummaryStore {
         stored
     }
 
-    /// Fetches the summary for `element` under `(mode, cfg)`,
+    /// Fetches the summary for `element` under `cfg` at `key` — the
+    /// caller's `SummaryKey::of(element, mode, cfg)`, computed once —
     /// executing and caching it on a miss. Returns whether this was a
     /// hit. Loading and execution happen outside the store lock, once
     /// per key: a thread that misses on a key another thread is
     /// already producing waits for it to land and is served as a hit.
     pub(crate) fn stage(
         &self,
+        key: SummaryKey,
         element: &Element,
-        mode: MapMode,
         cfg: &SymConfig,
     ) -> Result<(Arc<StoredStage>, bool), SymError> {
-        let key = SummaryKey::of(element, mode, cfg);
         let _flight = {
             let mut guard = self.inner.lock().expect("summary store poisoned");
             loop {
@@ -658,7 +658,7 @@ impl SummaryStore {
         }
         let mut exec_pool = TermPool::new();
         let exec_input = SymInput::fresh(&mut exec_pool, cfg, &element.name);
-        let mut model = StageMapModel::new(element, mode);
+        let mut model = StageMapModel::new(element, key.mode);
         let report = execute(
             &mut exec_pool,
             element.program(),
@@ -734,18 +734,35 @@ pub fn summarize_pipeline_with_store(
     store: &SummaryStore,
     threads: usize,
 ) -> Result<PipelineSummaries, SymError> {
+    summarize_keyed(pool, pipeline, cfg, mode, store, threads).map(|(sums, _)| sums)
+}
+
+/// [`summarize_pipeline_with_store`], also returning each stage's
+/// [`SummaryKey`] as the fetch computed it — the per-stage keys a
+/// warm session re-keys table deltas against.
+pub(crate) fn summarize_keyed(
+    pool: &mut TermPool,
+    pipeline: &Pipeline,
+    cfg: &SymConfig,
+    mode: MapMode,
+    store: &SummaryStore,
+    threads: usize,
+) -> Result<(PipelineSummaries, Vec<SummaryKey>), SymError> {
     let input = SymInput::fresh(pool, cfg, "in");
     let n = pipeline.stages.len();
     let threads = effective_threads(threads).clamp(1, n.max(1));
     let fetched = run_indexed(n, threads, |k| {
-        store.stage(&pipeline.stages[k].element, mode, cfg)
+        let element = &pipeline.stages[k].element;
+        let key = SummaryKey::of(element, mode, cfg);
+        (key, store.stage(key, element, cfg))
     });
 
     let mut stages = Vec::with_capacity(n);
+    let mut keys = Vec::with_capacity(n);
     let mut total_states = 0usize;
     let mut summary_hits = 0usize;
     let mut summary_misses = 0usize;
-    for (k, res) in fetched.into_iter().enumerate() {
+    for (k, (key, res)) in fetched.into_iter().enumerate() {
         let (stored, hit) = res?;
         if hit {
             summary_hits += 1;
@@ -754,14 +771,16 @@ pub fn summarize_pipeline_with_store(
         }
         total_states += stored.states;
         stages.push(rebase_stage(pool, &stored, &pipeline.stages[k].element));
+        keys.push(key);
     }
-    Ok(PipelineSummaries {
+    let sums = PipelineSummaries {
         input,
         stages,
         total_states,
         summary_hits,
         summary_misses,
-    })
+    };
+    Ok((sums, keys))
 }
 
 /// Resolves a thread-count knob: `0` means all available cores (the
@@ -946,6 +965,11 @@ mod tests {
             max_pkt_bytes: 48,
             ..Default::default()
         }
+    }
+
+    fn abstract_stage(store: &SummaryStore, e: &Element) -> (Arc<StoredStage>, bool) {
+        let key = SummaryKey::of(e, MapMode::Abstract, &cfg());
+        store.stage(key, e, &cfg()).expect("ok")
     }
 
     #[test]
@@ -1180,19 +1204,19 @@ mod tests {
             .element
             .clone();
         let store = SummaryStore::bounded(Some(2), None);
-        store.stage(&a, MapMode::Abstract, &cfg()).expect("ok");
-        store.stage(&b, MapMode::Abstract, &cfg()).expect("ok");
+        abstract_stage(&store, &a);
+        abstract_stage(&store, &b);
         assert_eq!(store.len(), 2);
         assert_eq!(store.evictions(), 0);
         // Touch `a` so `b` becomes the LRU entry, then overflow.
-        let (_, hit) = store.stage(&a, MapMode::Abstract, &cfg()).expect("ok");
+        let (_, hit) = abstract_stage(&store, &a);
         assert!(hit);
-        store.stage(&c, MapMode::Abstract, &cfg()).expect("ok");
+        abstract_stage(&store, &c);
         assert_eq!(store.len(), 2);
         assert_eq!(store.evictions(), 1);
-        let (_, hit_a) = store.stage(&a, MapMode::Abstract, &cfg()).expect("ok");
+        let (_, hit_a) = abstract_stage(&store, &a);
         assert!(hit_a, "recently-used entry survived");
-        let (_, hit_b) = store.stage(&b, MapMode::Abstract, &cfg()).expect("ok");
+        let (_, hit_b) = abstract_stage(&store, &b);
         assert!(!hit_b, "LRU entry was evicted");
     }
 
@@ -1207,10 +1231,10 @@ mod tests {
         // A budget of one byte forces every insertion to evict its
         // predecessor — but the newest entry always survives.
         let store = SummaryStore::bounded(None, Some(1));
-        store.stage(&a, MapMode::Abstract, &cfg()).expect("ok");
+        abstract_stage(&store, &a);
         assert_eq!(store.len(), 1, "single oversized entry still caches");
         assert!(store.approx_bytes() > 1);
-        store.stage(&b, MapMode::Abstract, &cfg()).expect("ok");
+        abstract_stage(&store, &b);
         assert_eq!(store.len(), 1);
         assert_eq!(store.evictions(), 1);
         store.clear();
@@ -1226,7 +1250,7 @@ mod tests {
             elements::classifier::classifier(),
             elements::check_ip_header::check_ip_header(false),
         ] {
-            store.stage(&e, MapMode::Abstract, &cfg()).expect("ok");
+            abstract_stage(&store, &e);
         }
         assert_eq!(store.len(), 3);
         assert_eq!(store.evictions(), 0);

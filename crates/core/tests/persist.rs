@@ -13,7 +13,7 @@
 use dataplane::{
     DeltaError, Pipeline, TableConfig, TableContents, TableDelta, TableKindError, TableOp,
 };
-use elements::pipelines::{core_fib, edge_fib, ip_router, to_pipeline};
+use elements::pipelines::{core_fib, edge_fib, ip_router, to_pipeline, ROUTER_IP};
 use std::path::PathBuf;
 use std::sync::Arc;
 use symexec::SymConfig;
@@ -250,34 +250,140 @@ fn burst() -> Vec<TableDelta> {
 
 #[test]
 fn apply_batch_matches_one_by_one_deltas() {
-    let mk = |level| {
-        ChurnSession::new(router(), props(), cfg(), level).expect("search-based properties")
+    let mk = || {
+        let mut s = ChurnSession::new(router(), props(), cfg(), ReuseLevel::Sessions)
+            .expect("search-based properties");
+        s.verify();
+        s
     };
-    for level in [ReuseLevel::FullReverify, ReuseLevel::Sessions] {
-        let mut serial = mk(level);
-        serial.verify();
-        let mut last = None;
-        for d in &burst() {
-            last = Some(serial.apply_delta(d).expect("valid delta"));
-        }
-        let serial_final = last.expect("non-empty burst");
+    let mut serial = mk();
+    let mut last = None;
+    for d in &burst() {
+        last = Some(serial.apply_delta(d).expect("valid delta"));
+    }
+    let serial_final = last.expect("non-empty burst");
 
-        let mut batched = mk(level);
-        batched.verify();
-        let batch_report = batched.apply_batch(&burst()).expect("valid burst");
+    let mut batched = mk();
+    let batch_report = batched.apply_batch(&burst()).expect("valid burst");
+    // The oracle: a fresh verifier over the configuration the burst left.
+    let fresh = check_all(batched.pipeline(), None);
 
-        assert_eq!(batch_report.update, 1, "one burst, one update");
-        for (s, b) in serial_final.reports.iter().zip(&batch_report.reports) {
-            assert_identical(s, b, &format!("{level:?} batch-vs-serial {}", s.property));
-        }
-        // The burst touches two stages; each re-summarizes at most
-        // once however many deltas hit it.
-        assert!(
-            batch_report.stages_reexecuted + batch_report.stages_rebased <= 2,
-            "burst must coalesce per stage: {} reexecuted + {} rebased",
-            batch_report.stages_reexecuted,
-            batch_report.stages_rebased
+    assert_eq!(batch_report.update, 1, "one burst, one update");
+    assert_eq!(batch_report.reports.len(), fresh.len());
+    for ((s, b), f) in serial_final
+        .reports
+        .iter()
+        .zip(&batch_report.reports)
+        .zip(&fresh)
+    {
+        assert_identical(s, b, &format!("batch-vs-serial {}", s.property));
+        assert_identical(f, b, &format!("batch-vs-fresh {}", f.property));
+    }
+    // The burst touches two stages; each re-summarizes at most once
+    // however many deltas hit it.
+    assert!(
+        batch_report.stages_reexecuted + batch_report.stages_rebased <= 2,
+        "burst must coalesce per stage: {} reexecuted + {} rebased",
+        batch_report.stages_reexecuted,
+        batch_report.stages_rebased
+    );
+}
+
+/// The router with a `DecTTL` and an options stage: both table kinds,
+/// six stages, twelve summaries.
+fn firewalled_edge() -> Pipeline {
+    to_pipeline(
+        "firewalled-edge",
+        vec![
+            elements::classifier::classifier(),
+            elements::check_ip_header::check_ip_header(false),
+            elements::ip_filter::ip_filter(vec![0x0BAD_0001, 0x0BAD_0010]),
+            elements::dec_ttl::dec_ttl(),
+            elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+            elements::ip_lookup::ip_lookup(4, edge_fib()),
+        ],
+    )
+}
+
+/// The step-1 work a report attributes to its own check: store hits
+/// and misses, disk loads, writes and bytes, and the fork-solver work
+/// of the executed stages.
+fn step1_work(r: &VerifyReport) -> [u64; 9] {
+    let s = &r.summary;
+    [
+        s.hits as u64,
+        s.misses as u64,
+        s.store_loads,
+        s.store_writes,
+        s.load_bytes,
+        s.fork_queries,
+        s.fork_sat_calls,
+        s.fork_blast_cache_hits,
+        s.fork_learnt_reused,
+    ]
+}
+
+/// A churn session's reports attribute step 1 the way a `Verifier`'s
+/// do — the check whose step 1 built or patched a mode reports that
+/// work, every other report zero — on a cold store and on a restarted
+/// one, so an update's reports sum to exactly what the update did.
+#[test]
+fn churn_step1_counters_follow_the_verifier_rule() {
+    let (verifier_dir, churn_dir) = (TmpDir::new("attr-verifier"), TmpDir::new("attr-churn"));
+    // A source no table holds yet: the firewall's Tables summary moves.
+    let delta = filter_delta(TableOp::ExactInsert(vec![(0x0BAD_0099, 1)]));
+    for start in ["cold", "restarted"] {
+        let verifier_store =
+            Arc::new(SummaryStore::persistent(&verifier_dir.0).expect("store dir"));
+        let expect: Vec<[u64; 9]> = check_all(&firewalled_edge(), Some(verifier_store))
+            .iter()
+            .map(step1_work)
+            .collect();
+        let mut session =
+            ChurnSession::new(firewalled_edge(), props(), cfg(), ReuseLevel::Sessions)
+                .expect("search-based properties")
+                .with_store_path(&churn_dir.0)
+                .expect("store dir");
+        let loads0 = session.store().store_loads();
+        let initial = session.verify();
+        let got: Vec<[u64; 9]> = initial.reports.iter().map(step1_work).collect();
+        assert_eq!(
+            got, expect,
+            "{start} store: verify() vs Verifier::check_all"
         );
+        let loads1 = session.store().store_loads();
+        let update = session.apply_delta(&delta).expect("valid delta");
+        assert!(!update.replayed[2], "{start} store: filtering must search");
+        assert_eq!(
+            update.stages_rebased + update.stages_reexecuted,
+            1,
+            "{start} store: one stage re-keyed"
+        );
+        for (u, (report, loads)) in [
+            (&initial, loads1 - loads0),
+            (&update, session.store().store_loads() - loads1),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let sum = |f: fn(&VerifyReport) -> u64| report.reports.iter().map(f).sum::<u64>();
+            assert_eq!(
+                (
+                    sum(|r| r.summary.hits as u64),
+                    sum(|r| r.summary.misses as u64)
+                ),
+                (
+                    report.stages_rebased as u64,
+                    report.stages_reexecuted as u64
+                ),
+                "{start} store, update {u}: reports vs update (hits, misses)"
+            );
+            assert_eq!(
+                sum(|r| r.summary.store_loads),
+                loads,
+                "{start} store, update {u}: reported loads vs the store's"
+            );
+        }
     }
 }
 
