@@ -4,10 +4,8 @@
 //! The fleet is FIB-only variants of one router element sequence ×
 //! {crash-freedom, bounded execution} — both table-blind, so the
 //! checks are two step-2 equivalence classes whatever the variant
-//! count. It is audited five ways:
+//! count. It is audited four ways:
 //!
-//! * `nostore` — `share_store(false)`, every search executes step 1
-//!   for itself: the arm the others are held to;
 //! * `cold` / `warm` — one shared in-memory [`SummaryStore`], audited
 //!   twice;
 //! * `cold-disk` — an empty on-disk store directory;
@@ -15,9 +13,10 @@
 //!   directory. Warmth across real processes stays with CI's
 //!   "dpv-serve, twice" step and `crates/core/tests/persist.rs`.
 //!
-//! Every arm must hand every `(variant, property)` the `nostore`
-//! verdict, counterexample, `Unknown` reason and composed-path count,
-//! and run two searches. The store's worth is asserted as the counts
+//! Every arm must hand every `(variant, property)` the verdict,
+//! counterexample, `Unknown` reason and composed-path count of a
+//! standalone [`Verifier`] on that variant and property alone — no
+//! class, no shared store — and run two searches. The store's worth is asserted as the counts
 //! that cause it, not as a stopwatch ratio: a warm store executes
 //! nothing (`summary_misses == 0`), a restarted one only loads.
 //!
@@ -25,11 +24,12 @@
 //! is the 10-variant, 4-worker fleet and runs in release via
 //! `cargo test --release -p dpv-bench -- --ignored`.
 
+use dataplane::Pipeline;
 use dpv_bench::{assert_identical_reports, fig_verify_config};
 use elements::pipelines::{ip_router, to_pipeline};
 use std::sync::Arc;
 use verifier::fleet::{Fleet, FleetReport};
-use verifier::{Property, SummaryStore};
+use verifier::{Property, SummaryStore, Verifier, VerifyReport};
 
 /// FIB for variant `i`: same shape, different contents — the
 /// config-sweep case where only Tables-mode keys differ.
@@ -47,18 +47,45 @@ struct Shape {
     threads: usize,
 }
 
+fn properties() -> [Property; 2] {
+    [Property::CrashFreedom, Property::Bounded { imax: 10_000 }]
+}
+
 impl Shape {
+    fn variants(&self) -> impl Iterator<Item = (String, Pipeline)> + '_ {
+        (0..self.variants).map(|i| {
+            (
+                format!("fib-{i}"),
+                to_pipeline("router", ip_router(6, self.option_iters, fib(i))),
+            )
+        })
+    }
+
     fn fleet(&self) -> Fleet {
         let mut fleet = Fleet::new()
             .config(fig_verify_config())
             .threads(self.threads);
-        for i in 0..self.variants {
-            fleet = fleet.variant(
-                format!("fib-{i}"),
-                to_pipeline("router", ip_router(6, self.option_iters, fib(i))),
-            );
+        for (name, pipeline) in self.variants() {
+            fleet = fleet.variant(name, pipeline);
         }
-        fleet.properties(&[Property::CrashFreedom, Property::Bounded { imax: 10_000 }])
+        fleet.properties(&properties())
+    }
+
+    /// Per variant, per property: a fresh standalone session's report.
+    fn reference(&self) -> Vec<Vec<VerifyReport>> {
+        self.variants()
+            .map(|(_, p)| {
+                properties()
+                    .into_iter()
+                    .map(|prop| {
+                        Verifier::new(&p)
+                            .config(fig_verify_config())
+                            .check(prop)
+                            .expect_verify()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -80,22 +107,19 @@ impl Drop for TmpDir {
     }
 }
 
-fn assert_equivalent(baseline: &FleetReport, arm: &FleetReport, what: &str) {
-    assert_eq!(baseline.variants.len(), arm.variants.len(), "{what}");
-    for (vb, va) in baseline.variants.iter().zip(&arm.variants) {
-        assert_eq!(vb.reports.len(), va.reports.len(), "{what}/{}", vb.variant);
-        for (rb, ra) in vb.reports.iter().zip(&va.reports) {
-            let (rb, ra) = (
-                rb.as_verify().expect("verify"),
-                ra.as_verify().expect("verify"),
-            );
-            assert_identical_reports(rb, ra, &format!("{what}/{} [{}]", vb.variant, rb.property));
+fn assert_equivalent(reference: &[Vec<VerifyReport>], arm: &FleetReport, what: &str) {
+    assert_eq!(reference.len(), arm.variants.len(), "{what}");
+    for (rb, va) in reference.iter().zip(&arm.variants) {
+        assert_eq!(rb.len(), va.reports.len(), "{what}/{}", va.variant);
+        for (rb, ra) in rb.iter().zip(&va.reports) {
+            let ra = ra.as_verify().expect("verify");
+            assert_identical_reports(rb, ra, &format!("{what}/{} [{}]", va.variant, rb.property));
         }
     }
 }
 
 fn check_arms(name: &str, shape: Shape) {
-    let nostore = shape.fleet().share_store(false).run();
+    let reference = shape.reference();
 
     // Each element is executed by whichever of the two searches asks
     // first and served to the other; a second audit executes nothing.
@@ -116,13 +140,12 @@ fn check_arms(name: &str, shape: Shape) {
 
     let checks = 2 * shape.variants as usize;
     for (arm, what) in [
-        (&nostore, "nostore"),
         (&cold, "cold"),
         (&warm, "warm"),
         (&cold_disk, "cold-disk"),
         (&restart, "restart"),
     ] {
-        assert_equivalent(&nostore, arm, what);
+        assert_equivalent(&reference, arm, what);
         assert_eq!(
             arm.classes, 2,
             "{what}: FIB-only variants, one class per property"

@@ -40,6 +40,36 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     );
 }
 
+/// Every Rust file under `crates/*/src` and `examples/`.
+fn src_and_example_files() -> Vec<PathBuf> {
+    let crates = crates_dir();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates/") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let root = crates.parent().expect("repo root");
+    rust_files(&root.join("examples"), &mut files);
+    assert!(files.len() > 60, "scanned only {} files", files.len());
+    files
+}
+
+/// `file:line: text` for every line of `files` that contains a needle.
+fn lines_naming(files: Vec<PathBuf>, needles: &[String]) -> Vec<String> {
+    let mut hits = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("source file");
+        for (i, line) in text.lines().enumerate() {
+            if needles.iter().any(|n| line.contains(n.as_str())) {
+                hits.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
 /// `bvsolve::BvSolver` (a fresh SAT instance per query) is the oracle
 /// the solver suites and the repo benchmark compare
 /// `bvsolve::SolveSession` against. Both verification steps ask their
@@ -113,15 +143,16 @@ fn step_two_walks_no_free_variables() {
     assert_eq!(named, 1, "the live-model debug_assert! is gone or doubled");
 }
 
-/// Step 2 is one single-threaded search; parallelism lives at one
-/// level, the behaviour classes of a `Fleet`, and both worker pools
-/// (the fleet's and step 1's fetch phase) are `summary.rs`'s
-/// `run_indexed`. So no other product line of `crates/core/src` spawns
-/// a thread, and the search path has nothing to share one with: no
-/// atomic path counter, no core store behind a mutex. The intra-check
-/// driver measured slower than the sequential search at every thread
-/// count on every audit workload (ROADMAP, "Sized"); this keeps it
-/// from growing back.
+/// Step 1 of one pipeline and step 2 of one check are single-threaded;
+/// parallelism lives at one level, the behaviour classes of a `Fleet`,
+/// whose worker pool is `fleet.rs`'s `run_indexed`. So no other product
+/// line of `crates/core/src` spawns a thread, and the search path has
+/// nothing to share one with: no atomic path counter, no core store
+/// behind a mutex. The intra-check driver measured slower than the
+/// sequential search at every thread count on every audit workload
+/// (ROADMAP, "Sized"), and step 1's per-stage fan-out had no caller
+/// that asked for more than one thread; this keeps both from growing
+/// back.
 #[test]
 fn step_two_has_one_engine_and_no_threads() {
     let core = crates_dir().join("core/src");
@@ -143,7 +174,7 @@ fn step_two_has_one_engine_and_no_threads() {
         for (i, line) in product_lines(&text) {
             let spawns = line.contains("thread::scope") || line.contains("thread::spawn");
             let shares = line.contains("AtomicUsize") || line.contains("Mutex<CoreStore>");
-            if (spawns && name != "summary.rs") || (shares && search_path) {
+            if (spawns && name != "fleet.rs") || (shares && search_path) {
                 hits.push(format!("{}:{}: {}", file.display(), i, line.trim()));
             }
         }
@@ -204,27 +235,38 @@ fn there_is_one_measurement_system() {
         ["{\\\"ben", "ch\\\":"].concat(),
         ["{\"ben", "ch\":"].concat(),
     ];
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(&crates).expect("crates/") {
-        let src = entry.expect("dir entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
-    rust_files(&root.join("examples"), &mut files);
-    assert!(files.len() > 60, "scanned only {} files", files.len());
-    let mut hits = Vec::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file).expect("source file");
-        for (i, line) in text.lines().enumerate() {
-            if needles.iter().any(|n| line.contains(n.as_str())) {
-                hits.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
-            }
-        }
-    }
+    let hits = lines_naming(src_and_example_files(), &needles);
     assert!(
         hits.is_empty(),
         "a store-path env var or a bench summary row is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// The summary store has one shape: unbounded, shared by whoever holds
+/// it, and consulted stage by stage in order. Its LRU caps and their
+/// eviction counter, the fleet's no-sharing arm and the solver's
+/// drop-one core minimization were settings no product caller set;
+/// they are deleted, and this keeps their names out of the product
+/// crates, the examples and the README.
+#[test]
+fn the_summary_store_has_one_shape() {
+    let readme = crates_dir().parent().expect("repo root").join("README.md");
+    // Built in pieces so that this file does not match itself.
+    let needles = [
+        ["persistent", "_bounded"].concat(),
+        ["SummaryStore::", "bounded"].concat(),
+        ["enforce", "_bounds"].concat(),
+        ["evic", "tions"].concat(),
+        ["share", "_store"].concat(),
+        ["set_core_", "minimize_budget"].concat(),
+    ];
+    let mut files = src_and_example_files();
+    files.push(readme);
+    let hits = lines_naming(files, &needles);
+    assert!(
+        hits.is_empty(),
+        "a deleted store bound, sharing switch or core-minimization knob is back:\n{}",
         hits.join("\n")
     );
 }

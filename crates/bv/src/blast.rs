@@ -184,12 +184,6 @@ impl Blaster {
         self.sat.set_conflict_budget(budget);
     }
 
-    /// Enables/disables drop-one UNSAT-core minimization in the CDCL
-    /// backend (see [`Solver::set_core_minimize_budget`]).
-    pub fn set_core_minimize_budget(&mut self, budget: Option<u64>) {
-        self.sat.set_core_minimize_budget(budget);
-    }
-
     /// The assumption subset (activation literals) that derived the
     /// last UNSAT verdict of [`Blaster::check_assuming`] (see
     /// [`Solver::last_core`]).

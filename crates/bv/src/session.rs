@@ -146,15 +146,6 @@ impl SolveSession {
         Self::default()
     }
 
-    /// Enables (`Some(budget)`) or disables (`None`, the default)
-    /// drop-one minimization of the UNSAT cores this session reports:
-    /// smaller cores subsume more future constraint sets, at the cost
-    /// of up to `core.len()` extra budget-capped CDCL calls per UNSAT
-    /// answer (see [`bitsat::Solver::set_core_minimize_budget`]).
-    pub fn set_core_minimize_budget(&mut self, budget: Option<u64>) {
-        self.blaster.set_core_minimize_budget(budget);
-    }
-
     /// Disables (or re-enables; on by default) UNSAT-core reporting.
     /// Verdicts are unaffected — the queries are assumption-driven
     /// either way — but with cores off the session skips mapping the

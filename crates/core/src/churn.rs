@@ -66,7 +66,7 @@
 //! [`SummaryKey`]: crate::SummaryKey
 
 use crate::engine::Engine;
-use crate::report::{Verdict, VerifyReport};
+use crate::report::{replay, Verdict, VerifyReport};
 use crate::session::{Property, SearchProp};
 use crate::step2::{aborted_report, VerifyConfig};
 use crate::summary::SummaryStore;
@@ -229,14 +229,6 @@ impl ChurnSession {
         Ok(self)
     }
 
-    /// Shares a (typically capacity-bounded) summary store instead of
-    /// the session-private one. Call before [`ChurnSession::verify`].
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<SummaryStore>) -> Self {
-        self.engine.store = store;
-        self
-    }
-
     /// The pipeline in its current (post-deltas) configuration.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
@@ -332,7 +324,7 @@ impl ChurnSession {
                 // Deterministic search over byte-identical summaries:
                 // the previous report *is* the result.
                 Some((g, prev)) if *g == generation => {
-                    reports.push(self.engine.replay(prev));
+                    reports.push(replay(prev, &self.pipeline.name));
                     replayed.push(true);
                     continue;
                 }

@@ -10,9 +10,10 @@
 //! search-based report is built in one place, [`Engine::check`], and
 //! the step-1 work a report carries is exactly what its own `ensure`
 //! did — the check that built or patched a mode reports the build or
-//! the patch, every other check reports zeros. The drivers add only
-//! what differs: a borrowed pipeline, or an owned one with a memo of
-//! decided reports.
+//! the patch, every other check reports zeros, and a memo hit is
+//! [`crate::report::replay`]ed with no step-1 work at all. The drivers
+//! add only what differs: a borrowed pipeline, or an owned one with a
+//! memo of decided reports.
 
 use crate::cores::CoreStore;
 use crate::report::{StaticStats, SummaryCacheStats, VerifyReport};
@@ -50,7 +51,7 @@ pub(crate) struct Step1 {
 
 impl Step1 {
     /// A report's summary counters: this work, beside the store's
-    /// lifetime size and evictions.
+    /// current size.
     fn cache_stats(&self, store: &SummaryStore) -> SummaryCacheStats {
         SummaryCacheStats {
             hits: self.hits,
@@ -59,7 +60,6 @@ impl Step1 {
             store_loads: self.store_loads,
             store_writes: self.store_writes,
             load_bytes: self.load_bytes,
-            evictions: store.evictions(),
             ..Default::default()
         }
         .with_fork_stats(&self.fork)
@@ -239,14 +239,8 @@ impl Engine {
         // store-key) differently from the raw ones whenever any fact
         // was derived, so the two never share cache entries.
         let summarized = self.simplified.as_ref().map_or(pipeline, |(p, _)| p);
-        let (sums, keys) = summarize_keyed(
-            &mut self.pool,
-            summarized,
-            &self.cfg.sym,
-            mode,
-            &self.store,
-            1,
-        )?;
+        let (sums, keys) =
+            summarize_keyed(&mut self.pool, summarized, &self.cfg.sym, mode, &self.store)?;
         self.step1_runs += 1;
         if !self.retain_store {
             self.store.clear();
@@ -355,20 +349,6 @@ impl Engine {
             static_stats: step1.static_stats,
             step1_time: step1.time,
             step2_time: t0.elapsed(),
-        }
-    }
-
-    /// `prev`, a decided report searched at its mode's current
-    /// generation, as the result of a check that ran nothing: the
-    /// verdict and search counts are what a search would reproduce,
-    /// step 1 attributes nothing and both times are zero.
-    pub(crate) fn replay(&self, prev: &VerifyReport) -> VerifyReport {
-        VerifyReport {
-            summary: Step1::default().cache_stats(&self.store),
-            static_stats: StaticStats::default(),
-            step1_time: Duration::ZERO,
-            step2_time: Duration::ZERO,
-            ..prev.clone()
         }
     }
 }

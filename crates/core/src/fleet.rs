@@ -44,9 +44,10 @@
 //! fleet-wide, so checks are grouped by `(property index, key)`; the
 //! first member of each class (in registration order) is searched by a
 //! fresh [`Verifier`] on the worker pool, and every other member gets
-//! that report with its own pipeline name and zero
-//! `step1_time`/`step2_time`, as a replayed
-//! [`ChurnSession`](crate::ChurnSession) check has.
+//! that report as a replay: its own pipeline name, the search's
+//! verdict and step-2 counters, and no step-1 work and zero times —
+//! the same replay a [`ChurnSession`](crate::ChurnSession) memo hit
+//! reports. So the reports' step-1 counters sum to the store's.
 //! [`FleetReport::classes`] and [`VariantReport::replayed`] say which
 //! was which.
 //!
@@ -67,7 +68,9 @@
 //! unaffected (that is the store's job). A check that panics (a
 //! hostile custom property, an internal `expect`) yields
 //! `Unknown("internal: check panicked: …")` for its class; every other
-//! class finishes.
+//! class finishes. The class workers are the only threads the crate
+//! starts: step 1 of one pipeline and step 2 of one check each run on
+//! the worker that owns the class.
 //!
 //! ## Determinism
 //!
@@ -86,18 +89,18 @@
 //! content (the executor is deterministic, hits are rebased through
 //! [`bvsolve::Migrator`] exactly like misses, and a key two workers
 //! miss on together is executed by one of them) — so results are also
-//! identical with the store shared, private, or disabled
-//! ([`Fleet::share_store`] `= false`, the ablation baseline). Only the
+//! identical to a standalone [`Verifier`]'s private store. Only the
 //! cache counters and wall-clock times vary.
 
-use crate::report::Verdict;
+use crate::report::{replay, Verdict};
 use crate::session::{search_class, Property, Report, SearchClass, SearchProp, Verifier};
 use crate::step2::{unknown_report, VerifyConfig};
-use crate::summary::{effective_threads, panic_message, run_indexed, SummaryStore};
+use crate::summary::SummaryStore;
 use dataplane::Pipeline;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A fleet of pipeline variants to verify against a common property
@@ -109,7 +112,6 @@ pub struct Fleet {
     cfg: VerifyConfig,
     threads: usize,
     store: Arc<SummaryStore>,
-    share_store: bool,
 }
 
 impl Default for Fleet {
@@ -127,7 +129,6 @@ impl Fleet {
             cfg: VerifyConfig::default(),
             threads: 0,
             store: SummaryStore::shared(),
-            share_store: true,
         }
     }
 
@@ -167,17 +168,6 @@ impl Fleet {
         Ok(self)
     }
 
-    /// Whether the searches share the fleet's summary store (the
-    /// default). `false` gives every search a throwaway store — the
-    /// "cold, no sharing" arm `crates/bench/tests/fleet_store.rs`
-    /// holds every store arm to; verdicts and classes are identical
-    /// either way.
-    #[must_use]
-    pub fn share_store(mut self, share: bool) -> Self {
-        self.share_store = share;
-        self
-    }
-
     /// Adds a pipeline variant under a display name.
     #[must_use]
     pub fn variant(mut self, name: impl Into<String>, pipeline: Pipeline) -> Self {
@@ -190,11 +180,6 @@ impl Fleet {
     pub fn properties(mut self, properties: &[Property]) -> Self {
         self.properties = properties.to_vec();
         self
-    }
-
-    /// The shared store the fleet consults.
-    pub fn summary_store(&self) -> &Arc<SummaryStore> {
-        &self.store
     }
 
     /// Verifies every variant against every property and aggregates
@@ -236,8 +221,7 @@ impl Fleet {
             }
         }
 
-        let threads = effective_threads(self.threads).clamp(1, classes.len().max(1));
-        let searched = run_indexed(classes.len(), threads, |c| {
+        let searched = run_indexed(classes.len(), effective_threads(self.threads), |c| {
             let (p, members) = &classes[c];
             let pipeline = &self.variants[members[0]].1;
             let property = &self.properties[*p];
@@ -247,11 +231,10 @@ impl Fleet {
             // is the session it owns, dropped with the panic; the
             // shared store clears its in-flight markers on unwind.
             catch_unwind(AssertUnwindSafe(|| {
-                let mut session = Verifier::new(pipeline).config(self.cfg.clone());
-                if self.share_store {
-                    session = session.with_store(Arc::clone(&self.store));
-                }
-                session.check(property.clone())
+                Verifier::new(pipeline)
+                    .config(self.cfg.clone())
+                    .with_store(Arc::clone(&self.store))
+                    .check(property.clone())
             }))
             .unwrap_or_else(|payload| {
                 Report::Verify(unknown_report(
@@ -270,7 +253,11 @@ impl Fleet {
         slots.resize_with(self.variants.len() * n_props, || None);
         for ((p, members), report) in classes.iter().zip(searched) {
             for &v in &members[1..] {
-                slots[v * n_props + p] = Some((replay(&report, &self.variants[v].1), true));
+                let Report::Verify(r) = &report else {
+                    unreachable!("only search-based checks are keyed into shared classes")
+                };
+                let member = replay(r, &self.variants[v].1.name);
+                slots[v * n_props + p] = Some((Report::Verify(member), true));
             }
             slots[members[0] * n_props + p] = Some((report, false));
         }
@@ -300,30 +287,63 @@ impl Fleet {
             store_loads: self.store.store_loads() - loads0,
             store_writes: self.store.store_writes() - writes0,
             load_bytes: self.store.load_bytes() - lbytes0,
-            evictions: self.store.evictions(),
             fork: self.store.fork_stats().delta(&fork0),
             time: t0.elapsed(),
         }
     }
 }
 
-/// A class member's copy of the report its class's search produced:
-/// the member's own pipeline name and zero step times (nothing ran for
-/// it, as for a replayed [`crate::ChurnSession`] check); verdict,
-/// counterexample, trace and counters are the search's.
-fn replay(searched: &Report, member: &Pipeline) -> Report {
-    match searched {
-        Report::Verify(r) => {
-            let mut r = r.clone();
-            r.pipeline = member.name.clone();
-            r.step1_time = Duration::ZERO;
-            r.step2_time = Duration::ZERO;
-            Report::Verify(r)
-        }
-        Report::Generic(_) | Report::State(_) => {
-            unreachable!("only search-based checks are keyed into shared classes")
-        }
+/// Resolves a thread-count knob: `0` means all available cores.
+fn effective_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
+}
+
+/// Runs `n` independent indexed tasks across `threads` workers
+/// (`<= 1` runs them in place) and collects the results in index
+/// order — the worker pool behind [`Fleet::run`].
+fn run_indexed<T: Send>(n: usize, threads: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return (0..n).map(task).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("task slot poisoned") = Some(task(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("task slot poisoned")
+                .expect("worker pool ran every task")
+        })
+        .collect()
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or
+/// `String`), for the `Unknown("internal: …")` verdict a class
+/// degrades to instead of unwinding through [`Fleet::run`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// One variant's reports, in fleet property order.
@@ -335,7 +355,8 @@ pub struct VariantReport {
     pub reports: Vec<Report>,
     /// Per property: whether the report was replayed from another
     /// variant in the same step-2 equivalence class (same verdict and
-    /// counters, zero step times) instead of searched for this one.
+    /// step-2 counters, no step-1 work, zero step times) instead of
+    /// searched for this one.
     pub replayed: Vec<bool>,
 }
 
@@ -358,20 +379,14 @@ pub struct FleetReport {
     /// Step-2 equivalence classes among the `(variant, property)`
     /// checks — the number of searches this run actually performed.
     pub classes: usize,
-    /// Stage summaries served from the **fleet's shared store**
-    /// during this run. Zero when sharing is disabled
-    /// ([`Fleet::share_store`] `= false`); `> 0` whenever two of the
-    /// run's searches overlap in elements (or on a warm store).
-    /// Replayed checks never consult the store.
+    /// Stage summaries served from the fleet's shared store during
+    /// this run: `> 0` whenever two of the run's searches overlap in
+    /// elements (or on a warm store). Replayed checks never consult
+    /// the store, so this is the sum of the reports'
+    /// [`VerifyReport::summary`](crate::VerifyReport) hits.
     pub summary_hits: u64,
-    /// Stage summaries executed into (and cached by) the **fleet's
-    /// shared store** during this run. Like
-    /// [`summary_hits`](FleetReport::summary_hits) this counts
-    /// shared-store traffic only: with sharing disabled, searches
-    /// execute into private
-    /// per-session stores and both counters read zero — the per-check
-    /// execution counts are still on each report's
-    /// [`VerifyReport::summary`](crate::VerifyReport) stats.
+    /// Stage summaries executed into (and cached by) the fleet's
+    /// shared store during this run — the sum of the reports' misses.
     pub summary_misses: u64,
     /// Store size after the run.
     pub store_size: usize,
@@ -385,9 +400,6 @@ pub struct FleetReport {
     pub store_writes: u64,
     /// Bytes read from disk by `store_loads`.
     pub load_bytes: u64,
-    /// In-memory LRU evictions over the store's lifetime (not a
-    /// per-run delta; always zero for unbounded stores).
-    pub evictions: u64,
     /// Step-1 solver work of this run's `summary_misses`: the
     /// fork-feasibility counters of every stage the shared store
     /// executed (`queries` asked, `sat_solve_calls` that reached CDCL,
@@ -480,7 +492,7 @@ impl FleetReport {
              \"classes\":{},\"checks_replayed\":{},\
              \"summary_hits\":{},\"summary_misses\":{},\"store_size\":{},\
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
-             \"evictions\":{},\"fork_queries\":{},\"fork_sat_calls\":{},\
+             \"fork_queries\":{},\"fork_sat_calls\":{},\
              \"fork_blast_cache_hits\":{},\"fork_learnt_reused\":{},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"time_ms\":{:.3}}}",
             self.classes,
@@ -491,7 +503,6 @@ impl FleetReport {
             self.store_loads,
             self.store_writes,
             self.load_bytes,
-            self.evictions,
             self.fork.queries,
             self.fork.sat_solve_calls,
             self.fork.blast_cache_hits,

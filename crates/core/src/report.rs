@@ -105,10 +105,6 @@ pub struct SummaryCacheStats {
     pub store_writes: u64,
     /// Bytes read from disk by `store_loads`.
     pub load_bytes: u64,
-    /// In-memory entries evicted over the store's lifetime to respect
-    /// its LRU bounds (a store-lifetime counter, not a per-check
-    /// delta; disk files are never evicted).
-    pub evictions: u64,
     /// Fork-feasibility questions step 1 asked while executing this
     /// check's `misses` (a hit or a disk load executes nothing and
     /// adds 0 to this and the three counters below).
@@ -197,6 +193,27 @@ pub struct VerifyReport {
     pub step2_time: Duration,
 }
 
+/// `searched` as the report of a check that ran nothing — a fleet class
+/// member, or a churn property whose summaries did not change — on the
+/// pipeline named `pipeline`. The verdict and the search's counts
+/// (`composed_paths`, `suspects`, `solver`, `cores`) are what a search
+/// would reproduce; step 1 did no work, so `summary` keeps only the
+/// store size the search saw, and `static_stats` and both times are
+/// zero.
+pub(crate) fn replay(searched: &VerifyReport, pipeline: &str) -> VerifyReport {
+    VerifyReport {
+        pipeline: pipeline.to_string(),
+        summary: SummaryCacheStats {
+            store_size: searched.summary.store_size,
+            ..Default::default()
+        },
+        static_stats: StaticStats::default(),
+        step1_time: Duration::ZERO,
+        step2_time: Duration::ZERO,
+        ..searched.clone()
+    }
+}
+
 /// Escapes `s` for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -253,7 +270,7 @@ impl VerifyReport {
              \"subtrees_pruned\":{}}},\
              \"summary\":{{\"hits\":{},\"misses\":{},\"store_size\":{},\
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
-             \"evictions\":{},\"fork_queries\":{},\"fork_sat_calls\":{},\
+             \"fork_queries\":{},\"fork_sat_calls\":{},\
              \"fork_blast_cache_hits\":{},\"fork_learnt_reused\":{}}},\
              \"static\":{{\"lints_emitted\":{},\"blocks_removed\":{},\
              \"intervals_seeded\":{}}},\
@@ -290,7 +307,6 @@ impl VerifyReport {
             self.summary.store_loads,
             self.summary.store_writes,
             self.summary.load_bytes,
-            self.summary.evictions,
             self.summary.fork_queries,
             self.summary.fork_sat_calls,
             self.summary.fork_blast_cache_hits,

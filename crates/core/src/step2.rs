@@ -76,11 +76,6 @@ pub(crate) enum Feas {
 /// an incremental [`SolveSession`] under
 /// [`VerifyConfig::solver_conflict_budget`].
 pub(crate) fn new_session(cfg: &VerifyConfig, cores: &CoreStore) -> SolveSession {
-    // Note: drop-one core minimization stays off here — on the
-    // step-2 stream the analyze-final cores are already sharp
-    // enough that the capped re-solves cost far more than the
-    // extra subsumptions they buy (measured 2-3x slower on the
-    // refutation-heavy ablation with no extra hits).
     let mut session = SolveSession::with_conflict_budget(cfg.solver_conflict_budget);
     // A disabled store reads no cores, so don't build them.
     session.set_core_extraction(cores.is_enabled());

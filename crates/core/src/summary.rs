@@ -21,14 +21,15 @@
 //! [`summarize_pipeline`] is a thin wrapper over the store-consulting
 //! driver [`summarize_pipeline_with_store`] (with a throwaway store),
 //! so cached and uncached runs build byte-identical pools by
-//! construction — and so do the driver's thread counts: only its fetch
-//! phase fans out, the rebase into the caller's pool is in stage order.
+//! construction. One pipeline's stages are fetched and rebased in
+//! stage order on the calling thread; the store is shared across
+//! threads only by [`crate::fleet::Fleet`]'s class workers.
 
 use bvsolve::{Migrator, TermPool};
 use dataplane::{Element, ElementKind, Pipeline};
 use dpir::fingerprint128;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use symexec::{
     execute, AbstractMapModel, MapBranch, MapModel, MapOpRecord, Segment, SymConfig, SymError,
@@ -322,37 +323,9 @@ pub struct StoredStage {
     pub(crate) states: usize,
 }
 
-impl StoredStage {
-    /// Approximate resident size: the private pool dominates (every
-    /// entry owns a compacted [`TermPool`]), so the estimate prices
-    /// terms and variables at their in-memory struct sizes and adds
-    /// the segment skeletons. Used only for the store's byte budget —
-    /// relative accuracy across entries is what matters, not absolute.
-    fn approx_bytes(&self) -> usize {
-        const TERM_BYTES: usize = 48; // op + operands + width + hash-index share
-        const VAR_BYTES: usize = 32; // width + creation metadata
-        self.pool.len() * TERM_BYTES
-            + self.pool.num_vars() * VAR_BYTES
-            + self.segments.len() * std::mem::size_of::<Segment>()
-            + std::mem::size_of::<SymInput>()
-    }
-}
-
-#[derive(Debug)]
-struct StoreEntry {
-    stage: Arc<StoredStage>,
-    bytes: usize,
-    /// Logical access clock at last hit or insertion; smallest = LRU.
-    last_used: u64,
-}
-
 #[derive(Debug, Default)]
 struct StoreInner {
-    entries: HashMap<SummaryKey, StoreEntry>,
-    /// Sum of `StoreEntry::bytes` over `entries`.
-    bytes: usize,
-    /// Monotonic access counter backing the LRU order.
-    clock: u64,
+    entries: HashMap<SummaryKey, Arc<StoredStage>>,
     /// Keys some thread is loading or executing right now. A second
     /// request for one of them waits on [`SummaryStore::landed`] and
     /// then takes the hit path, so a key is produced once per process
@@ -397,18 +370,10 @@ impl Drop for Flight<'_> {
 /// [`crate::fleet::Fleet`]) with `Arc<SummaryStore>`; the Abstract and
 /// Tables caches both live here, keyed by [`SummaryKey::mode`].
 ///
-/// ## Bounding
-///
-/// By default the store is unbounded. Long-lived stores sweeping many
-/// *distinct* Tables-mode configurations (fleet sweeps, config-update
-/// streams) grow linearly with configurations seen — each entry owns a
-/// full compacted [`TermPool`]. [`SummaryStore::bounded`] caps the
-/// store by entry count and/or approximate resident bytes; when a cap
-/// is exceeded after an insertion, least-recently-*used* entries (hits
-/// refresh recency, not just inserts) are evicted until the store fits
-/// again. Eviction is never a correctness concern — a cold key simply
-/// re-executes on next request — only cache temperature, which
-/// [`SummaryStore::evictions`] makes observable.
+/// The store keeps every entry it is given: each one owns a compacted
+/// [`TermPool`], so a store that lives across many distinct Tables-mode
+/// configurations grows with them. [`SummaryStore::clear`] releases
+/// them all at once.
 ///
 /// ## Persistence
 ///
@@ -422,21 +387,18 @@ impl Drop for Flight<'_> {
 /// normalization path as an in-memory hit, so persisted summaries are
 /// byte-identical to freshly built ones; files that are truncated,
 /// bit-flipped, version-bumped or otherwise unreadable are logged and
-/// treated as misses — never as answers. LRU eviction and
-/// [`SummaryStore::clear`] drop memory residency only; the files
-/// remain and simply re-load on next use.
+/// treated as misses — never as answers. [`SummaryStore::clear`] drops
+/// memory residency only; the files remain and simply re-load on next
+/// use.
 #[derive(Debug, Default)]
 pub struct SummaryStore {
     inner: Mutex<StoreInner>,
     /// Signalled whenever an in-flight key lands or is abandoned.
     landed: Condvar,
-    max_entries: Option<usize>,
-    max_bytes: Option<usize>,
     /// Directory backing the store on disk, if persistent.
     disk: Option<std::path::PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     store_loads: AtomicU64,
     store_writes: AtomicU64,
     load_bytes: AtomicU64,
@@ -445,7 +407,7 @@ pub struct SummaryStore {
 }
 
 impl SummaryStore {
-    /// An empty, unbounded store.
+    /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
@@ -455,41 +417,15 @@ impl SummaryStore {
         Arc::new(Self::new())
     }
 
-    /// An empty store with LRU capacity bounds: at most `max_entries`
-    /// summaries (`None` = unbounded) occupying at most `max_bytes`
-    /// approximate resident bytes (`None` = unbounded). The newest
-    /// entry always survives eviction, so a single summary larger than
-    /// `max_bytes` still caches (and evicts everything else).
-    pub fn bounded(max_entries: Option<usize>, max_bytes: Option<usize>) -> Self {
-        SummaryStore {
-            max_entries,
-            max_bytes,
-            ..Self::default()
-        }
-    }
-
-    /// An unbounded store persisted under `dir` (created if absent):
-    /// misses load through the directory's content-addressed files and
-    /// executed summaries are written back, so warmth survives the
-    /// process. See the type-level *Persistence* section.
+    /// A store persisted under `dir` (created if absent): misses load
+    /// through the directory's content-addressed files and executed
+    /// summaries are written back, so warmth survives the process. See
+    /// the type-level *Persistence* section.
     pub fn persistent(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        Self::persistent_bounded(dir, None, None)
-    }
-
-    /// A persistent store with the [`SummaryStore::bounded`] LRU caps
-    /// on *memory* residency (the backing directory is never pruned —
-    /// evicted entries re-load from disk instead of re-executing).
-    pub fn persistent_bounded(
-        dir: impl Into<std::path::PathBuf>,
-        max_entries: Option<usize>,
-        max_bytes: Option<usize>,
-    ) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(SummaryStore {
             disk: Some(dir),
-            max_entries,
-            max_bytes,
             ..Self::default()
         })
     }
@@ -513,12 +449,6 @@ impl SummaryStore {
         self.len() == 0
     }
 
-    /// Approximate resident bytes across all held summaries (the
-    /// quantity bounded by `max_bytes` in [`SummaryStore::bounded`]).
-    pub fn approx_bytes(&self) -> usize {
-        self.inner.lock().expect("summary store poisoned").bytes
-    }
-
     /// Lifetime count of stage requests served from cache.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -527,13 +457,6 @@ impl SummaryStore {
     /// Lifetime count of stage requests that had to execute.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of summaries evicted to satisfy the capacity
-    /// bounds. Nonzero means the working set exceeds the configured
-    /// capacity and some re-execution is being paid.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of summaries served from the backing directory
@@ -563,55 +486,27 @@ impl SummaryStore {
         *self.fork.lock().expect("summary store poisoned")
     }
 
-    /// Drops every cached summary (the hit/miss/eviction counters are
-    /// kept). With a [`SummaryStore::bounded`] store this is rarely
-    /// needed — the LRU bound holds residency steady on its own — but
-    /// it remains the way to force a fully cold baseline (ablations)
-    /// or to release everything between unrelated sweeps at once.
+    /// Drops every cached summary (the lifetime counters are kept): a
+    /// session-private store releases its entries once a build has
+    /// rebased them, and a long-lived store can release everything
+    /// between unrelated sweeps at once.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("summary store poisoned");
-        inner.entries.clear();
-        inner.bytes = 0;
+        self.inner
+            .lock()
+            .expect("summary store poisoned")
+            .entries
+            .clear();
     }
 
-    /// Evicts least-recently-used entries until both bounds hold
-    /// again, never removing the newest entry. Caller holds the lock.
-    fn enforce_bounds(&self, inner: &mut StoreInner) {
-        let over = |inner: &StoreInner| {
-            self.max_entries.is_some_and(|m| inner.entries.len() > m)
-                || self.max_bytes.is_some_and(|m| inner.bytes > m)
-        };
-        while inner.entries.len() > 1 && over(inner) {
-            let lru = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty");
-            let evicted = inner.entries.remove(&lru).expect("present");
-            inner.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Caches `stored` under `key` as the most recently used entry and
-    /// hands it back. The key is vacant: only the caller holding its
-    /// in-flight marker inserts it (a leftover would just be replaced).
+    /// Caches `stored` under `key` and hands it back. The key is
+    /// vacant: only the caller holding its in-flight marker inserts it
+    /// (a leftover would just be replaced).
     fn insert(&self, key: SummaryKey, stored: Arc<StoredStage>) -> Arc<StoredStage> {
-        let mut inner = self.inner.lock().expect("summary store poisoned");
-        let inner = &mut *inner;
-        inner.clock += 1;
-        let bytes = stored.approx_bytes();
-        let entry = StoreEntry {
-            stage: Arc::clone(&stored),
-            bytes,
-            last_used: inner.clock,
-        };
-        if let Some(replaced) = inner.entries.insert(key, entry) {
-            inner.bytes -= replaced.bytes;
-        }
-        inner.bytes += bytes;
-        self.enforce_bounds(inner);
+        self.inner
+            .lock()
+            .expect("summary store poisoned")
+            .entries
+            .insert(key, Arc::clone(&stored));
         stored
     }
 
@@ -630,14 +525,11 @@ impl SummaryStore {
         let _flight = {
             let mut guard = self.inner.lock().expect("summary store poisoned");
             loop {
-                let inner = &mut *guard;
-                if let Some(found) = inner.entries.get_mut(&key) {
-                    inner.clock += 1;
-                    found.last_used = inner.clock;
+                if let Some(found) = guard.entries.get(&key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&found.stage), true));
+                    return Ok((Arc::clone(found), true));
                 }
-                if inner.in_flight.insert(key) {
+                if guard.in_flight.insert(key) {
                     break Flight { store: self, key };
                 }
                 guard = self.landed.wait(guard).expect("summary store poisoned");
@@ -719,22 +611,21 @@ pub fn summarize_pipeline(
 }
 
 /// The step-1 driver: fetches every stage summary from `store`
-/// (executing misses), then rebases them into `pool` in stage order.
+/// (executing misses) and rebases it into `pool`, in stage order.
 ///
-/// `threads` pins the worker count for the fetch phase: `1` fetches
-/// in-place, `0` uses all available cores (the crate-wide
-/// convention). The rebase phase is always sequential in stage order,
-/// which is what makes the master pool deterministic across thread
-/// counts and store states.
+/// `_threads` is ignored: one pipeline's step 1 runs on the calling
+/// thread, and parallelism lives at [`crate::fleet::Fleet`]'s classes.
+/// The parameter is kept only because the repo benchmark's frozen API
+/// names it (`benchmark/README.md`).
 pub fn summarize_pipeline_with_store(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     cfg: &SymConfig,
     mode: MapMode,
     store: &SummaryStore,
-    threads: usize,
+    _threads: usize,
 ) -> Result<PipelineSummaries, SymError> {
-    summarize_keyed(pool, pipeline, cfg, mode, store, threads).map(|(sums, _)| sums)
+    summarize_keyed(pool, pipeline, cfg, mode, store).map(|(sums, _)| sums)
 }
 
 /// [`summarize_pipeline_with_store`], also returning each stage's
@@ -746,31 +637,25 @@ pub(crate) fn summarize_keyed(
     cfg: &SymConfig,
     mode: MapMode,
     store: &SummaryStore,
-    threads: usize,
 ) -> Result<(PipelineSummaries, Vec<SummaryKey>), SymError> {
     let input = SymInput::fresh(pool, cfg, "in");
     let n = pipeline.stages.len();
-    let threads = effective_threads(threads).clamp(1, n.max(1));
-    let fetched = run_indexed(n, threads, |k| {
-        let element = &pipeline.stages[k].element;
-        let key = SummaryKey::of(element, mode, cfg);
-        (key, store.stage(key, element, cfg))
-    });
-
     let mut stages = Vec::with_capacity(n);
     let mut keys = Vec::with_capacity(n);
     let mut total_states = 0usize;
     let mut summary_hits = 0usize;
     let mut summary_misses = 0usize;
-    for (k, (key, res)) in fetched.into_iter().enumerate() {
-        let (stored, hit) = res?;
+    for stage in &pipeline.stages {
+        let element = &stage.element;
+        let key = SummaryKey::of(element, mode, cfg);
+        let (stored, hit) = store.stage(key, element, cfg)?;
         if hit {
             summary_hits += 1;
         } else {
             summary_misses += 1;
         }
         total_states += stored.states;
-        stages.push(rebase_stage(pool, &stored, &pipeline.stages[k].element));
+        stages.push(rebase_stage(pool, &stored, element));
         keys.push(key);
     }
     let sums = PipelineSummaries {
@@ -781,65 +666,6 @@ pub(crate) fn summarize_keyed(
         summary_misses,
     };
     Ok((sums, keys))
-}
-
-/// Resolves a thread-count knob: `0` means all available cores (the
-/// single policy behind every `threads` parameter in this crate).
-pub(crate) fn effective_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
-/// Runs `n` independent indexed tasks across `threads` workers
-/// (`<= 1` runs them in place) and collects the results in index
-/// order — the one worker-pool scaffold behind the step-1 fetch phase
-/// and [`crate::fleet::Fleet::run`].
-pub(crate) fn run_indexed<T: Send>(
-    n: usize,
-    threads: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return (0..n).map(task).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("task slot poisoned") = Some(task(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("task slot poisoned")
-                .expect("worker pool ran every task")
-        })
-        .collect()
-}
-
-/// The message of a caught panic (`panic!` payloads are `&str` or
-/// `String`), for the `Unknown("internal: …")` verdicts the worker
-/// pools degrade to instead of unwinding through their caller.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 /// Rebases a pool-independent stored summary into the master pool.
@@ -965,11 +791,6 @@ mod tests {
             max_pkt_bytes: 48,
             ..Default::default()
         }
-    }
-
-    fn abstract_stage(store: &SummaryStore, e: &Element) -> (Arc<StoredStage>, bool) {
-        let key = SummaryKey::of(e, MapMode::Abstract, &cfg());
-        store.stage(key, e, &cfg()).expect("ok")
     }
 
     #[test]
@@ -1190,70 +1011,6 @@ mod tests {
         .expect("ok");
         assert!(eff.any_changed());
         assert_ne!(key(&p), k1);
-    }
-
-    #[test]
-    fn bounded_store_evicts_least_recently_used() {
-        let a = to_pipeline("t", vec![elements::dec_ttl::dec_ttl()]).stages[0]
-            .element
-            .clone();
-        let b = to_pipeline("t", vec![elements::classifier::classifier()]).stages[0]
-            .element
-            .clone();
-        let c = to_pipeline("t", vec![elements::check_ip_header::check_ip_header(false)]).stages[0]
-            .element
-            .clone();
-        let store = SummaryStore::bounded(Some(2), None);
-        abstract_stage(&store, &a);
-        abstract_stage(&store, &b);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.evictions(), 0);
-        // Touch `a` so `b` becomes the LRU entry, then overflow.
-        let (_, hit) = abstract_stage(&store, &a);
-        assert!(hit);
-        abstract_stage(&store, &c);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.evictions(), 1);
-        let (_, hit_a) = abstract_stage(&store, &a);
-        assert!(hit_a, "recently-used entry survived");
-        let (_, hit_b) = abstract_stage(&store, &b);
-        assert!(!hit_b, "LRU entry was evicted");
-    }
-
-    #[test]
-    fn bounded_store_enforces_byte_budget() {
-        let a = to_pipeline("t", vec![elements::dec_ttl::dec_ttl()]).stages[0]
-            .element
-            .clone();
-        let b = to_pipeline("t", vec![elements::classifier::classifier()]).stages[0]
-            .element
-            .clone();
-        // A budget of one byte forces every insertion to evict its
-        // predecessor — but the newest entry always survives.
-        let store = SummaryStore::bounded(None, Some(1));
-        abstract_stage(&store, &a);
-        assert_eq!(store.len(), 1, "single oversized entry still caches");
-        assert!(store.approx_bytes() > 1);
-        abstract_stage(&store, &b);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.evictions(), 1);
-        store.clear();
-        assert_eq!(store.approx_bytes(), 0);
-        assert_eq!(store.evictions(), 1, "clear keeps lifetime counters");
-    }
-
-    #[test]
-    fn unbounded_store_never_evicts() {
-        let store = SummaryStore::new();
-        for e in [
-            elements::dec_ttl::dec_ttl(),
-            elements::classifier::classifier(),
-            elements::check_ip_header::check_ip_header(false),
-        ] {
-            abstract_stage(&store, &e);
-        }
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.evictions(), 0);
     }
 
     #[test]

@@ -154,7 +154,6 @@ fn disk_loaded_summaries_match_fresh_builds_byte_for_byte() {
     assert!(j.contains("\"store_loads\":"), "{j}");
     assert!(j.contains("\"store_writes\":"), "{j}");
     assert!(j.contains("\"load_bytes\":"), "{j}");
-    assert!(j.contains("\"evictions\":"), "{j}");
 }
 
 #[test]

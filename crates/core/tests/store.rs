@@ -1,15 +1,15 @@
 //! Content-addressed summary store and fleet tests: key hashing,
-//! deterministic (byte-identical) rebasing — across the step-1 fetch
-//! phase's thread counts too — store-on vs store-off
-//! verdict/counterexample/path equivalence, fleet scheduling
-//! determinism, step-2 equivalence classes (what shares a
-//! search, what must not) and once-per-key production under racing
-//! misses.
+//! deterministic (byte-identical) rebasing in both map modes and at
+//! any thread count, store-on
+//! vs store-off verdict/counterexample/path equivalence, fleet
+//! scheduling determinism, step-2 equivalence classes (what shares a
+//! search, what must not), replayed members reporting no step-1 work,
+//! and once-per-key production under racing misses.
 
 use bvsolve::TermPool;
 use dataplane::{ElementKind, Pipeline, PipelineOutcome, Route, Runner};
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
-use elements::pipelines::{network_gateway, to_pipeline, ROUTER_IP};
+use elements::pipelines::{to_pipeline, ROUTER_IP};
 use std::sync::Arc;
 use symexec::SymConfig;
 use verifier::fleet::Fleet;
@@ -87,36 +87,42 @@ fn render(pool: &TermPool, sums: &verifier::PipelineSummaries) -> String {
 #[test]
 fn warm_store_rebases_byte_identically() {
     let p = router();
-    let store = SummaryStore::new();
     let c = cfg();
+    for mode in [MapMode::Abstract, MapMode::Tables] {
+        let store = SummaryStore::new();
+        let mut cold_pool = TermPool::new();
+        let cold =
+            summarize_pipeline_with_store(&mut cold_pool, &p, &c.sym, mode, &store, 1).expect("ok");
+        assert_eq!(cold.summary_misses, p.stages.len(), "{mode:?}");
+        assert_eq!(cold.summary_hits, 0, "{mode:?}");
 
-    let mut cold_pool = TermPool::new();
-    let cold =
-        summarize_pipeline_with_store(&mut cold_pool, &p, &c.sym, MapMode::Abstract, &store, 1)
-            .expect("ok");
-    assert_eq!(cold.summary_misses, p.stages.len());
-    assert_eq!(cold.summary_hits, 0);
+        let mut warm_pool = TermPool::new();
+        let warm =
+            summarize_pipeline_with_store(&mut warm_pool, &p, &c.sym, mode, &store, 1).expect("ok");
+        assert_eq!(warm.summary_hits, p.stages.len(), "{mode:?}: all cached");
+        assert_eq!(warm.summary_misses, 0, "{mode:?}");
 
-    let mut warm_pool = TermPool::new();
-    let warm =
-        summarize_pipeline_with_store(&mut warm_pool, &p, &c.sym, MapMode::Abstract, &store, 1)
-            .expect("ok");
-    assert_eq!(warm.summary_hits, p.stages.len(), "fully served from cache");
-    assert_eq!(warm.summary_misses, 0);
+        // And a store-less run for the "store off" reference point.
+        let mut off_pool = TermPool::new();
+        let off = summarize_pipeline(&mut off_pool, &p, &c.sym, mode).expect("ok");
 
-    // And a store-less run for the "store off" reference point.
-    let mut off_pool = TermPool::new();
-    let off = summarize_pipeline(&mut off_pool, &p, &c.sym, MapMode::Abstract).expect("ok");
-
-    let cold_r = render(&cold_pool, &cold);
-    assert_eq!(
-        cold_r,
-        render(&warm_pool, &warm),
-        "hit == miss, byte for byte"
-    );
-    assert_eq!(cold_r, render(&off_pool, &off), "store on == store off");
+        let cold_r = render(&cold_pool, &cold);
+        assert_eq!(
+            cold_r,
+            render(&warm_pool, &warm),
+            "{mode:?}: hit == miss, byte for byte"
+        );
+        assert_eq!(
+            cold_r,
+            render(&off_pool, &off),
+            "{mode:?}: store on == store off"
+        );
+    }
 }
 
+/// `summarize_pipeline_with_store` still takes a thread count; whatever
+/// it is, a warm Tables-mode rebase is byte-identical to a cold one and
+/// to a single-threaded run against a fresh store.
 #[test]
 fn warm_store_rebases_byte_identically_threaded() {
     let p = router();
@@ -130,7 +136,7 @@ fn warm_store_rebases_byte_identically_threaded() {
         .expect("ok");
     assert_eq!(b.summary_hits, p.stages.len());
     assert_eq!(render(&a_pool, &a), render(&b_pool, &b));
-    // threads(4) == threads(1): the rebase phase is sequential.
+    // threads(4) == threads(1).
     let mut s_pool = TermPool::new();
     let s = summarize_pipeline_with_store(
         &mut s_pool,
@@ -142,42 +148,6 @@ fn warm_store_rebases_byte_identically_threaded() {
     )
     .expect("ok");
     assert_eq!(render(&a_pool, &a), render(&s_pool, &s));
-}
-
-/// The one parallel path left in the crate: the fetch phase of
-/// `summarize_pipeline_with_store` fans stages out over `threads`
-/// workers, each executing misses in a private pool; the rebase into
-/// the caller's pool is in stage order. So variable numbering, every
-/// `TermId`, the segment order and the keys produced must not depend
-/// on the thread count.
-#[test]
-fn parallel_step1_reproduces_sequential_numbering() {
-    let p = to_pipeline("gateway", network_gateway(3));
-    let c = cfg();
-    let summarize = |threads: usize| {
-        let store = SummaryStore::new();
-        let mut pool = TermPool::new();
-        let sums = summarize_pipeline_with_store(
-            &mut pool,
-            &p,
-            &c.sym,
-            MapMode::Abstract,
-            &store,
-            threads,
-        )
-        .expect("ok");
-        (
-            render(&pool, &sums),
-            sums.total_states,
-            store.len(),
-            store.misses(),
-        )
-    };
-    let seq = summarize(1);
-    assert!(seq.2 > 1, "several distinct keys to race on: {}", seq.2);
-    for threads in [2, 8] {
-        assert_eq!(seq, summarize(threads), "threads={threads}");
-    }
 }
 
 #[test]
@@ -283,7 +253,7 @@ fn report_json_carries_summary_counters() {
     assert!(
         json.contains(
             "\"summary\":{\"hits\":0,\"misses\":4,\"store_size\":4,\
-             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0,\
+             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\
              \"fork_queries\":"
         ),
         "cold session executes every stage: {json}"
@@ -299,7 +269,7 @@ fn report_json_carries_summary_counters() {
     assert!(
         r2.to_json().contains(
             "\"summary\":{\"hits\":4,\"misses\":0,\"store_size\":4,\
-             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\"evictions\":0,\
+             \"store_loads\":0,\"store_writes\":0,\"load_bytes\":0,\
              \"fork_queries\":0,\"fork_sat_calls\":0,\
              \"fork_blast_cache_hits\":0,\"fork_learnt_reused\":0}"
         ),
@@ -315,28 +285,20 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
         .collect();
     let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
 
-    let build_fleet = |threads: usize, share: bool| {
-        let mut fleet = Fleet::new()
-            .config(cfg())
-            .threads(threads)
-            .share_store(share);
+    let build_fleet = |threads: usize| {
+        let mut fleet = Fleet::new().config(cfg()).threads(threads);
         for (i, fib) in fibs.iter().enumerate() {
             fleet = fleet.variant(format!("fib-{i}"), lookup_variant(fib.clone()));
         }
         fleet.properties(&props).run()
     };
 
-    let seq = build_fleet(1, true);
-    let par = build_fleet(4, true);
-    let isolated = build_fleet(4, false);
+    let seq = build_fleet(1);
+    let par = build_fleet(4);
 
     assert!(
         seq.summary_hits > 0,
         "variants share elements: the store must hit"
-    );
-    assert_eq!(
-        isolated.summary_hits, 0,
-        "share_store(false) never touches the fleet store"
     );
 
     // Reference: one private session per (variant, property).
@@ -345,7 +307,7 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
         let mut v = Verifier::new(&p).config(cfg());
         for (j, prop) in props.iter().enumerate() {
             let reference = v.check(prop.clone());
-            for fleet_run in [&seq, &par, &isolated] {
+            for fleet_run in [&seq, &par] {
                 assert_identical_reports(
                     reference.as_verify().expect("verify"),
                     fleet_run.variants[i].reports[j]
@@ -359,8 +321,8 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
 
     // Both properties are Abstract-mode and the variants differ in
     // table contents only: one search per property, run for variant 0
-    // and replayed to the rest — whatever the schedule or the store.
-    for (fleet_run, what) in [(&seq, "seq"), (&par, "par"), (&isolated, "isolated")] {
+    // and replayed to the rest — whatever the schedule.
+    for (fleet_run, what) in [(&seq, "seq"), (&par, "par")] {
         assert_eq!(fleet_run.classes, 2, "{what}");
         assert_eq!(fleet_run.checks_replayed(), 6, "{what}");
         for (i, v) in fleet_run.variants.iter().enumerate() {
@@ -421,6 +383,57 @@ fn fleet_abstract_checks_share_across_table_variants() {
             &format!("variant {i}"),
         );
         assert_eq!(report.variants[i].replayed, [i > 0]);
+    }
+}
+
+/// A replayed member ran nothing, so its report attributes no step-1
+/// work: summed over every report, the step-1 counters are what the
+/// fleet's store did — not that times the class size.
+#[test]
+fn fleet_replays_attribute_no_step1_work() {
+    let fibs: Vec<Vec<(u32, u32, u32)>> = (0..3).map(|i| vec![(0x0A00_0000, 8, i)]).collect();
+    for threads in [1usize, 4] {
+        let mut fleet = Fleet::new().config(cfg()).threads(threads);
+        for (i, fib) in fibs.iter().enumerate() {
+            fleet = fleet.variant(format!("v{i}"), lookup_variant(fib.clone()));
+        }
+        let report = fleet.properties(&[Property::CrashFreedom]).run();
+        let reports: Vec<&VerifyReport> = report
+            .variants
+            .iter()
+            .flat_map(|v| &v.reports)
+            .map(|r| r.as_verify().expect("verify"))
+            .collect();
+        let sum = |f: fn(&VerifyReport) -> u64| reports.iter().map(|r| f(r)).sum::<u64>();
+        assert_eq!(
+            (
+                sum(|r| r.summary.hits as u64),
+                sum(|r| r.summary.misses as u64),
+                sum(|r| r.summary.fork_queries),
+            ),
+            (
+                report.summary_hits,
+                report.summary_misses,
+                report.fork.queries
+            ),
+            "threads={threads}: reports sum to the store's step-1 work"
+        );
+        assert!(report.summary_misses > 0 && report.fork.queries > 0);
+
+        let searched = reports[0];
+        for (r, v) in reports.iter().zip(&report.variants).skip(1) {
+            assert_eq!(v.replayed, [true]);
+            assert_eq!(r.summary.hits + r.summary.misses, 0, "{}", v.variant);
+            assert_eq!(r.summary.fork_queries, 0, "{}", v.variant);
+            assert_eq!(r.summary.store_size, searched.summary.store_size);
+            assert_eq!(r.static_stats, verifier::StaticStats::default());
+            assert_eq!(r.step1_time + r.step2_time, std::time::Duration::ZERO);
+            // What the search decided is the member's, counts included.
+            assert_identical_reports(searched, r, &v.variant);
+            assert_eq!(r.suspects, searched.suspects);
+            assert_eq!(r.solver.queries, searched.solver.queries);
+            assert_eq!(r.cores.cores_learned, searched.cores.cores_learned);
+        }
     }
 }
 

@@ -13,8 +13,7 @@
 //! * Luby-sequence restarts,
 //! * LBD-driven learnt-clause database reduction (glue clauses are
 //!   kept forever; activity is the tie-break),
-//! * assumption-level UNSAT cores ([`Solver::last_core`], with
-//!   optional drop-one minimization under a conflict budget),
+//! * assumption-level UNSAT cores ([`Solver::last_core`]),
 //! * scoped allocation ([`Solver::mark`] / [`Solver::rollback`]):
 //!   variables and clauses added since a mark are dropped for good,
 //!   learnt clauses over the surviving variables are kept,

@@ -57,7 +57,7 @@ pub struct SolverStats {
     /// under assumptions; see [`Solver::last_core`]).
     pub cores: u64,
     /// Total literals across all extracted cores (so `core_lits /
-    /// cores` is the mean core size, after any minimization).
+    /// cores` is the mean core size).
     pub core_lits: u64,
     /// Learnt clauses with LBD ≤ 2 ("glue" clauses — never evicted by
     /// DB reduction).
@@ -223,9 +223,6 @@ pub struct Solver {
     /// Assumption subset that derived the last UNSAT verdict
     /// (see [`Solver::last_core`]).
     last_core: Vec<Lit>,
-    /// When set, UNSAT cores are shrunk by drop-one re-solving, each
-    /// attempt capped at this many conflicts.
-    core_minimize_budget: Option<u64>,
     /// Cooperative cancellation flag, checked once per search-loop
     /// iteration (i.e. at every conflict/decision/restart boundary).
     interrupt: Option<Arc<AtomicBool>>,
@@ -569,9 +566,6 @@ impl Solver {
         self.stats.learnt_reused += self.db.num_learnt() as u64;
         let result = self.solve_internal(assumptions);
         if result == SolveResult::Unsat && !assumptions.is_empty() {
-            if let Some(budget) = self.core_minimize_budget {
-                self.minimize_core(budget);
-            }
             self.stats.cores += 1;
             self.stats.core_lits += self.last_core.len() as u64;
         }
@@ -584,55 +578,12 @@ impl Solver {
     /// them can be refuted without search. Empty when the last verdict
     /// was not UNSAT, when it was reached without assumptions, or when
     /// the formula is UNSAT at the top level (no assumptions needed).
-    /// Enable [`Solver::set_core_minimize_budget`] to shrink cores by
-    /// drop-one re-solving.
     pub fn last_core(&self) -> &[Lit] {
         &self.last_core
     }
 
-    /// Enables (`Some(budget)`) or disables (`None`, the default)
-    /// drop-one core minimization: after an UNSAT-under-assumptions
-    /// verdict, each core literal is tentatively dropped and the rest
-    /// re-solved under a `budget`-conflict cap; literals whose removal
-    /// keeps the query UNSAT are discarded. Minimization re-enters the
-    /// CDCL loop, so its conflicts accrue to [`SolverStats::conflicts`]
-    /// (but not to `solve_calls`).
-    pub fn set_core_minimize_budget(&mut self, budget: Option<u64>) {
-        self.core_minimize_budget = budget;
-    }
-
-    /// Drop-one minimization of `last_core` (destructive update: each
-    /// literal of the original core is tested at most once, and every
-    /// successful drop adopts the re-solve's possibly-smaller core).
-    fn minimize_core(&mut self, budget: u64) {
-        let original = std::mem::take(&mut self.last_core);
-        let mut core = original.clone();
-        let saved = self.conflict_budget;
-        for l in original {
-            if core.len() <= 1 {
-                break;
-            }
-            let Some(pos) = core.iter().position(|&x| x == l) else {
-                continue; // already dropped by an earlier adoption
-            };
-            let mut cand = core.clone();
-            cand.remove(pos);
-            self.conflict_budget = budget;
-            if self.solve_internal(&cand) == SolveResult::Unsat {
-                // The nested core is a subset of `cand` — adopt it.
-                core = std::mem::take(&mut self.last_core);
-                if core.is_empty() {
-                    // Degenerate: the formula itself became UNSAT.
-                    core = cand;
-                }
-            }
-        }
-        self.conflict_budget = saved;
-        self.last_core = core;
-    }
-
-    /// The CDCL search loop (no stats bump, no minimization — the
-    /// re-entrant body behind [`Solver::solve_with_assumptions`]).
+    /// The CDCL search loop behind [`Solver::solve_with_assumptions`]
+    /// (which bumps the call and core counters around it).
     fn solve_internal(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.last_core.clear();
         if self.unsat {
@@ -1423,30 +1374,23 @@ mod tests {
     }
 
     #[test]
-    fn drop_one_minimization_shrinks_cores() {
-        // a propagates ¬b first, so the naive trail walk blames {b, a};
-        // but b is self-contradictory via q, so the minimal core is {b}.
-        let mut naive = Solver::new();
-        let a = lit(&mut naive, 0, true);
-        let b = lit(&mut naive, 1, true);
-        let q = lit(&mut naive, 2, true);
-        naive.add_clause(&[!a, !b]);
-        naive.add_clause(&[!b, q]);
-        naive.add_clause(&[!b, !q]);
-        assert!(naive.solve_with_assumptions(&[a, b]).is_unsat());
-        assert_eq!(naive.last_core().len(), 2, "{:?}", naive.last_core());
-
-        let mut min = Solver::new();
-        let a = lit(&mut min, 0, true);
-        let b = lit(&mut min, 1, true);
-        let q = lit(&mut min, 2, true);
-        min.add_clause(&[!a, !b]);
-        min.add_clause(&[!b, q]);
-        min.add_clause(&[!b, !q]);
-        min.set_core_minimize_budget(Some(1_000));
-        assert!(min.solve_with_assumptions(&[a, b]).is_unsat());
-        assert_eq!(min.last_core(), &[b], "minimized core is exactly {{b}}");
-        assert_eq!(min.stats().core_lits, 1);
+    fn core_is_the_trail_walk_not_the_minimum() {
+        // a propagates ¬b first, so the trail walk blames {a, b}, though
+        // b is self-contradictory via q and {b} alone is a core.
+        let mut s = Solver::new();
+        let a = lit(&mut s, 0, true);
+        let b = lit(&mut s, 1, true);
+        let q = lit(&mut s, 2, true);
+        s.add_clause(&[!a, !b]);
+        s.add_clause(&[!b, q]);
+        s.add_clause(&[!b, !q]);
+        assert!(s.solve_with_assumptions(&[a, b]).is_unsat());
+        let mut core = s.last_core().to_vec();
+        core.sort();
+        let mut expected = vec![a, b];
+        expected.sort();
+        assert_eq!(core, expected);
+        assert_eq!(s.stats().core_lits, 2);
     }
 
     #[test]
