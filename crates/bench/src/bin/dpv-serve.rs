@@ -38,6 +38,7 @@
 use dataplane::{TableDelta, TableOp};
 use dpv_bench::{fig_verify_config, named_workload};
 use std::io::Write as _;
+use verifier::report::json_escape;
 use verifier::{ChurnSession, ReuseLevel, UpdateReport, Verdict};
 
 /// One parsed line of the delta file.
@@ -158,6 +159,13 @@ fn parse_opts() -> Opts {
 /// One JSON verdict line per event, flushed immediately (the consumer
 /// is a pipe, not a terminal).
 fn emit(event: &str, report: &UpdateReport, extra: &str) {
+    println!("{}", verdict_line(event, report, extra));
+    let _ = std::io::stdout().flush();
+}
+
+/// One JSON verdict line: the update's verdicts, step-1 reuse and
+/// timings, then `extra` (pre-rendered `,"key":value` fields).
+fn verdict_line(event: &str, report: &UpdateReport, extra: &str) -> String {
     let verdicts: Vec<String> = report
         .reports
         .iter()
@@ -168,15 +176,19 @@ fn emit(event: &str, report: &UpdateReport, extra: &str) {
                     let bytes: String = cex.bytes.iter().map(|b| format!("{b:02x}")).collect();
                     format!("{{\"disproved\":\"{bytes}\"}}")
                 }
-                Verdict::Unknown(why) => format!("{{\"unknown\":{:?}}}", format!("{why:?}")),
+                Verdict::Unknown(why) => format!("{{\"unknown\":\"{}\"}}", json_escape(why)),
             };
-            format!("{{\"property\":{:?},\"verdict\":{v}}}", r.property)
+            format!(
+                "{{\"property\":\"{}\",\"verdict\":{v}}}",
+                json_escape(&r.property)
+            )
         })
         .collect();
-    println!(
-        "{{\"event\":{event:?},\"update\":{},\"verdicts\":[{}],\
+    format!(
+        "{{\"event\":\"{}\",\"update\":{},\"verdicts\":[{}],\
          \"stages_reexecuted\":{},\"stages_rebased\":{},\
          \"step1_ms\":{:.3},\"step2_ms\":{:.3},\"total_ms\":{:.3}{extra}}}",
+        json_escape(event),
         report.update,
         verdicts.join(","),
         report.stages_reexecuted,
@@ -184,8 +196,7 @@ fn emit(event: &str, report: &UpdateReport, extra: &str) {
         report.step1_time.as_secs_f64() * 1e3,
         report.step2_time.as_secs_f64() * 1e3,
         report.total_time.as_secs_f64() * 1e3,
-    );
-    let _ = std::io::stdout().flush();
+    )
 }
 
 /// Applies the pending burst (if any) as one coalesced re-verify.
@@ -403,5 +414,47 @@ mod tests {
             assert!(!props.is_empty());
         }
         assert!(named_workload("nonesuch").is_none());
+    }
+
+    /// An `Unknown` reason is escaped once: the line carries the
+    /// reason's text as a JSON string, not the quoted Debug form of it.
+    #[test]
+    fn unknown_reason_is_escaped_once() {
+        let report = |reason: &str| UpdateReport {
+            update: 3,
+            touched: Vec::new(),
+            reports: vec![verifier::VerifyReport {
+                property: "filtering".into(),
+                pipeline: "p".into(),
+                verdict: Verdict::Unknown(reason.into()),
+                step1_states: 0,
+                step1_segments: 0,
+                suspects: 0,
+                composed_paths: 0,
+                solver: Default::default(),
+                cores: Default::default(),
+                summary: Default::default(),
+                step1_time: Default::default(),
+                step2_time: Default::default(),
+            }],
+            replayed: vec![false],
+            stages_reexecuted: 0,
+            stages_rebased: 0,
+            step1_time: Default::default(),
+            step2_time: Default::default(),
+            total_time: Default::default(),
+        };
+        let line = verdict_line("update", &report("step-2 path budget exceeded"), "");
+        assert!(
+            line.contains(
+                r#"{"property":"filtering","verdict":{"unknown":"step-2 path budget exceeded"}}"#
+            ),
+            "{line}"
+        );
+        let line = verdict_line("update", &report("a \"quoted\" reason"), "");
+        assert!(
+            line.contains(r#"{"unknown":"a \"quoted\" reason"}"#),
+            "{line}"
+        );
     }
 }

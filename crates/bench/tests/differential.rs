@@ -1,9 +1,9 @@
 //! Differential testing of the verifier across every mode toggle.
 //!
-//! One generated pipeline ([`dpv_bench::gen`]) is checked under four
+//! One generated pipeline ([`dpv_bench::gen`]) is checked under three
 //! configurations — the `seq` baseline, the unpruned reference search
-//! (`Verifier::reference_without_core_pruning`), summary store on, and
-//! the static simplifier on — and the reports must agree:
+//! (`Verifier::reference_without_core_pruning`) and a shared summary
+//! store — and the reports must agree:
 //!
 //! * verdict labels are identical in every mode (and match whether the
 //!   generator planted a violation);
@@ -29,38 +29,23 @@ struct Mode {
     name: &'static str,
     pruning: bool,
     store: bool,
-    simplify: bool,
 }
 
-const MODES: [Mode; 4] = [
+const MODES: [Mode; 3] = [
     Mode {
         name: "seq",
         pruning: true,
         store: false,
-        simplify: false,
     },
     Mode {
         name: "reference-no-pruning",
         pruning: false,
         store: false,
-        simplify: false,
     },
     Mode {
         name: "store",
         pruning: true,
         store: true,
-        simplify: false,
-    },
-    // Step 1 summarizes the statically simplified programs
-    // (`VerifyConfig::static_simplify`): the simplifier is
-    // verdict-preserving by construction, so the verdict,
-    // counterexample bytes and composed-path count must all match the
-    // raw baseline exactly.
-    Mode {
-        name: "simplify",
-        pruning: true,
-        store: false,
-        simplify: true,
     },
 ];
 
@@ -71,13 +56,11 @@ fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
         sym,
         max_composed_paths,
         solver_conflict_budget,
-        static_simplify: _,
     } = gen_verify_config();
     let cfg = VerifyConfig {
         sym,
         max_composed_paths,
         solver_conflict_budget,
-        static_simplify: m.simplify,
     };
     let mut v = Verifier::new(&g.pipeline).config(cfg);
     if !m.pruning {
@@ -154,7 +137,7 @@ fn differential_smoke() {
 }
 
 /// The paper-scale matrix: 20 generated pipelines of 50+ stages, all
-/// four modes each. Run explicitly in release:
+/// three modes each. Run explicitly in release:
 /// `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]

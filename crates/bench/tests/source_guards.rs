@@ -321,3 +321,37 @@ fn warm_state_has_one_owner() {
         hits.join("\n")
     );
 }
+
+/// Step 1 executes exactly the program it is given. The static
+/// simplifier's facts once told the executor which crash forks to skip
+/// and step 2 which extra conjuncts to assume; measured on every audit
+/// of the paper and proof workloads, the pass removed no block and
+/// changed no verdict or composed path, so its switch, its report
+/// counters, the facts on `Program` and the assumed-constraint channel
+/// through `Segment` and `ComposedState` are deleted. `simplify`
+/// survives only as a standalone pass. This keeps their names out of
+/// the product crates, the examples and the README.
+#[test]
+fn step_one_trusts_only_the_program() {
+    let readme = crates_dir().parent().expect("repo root").join("README.md");
+    // Built in pieces so that this file does not match itself.
+    let needles = [
+        ["static", "_simplify"].concat(),
+        ["Static", "Stats"].concat(),
+        ["static", "_stats"].concat(),
+        ["Fa", "cts"].concat(),
+        ["safe", "_sites"].concat(),
+        ["exit", "_len"].concat(),
+        ["attach", "_assumed"].concat(),
+        [".assu", "med"].concat(),
+        ["assu", "med:"].concat(),
+    ];
+    let mut files = src_and_example_files();
+    files.push(readme);
+    let hits = lines_naming(files, &needles);
+    assert!(
+        hits.is_empty(),
+        "a trusted static fact or the switch that fed it is back:\n{}",
+        hits.join("\n")
+    );
+}

@@ -190,21 +190,17 @@ impl ChurnSession {
     /// update (`_level` has one value, see [`ReuseLevel`]).
     ///
     /// Only search-based properties (crash-freedom, bounded-execution,
-    /// filtering, custom) are supported. [`VerifyConfig::static_simplify`]
-    /// is forced off: the simplified program cache cannot be patched
-    /// per-delta, and the pass rewrites programs, not tables, so churn
-    /// gains nothing from it.
+    /// filtering, custom) are supported.
     pub fn new(
         pipeline: Pipeline,
         properties: Vec<Property>,
-        mut cfg: VerifyConfig,
+        cfg: VerifyConfig,
         _level: ReuseLevel,
     ) -> Result<Self, UnsupportedProperty> {
         let properties = properties
             .iter()
             .map(|p| SearchProp::of(p).ok_or_else(|| UnsupportedProperty(format!("{p:?}"))))
             .collect::<Result<Vec<_>, _>>()?;
-        cfg.static_simplify = false;
         Ok(ChurnSession {
             pipeline,
             memo: properties.iter().map(|_| None).collect(),

@@ -30,14 +30,6 @@ use symexec::{MapOpRecord, SymInput};
 pub struct ComposedState {
     /// Conjunction of all composed path constraints.
     pub constraint: Vec<TermId>,
-    /// Statically proven facts accumulated from the composed segments
-    /// (`Segment::assumed`, substituted like constraints). Implied by
-    /// `constraint` on every model; feasibility checks may conjoin
-    /// them so the cheap solver layers — which reason per conjunct —
-    /// can refute compositions they would otherwise pass to the
-    /// expensive layers, but counterexample extraction must ignore
-    /// them.
-    pub assumed: Vec<TermId>,
     /// Packet bytes as terms over the pipeline input.
     pub pkt: Vec<TermId>,
     /// Packet length term.
@@ -58,7 +50,6 @@ impl ComposedState {
     pub fn initial(input: &SymInput) -> Self {
         ComposedState {
             constraint: input.base_constraints.clone(),
-            assumed: Vec::new(),
             pkt: input.pkt_bytes.clone(),
             len: input.pkt_len,
             meta: input.meta.clone(),
@@ -112,13 +103,6 @@ pub fn compose(
             constraint.push(c2);
         }
     }
-    let mut assumed = state.assumed.clone();
-    for &c in &segment.assumed {
-        let c2 = sub.apply(pool, c);
-        if !pool.is_true(c2) {
-            assumed.push(c2);
-        }
-    }
     let pkt = segment
         .pkt_out
         .iter()
@@ -150,7 +134,6 @@ pub fn compose(
     trace.push((stage_idx, seg_idx));
     ComposedState {
         constraint,
-        assumed,
         pkt,
         len,
         meta,
@@ -205,7 +188,6 @@ pub(crate) mod tests {
         let mut seen: HashSet<u32> = HashSet::new();
         let mut all_terms: Vec<TermId> = Vec::new();
         all_terms.extend(segment.constraint.iter().copied());
-        all_terms.extend(segment.assumed.iter().copied());
         all_terms.extend(segment.pkt_out.iter().copied());
         all_terms.push(segment.len_out);
         all_terms.extend(segment.meta_out.iter().copied());
@@ -243,13 +225,6 @@ pub(crate) mod tests {
                 constraint.push(c2);
             }
         }
-        let mut assumed = state.assumed.clone();
-        for &c in &segment.assumed {
-            let c2 = substitute(pool, c, &map);
-            if !pool.is_true(c2) {
-                assumed.push(c2);
-            }
-        }
         let pkt = segment
             .pkt_out
             .iter()
@@ -280,7 +255,6 @@ pub(crate) mod tests {
         trace.push((stage_idx, seg_idx));
         ComposedState {
             constraint,
-            assumed,
             pkt,
             len,
             meta,

@@ -16,24 +16,25 @@
 //! memo of decided reports.
 
 use crate::cores::CoreStore;
-use crate::report::{StaticStats, SummaryCacheStats, VerifyReport};
+use crate::report::{SummaryCacheStats, VerifyReport};
 use crate::session::SearchProp;
 use crate::step2::{
     make_initial, new_session, search, segment_count, verdict_of, Node, VerifyConfig,
 };
 use crate::summary::{
-    rebase_stage, summarize_keyed, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
+    rebase_stage, summarize_keyed, Fetch, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
 };
 use bvsolve::{SolveSession, SolverLayerStats, TermPool};
-use dataplane::{ElementKind, Pipeline};
-use dpir::analysis::{lint_program, simplify, IvEnv};
+use dataplane::Pipeline;
+use dpir::analysis::IvEnv;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symexec::{SymConfig, SymError};
 
 /// The step-1 work one [`Engine::ensure`] call did: a mode's build, or
-/// the patch of the stages a delta changed.
+/// the patch of the stages a delta changed — the sum of its own
+/// fetches' [`Fetch`] records, never a snapshot of the shared store.
 #[derive(Default)]
 pub(crate) struct Step1 {
     time: Duration,
@@ -46,10 +47,26 @@ pub(crate) struct Step1 {
     load_bytes: u64,
     /// Fork-solver work of the executed stages.
     fork: SolverLayerStats,
-    static_stats: StaticStats,
 }
 
 impl Step1 {
+    /// Adds one stage fetch.
+    pub(crate) fn record(&mut self, fetch: &Fetch) {
+        match *fetch {
+            Fetch::Hit => self.hits += 1,
+            Fetch::Loaded(bytes) => {
+                self.hits += 1;
+                self.store_loads += 1;
+                self.load_bytes += bytes;
+            }
+            Fetch::Executed { fork, written } => {
+                self.misses += 1;
+                self.store_writes += u64::from(written);
+                self.fork.merge(&fork);
+            }
+        }
+    }
+
     /// A report's summary counters: this work, beside the store's
     /// current size.
     fn cache_stats(&self, store: &SummaryStore) -> SummaryCacheStats {
@@ -60,9 +77,11 @@ impl Step1 {
             store_loads: self.store_loads,
             store_writes: self.store_writes,
             load_bytes: self.load_bytes,
-            ..Default::default()
+            fork_queries: self.fork.queries,
+            fork_sat_calls: self.fork.sat_solve_calls,
+            fork_blast_cache_hits: self.fork.blast_cache_hits,
+            fork_learnt_reused: self.fork.learnt_reused,
         }
-        .with_fork_stats(&self.fork)
     }
 }
 
@@ -106,11 +125,6 @@ pub(crate) struct Engine {
     /// differently), so keeping them would roughly double step-1
     /// memory for nothing.
     pub(crate) retain_store: bool,
-    /// The statically simplified pipeline and the pass's counters,
-    /// built by the first build when [`VerifyConfig::static_simplify`]
-    /// is on and shared by both map modes (the pass only rewrites
-    /// programs, which the modes share).
-    simplified: Option<(Pipeline, StaticStats)>,
     /// Builds run, at most one per mode.
     pub(crate) step1_runs: usize,
 }
@@ -130,7 +144,6 @@ impl Engine {
             modes: Default::default(),
             store: SummaryStore::shared(),
             retain_store,
-            simplified: None,
             step1_runs: 0,
         }
     }
@@ -189,82 +202,59 @@ impl Engine {
             return Ok(None);
         }
         let t0 = Instant::now();
-        let before = (
-            self.store.store_loads(),
-            self.store.store_writes(),
-            self.store.load_bytes(),
-            self.store.fork_stats(),
-        );
-        let (hits, misses, static_stats) = if built {
-            match self.patch(pipeline, changed) {
-                Ok((0, 0)) => return Ok(None),
-                Ok((hits, misses)) => (hits, misses, StaticStats::default()),
-                Err(e) => {
-                    self.modes[idx].sums = None;
-                    return Err(e);
-                }
+        let mut step1 = Step1::default();
+        if built {
+            if let Err(e) = self.patch(pipeline, changed, &mut step1) {
+                self.modes[idx].sums = None;
+                return Err(e);
+            }
+            if step1.hits + step1.misses == 0 {
+                return Ok(None);
             }
         } else {
             if mode == MapMode::Tables {
                 changed.clear();
             }
-            self.build(pipeline, mode)?
-        };
+            self.build(pipeline, mode, &mut step1)?;
+        }
         self.modes[idx].generation += 1;
-        let store = &self.store;
-        Ok(Some(Step1 {
-            time: t0.elapsed(),
-            hits,
-            misses,
-            store_loads: store.store_loads() - before.0,
-            store_writes: store.store_writes() - before.1,
-            load_bytes: store.load_bytes() - before.2,
-            fork: store.fork_stats().delta(&before.3),
-            static_stats,
-        }))
+        step1.time = t0.elapsed();
+        Ok(Some(step1))
     }
 
-    /// Builds `mode`'s summaries; returns the store hits and misses and
-    /// the static pass's counters.
+    /// Builds `mode`'s summaries, adding the fetches to `step1`.
     fn build(
         &mut self,
         pipeline: &Pipeline,
         mode: MapMode,
-    ) -> Result<(usize, usize, StaticStats), SymError> {
-        if self.cfg.static_simplify && self.simplified.is_none() {
-            self.simplified = Some(static_pass(pipeline, &self.cfg.sym));
-        }
-        // With `static_simplify` on, step 1 summarizes the simplified
-        // programs — their `Facts` make them fingerprint (and hence
-        // store-key) differently from the raw ones whenever any fact
-        // was derived, so the two never share cache entries.
-        let summarized = self.simplified.as_ref().map_or(pipeline, |(p, _)| p);
-        let (sums, keys) =
-            summarize_keyed(&mut self.pool, summarized, &self.cfg.sym, mode, &self.store)?;
+        step1: &mut Step1,
+    ) -> Result<(), SymError> {
+        let (sums, keys) = summarize_keyed(
+            &mut self.pool,
+            pipeline,
+            &self.cfg.sym,
+            mode,
+            &self.store,
+            step1,
+        )?;
         self.step1_runs += 1;
         if !self.retain_store {
             self.store.clear();
         }
-        let counts = (sums.summary_hits, sums.summary_misses);
         let m = &mut self.modes[mode_idx(mode)];
         m.sums = Some(sums);
         m.keys = keys;
-        let static_stats = self.simplified.as_ref().map(|(_, s)| *s);
-        Ok((counts.0, counts.1, static_stats.unwrap_or_default()))
+        Ok(())
     }
 
     /// Re-keys the `changed` stages of the built Tables summaries and
-    /// rebases those whose key moved; returns the store hits and misses
-    /// of the fetches.
+    /// rebases those whose key moved, adding the fetches to `step1`.
     fn patch(
         &mut self,
         pipeline: &Pipeline,
         changed: &mut BTreeSet<usize>,
-    ) -> Result<(usize, usize), SymError> {
-        // The simplified pipeline is a copy of the tables it was built
-        // from; only drivers with the static pass off patch.
-        debug_assert!(self.simplified.is_none(), "patching simplified summaries");
-        let (mut hits, mut misses) = (0, 0);
+        step1: &mut Step1,
+    ) -> Result<(), SymError> {
         let m = &mut self.modes[mode_idx(MapMode::Tables)];
         let sums = m.sums.as_mut().expect("patched once built");
         for k in std::mem::take(changed) {
@@ -273,18 +263,14 @@ impl Engine {
             if key == m.keys[k] {
                 continue;
             }
-            let (stored, hit) = self.store.stage(key, element, &self.cfg.sym)?;
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
+            let (stored, fetch) = self.store.stage(key, element, &self.cfg.sym)?;
+            step1.record(&fetch);
             let stage = rebase_stage(&mut self.pool, &stored, element);
             sums.total_states = sums.total_states - sums.stages[k].states + stage.states;
             sums.stages[k] = stage;
             m.keys[k] = key;
         }
-        Ok((hits, misses))
+        Ok(())
     }
 
     /// Searches `spec` over its mode's summaries (built by the caller's
@@ -346,7 +332,6 @@ impl Engine {
             solver: solver.stats().delta(&solver0),
             cores: cores.stats().delta(&cores0),
             summary: step1.cache_stats(store),
-            static_stats: step1.static_stats,
             step1_time: step1.time,
             step2_time: t0.elapsed(),
         }
@@ -360,26 +345,4 @@ pub(crate) fn iv_env(sym: &SymConfig) -> IvEnv {
         len_lo: sym.min_pkt_len,
         len_hi: sym.max_pkt_bytes as u64,
     }
-}
-
-/// The static pass behind [`VerifyConfig::static_simplify`]: lints
-/// every stage program (for the report counters), then replaces each
-/// with its verdict-preserving simplification. Loop elements are
-/// processed on their iteration body.
-fn static_pass(pipeline: &Pipeline, sym: &SymConfig) -> (Pipeline, StaticStats) {
-    let env = iv_env(sym);
-    let mut out = pipeline.clone();
-    let mut stats = StaticStats::default();
-    for stage in &mut out.stages {
-        let prog = match &mut stage.element.kind {
-            ElementKind::Straight(p) => p,
-            ElementKind::Loop { body, .. } => body,
-        };
-        stats.lints_emitted += lint_program(prog, env).len();
-        let (simplified, s) = simplify(prog, env);
-        stats.blocks_removed += s.blocks_removed;
-        stats.intervals_seeded += s.intervals_exported;
-        *prog = simplified;
-    }
-    (out, stats)
 }

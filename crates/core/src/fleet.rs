@@ -92,7 +92,7 @@
 //! identical to a standalone [`Verifier`]'s private store. Only the
 //! cache counters and wall-clock times vary.
 
-use crate::report::{replay, Verdict};
+use crate::report::{replay, SummaryCacheStats, Verdict};
 use crate::session::{search_class, Property, Report, SearchClass, SearchProp, Verifier};
 use crate::step2::{unknown_report, VerifyConfig};
 use crate::summary::SummaryStore;
@@ -191,12 +191,6 @@ impl Fleet {
     /// completion order.
     pub fn run(&self) -> FleetReport {
         let t0 = Instant::now();
-        let hits0 = self.store.hits();
-        let misses0 = self.store.misses();
-        let loads0 = self.store.store_loads();
-        let writes0 = self.store.store_writes();
-        let lbytes0 = self.store.load_bytes();
-        let fork0 = self.store.fork_stats();
         let n_props = self.properties.len();
 
         // One entry per class: the property index and the member
@@ -277,17 +271,31 @@ impl Fleet {
                     replayed,
                 }
             })
+            .collect::<Vec<VariantReport>>();
+        // Each searched report carries exactly its own fetches and a
+        // replay carries none, so the sums are this run's step-1 work.
+        let step1: Vec<&SummaryCacheStats> = variants
+            .iter()
+            .flat_map(|v| &v.reports)
+            .filter_map(|r| r.as_verify().map(|r| &r.summary))
             .collect();
+        let sum = |f: fn(&SummaryCacheStats) -> u64| step1.iter().map(|s| f(s)).sum::<u64>();
         FleetReport {
-            variants,
             classes: classes.len(),
-            summary_hits: self.store.hits() - hits0,
-            summary_misses: self.store.misses() - misses0,
+            summary_hits: sum(|s| s.hits as u64),
+            summary_misses: sum(|s| s.misses as u64),
             store_size: self.store.len(),
-            store_loads: self.store.store_loads() - loads0,
-            store_writes: self.store.store_writes() - writes0,
-            load_bytes: self.store.load_bytes() - lbytes0,
-            fork: self.store.fork_stats().delta(&fork0),
+            store_loads: sum(|s| s.store_loads),
+            store_writes: sum(|s| s.store_writes),
+            load_bytes: sum(|s| s.load_bytes),
+            fork: bvsolve::SolverLayerStats {
+                queries: sum(|s| s.fork_queries),
+                sat_solve_calls: sum(|s| s.fork_sat_calls),
+                blast_cache_hits: sum(|s| s.fork_blast_cache_hits),
+                learnt_reused: sum(|s| s.fork_learnt_reused),
+                ..Default::default()
+            },
+            variants,
             time: t0.elapsed(),
         }
     }
@@ -381,9 +389,13 @@ pub struct FleetReport {
     pub classes: usize,
     /// Stage summaries served from the fleet's shared store during
     /// this run: `> 0` whenever two of the run's searches overlap in
-    /// elements (or on a warm store). Replayed checks never consult
-    /// the store, so this is the sum of the reports'
-    /// [`VerifyReport::summary`](crate::VerifyReport) hits.
+    /// elements (or on a warm store). This and every step-1 counter
+    /// below is the sum of the reports'
+    /// [`VerifyReport::summary`](crate::VerifyReport) counters: each
+    /// searched report carries exactly its own fetches and a replay
+    /// carries none, so the sums hold however the classes interleave.
+    /// Step 1 run for a [`Property::StateConsistency`] check has no
+    /// search report and is not counted.
     pub summary_hits: u64,
     /// Stage summaries executed into (and cached by) the fleet's
     /// shared store during this run — the sum of the reports' misses.

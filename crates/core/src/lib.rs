@@ -71,7 +71,7 @@ pub use compose::ComposedState;
 pub use cores::{CoreStats, CoreStore};
 pub use fleet::{Fleet, FleetReport, VariantReport};
 pub use generic::{GenericOutcome, GenericReport};
-pub use report::{CounterExample, StaticStats, SummaryCacheStats, Verdict, VerifyReport};
+pub use report::{CounterExample, SummaryCacheStats, Verdict, VerifyReport};
 pub use session::{CustomProperty, GenericRun, Property, Report, StateReport, Verifier};
 pub use stateful::StateFinding;
 pub use step2::{FilterProperty, LongestPath, VerifyConfig};

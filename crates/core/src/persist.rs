@@ -49,7 +49,8 @@ use symexec::{MapOpKind, MapOpRecord, SegOutcome, Segment, SymInput};
 
 const MAGIC: &[u8; 4] = b"DPVS";
 /// Bumped on any change to the encoding; mismatched files are misses.
-const VERSION: u32 = 1;
+/// Version 2 dropped each segment's list of statically assumed facts.
+const VERSION: u32 = 2;
 /// The header's entry-kind byte. Summaries are the only kind; the byte
 /// stays so files keep their layout.
 const KIND_SUMMARY: u8 = 0;
@@ -541,7 +542,6 @@ fn decode_opt_var(d: &mut Dec<'_>, p: &DecodedPool) -> DecodeResult<Option<u32>>
 
 fn encode_segment(e: &mut Enc, seg: &Segment) {
     e.idx_list(&seg.constraint);
-    e.idx_list(&seg.assumed);
     encode_outcome(e, seg.outcome);
     e.idx_list(&seg.pkt_out);
     e.idx(seg.len_out);
@@ -571,7 +571,6 @@ fn encode_segment(e: &mut Enc, seg: &Segment) {
 
 fn decode_segment(d: &mut Dec<'_>, p: &DecodedPool) -> DecodeResult<Segment> {
     let constraint = p.term_list(d)?;
-    let assumed = p.term_list(d)?;
     let outcome = decode_outcome(d)?;
     let pkt_out = p.term_list(d)?;
     let len_out = p.term(d)?;
@@ -605,7 +604,6 @@ fn decode_segment(d: &mut Dec<'_>, p: &DecodedPool) -> DecodeResult<Segment> {
     }
     Ok(Segment {
         constraint,
-        assumed,
         outcome,
         pkt_out,
         len_out,

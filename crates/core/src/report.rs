@@ -119,38 +119,6 @@ pub struct SummaryCacheStats {
     pub fork_learnt_reused: u64,
 }
 
-impl SummaryCacheStats {
-    /// These counters with the four `fork_*` ones read off `fork`, a
-    /// [`crate::SummaryStore::fork_stats`] delta.
-    pub(crate) fn with_fork_stats(self, fork: &SolverLayerStats) -> Self {
-        SummaryCacheStats {
-            fork_queries: fork.queries,
-            fork_sat_calls: fork.sat_solve_calls,
-            fork_blast_cache_hits: fork.blast_cache_hits,
-            fork_learnt_reused: fork.learnt_reused,
-            ..self
-        }
-    }
-}
-
-/// Static-analysis counters for one check (see
-/// [`dpir::analysis`]). All zero unless
-/// [`crate::VerifyConfig::static_simplify`] is on, and — like
-/// `step1_time` — attributed to the check that built the session's
-/// summaries; cache-warm checks report zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaticStats {
-    /// Diagnostics the lint pass emitted across all stage programs
-    /// (severity Warning and Error alike).
-    pub lints_emitted: usize,
-    /// Unreachable basic blocks the simplifier deleted across all
-    /// stage programs.
-    pub blocks_removed: usize,
-    /// Interval facts exported to the executor: proven-safe access
-    /// sites plus exit-length bounds, summed over stage programs.
-    pub intervals_seeded: usize,
-}
-
 /// A full verification report (one property, one pipeline).
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
@@ -184,9 +152,6 @@ pub struct VerifyReport {
     /// paid step 1 indicate summaries inherited from other sessions
     /// (or repeated elements); see [`crate::SummaryStore`].
     pub summary: SummaryCacheStats,
-    /// Static-analysis counters (lints, simplifier effect). All zero
-    /// unless [`crate::VerifyConfig::static_simplify`] is on.
-    pub static_stats: StaticStats,
     /// Wall-clock time of step 1.
     pub step1_time: Duration,
     /// Wall-clock time of step 2.
@@ -198,8 +163,7 @@ pub struct VerifyReport {
 /// pipeline named `pipeline`. The verdict and the search's counts
 /// (`composed_paths`, `suspects`, `solver`, `cores`) are what a search
 /// would reproduce; step 1 did no work, so `summary` keeps only the
-/// store size the search saw, and `static_stats` and both times are
-/// zero.
+/// store size the search saw, and both times are zero.
 pub(crate) fn replay(searched: &VerifyReport, pipeline: &str) -> VerifyReport {
     VerifyReport {
         pipeline: pipeline.to_string(),
@@ -207,15 +171,15 @@ pub(crate) fn replay(searched: &VerifyReport, pipeline: &str) -> VerifyReport {
             store_size: searched.summary.store_size,
             ..Default::default()
         },
-        static_stats: StaticStats::default(),
         step1_time: Duration::ZERO,
         step2_time: Duration::ZERO,
         ..searched.clone()
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal — the one
+/// escaping every JSON line this crate (and `dpv-serve`) prints uses.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -272,8 +236,6 @@ impl VerifyReport {
              \"store_loads\":{},\"store_writes\":{},\"load_bytes\":{},\
              \"fork_queries\":{},\"fork_sat_calls\":{},\
              \"fork_blast_cache_hits\":{},\"fork_learnt_reused\":{}}},\
-             \"static\":{{\"lints_emitted\":{},\"blocks_removed\":{},\
-             \"intervals_seeded\":{}}},\
              \"step1_ms\":{:.3},\"step2_ms\":{:.3}}}",
             json_escape(&self.property),
             json_escape(&self.pipeline),
@@ -311,9 +273,6 @@ impl VerifyReport {
             self.summary.fork_sat_calls,
             self.summary.fork_blast_cache_hits,
             self.summary.fork_learnt_reused,
-            self.static_stats.lints_emitted,
-            self.static_stats.blocks_removed,
-            self.static_stats.intervals_seeded,
             self.step1_time.as_secs_f64() * 1e3,
             self.step2_time.as_secs_f64() * 1e3,
         )

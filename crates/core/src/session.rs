@@ -475,9 +475,8 @@ pub(crate) struct SearchClass(Vec<StageClass>);
 /// Every input struct is destructured exhaustively (no `..`), like
 /// [`SummaryKey::of`] does for `SymConfig`: a new `Pipeline`, `Stage`
 /// or `Element` field fails to compile here until it is keyed or
-/// explicitly ignored. Key the *raw* pipeline — the static pass is a
-/// function of the program and `sym`, so equal raw programs simplify
-/// equally.
+/// explicitly ignored. The programs keyed are the ones step 1
+/// executes: nothing rewrites them in between.
 pub(crate) fn search_class(
     pipeline: &Pipeline,
     spec: &SearchProp,
@@ -615,8 +614,8 @@ impl<'p> Verifier<'p> {
     /// `(element name, diagnostics)` entry per stage, in pipeline
     /// order — including stages with no findings, so callers can
     /// report coverage. Pure static analysis: nothing is executed,
-    /// summarized or cached, and the raw (unsimplified) programs are
-    /// linted regardless of [`VerifyConfig::static_simplify`].
+    /// summarized or cached, and the programs linted are exactly the
+    /// ones step 1 executes.
     pub fn lint(&self) -> Vec<(String, Vec<Diagnostic>)> {
         let env = iv_env(&self.engine.cfg.sym);
         self.pipeline

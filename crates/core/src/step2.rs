@@ -29,22 +29,6 @@ pub struct VerifyConfig {
     pub max_composed_paths: usize,
     /// CDCL conflict budget per step-2 feasibility query.
     pub solver_conflict_budget: u64,
-    /// Whether step-1 summarization runs on the statically simplified
-    /// programs ([`dpir::analysis::simplify()`]) instead of the raw
-    /// ones. The simplifier is verdict-preserving by construction —
-    /// it only applies pool-exact rewrites (folds whose result the
-    /// term pool would intern to the identical term) and deletes
-    /// blocks no execution reaches — so verdicts, counterexample
-    /// bytes and composed-path semantics match the raw run; the
-    /// exported [`dpir::Facts`] additionally let step 1 skip crash
-    /// forks at proven-safe access sites and step 2 refute
-    /// compositions earlier via [`ComposedState::assumed`].
-    /// Simplified programs hash differently whenever any fact was
-    /// derived (the `facts` field participates in the fingerprint),
-    /// so [`crate::SummaryStore`] entries never mix the two modes.
-    /// `false` is the raw arm the differential harness's `simplify`
-    /// mode and `crates/bench/tests/static_analysis.rs` compare against.
-    pub static_simplify: bool,
 }
 
 impl Default for VerifyConfig {
@@ -53,7 +37,6 @@ impl Default for VerifyConfig {
             sym: SymConfig::default(),
             max_composed_paths: 1 << 20,
             solver_conflict_budget: 200_000,
-            static_simplify: false,
         }
     }
 }
@@ -89,14 +72,13 @@ pub(crate) fn new_session(cfg: &VerifyConfig, cores: &CoreStore) -> SolveSession
 ///
 /// Minimality makes the bytes a pure function of the constraint's
 /// *semantics* — not of solver history (learnt clauses, saved
-/// phases), not of [`ComposedState::assumed`] facts, and not of the
-/// term pool's node orientation (pools warmed across config updates
-/// intern the same composition with different [`bvsolve::TermId`]
-/// numbering, which flips commutative operand order and thereby CNF
-/// variable order — an arbitrary-model extraction would report
-/// different, equally valid, packets). Every session — fresh,
-/// unpruned reference, simplified, churn-warmed — therefore reports
-/// byte-identical counterexamples for the same violation.
+/// phases), and not of the term pool's node orientation (pools warmed
+/// across config updates intern the same composition with different
+/// [`bvsolve::TermId`] numbering, which flips commutative operand order
+/// and thereby CNF variable order — an arbitrary-model extraction would
+/// report different, equally valid, packets). Every session — fresh,
+/// unpruned reference, churn-warmed — therefore reports byte-identical
+/// counterexamples for the same violation.
 ///
 /// Cost: one solve plus ~`log₂(range)` assumption re-solves per
 /// reported field on a private [`SolveSession`] (circuits blasted
@@ -171,26 +153,7 @@ pub(crate) fn check(
     state: &ComposedState,
     subtree: bool,
 ) -> Feas {
-    // Conjoin the statically proven facts (`assumed`) for feasibility
-    // only: they are implied by `constraint` on every model, so
-    // satisfiability is unchanged, but the per-conjunct cheap layers
-    // can refute more compositions without the CDCL core. Pruning on
-    // the combined set is equally sound — an UNSAT subset of
-    // constraint ∧ assumed makes `constraint` alone UNSAT. Model
-    // extraction ([`canonical_model`]) stays on `constraint`, so
-    // counterexample bytes are byte-identical to a run without facts.
-    let combined: Vec<bvsolve::TermId>;
-    let cs: &[bvsolve::TermId] = if state.assumed.is_empty() {
-        &state.constraint
-    } else {
-        combined = state
-            .constraint
-            .iter()
-            .chain(state.assumed.iter())
-            .copied()
-            .collect();
-        &combined
-    };
+    let cs = &state.constraint;
     if cores.known_unsat(cs, subtree) {
         return Feas::Unsat;
     }
@@ -582,7 +545,6 @@ pub(crate) fn unknown_report(
         solver: SolverLayerStats::default(),
         cores: CoreStats::default(),
         summary: Default::default(),
-        static_stats: Default::default(),
         step1_time,
         step2_time: Default::default(),
     }
@@ -1154,7 +1116,6 @@ mod tests {
 
     fn assert_same_state(new: &ComposedState, old: &ComposedState, at: &str) {
         assert_eq!(new.constraint, old.constraint, "{at}: constraint");
-        assert_eq!(new.assumed, old.assumed, "{at}: assumed");
         assert_eq!(new.pkt, old.pkt, "{at}: pkt");
         assert_eq!(new.len, old.len, "{at}: len");
         assert_eq!(new.meta, old.meta, "{at}: meta");

@@ -25,6 +25,7 @@
 //! stage order on the calling thread; the store is shared across
 //! threads only by [`crate::fleet::Fleet`]'s class workers.
 
+use crate::engine::Step1;
 use bvsolve::{Migrator, TermPool};
 use dataplane::{Element, ElementKind, Pipeline};
 use dpir::fingerprint128;
@@ -70,8 +71,8 @@ pub struct StageSummary {
 
 impl StageSummary {
     /// A summary of `segments` over `input`, with each segment's havoc
-    /// list: term by term — constraints, assumed facts, packet bytes,
-    /// length, metadata, then each map operation's key and value — the
+    /// list: term by term — constraints, packet bytes, length,
+    /// metadata, then each map operation's key and value — the
     /// variables a term is the first to mention, in ascending id; then
     /// the havoc variables a map operation records that no term
     /// mentions (an unused `found` flag).
@@ -110,7 +111,6 @@ fn segment_havocs(pool: &TermPool, inputs: &HashSet<u32>, seg: &Segment) -> Vec<
     let terms = seg
         .constraint
         .iter()
-        .chain(&seg.assumed)
         .chain(&seg.pkt_out)
         .chain([&seg.len_out])
         .chain(&seg.meta_out)
@@ -323,6 +323,24 @@ pub struct StoredStage {
     pub(crate) states: usize,
 }
 
+/// What one [`SummaryStore::stage`] fetch did. A report's step-1
+/// counters are the sum of its own fetches' records, so checks running
+/// at once on a shared store never count each other's work.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fetch {
+    /// Served from memory, including after waiting for another thread
+    /// to produce the key.
+    Hit,
+    /// Loaded from the backing directory: the bytes read.
+    Loaded(u64),
+    /// Executed: the fork-solver work, and whether the write-back to
+    /// the backing directory landed.
+    Executed {
+        fork: bvsolve::SolverLayerStats,
+        written: bool,
+    },
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
     entries: HashMap<SummaryKey, Arc<StoredStage>>,
@@ -402,8 +420,6 @@ pub struct SummaryStore {
     store_loads: AtomicU64,
     store_writes: AtomicU64,
     load_bytes: AtomicU64,
-    /// Fork-solver counters of every execution (miss), summed.
-    fork: Mutex<bvsolve::SolverLayerStats>,
 }
 
 impl SummaryStore {
@@ -479,13 +495,6 @@ impl SummaryStore {
         self.load_bytes.load(Ordering::Relaxed)
     }
 
-    /// Lifetime solver work of step 1: the fork-feasibility counters
-    /// ([`symexec::ExecReport::solver_stats`]) of every stage this
-    /// store executed, summed. Hits and disk loads add nothing.
-    pub fn fork_stats(&self) -> bvsolve::SolverLayerStats {
-        *self.fork.lock().expect("summary store poisoned")
-    }
-
     /// Drops every cached summary (the lifetime counters are kept): a
     /// session-private store releases its entries once a build has
     /// rebased them, and a long-lived store can release everything
@@ -512,8 +521,8 @@ impl SummaryStore {
 
     /// Fetches the summary for `element` under `cfg` at `key` — the
     /// caller's `SummaryKey::of(element, mode, cfg)`, computed once —
-    /// executing and caching it on a miss. Returns whether this was a
-    /// hit. Loading and execution happen outside the store lock, once
+    /// executing and caching it on a miss. Returns what this fetch
+    /// did. Loading and execution happen outside the store lock, once
     /// per key: a thread that misses on a key another thread is
     /// already producing waits for it to land and is served as a hit.
     pub(crate) fn stage(
@@ -521,13 +530,13 @@ impl SummaryStore {
         key: SummaryKey,
         element: &Element,
         cfg: &SymConfig,
-    ) -> Result<(Arc<StoredStage>, bool), SymError> {
+    ) -> Result<(Arc<StoredStage>, Fetch), SymError> {
         let _flight = {
             let mut guard = self.inner.lock().expect("summary store poisoned");
             loop {
                 if let Some(found) = guard.entries.get(&key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(found), true));
+                    return Ok((Arc::clone(found), Fetch::Hit));
                 }
                 if guard.in_flight.insert(key) {
                     break Flight { store: self, key };
@@ -545,7 +554,7 @@ impl SummaryStore {
                 self.store_loads.fetch_add(1, Ordering::Relaxed);
                 self.load_bytes.fetch_add(nbytes, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((self.insert(key, Arc::new(stage)), true));
+                return Ok((self.insert(key, Arc::new(stage)), Fetch::Loaded(nbytes)));
             }
         }
         let mut exec_pool = TermPool::new();
@@ -573,10 +582,6 @@ impl SummaryStore {
             states: report.states,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.fork
-            .lock()
-            .expect("summary store poisoned")
-            .merge(&report.solver_stats);
         // Write-back, outside the lock. Within a process the in-flight
         // marker makes this the key's only writer at any moment, so
         // the write race fleet workers used to run no longer exists;
@@ -584,12 +589,18 @@ impl SummaryStore {
         // still rely on `persist::write_atomic` renaming a temp file
         // of its own over the final name — every rename publishes a
         // complete, identical file.
-        if let Some(dir) = &self.disk {
-            if crate::persist::save_summary(dir, &key, &stored) {
-                self.store_writes.fetch_add(1, Ordering::Relaxed);
-            }
+        let written = self
+            .disk
+            .as_ref()
+            .is_some_and(|dir| crate::persist::save_summary(dir, &key, &stored));
+        if written {
+            self.store_writes.fetch_add(1, Ordering::Relaxed);
         }
-        Ok((self.insert(key, stored), false))
+        let fetch = Fetch::Executed {
+            fork: report.solver_stats,
+            written,
+        };
+        Ok((self.insert(key, stored), fetch))
     }
 }
 
@@ -625,18 +636,20 @@ pub fn summarize_pipeline_with_store(
     store: &SummaryStore,
     _threads: usize,
 ) -> Result<PipelineSummaries, SymError> {
-    summarize_keyed(pool, pipeline, cfg, mode, store).map(|(sums, _)| sums)
+    summarize_keyed(pool, pipeline, cfg, mode, store, &mut Step1::default()).map(|(sums, _)| sums)
 }
 
 /// [`summarize_pipeline_with_store`], also returning each stage's
 /// [`SummaryKey`] as the fetch computed it — the per-stage keys a
-/// warm session re-keys table deltas against.
+/// warm session re-keys table deltas against — and adding every
+/// fetch's record to `step1`.
 pub(crate) fn summarize_keyed(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     cfg: &SymConfig,
     mode: MapMode,
     store: &SummaryStore,
+    step1: &mut Step1,
 ) -> Result<(PipelineSummaries, Vec<SummaryKey>), SymError> {
     let input = SymInput::fresh(pool, cfg, "in");
     let n = pipeline.stages.len();
@@ -648,12 +661,13 @@ pub(crate) fn summarize_keyed(
     for stage in &pipeline.stages {
         let element = &stage.element;
         let key = SummaryKey::of(element, mode, cfg);
-        let (stored, hit) = store.stage(key, element, cfg)?;
-        if hit {
-            summary_hits += 1;
-        } else {
+        let (stored, fetch) = store.stage(key, element, cfg)?;
+        if let Fetch::Executed { .. } = fetch {
             summary_misses += 1;
+        } else {
+            summary_hits += 1;
         }
+        step1.record(&fetch);
         total_states += stored.states;
         stages.push(rebase_stage(pool, &stored, element));
         keys.push(key);
@@ -737,11 +751,6 @@ pub(crate) fn import_summary(
         .map(|seg| Segment {
             constraint: seg
                 .constraint
-                .iter()
-                .map(|&t| mig.import(t, src, pool))
-                .collect(),
-            assumed: seg
-                .assumed
                 .iter()
                 .map(|&t| mig.import(t, src, pool))
                 .collect(),

@@ -3,7 +3,8 @@
 //! files must degrade to cache misses (never wrong answers, never
 //! panics), and [`ChurnSession::apply_batch`] must coalesce a burst of
 //! deltas into one re-verification that matches applying them one by
-//! one.
+//! one. A concurrent fleet's reports each count only their own step-1
+//! fetches, so they sum to the store's lifetime counters.
 //!
 //! The equality bar is the same as the incremental/churn differential
 //! suites: verdict labels, counterexample bytes, descriptions, traces
@@ -13,13 +14,15 @@
 use dataplane::{
     DeltaError, Pipeline, TableConfig, TableContents, TableDelta, TableKindError, TableOp,
 };
-use elements::pipelines::{core_fib, edge_fib, ip_router, to_pipeline, ROUTER_IP};
+use elements::pipelines::{
+    core_fib, edge_fib, ip_router, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use symexec::SymConfig;
 use verifier::{
-    ChurnSession, FilterProperty, Property, ReuseLevel, SummaryKey, SummaryStore, Verdict,
-    Verifier, VerifyConfig, VerifyReport,
+    ChurnSession, FilterProperty, Fleet, FleetReport, Property, ReuseLevel, SummaryCacheStats,
+    SummaryKey, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport,
 };
 
 fn cfg() -> VerifyConfig {
@@ -703,4 +706,122 @@ fn stale_core_files_from_older_builds_are_never_touched() {
         before,
         "stale core files are neither read, rewritten nor deleted"
     );
+}
+
+/// The seven step-1 counters a fleet report carries per check.
+const COUNTERS: [&str; 7] = [
+    "store_loads",
+    "store_writes",
+    "load_bytes",
+    "fork_queries",
+    "fork_sat_calls",
+    "fork_blast_cache_hits",
+    "fork_learnt_reused",
+];
+
+/// [`COUNTERS`] off one report.
+fn report_counters(s: &SummaryCacheStats) -> [u64; 7] {
+    [
+        s.store_loads,
+        s.store_writes,
+        s.load_bytes,
+        s.fork_queries,
+        s.fork_sat_calls,
+        s.fork_blast_cache_hits,
+        s.fork_learnt_reused,
+    ]
+}
+
+/// [`COUNTERS`] off a [`FleetReport`].
+fn fleet_counters(r: &FleetReport) -> [u64; 7] {
+    [
+        r.store_loads,
+        r.store_writes,
+        r.load_bytes,
+        r.fork.queries,
+        r.fork.sat_solve_calls,
+        r.fork.blast_cache_hits,
+        r.fork.learnt_reused,
+    ]
+}
+
+/// Four FIB variants of one router plus a NAT staging pipeline, under
+/// two Abstract-mode properties: four classes, two per pipeline shape,
+/// so two workers fetch the same stages at once.
+fn fleet_on(store: &Arc<SummaryStore>, threads: usize) -> FleetReport {
+    let mut fleet = Fleet::new()
+        .config(cfg())
+        .threads(threads)
+        .store(Arc::clone(store));
+    for i in 0..4u32 {
+        let fib = vec![(0x0A00_0000 | (i << 16), 16, i % 4), (0x0A00_0000, 8, 0)];
+        fleet = fleet.variant(
+            format!("fib-{i}"),
+            to_pipeline("router", ip_router(6, 1, fib)),
+        );
+    }
+    let mut staging = vec![
+        elements::classifier::classifier(),
+        elements::check_ip_header::check_ip_header(false),
+    ];
+    staging.push(elements::nat::nat_click_buggy(
+        NAT_PUBLIC_IP,
+        NAT_PUBLIC_PORT,
+        64,
+    ));
+    fleet
+        .variant("staging", to_pipeline("staging", staging))
+        .properties(&[Property::CrashFreedom, Property::Bounded { imax: 10_000 }])
+        .run()
+}
+
+/// Each report of a concurrent fleet carries exactly its own step-1
+/// work: summed over the reports, every counter equals the fleet
+/// report's and the store's lifetime delta (the fork counters, which
+/// the store does not keep, equal a one-worker run's) — on a cold
+/// audit that executes and writes, and on a warm one that loads.
+#[test]
+fn concurrent_fleet_reports_count_only_their_own_step1_work() {
+    let (tmp, reference_tmp) = (TmpDir::new("fleet-own"), TmpDir::new("fleet-ref"));
+    let reference = fleet_on(
+        &Arc::new(SummaryStore::persistent(&reference_tmp.0).expect("store dir")),
+        1,
+    );
+    for phase in ["cold", "warm"] {
+        // A new store object over the directory: the warm audit loads.
+        let store = Arc::new(SummaryStore::persistent(&tmp.0).expect("store dir"));
+        let report = fleet_on(&store, 2);
+        assert_eq!(report.classes, 4, "{phase}");
+        let reports: Vec<&VerifyReport> = report
+            .variants
+            .iter()
+            .flat_map(|v| &v.reports)
+            .map(|r| r.as_verify().expect("verify"))
+            .collect();
+        let fleet = fleet_counters(&report);
+        let lifetime = [
+            store.store_loads(),
+            store.store_writes(),
+            store.load_bytes(),
+        ];
+        for (i, name) in COUNTERS.iter().enumerate() {
+            let sum: u64 = reports.iter().map(|r| report_counters(&r.summary)[i]).sum();
+            assert_eq!(sum, fleet[i], "{phase} {name}: reports vs fleet report");
+            let want = match lifetime.get(i) {
+                Some(&delta) => delta,
+                None if phase == "cold" => fleet_counters(&reference)[i],
+                None => 0,
+            };
+            assert_eq!(fleet[i], want, "{phase} {name}: fleet report vs store");
+        }
+        let hits: usize = reports.iter().map(|r| r.summary.hits).sum();
+        let misses: usize = reports.iter().map(|r| r.summary.misses).sum();
+        assert_eq!(hits as u64, store.hits(), "{phase} hits");
+        assert_eq!(misses as u64, store.misses(), "{phase} misses");
+        if phase == "cold" {
+            assert!(store.store_writes() > 0 && report.fork.queries > 0);
+        } else {
+            assert!(store.store_loads() > 0 && store.misses() == 0);
+        }
+    }
 }

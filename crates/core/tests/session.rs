@@ -469,13 +469,12 @@ fn summaries_accessor_builds_and_caches() {
 }
 
 // --------------------------------------------------------------------
-// Static simplification: counters, JSON, lint surface
+// Lint surface
 // --------------------------------------------------------------------
 
 /// A pipeline with statically decidable structure: a constant-false
-/// branch guarding a dead crash (unreachable-block lint + block
-/// removal) and a constant chain (folds), so every static counter is
-/// exercised.
+/// branch guarding a dead crash, which the unreachable-block lint
+/// reports.
 fn staticky() -> Pipeline {
     let mut b = ProgramBuilder::new("S1");
     let c1 = b.add(32, 3u64, 4u64);
@@ -492,112 +491,15 @@ fn staticky() -> Pipeline {
 }
 
 #[test]
-fn static_stats_populated_and_serialized() {
-    let p = staticky();
-    let mut scfg = cfg();
-    scfg.static_simplify = true;
-    let r = Verifier::new(&p)
-        .config(scfg)
-        .check(Property::CrashFreedom)
-        .expect_verify();
-    assert!(r.verdict.is_proved(), "{r}");
-    // The constant-false fork: one unreachable-block lint (plus the
-    // always-taken branch lint), one removed block, and the interval
-    // pass seeds the trivially-safe sites.
-    assert!(r.static_stats.lints_emitted >= 2, "{:?}", r.static_stats);
-    assert!(r.static_stats.blocks_removed >= 1, "{:?}", r.static_stats);
-    let j = r.to_json();
-    let expected = format!(
-        "\"static\":{{\"lints_emitted\":{},\"blocks_removed\":{},\"intervals_seeded\":{}}}",
-        r.static_stats.lints_emitted,
-        r.static_stats.blocks_removed,
-        r.static_stats.intervals_seeded
-    );
-    assert!(j.contains(&expected), "{j}");
-}
-
-#[test]
-fn static_stats_zero_when_disabled() {
-    let p = staticky();
-    let r = Verifier::new(&p)
-        .config(cfg())
-        .check(Property::CrashFreedom)
-        .expect_verify();
-    assert_eq!(r.static_stats, Default::default(), "{:?}", r.static_stats);
-    assert!(
-        r.to_json().contains(
-            "\"static\":{\"lints_emitted\":0,\"blocks_removed\":0,\"intervals_seeded\":0}"
-        ),
-        "{}",
-        r.to_json()
-    );
-}
-
-#[test]
 fn verifier_lint_reports_raw_programs() {
     let p = staticky();
-    // Lints come from the *raw* programs whether or not simplification
-    // is enabled — enabling it must not launder the diagnostics away.
-    for simplify in [false, true] {
-        let mut scfg = cfg();
-        scfg.static_simplify = simplify;
-        let v = Verifier::new(&p).config(scfg);
-        let lints = v.lint();
-        assert_eq!(lints.len(), 1);
-        assert_eq!(lints[0].0, "S1");
-        assert!(
-            lints[0].1.iter().any(|d| d.code == "DPV001"),
-            "expected the unreachable-block lint, got {:?}",
-            lints[0].1
-        );
-    }
-}
-
-#[test]
-fn simplified_summaries_fingerprint_apart() {
-    use verifier::SummaryStore;
-    // One shared store, two verifiers differing only in
-    // static_simplify: the simplified program's fingerprint (facts
-    // participate in `Program`'s derived `Hash`) must key separate
-    // store entries — runs never see each other's summaries.
-    let p = router();
-    let store = SummaryStore::shared();
-    let mut v_raw = Verifier::new(&p).config(cfg()).with_store(store.clone());
-    let r_raw = v_raw.check(Property::CrashFreedom).expect_verify();
-    let after_raw = r_raw.summary.store_size;
-    assert!(after_raw > 0, "raw run must populate the store");
-
-    let mut scfg = cfg();
-    scfg.static_simplify = true;
-    // Ground truth: which stage programs the simplifier actually
-    // rewrites (or annotates with facts). Those must re-key; stages it
-    // leaves byte-identical must share the raw entry — that sharing is
-    // the content-addressing working as designed.
-    let env = dpir::analysis::IvEnv {
-        len_lo: scfg.sym.min_pkt_len,
-        len_hi: scfg.sym.max_pkt_bytes as u64,
-    };
-    let changed = p
-        .stages
-        .iter()
-        .filter(|s| {
-            let prog = s.element.program();
-            dpir::analysis::simplify(prog, env).0 != *prog
-        })
-        .count();
-    assert!(changed > 0, "the router must have simplifiable stages");
-
-    let mut v_simp = Verifier::new(&p).config(scfg).with_store(store.clone());
-    let r_simp = v_simp.check(Property::CrashFreedom).expect_verify();
-    assert_eq!(
-        r_simp.summary.hits,
-        p.stages.len() - changed,
-        "only byte-identical stages may hit raw-keyed summaries"
+    let v = Verifier::new(&p).config(cfg());
+    let lints = v.lint();
+    assert_eq!(lints.len(), 1);
+    assert_eq!(lints[0].0, "S1");
+    assert!(
+        lints[0].1.iter().any(|d| d.code == "DPV001"),
+        "expected the unreachable-block lint, got {:?}",
+        lints[0].1
     );
-    assert_eq!(
-        r_simp.summary.store_size,
-        after_raw + changed,
-        "every rewritten stage must occupy a new key"
-    );
-    assert_eq!(r_raw.verdict.label(), r_simp.verdict.label());
 }

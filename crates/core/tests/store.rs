@@ -426,7 +426,6 @@ fn fleet_replays_attribute_no_step1_work() {
             assert_eq!(r.summary.hits + r.summary.misses, 0, "{}", v.variant);
             assert_eq!(r.summary.fork_queries, 0, "{}", v.variant);
             assert_eq!(r.summary.store_size, searched.summary.store_size);
-            assert_eq!(r.static_stats, verifier::StaticStats::default());
             assert_eq!(r.step1_time + r.step2_time, std::time::Duration::ZERO);
             // What the search decided is the member's, counts included.
             assert_identical_reports(searched, r, &v.variant);

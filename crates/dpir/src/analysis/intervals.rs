@@ -16,18 +16,15 @@
 //! post-pass ([`IvResult::site_safety`]) then classifies every
 //! `PktLoad`/`PktStore`: an access at `off` of `k` bytes is **proven
 //! in bounds** when `off.hi + k ≤ len.lo`, and **provably out of
-//! bounds** when `off.lo + k > len.hi`. Proven-safe sites become
-//! [`crate::Facts::safe_sites`], which lets the executor skip the
-//! crash fork (and its solver query) that the path constraints would
-//! refute anyway; provable OOB becomes a `DPV002` lint.
+//! bounds** when `off.lo + k > len.hi`. Provable OOB becomes a
+//! `DPV002` lint; the symbolic executor reads none of it.
 //!
 //! Soundness note: intervals quantify over *feasible concrete
 //! executions*. The entry length range comes from the caller
 //! ([`IvEnv`], typically `SymConfig`'s `[min_pkt_len,
 //! max_pkt_bytes]`), matching the base constraints the executor puts
 //! on every path — so everything proven here is implied by each
-//! path's constraint set, which is exactly why eliding a crash fork
-//! at a proven-safe site cannot change any verdict.
+//! path's constraint set.
 
 use super::{forward_fixpoint, Forward, Lattice};
 use crate::instr::{BinOp, CastKind, Instr, Operand, UnOp};
@@ -253,30 +250,6 @@ impl IvResult {
             }
         }
         sites
-    }
-
-    /// The joined packet-length interval over all `Emit` exits, when
-    /// strictly tighter than the entry environment. `None` when no
-    /// emit is reachable or nothing was learned.
-    pub fn exit_len(&self, prog: &Program) -> Option<(u64, u64)> {
-        let mut acc: Option<Itv> = None;
-        for (b, st) in self.entry.iter().enumerate() {
-            let Some(st) = st else { continue };
-            if !matches!(prog.blocks[b].term, Terminator::Emit(_)) {
-                continue;
-            }
-            let mut tr = Transfer::new(self.env, st.clone());
-            for ins in &prog.blocks[b].instrs {
-                tr.instr(ins);
-            }
-            let l = tr.st.len;
-            acc = Some(match acc {
-                None => l,
-                Some(a) => a.hull(l),
-            });
-        }
-        let l = acc?;
-        (l.lo > self.env.len_lo || l.hi < self.env.len_hi).then_some((l.lo, l.hi))
     }
 }
 

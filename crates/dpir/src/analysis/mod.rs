@@ -24,18 +24,16 @@
 //!   by zero;
 //! * [`simplify()`] — a **verdict-preserving** pre-symbolic-execution
 //!   simplifier: folds constant instructions, rewrites
-//!   constant-decided branches to jumps, deletes unreachable blocks,
-//!   and exports proven in-bounds access sites and exit-length
-//!   intervals as [`crate::Facts`] on the program, which the symbolic
-//!   executor consumes to skip crash forks it would otherwise have to
-//!   refute with the solver.
+//!   constant-decided branches to jumps and deletes unreachable
+//!   blocks.
 //!
 //! The simplifier's transformations are chosen so the symbolic
 //! executor produces the **same segments** (same constraints, same
 //! outcomes, same path count under exact fork checking) for the
 //! simplified program as for the original — see [`simplify()`] for the
-//! argument — which is what lets the verifier A/B the pass without
-//! changing verdicts or counterexample bytes.
+//! argument. Nothing here feeds the verifier's symbolic execution:
+//! the verifier reads only the lint diagnostics, and step 1 executes
+//! the raw programs.
 
 use crate::program::Program;
 use crate::Terminator;

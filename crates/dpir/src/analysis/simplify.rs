@@ -1,9 +1,12 @@
 //! Verdict-preserving pre-symbolic-execution simplification.
 //!
 //! [`simplify`] rewrites a [`Program`] into one the symbolic executor
-//! processes faster while producing the **same segments** — same
-//! constraint sets, same outcomes, same counterexample models — as
-//! the original under exact fork checking. Three transformations,
+//! runs to the **same segments** — same constraint sets, same
+//! outcomes, same counterexample models — as the original under exact
+//! fork checking. The verifier does not use it: measured on the
+//! paper's audits it deleted no block, so step 1 executes the program
+//! it is given. It stays a standalone pass for the static-analysis
+//! tests and benchmarks. Three transformations,
 //! each justified by an "invisibility" argument against the executor
 //! and its term pool:
 //!
@@ -29,22 +32,13 @@
 //! `Mov`), so per-block instruction indices — and with them executed
 //! instruction counts per path — are stable.
 //!
-//! After transforming, a second pass runs the interval analysis on
-//! the result and attaches [`Facts`]: packet-access sites proven in
-//! bounds (the executor skips the crash fork and its feasibility
-//! query there, still pushing the same in-bounds constraint) and an
-//! exit packet-length interval (exported to step-2 composition as
-//! assumed constraints). Both are implied by every path's constraint
-//! set, which is what keeps verdicts and counterexamples bit-identical.
-//!
-//! The transformed program hashes differently (blocks and facts both
-//! feed `Program::fingerprint`), so summary-store keys for simplified
-//! programs never collide with raw ones.
+//! The transformed program hashes differently whenever a
+//! transformation fired (its blocks feed `Program::fingerprint`).
 
 use super::constprop::{eval_bin, eval_cast, eval_un, operand_av_w, transfer_instr, Av, ConstProp};
-use super::intervals::{Intervals, IvEnv};
+use super::intervals::IvEnv;
 use crate::instr::{BinOp, Instr, Operand, Terminator};
-use crate::program::{Facts, Program};
+use crate::program::Program;
 use crate::types::BlockId;
 
 /// What [`simplify`] did, for reports and ablation tables.
@@ -56,16 +50,13 @@ pub struct SimplifyStats {
     pub branches_decided: usize,
     /// Unreachable blocks deleted.
     pub blocks_removed: usize,
-    /// Interval facts exported ([`Facts::safe_sites`] entries plus one
-    /// for an exit-length interval, when present).
-    pub intervals_exported: usize,
 }
 
-/// Simplifies `prog` under the entry-length environment `env` (which
-/// must match the `SymConfig` bounds the executor will run with) and
-/// attaches the proven [`Facts`]. See the module docs for why every
-/// step preserves verdicts.
-pub fn simplify(prog: &Program, env: IvEnv) -> (Program, SimplifyStats) {
+/// Simplifies `prog`. See the module docs for why every step preserves
+/// verdicts. Every transformation is decided by pool-exact constant
+/// propagation alone, so the entry-length environment `_env` is not
+/// read; the parameter keeps the signature the analyses share.
+pub fn simplify(prog: &Program, _env: IvEnv) -> (Program, SimplifyStats) {
     let cp = ConstProp::run_pool_exact(prog);
     let mut out = prog.clone();
     let mut stats = SimplifyStats::default();
@@ -127,21 +118,6 @@ pub fn simplify(prog: &Program, env: IvEnv) -> (Program, SimplifyStats) {
         stats.blocks_removed = keep.len() - kept.len();
         out.blocks = kept;
     }
-
-    // Phase 3: prove interval facts about the transformed program.
-    let iv = Intervals::run(&out, env);
-    let safe_sites: Vec<(u32, u32)> = iv
-        .site_safety(&out)
-        .into_iter()
-        .filter(|s| s.proven_safe)
-        .map(|s| (s.block as u32, s.instr as u32))
-        .collect();
-    let exit_len = iv.exit_len(&out);
-    stats.intervals_exported = safe_sites.len() + usize::from(exit_len.is_some());
-    out.facts = Facts {
-        safe_sites,
-        exit_len,
-    };
 
     debug_assert!(
         out.validate().is_ok(),

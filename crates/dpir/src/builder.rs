@@ -22,7 +22,7 @@
 //! ```
 
 use crate::instr::{BinOp, Instr, Operand, Terminator, UnOp};
-use crate::program::{Block, Facts, MapDecl, Program, ValidateError};
+use crate::program::{Block, MapDecl, Program, ValidateError};
 use crate::types::{BlockId, MapId, PortId, Reg, Width};
 
 /// Error returned by [`ProgramBuilder::build`].
@@ -486,7 +486,6 @@ impl ProgramBuilder {
             reg_widths: self.reg_widths,
             maps: self.maps,
             assert_msgs: self.assert_msgs,
-            facts: Facts::default(),
         };
         prog.validate().map_err(BuildError::Invalid)?;
         Ok(prog)

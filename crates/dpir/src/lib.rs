@@ -48,7 +48,7 @@ pub use builder::ProgramBuilder;
 pub use fingerprint::{fingerprint128, StableHasher};
 pub use instr::{BinOp, CastKind, CrashReason, Instr, Operand, Terminator, UnOp};
 pub use interp::{run_program, ExecOutcome, ExecResult, MapRuntime, NullMapRuntime, PacketData};
-pub use program::{Block, Facts, MapDecl, Program, ValidateError};
+pub use program::{Block, MapDecl, Program, ValidateError};
 pub use types::{
     BlockId, MapId, PortId, Reg, Width, META_SLOTS, META_WIDTH, PORT_CONTINUE, PORT_MAX,
 };

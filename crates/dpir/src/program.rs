@@ -36,26 +36,11 @@ pub struct Block {
     pub term: Terminator,
 }
 
-/// Statically proven facts attached to a program by the
-/// [`crate::analysis::simplify()`] pass (empty on freshly built
-/// programs). The facts are *trusted* by the symbolic executor —
-/// they must only ever be produced by an analysis run against the
-/// same program and the same entry-length environment the executor
-/// uses. They participate in `Hash`, so a program with facts
-/// fingerprints differently from the same program without — which
-/// keeps summary-store keys for simplified and raw variants distinct.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct Facts {
-    /// `(block, instr)` packet-access sites proven in bounds on every
-    /// feasible path: the executor may skip the crash fork there (it
-    /// still records the in-bounds constraint).
-    pub safe_sites: Vec<(u32, u32)>,
-    /// Proven `[lo, hi]` bounds on the packet length at `Emit` exits,
-    /// when strictly tighter than the entry environment.
-    pub exit_len: Option<(u64, u64)>,
-}
-
 /// A complete IR program (one packet-processing element or loop body).
+///
+/// The blocks are the whole semantics: no analysis result rides along
+/// with a program, so the symbolic executor trusts nothing but them,
+/// and [`Program::fingerprint`] hashes exactly what executes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Debug name (e.g. `"CheckIPHeader"`).
@@ -68,9 +53,6 @@ pub struct Program {
     pub maps: Vec<MapDecl>,
     /// Messages for `Assert`/`Crash::Explicit`, by index.
     pub assert_msgs: Vec<String>,
-    /// Statically proven facts (empty unless the program came out of
-    /// the simplifier).
-    pub facts: Facts,
 }
 
 /// A structural validation error.
@@ -343,7 +325,6 @@ mod tests {
             reg_widths: vec![8],
             maps: vec![],
             assert_msgs: vec![],
-            facts: Facts::default(),
         }
     }
 

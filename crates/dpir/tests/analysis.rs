@@ -356,42 +356,13 @@ fn simplify_preserves_concrete_semantics() {
     assert!(total_removed > 0, "no unreachable block ever removed");
 }
 
-/// Exported exit-length facts are sound: every concretely emitted
-/// packet lands inside the proven bounds (entry lengths drawn from the
-/// analysis environment).
-#[test]
-fn exit_len_facts_bound_concrete_lengths() {
-    let mut checked = 0usize;
-    for seed in 0..SEEDS {
-        let prog = random_prog(seed);
-        let iv = Intervals::run(&prog, ENV);
-        let Some((lo, hi)) = iv.exit_len(&prog) else {
-            continue;
-        };
-        let mut r = StdRng::seed_from_u64(seed ^ 0x5678);
-        for _ in 0..PACKETS_PER_SEED {
-            let mut p = random_packet(&mut r);
-            let o = run_program(&prog, &mut p, &mut NullMapRuntime, FUEL);
-            if matches!(o.result, ExecResult::Emitted(_)) {
-                let len = p.len() as u64;
-                assert!(
-                    lo <= len && len <= hi,
-                    "seed {seed}: concrete exit length {len} outside proven [{lo}, {hi}]"
-                );
-                checked += 1;
-            }
-        }
-    }
-    assert!(checked > 0, "no program ever proved an exit-length fact");
-}
-
 // --------------------------------------------- widening / termination
 
 /// A loop whose counter the interval domain cannot bound (the exit
 /// condition reads a packet byte, so narrowing never closes the
 /// range): without widening the fixpoint would ascend one lattice
 /// step per iteration, i.e. 2^32 times. The test terminating at all
-/// is the assertion; the stabilized facts must still be sound.
+/// is the assertion.
 #[test]
 fn widening_terminates_unbounded_loops() {
     for seed in 0..SEEDS {
@@ -413,12 +384,9 @@ fn widening_terminates_unbounded_loops() {
         b.emit(0);
         let prog = b.build().expect("valid");
 
-        // Must terminate (widening) and must not shrink the length.
-        let iv = Intervals::run(&prog, ENV);
-        if let Some((lo, hi)) = iv.exit_len(&prog) {
-            assert!(lo <= LEN_LO && hi >= LEN_HI, "loop does not touch length");
-        }
-        // Same for the simplifier end to end: it runs both analyses.
+        // Must terminate (widening).
+        let _ = Intervals::run(&prog, ENV);
+        // Same for the simplifier end to end.
         let (simp, _) = simplify(&prog, ENV);
         simp.validate().expect("simplified program validates");
     }

@@ -12,6 +12,10 @@
 //! clauses from fork to fork. Cheap fork checking
 //! ([`SymConfig::exact_forks`] off) never touches the session.
 //!
+//! The program is the only input the executor trusts: every bounds
+//! check and assertion asks the feasibility of its crash branch like
+//! any other fork, and no analysis result can elide the question.
+//!
 //! ## Determinism guarantee
 //!
 //! [`execute`] is a pure function of its inputs: for identical
@@ -313,11 +317,7 @@ impl Exec<'_> {
 
     /// Ends `st` in a segment with `outcome`.
     fn finish(&mut self, st: &PathState, outcome: SegOutcome) {
-        let mut seg = segment_of(st, outcome);
-        if let SegOutcome::Emit(_) = outcome {
-            attach_assumed(self.pool, self.prog, st, &mut seg);
-        }
-        self.segments.push(seg);
+        self.segments.push(segment_of(st, outcome));
     }
 
     /// Forks a crash segment off `st` under the extra conjunct `when`,
@@ -453,7 +453,7 @@ impl Exec<'_> {
                 let newlen32 = self.pool.mk_add(len32, kc);
                 let cap = self.pool.mk_const(32, cfg.max_pkt_bytes as u64);
                 let fits = self.pool.mk_ule(newlen32, cap);
-                if !self.fork_crash_unless(st, fits, CrashReason::OobWrite, false) {
+                if !self.fork_crash_unless(st, fits, CrashReason::OobWrite) {
                     return Ok(StepFlow::EndState);
                 }
                 let zero8 = self.pool.mk_const(8, 0);
@@ -477,7 +477,7 @@ impl Exec<'_> {
                 let k = k as usize;
                 let kc16 = self.pool.mk_const(16, k as u64);
                 let fits = self.pool.mk_ule(kc16, st.len);
-                if !self.fork_crash_unless(st, fits, CrashReason::OobRead, false) {
+                if !self.fork_crash_unless(st, fits, CrashReason::OobRead) {
                     return Ok(StepFlow::EndState);
                 }
                 let zero8 = self.pool.mk_const(8, 0);
@@ -570,7 +570,7 @@ impl Exec<'_> {
             }
             Instr::Assert { cond, msg } => {
                 let c = operand(self.pool, st, cond, 1);
-                if !self.fork_crash_unless(st, c, CrashReason::AssertFailed(msg), false) {
+                if !self.fork_crash_unless(st, c, CrashReason::AssertFailed(msg)) {
                     return Ok(StepFlow::EndState);
                 }
             }
@@ -580,12 +580,7 @@ impl Exec<'_> {
 
     /// Forks a crash segment for the out-of-bounds case of a `k`-byte
     /// access at `off_t` (if feasible) and constrains the surviving
-    /// path to be in bounds; false if the access always crashes. Where
-    /// the static simplifier proved the *current* instruction's access
-    /// in bounds on every feasible path, the crash fork (and its
-    /// feasibility query) is skipped — the interval analysis already
-    /// refuted it — but the surviving path still records the identical
-    /// in-bounds constraint.
+    /// path to be in bounds; false if the access always crashes.
     fn bounds_fork(
         &mut self,
         st: &mut PathState,
@@ -593,12 +588,6 @@ impl Exec<'_> {
         k: usize,
         reason: CrashReason,
     ) -> bool {
-        // `st.iidx` was already advanced past the instruction, and
-        // `Facts::safe_sites` comes out of the analysis in (block,
-        // instr) order.
-        debug_assert!(st.iidx > 0);
-        let site = (st.bb as u32, (st.iidx - 1) as u32);
-        let proven_safe = self.prog.facts.safe_sites.binary_search(&site).is_ok();
         // In-bounds: zext(off) + k ≤ zext(len), computed at width 32 so
         // the addition cannot wrap.
         let off32 = self.pool.mk_zext(off_t, 32);
@@ -606,25 +595,13 @@ impl Exec<'_> {
         let end = self.pool.mk_add(off32, kc);
         let len32 = self.pool.mk_zext(st.len, 32);
         let inb = self.pool.mk_ule(end, len32);
-        self.fork_crash_unless(st, inb, reason, proven_safe)
+        self.fork_crash_unless(st, inb, reason)
     }
 
     /// Forks a crash segment on `¬cond` (if feasible); constrains the
     /// current path with `cond`. Returns false if the path itself is
-    /// dead (cond constant-false). With `skip_crash_branch` the crash
-    /// fork is elided outright — callers pass it only when a static
-    /// proof showed `¬cond` infeasible under the path constraints, in
-    /// which case an exact fork check would have refuted the branch
-    /// anyway (this only skips the query, and under cheap fork
-    /// checking it also removes the spurious crash suspects the cheap
-    /// layers cannot refute).
-    fn fork_crash_unless(
-        &mut self,
-        st: &mut PathState,
-        cond: TermId,
-        reason: CrashReason,
-        skip_crash_branch: bool,
-    ) -> bool {
+    /// dead (cond constant-false).
+    fn fork_crash_unless(&mut self, st: &mut PathState, cond: TermId, reason: CrashReason) -> bool {
         if self.pool.is_true(cond) {
             return true;
         }
@@ -632,12 +609,8 @@ impl Exec<'_> {
             self.finish(st, SegOutcome::Crash(reason));
             return false;
         }
-        if skip_crash_branch {
-            self.pruned += 1;
-        } else {
-            let notc = self.pool.mk_not(cond);
-            self.crash_fork(st, notc, reason);
-        }
+        let notc = self.pool.mk_not(cond);
+        self.crash_fork(st, notc, reason);
         st.constraint.push(cond);
         true
     }
@@ -786,39 +759,9 @@ fn concat_be(pool: &mut TermPool, bytes: &[TermId]) -> TermId {
     acc
 }
 
-/// Attaches statically proven exit facts to an `Emit` segment: the
-/// simplifier's exit-length interval becomes `assumed` terms. Each
-/// term is implied by the segment's path constraints (the interval
-/// analysis quantified over feasible executions under the same entry
-/// bounds), so conjoining them downstream never changes
-/// satisfiability — they only help the cheap solver layers decide.
-fn attach_assumed(pool: &mut TermPool, prog: &Program, st: &PathState, seg: &mut Segment) {
-    let Some((lo, hi)) = prog.facts.exit_len else {
-        return;
-    };
-    // Length is a 16-bit term; bounds outside that range are either
-    // vacuous (hi ≥ 2^16-1) or come from an infeasible refinement and
-    // must not be masked into a wrong constraint.
-    if lo > 0 && lo <= 0xffff {
-        let lo_c = pool.mk_const(16, lo);
-        let t = pool.mk_ule(lo_c, st.len);
-        if !pool.is_true(t) {
-            seg.assumed.push(t);
-        }
-    }
-    if hi < 0xffff {
-        let hi_c = pool.mk_const(16, hi);
-        let t = pool.mk_ule(st.len, hi_c);
-        if !pool.is_true(t) {
-            seg.assumed.push(t);
-        }
-    }
-}
-
 fn segment_of(st: &PathState, outcome: SegOutcome) -> Segment {
     Segment {
         constraint: st.constraint.clone(),
-        assumed: Vec::new(),
         outcome,
         pkt_out: st.pkt.clone(),
         len_out: st.len,

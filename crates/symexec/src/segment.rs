@@ -57,19 +57,12 @@ pub struct MapOpRecord {
 }
 
 /// A fully-summarized path through one element: the paper's *segment*.
+/// Every term comes from executing the element's program, and
+/// `constraint` is all that step-2 composition conjoins for it.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Path constraint: conjunction of width-1 terms over the input.
     pub constraint: Vec<TermId>,
-    /// Statically proven facts about the segment's exit state
-    /// (currently: packet-length bounds from
-    /// `dpir::Facts::exit_len`), as width-1 terms over the input.
-    /// Every term here is **implied by `constraint`** on all feasible
-    /// models — step-2 composition may conjoin them to sharpen
-    /// feasibility checks without changing satisfiability, and
-    /// counterexample extraction ignores them. Empty unless the
-    /// program came out of the static simplifier.
-    pub assumed: Vec<TermId>,
     /// Outcome.
     pub outcome: SegOutcome,
     /// Output packet bytes (terms over the input), window-sized.
