@@ -17,7 +17,9 @@
 //! ```
 //!
 //! The delta file is append-only text, one update per line (`#`
-//! starts a comment; numbers are decimal or `0x` hex):
+//! starts a comment; numbers are decimal or `0x` hex; the map index,
+//! LPM prefixes and values must fit in 32 bits and prefix lengths be
+//! at most 32, or the line is ignored with a message):
 //!
 //! ```text
 //! IPFilter 0 exact-insert 0x0BAD0002=1,0x0BAD0003=1
@@ -61,6 +63,12 @@ fn parse_num(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad number {s:?}"))
 }
 
+/// A number that must fit the 32-bit field `what` names.
+fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
+    let n = parse_num(s)?;
+    u32::try_from(n).map_err(|_| format!("{what} {n:#x} does not fit in 32 bits"))
+}
+
 fn parse_kv(item: &str) -> Result<(u64, u64), String> {
     let (k, v) = item
         .split_once('=')
@@ -72,7 +80,11 @@ fn parse_prefix(s: &str) -> Result<(u32, u32), String> {
     let (p, l) = s
         .split_once('/')
         .ok_or_else(|| format!("expected prefix/len, got {s:?}"))?;
-    Ok((parse_num(p)? as u32, parse_num(l)? as u32))
+    let len = parse_u32(l, "prefix length")?;
+    if len > 32 {
+        return Err(format!("prefix length /{len} is longer than 32"));
+    }
+    Ok((parse_u32(p, "prefix")?, len))
 }
 
 fn parse_line(line: &str) -> Result<Line, String> {
@@ -85,7 +97,7 @@ fn parse_line(line: &str) -> Result<Line, String> {
     }
     let mut parts = line.split_whitespace();
     let stage = parts.next().expect("non-empty line has a first token");
-    let map = parse_num(parts.next().ok_or("missing map index")?)? as u32;
+    let map = parse_u32(parts.next().ok_or("missing map index")?, "map index")?;
     let op_name = parts.next().ok_or("missing op")?;
     let args = parts.next().ok_or("missing op arguments")?;
     if parts.next().is_some() {
@@ -104,7 +116,7 @@ fn parse_line(line: &str) -> Result<Line, String> {
                         .split_once('=')
                         .ok_or_else(|| format!("expected prefix/len=value, got {item:?}"))?;
                     let (p, l) = parse_prefix(pl)?;
-                    Ok::<_, String>((p, l, parse_num(v)? as u32))
+                    Ok::<_, String>((p, l, parse_u32(v, "LPM value")?))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         ),
@@ -369,6 +381,62 @@ mod tests {
         assert!(parse_line("IPFilter 0 exact-insert 7").is_err());
         assert!(parse_line("IPlookup 0 lpm-remove 0x0A000000").is_err());
         assert!(parse_line("IPFilter 0 exact-remove 7 trailing").is_err());
+    }
+
+    /// The four 32-bit fields reject a number one past `u32::MAX`
+    /// instead of wrapping it, and take `u32::MAX` itself.
+    #[test]
+    fn rejects_a_map_index_past_32_bits() {
+        let err = parse_line("IPFilter 0x100000000 exact-remove 7").unwrap_err();
+        assert!(err.contains("map index"), "{err}");
+        let Line::Delta(d) = parse_line("IPFilter 0xffffffff exact-remove 7").unwrap() else {
+            panic!("expected delta");
+        };
+        assert_eq!(d.map, dpir::MapId(u32::MAX));
+    }
+
+    #[test]
+    fn rejects_an_lpm_prefix_past_32_bits() {
+        let err = parse_line("IPlookup 0 lpm-insert 0x10A000000/8=2").unwrap_err();
+        assert!(err.contains("prefix 0x10a000000"), "{err}");
+        assert!(parse_line("IPlookup 0 lpm-remove 0x10A000000/8").is_err());
+        let Line::Delta(d) = parse_line("IPlookup 0 lpm-remove 0xffffffff/32").unwrap() else {
+            panic!("expected delta");
+        };
+        match d.op {
+            TableOp::LpmRemove(routes) => assert_eq!(routes, vec![(u32::MAX, 32)]),
+            other => panic!("wrong op: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_prefix_length_past_32() {
+        for line in [
+            "IPlookup 0 lpm-insert 0x0A000000/40=2",
+            "IPlookup 0 lpm-insert 0x0A000000/33=2",
+            "IPlookup 0 lpm-remove 0x0A000000/0x100000008",
+        ] {
+            let err = parse_line(line).unwrap_err();
+            assert!(err.contains("prefix length"), "{line}: {err}");
+        }
+        for len in [0, 32] {
+            let line = format!("IPlookup 0 lpm-insert 0x0A000000/{len}=2");
+            assert!(parse_line(&line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_lpm_value_past_32_bits() {
+        let err = parse_line("IPlookup 0 lpm-insert 0x0A000000/8=0x100000002").unwrap_err();
+        assert!(err.contains("LPM value"), "{err}");
+        let Line::Delta(d) = parse_line("IPlookup 0 lpm-insert 0x0A000000/8=0xffffffff").unwrap()
+        else {
+            panic!("expected delta");
+        };
+        match d.op {
+            TableOp::LpmInsert(routes) => assert_eq!(routes, vec![(0x0A00_0000, 8, u32::MAX)]),
+            other => panic!("wrong op: {other:?}"),
+        }
     }
 
     #[test]

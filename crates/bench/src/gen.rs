@@ -443,164 +443,6 @@ fn planted_crash_stage(r: &mut StdRng, k: usize) -> Element {
     Element::straight(&format!("trap{k}"), b.build().expect("trap stage is valid"))
 }
 
-// ---------------------------------------------------------------------------
-// Config-update streams
-// ---------------------------------------------------------------------------
-
-use dataplane::{TableConfig, TableContents, TableDelta, TableOp};
-
-/// A seedable stream of valid [`TableDelta`]s over `pipeline`'s static
-/// tables — the input half of the churn differential harness
-/// (`crates/bench/tests/churn.rs`).
-///
-/// The generator tracks a shadow copy of every table so the stream
-/// looks like control-plane churn rather than noise: most updates are
-/// single-entry inserts or removes of *existing* entries, a few
-/// overwrite an entry's value, some are deliberate no-ops (overwrite
-/// with the same value, remove an absent key) and an occasional update
-/// replaces a whole table. Generation is a pure function of
-/// `(seed, pipeline tables, n)`, so two processes — or two reuse
-/// levels in one process — always apply the same stream.
-///
-/// Tables are addressed the way [`TableDelta::apply`] resolves them:
-/// by element name, so repeated elements (e.g. every `IPlookup`
-/// instance sharing one FIB) receive each update together and their
-/// shadows stay in lock-step. Panics if `pipeline` has no static
-/// tables.
-pub fn delta_stream(seed: u64, pipeline: &Pipeline, n: usize) -> Vec<TableDelta> {
-    let mut r = StdRng::seed_from_u64(seed ^ 0x00d1_f7a5_u64);
-    // One shadow per (element name, map): the state the stream evolves.
-    let mut tables: Vec<(String, dpir::MapId, TableConfig)> = Vec::new();
-    for stage in &pipeline.stages {
-        for (map, cfg) in &stage.element.tables {
-            if !tables
-                .iter()
-                .any(|(name, m, _)| *name == stage.element.name && m == map)
-            {
-                tables.push((stage.element.name.clone(), *map, cfg.clone()));
-            }
-        }
-    }
-    assert!(
-        !tables.is_empty(),
-        "delta_stream needs a pipeline with static tables"
-    );
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let t = (r.next_u64() as usize) % tables.len();
-        let (name, map, shadow) = &mut tables[t];
-        let op = match shadow.contents() {
-            TableContents::Exact(_) => exact_op(&mut r, shadow),
-            TableContents::Lpm(_) => lpm_op(&mut r, shadow),
-        };
-        let delta = TableDelta::new(name.clone(), *map, op);
-        // Keep the shadow current so later removes target live entries.
-        apply_shadow(&delta, shadow);
-        out.push(delta);
-    }
-    out
-}
-
-fn apply_shadow(delta: &TableDelta, shadow: &mut TableConfig) {
-    match &delta.op {
-        TableOp::ExactInsert(es) => {
-            for &(k, v) in es {
-                shadow.insert_exact(k, v).expect("shadow kind matches");
-            }
-        }
-        TableOp::ExactRemove(ks) => {
-            for &k in ks {
-                shadow.remove_exact(k).expect("shadow kind matches");
-            }
-        }
-        TableOp::LpmInsert(rs) => {
-            for &(p, l, v) in rs {
-                shadow.insert_lpm(p, l, v).expect("shadow kind matches");
-            }
-        }
-        TableOp::LpmRemove(rs) => {
-            for &(p, l) in rs {
-                shadow.remove_lpm(p, l).expect("shadow kind matches");
-            }
-        }
-        TableOp::Replace(new) => {
-            shadow.replace(new.clone());
-        }
-    }
-}
-
-/// One churn step against an exact-match shadow.
-fn exact_op(r: &mut StdRng, shadow: &TableConfig) -> TableOp {
-    let entries: Vec<(u64, u64)> = match shadow.contents() {
-        TableContents::Exact(es) => es.clone(),
-        TableContents::Lpm(_) => unreachable!("caller matched Exact"),
-    };
-    let pick = |r: &mut StdRng| entries[(r.next_u64() as usize) % entries.len()];
-    match r.next_u64() % 10 {
-        // Insert a fresh key (dominant churn mode).
-        0..=3 => TableOp::ExactInsert(vec![(r.next_u64() % 4096, r.next_u64() % 16)]),
-        // Remove an existing entry.
-        4..=6 if !entries.is_empty() => TableOp::ExactRemove(vec![pick(r).0]),
-        // Overwrite an existing entry's value.
-        7 if !entries.is_empty() => {
-            let (k, v) = pick(r);
-            TableOp::ExactInsert(vec![(k, v ^ 1)])
-        }
-        // Deliberate no-ops: same-value overwrite / absent-key remove.
-        8 if !entries.is_empty() => TableOp::ExactInsert(vec![pick(r)]),
-        8 => TableOp::ExactRemove(vec![r.next_u64()]),
-        // Whole-table replace with a perturbed copy.
-        9 => {
-            let mut new: Vec<(u64, u64)> = entries;
-            new.push((r.next_u64() % 4096, r.next_u64() % 16));
-            if new.len() > 1 {
-                let i = (r.next_u64() as usize) % new.len();
-                new.swap_remove(i);
-            }
-            TableOp::Replace(TableConfig::exact(new))
-        }
-        _ => TableOp::ExactInsert(vec![(r.next_u64() % 4096, r.next_u64() % 16)]),
-    }
-}
-
-/// One churn step against an LPM shadow. Prefixes stay in a small pool
-/// so removes and overwrites hit live routes often.
-fn lpm_op(r: &mut StdRng, shadow: &TableConfig) -> TableOp {
-    let routes: Vec<(u32, u32, u32)> = match shadow.contents() {
-        TableContents::Lpm(rs) => rs.clone(),
-        TableContents::Exact(_) => unreachable!("caller matched Lpm"),
-    };
-    let pick = |r: &mut StdRng| routes[(r.next_u64() as usize) % routes.len()];
-    let fresh = |r: &mut StdRng| {
-        (
-            (10 + r.next_u64() % 64) as u32,
-            (8 + 8 * (r.next_u64() % 3)) as u32,
-            (r.next_u64() % 4) as u32,
-        )
-    };
-    match r.next_u64() % 10 {
-        0..=3 => TableOp::LpmInsert(vec![fresh(r)]),
-        4..=6 if !routes.is_empty() => {
-            let (p, l, _) = pick(r);
-            TableOp::LpmRemove(vec![(p, l)])
-        }
-        // Overwrite an existing route's next hop.
-        7 if !routes.is_empty() => {
-            let (p, l, v) = pick(r);
-            TableOp::LpmInsert(vec![(p, l, (v + 1) % 4)])
-        }
-        // Deliberate no-ops.
-        8 if !routes.is_empty() => TableOp::LpmInsert(vec![pick(r)]),
-        8 => TableOp::LpmRemove(vec![(200 + (r.next_u64() % 32) as u32, 16)]),
-        9 => {
-            let mut new = routes;
-            new.push(fresh(r));
-            if new.len() > 1 {
-                let i = (r.next_u64() as usize) % new.len();
-                new.swap_remove(i);
-            }
-            TableOp::Replace(TableConfig::lpm(new))
-        }
-        _ => TableOp::LpmInsert(vec![fresh(r)]),
-    }
-}
+/// The seeded config-update stream, which lives with the table deltas
+/// it generates.
+pub use dataplane::workload::delta_stream;

@@ -355,3 +355,48 @@ fn step_one_trusts_only_the_program() {
         hits.join("\n")
     );
 }
+
+/// A counterexample is minimised on the step-2 session whose check
+/// found it (`SolveSession::lex_min_model`), with assumptions on bits
+/// that session already holds. The binary search on a fresh private
+/// session it replaced, `canonical_model`, survives only as the oracle
+/// in `step2.rs`'s tests. So no product line of `crates/core/src` names
+/// that oracle or constructs a `SolveSession` anywhere but inside
+/// `step2.rs`'s `new_session`, where every session the crate asks its
+/// questions of is made.
+#[test]
+fn counterexamples_come_from_the_live_session() {
+    let mut files = Vec::new();
+    rust_files(&crates_dir().join("core/src"), &mut files);
+    assert!(files.len() > 8, "scanned only {} files", files.len());
+    // Built in pieces so that this file does not match itself.
+    let needles = [
+        ["canonical", "_model"].concat(),
+        ["SolveSession", "::new"].concat(),
+        ["SolveSession", "::with_conflict_budget"].concat(),
+        ["SolveSession", "::default"].concat(),
+    ];
+    let opener = ["fn new", "_session("].concat();
+    let (mut hits, mut made) = (Vec::new(), 0);
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("source file");
+        let mut inside = false;
+        for (i, line) in product_lines(&text) {
+            inside |= line.contains(&opener);
+            if needles.iter().any(|n| line.contains(n.as_str())) {
+                if inside {
+                    made += 1;
+                } else {
+                    hits.push(format!("{}:{}: {}", file.display(), i, line.trim()));
+                }
+            }
+            inside &= line != "}";
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a session made outside `new_session`, or the oracle in product code:\n{}",
+        hits.join("\n")
+    );
+    assert_eq!(made, 1, "`new_session` makes the one session");
+}

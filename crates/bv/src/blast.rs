@@ -752,6 +752,25 @@ impl Blaster {
         self.var_bits.get(&id).map(|bits| self.model_bits(bits))
     }
 
+    /// The input bits (LSB first) of symbolic variable `id`, if a term
+    /// naming it was blasted in a live scope.
+    pub fn var_lits(&self, id: u32) -> Option<&[Lit]> {
+        self.var_bits.get(&id).map(Vec::as_slice)
+    }
+
+    /// After a SAT verdict: the value of literal `l` in the model, or
+    /// `None` if the call did not assign its variable.
+    pub fn model_lit(&self, l: Lit) -> Option<bool> {
+        self.sat.value(l.var()).map(|v| v == l.is_positive())
+    }
+
+    /// After a SAT verdict: whether the call's assumptions fixed `l`'s
+    /// variable (see [`Solver::fixed_by_assumptions`]), so no model
+    /// under them gives it another value.
+    pub fn fixed_by_assumptions(&self, l: Lit) -> bool {
+        self.sat.fixed_by_assumptions(l.var())
+    }
+
     /// After a SAT verdict: the value of every variable blasted in a
     /// live scope — the variables of exactly the terms the verdict is
     /// about, read off without walking those terms.

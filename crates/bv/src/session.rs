@@ -64,9 +64,12 @@
 //!   after one: the next query rolls the starved scope back like any
 //!   other;
 //! * satisfying *models* for under-constrained queries depend on the
-//!   learnt clauses and saved phases accumulated by earlier queries;
-//!   callers that need deterministic model bytes minimize the model
-//!   themselves, as the step-2 engine does per reported field.
+//!   learnt clauses and saved phases accumulated by earlier queries.
+//!   Callers that need deterministic model bytes ask the session for
+//!   the lexicographically smallest model over the fields they report
+//!   ([`SolveSession::lex_min_model`]), as the step-2 engine does for
+//!   every counterexample: a pure function of the active constraints'
+//!   semantics, found on the circuits the session already holds.
 //!
 //! Because every query is assumption-driven, UNSAT answers come with
 //! an [`crate::Infeasibility`] **core** for free: the subset of the
@@ -77,10 +80,10 @@
 //! ([`SolveSession::set_core_extraction`]).
 
 use crate::blast::{BlastMark, Blaster};
-use crate::eval::eval;
+use crate::eval::{eval, Assignment};
 use crate::interval::{interval_of, Interval, IntervalMemo};
 use crate::solver::{Model, SatVerdict, SolverLayerStats};
-use crate::term::{TermId, TermPool};
+use crate::term::{Term, TermId, TermPool};
 use bitsat::Lit;
 
 /// An incremental solving session over one [`TermPool`].
@@ -124,6 +127,10 @@ pub struct SolveSession {
     /// core (default). Callers that never read cores can switch this
     /// off to skip the core mapping and the cheap-layer core clones.
     extract_cores: bool,
+    /// Whether the CDCL trail is a model of the whole active stack,
+    /// left by a blast-layer `Sat` under exactly the stack's activation
+    /// literals — what [`SolveSession::lex_min_model`] starts from.
+    sat_trail: bool,
 }
 
 impl Default for SolveSession {
@@ -136,6 +143,7 @@ impl Default for SolveSession {
             folded: Vec::new(),
             intervals: IntervalMemo::default(),
             extract_cores: true,
+            sat_trail: false,
         }
     }
 }
@@ -194,6 +202,7 @@ impl SolveSession {
     /// blasted lazily, on the first blast-layer query that sees it
     /// active.
     pub fn assert_constraint(&mut self, t: TermId) {
+        self.sat_trail = false;
         self.stack.push(t);
     }
 
@@ -202,6 +211,7 @@ impl SolveSession {
     /// from the solver and their intervals from the memo.
     pub fn retire_to(&mut self, depth: usize) {
         debug_assert!(depth <= self.stack.len());
+        self.sat_trail &= depth == self.stack.len();
         self.stack.truncate(depth);
         if let Some(&(_, mark)) = self.folded.get(depth) {
             self.intervals.truncate(mark);
@@ -223,6 +233,7 @@ impl SolveSession {
     /// dropped again within this query).
     pub fn check_assuming(&mut self, pool: &mut TermPool, extra: &[TermId]) -> SatVerdict {
         self.stats.queries += 1;
+        self.sat_trail = false;
         // Layers 1 and 2 answer for the conjunction of the full active
         // set, the left fold `BvSolver` builds from the same list — so
         // the answering layer (and the verdict) matches the oracle's.
@@ -299,6 +310,7 @@ impl SolveSession {
                         .all(|id| Some(a.get(id)) == self.blaster.model_var(id)),
                     "the live model must cover every free variable of the query"
                 );
+                self.sat_trail = extra.is_empty();
                 SatVerdict::Sat(Model::from_assignment(a))
             }
             bitsat::SolveResult::Unsat if self.extract_cores => SatVerdict::Unsat(map_core(
@@ -314,6 +326,140 @@ impl SolveSession {
             self.blaster.rollback(query_scope);
         }
         verdict
+    }
+
+    /// The **lexicographically smallest model** of the active stack over
+    /// `fields`, each read MSB first: the first field as small as any
+    /// model allows, the next as small as any model with the first at
+    /// that value allows, and so on. Once the first field's value is
+    /// known, `reported(value)` says how many of the remaining fields
+    /// are minimised; the model names exactly the minimised ones.
+    /// Minimality makes the answer a function of the active constraints'
+    /// semantics alone — not of the learnt clauses, phases or variable
+    /// numbering earlier queries left behind — so a warm session and a
+    /// fresh one report the same values.
+    ///
+    /// Every field must be a variable term; one that no active
+    /// constraint names is unconstrained and reads 0. The walk pins
+    /// bits with assumptions on the circuits the session already holds,
+    /// keeping one growing assumption list: a bit the current model has
+    /// at 0 is pinned to 0, a bit the assumptions of the last `Sat`
+    /// fixed keeps its value, and only the rest cost a CDCL call with
+    /// the bit negated — `Sat` pins it to 0 and moves to the new model,
+    /// `Unsat` pins it to 1 and keeps the old one. The first model is
+    /// the trail of the blast-layer `Sat` that just answered the active
+    /// stack, when there is one; otherwise (a cheap layer answered, or
+    /// the stack moved since) the pending entries are blasted and
+    /// solved once. No term is interned and no circuit is added beyond
+    /// those pending entries, which leave again with everything else
+    /// the walk did ([`Blaster::mark`]/[`Blaster::rollback`]): depth,
+    /// SAT variables and pool are as the session had them, and only
+    /// the CDCL core keeps what it learnt. Its calls count in
+    /// [`SolverLayerStats::sat_solve_calls`] and not as queries.
+    ///
+    /// `None` if the active stack is unsatisfiable or a call exhausts
+    /// the conflict budget.
+    pub fn lex_min_model(
+        &mut self,
+        pool: &TermPool,
+        fields: &[TermId],
+        reported: impl FnOnce(u64) -> usize,
+    ) -> Option<Model> {
+        let scope = self.blaster.mark();
+        let model = self.lex_min_in_scope(pool, fields, reported);
+        self.blaster.rollback(scope);
+        self.sat_trail = false;
+        model
+    }
+
+    /// [`SolveSession::lex_min_model`] inside its scope.
+    fn lex_min_in_scope(
+        &mut self,
+        pool: &TermPool,
+        fields: &[TermId],
+        reported: impl FnOnce(u64) -> usize,
+    ) -> Option<Model> {
+        let mut pins: Vec<Lit> = self.scopes.iter().map(|&(_, act)| act).collect();
+        if !self.sat_trail {
+            for &t in &self.stack[self.scopes.len()..] {
+                pins.push(self.blaster.assert_gated(pool, t));
+            }
+            if !self.extraction_solve(&pins)? {
+                return None;
+            }
+        }
+        let ids: Vec<u32> = fields
+            .iter()
+            .map(|&t| match *pool.get(t) {
+                Term::Var { id, .. } => id,
+                _ => panic!("lex_min_model: field {t:?} is not a variable term"),
+            })
+            .collect();
+        let lits: Vec<Vec<Lit>> = ids
+            .iter()
+            .map(|&id| {
+                self.blaster
+                    .var_lits(id)
+                    .map_or(Vec::new(), <[Lit]>::to_vec)
+            })
+            .collect();
+        // Per field, the current model's value and the bits the last
+        // `Sat`'s assumptions fixed. A field with no bits reads 0.
+        let read = |blaster: &Blaster, lits: &[Lit]| {
+            lits.iter()
+                .enumerate()
+                .fold((0u64, 0u64), |(value, fixed), (i, &l)| {
+                    debug_assert!(blaster.model_lit(l).is_some(), "a live bit left unassigned");
+                    let one = u64::from(blaster.model_lit(l) == Some(true));
+                    let forced = u64::from(blaster.fixed_by_assumptions(l));
+                    (value | one << i, fixed | forced << i)
+                })
+        };
+        let mut witness: Vec<(u64, u64)> = lits.iter().map(|l| read(&self.blaster, l)).collect();
+        let mut reported = Some(reported);
+        let mut count = fields.len();
+        let mut out = Assignment::new();
+        let mut j = 0;
+        while j < count {
+            let mut value = 0u64;
+            for (i, &l) in lits[j].iter().enumerate().rev() {
+                let (model, fixed) = witness[j];
+                match (model >> i & 1 == 1, fixed >> i & 1 == 1) {
+                    (false, true) => {}
+                    (false, false) => pins.push(!l),
+                    (true, true) => value |= 1 << i,
+                    (true, false) => {
+                        pins.push(!l);
+                        if self.extraction_solve(&pins)? {
+                            for k in j..count {
+                                witness[k] = read(&self.blaster, &lits[k]);
+                            }
+                        } else {
+                            *pins.last_mut().expect("just pushed") = l;
+                            value |= 1 << i;
+                        }
+                    }
+                }
+            }
+            debug_assert_eq!(witness[j].0, value, "the model must carry the minimum");
+            out.set(ids[j], value);
+            if let Some(reported) = reported.take() {
+                count = 1 + reported(value).min(fields.len() - 1);
+            }
+            j += 1;
+        }
+        Some(Model::from_assignment(out))
+    }
+
+    /// One CDCL call of [`SolveSession::lex_min_model`] under `pins`:
+    /// `Some(sat)`, or `None` when the budget ran out.
+    fn extraction_solve(&mut self, pins: &[Lit]) -> Option<bool> {
+        self.stats.sat_solve_calls += 1;
+        match self.blaster.check_assuming(pins) {
+            bitsat::SolveResult::Sat => Some(true),
+            bitsat::SolveResult::Unsat => Some(false),
+            bitsat::SolveResult::Unknown | bitsat::SolveResult::Interrupted => None,
+        }
     }
 
     /// The constraint list a query with `extra` is about.
@@ -539,6 +685,115 @@ mod tests {
         assert_eq!(s.stats().compactions, 0);
         s.retire_to(0);
         assert_eq!(s.num_sat_vars(), SolveSession::new().num_sat_vars());
+    }
+
+    /// The variable id of a variable term.
+    fn var_id(pool: &TermPool, t: TermId) -> u32 {
+        match *pool.get(t) {
+            Term::Var { id, .. } => id,
+            _ => panic!("not a variable"),
+        }
+    }
+
+    #[test]
+    fn lex_min_model_is_none_when_unsat_or_starved() {
+        let mut pool = TermPool::new();
+        let x = pool.fresh_var("x", 8);
+        let (c3, c5) = (pool.mk_const(8, 3), pool.mk_const(8, 5));
+        let (lt, gt) = (pool.mk_ult(x, c3), pool.mk_ult(c5, x));
+        let mut s = SolveSession::new();
+        s.assert_constraint(lt);
+        s.assert_constraint(gt);
+        assert!(
+            s.lex_min_model(&pool, &[x], |_| 0).is_none(),
+            "never checked"
+        );
+        assert!(s.check(&mut pool).is_unsat());
+        assert!(s.lex_min_model(&pool, &[x], |_| 0).is_none(), "checked");
+
+        // 251 * 241 again: one conflict cannot factor it, let alone
+        // show that no smaller first factor exists.
+        let x = pool.fresh_var("x", 16);
+        let y = pool.fresh_var("y", 16);
+        let one = pool.mk_const(16, 1);
+        let semiprime = pool.mk_const(32, 251 * 241);
+        let (wx, wy) = (pool.mk_zext(x, 32), pool.mk_zext(y, 32));
+        let prod = pool.mk_mul(wx, wy);
+        let cs = [
+            pool.mk_eq(prod, semiprime),
+            pool.mk_ult(one, x),
+            pool.mk_ult(one, y),
+        ];
+        let mut s = SolveSession::with_conflict_budget(1);
+        s.check_constraints(&mut pool, &cs);
+        assert!(s.lex_min_model(&pool, &[x, y], |_| 1).is_none());
+        // Unstarved, the smaller factor comes first.
+        let mut s = SolveSession::new();
+        assert!(s.check_constraints(&mut pool, &cs).is_sat());
+        let m = s.lex_min_model(&pool, &[x, y], |_| 1).expect("sat");
+        assert_eq!(
+            (m.var(var_id(&pool, x)), m.var(var_id(&pool, y))),
+            (241, 251)
+        );
+    }
+
+    #[test]
+    fn lex_min_model_leaves_the_session_as_it_found_it() {
+        let mut pool = TermPool::new();
+        let x = pool.fresh_var("x", 8);
+        let y = pool.fresh_var("y", 8);
+        let z = pool.fresh_var("z", 8);
+        let c50 = pool.mk_const(8, 50);
+        let c20 = pool.mk_const(8, 20);
+        let sum = pool.mk_add(x, y);
+        let e = pool.mk_eq(sum, c50);
+        let g = pool.mk_ult(c20, x);
+        // Interval-decided: (z & 3) < 100.
+        let c3 = pool.mk_const(8, 3);
+        let c100 = pool.mk_const(8, 100);
+        let masked = pool.mk_and(z, c3);
+        let small = pool.mk_ult(masked, c100);
+        let fields = [x, y, z];
+        let want = |pool: &TermPool, m: &Model| {
+            let ids = fields.map(|t| var_id(pool, t));
+            ids.map(|id| m.var(id))
+        };
+
+        let mut s = SolveSession::new();
+        // A blast-layer Sat, whose trail the extraction starts from;
+        // then the same stack after a query with an extra conjunct,
+        // which leaves no trail of the stack behind.
+        assert!(s.check_constraints(&mut pool, &[e, g]).is_sat());
+        let l = pool.mk_ult(x, c50);
+        for extra in [None, Some(l)] {
+            if let Some(extra) = extra {
+                assert!(s.check_assuming(&mut pool, &[extra]).is_sat());
+            }
+            let found = (s.depth(), s.num_sat_vars(), pool.len(), s.stats().queries);
+            let m = s.lex_min_model(&pool, &fields, |_| 2).expect("sat");
+            assert_eq!(want(&pool, &m), [21, 29, 0]);
+            let left = (s.depth(), s.num_sat_vars(), pool.len(), s.stats().queries);
+            assert_eq!(left, found);
+            assert!(
+                s.check(&mut pool).is_sat(),
+                "the next check answers as before"
+            );
+        }
+
+        // A cheap-layer Sat with nothing blasted yet: the extraction
+        // blasts the stack inside its own scope and takes it out again.
+        let mut s = SolveSession::new();
+        assert!(s.check_constraints(&mut pool, &[small]).is_sat());
+        assert_eq!(s.stats().by_interval, 1);
+        let found = (s.depth(), s.num_sat_vars(), pool.len());
+        let m = s.lex_min_model(&pool, &fields, |_| 2).expect("sat");
+        assert_eq!(want(&pool, &m), [0, 0, 0]);
+        assert_eq!((s.depth(), s.num_sat_vars(), pool.len()), found);
+        assert!(s.check(&mut pool).is_sat());
+        assert_eq!(s.stats().by_blast, 0, "still answered by intervals");
+        s.assert_constraint(l);
+        assert!(s.check(&mut pool).is_sat());
+        assert!(s.stats().sat_solve_calls > s.stats().by_blast);
     }
 
     #[test]

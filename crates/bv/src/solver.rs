@@ -95,7 +95,10 @@ pub struct SolverLayerStats {
     pub by_interval: u64,
     /// Queries that reached the bit-blaster.
     pub by_blast: u64,
-    /// Total queries.
+    /// Total feasibility queries (the `check*` calls; the `by_*`
+    /// counters split them by the layer that answered).
+    /// [`crate::SolveSession::lex_min_model`] is not a query and counts
+    /// in neither.
     pub queries: u64,
     /// Stack entries found already blasted and asserted when a
     /// blast-layer query ran — the [`crate::SolveSession`] prefix
@@ -107,7 +110,9 @@ pub struct SolverLayerStats {
     /// Learnt clauses carried over across SAT calls (see
     /// [`bitsat::SolverStats`]). Always 0 from a [`BvSolver`].
     pub learnt_reused: u64,
-    /// Underlying CDCL solve calls.
+    /// Underlying CDCL solve calls: one per blast-layer query, plus
+    /// every call [`crate::SolveSession::lex_min_model`] makes to
+    /// minimise a model (so this can exceed `by_blast`).
     pub sat_solve_calls: u64,
     /// CDCL decisions across all solve calls.
     pub decisions: u64,

@@ -9,7 +9,7 @@
 //! scope pops). The SAT-variable count is watched alongside: a popped
 //! scope must take its circuit with it.
 
-use bvsolve::{Blaster, BvSolver, SatVerdict, SolveSession, TermId, TermPool};
+use bvsolve::{Blaster, BvSolver, SatVerdict, SolveSession, Term, TermId, TermPool};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 
@@ -455,4 +455,99 @@ fn fork_walk_stays_correct_after_unknown() {
     assert!(walk.deepest >= 64, "stack only {} deep", walk.deepest);
     assert!(walk.unknown > 0, "a one-conflict budget starved no query");
     assert!(walk.decided_after_unknown > 0);
+}
+
+/// The variable id of a variable term.
+fn var_id(pool: &TermPool, t: TermId) -> u32 {
+    match *pool.get(t) {
+        Term::Var { id, .. } => id,
+        _ => panic!("not a variable"),
+    }
+}
+
+/// [`SolveSession::lex_min_model`] against brute-force enumeration:
+/// random constraints over three variables of at most 12 bits
+/// together, the first field saying how many of the other two are
+/// reported. The session reaches the extraction three ways — straight
+/// after the check that answered the stack (the trail is reused),
+/// after a query with an extra conjunct (one solve first), and with
+/// the constraints asserted but never checked (blasted in the
+/// extraction's scope) — and sometimes the third variable appears in
+/// no constraint at all (unconstrained: it reads 0).
+#[test]
+fn lex_min_model_matches_brute_force() {
+    let mut rng = StdRng::seed_from_u64(0x1E_A1);
+    let (mut found, mut unsat, mut short) = (0, 0, 0);
+    for round in 0..240 {
+        let mut pool = TermPool::new();
+        let widths = [
+            rng.gen_range(1u32..6),
+            rng.gen_range(1u32..5),
+            rng.gen_range(1u32..4),
+        ];
+        let vars: Vec<TermId> = widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| pool.fresh_var(&format!("v{i}"), w))
+            .collect();
+        let wide: Vec<TermId> = vars.iter().map(|&v| pool.mk_zext(v, 8)).collect();
+        let used = if rng.gen_bool(0.2) {
+            &wide[..2]
+        } else {
+            &wide[..]
+        };
+        let cs: Vec<TermId> = (0..rng.gen_range(1usize..4))
+            .map(|_| random_constraint(&mut pool, used, &mut rng))
+            .collect();
+
+        let mut session = SolveSession::new();
+        match round % 3 {
+            0 => drop(session.check_constraints(&mut pool, &cs)),
+            1 => {
+                session.check_constraints(&mut pool, &cs);
+                let extra = random_constraint(&mut pool, used, &mut rng);
+                session.check_assuming(&mut pool, &[extra]);
+            }
+            _ => cs.iter().for_each(|&c| session.assert_constraint(c)),
+        }
+        let got = session.lex_min_model(&pool, &vars, |first| (first % 3) as usize);
+
+        // The first satisfying tuple in lexicographic order, with the
+        // fields the first one does not report read as 0.
+        let conj = pool.mk_conj(&cs);
+        let ids: Vec<u32> = vars.iter().map(|&v| var_id(&pool, v)).collect();
+        let mut want = None;
+        'search: for x in 0..1u64 << widths[0] {
+            for y in 0..1u64 << widths[1] {
+                for z in 0..1u64 << widths[2] {
+                    let mut a = bvsolve::Assignment::new();
+                    for (&id, v) in ids.iter().zip([x, y, z]) {
+                        a.set(id, v);
+                    }
+                    if bvsolve::eval(&pool, conj, &a) == 1 {
+                        let mut tuple = [x, y, z];
+                        for v in &mut tuple[1 + (x % 3) as usize..] {
+                            *v = 0;
+                        }
+                        want = Some(tuple);
+                        break 'search;
+                    }
+                }
+            }
+        }
+        match (got, want) {
+            (None, None) => unsat += 1,
+            (Some(model), Some(tuple)) => {
+                let got: Vec<u64> = ids.iter().map(|&id| model.var(id)).collect();
+                assert_eq!(got, tuple, "round {round}");
+                found += 1;
+                short += usize::from(tuple[0] % 3 < 2);
+            }
+            (got, want) => panic!("round {round}: got {got:?}, want {want:?}"),
+        }
+    }
+    assert!(
+        found > 100 && unsat > 5 && short > 30,
+        "{found} / {unsat} / {short}"
+    );
 }

@@ -49,9 +49,12 @@
 //! session: although a long-lived [`bvsolve::SolveSession`]'s
 //! in-flight models depend on the learnt clauses and saved phases
 //! earlier queries left behind, the bytes of every verdict-deciding
-//! violation come from canonical minimal-model extraction on a private
-//! session before it is reported (only when that extraction runs out
-//! of conflict budget is the in-flight model reported instead).
+//! violation are the lexicographically smallest witness of its path
+//! constraint, minimised on that same session before it is reported
+//! ([`bvsolve::SolveSession::lex_min_model`]; only when the
+//! minimisation runs out of conflict budget is the in-flight model
+//! reported instead). The session's solver counters therefore include
+//! the extraction's CDCL calls, decisions and propagations.
 
 use crate::compose::ComposedState;
 use crate::engine::{iv_env, Engine, Step1};
@@ -666,8 +669,8 @@ impl<'p> Verifier<'p> {
                         error: Some(format!("step 1 aborted: {e}")),
                     });
                 }
-                let (pool, sums, _, _) = self.engine.warm(MapMode::Abstract);
-                let findings = analyze(pool, sums, pipeline);
+                let (pool, sums, _, cfg) = self.engine.warm(MapMode::Abstract);
+                let findings = analyze(pool, sums, pipeline, cfg);
                 Report::State(StateReport {
                     pipeline: pipeline.name.clone(),
                     findings,

@@ -14,6 +14,8 @@
 //! of `⌈max/c⌉ + 1` packets of the same flow drives the counter to
 //! overflow.
 
+use crate::cores::CoreStore;
+use crate::step2::{new_session, VerifyConfig};
 use crate::summary::PipelineSummaries;
 use bvsolve::{SolveSession, Term, TermId, TermPool};
 use symexec::{MapOpKind, Segment};
@@ -129,11 +131,12 @@ pub(crate) fn analyze(
     pool: &mut TermPool,
     sums: &PipelineSummaries,
     pipeline: &dataplane::Pipeline,
+    cfg: &VerifyConfig,
 ) -> Vec<StateFinding> {
     // One session for the whole scan: consecutive segments of a stage
-    // share most of their path condition, which stays blasted.
-    let mut session = SolveSession::new();
-    session.set_core_extraction(false);
+    // share most of their path condition, which stays blasted. It
+    // reads no cores.
+    let mut session = new_session(cfg, &CoreStore::disabled());
     let mut findings = Vec::new();
     let mut seen: Vec<(usize, u32)> = Vec::new();
     for (k, stage) in sums.stages.iter().enumerate() {
@@ -182,7 +185,7 @@ mod tests {
         let p = to_pipeline("mon", vec![elements::traffic_monitor::traffic_monitor(64)]);
         let mut pool = TermPool::new();
         let sums = summarize_pipeline(&mut pool, &p, &cfg(), MapMode::Abstract).expect("ok");
-        let findings = analyze(&mut pool, &sums, &p);
+        let findings = analyze(&mut pool, &sums, &p, &VerifyConfig::default());
         assert_eq!(findings.len(), 1, "exactly one counter found");
         match &findings[0] {
             StateFinding::CounterOverflow {
@@ -205,7 +208,7 @@ mod tests {
         let p = to_pipeline("nat", vec![elements::nat::nat_verified(0xC6336401, 64)]);
         let mut pool = TermPool::new();
         let sums = summarize_pipeline(&mut pool, &p, &cfg(), MapMode::Abstract).expect("ok");
-        let findings = analyze(&mut pool, &sums, &p);
+        let findings = analyze(&mut pool, &sums, &p, &VerifyConfig::default());
         assert!(findings.is_empty(), "NAT writes ports, not counters");
     }
 }

@@ -226,6 +226,10 @@ pub struct Solver {
     /// Cooperative cancellation flag, checked once per search-loop
     /// iteration (i.e. at every conflict/decision/restart boundary).
     interrupt: Option<Arc<AtomicBool>>,
+    /// Assumptions of the last solve call: after a
+    /// [`SolveResult::Sat`], decision levels `1..=assumption_count` are theirs
+    /// (see [`Solver::fixed_by_assumptions`]).
+    assumption_count: usize,
 }
 
 impl Solver {
@@ -545,6 +549,15 @@ impl Solver {
         self.assigns[v.index()]
     }
 
+    /// After a [`SolveResult::Sat`]: whether `v` was fixed by that
+    /// call's assumptions — assigned at level 0 or at one of the
+    /// assumption levels, so every model under those assumptions (or
+    /// any superset of them) gives it the value it has now. `false`
+    /// for a variable the call decided, left unassigned or never saw.
+    pub fn fixed_by_assumptions(&self, v: Var) -> bool {
+        self.assigns[v.index()].is_some() && self.level[v.index()] as usize <= self.assumption_count
+    }
+
     /// The model as a dense vector (unassigned vars default to `false`).
     pub fn model(&self) -> Vec<bool> {
         self.assigns.iter().map(|a| a.unwrap_or(false)).collect()
@@ -586,6 +599,7 @@ impl Solver {
     /// (which bumps the call and core counters around it).
     fn solve_internal(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.last_core.clear();
+        self.assumption_count = assumptions.len();
         if self.unsat {
             return SolveResult::Unsat;
         }
@@ -1152,6 +1166,30 @@ mod tests {
         // Solver usable again after UNSAT-under-assumptions.
         assert!(s.solve_with_assumptions(&[!a]).is_sat());
         assert!(s.solve().is_sat());
+    }
+
+    #[test]
+    fn fixed_by_assumptions_separates_implied_from_decided() {
+        let mut s = Solver::new();
+        let a = lit(&mut s, 0, true);
+        let b = lit(&mut s, 1, true);
+        let c = lit(&mut s, 2, true);
+        let d = lit(&mut s, 3, true);
+        s.add_clause(&[!a, b]); // a -> b
+        s.add_clause(&[d]); // d at level 0
+        s.add_clause(&[c, !c, b]); // c occurs, unconstrained
+        assert!(s.solve_with_assumptions(&[a]).is_sat());
+        assert!(s.fixed_by_assumptions(a.var()), "an assumption");
+        assert!(s.fixed_by_assumptions(b.var()), "implied by one");
+        assert!(s.fixed_by_assumptions(d.var()), "a level-0 fact");
+        assert!(!s.fixed_by_assumptions(c.var()), "decided by the search");
+        // Without the assumption, `b` is a decision again.
+        assert!(s.solve().is_sat());
+        assert!(!s.fixed_by_assumptions(b.var()));
+        assert!(s.fixed_by_assumptions(d.var()));
+        // A variable created after the call was not seen by it.
+        let e = s.new_var();
+        assert!(!s.fixed_by_assumptions(e));
     }
 
     #[test]
