@@ -3,7 +3,7 @@
 //!
 //! Lints every stage program of the repository's example corpus (the
 //! figure routers plus the Table 2/3 elements, buggy variants
-//! included) with [`dpir::analysis::lint_program`] and prints each
+//! included) with [`verifier::Verifier::lint`] and prints each
 //! diagnostic as
 //!
 //! ```text
@@ -18,19 +18,18 @@
 //! the exit code stays meaningful: `0` means "no diagnostics beyond
 //! the known-intentional ones", anything new fails CI.
 //!
-//! The environment (packet-length window) is taken from
-//! `VerifyConfig::default()`, i.e. the same bounds the verifier itself
-//! runs the examples with.
+//! The environment (packet-length window) is the one a default
+//! `Verifier` session lints and executes with, i.e. the same bounds the
+//! verifier itself runs the examples with.
 
 use dataplane::Pipeline;
-use dpir::analysis::IvEnv;
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::nat::{nat_click_buggy, nat_verified};
 use elements::pipelines::{
     core_router, edge_router, network_gateway, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT,
 };
 use std::collections::BTreeSet;
-use verifier::VerifyConfig;
+use verifier::Verifier;
 
 /// The lint corpus: every pipeline the figures and tables exercise,
 /// clean and intentionally-buggy alike.
@@ -79,19 +78,13 @@ fn main() {
         }
     };
 
-    let sym = VerifyConfig::default().sym;
-    let env = IvEnv {
-        len_lo: sym.min_pkt_len,
-        len_hi: sym.max_pkt_bytes as u64,
-    };
-
     let mut total = 0usize;
     let mut unexpected = 0usize;
     let mut used: BTreeSet<(String, String)> = BTreeSet::new();
     for pipeline in corpus() {
-        for stage in &pipeline.stages {
-            let loc = format!("{}/{}", pipeline.name, stage.element.name);
-            for d in dpir::analysis::lint_program(stage.element.program(), env) {
+        for (element, diagnostics) in Verifier::new(&pipeline).lint() {
+            let loc = format!("{}/{element}", pipeline.name);
+            for d in diagnostics {
                 total += 1;
                 let key = (loc.clone(), d.code.to_string());
                 if allow.contains(&key) {

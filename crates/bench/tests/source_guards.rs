@@ -400,3 +400,34 @@ fn counterexamples_come_from_the_live_session() {
     );
     assert_eq!(made, 1, "`new_session` makes the one session");
 }
+
+/// Step 2 decides the three §4 properties, and one crate-private enum
+/// in `step2.rs` resolves them from `Property`: a user-defined property
+/// hook that nothing outside the crate's own tests implemented, the
+/// second per-property enum that mirrored the first variant for
+/// variant, and the CDCL solver's cancellation flag that nothing raised
+/// are deleted. This keeps their names out of every crate's sources.
+#[test]
+fn step_two_has_one_property_type() {
+    let crates = crates_dir();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates/") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 60, "scanned only {} files", files.len());
+    // Built in pieces so that this file does not match itself.
+    let needles = [
+        ["Custom", "Property"].concat(),
+        ["Prop", "Kind"].concat(),
+        ["set_", "interrupt"].concat(),
+    ];
+    let hits = lines_naming(files, &needles);
+    assert!(
+        hits.is_empty(),
+        "a second step-2 property type or the solver's cancellation hook is back:\n{}",
+        hits.join("\n")
+    );
+}

@@ -320,7 +320,6 @@ impl SolveSession {
             )),
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(crate::Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
-            bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
         };
         if !extra.is_empty() {
             self.blaster.rollback(query_scope);
@@ -458,7 +457,7 @@ impl SolveSession {
         match self.blaster.check_assuming(pins) {
             bitsat::SolveResult::Sat => Some(true),
             bitsat::SolveResult::Unsat => Some(false),
-            bitsat::SolveResult::Unknown | bitsat::SolveResult::Interrupted => None,
+            bitsat::SolveResult::Unknown => None,
         }
     }
 

@@ -36,10 +36,10 @@ pub enum SatVerdict {
     Unsat(Infeasibility),
     /// Budget exhausted (only possible with a conflict budget set).
     Unknown,
-    /// The query was cancelled through the CDCL interrupt hook before
-    /// a verdict ([`bitsat::SolveResult::Interrupted`]). No solver in
-    /// this crate installs an interrupt flag today, so callers meet it
-    /// only as an arm to treat like [`SatVerdict::Unknown`].
+    /// A cancelled query. Nothing constructs it: the CDCL backend has
+    /// no cancellation hook. It stays only because the repo
+    /// benchmark's probes (`benchmark/src/probes.rs`) match it; treat
+    /// it like [`SatVerdict::Unknown`].
     Interrupted,
 }
 
@@ -251,7 +251,6 @@ impl BvSolver {
             }
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
-            bitsat::SolveResult::Interrupted => SatVerdict::Interrupted,
         }
     }
 

@@ -67,8 +67,8 @@
 
 use crate::engine::Engine;
 use crate::report::{replay, Verdict, VerifyReport};
-use crate::session::{Property, SearchProp};
-use crate::step2::{aborted_report, VerifyConfig};
+use crate::session::Property;
+use crate::step2::{aborted_report, SearchProperty, VerifyConfig};
 use crate::summary::SummaryStore;
 use dataplane::{DeltaError, Pipeline, TableDelta};
 use std::collections::{BTreeMap, BTreeSet};
@@ -173,7 +173,7 @@ pub struct ChurnStats {
 /// parallelizes across sessions, see [`crate::fleet`]).
 pub struct ChurnSession {
     pipeline: Pipeline,
-    properties: Vec<SearchProp>,
+    properties: Vec<SearchProperty>,
     engine: Engine,
     /// Stages whose table contents changed since the Tables-mode
     /// summaries last caught up; the next Tables check re-keys them.
@@ -190,7 +190,7 @@ impl ChurnSession {
     /// update (`_level` has one value, see [`ReuseLevel`]).
     ///
     /// Only search-based properties (crash-freedom, bounded-execution,
-    /// filtering, custom) are supported.
+    /// filtering) are supported.
     pub fn new(
         pipeline: Pipeline,
         properties: Vec<Property>,
@@ -199,7 +199,7 @@ impl ChurnSession {
     ) -> Result<Self, UnsupportedProperty> {
         let properties = properties
             .iter()
-            .map(|p| SearchProp::of(p).ok_or_else(|| UnsupportedProperty(format!("{p:?}"))))
+            .map(|p| SearchProperty::of(p).ok_or_else(|| UnsupportedProperty(format!("{p:?}"))))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ChurnSession {
             pipeline,
@@ -303,14 +303,14 @@ impl ChurnSession {
         );
         let n = self.properties.len();
         let (mut reports, mut replayed) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (spec, memo) in self.properties.iter().zip(&mut self.memo) {
-            let mode = spec.mode();
+        for (prop, memo) in self.properties.iter().zip(&mut self.memo) {
+            let mode = prop.mode();
             let t1 = Instant::now();
             let step1 = match self.engine.ensure(&self.pipeline, mode, &mut self.changed) {
                 Ok(step1) => step1,
                 Err(e) => {
                     *memo = None;
-                    reports.push(aborted_report(&spec.name(), &self.pipeline, e, t1));
+                    reports.push(aborted_report(&prop.name(), &self.pipeline, e, t1));
                     replayed.push(false);
                     continue;
                 }
@@ -326,7 +326,7 @@ impl ChurnSession {
                 }
                 _ => {}
             }
-            let report = self.engine.check(&self.pipeline, spec, step1);
+            let report = self.engine.check(&self.pipeline, prop, step1);
             // `Unknown` (budget exhausted) is never laundered into a
             // cached verdict: the warmer session may decide it next
             // update.

@@ -16,38 +16,35 @@
 //!   variables bound to the state's terms, each havoc to a fresh
 //!   variable — and the clones of the state's vectors;
 //! * **per term**: a rebuild of the nodes no earlier term of the same
-//!   segment shared with it; the constraints, outputs and map keys of
-//!   a segment overlap heavily and go through the one memo.
+//!   segment shared with it; the constraints and outputs of a segment
+//!   overlap heavily and go through the one memo.
 
 use crate::summary::StageSummary;
 use bvsolve::{Substitution, TermId, TermPool};
-use symexec::{MapOpRecord, SymInput};
+use symexec::SymInput;
 
 /// The composed symbolic state after a prefix of pipeline segments —
 /// all terms range over the *pipeline* input variables plus renamed
 /// havoc variables.
 #[derive(Debug, Clone)]
-pub struct ComposedState {
+pub(crate) struct ComposedState {
     /// Conjunction of all composed path constraints.
-    pub constraint: Vec<TermId>,
+    pub(crate) constraint: Vec<TermId>,
     /// Packet bytes as terms over the pipeline input.
-    pub pkt: Vec<TermId>,
+    pub(crate) pkt: Vec<TermId>,
     /// Packet length term.
-    pub len: TermId,
+    pub(crate) len: TermId,
     /// Metadata terms.
-    pub meta: Vec<TermId>,
+    pub(crate) meta: Vec<TermId>,
     /// Total instructions along the composed path.
-    pub instrs: u64,
+    pub(crate) instrs: u64,
     /// (stage index, segment index) trace, for reporting.
-    pub trace: Vec<(usize, usize)>,
-    /// Map operations along the path (terms already composed), for the
-    /// §3.4 private-state analysis.
-    pub map_ops: Vec<MapOpRecord>,
+    pub(crate) trace: Vec<(usize, usize)>,
 }
 
 impl ComposedState {
     /// The initial state: the pipeline input itself.
-    pub fn initial(input: &SymInput) -> Self {
+    pub(crate) fn initial(input: &SymInput) -> Self {
         ComposedState {
             constraint: input.base_constraints.clone(),
             pkt: input.pkt_bytes.clone(),
@@ -55,7 +52,6 @@ impl ComposedState {
             meta: input.meta.clone(),
             instrs: 0,
             trace: Vec::new(),
-            map_ops: Vec::new(),
         }
     }
 }
@@ -68,10 +64,11 @@ impl ComposedState {
 /// * every *other* variable of the segment (its havocs, listed by the
 ///   summary) is replaced by a fresh variable — including havocs a map
 ///   operation records but no term mentions (an unused `found` flag),
-///   so the §3.4 analysis sees per-instantiation variables;
+///   so the pool's variable numbering does not depend on which of the
+///   segment's terms a composition substitutes;
 /// * the segment's constraint is substituted and conjoined, its
 ///   transforms substituted into the new state.
-pub fn compose(
+pub(crate) fn compose(
     pool: &mut TermPool,
     state: &ComposedState,
     stage: &StageSummary,
@@ -114,22 +111,6 @@ pub fn compose(
         .iter()
         .map(|&t| sub.apply(pool, t))
         .collect();
-    let mut map_ops = state.map_ops.clone();
-    for op in &segment.map_ops {
-        let renamed = |v: u32| sub.get(v).and_then(|t| term_var_id(pool, t)).unwrap_or(v);
-        let (havoc_value_var, havoc_flag_var) = (
-            op.havoc_value_var.map(renamed),
-            op.havoc_flag_var.map(renamed),
-        );
-        map_ops.push(MapOpRecord {
-            map: op.map,
-            kind: op.kind,
-            key: sub.apply(pool, op.key),
-            value: op.value.map(|v| sub.apply(pool, v)),
-            havoc_value_var,
-            havoc_flag_var,
-        });
-    }
     let mut trace = state.trace.clone();
     trace.push((stage_idx, seg_idx));
     ComposedState {
@@ -139,14 +120,6 @@ pub fn compose(
         meta,
         instrs: state.instrs + segment.instrs,
         trace,
-        map_ops,
-    }
-}
-
-fn term_var_id(pool: &TermPool, t: TermId) -> Option<u32> {
-    match *pool.get(t) {
-        bvsolve::Term::Var { id, .. } => Some(id),
-        _ => None,
     }
 }
 
@@ -236,21 +209,6 @@ pub(crate) mod tests {
             .iter()
             .map(|&t| substitute(pool, t, &map))
             .collect();
-        let mut map_ops = state.map_ops.clone();
-        for op in &segment.map_ops {
-            map_ops.push(MapOpRecord {
-                map: op.map,
-                kind: op.kind,
-                key: substitute(pool, op.key, &map),
-                value: op.value.map(|v| substitute(pool, v, &map)),
-                havoc_value_var: op
-                    .havoc_value_var
-                    .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
-                havoc_flag_var: op
-                    .havoc_flag_var
-                    .map(|v| term_var_id(pool, map[&v]).unwrap_or(v)),
-            });
-        }
         let mut trace = state.trace.clone();
         trace.push((stage_idx, seg_idx));
         ComposedState {
@@ -260,7 +218,6 @@ pub(crate) mod tests {
             meta,
             instrs: state.instrs + segment.instrs,
             trace,
-            map_ops,
         }
     }
 

@@ -17,9 +17,8 @@
 
 use crate::cores::CoreStore;
 use crate::report::{SummaryCacheStats, VerifyReport};
-use crate::session::SearchProp;
 use crate::step2::{
-    make_initial, new_session, search, segment_count, verdict_of, Node, VerifyConfig,
+    new_session, search, segment_count, verdict_of, Node, SearchProperty, VerifyConfig,
 };
 use crate::summary::{
     rebase_stage, summarize_keyed, Fetch, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
@@ -273,14 +272,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Searches `spec` over its mode's summaries (built by the caller's
+    /// Searches `prop` over its mode's summaries (built by the caller's
     /// [`Engine::ensure`], whose work `step1` is) through the mode's
     /// solver session and core store, and builds the report. The solver
     /// and core counters are this check's deltas.
     pub(crate) fn check(
         &mut self,
         pipeline: &Pipeline,
-        spec: &SearchProp,
+        prop: &SearchProperty,
         step1: Option<Step1>,
     ) -> VerifyReport {
         let t0 = Instant::now();
@@ -296,15 +295,13 @@ impl Engine {
             solver,
             cores,
             ..
-        } = &mut modes[mode_idx(spec.mode())];
+        } = &mut modes[mode_idx(prop.mode())];
         let sums = sums.as_ref().expect("ensured");
         let solver = solver.get_or_insert_with(|| new_session(cfg, cores));
-        let mut init = make_initial(pool, sums);
-        spec.init_extra(pool, sums, &mut init);
         let root = Node {
             stage: 0,
             iter: 0,
-            state: init,
+            state: prop.initial(pool, sums),
         };
         let (solver0, cores0) = (solver.stats(), cores.stats());
         let mut composed_paths = 0;
@@ -315,19 +312,19 @@ impl Engine {
             pipeline,
             sums,
             cfg,
-            &spec.kind(),
+            prop,
             root,
-            &spec.reach(sums),
+            &prop.reach(sums),
             &mut composed_paths,
         );
         let step1 = step1.unwrap_or_default();
         VerifyReport {
-            property: spec.name(),
+            property: prop.name(),
             pipeline: pipeline.name.clone(),
             verdict: verdict_of(outcome),
             step1_states: sums.total_states,
             step1_segments: segment_count(sums),
-            suspects: spec.suspects(pipeline, sums),
+            suspects: prop.suspects(pipeline, sums),
             composed_paths,
             solver: solver.stats().delta(&solver0),
             cores: cores.stats().delta(&cores0),

@@ -51,8 +51,10 @@
 //! [`FleetReport::classes`] and [`VariantReport::replayed`] say which
 //! was which.
 //!
-//! Never shared — each a class of one: [`Property::Custom`] (its hooks
-//! receive the pipeline and may read anything in it, tables included),
+//! Every search-based check is keyed: the three §4 properties decide
+//! each segment from its summary, its instruction count and its route,
+//! never from anything else in the pipeline, so the key speaks for the
+//! whole search. Never shared — each a class of one:
 //! [`Property::Generic`] and [`Property::StateConsistency`]. A
 //! [`Property::Filter`] check shares only between variants whose table
 //! *contents* are equal, because its Tables-mode summary keys say so.
@@ -65,8 +67,8 @@
 //! does not serialize its variant's other checks behind it). The cost
 //! is that the per-*session* cross-property reuse (solver-session
 //! blast caches, UNSAT-core stores) resets per class — step-1 reuse is
-//! unaffected (that is the store's job). A check that panics (a
-//! hostile custom property, an internal `expect`) yields
+//! unaffected (that is the store's job). A check that panics (an
+//! internal `expect`, a malformed program) yields
 //! `Unknown("internal: check panicked: …")` for its class; every other
 //! class finishes. The class workers are the only threads the crate
 //! starts: step 1 of one pipeline and step 2 of one check each run on
@@ -93,8 +95,8 @@
 //! cache counters and wall-clock times vary.
 
 use crate::report::{replay, SummaryCacheStats, Verdict};
-use crate::session::{search_class, Property, Report, SearchClass, SearchProp, Verifier};
-use crate::step2::{unknown_report, VerifyConfig};
+use crate::session::{search_class, Property, Report, SearchClass, Verifier};
+use crate::step2::{unknown_report, SearchProperty, VerifyConfig};
 use crate::summary::SummaryStore;
 use dataplane::Pipeline;
 use std::collections::HashMap;
@@ -195,14 +197,16 @@ impl Fleet {
 
         // One entry per class: the property index and the member
         // variants in registration order; the first member is searched.
-        let specs: Vec<Option<SearchProp>> = self.properties.iter().map(SearchProp::of).collect();
+        let props: Vec<Option<SearchProperty>> =
+            self.properties.iter().map(SearchProperty::of).collect();
         let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<(usize, SearchClass), usize> = HashMap::new();
         for (v, (_, pipeline)) in self.variants.iter().enumerate() {
-            for (p, spec) in specs.iter().enumerate() {
-                let key = spec
+            for (p, prop) in props.iter().enumerate() {
+                // Generic and StateConsistency checks are never shared.
+                let key = prop
                     .as_ref()
-                    .and_then(|spec| search_class(pipeline, spec, &self.cfg.sym));
+                    .map(|prop| search_class(pipeline, prop, &self.cfg.sym));
                 let fresh = classes.len();
                 let class = match key {
                     Some(key) => *by_key.entry((p, key)).or_insert(fresh),
@@ -219,8 +223,8 @@ impl Fleet {
             let (p, members) = &classes[c];
             let pipeline = &self.variants[members[0]].1;
             let property = &self.properties[*p];
-            // One panicking check (a hostile custom property, an
-            // internal `expect`) costs its class an `Unknown`, never
+            // One panicking check (an internal `expect`, a malformed
+            // program) costs its class an `Unknown`, never
             // the audit. Unwind safety: everything the closure mutates
             // is the session it owns, dropped with the panic; the
             // shared store clears its in-flight markers on unwind.

@@ -31,7 +31,7 @@
 //! internals. Loop elements contribute the summary of a *single*
 //! iteration (Condition 1).
 //!
-//! **Step 2** ([`compose`], [`step2`]) composes segment summaries along
+//! **Step 2** ([`step2`]) composes segment summaries along
 //! pipeline paths that can still reach a *suspect* segment, renaming
 //! havoc variables per instantiation and substituting each element's
 //! symbolic input with its upstream neighbor's output terms — literally
@@ -54,7 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod compose;
+mod compose;
 pub mod cores;
 mod engine;
 pub mod fleet;
@@ -67,12 +67,11 @@ pub mod step2;
 pub mod summary;
 
 pub use churn::{ChurnSession, ChurnStats, ReuseLevel, UnsupportedProperty, UpdateReport};
-pub use compose::ComposedState;
 pub use cores::{CoreStats, CoreStore};
 pub use fleet::{Fleet, FleetReport, VariantReport};
 pub use generic::{GenericOutcome, GenericReport};
 pub use report::{CounterExample, SummaryCacheStats, Verdict, VerifyReport};
-pub use session::{CustomProperty, GenericRun, Property, Report, StateReport, Verifier};
+pub use session::{GenericRun, Property, Report, StateReport, Verifier};
 pub use stateful::StateFinding;
 pub use step2::{FilterProperty, LongestPath, VerifyConfig};
 pub use summary::{

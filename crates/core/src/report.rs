@@ -1,7 +1,7 @@
 //! Verdicts, counterexamples and report formatting.
 
 use crate::cores::CoreStats;
-use bvsolve::{Model, SolverLayerStats, TermPool};
+use bvsolve::{Model, SolverLayerStats};
 use std::time::Duration;
 use symexec::SymInput;
 
@@ -20,7 +20,6 @@ pub struct CounterExample {
 impl CounterExample {
     /// Extracts the input packet from a satisfying model.
     pub fn from_model(
-        _pool: &TermPool,
         input: &SymInput,
         model: &Model,
         description: String,

@@ -6,7 +6,7 @@
 //! session makes that workflow first-class: it lazily builds and
 //! caches [`PipelineSummaries`] once per [`MapMode`] (Abstract for
 //! crash-freedom / bounded-execution, Tables for filtering) in a
-//! shared [`TermPool`], and every [`Verifier::check`] /
+//! shared [`TermPool`](bvsolve::TermPool), and every [`Verifier::check`] /
 //! [`Verifier::check_all`] call runs only the step-2 search for its
 //! property. Auditing five properties on a ten-element pipeline pays
 //! the step-1 cost at most twice — once per map mode — instead of
@@ -34,10 +34,11 @@
 //! M-properties driver built on top.
 //!
 //! Properties are values ([`Property`]), so audits can be assembled,
-//! stored and replayed; user-defined invariants plug in through
-//! [`CustomProperty`] and run on the same cached summaries and the
-//! same search. There is one step-2 engine — a single-threaded,
-//! deterministic DFS ([`Verifier::check`] has no engine choice);
+//! stored and replayed. The three search-based ones resolve to one
+//! internal type the step-2 search reads, and every search-based check
+//! runs on the same cached summaries and the same search. There is one
+//! step-2 engine — a single-threaded, deterministic DFS
+//! ([`Verifier::check`] has no engine choice);
 //! parallelism lives one level up, across the behaviour classes of a
 //! [`crate::fleet::Fleet`].
 //!
@@ -56,97 +57,29 @@
 //! reported instead). The session's solver counters therefore include
 //! the extraction's CDCL calls, decisions and propagations.
 
-use crate::compose::ComposedState;
 use crate::engine::{iv_env, Engine, Step1};
 use crate::generic::{run_generic, GenericReport};
 use crate::report::{json_escape, Verdict, VerifyReport};
 use crate::stateful::{analyze, StateFinding};
 use crate::step2::{
-    aborted_report, bounded_suspects, crash_reach, crash_suspects, filter_suspects,
-    longest_paths_from, lookahead, make_initial, FilterProperty, LongestPath, PropKind,
+    aborted_report, longest_paths_from, make_initial, FilterProperty, LongestPath, SearchProperty,
     VerifyConfig,
 };
 use crate::summary::{MapMode, PipelineSummaries, SummaryKey, SummaryStore};
-use bvsolve::TermPool;
 use dataplane::{Element, ElementKind, Pipeline, Route, Stage};
 use dpir::analysis::{lint_program, Diagnostic};
 use dpir::PortId;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use symexec::{SegOutcome, Segment, SymConfig, SymInput};
-
-/// A user-defined property over composed pipeline states, checked by
-/// the same step-2 search as the built-in §4 properties.
-///
-/// Implementors classify each composed segment: a feasible state for
-/// which [`CustomProperty::violation`] returns `Some` disproves the
-/// property with a concrete counterexample packet; an exhausted
-/// search proves it. The default hooks mirror crash-freedom:
-/// step-1 fuel exhaustion blocks a full proof, loop overruns block
-/// proofs rather than violating, and sink delivery is inert.
-pub trait CustomProperty: Send + Sync {
-    /// Property name used in reports.
-    fn name(&self) -> String;
-
-    /// Which step-1 summaries the property needs
-    /// ([`MapMode::Abstract`] by default: arbitrary configuration).
-    fn mode(&self) -> MapMode {
-        MapMode::Abstract
-    }
-
-    /// Conjoins extra constraints onto the initial composed state
-    /// (e.g. a header pattern, as filtering does). Default: none.
-    fn constrain_initial(
-        &self,
-        _pool: &mut TermPool,
-        _input: &SymInput,
-        _init: &mut ComposedState,
-    ) {
-    }
-
-    /// `Some(description)` when `seg`, composed into `state`, violates
-    /// the property if feasible.
-    fn violation(
-        &self,
-        pipeline: &Pipeline,
-        stage: usize,
-        seg: &Segment,
-        state: &ComposedState,
-    ) -> Option<String>;
-
-    /// Whether a feasible instance of `seg` blocks a full proof
-    /// without being a violation. Default: step-1 fuel exhaustion
-    /// (the summary is incomplete past it).
-    fn blocker(&self, seg: &Segment) -> bool {
-        seg.outcome == SegOutcome::FuelExhausted
-    }
-
-    /// Whether a loop still continuing at its composition bound is a
-    /// violation rather than a proof blocker. Default: blocker.
-    fn loop_overrun_violates(&self) -> bool {
-        false
-    }
-
-    /// Whether a packet leaving the pipeline via a sink violates the
-    /// property. Default: no.
-    fn sink_violates(&self) -> bool {
-        false
-    }
-
-    /// Suspect count reported after step 1. Default: 0.
-    fn suspects(&self, _sums: &PipelineSummaries) -> usize {
-        0
-    }
-}
+use symexec::SymConfig;
 
 /// A verifiable property, as a first-class value.
 ///
-/// The three §4 properties, the §5.2 generic baseline, the §3.4
-/// private-state analysis, and an extension point for user-defined
-/// invariants. Pass these to [`Verifier::check`] /
+/// The three §4 properties, the §5.2 generic baseline and the §3.4
+/// private-state analysis. Pass these to [`Verifier::check`] /
 /// [`Verifier::check_all`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum Property {
     /// No packet may terminate the pipeline abnormally (§4).
@@ -169,8 +102,6 @@ pub enum Property {
     /// abstract summaries (e.g. monotonic-counter overflow by
     /// induction).
     StateConsistency,
-    /// A user-defined property over composed states.
-    Custom(Arc<dyn CustomProperty>),
 }
 
 impl Property {
@@ -180,22 +111,9 @@ impl Property {
         match self {
             Property::Generic { loop_cap } => format!("generic (loop_cap={loop_cap})"),
             Property::StateConsistency => "state-consistency".into(),
-            search => SearchProp::of(search)
+            search => SearchProperty::of(search)
                 .expect("every other property is search-based")
                 .name(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Property {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Property::CrashFreedom => write!(f, "CrashFreedom"),
-            Property::Bounded { imax } => write!(f, "Bounded {{ imax: {imax} }}"),
-            Property::Filter(p) => write!(f, "Filter({p:?})"),
-            Property::Generic { loop_cap } => write!(f, "Generic {{ loop_cap: {loop_cap} }}"),
-            Property::StateConsistency => write!(f, "StateConsistency"),
-            Property::Custom(c) => write!(f, "Custom({})", c.name()),
         }
     }
 }
@@ -232,7 +150,7 @@ pub struct StateReport {
 /// The outcome of one [`Verifier::check`] call.
 ///
 /// Search-based properties (crash-freedom, bounded-execution,
-/// filtering, custom) produce [`Report::Verify`]; the generic
+/// filtering) produce [`Report::Verify`]; the generic
 /// baseline and the state analysis carry their own payloads. Every
 /// variant serializes with [`Report::to_json`].
 #[derive(Debug)]
@@ -371,86 +289,6 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// A search-based property in resolved form: the single mapping from
-/// [`Property`] to the step-2 search parameters (mode, kind,
-/// reachability, suspects, initial-state constraints) that the engine's
-/// search and the fleet's class keys read.
-pub(crate) enum SearchProp {
-    Crash,
-    Bounded { imax: u64 },
-    Filter(FilterProperty),
-    Custom(Arc<dyn CustomProperty>),
-}
-
-impl SearchProp {
-    /// Resolves a property, `None` for the non-search properties
-    /// (generic baseline, state analysis).
-    pub(crate) fn of(property: &Property) -> Option<SearchProp> {
-        match property {
-            Property::CrashFreedom => Some(SearchProp::Crash),
-            Property::Bounded { imax } => Some(SearchProp::Bounded { imax: *imax }),
-            Property::Filter(p) => Some(SearchProp::Filter(p.clone())),
-            Property::Custom(c) => Some(SearchProp::Custom(Arc::clone(c))),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn name(&self) -> String {
-        match self {
-            SearchProp::Crash => "crash-freedom".into(),
-            SearchProp::Bounded { imax } => format!("bounded-execution (imax={imax})"),
-            SearchProp::Filter(_) => "filtering".into(),
-            SearchProp::Custom(c) => c.name(),
-        }
-    }
-
-    pub(crate) fn mode(&self) -> MapMode {
-        match self {
-            SearchProp::Crash | SearchProp::Bounded { .. } => MapMode::Abstract,
-            SearchProp::Filter(_) => MapMode::Tables,
-            SearchProp::Custom(c) => c.mode(),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> PropKind {
-        match self {
-            SearchProp::Crash => PropKind::Crash,
-            SearchProp::Bounded { imax } => PropKind::Bounded { imax: *imax },
-            SearchProp::Filter(_) => PropKind::Filter,
-            SearchProp::Custom(c) => PropKind::Custom(Arc::clone(c)),
-        }
-    }
-
-    pub(crate) fn reach(&self, sums: &PipelineSummaries) -> Vec<bool> {
-        match self {
-            SearchProp::Crash => crash_reach(sums),
-            _ => lookahead(sums, |_| true),
-        }
-    }
-
-    pub(crate) fn suspects(&self, pipeline: &Pipeline, sums: &PipelineSummaries) -> usize {
-        match self {
-            SearchProp::Crash => crash_suspects(sums),
-            SearchProp::Bounded { .. } => bounded_suspects(sums),
-            SearchProp::Filter(_) => filter_suspects(pipeline, sums),
-            SearchProp::Custom(c) => c.suspects(sums),
-        }
-    }
-
-    pub(crate) fn init_extra(
-        &self,
-        pool: &mut TermPool,
-        sums: &PipelineSummaries,
-        init: &mut ComposedState,
-    ) {
-        match self {
-            SearchProp::Filter(p) => crate::step2::constrain_filter(pool, sums, p, init),
-            SearchProp::Custom(c) => c.constrain_initial(pool, &sums.input, init),
-            _ => {}
-        }
-    }
-}
-
 /// What the step-2 search of one property reads from one stage: the
 /// step-1 summary it composes (by content address), the loop
 /// composition bound, and where each output port leads.
@@ -470,10 +308,7 @@ struct StageClass {
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) struct SearchClass(Vec<StageClass>);
 
-/// Keys `pipeline` for `spec`'s search, or `None` when the check must
-/// never share a result: a [`CustomProperty`]'s hooks receive the
-/// pipeline itself and may read anything in it (table contents
-/// included), so no key can speak for them.
+/// Keys `pipeline` for `prop`'s search.
 ///
 /// Every input struct is destructured exhaustively (no `..`), like
 /// [`SummaryKey::of`] does for `SymConfig`: a new `Pipeline`, `Stage`
@@ -482,13 +317,9 @@ pub(crate) struct SearchClass(Vec<StageClass>);
 /// executes: nothing rewrites them in between.
 pub(crate) fn search_class(
     pipeline: &Pipeline,
-    spec: &SearchProp,
+    prop: &SearchProperty,
     sym: &SymConfig,
-) -> Option<SearchClass> {
-    let mode = match spec {
-        SearchProp::Custom(_) => return None,
-        SearchProp::Crash | SearchProp::Bounded { .. } | SearchProp::Filter(_) => spec.mode(),
-    };
+) -> SearchClass {
     // The display name only labels the report; members keep their own.
     let Pipeline { name: _, stages } = pipeline;
     let stages = stages
@@ -507,7 +338,7 @@ pub(crate) fn search_class(
                 tables: _,
             } = element;
             StageClass {
-                summary: SummaryKey::of(element, mode, sym),
+                summary: SummaryKey::of(element, prop.mode(), sym),
                 max_iters: match kind {
                     ElementKind::Straight(_) => None,
                     ElementKind::Loop { body: _, max_iters } => Some(*max_iters),
@@ -523,7 +354,7 @@ pub(crate) fn search_class(
             }
         })
         .collect();
-    Some(SearchClass(stages))
+    SearchClass(stages)
 }
 
 /// A verification session over one pipeline: summaries are built
@@ -638,13 +469,6 @@ impl<'p> Verifier<'p> {
     /// same map mode; the check that builds them reports the build.
     pub fn check(&mut self, property: Property) -> Report {
         let pipeline = self.pipeline;
-        if let Some(spec) = SearchProp::of(&property) {
-            let t0 = Instant::now();
-            return Report::Verify(match self.ensure(spec.mode()) {
-                Ok(step1) => self.engine.check(pipeline, &spec, step1),
-                Err(e) => aborted_report(&spec.name(), pipeline, e, t0),
-            });
-        }
         match property {
             Property::Generic { loop_cap } => {
                 let t0 = Instant::now();
@@ -678,7 +502,15 @@ impl<'p> Verifier<'p> {
                     error: None,
                 })
             }
-            _ => unreachable!("search-based properties are handled above"),
+            search => {
+                let prop =
+                    SearchProperty::of(&search).expect("every other property is search-based");
+                let t0 = Instant::now();
+                Report::Verify(match self.ensure(prop.mode()) {
+                    Ok(step1) => self.engine.check(pipeline, &prop, step1),
+                    Err(e) => aborted_report(&prop.name(), pipeline, e, t0),
+                })
+            }
         }
     }
 

@@ -2,8 +2,10 @@
 //! feasibility.
 //!
 //! The path search is written once (`search`) and parameterized by
-//! `PropKind`; one engine runs it for both [`crate::session::Verifier`]
-//! and [`crate::churn::ChurnSession`]. Every feasibility query takes
+//! `SearchProperty`, the one resolved form of the three §4 properties
+//! it decides (crash-freedom, bounded-execution, filtering); one
+//! engine runs it for both [`crate::session::Verifier`] and
+//! [`crate::churn::ChurnSession`]. Every feasibility query takes
 //! one path: learnt-core store, then an incremental [`SolveSession`].
 //! A violation found feasible is reported with the lexicographically
 //! smallest packet that triggers it, minimised on the session that
@@ -12,13 +14,12 @@
 use crate::compose::{compose, ComposedState};
 use crate::cores::{CoreStats, CoreStore};
 use crate::report::{CounterExample, Verdict, VerifyReport};
-use crate::session::CustomProperty;
-use crate::summary::PipelineSummaries;
+use crate::session::Property;
+use crate::summary::{MapMode, PipelineSummaries};
 use bvsolve::{SatVerdict, SolveSession, SolverLayerStats, TermPool};
 use dataplane::{Pipeline, Route};
 use dpir::PORT_CONTINUE;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symexec::{SegOutcome, Segment, SymConfig, SymInput};
 
@@ -125,20 +126,9 @@ pub(crate) fn check(
             cores.learn(infeasibility.core);
             Feas::Unsat
         }
-        // An interrupt surfaces like a budget Unknown: the query was
-        // cancelled, not decided.
+        // Nothing constructs `Interrupted`; it would read as undecided.
         SatVerdict::Unknown | SatVerdict::Interrupted => Feas::Unknown,
     }
-}
-
-/// Whether any stage ≥ `k` can still host a property violation.
-pub(crate) fn lookahead(sums: &PipelineSummaries, is_suspect: impl Fn(usize) -> bool) -> Vec<bool> {
-    let n = sums.stages.len();
-    let mut v = vec![false; n + 1];
-    for k in (0..n).rev() {
-        v[k] = v[k + 1] || is_suspect(k);
-    }
-    v
 }
 
 /// Internal search result.
@@ -155,12 +145,14 @@ pub(crate) enum SearchOutcome {
 /// of its CDCL conflict budget.
 pub(crate) const SOLVER_BUDGET: &str = "solver budget exceeded";
 
-/// Which §4 property the search decides. Encodes, for each segment
-/// event along a composed path, whether it is a *violation suspect* (a
-/// feasible instance disproves the property), a *proof blocker* (a
-/// feasible instance degrades a proof to Unknown without being a
-/// violation), or inert.
-pub(crate) enum PropKind {
+/// A step-2 search property: one of the three §4 properties, resolved
+/// from [`Property`] into everything the search reads — name, map mode,
+/// reachability, suspect count, initial constraints — and, for each
+/// segment event along a composed path, whether it is a *violation
+/// suspect* (a feasible instance disproves the property), a *proof
+/// blocker* (a feasible instance degrades a proof to Unknown without
+/// being a violation), or inert. None of it reads a composed term.
+pub(crate) enum SearchProperty {
     /// No packet may terminate the pipeline abnormally.
     Crash,
     /// No packet may execute more than `imax` instructions.
@@ -168,18 +160,116 @@ pub(crate) enum PropKind {
         /// The instruction bound.
         imax: u64,
     },
-    /// No packet matching the property pattern (conjoined onto the
-    /// initial state) may be delivered on a sink.
-    Filter,
-    /// A user-defined property (see [`crate::session::CustomProperty`]).
-    Custom(Arc<dyn CustomProperty>),
+    /// No packet matching the pattern (conjoined onto the initial
+    /// state) may be delivered on a sink.
+    Filter(FilterProperty),
 }
 
-impl PropKind {
+impl SearchProperty {
+    /// Resolves a property, `None` for the non-search properties
+    /// (generic baseline, state analysis).
+    pub(crate) fn of(property: &Property) -> Option<SearchProperty> {
+        match property {
+            Property::CrashFreedom => Some(SearchProperty::Crash),
+            Property::Bounded { imax } => Some(SearchProperty::Bounded { imax: *imax }),
+            Property::Filter(p) => Some(SearchProperty::Filter(p.clone())),
+            Property::Generic { .. } | Property::StateConsistency => None,
+        }
+    }
+
+    /// The name this property's reports answer under.
+    pub(crate) fn name(&self) -> String {
+        match self {
+            SearchProperty::Crash => "crash-freedom".into(),
+            SearchProperty::Bounded { imax } => format!("bounded-execution (imax={imax})"),
+            SearchProperty::Filter(_) => "filtering".into(),
+        }
+    }
+
+    /// The step-1 summaries the search composes: filtering holds under
+    /// the pipeline's specific configuration, the others under any.
+    pub(crate) fn mode(&self) -> MapMode {
+        match self {
+            SearchProperty::Crash | SearchProperty::Bounded { .. } => MapMode::Abstract,
+            SearchProperty::Filter(_) => MapMode::Tables,
+        }
+    }
+
+    /// Per stage `k`, whether any stage ≥ `k` can still host a
+    /// violation. Crash-freedom: crash suspects, plus loop stations (we
+    /// must establish that loops converge within their bound to cover
+    /// all iterations), plus any fuel-exhausted step-1 segment (cannot
+    /// be summarized past). Every other property: every stage.
+    pub(crate) fn reach(&self, sums: &PipelineSummaries) -> Vec<bool> {
+        let n = sums.stages.len();
+        let mut v = vec![false; n + 1];
+        for k in (0..n).rev() {
+            let s = &sums.stages[k];
+            v[k] = v[k + 1]
+                || match self {
+                    SearchProperty::Crash => {
+                        s.loop_iters.is_some()
+                            || s.segments.iter().any(|g| {
+                                g.outcome.is_crash() || g.outcome == SegOutcome::FuelExhausted
+                            })
+                    }
+                    SearchProperty::Bounded { .. } | SearchProperty::Filter(_) => true,
+                };
+        }
+        v
+    }
+
+    /// The suspect count after step 1: crashing segments, fuel-exhausted
+    /// ones (bounded-execution), or segments that deliver the packet on
+    /// a sink (filtering: each is a potential policy bypass until step 2
+    /// discharges it in context).
+    pub(crate) fn suspects(&self, pipeline: &Pipeline, sums: &PipelineSummaries) -> usize {
+        let mut n = 0;
+        for (k, s) in sums.stages.iter().enumerate() {
+            let is_loop = s.loop_iters.is_some();
+            n += s
+                .segments
+                .iter()
+                .filter(|g| match self {
+                    SearchProperty::Crash => g.outcome.is_crash(),
+                    SearchProperty::Bounded { .. } => g.outcome == SegOutcome::FuelExhausted,
+                    SearchProperty::Filter(_) => match g.outcome {
+                        SegOutcome::Emit(p) if !(is_loop && p == PORT_CONTINUE) => {
+                            matches!(pipeline.stages[k].resolve(p), Route::Sink(_))
+                        }
+                        _ => false,
+                    },
+                })
+                .count();
+        }
+        n
+    }
+
+    /// The initial composed state of the search: metadata zeroed, and
+    /// under filtering the property's header pattern conjoined.
+    pub(crate) fn initial(&self, pool: &mut TermPool, sums: &PipelineSummaries) -> ComposedState {
+        let mut init = make_initial(pool, sums);
+        let SearchProperty::Filter(prop) = self else {
+            return init;
+        };
+        let min = pool.mk_const(16, prop.min_len.max(38));
+        let c_len = pool.mk_ule(min, sums.input.pkt_len);
+        init.constraint.push(c_len);
+        let fields = [(26, prop.src_ip), (30, prop.dst_ip)];
+        for (offset, addr) in fields {
+            let Some(addr) = addr else { continue };
+            for (i, b) in addr.to_be_bytes().iter().enumerate() {
+                let byte = sums.input.pkt_bytes[offset + i];
+                let c = pool.mk_const(8, *b as u64);
+                let eq = pool.mk_eq(byte, c);
+                init.constraint.push(eq);
+            }
+        }
+        init
+    }
+
     /// `Some(description)` when `seg`, bringing the composed path to
-    /// `instrs` instructions, violates a built-in property if
-    /// feasible. [`PropKind::Custom`] is asked through its own hook,
-    /// which reads the composed state (see [`classify`]).
+    /// `instrs` instructions, violates the property if feasible.
     fn violation(
         &self,
         pipeline: &Pipeline,
@@ -188,11 +278,11 @@ impl PropKind {
         instrs: u64,
     ) -> Option<String> {
         match self {
-            PropKind::Crash => seg
+            SearchProperty::Crash => seg
                 .outcome
                 .is_crash()
                 .then(|| describe_outcome(pipeline, stage, seg)),
-            PropKind::Bounded { imax } => {
+            SearchProperty::Bounded { imax } => {
                 if seg.outcome == SegOutcome::FuelExhausted {
                     // Step 1 could not finish this path: if reachable,
                     // an (attacker-exploitable) unbounded path.
@@ -205,41 +295,33 @@ impl PropKind {
                     None
                 }
             }
-            PropKind::Filter => None,
-            PropKind::Custom(_) => unreachable!("a custom property is asked through its hook"),
+            SearchProperty::Filter(_) => None,
         }
     }
 
     /// Whether a feasible instance of `seg` blocks a full proof
     /// (step-1 fuel exhaustion: the summary is incomplete past it).
-    pub(crate) fn blocker(&self, seg: &Segment) -> bool {
+    fn blocker(&self, seg: &Segment) -> bool {
         match self {
             // Under Bounded, fuel exhaustion is already a violation.
-            PropKind::Bounded { .. } => false,
-            PropKind::Crash | PropKind::Filter => seg.outcome == SegOutcome::FuelExhausted,
-            PropKind::Custom(c) => c.blocker(seg),
+            SearchProperty::Bounded { .. } => false,
+            SearchProperty::Crash | SearchProperty::Filter(_) => {
+                seg.outcome == SegOutcome::FuelExhausted
+            }
         }
     }
 
     /// Whether a loop still continuing at its composition bound is a
     /// violation (bounded-execution: §5.3 bugs #1/#2 land here) rather
     /// than a proof blocker.
-    pub(crate) fn loop_overrun_violates(&self) -> bool {
-        match self {
-            PropKind::Bounded { .. } => true,
-            PropKind::Crash | PropKind::Filter => false,
-            PropKind::Custom(c) => c.loop_overrun_violates(),
-        }
+    fn loop_overrun_violates(&self) -> bool {
+        matches!(self, SearchProperty::Bounded { .. })
     }
 
     /// Whether a packet *leaving* the pipeline via a sink violates the
     /// property (filtering).
-    pub(crate) fn sink_violates(&self) -> bool {
-        match self {
-            PropKind::Filter => true,
-            PropKind::Crash | PropKind::Bounded { .. } => false,
-            PropKind::Custom(c) => c.sink_violates(),
-        }
+    fn sink_violates(&self) -> bool {
+        matches!(self, SearchProperty::Filter(_))
     }
 }
 
@@ -257,18 +339,15 @@ pub(crate) enum StepEvent {
     Inert,
 }
 
-/// Classifies segment `i` of `node`'s stage under `kind` and composes
+/// Classifies segment `i` of `node`'s stage under `prop` and composes
 /// it onto `node` — in that order: **decide, then compose**. Whether a
 /// segment is a violation suspect, a proof blocker, a continuation (and
 /// to where) or inert is a function of its outcome, the instruction
 /// count `node.state.instrs + seg.instrs`, the stage's route for its
 /// port and `reach`; none of it reads a composed term. So the state is
-/// built at most once, when the first arm that hands it on asks for
-/// it, and an inert segment — most of them, on a proof — is never
-/// substituted, re-interned or given fresh havoc variables. The one
-/// exception is [`PropKind::Custom`]: its `violation` hook is handed
-/// the composed state (it may read the packet terms or the map
-/// operations), so a custom property composes before it decides.
+/// built once, for an event that hands it on, and an inert segment —
+/// most of them, on a proof — is never substituted, re-interned or
+/// given fresh havoc variables.
 ///
 /// Loops: a segment still requesting another iteration at the
 /// composed-iteration bound is either a violation (bounded-execution)
@@ -282,7 +361,7 @@ pub(crate) fn classify(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
-    kind: &PropKind,
+    prop: &SearchProperty,
     node: &Node,
     i: usize,
     seg: &Segment,
@@ -291,15 +370,10 @@ pub(crate) fn classify(
     let summary = &sums.stages[node.stage];
     let is_loop = summary.loop_iters.is_some();
     let max_iters = summary.loop_iters.unwrap_or(0);
-    let build = |pool: &mut TermPool| compose(pool, &node.state, summary, node.stage, i);
-    let mut next = None;
-    let violation = match kind {
-        PropKind::Custom(c) => c.violation(pipeline, node.stage, seg, next.insert(build(pool))),
-        _ => kind.violation(pipeline, node.stage, seg, node.state.instrs + seg.instrs),
-    };
+    let violation = prop.violation(pipeline, node.stage, seg, node.state.instrs + seg.instrs);
     let role = if let Some(what) = violation {
         Role::Violation(what)
-    } else if kind.blocker(seg) {
+    } else if prop.blocker(seg) {
         Role::Blocker
     } else {
         match seg.outcome {
@@ -315,7 +389,7 @@ pub(crate) fn classify(
                         stage: node.stage,
                         iter: node.iter + 1,
                     }
-                } else if kind.loop_overrun_violates() {
+                } else if prop.loop_overrun_violates() {
                     Role::Violation(describe_outcome(pipeline, node.stage, seg))
                 } else {
                     // Still continuing at the bound: proof blocker.
@@ -337,14 +411,14 @@ pub(crate) fn classify(
                         return StepEvent::Inert;
                     }
                 }
-                Route::Sink(_) if kind.sink_violates() => {
+                Route::Sink(_) if prop.sink_violates() => {
                     Role::Violation(sink_violation_desc(&summary.name))
                 }
                 Route::Sink(_) | Route::Drop => return StepEvent::Inert,
             },
         }
     };
-    let state = next.unwrap_or_else(|| build(pool));
+    let state = compose(pool, &node.state, summary, node.stage, i);
     match role {
         Role::Violation(what) => StepEvent::ViolationCheck(what, state),
         Role::Blocker => StepEvent::BlockerCheck(state),
@@ -378,7 +452,7 @@ pub(crate) fn search(
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
-    kind: &PropKind,
+    prop: &SearchProperty,
     root: Node,
     reach: &[bool],
     composed: &mut usize,
@@ -390,14 +464,13 @@ pub(crate) fn search(
             if *composed >= cfg.max_composed_paths {
                 return SearchOutcome::Budget;
             }
-            match classify(pool, pipeline, sums, kind, &node, i, seg, reach) {
+            match classify(pool, pipeline, sums, prop, &node, i, seg, reach) {
                 StepEvent::ViolationCheck(what, next) => {
                     *composed += 1;
                     match check(pool, solver, cores, &next, false) {
                         Feas::Sat(m) => {
                             let m = minimal_witness(pool, solver, &sums.input).unwrap_or(m);
                             return SearchOutcome::Violation(CounterExample::from_model(
-                                pool,
                                 &sums.input,
                                 &m,
                                 what,
@@ -511,41 +584,6 @@ pub(crate) fn unknown_report(
     }
 }
 
-/// Crash-freedom suspect count after step 1.
-pub(crate) fn crash_suspects(sums: &PipelineSummaries) -> usize {
-    sums.stages
-        .iter()
-        .map(|s| s.segments.iter().filter(|g| g.outcome.is_crash()).count())
-        .sum()
-}
-
-/// Crash-freedom reachability: crash suspects, plus loop stations (we
-/// must establish that loops converge within their bound to cover all
-/// iterations), plus any fuel-exhausted step-1 segment (cannot be
-/// summarized past).
-pub(crate) fn crash_reach(sums: &PipelineSummaries) -> Vec<bool> {
-    lookahead(sums, |k| {
-        let s = &sums.stages[k];
-        s.loop_iters.is_some()
-            || s.segments
-                .iter()
-                .any(|g| g.outcome.is_crash() || g.outcome == SegOutcome::FuelExhausted)
-    })
-}
-
-/// Bounded-execution suspect count after step 1.
-pub(crate) fn bounded_suspects(sums: &PipelineSummaries) -> usize {
-    sums.stages
-        .iter()
-        .map(|s| {
-            s.segments
-                .iter()
-                .filter(|g| g.outcome == SegOutcome::FuelExhausted)
-                .count()
-        })
-        .sum()
-}
-
 pub(crate) fn verdict_of(outcome: SearchOutcome) -> Verdict {
     match outcome {
         SearchOutcome::Clean => Verdict::Proved,
@@ -603,56 +641,6 @@ impl FilterProperty {
         self.min_len = min_len;
         self
     }
-}
-
-/// Conjoins the property's header pattern onto the initial state.
-pub(crate) fn constrain_filter(
-    pool: &mut TermPool,
-    sums: &PipelineSummaries,
-    prop: &FilterProperty,
-    init: &mut ComposedState,
-) {
-    let min = pool.mk_const(16, prop.min_len.max(38));
-    let c_len = pool.mk_ule(min, sums.input.pkt_len);
-    init.constraint.push(c_len);
-    if let Some(src) = prop.src_ip {
-        for (i, b) in src.to_be_bytes().iter().enumerate() {
-            let byte = sums.input.pkt_bytes[26 + i];
-            let c = pool.mk_const(8, *b as u64);
-            let eq = pool.mk_eq(byte, c);
-            init.constraint.push(eq);
-        }
-    }
-    if let Some(dst) = prop.dst_ip {
-        for (i, b) in dst.to_be_bytes().iter().enumerate() {
-            let byte = sums.input.pkt_bytes[30 + i];
-            let c = pool.mk_const(8, *b as u64);
-            let eq = pool.mk_eq(byte, c);
-            init.constraint.push(eq);
-        }
-    }
-}
-
-/// Filtering suspect count after step 1: segments that deliver the
-/// packet on a sink (each is a potential policy bypass until step 2
-/// discharges it in context).
-pub(crate) fn filter_suspects(pipeline: &Pipeline, sums: &PipelineSummaries) -> usize {
-    sums.stages
-        .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            let is_loop = s.loop_iters.is_some();
-            s.segments
-                .iter()
-                .filter(|g| match g.outcome {
-                    SegOutcome::Emit(p) if !(is_loop && p == PORT_CONTINUE) => {
-                        matches!(pipeline.stages[k].resolve(p), Route::Sink(_))
-                    }
-                    _ => false,
-                })
-                .count()
-        })
-        .sum()
 }
 
 /// One entry of the longest-path report (§5.3).
@@ -742,7 +730,6 @@ pub(crate) fn longest_paths_from(
                 out.push(LongestPath {
                     instrs: node.state.instrs,
                     packet: CounterExample::from_model(
-                        pool,
                         &sums.input,
                         &m,
                         format!("{}-instruction path", node.state.instrs),
@@ -842,13 +829,17 @@ mod tests {
     use super::*;
     use crate::compose::tests::compose_oracle;
     use crate::compose::COMPOSITIONS;
-    use crate::session::{Property, SearchProp, Verifier};
+    use crate::session::Verifier;
     use crate::summary::summarize_pipeline;
     use dataplane::Element;
     use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
     use elements::pipelines::{edge_fib, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP};
 
     const IMAX: u64 = 5_000;
+    /// An instruction bound the firewalled edge's longer paths exceed.
+    /// Tighter is not better: a bound the first stages already overrun
+    /// cuts every path short and leaves fewer violations to extract.
+    const TIGHT_IMAX: u64 = 120;
     const WATCHED_SRC: u32 = 0x0BAD_0001;
 
     /// The counterexample extraction [`minimal_witness`] replaced, kept
@@ -980,46 +971,18 @@ mod tests {
         ]
     }
 
-    /// A custom property whose hook reads the composed state and fires
-    /// on a `Drop` segment — inert under every built-in property, so
-    /// the one case a lazy [`classify`] must still compose up front.
-    struct NoLateDrop;
-
-    impl CustomProperty for NoLateDrop {
-        fn name(&self) -> String {
-            "no drop past the header checks".into()
-        }
-
-        fn violation(
-            &self,
-            pipeline: &Pipeline,
-            stage: usize,
-            seg: &Segment,
-            state: &ComposedState,
-        ) -> Option<String> {
-            (seg.outcome == SegOutcome::Drop && stage >= 3).then(|| {
-                format!(
-                    "{} drops after {} instructions, {} segments and {} conjuncts",
-                    pipeline.stages[stage].element.name,
-                    state.instrs,
-                    state.trace.len(),
-                    state.constraint.len()
-                )
-            })
-        }
-    }
-
-    /// The properties of the paper audits plus the custom one.
+    /// The properties of the paper audits, plus a bound the firewalled
+    /// edge's longer paths overrun: a violation suspect on many paths,
+    /// so the extraction oracle sees at least 12 violations of it.
     fn audited() -> Vec<(Pipeline, Property)> {
-        let builtin = || {
-            [
-                Property::CrashFreedom,
-                Property::Bounded { imax: IMAX },
-                Property::Filter(FilterProperty::src(WATCHED_SRC)),
-            ]
-        };
-        let mut set: Vec<_> = builtin().map(|p| (firewalled_edge(), p)).into();
-        set.push((firewalled_edge(), Property::Custom(Arc::new(NoLateDrop))));
+        let mut set: Vec<_> = [
+            Property::CrashFreedom,
+            Property::Bounded { imax: IMAX },
+            Property::Filter(FilterProperty::src(WATCHED_SRC)),
+            Property::Bounded { imax: TIGHT_IMAX },
+        ]
+        .map(|p| (firewalled_edge(), p))
+        .into();
         set.extend(table3());
         set
     }
@@ -1036,7 +999,7 @@ mod tests {
     struct Check {
         pool: TermPool,
         sums: PipelineSummaries,
-        kind: PropKind,
+        prop: SearchProperty,
         reach: Vec<bool>,
         init: ComposedState,
     }
@@ -1047,17 +1010,15 @@ mod tests {
 
     /// [`set_up`] on a pool that earlier checks have warmed.
     fn set_up_in(mut pool: TermPool, pipeline: &Pipeline, property: &Property) -> Check {
-        let spec = SearchProp::of(property).expect("a search property");
+        let prop = SearchProperty::of(property).expect("a search property");
         let sums =
-            summarize_pipeline(&mut pool, pipeline, &cfg().sym, spec.mode()).expect("step 1");
-        let mut init = make_initial(&mut pool, &sums);
-        spec.init_extra(&mut pool, &sums, &mut init);
+            summarize_pipeline(&mut pool, pipeline, &cfg().sym, prop.mode()).expect("step 1");
         Check {
-            kind: spec.kind(),
-            reach: spec.reach(&sums),
+            init: prop.initial(&mut pool, &sums),
+            reach: prop.reach(&sums),
+            prop,
             pool,
             sums,
-            init,
         }
     }
 
@@ -1066,7 +1027,7 @@ mod tests {
     fn classify_composed(
         pipeline: &Pipeline,
         sums: &PipelineSummaries,
-        kind: &PropKind,
+        prop: &SearchProperty,
         node: &Node,
         seg: &Segment,
         reach: &[bool],
@@ -1075,14 +1036,10 @@ mod tests {
         let summary = &sums.stages[node.stage];
         let is_loop = summary.loop_iters.is_some();
         let max_iters = summary.loop_iters.unwrap_or(0);
-        let violation = match kind {
-            PropKind::Custom(c) => c.violation(pipeline, node.stage, seg, &next),
-            _ => kind.violation(pipeline, node.stage, seg, next.instrs),
-        };
-        if let Some(what) = violation {
+        if let Some(what) = prop.violation(pipeline, node.stage, seg, next.instrs) {
             return StepEvent::ViolationCheck(what, next);
         }
-        if kind.blocker(seg) {
+        if prop.blocker(seg) {
             return StepEvent::BlockerCheck(next);
         }
         match seg.outcome {
@@ -1094,7 +1051,7 @@ mod tests {
                         iter: node.iter + 1,
                         state: next,
                     })
-                } else if kind.loop_overrun_violates() {
+                } else if prop.loop_overrun_violates() {
                     StepEvent::ViolationCheck(describe_outcome(pipeline, node.stage, seg), next)
                 } else {
                     StepEvent::BlockerCheck(next)
@@ -1119,7 +1076,7 @@ mod tests {
                             StepEvent::Inert
                         }
                     }
-                    Route::Sink(_) if kind.sink_violates() => {
+                    Route::Sink(_) if prop.sink_violates() => {
                         StepEvent::ViolationCheck(sink_violation_desc(&summary.name), next)
                     }
                     Route::Sink(_) | Route::Drop => StepEvent::Inert,
@@ -1145,16 +1102,6 @@ mod tests {
         assert_eq!(new.meta, old.meta, "{at}: meta");
         assert_eq!(new.instrs, old.instrs, "{at}: instrs");
         assert_eq!(new.trace, old.trace, "{at}: trace");
-        let ops = |s: &ComposedState| -> Vec<_> {
-            s.map_ops
-                .iter()
-                .map(|op| {
-                    let fields = (op.map, op.kind, op.key, op.value);
-                    (fields, op.havoc_value_var, op.havoc_flag_var)
-                })
-                .collect()
-        };
-        assert_eq!(ops(new), ops(old), "{at}: map operations");
     }
 
     /// Two searches in lockstep on clones of one pool — one composing
@@ -1168,7 +1115,7 @@ mod tests {
         let Check {
             mut pool,
             sums,
-            kind,
+            prop,
             reach,
             init,
         } = set_up(pipeline, property);
@@ -1192,7 +1139,7 @@ mod tests {
                 assert_eq!(pool.len(), shadow.len(), "{at}: terms interned");
                 assert_eq!(pool.num_vars(), shadow.num_vars(), "{at}: fresh variables");
                 compared += 1;
-                let event = classify_composed(pipeline, &sums, &kind, &node, seg, &reach, new);
+                let event = classify_composed(pipeline, &sums, &prop, &node, seg, &reach, new);
                 let Some((state, subtree)) = queried(&event) else {
                     continue;
                 };
@@ -1230,18 +1177,12 @@ mod tests {
     /// The step-2 search with, at every (node, segment) it reaches,
     /// the lazy [`classify`] held to compose-then-classify. Counts the
     /// events seen per variant into `seen` (violation, blocker,
-    /// continue, inert) and `on_drop` when a violation suspect is a
-    /// `Drop` segment.
-    fn classify_differential(
-        pipeline: &Pipeline,
-        property: &Property,
-        seen: &mut [usize; 4],
-        on_drop: &mut usize,
-    ) {
+    /// continue, inert).
+    fn classify_differential(pipeline: &Pipeline, property: &Property, seen: &mut [usize; 4]) {
         let Check {
             mut pool,
             sums,
-            kind,
+            prop,
             reach,
             init,
         } = set_up(pipeline, property);
@@ -1256,11 +1197,11 @@ mod tests {
             let summary = &sums.stages[node.stage];
             for (i, seg) in summary.segments.iter().enumerate() {
                 let before = COMPOSITIONS.get();
-                let event = classify(&mut pool, pipeline, &sums, &kind, &node, i, seg, &reach);
+                let event = classify(&mut pool, pipeline, &sums, &prop, &node, i, seg, &reach);
                 let composed = COMPOSITIONS.get() - before;
                 let oracle = {
                     let next = compose(&mut pool, &node.state, summary, node.stage, i);
-                    classify_composed(pipeline, &sums, &kind, &node, seg, &reach, next)
+                    classify_composed(pipeline, &sums, &prop, &node, seg, &reach, next)
                 };
                 assert_eq!(
                     shape(&event),
@@ -1270,18 +1211,13 @@ mod tests {
                     node.stage
                 );
                 let inert = matches!(event, StepEvent::Inert);
-                let custom = matches!(kind, PropKind::Custom(_));
                 assert_eq!(
                     composed,
-                    usize::from(custom || !inert),
-                    "one composition per event handed on, none for an inert segment \
-                     unless a custom hook had to read it"
+                    usize::from(!inert),
+                    "one composition per event handed on, none for an inert segment"
                 );
                 match &event {
-                    StepEvent::ViolationCheck(..) => {
-                        seen[0] += 1;
-                        *on_drop += usize::from(seg.outcome == SegOutcome::Drop);
-                    }
+                    StepEvent::ViolationCheck(..) => seen[0] += 1,
                     StepEvent::BlockerCheck(_) => seen[1] += 1,
                     StepEvent::Continue(_) => seen[2] += 1,
                     StepEvent::Inert => seen[3] += 1,
@@ -1329,17 +1265,12 @@ mod tests {
     #[test]
     fn lazy_classify_matches_compose_then_classify() {
         let mut seen = [0; 4];
-        let mut on_drop = 0;
         for (pipeline, property) in audited() {
-            classify_differential(&pipeline, &property, &mut seen, &mut on_drop);
+            classify_differential(&pipeline, &property, &mut seen);
         }
         assert!(
             seen.iter().all(|&n| n > 0),
             "violation, blocker, continue, inert: {seen:?}"
-        );
-        assert!(
-            on_drop > 0,
-            "the custom property's Drop suspect never came up"
         );
     }
 
@@ -1348,7 +1279,7 @@ mod tests {
     fn lazy_classify_matches_compose_then_classify_on_the_proof_audits() {
         let mut seen = [0; 4];
         for (pipeline, property) in prove_audits() {
-            classify_differential(&pipeline, &property, &mut seen, &mut 0);
+            classify_differential(&pipeline, &property, &mut seen);
         }
         assert!(seen.iter().all(|&n| n > 1), "{seen:?}");
     }
@@ -1371,7 +1302,7 @@ mod tests {
         let Check {
             pool,
             sums,
-            kind,
+            prop,
             reach,
             init,
         } = set_up;
@@ -1384,7 +1315,7 @@ mod tests {
         }];
         while let Some(node) = stack.pop() {
             for (i, seg) in sums.stages[node.stage].segments.iter().enumerate() {
-                match classify(pool, pipeline, sums, kind, &node, i, seg, reach) {
+                match classify(pool, pipeline, sums, prop, &node, i, seg, reach) {
                     StepEvent::ViolationCheck(what, next) => {
                         if !matches!(check(pool, solver, cores, &next, false), Feas::Sat(_)) {
                             continue;
@@ -1398,7 +1329,7 @@ mod tests {
                             .expect("in budget");
                         let [got, want] = [got, want].map(|m| {
                             let trace = next.trace.clone();
-                            CounterExample::from_model(pool, &sums.input, &m, what.clone(), trace)
+                            CounterExample::from_model(&sums.input, &m, what.clone(), trace)
                         });
                         assert_eq!(got.bytes, want.bytes, "{at}");
                         compared += 1;
@@ -1478,8 +1409,7 @@ mod tests {
             }
             let want = canonical_model(&mut pool, &cfg(), &state.constraint, &sums.input)
                 .expect("in budget");
-            let want =
-                CounterExample::from_model(&pool, &sums.input, &want, String::new(), Vec::new());
+            let want = CounterExample::from_model(&sums.input, &want, String::new(), Vec::new());
             let at = format!("{}: {} instructions", pipeline.name, path.instrs);
             assert_eq!(path.packet.bytes, want.bytes, "{at}");
             compared += 1;
@@ -1551,12 +1481,13 @@ mod tests {
 
     /// The bytes of every counterexample the paper audits report, taken
     /// from the binary-search extraction before the live-session one
-    /// replaced it: index for index with [`audited`] (`None` where the
-    /// verdict is Proved), then filtering on the firewalled edge for a
-    /// source its firewall lets through. Each must come out the same on
-    /// a fresh `Verifier` per check and on one warm `Verifier` running
-    /// a pipeline's checks in turn. These hold the bytes once the
-    /// oracle is gone.
+    /// replaced it (the [`TIGHT_IMAX`] entry from the extraction the
+    /// [`canonical_model`] oracle agreed with): index for index with
+    /// [`audited`] (`None` where the verdict is Proved), then filtering
+    /// on the firewalled edge for a source its firewall lets through.
+    /// Each must come out the same on a fresh `Verifier` per check and
+    /// on one warm `Verifier` running a pipeline's checks in turn.
+    /// These hold the bytes once the oracle is gone.
     const GOLDEN_AUDITS: [Option<&str>; 8] = [
         None,
         None,
@@ -1564,7 +1495,7 @@ mod tests {
         Some(
             "00 00 00 00 00 00 00 00 00 00 00 00 08 00 46 00 \
                 00 18 00 00 00 00 02 00 00 00 00 00 00 00 00 00 \
-                00 00 02 05 00 00",
+                00 00 83 04 00 00",
         ),
         Some(
             "00 00 00 00 00 00 00 00 00 00 00 00 08 00 46 00 \

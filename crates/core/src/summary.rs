@@ -446,11 +446,6 @@ impl SummaryStore {
         })
     }
 
-    /// The backing directory of a [`SummaryStore::persistent`] store.
-    pub fn store_path(&self) -> Option<&std::path::Path> {
-        self.disk.as_deref()
-    }
-
     /// Distinct `(element, mode, tables, cfg)` summaries held.
     pub fn len(&self) -> usize {
         self.inner

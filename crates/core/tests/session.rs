@@ -1,14 +1,13 @@
-//! Session-API tests: summary caching, multi-property audits, custom
-//! properties, and run-to-run reproducibility.
+//! Session-API tests: summary caching, multi-property audits and
+//! run-to-run reproducibility.
 
 use dataplane::{Element, Pipeline, Route, Stage};
 use dpir::ProgramBuilder;
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{network_gateway, to_pipeline, ROUTER_IP};
-use symexec::{SegOutcome, Segment, SymConfig, SymInput};
+use symexec::{SegOutcome, SymConfig};
 use verifier::{
-    ComposedState, CustomProperty, FilterProperty, MapMode, Property, Report, Verdict, Verifier,
-    VerifyConfig, VerifyReport,
+    FilterProperty, MapMode, Property, Report, Verdict, Verifier, VerifyConfig, VerifyReport,
 };
 
 fn cfg() -> VerifyConfig {
@@ -183,33 +182,8 @@ fn router_audit_summarizes_at_most_twice() {
     }
 }
 
-// --------------------------------------------------------------------
-// Custom properties
-// --------------------------------------------------------------------
-
-/// Crash-freedom reimplemented as a custom property: must agree with
-/// the built-in everywhere the built-in's reachability pruning is not
-/// load-bearing.
-struct NoCrash;
-
-impl CustomProperty for NoCrash {
-    fn name(&self) -> String {
-        "custom-no-crash".into()
-    }
-
-    fn violation(
-        &self,
-        pipeline: &Pipeline,
-        stage: usize,
-        seg: &Segment,
-        _state: &ComposedState,
-    ) -> Option<String> {
-        seg.outcome
-            .is_crash()
-            .then(|| format!("{} crashes", pipeline.stages[stage].element.name))
-    }
-}
-
+/// One element asserting its first byte is at least 10: any shorter
+/// value crashes it.
 fn toy_broken() -> Pipeline {
     let mut b = ProgramBuilder::new("E2");
     let v = b.pkt_load(8, 0u64);
@@ -220,85 +194,6 @@ fn toy_broken() -> Pipeline {
         Stage::passthrough(Element::straight("E2", b.build().expect("valid")))
             .route(0, Route::Sink(0)),
     )
-}
-
-#[test]
-fn custom_property_runs_on_the_shared_engine() {
-    let broken = toy_broken();
-    let mut v = Verifier::new(&broken).config(cfg());
-    let custom = v
-        .check(Property::Custom(std::sync::Arc::new(NoCrash)))
-        .expect_verify();
-    assert_eq!(custom.property, "custom-no-crash");
-    let builtin = v.check(Property::CrashFreedom).expect_verify();
-    assert!(custom.verdict.is_disproved(), "{custom}");
-    assert!(builtin.verdict.is_disproved(), "{builtin}");
-    match (&custom.verdict, &builtin.verdict) {
-        (Verdict::Disproved(a), Verdict::Disproved(b)) => {
-            assert_eq!(a.trace, b.trace, "same violating path");
-        }
-        _ => unreachable!(),
-    }
-    assert_eq!(v.step1_runs(), 1, "custom shares the Abstract cache");
-
-    // And on the crash-free router both prove.
-    let p = router();
-    let mut v = Verifier::new(&p).config(cfg());
-    let custom = v
-        .check(Property::Custom(std::sync::Arc::new(NoCrash)))
-        .expect_verify();
-    assert!(custom.verdict.is_proved(), "{custom}");
-}
-
-/// A genuinely new invariant: no delivered packet may have consumed
-/// more than a budget of instructions *and* custom properties can veto
-/// sink delivery — here, "nothing is ever delivered" on a pipeline
-/// that always delivers.
-struct NoDelivery;
-
-impl CustomProperty for NoDelivery {
-    fn name(&self) -> String {
-        "no-delivery".into()
-    }
-
-    fn violation(
-        &self,
-        _pipeline: &Pipeline,
-        _stage: usize,
-        _seg: &Segment,
-        _state: &ComposedState,
-    ) -> Option<String> {
-        None
-    }
-
-    fn sink_violates(&self) -> bool {
-        true
-    }
-
-    fn constrain_initial(
-        &self,
-        pool: &mut bvsolve::TermPool,
-        input: &SymInput,
-        init: &mut ComposedState,
-    ) {
-        // Only consider packets of at least 38 bytes.
-        let min = pool.mk_const(16, 38);
-        let c = pool.mk_ule(min, input.pkt_len);
-        init.constraint.push(c);
-    }
-}
-
-#[test]
-fn custom_sink_property_finds_delivery() {
-    let p = router();
-    let r = Verifier::new(&p)
-        .config(cfg())
-        .check(Property::Custom(std::sync::Arc::new(NoDelivery)))
-        .expect_verify();
-    let Verdict::Disproved(cex) = &r.verdict else {
-        panic!("the router delivers packets: {r}");
-    };
-    assert!(cex.bytes.len() >= 38, "initial constraint respected");
 }
 
 // --------------------------------------------------------------------

@@ -14,9 +14,8 @@ use std::sync::Arc;
 use symexec::SymConfig;
 use verifier::fleet::Fleet;
 use verifier::{
-    summarize_pipeline, summarize_pipeline_with_store, ComposedState, CustomProperty,
-    FilterProperty, MapMode, Property, SummaryKey, SummaryStore, Verdict, Verifier, VerifyConfig,
-    VerifyReport,
+    summarize_pipeline, summarize_pipeline_with_store, FilterProperty, MapMode, Property,
+    SummaryKey, SummaryStore, Verdict, Verifier, VerifyConfig, VerifyReport,
 };
 
 fn cfg() -> VerifyConfig {
@@ -436,28 +435,6 @@ fn fleet_replays_attribute_no_step1_work() {
     }
 }
 
-/// Crash-freedom as a user-defined property: its `violation` hook
-/// receives the pipeline, so the fleet must never share its searches.
-struct CustomNoCrash;
-
-impl CustomProperty for CustomNoCrash {
-    fn name(&self) -> String {
-        "custom-no-crash".into()
-    }
-
-    fn violation(
-        &self,
-        pipeline: &Pipeline,
-        stage: usize,
-        seg: &symexec::Segment,
-        _state: &ComposedState,
-    ) -> Option<String> {
-        seg.outcome
-            .is_crash()
-            .then(|| format!("{} crashes", pipeline.stages[stage].element.name))
-    }
-}
-
 /// A firewalled router front whose unguarded DecTTL reads past short
 /// packets (crash-freedom is disproved) and whose filtering verdict depends on
 /// the blacklist contents.
@@ -510,14 +487,13 @@ fn fleet_classes_split_where_step2_could_differ() {
     let props = [
         Property::CrashFreedom,
         Property::Filter(FilterProperty::src(BAD)),
-        Property::Custom(Arc::new(CustomNoCrash)),
     ];
     let expect_replayed = [
-        [false, false, false],
-        [true, true, false],
-        [true, false, false],
-        [false, false, false],
-        [false, false, false],
+        [false, false],
+        [true, true],
+        [true, false],
+        [false, false],
+        [false, false],
     ];
 
     for threads in [1usize, 4] {
@@ -526,8 +502,8 @@ fn fleet_classes_split_where_step2_could_differ() {
             fleet = fleet.variant(p.name.clone(), p.clone());
         }
         let report = fleet.properties(&props).run();
-        // crash-freedom 3 + filtering 4 + custom 5.
-        assert_eq!(report.classes, 12, "threads={threads}");
+        // crash-freedom 3 + filtering 4.
+        assert_eq!(report.classes, 7, "threads={threads}");
         assert_eq!(report.checks_replayed(), 3);
 
         let mut disproved_replays = 0;
@@ -572,56 +548,53 @@ fn fleet_classes_split_where_step2_could_differ() {
     }
 }
 
-/// A property whose hook panics on the first segment it is shown.
-struct Hostile;
-
-impl CustomProperty for Hostile {
-    fn name(&self) -> String {
-        "hostile".into()
+/// A lookup variant whose IPlookup program jumps past its last block:
+/// structurally invalid, so step 1 panics indexing the missing block.
+fn jump_past_the_end() -> Pipeline {
+    let mut p = lookup_variant(vec![(0x0C00_0000, 8, 0)]);
+    match &mut p.stages[2].element.kind {
+        ElementKind::Straight(prog) => {
+            let past = dpir::BlockId(prog.blocks.len() as u32);
+            prog.blocks[0].term = dpir::Terminator::Jump(past);
+        }
+        ElementKind::Loop { .. } => panic!("IPlookup is a straight element"),
     }
-
-    fn violation(
-        &self,
-        _pipeline: &Pipeline,
-        _stage: usize,
-        _seg: &symexec::Segment,
-        _state: &ComposedState,
-    ) -> Option<String> {
-        panic!("hostile hook")
-    }
+    p
 }
 
 #[test]
 fn fleet_panicking_check_degrades_to_unknown_for_its_class_only() {
-    let props = [
-        Property::CrashFreedom,
-        Property::Custom(Arc::new(Hostile)),
-        Property::Bounded { imax: 5_000 },
-    ];
+    let props = [Property::CrashFreedom, Property::Bounded { imax: 5_000 }];
     for threads in [1usize, 3] {
         let report = Fleet::new()
             .config(cfg())
             .threads(threads)
             .variant("a", lookup_variant(vec![(0x0A00_0000, 8, 0)]))
+            .variant("broken", jump_past_the_end())
             .variant("b", lookup_variant(vec![(0x0B00_0000, 8, 1)]))
             .properties(&props)
             .run();
-        // crash-freedom and bounded share across the table-only pair;
-        // the custom property is one class per variant.
-        assert_eq!(report.classes, 4);
+        // The table-only pair shares both classes; the broken variant's
+        // program differs, so it has two classes of its own.
+        assert_eq!(report.classes, 4, "threads={threads}");
+        let names = ["crash-freedom", "bounded-execution (imax=5000)"];
         for v in &report.variants {
-            let verdicts: Vec<&Verdict> = v.reports.iter().filter_map(|r| r.verdict()).collect();
-            assert!(verdicts[0].is_proved(), "{}: {:?}", v.variant, verdicts[0]);
-            assert!(verdicts[2].is_proved(), "{}: {:?}", v.variant, verdicts[2]);
-            match verdicts[1] {
-                Verdict::Unknown(why) => assert_eq!(
-                    why, "internal: check panicked: hostile hook",
-                    "{}",
-                    v.variant
-                ),
-                other => panic!("{}: expected an internal Unknown, got {other:?}", v.variant),
+            for (name, r) in names.iter().zip(&v.reports) {
+                let what = format!("{} {name} threads={threads}", v.variant);
+                assert_eq!(r.property(), *name, "{what}");
+                let verdict = r.verdict().expect("verify");
+                if v.variant != "broken" {
+                    assert!(verdict.is_proved(), "{what}: {verdict:?}");
+                    continue;
+                }
+                match verdict {
+                    Verdict::Unknown(why) => assert!(
+                        why.starts_with("internal: check panicked: index out of bounds"),
+                        "{what}: {why}"
+                    ),
+                    other => panic!("{what}: expected an internal Unknown, got {other:?}"),
+                }
             }
-            assert_eq!(v.reports[1].property(), "hostile");
         }
     }
 }

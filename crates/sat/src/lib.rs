@@ -16,8 +16,7 @@
 //! * assumption-level UNSAT cores ([`Solver::last_core`]),
 //! * scoped allocation ([`Solver::mark`] / [`Solver::rollback`]):
 //!   variables and clauses added since a mark are dropped for good,
-//!   learnt clauses over the surviving variables are kept,
-//! * cooperative cancellation ([`Solver::set_interrupt`]).
+//!   learnt clauses over the surviving variables are kept.
 //!
 //! The design goal mirrors the networking guides' advice for dataplane
 //! code: simple, deterministic, allocation-conscious, no `unsafe`.

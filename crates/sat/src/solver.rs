@@ -2,8 +2,6 @@
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::lit::{Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,10 +12,6 @@ pub enum SolveResult {
     Unsat,
     /// The conflict budget was exhausted before a verdict.
     Unknown,
-    /// The solve was cancelled via [`Solver::set_interrupt`] before a
-    /// verdict. The solver backtracks to level 0 and stays fully
-    /// reusable: clear the flag and call `solve` again.
-    Interrupted,
 }
 
 impl SolveResult {
@@ -192,8 +186,7 @@ impl VarOrder {
 /// A CDCL SAT solver. See the crate docs for the algorithm inventory.
 ///
 /// `Clone` duplicates the complete solver state (clause database,
-/// learnt clauses, activities, saved phases); the interrupt flag is
-/// shared by the clone (same `Arc`).
+/// learnt clauses, activities, saved phases).
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     db: ClauseDb,
@@ -223,9 +216,6 @@ pub struct Solver {
     /// Assumption subset that derived the last UNSAT verdict
     /// (see [`Solver::last_core`]).
     last_core: Vec<Lit>,
-    /// Cooperative cancellation flag, checked once per search-loop
-    /// iteration (i.e. at every conflict/decision/restart boundary).
-    interrupt: Option<Arc<AtomicBool>>,
     /// Assumptions of the last solve call: after a
     /// [`SolveResult::Sat`], decision levels `1..=assumption_count` are theirs
     /// (see [`Solver::fixed_by_assumptions`]).
@@ -276,26 +266,6 @@ impl Solver {
     /// once that many conflicts were analyzed. `u64::MAX` disables it.
     pub fn set_conflict_budget(&mut self, budget: u64) {
         self.conflict_budget = budget;
-    }
-
-    /// Installs a cooperative cancellation flag. The search loop polls
-    /// it (relaxed load) at every conflict/decision/restart boundary
-    /// and returns [`SolveResult::Interrupted`] when it reads `true`,
-    /// after backtracking to level 0 — the solver stays reusable.
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
-    }
-
-    /// Removes a previously installed interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-    }
-
-    /// Whether the installed interrupt flag (if any) is raised.
-    fn interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Solver statistics so far.
@@ -609,9 +579,6 @@ impl Solver {
         let mut conflicts_until_restart = RESTART_BASE * luby(restarts + 1);
         let budget_start = self.stats.conflicts;
         let result = loop {
-            if self.interrupted() {
-                break SolveResult::Interrupted;
-            }
             if let Some(confl) = self.propagate() {
                 // Conflict.
                 self.stats.conflicts += 1;
@@ -1474,55 +1441,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interrupted_solver_stays_reusable() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 5);
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(Arc::clone(&flag));
-        // Pre-raised flag: the loop bails on its first iteration, with
-        // or without assumptions.
-        assert_eq!(s.solve(), SolveResult::Interrupted);
-        assert_eq!(s.decision_level(), 0, "cancel backtracks to the root");
-        let extra = lit(&mut s, 40, true);
-        assert_eq!(s.solve_with_assumptions(&[extra]), SolveResult::Interrupted);
-        assert!(s.last_core().is_empty(), "no core without a verdict");
-        // Lower the flag: the same solver finishes the proof.
-        flag.store(false, Ordering::Relaxed);
-        assert!(s.solve().is_unsat());
-        s.clear_interrupt();
-        assert!(s.solve().is_unsat());
-    }
-
-    #[test]
-    fn interrupt_cancels_from_another_thread() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-
-        // Pigeonhole 8→7 takes long enough that the flag flip lands
-        // mid-search on any machine; if the solver finishes first the
-        // test still passes (Unsat is the sound verdict).
-        let mut s = Solver::new();
-        pigeonhole(&mut s, 7);
-        let flag = Arc::new(AtomicBool::new(false));
-        s.set_interrupt(Arc::clone(&flag));
-        let canceller = {
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || flag.store(true, Ordering::Relaxed))
-        };
-        let r = s.solve();
-        canceller.join().expect("canceller thread");
-        assert!(
-            matches!(r, SolveResult::Interrupted | SolveResult::Unsat),
-            "{r:?}"
-        );
-        flag.store(false, Ordering::Relaxed);
-        assert!(s.solve().is_unsat(), "reusable after cross-thread cancel");
     }
 
     #[test]
