@@ -40,19 +40,24 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     );
 }
 
-/// Every Rust file under `crates/*/src` and `examples/`.
-fn src_and_example_files() -> Vec<PathBuf> {
-    let crates = crates_dir();
+/// Every Rust file under `crates/*/src`.
+fn src_files() -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&crates).expect("crates/") {
+    for entry in std::fs::read_dir(crates_dir()).expect("crates/") {
         let src = entry.expect("dir entry").path().join("src");
         if src.is_dir() {
             rust_files(&src, &mut files);
         }
     }
-    let root = crates.parent().expect("repo root");
-    rust_files(&root.join("examples"), &mut files);
     assert!(files.len() > 60, "scanned only {} files", files.len());
+    files
+}
+
+/// Every Rust file under `crates/*/src` and `examples/`.
+fn src_and_example_files() -> Vec<PathBuf> {
+    let mut files = src_files();
+    let root = crates_dir().parent().expect("repo root").to_path_buf();
+    rust_files(&root.join("examples"), &mut files);
     files
 }
 
@@ -409,25 +414,56 @@ fn counterexamples_come_from_the_live_session() {
 /// are deleted. This keeps their names out of every crate's sources.
 #[test]
 fn step_two_has_one_property_type() {
-    let crates = crates_dir();
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(&crates).expect("crates/") {
-        let src = entry.expect("dir entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
-    assert!(files.len() > 60, "scanned only {} files", files.len());
     // Built in pieces so that this file does not match itself.
     let needles = [
         ["Custom", "Property"].concat(),
         ["Prop", "Kind"].concat(),
         ["set_", "interrupt"].concat(),
     ];
-    let hits = lines_naming(files, &needles);
+    let hits = lines_naming(src_files(), &needles);
     assert!(
         hits.is_empty(),
         "a second step-2 property type or the solver's cancellation hook is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Where port `p` of stage `k` leads is answered once, by
+/// `Pipeline::hop`: the runner and the fleet's class key call it, and
+/// every composed-path walk (step 2's search and suspect count, the
+/// longest-path search, the generic baseline) goes through
+/// `step2::successor`, which calls it. Six sites once each turned
+/// `Route::Next`/`Route::To` into a stage index by hand, and they
+/// disagreed about a route past the last stage: a delivery to the
+/// runner, a dead end to step 2, so filtering read Proved on packets
+/// the runner delivers. So no product line under `crates/*/src` but
+/// `pipeline.rs`'s calls `Stage::resolve`, and neither `crates/core/src`
+/// nor the runner names `Route::Next` or `Route::To`. (Step 2's test
+/// oracle `classify_composed` keeps its own reading, below `mod tests`.)
+#[test]
+fn one_routing_rule() {
+    let crates = crates_dir();
+    let pipeline = crates.join("dataplane/src/pipeline.rs");
+    let runner = crates.join("dataplane/src/runner.rs");
+    let core = crates.join("core/src");
+    // Built in pieces so that this file does not match itself.
+    let resolve = [".res", "olve("].concat();
+    let routes = [["Route::", "Next"].concat(), ["Route::", "To"].concat()];
+    let mut hits = Vec::new();
+    for file in src_files() {
+        let text = std::fs::read_to_string(&file).expect("source file");
+        let walks = file.starts_with(&core) || file == runner;
+        for (i, line) in product_lines(&text) {
+            let reads = file != pipeline && line.contains(&resolve);
+            let routes = walks && routes.iter().any(|r| line.contains(r.as_str()));
+            if reads || routes {
+                hits.push(format!("{}:{}: {}", file.display(), i, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a stage's routes read outside `Pipeline::hop`:\n{}",
         hits.join("\n")
     );
 }

@@ -356,44 +356,8 @@ impl TermPool {
     }
 
     fn fold_const(&mut self, op: BinOp, w: Width, x: u64, y: u64) -> TermId {
-        let xv = mask(w, x);
-        let yv = mask(w, y);
-        let val = match op {
-            BinOp::Add => xv.wrapping_add(yv),
-            BinOp::Sub => xv.wrapping_sub(yv),
-            BinOp::Mul => xv.wrapping_mul(yv),
-            BinOp::UDiv => xv.checked_div(yv).unwrap_or(u64::MAX),
-            BinOp::URem => {
-                if yv == 0 {
-                    xv
-                } else {
-                    xv % yv
-                }
-            }
-            BinOp::And => xv & yv,
-            BinOp::Or => xv | yv,
-            BinOp::Xor => xv ^ yv,
-            BinOp::Shl => {
-                if yv >= w as u64 {
-                    0
-                } else {
-                    xv << yv
-                }
-            }
-            BinOp::Lshr => {
-                if yv >= w as u64 {
-                    0
-                } else {
-                    xv >> yv
-                }
-            }
-            BinOp::Eq => return self.mk_const(1, (xv == yv) as u64),
-            BinOp::Ult => return self.mk_const(1, (xv < yv) as u64),
-            BinOp::Ule => return self.mk_const(1, (xv <= yv) as u64),
-            BinOp::Slt => return self.mk_const(1, (sext64(w, xv) < sext64(w, yv)) as u64),
-            BinOp::Sle => return self.mk_const(1, (sext64(w, xv) <= sext64(w, yv)) as u64),
-        };
-        self.mk_const(w, val)
+        let width = if op.is_comparison() { 1 } else { w };
+        self.mk_const(width, crate::eval::eval_binop(op, w, x, y))
     }
 
     /// Identity/absorption rules. `a` is the canonical left operand.

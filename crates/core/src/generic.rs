@@ -7,10 +7,12 @@
 //! internals are executed (modeled by [`ForkingMapModel`]: one fork per
 //! table entry / per hash slot); loops unroll iteration by iteration.
 //! The state budget plays the role of the paper's 12-hour wall.
+//! States move along the pipeline by step 2's walk rule, `successor`,
+//! with the unrolling cap as the loop bound.
 
+use crate::step2::{successor, Succ};
 use bvsolve::{TermId, TermPool};
-use dataplane::{ElementKind, Pipeline, Route};
-use dpir::PORT_CONTINUE;
+use dataplane::{ElementKind, Pipeline};
 use symexec::{execute, ForkingMapModel, SegOutcome, SymConfig, SymError, SymInput};
 
 /// Why a generic run ended.
@@ -125,55 +127,32 @@ pub(crate) fn run_generic(pipeline: &Pipeline, cfg: &SymConfig, loop_cap: u32) -
             }
         };
         report.states += rep.states;
+        let loop_bound = is_loop.then_some(loop_cap);
         for seg in rep.segments {
-            match seg.outcome {
-                SegOutcome::Crash(_) => {
-                    report.crashes += 1;
-                    report.paths += 1;
-                }
-                SegOutcome::Drop => report.paths += 1,
-                SegOutcome::FuelExhausted => {
-                    report.unbounded += 1;
-                    report.paths += 1;
-                }
-                SegOutcome::Emit(p) if is_loop && p == PORT_CONTINUE => {
-                    if st.iter + 1 >= loop_cap {
+            let (stage, iter) =
+                match successor(pipeline, st.stage, st.iter, loop_bound, seg.outcome) {
+                    Succ::Again(iter) => (st.stage, iter),
+                    Succ::Next(stage) => (stage, 0),
+                    Succ::LoopBound => {
                         report.unbounded += 1;
                         report.paths += 1;
-                    } else {
-                        stack.push(GenState {
-                            stage: st.stage,
-                            iter: st.iter + 1,
-                            pkt: seg.pkt_out,
-                            len: seg.len_out,
-                            meta: seg.meta_out,
-                            constraint: seg.constraint,
-                        });
+                        continue;
                     }
-                }
-                SegOutcome::Emit(p) => match pipeline.stages[st.stage].resolve(p) {
-                    Route::Next | Route::To(_) => {
-                        let target = match pipeline.stages[st.stage].resolve(p) {
-                            Route::Next => st.stage + 1,
-                            Route::To(s) => s,
-                            _ => unreachable!(),
-                        };
-                        if target < pipeline.stages.len() {
-                            stack.push(GenState {
-                                stage: target,
-                                iter: 0,
-                                pkt: seg.pkt_out,
-                                len: seg.len_out,
-                                meta: seg.meta_out,
-                                constraint: seg.constraint,
-                            });
-                        } else {
-                            report.paths += 1;
-                        }
+                    Succ::Sink | Succ::End => {
+                        report.crashes += usize::from(seg.outcome.is_crash());
+                        report.unbounded += usize::from(seg.outcome == SegOutcome::FuelExhausted);
+                        report.paths += 1;
+                        continue;
                     }
-                    Route::Sink(_) | Route::Drop => report.paths += 1,
-                },
-            }
+                };
+            stack.push(GenState {
+                stage,
+                iter,
+                pkt: seg.pkt_out,
+                len: seg.len_out,
+                meta: seg.meta_out,
+                constraint: seg.constraint,
+            });
         }
     }
     report

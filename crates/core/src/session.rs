@@ -66,7 +66,7 @@ use crate::step2::{
     VerifyConfig,
 };
 use crate::summary::{MapMode, PipelineSummaries, SummaryKey, SummaryStore};
-use dataplane::{Element, ElementKind, Pipeline, Route, Stage};
+use dataplane::{Element, ElementKind, Hop, Pipeline, Stage};
 use dpir::analysis::{lint_program, Diagnostic};
 use dpir::PortId;
 use std::collections::BTreeSet;
@@ -296,7 +296,7 @@ impl std::fmt::Display for Report {
 struct StageClass {
     summary: SummaryKey,
     max_iters: Option<u32>,
-    routes: Vec<(PortId, Route)>,
+    routes: Vec<(PortId, Hop)>,
 }
 
 /// The step-2 equivalence class of a `(pipeline, property)` check
@@ -324,9 +324,11 @@ pub(crate) fn search_class(
     let Pipeline { name: _, stages } = pipeline;
     let stages = stages
         .iter()
-        .map(|stage| {
-            // `routes` is keyed as resolved below, so list order,
-            // shadowed entries and implicit `Drop` do not split classes.
+        .enumerate()
+        .map(|(k, stage)| {
+            // `routes` is keyed as hops below, so list order, shadowed
+            // entries, implicit `Drop` and `Next` vs `To(k + 1)` do not
+            // split classes.
             let Stage { element, routes: _ } = stage;
             // `name`, the program and (in Tables mode only — step 2
             // never reads `element.tables`) the table contents are
@@ -349,7 +351,7 @@ pub(crate) fn search_class(
                     .output_ports()
                     .into_iter()
                     .chain([dpir::PORT_CONTINUE])
-                    .map(|port| (port, stage.resolve(port)))
+                    .map(|port| (port, pipeline.hop(k, port)))
                     .collect(),
             }
         })

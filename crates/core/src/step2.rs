@@ -5,8 +5,14 @@
 //! `SearchProperty`, the one resolved form of the three §4 properties
 //! it decides (crash-freedom, bounded-execution, filtering); one
 //! engine runs it for both [`crate::session::Verifier`] and
-//! [`crate::churn::ChurnSession`]. Every feasibility query takes
-//! one path: learnt-core store, then an incremental [`SolveSession`].
+//! [`crate::churn::ChurnSession`]. Where a segment's packet goes next
+//! — the same loop stage again, another stage, a sink, or nowhere — is
+//! one rule, `successor`, over [`Pipeline::hop`]: the search, the
+//! suspect count, the longest-path search and the generic baseline all
+//! walk by it, so a route past the last stage is a delivery to each of
+//! them, as it is to [`dataplane::Runner`]. Every feasibility query
+//! takes one path: learnt-core store, then an incremental
+//! [`SolveSession`].
 //! A violation found feasible is reported with the lexicographically
 //! smallest packet that triggers it, minimised on the session that
 //! just answered it (`minimal_witness`).
@@ -17,7 +23,7 @@ use crate::report::{CounterExample, Verdict, VerifyReport};
 use crate::session::Property;
 use crate::summary::{MapMode, PipelineSummaries};
 use bvsolve::{SatVerdict, SolveSession, SolverLayerStats, TermPool};
-use dataplane::{Pipeline, Route};
+use dataplane::{Hop, Pipeline};
 use dpir::PORT_CONTINUE;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
@@ -226,19 +232,15 @@ impl SearchProperty {
     pub(crate) fn suspects(&self, pipeline: &Pipeline, sums: &PipelineSummaries) -> usize {
         let mut n = 0;
         for (k, s) in sums.stages.iter().enumerate() {
-            let is_loop = s.loop_iters.is_some();
             n += s
                 .segments
                 .iter()
                 .filter(|g| match self {
                     SearchProperty::Crash => g.outcome.is_crash(),
                     SearchProperty::Bounded { .. } => g.outcome == SegOutcome::FuelExhausted,
-                    SearchProperty::Filter(_) => match g.outcome {
-                        SegOutcome::Emit(p) if !(is_loop && p == PORT_CONTINUE) => {
-                            matches!(pipeline.stages[k].resolve(p), Route::Sink(_))
-                        }
-                        _ => false,
-                    },
+                    SearchProperty::Filter(_) => {
+                        successor(pipeline, k, 0, s.loop_iters, g.outcome) == Succ::Sink
+                    }
                 })
                 .count();
         }
@@ -368,54 +370,36 @@ pub(crate) fn classify(
     reach: &[bool],
 ) -> StepEvent {
     let summary = &sums.stages[node.stage];
-    let is_loop = summary.loop_iters.is_some();
-    let max_iters = summary.loop_iters.unwrap_or(0);
     let violation = prop.violation(pipeline, node.stage, seg, node.state.instrs + seg.instrs);
     let role = if let Some(what) = violation {
         Role::Violation(what)
     } else if prop.blocker(seg) {
         Role::Blocker
     } else {
-        match seg.outcome {
-            // Non-suspect terminal for this property: ignore.
-            // (Crash segments are suspects under crash-freedom; under
-            // other properties the packet simply stops.)
-            SegOutcome::Drop | SegOutcome::Crash(_) | SegOutcome::FuelExhausted => {
-                return StepEvent::Inert
-            }
-            SegOutcome::Emit(p) if is_loop && p == PORT_CONTINUE => {
-                if node.iter + 1 < max_iters {
-                    Role::Continue {
-                        stage: node.stage,
-                        iter: node.iter + 1,
-                    }
-                } else if prop.loop_overrun_violates() {
-                    Role::Violation(describe_outcome(pipeline, node.stage, seg))
-                } else {
-                    // Still continuing at the bound: proof blocker.
-                    Role::Blocker
-                }
-            }
-            SegOutcome::Emit(p) => match pipeline.stages[node.stage].resolve(p) {
-                route @ (Route::Next | Route::To(_)) => {
-                    let target = match route {
-                        Route::To(s) => s,
-                        _ => node.stage + 1,
-                    };
-                    if target < sums.stages.len() && reach[target] {
-                        Role::Continue {
-                            stage: target,
-                            iter: 0,
-                        }
-                    } else {
-                        return StepEvent::Inert;
-                    }
-                }
-                Route::Sink(_) if prop.sink_violates() => {
-                    Role::Violation(sink_violation_desc(&summary.name))
-                }
-                Route::Sink(_) | Route::Drop => return StepEvent::Inert,
+        match successor(
+            pipeline,
+            node.stage,
+            node.iter,
+            summary.loop_iters,
+            seg.outcome,
+        ) {
+            Succ::Again(iter) => Role::Continue {
+                stage: node.stage,
+                iter,
             },
+            Succ::LoopBound if prop.loop_overrun_violates() => {
+                Role::Violation(describe_outcome(pipeline, node.stage, seg))
+            }
+            // Still continuing at the bound: proof blocker.
+            Succ::LoopBound => Role::Blocker,
+            Succ::Next(stage) if reach[stage] => Role::Continue { stage, iter: 0 },
+            Succ::Sink if prop.sink_violates() => {
+                Role::Violation(sink_violation_desc(&summary.name))
+            }
+            // A dead end for this property. (Crash segments are suspects
+            // under crash-freedom; under other properties the packet
+            // simply stops.)
+            Succ::Next(_) | Succ::Sink | Succ::End => return StepEvent::Inert,
         }
     };
     let state = compose(pool, &node.state, summary, node.stage, i);
@@ -424,6 +408,47 @@ pub(crate) fn classify(
         Role::Blocker => StepEvent::BlockerCheck(state),
         Role::Continue { stage, iter } => StepEvent::Continue(Node { stage, iter, state }),
     }
+}
+
+/// Where the packet of a segment ending in `outcome` goes next, from
+/// iteration `iter` of `stage` — the one walk rule of every composed
+/// path search ([`classify`], [`SearchProperty::suspects`],
+/// [`longest_paths_from`] and the generic baseline). `loop_bound` is
+/// the stage's iteration bound, `None` unless it is a loop element, in
+/// which case an emit on [`PORT_CONTINUE`] asks for another iteration.
+/// Other emits follow [`Pipeline::hop`].
+pub(crate) fn successor(
+    pipeline: &Pipeline,
+    stage: usize,
+    iter: u32,
+    loop_bound: Option<u32>,
+    outcome: SegOutcome,
+) -> Succ {
+    match (outcome, loop_bound) {
+        (SegOutcome::Emit(PORT_CONTINUE), Some(bound)) if iter + 1 < bound => Succ::Again(iter + 1),
+        (SegOutcome::Emit(PORT_CONTINUE), Some(_)) => Succ::LoopBound,
+        (SegOutcome::Emit(p), _) => match pipeline.hop(stage, p) {
+            Hop::Stage(s) => Succ::Next(s),
+            Hop::Sink(_) => Succ::Sink,
+            Hop::Drop => Succ::End,
+        },
+        (SegOutcome::Drop | SegOutcome::Crash(_) | SegOutcome::FuelExhausted, _) => Succ::End,
+    }
+}
+
+/// A [`successor`]: where a segment's packet goes next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Succ {
+    /// The same loop stage, at this iteration.
+    Again(u32),
+    /// This stage, from its first iteration.
+    Next(usize),
+    /// The loop still asks for another iteration at its bound.
+    LoopBound,
+    /// Delivered on a sink.
+    Sink,
+    /// Dropped, crashed or out of fuel: the packet goes nowhere.
+    End,
 }
 
 /// What a segment that is not inert means to the search, before its
@@ -740,7 +765,6 @@ pub(crate) fn longest_paths_from(
             continue;
         }
         let summary = &sums.stages[node.stage];
-        let is_loop = summary.loop_iters.is_some();
         let max_iters = summary.loop_iters.unwrap_or(0);
         for (i, seg) in summary.segments.iter().enumerate() {
             if composed >= cfg.max_composed_paths {
@@ -752,73 +776,31 @@ pub(crate) fn longest_paths_from(
             if !feasible {
                 continue;
             }
-            match seg.outcome {
-                SegOutcome::Drop | SegOutcome::Crash(_) | SegOutcome::FuelExhausted => {
-                    let f = next.instrs;
-                    heap.push(QNode {
-                        f,
-                        stage: node.stage,
-                        iter: 0,
-                        state: next,
-                        terminal: true,
-                    });
+            let succ = successor(
+                pipeline,
+                node.stage,
+                node.iter,
+                summary.loop_iters,
+                seg.outcome,
+            );
+            let (f, stage, iter, terminal) = match succ {
+                Succ::Again(iter) => {
+                    let rem =
+                        (max_iters - iter) as u64 * stage_max[node.stage] / max_iters.max(1) as u64;
+                    let f = next.instrs + rem + suffix[node.stage + 1];
+                    (f, node.stage, iter, false)
                 }
-                SegOutcome::Emit(p) if is_loop && p == PORT_CONTINUE => {
-                    if node.iter + 1 < max_iters {
-                        let rem = (max_iters - node.iter - 1) as u64 * stage_max[node.stage]
-                            / max_iters.max(1) as u64;
-                        let f = next.instrs + rem + suffix[node.stage + 1];
-                        heap.push(QNode {
-                            f,
-                            stage: node.stage,
-                            iter: node.iter + 1,
-                            state: next,
-                            terminal: false,
-                        });
-                    }
-                }
-                SegOutcome::Emit(p) => {
-                    let route = pipeline.stages[node.stage].resolve(p);
-                    match route {
-                        Route::Next | Route::To(_) => {
-                            let target = match route {
-                                Route::Next => node.stage + 1,
-                                Route::To(s) => s,
-                                _ => unreachable!(),
-                            };
-                            if target < nst {
-                                let f = next.instrs + suffix[target];
-                                heap.push(QNode {
-                                    f,
-                                    stage: target,
-                                    iter: 0,
-                                    state: next,
-                                    terminal: false,
-                                });
-                            } else {
-                                let f = next.instrs;
-                                heap.push(QNode {
-                                    f,
-                                    stage: node.stage,
-                                    iter: 0,
-                                    state: next,
-                                    terminal: true,
-                                });
-                            }
-                        }
-                        Route::Sink(_) | Route::Drop => {
-                            let f = next.instrs;
-                            heap.push(QNode {
-                                f,
-                                stage: node.stage,
-                                iter: 0,
-                                state: next,
-                                terminal: true,
-                            });
-                        }
-                    }
-                }
-            }
+                Succ::LoopBound => continue,
+                Succ::Next(target) => (next.instrs + suffix[target], target, 0, false),
+                Succ::Sink | Succ::End => (next.instrs, node.stage, 0, true),
+            };
+            heap.push(QNode {
+                f,
+                stage,
+                iter,
+                state: next,
+                terminal,
+            });
         }
     }
     out
@@ -831,7 +813,7 @@ mod tests {
     use crate::compose::COMPOSITIONS;
     use crate::session::Verifier;
     use crate::summary::summarize_pipeline;
-    use dataplane::Element;
+    use dataplane::{Element, Route};
     use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
     use elements::pipelines::{edge_fib, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP};
 

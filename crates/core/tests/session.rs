@@ -254,25 +254,47 @@ fn filtering_reports_real_suspect_counts() {
 fn gateway_filtering_counterexample_replays() {
     // Filtering leaves most input bytes unconstrained; whatever packet
     // is reported must match the property pattern and, run concretely
-    // through the gateway, still be delivered.
-    let p = to_pipeline("gateway", network_gateway(3));
-    let r = Verifier::new(&p)
-        .config(cfg())
-        .check(Property::Filter(FilterProperty::src(0x0A00_002A)))
-        .expect_verify();
-    let Verdict::Disproved(cex) = &r.verdict else {
-        panic!("the gateway forwards the watched source: {r}");
+    // through the gateway, still be delivered. A route past the last
+    // stage is a delivery on sink 0, to the runner and to step 2 alike:
+    // the gateway with its sinks rewired off the end is the same
+    // violation over the same suspects.
+    const WATCHED: u32 = 0x0A00_002A;
+    let built = to_pipeline("gateway", network_gateway(3));
+    let off_the_end = |route: Route| {
+        let mut p = built.clone();
+        let last = p.stages.last_mut().expect("stages");
+        for (_, r) in &mut last.routes {
+            if matches!(r, Route::Sink(_)) {
+                *r = route;
+            }
+        }
+        p
     };
-    let src = u32::from_be_bytes([cex.bytes[26], cex.bytes[27], cex.bytes[28], cex.bytes[29]]);
-    assert_eq!(src, 0x0A00_002A, "packet must match the property");
-    let stores = elements::pipelines::build_all_stores(&p);
-    let mut runner = dataplane::Runner::new(p.clone(), stores);
-    let mut pkt = dpir::PacketData::new(cex.bytes.clone());
-    let out = runner.run_packet(&mut pkt);
-    assert!(
-        matches!(out, dataplane::PipelineOutcome::Delivered(_)),
-        "counterexample must actually be delivered, got {out:?}"
-    );
+    let wirings = [
+        ("as built", built.clone()),
+        ("Next", off_the_end(Route::Next)),
+        ("To(len)", off_the_end(Route::To(built.len()))),
+    ];
+    for (wiring, p) in wirings {
+        let r = Verifier::new(&p)
+            .config(cfg())
+            .check(Property::Filter(FilterProperty::src(WATCHED)))
+            .expect_verify();
+        let Verdict::Disproved(cex) = &r.verdict else {
+            panic!("{wiring}: the gateway forwards the watched source: {r}");
+        };
+        assert_eq!(r.suspects, 8, "{wiring}: sink-delivery suspects");
+        let src = u32::from_be_bytes([cex.bytes[26], cex.bytes[27], cex.bytes[28], cex.bytes[29]]);
+        assert_eq!(src, WATCHED, "{wiring}: packet must match the property");
+        let stores = elements::pipelines::build_all_stores(&p);
+        let mut runner = dataplane::Runner::new(p.clone(), stores);
+        let mut pkt = dpir::PacketData::new(cex.bytes.clone());
+        let out = runner.run_packet(&mut pkt);
+        assert!(
+            matches!(out, dataplane::PipelineOutcome::Delivered(_)),
+            "{wiring}: counterexample must actually be delivered, got {out:?}"
+        );
+    }
 }
 
 // --------------------------------------------------------------------

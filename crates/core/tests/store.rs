@@ -473,6 +473,14 @@ fn fleet_classes_split_where_step2_could_differ() {
         ElementKind::Loop { max_iters, .. } => *max_iters += 1,
         ElementKind::Straight(_) => panic!("IPoptions is a loop element"),
     }
+    // Classes are keyed by hops, not by how a route is written:
+    // `To(2)` from stage 1 is `Next`, and `Next` off the last stage is
+    // a delivery on sink 0, as `Sink(0)` is.
+    let mut explicit_next = firewalled("explicit-next", vec![BAD]);
+    explicit_next.stages[1] = explicit_next.stages[1].clone().route(0, Route::To(2));
+    let mut open_tail = firewalled("open-tail", vec![0x0BAD_0002]);
+    let last = open_tail.stages.pop().expect("stages");
+    open_tail.stages.push(last.route(0, Route::Next));
     let variants = [
         firewalled("base", vec![BAD]),
         // Equal contents under another name: shares everything a key
@@ -483,6 +491,8 @@ fn fleet_classes_split_where_step2_could_differ() {
         firewalled("other-acl", vec![0x0BAD_0002]),
         rerouted,
         longer_loop,
+        explicit_next,
+        open_tail,
     ];
     let props = [
         Property::CrashFreedom,
@@ -494,6 +504,8 @@ fn fleet_classes_split_where_step2_could_differ() {
         [true, false],
         [false, false],
         [false, false],
+        [true, true],
+        [true, true],
     ];
 
     for threads in [1usize, 4] {
@@ -504,7 +516,7 @@ fn fleet_classes_split_where_step2_could_differ() {
         let report = fleet.properties(&props).run();
         // crash-freedom 3 + filtering 4.
         assert_eq!(report.classes, 7, "threads={threads}");
-        assert_eq!(report.checks_replayed(), 3);
+        assert_eq!(report.checks_replayed(), 7);
 
         let mut disproved_replays = 0;
         for ((p, v), replayed) in variants.iter().zip(&report.variants).zip(expect_replayed) {
@@ -545,6 +557,8 @@ fn fleet_classes_split_where_step2_could_differ() {
         assert!(filtering(0).is_proved(), "base blocks BAD");
         assert!(filtering(1).is_proved(), "twin blocks BAD");
         assert!(filtering(2).is_disproved(), "other-acl lets BAD through");
+        assert!(filtering(5).is_proved(), "explicit-next blocks BAD");
+        assert!(filtering(6).is_disproved(), "open-tail lets BAD through");
     }
 }
 

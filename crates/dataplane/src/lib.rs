@@ -29,5 +29,5 @@ pub mod workload;
 
 pub use delta::{DeltaEffect, DeltaError, TableDelta, TableOp};
 pub use element::{Element, ElementKind, Table2Info, TableConfig, TableContents, TableKindError};
-pub use pipeline::{Pipeline, Route, Stage};
+pub use pipeline::{Hop, Pipeline, Route, Stage};
 pub use runner::{PipelineOutcome, Runner, RunnerStats};

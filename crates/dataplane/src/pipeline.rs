@@ -9,13 +9,28 @@
 use crate::element::Element;
 use dpir::PortId;
 
-/// Where a stage's output port leads.
+/// Where a stage's output port leads, as written. [`Pipeline::hop`]
+/// reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
-    /// To the next stage in declaration order.
+    /// To the next stage in declaration order; on the last stage, a
+    /// delivery on sink 0.
     Next,
-    /// To an explicit stage index.
+    /// To an explicit stage index; an index past the last stage is a
+    /// delivery on sink 0.
     To(usize),
+    /// Out of the pipeline, delivered on a numbered sink.
+    Sink(u8),
+    /// Dropped.
+    Drop,
+}
+
+/// Where a packet emitted on a port goes next: [`Route`] resolved
+/// against the pipeline's length (see [`Pipeline::hop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Hop {
+    /// Into this stage (always an index of the pipeline).
+    Stage(usize),
     /// Out of the pipeline, delivered on a numbered sink.
     Sink(u8),
     /// Dropped.
@@ -82,7 +97,8 @@ impl Pipeline {
         }
     }
 
-    /// Appends a passthrough stage.
+    /// Appends a passthrough stage. Every port routes [`Route::Next`],
+    /// so a pipeline that ends with `push` delivers on sink 0.
     pub fn push(mut self, element: Element) -> Self {
         self.stages.push(Stage::passthrough(element));
         self
@@ -100,6 +116,24 @@ impl Pipeline {
     pub fn push_stage(mut self, stage: Stage) -> Self {
         self.stages.push(stage);
         self
+    }
+
+    /// Where a packet emitted on `port` of stage `stage` goes: the one
+    /// reading of a stage's routes, shared by the runner and every
+    /// verifier walk. A [`Route::Next`] or [`Route::To`] past the last
+    /// stage is [`Hop::Sink`]`(0)`.
+    pub fn hop(&self, stage: usize, port: PortId) -> Hop {
+        let to = match self.stages[stage].resolve(port) {
+            Route::Next => stage + 1,
+            Route::To(s) => s,
+            Route::Sink(s) => return Hop::Sink(s),
+            Route::Drop => return Hop::Drop,
+        };
+        if to < self.stages.len() {
+            Hop::Stage(to)
+        } else {
+            Hop::Sink(0)
+        }
     }
 
     /// Number of stages.
@@ -155,5 +189,23 @@ mod tests {
             .push_sink(pass_elem("c"));
         assert_eq!(p.len(), 3);
         assert_eq!(p.stages[2].resolve(0), Route::Sink(0));
+    }
+
+    #[test]
+    fn hops_past_the_last_stage_deliver_on_sink_zero() {
+        let p = Pipeline::new("p")
+            .push(pass_elem("a"))
+            .push_stage(Stage::passthrough(pass_elem("b")).route(0, Route::To(0)))
+            .push(pass_elem("c"))
+            .push_stage(Stage::passthrough(pass_elem("d")).route(0, Route::To(7)));
+        assert_eq!(p.hop(0, 0), Hop::Stage(1));
+        assert_eq!(p.hop(1, 0), Hop::Stage(0));
+        assert_eq!(p.hop(2, 0), Hop::Stage(3));
+        assert_eq!(p.hop(3, 0), Hop::Sink(0));
+        assert_eq!(p.hop(0, 5), Hop::Drop);
+        let open = Pipeline::new("open").push(pass_elem("a"));
+        assert_eq!(open.hop(0, 0), Hop::Sink(0));
+        let sunk = Pipeline::new("sunk").push_sink(pass_elem("a"));
+        assert_eq!(sunk.hop(0, 0), Hop::Sink(0));
     }
 }

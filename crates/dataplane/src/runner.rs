@@ -1,13 +1,14 @@
 //! The pipeline runner: generator → stages → sinks, with counters.
 
-use crate::pipeline::{Pipeline, Route};
+use crate::pipeline::{Hop, Pipeline};
 use crate::store::StoreRuntime;
 use dpir::{CrashReason, ExecResult, PacketData};
 
 /// Per-packet outcome of a pipeline traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineOutcome {
-    /// Delivered on a sink.
+    /// Delivered on a sink. A route past the last stage delivers on
+    /// sink 0 (see [`Pipeline::hop`]), and so does an empty pipeline.
     Delivered(u8),
     /// Dropped by some stage (normal).
     Dropped,
@@ -87,10 +88,11 @@ impl Runner {
         let mut stage = 0usize;
         let mut pkt_instrs: u64 = 0;
         let outcome = loop {
-            if stage >= self.pipeline.stages.len() {
+            // `hop` names only stages that exist: this is the empty
+            // pipeline.
+            let Some(st) = self.pipeline.stages.get(stage) else {
                 break PipelineOutcome::Delivered(0);
-            }
-            let st = &self.pipeline.stages[stage];
+            };
             let out = st
                 .element
                 .process(pkt, &mut self.stores[stage], self.fuel_per_stage);
@@ -99,11 +101,10 @@ impl Runner {
                 ExecResult::Dropped => break PipelineOutcome::Dropped,
                 ExecResult::Crashed(reason) => break PipelineOutcome::Crashed { stage, reason },
                 ExecResult::OutOfFuel => break PipelineOutcome::Stuck { stage },
-                ExecResult::Emitted(port) => match st.resolve(port) {
-                    Route::Next => stage += 1,
-                    Route::To(s) => stage = s,
-                    Route::Sink(s) => break PipelineOutcome::Delivered(s),
-                    Route::Drop => break PipelineOutcome::Dropped,
+                ExecResult::Emitted(port) => match self.pipeline.hop(stage, port) {
+                    Hop::Stage(s) => stage = s,
+                    Hop::Sink(s) => break PipelineOutcome::Delivered(s),
+                    Hop::Drop => break PipelineOutcome::Dropped,
                 },
             }
         };

@@ -14,37 +14,19 @@
 //! * metadata loaded, round-tripped through registers, and compared
 //!   against itself stays identified.
 //!
-//! The transfer function mirrors the term pool's constant folding
-//! (`bvsolve`'s `fold_const`) **exactly**, including shift-overflow
-//! and masking semantics, and refuses to fold the crash-capable ops
-//! (`UDiv`/`URem`) — the simplifier relies on this to guarantee that a
-//! folded instruction produces the identical term the executor would
-//! have interned.
+//! The transfer function folds constants with the concrete
+//! interpreter's operator semantics ([`crate::interp`]), the same
+//! semantics `bvsolve`'s term pool folds by, and refuses to fold the
+//! crash-capable ops (`UDiv`/`URem`) — the simplifier relies on this to
+//! guarantee that a folded instruction produces the identical term the
+//! executor would have interned.
 
 use super::{forward_fixpoint, Forward, Lattice};
-use crate::instr::{BinOp, CastKind, Instr, Operand, UnOp};
+use crate::instr::{BinOp, CastKind, Instr, Operand};
+use crate::interp::{self, eval_cast, eval_un, mask};
 use crate::program::Program;
 use crate::types::META_SLOTS;
 use crate::Terminator;
-
-/// Masks `v` to `w` bits.
-pub(crate) fn mask(w: u32, v: u64) -> u64 {
-    if w >= 64 {
-        v
-    } else {
-        v & ((1u64 << w) - 1)
-    }
-}
-
-/// Sign-extends a `w`-bit value to i64.
-pub(crate) fn sext64(w: u32, v: u64) -> i64 {
-    if w >= 64 {
-        v as i64
-    } else {
-        let shift = 64 - w;
-        ((v << shift) as i64) >> shift
-    }
-}
 
 /// An abstract value: constant, opaque entry token, or unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,57 +90,12 @@ impl Lattice for CpState {
     }
 }
 
-/// Evaluates a binary op on constants with the term pool's exact
-/// folding semantics. Returns `None` for the crash-capable ops
+/// Evaluates a binary op on constants by the interpreter's semantics
+/// ([`crate::interp`]). Returns `None` for the crash-capable ops
 /// (`UDiv`/`URem`): the executor forks a crash branch for those, so
 /// they must never be folded away.
 pub fn eval_bin(op: BinOp, w: u32, x: u64, y: u64) -> Option<u64> {
-    let xv = mask(w, x);
-    let yv = mask(w, y);
-    Some(match op {
-        BinOp::Add => mask(w, xv.wrapping_add(yv)),
-        BinOp::Sub => mask(w, xv.wrapping_sub(yv)),
-        BinOp::Mul => mask(w, xv.wrapping_mul(yv)),
-        BinOp::UDiv | BinOp::URem => return None,
-        BinOp::And => xv & yv,
-        BinOp::Or => xv | yv,
-        BinOp::Xor => xv ^ yv,
-        BinOp::Shl => {
-            if yv >= w as u64 {
-                0
-            } else {
-                mask(w, xv << yv)
-            }
-        }
-        BinOp::Lshr => {
-            if yv >= w as u64 {
-                0
-            } else {
-                xv >> yv
-            }
-        }
-        BinOp::Eq => (xv == yv) as u64,
-        BinOp::Ne => (xv != yv) as u64,
-        BinOp::Ult => (xv < yv) as u64,
-        BinOp::Ule => (xv <= yv) as u64,
-        BinOp::Slt => (sext64(w, xv) < sext64(w, yv)) as u64,
-        BinOp::Sle => (sext64(w, xv) <= sext64(w, yv)) as u64,
-    })
-}
-
-pub(crate) fn eval_un(op: UnOp, w: u32, x: u64) -> u64 {
-    match op {
-        UnOp::Not => mask(w, !x),
-        UnOp::Neg => mask(w, x.wrapping_neg()),
-    }
-}
-
-pub(crate) fn eval_cast(kind: CastKind, from: u32, to: u32, x: u64) -> u64 {
-    match kind {
-        CastKind::Zext => mask(from, x),
-        CastKind::Sext => mask(to, sext64(from, mask(from, x)) as u64),
-        CastKind::Trunc => mask(to, x),
-    }
+    (!op.can_crash()).then(|| interp::eval_bin(op, w, mask(w, x), mask(w, y)))
 }
 
 /// A found no-progress metadata store (`DPV005` raw material).

@@ -31,7 +31,7 @@ use crate::instr::{BinOp, CastKind, Instr, Operand, UnOp};
 use crate::program::Program;
 use crate::Terminator;
 
-use super::constprop::mask;
+use crate::interp::{eval_un, mask};
 
 /// An inclusive unsigned interval `[lo, hi]` over a `w`-bit value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,8 +332,7 @@ impl Transfer {
             Instr::Un { op, w, dst, a } => {
                 let x = self.operand(a, w);
                 let iv = match (op, x.as_const()) {
-                    (UnOp::Not, Some(v)) => Itv::point(mask(w, !v)),
-                    (UnOp::Neg, Some(v)) => Itv::point(mask(w, v.wrapping_neg())),
+                    (_, Some(v)) => Itv::point(eval_un(op, w, v)),
                     // Not flips the range order: [!hi, !lo] masked.
                     (UnOp::Not, None) => Itv {
                         lo: mask(w, !x.hi),

@@ -35,9 +35,10 @@
 //! The transformed program hashes differently whenever a
 //! transformation fired (its blocks feed `Program::fingerprint`).
 
-use super::constprop::{eval_bin, eval_cast, eval_un, operand_av_w, transfer_instr, Av, ConstProp};
+use super::constprop::{eval_bin, operand_av_w, transfer_instr, Av, ConstProp};
 use super::intervals::IvEnv;
 use crate::instr::{BinOp, Instr, Operand, Terminator};
+use crate::interp::{eval_cast, eval_un};
 use crate::program::Program;
 use crate::types::BlockId;
 

@@ -8,12 +8,12 @@
 //! which is how the dataplane guards against the exact infinite-loop
 //! bugs the verifier exists to find (§5.3 bugs #1/#2).
 
-use crate::instr::{BinOp, CrashReason, Instr, Operand, Terminator, UnOp};
+use crate::instr::{BinOp, CastKind, CrashReason, Instr, Operand, Terminator, UnOp};
 use crate::program::Program;
 use crate::types::{MapId, PortId, Width, META_SLOTS};
 
 /// Masks `v` to `w` bits.
-fn mask(w: Width, v: u64) -> u64 {
+pub(crate) fn mask(w: Width, v: u64) -> u64 {
     if w >= 64 {
         v
     } else {
@@ -21,7 +21,8 @@ fn mask(w: Width, v: u64) -> u64 {
     }
 }
 
-fn sext64(w: Width, v: u64) -> i64 {
+/// Sign-extends a `w`-bit value to i64.
+pub(crate) fn sext64(w: Width, v: u64) -> i64 {
     let shift = 64 - w;
     ((v << shift) as i64) >> shift
 }
@@ -178,11 +179,7 @@ pub fn run_program(
                     regs[dst.index()] = eval_bin(op, w, x, y);
                 }
                 Instr::Un { op, w, dst, a } => {
-                    let x = val(&regs, a, w);
-                    regs[dst.index()] = match op {
-                        UnOp::Not => mask(w, !x),
-                        UnOp::Neg => mask(w, x.wrapping_neg()),
-                    };
+                    regs[dst.index()] = eval_un(op, w, val(&regs, a, w));
                 }
                 Instr::Mov { w, dst, a } => {
                     regs[dst.index()] = val(&regs, a, w);
@@ -194,12 +191,7 @@ pub fn run_program(
                     dst,
                     a,
                 } => {
-                    let x = val(&regs, a, from);
-                    regs[dst.index()] = match kind {
-                        crate::instr::CastKind::Zext => x,
-                        crate::instr::CastKind::Sext => mask(to, sext64(from, x) as u64),
-                        crate::instr::CastKind::Trunc => mask(to, x),
-                    };
+                    regs[dst.index()] = eval_cast(kind, from, to, val(&regs, a, from));
                 }
                 Instr::PktLoad { w, dst, off } => {
                     let o = val(&regs, off, 16) as usize;
@@ -371,6 +363,23 @@ pub(crate) fn eval_bin(op: BinOp, w: Width, x: u64, y: u64) -> u64 {
         BinOp::Ule => (x <= y) as u64,
         BinOp::Slt => (sext64(w, x) < sext64(w, y)) as u64,
         BinOp::Sle => (sext64(w, x) <= sext64(w, y)) as u64,
+    }
+}
+
+/// Concrete semantics of a unary operator.
+pub(crate) fn eval_un(op: UnOp, w: Width, x: u64) -> u64 {
+    match op {
+        UnOp::Not => mask(w, !x),
+        UnOp::Neg => mask(w, x.wrapping_neg()),
+    }
+}
+
+/// Concrete semantics of a cast from `from` to `to` bits.
+pub(crate) fn eval_cast(kind: CastKind, from: Width, to: Width, x: u64) -> u64 {
+    match kind {
+        CastKind::Zext => mask(from, x),
+        CastKind::Sext => mask(to, sext64(from, x) as u64),
+        CastKind::Trunc => mask(to, x),
     }
 }
 
