@@ -41,13 +41,20 @@
 //! first operand and ITE with a positive selector, the sign moved to
 //! the operands or the output).
 //!
-//! Both memos — per term and per gate — are **scoped**:
+//! A term's bits live in one arena, back to back in blasting order; the
+//! term and variable memos hold `(start, len)` spans of it (an
+//! `extract` names a sub-span of its argument's, a variable term its
+//! variable's), and the word-level builders read their operands as
+//! slices of it. Both memos — per term and per gate — are **scoped**:
 //! [`Blaster::mark`] / [`Blaster::rollback`] drop every circuit blasted
-//! since the mark from the solver ([`bitsat::Solver::rollback`]) and
-//! forget the memo and gate-table entries logged since, so an entry
-//! never outlives a variable it names and a term blasted again after
-//! its scope was popped gets a fresh circuit. A gate in a live scope
-//! is shared by every scope above it.
+//! since the mark from the solver ([`bitsat::Solver::rollback`]),
+//! forget the memo and gate-table entries logged since and truncate
+//! the arena back to the mark, so an entry never outlives a variable
+//! or a bit it names, and a term blasted again after its scope was
+//! popped gets a fresh circuit. A gate in a live scope is shared by
+//! every scope above it. Blasting and popping a scope allocates per
+//! term at most, never per bit or clause, once the arena and tables
+//! have grown to the working set.
 
 use crate::eval::Assignment;
 use crate::idhash::IdMap;
@@ -60,30 +67,60 @@ use bitsat::{Lit, SolveResult, Solver};
 /// [`Blaster::check`] and read back variable values with
 /// [`Blaster::model_var`].
 pub struct Blaster {
-    sat: Solver,
-    true_lit: Lit,
+    /// The solver and its gate table: what the circuit builders write.
+    c: Circuit,
+    /// The bits of every term and variable blasted in a live scope,
+    /// back to back; the memos below hold spans of it.
+    arena: Vec<Lit>,
     /// The circuit of every term blasted in a live scope. Only ever
     /// looked up, never iterated.
-    bits: IdMap<TermId, Vec<Lit>>,
+    bits: IdMap<TermId, Span>,
     /// The input bits of every variable blasted in a live scope.
     /// Looked up, and iterated only by [`Blaster::live_model`], which
     /// fills an id-keyed [`Assignment`] — no order reaches an output.
-    var_bits: IdMap<u32, Vec<Lit>>,
+    var_bits: IdMap<u32, Span>,
     /// Keys of `bits` / `var_bits` in insertion order — what
     /// [`Blaster::rollback`] forgets past a mark.
     memo_log: Vec<MemoKey>,
-    /// Structural hashing: the output of every gate defined in a live
-    /// scope. Only ever looked up, never iterated, so the circuits do
-    /// not depend on the hasher.
-    gates: IdMap<Gate, Lit>,
-    /// Keys of `gates` in insertion order, truncated like `memo_log`.
-    gate_log: Vec<Gate>,
+    /// Scratch: the bits of the term being built, appended to `arena`
+    /// once its operands' spans are no longer read.
+    out: Vec<Lit>,
+}
+
+/// A run of `arena`: the bits of one term, LSB first.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Clone, Copy)]
 enum MemoKey {
     Term(TermId),
     Var(u32),
+}
+
+/// The solver, the constant literal and the structural-hashing table:
+/// everything the gate and word-level builders touch. Word-level
+/// builders read their operands as slices and append their result to
+/// an `out` vector the caller owns.
+struct Circuit {
+    sat: Solver,
+    true_lit: Lit,
+    /// Structural hashing: the output of every gate defined in a live
+    /// scope. Only ever looked up, never iterated, so the circuits do
+    /// not depend on the hasher.
+    gates: IdMap<Gate, Lit>,
+    /// Keys of `gates` in insertion order, truncated like `memo_log`.
+    gate_log: Vec<Gate>,
+    /// Scratch word for `mul_vec`'s addends and `eq_vec`'s conjuncts.
+    tmp: Vec<Lit>,
 }
 
 /// A gate over normalised operands — the structural-hashing key.
@@ -113,6 +150,7 @@ impl Gate {
 pub struct BlastMark {
     sat: bitsat::Mark,
     memo: usize,
+    bits: usize,
     gates: usize,
 }
 
@@ -130,13 +168,18 @@ impl Blaster {
         let true_lit = Lit::pos(t);
         sat.add_clause(&[true_lit]);
         Blaster {
-            sat,
-            true_lit,
+            c: Circuit {
+                sat,
+                true_lit,
+                gates: IdMap::default(),
+                gate_log: Vec::new(),
+                tmp: Vec::new(),
+            },
+            arena: Vec::new(),
             bits: IdMap::default(),
             var_bits: IdMap::default(),
             memo_log: Vec::new(),
-            gates: IdMap::default(),
-            gate_log: Vec::new(),
+            out: Vec::new(),
         }
     }
 
@@ -144,9 +187,10 @@ impl Blaster {
     /// every circuit blasted and every gated assertion made after it.
     pub fn mark(&self) -> BlastMark {
         BlastMark {
-            sat: self.sat.mark(),
+            sat: self.c.sat.mark(),
             memo: self.memo_log.len(),
-            gates: self.gate_log.len(),
+            bits: self.arena.len(),
+            gates: self.c.gate_log.len(),
         }
     }
 
@@ -165,15 +209,23 @@ impl Blaster {
                 MemoKey::Var(id) => drop(self.var_bits.remove(&id)),
             }
         }
-        for key in self.gate_log.drain(mark.gates..) {
-            self.gates.remove(&key);
+        self.arena.truncate(mark.bits);
+        for key in self.c.gate_log.drain(mark.gates..) {
+            self.c.gates.remove(&key);
         }
-        self.sat.rollback(mark.sat);
+        self.c.sat.rollback(mark.sat);
         debug_assert!(
-            self.gates.len() == self.gate_log.len()
-                && self.gate_log.iter().all(|key| {
-                    let live = |l: &Lit| l.var().index() < self.sat.num_vars();
-                    key.operands().iter().all(live) && live(&self.gates[key])
+            self.bits
+                .values()
+                .chain(self.var_bits.values())
+                .all(|s| s.range().end <= self.arena.len()),
+            "a memo entry outlived its bits"
+        );
+        debug_assert!(
+            self.c.gates.len() == self.c.gate_log.len()
+                && self.c.gate_log.iter().all(|key| {
+                    let live = |l: &Lit| l.var().index() < self.c.sat.num_vars();
+                    key.operands().iter().all(live) && live(&self.c.gates[key])
                 }),
             "a gate-table entry outlived a variable it names"
         );
@@ -181,16 +233,18 @@ impl Blaster {
 
     /// Sets the CDCL conflict budget (see [`Solver::set_conflict_budget`]).
     pub fn set_conflict_budget(&mut self, budget: u64) {
-        self.sat.set_conflict_budget(budget);
+        self.c.sat.set_conflict_budget(budget);
     }
 
     /// The assumption subset (activation literals) that derived the
     /// last UNSAT verdict of [`Blaster::check_assuming`] (see
     /// [`Solver::last_core`]).
     pub fn last_core(&self) -> &[Lit] {
-        self.sat.last_core()
+        self.c.sat.last_core()
     }
+}
 
+impl Circuit {
     fn false_lit(&self) -> Lit {
         !self.true_lit
     }
@@ -377,10 +431,10 @@ impl Blaster {
         }
     }
 
-    /// Conjunction of any number of literals on one output. Three or
-    /// more are not entered in the gate table: the one caller, `eq`, is
-    /// already shared per term.
-    fn g_and_all(&mut self, mut lits: Vec<Lit>) -> Lit {
+    /// Conjunction of any number of literals on one output, reordering
+    /// `lits` in place. Three or more are not entered in the gate
+    /// table: the one caller, `eq`, is already shared per term.
+    fn g_and_all(&mut self, lits: &mut Vec<Lit>) -> Lit {
         lits.sort();
         lits.dedup();
         if lits.first() == Some(&self.true_lit) {
@@ -395,14 +449,14 @@ impl Blaster {
             [a, b] => self.g_and(a, b),
             _ => {
                 let o = self.fresh();
-                for &l in &lits {
+                for &l in lits.iter() {
                     self.sat.add_clause(&[!o, l]);
                 }
-                for l in &mut lits {
+                for l in lits.iter_mut() {
                     *l = !*l;
                 }
                 lits.push(o);
-                self.sat.add_clause(&lits);
+                self.sat.add_clause(lits);
                 o
             }
         }
@@ -410,34 +464,40 @@ impl Blaster {
 
     // --- word-level circuits --------------------------------------------
 
-    /// `a + b + carry_in`, truncated to the operands' width.
-    fn add_vec_carry(&mut self, a: &[Lit], b: &[Lit], carry_in: Lit) -> Vec<Lit> {
-        debug_assert_eq!(a.len(), b.len());
-        let mut out = Vec::with_capacity(a.len());
+    /// `acc += b + carry_in` (`b` complemented if `flip_b`), in place,
+    /// truncated to the operands' width: one ripple adder.
+    fn add_in_place(&mut self, acc: &mut [Lit], b: &[Lit], flip_b: bool, carry_in: Lit) {
+        debug_assert_eq!(acc.len(), b.len());
         let mut carry = carry_in;
-        for i in 0..a.len() {
-            let axb = self.g_xor(a[i], b[i]);
-            out.push(self.g_xor(axb, carry));
-            if i + 1 < a.len() {
-                carry = self.g_maj(a[i], b[i], carry);
+        for i in 0..acc.len() {
+            let (ai, bi) = (acc[i], if flip_b { !b[i] } else { b[i] });
+            let axb = self.g_xor(ai, bi);
+            acc[i] = self.g_xor(axb, carry);
+            if i + 1 < acc.len() {
+                carry = self.g_maj(ai, bi, carry);
             }
         }
-        out
     }
 
-    fn add_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        self.add_vec_carry(a, b, self.false_lit())
+    /// Appends `a + b`.
+    fn add_vec(&mut self, a: &[Lit], b: &[Lit], out: &mut Vec<Lit>) {
+        let base = out.len();
+        out.extend_from_slice(a);
+        self.add_in_place(&mut out[base..], b, false, self.false_lit());
     }
 
-    /// `a - b = a + ¬b + 1`.
-    fn sub_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
-        self.add_vec_carry(a, &nb, self.true_lit)
+    /// Appends `a - b = a + ¬b + 1`.
+    fn sub_vec(&mut self, a: &[Lit], b: &[Lit], out: &mut Vec<Lit>) {
+        let base = out.len();
+        out.extend_from_slice(a);
+        self.add_in_place(&mut out[base..], b, true, self.true_lit);
     }
 
-    fn neg_vec(&mut self, a: &[Lit]) -> Vec<Lit> {
-        let zero = vec![self.false_lit(); a.len()];
-        self.sub_vec(&zero, a)
+    /// Appends `0 - a`.
+    fn neg_vec(&mut self, a: &[Lit], out: &mut Vec<Lit>) {
+        let base = out.len();
+        out.resize(base + a.len(), self.false_lit());
+        self.add_in_place(&mut out[base..], a, true, self.true_lit);
     }
 
     /// `a <u b` via the borrow chain.
@@ -459,33 +519,43 @@ impl Blaster {
     }
 
     fn eq_vec(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        let same = (0..a.len())
-            .map(|i| !self.g_xor(a[i], b[i]))
-            .collect::<Vec<_>>();
-        self.g_and_all(same)
+        let mut same = std::mem::take(&mut self.tmp);
+        same.clear();
+        for i in 0..a.len() {
+            same.push(!self.g_xor(a[i], b[i]));
+        }
+        let o = self.g_and_all(&mut same);
+        self.tmp = same;
+        o
     }
 
-    fn mul_vec(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
+    /// Shift-add: the accumulator lives in `out`, each row's addend in
+    /// the scratch word.
+    fn mul_vec(&mut self, a: &[Lit], b: &[Lit], out: &mut Vec<Lit>) {
         let w = a.len();
-        let mut acc = vec![self.false_lit(); w];
+        let base = out.len();
+        out.resize(base + w, self.false_lit());
+        let mut addend = std::mem::take(&mut self.tmp);
         for i in 0..w {
-            let mut addend = vec![self.false_lit(); w];
+            addend.clear();
+            addend.resize(w, self.false_lit());
             for j in i..w {
                 addend[j] = self.g_and(a[i], b[j - i]);
             }
-            acc = self.add_vec(&acc, &addend);
+            self.add_in_place(&mut out[base..], &addend, false, self.false_lit());
         }
-        acc
+        self.tmp = addend;
     }
 
     /// Barrel shifter; `left` selects shl vs lshr. Shifts ≥ width give 0.
-    fn shift_vec(&mut self, a: &[Lit], sh: &[Lit], left: bool) -> Vec<Lit> {
+    fn shift_vec(&mut self, a: &[Lit], sh: &[Lit], left: bool, out: &mut Vec<Lit>) {
         let w = a.len();
         let stages = usize::BITS as usize - (w - 1).leading_zeros() as usize; // ceil(log2 w)
         let mut cur: Vec<Lit> = a.to_vec();
+        let mut next = Vec::with_capacity(w);
+        let mut shifted = vec![self.false_lit(); w];
         for (k, &sh_bit) in sh.iter().enumerate().take(stages) {
             let amt = 1usize << k;
-            let mut shifted = vec![self.false_lit(); w];
             for (i, slot) in shifted.iter_mut().enumerate() {
                 let src = if left {
                     i.checked_sub(amt)
@@ -494,15 +564,13 @@ impl Blaster {
                 } else {
                     None
                 };
-                if let Some(s) = src {
-                    *slot = cur[s];
-                }
+                *slot = src.map_or(self.false_lit(), |s| cur[s]);
             }
-            let mut next = Vec::with_capacity(w);
+            next.clear();
             for i in 0..w {
                 next.push(self.g_ite(sh_bit, shifted[i], cur[i]));
             }
-            cur = next;
+            std::mem::swap(&mut cur, &mut next);
         }
         // Any shift-amount bit ≥ stages ⇒ shift ≥ width ⇒ zero. Also the
         // staged amount itself can reach width (e.g. w not a power of 2).
@@ -516,57 +584,63 @@ impl Blaster {
         // [w, 2^stages) must also produce zero.
         if (1usize << stages) > w {
             // Compare the low `stages` bits against w.
-            let lowbits: Vec<Lit> = sh.iter().take(stages).copied().collect();
-            let wconst = self.const_bits(w as u64, stages);
-            let lt = self.ult_vec(&lowbits, &wconst);
+            let wconst: Vec<Lit> = (0..stages)
+                .map(|i| self.const_lit(w >> i & 1 == 1))
+                .collect();
+            let lt = self.ult_vec(&sh[..stages], &wconst);
             toobig = self.g_or(toobig, !lt);
         }
-        cur.iter()
-            .map(|&b| self.g_and(b, !toobig))
-            .collect::<Vec<_>>()
+        for &b in &cur {
+            out.push(self.g_and(b, !toobig));
+        }
     }
 
-    /// Restoring division: returns (quotient, remainder) with the
-    /// SMT-LIB div-by-zero conventions.
-    fn divrem_vec(&mut self, a: &[Lit], d: &[Lit]) -> (Vec<Lit>, Vec<Lit>) {
+    /// Restoring division with the SMT-LIB div-by-zero conventions:
+    /// appends the remainder if `rem`, else the quotient. Both are
+    /// built either way, so `udiv` and `urem` of one pair share gates.
+    fn divrem_vec(&mut self, a: &[Lit], d: &[Lit], rem: bool, out: &mut Vec<Lit>) {
         let w = a.len();
         // w+1-bit remainder to absorb the shifted-in bit.
         let mut r: Vec<Lit> = vec![self.false_lit(); w + 1];
         let mut dext: Vec<Lit> = d.to_vec();
         dext.push(self.false_lit());
         let mut q = vec![self.false_lit(); w];
+        let mut r2 = Vec::with_capacity(w + 1);
+        let mut diff = Vec::with_capacity(w + 1);
         for i in (0..w).rev() {
             // r = (r << 1) | a_i
-            let mut r2 = Vec::with_capacity(w + 1);
+            r2.clear();
             r2.push(a[i]);
             r2.extend_from_slice(&r[..w]);
             // qbit = r2 >= dext
             let lt = self.ult_vec(&r2, &dext);
             let qbit = !lt;
-            let diff = self.sub_vec(&r2, &dext);
-            let mut rn = Vec::with_capacity(w + 1);
+            diff.clear();
+            self.sub_vec(&r2, &dext, &mut diff);
             for j in 0..w + 1 {
-                rn.push(self.g_ite(qbit, diff[j], r2[j]));
+                r[j] = self.g_ite(qbit, diff[j], r2[j]);
             }
-            r = rn;
             q[i] = qbit;
         }
         // div-by-zero: q = all ones, r = a.
         let zero = vec![self.false_lit(); w];
         let dz = self.eq_vec(d, &zero);
-        let qf = (0..w)
-            .map(|i| self.g_ite(dz, self.true_lit, q[i]))
-            .collect::<Vec<_>>();
-        let rf = (0..w)
-            .map(|i| self.g_ite(dz, a[i], r[i]))
-            .collect::<Vec<_>>();
-        (qf, rf)
+        for &qi in &q {
+            let o = self.g_ite(dz, self.true_lit, qi);
+            if !rem {
+                out.push(o);
+            }
+        }
+        for i in 0..w {
+            let o = self.g_ite(dz, a[i], r[i]);
+            if rem {
+                out.push(o);
+            }
+        }
     }
+}
 
-    fn const_bits(&self, v: u64, w: usize) -> Vec<Lit> {
-        (0..w).map(|i| self.const_lit(v >> i & 1 == 1)).collect()
-    }
-
+impl Blaster {
     // --- term lowering ---------------------------------------------------
 
     /// Lowers `t` to its bit vector (LSB first), memoized.
@@ -576,10 +650,14 @@ impl Blaster {
     /// blast within a bounded thread stack. The word-level circuits
     /// called per node are themselves loops, so no path here recurses
     /// on term depth.
-    pub fn blast(&mut self, pool: &TermPool, t: TermId) -> Vec<Lit> {
-        if let Some(b) = self.bits.get(&t) {
-            return b.clone();
+    pub fn blast(&mut self, pool: &TermPool, t: TermId) -> &[Lit] {
+        if !self.bits.contains_key(&t) {
+            self.blast_missing(pool, t);
         }
+        &self.arena[self.bits[&t].range()]
+    }
+
+    fn blast_missing(&mut self, pool: &TermPool, t: TermId) {
         enum Step {
             Visit(TermId),
             Build(TermId),
@@ -621,104 +699,129 @@ impl Blaster {
                     if self.bits.contains_key(&x) {
                         continue;
                     }
-                    let out = self.build_bits(pool, x);
-                    debug_assert_eq!(out.len(), pool.width(x) as usize, "blasted width mismatch");
-                    self.bits.insert(x, out);
+                    let span = self.build_bits(pool, x);
+                    debug_assert_eq!(span.len, pool.width(x), "blasted width mismatch");
+                    self.bits.insert(x, span);
                     self.memo_log.push(MemoKey::Term(x));
                 }
             }
         }
-        self.bits[&t].clone()
     }
 
-    /// Lowers one node whose children are already in `self.bits`.
-    fn build_bits(&mut self, pool: &TermPool, t: TermId) -> Vec<Lit> {
+    /// Lowers one node whose children are already in `self.bits`:
+    /// appends its bits to the arena, or names a run already there.
+    fn build_bits(&mut self, pool: &TermPool, t: TermId) -> Span {
         let w = pool.width(t) as usize;
+        let Blaster {
+            c,
+            arena,
+            bits,
+            out,
+            ..
+        } = self;
+        let span = |x: TermId| bits[&x];
+        let word = |x: TermId| &arena[span(x).range()];
+        out.clear();
         match *pool.get(t) {
-            Term::Const { value, .. } => self.const_bits(value, w),
+            Term::Const { value, .. } => {
+                out.extend((0..w).map(|i| c.const_lit(value >> i & 1 == 1)))
+            }
             Term::Var { id, .. } => {
-                if let Some(b) = self.var_bits.get(&id) {
-                    b.clone()
-                } else {
-                    let b: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
-                    self.var_bits.insert(id, b.clone());
-                    self.memo_log.push(MemoKey::Var(id));
-                    b
+                if let Some(&b) = self.var_bits.get(&id) {
+                    return b;
                 }
-            }
-            Term::Unary(op, a) => {
-                let av = self.bits[&a].clone();
-                match op {
-                    UnOp::Not => av.iter().map(|&l| !l).collect(),
-                    UnOp::Neg => self.neg_vec(&av),
+                for _ in 0..w {
+                    out.push(c.fresh());
                 }
+                let b = self.push_bits();
+                self.var_bits.insert(id, b);
+                self.memo_log.push(MemoKey::Var(id));
+                return b;
             }
+            Term::Unary(op, a) => match op {
+                UnOp::Not => out.extend(word(a).iter().map(|&l| !l)),
+                UnOp::Neg => c.neg_vec(word(a), out),
+            },
             Term::Binary(op, a, b) => {
                 use crate::term::BinOp::*;
-                let av = self.bits[&a].clone();
-                let bv = self.bits[&b].clone();
+                let (av, bv) = (word(a), word(b));
                 match op {
-                    Add => self.add_vec(&av, &bv),
-                    Sub => self.sub_vec(&av, &bv),
-                    Mul => self.mul_vec(&av, &bv),
-                    UDiv => self.divrem_vec(&av, &bv).0,
-                    URem => self.divrem_vec(&av, &bv).1,
-                    And => (0..av.len()).map(|i| self.g_and(av[i], bv[i])).collect(),
-                    Or => (0..av.len()).map(|i| self.g_or(av[i], bv[i])).collect(),
-                    Xor => (0..av.len()).map(|i| self.g_xor(av[i], bv[i])).collect(),
-                    Shl => self.shift_vec(&av, &bv, true),
-                    Lshr => self.shift_vec(&av, &bv, false),
-                    Eq => vec![self.eq_vec(&av, &bv)],
-                    Ult => vec![self.ult_vec(&av, &bv)],
-                    Ule => {
-                        let gt = self.ult_vec(&bv, &av);
-                        vec![!gt]
+                    Add => c.add_vec(av, bv, out),
+                    Sub => c.sub_vec(av, bv, out),
+                    Mul => c.mul_vec(av, bv, out),
+                    UDiv => c.divrem_vec(av, bv, false, out),
+                    URem => c.divrem_vec(av, bv, true, out),
+                    And => {
+                        for i in 0..av.len() {
+                            out.push(c.g_and(av[i], bv[i]));
+                        }
                     }
-                    Slt => vec![self.slt_vec(&av, &bv)],
-                    Sle => {
-                        let gt = self.slt_vec(&bv, &av);
-                        vec![!gt]
+                    Or => {
+                        for i in 0..av.len() {
+                            out.push(c.g_or(av[i], bv[i]));
+                        }
                     }
+                    Xor => {
+                        for i in 0..av.len() {
+                            out.push(c.g_xor(av[i], bv[i]));
+                        }
+                    }
+                    Shl => c.shift_vec(av, bv, true, out),
+                    Lshr => c.shift_vec(av, bv, false, out),
+                    Eq => out.push(c.eq_vec(av, bv)),
+                    Ult => out.push(c.ult_vec(av, bv)),
+                    Ule => out.push(!c.ult_vec(bv, av)),
+                    Slt => out.push(c.slt_vec(av, bv)),
+                    Sle => out.push(!c.slt_vec(bv, av)),
                 }
             }
-            Term::Ite(c, a, b) => {
-                let cv = self.bits[&c][0];
-                let av = self.bits[&a].clone();
-                let bv = self.bits[&b].clone();
-                (0..av.len())
-                    .map(|i| self.g_ite(cv, av[i], bv[i]))
-                    .collect()
-            }
-            Term::ZExt(a, wid) => {
-                let mut av = self.bits[&a].clone();
-                while av.len() < wid as usize {
-                    av.push(self.false_lit());
+            Term::Ite(s, a, b) => {
+                let cv = word(s)[0];
+                let (av, bv) = (word(a), word(b));
+                for i in 0..av.len() {
+                    out.push(c.g_ite(cv, av[i], bv[i]));
                 }
-                av
             }
-            Term::SExt(a, wid) => {
-                let mut av = self.bits[&a].clone();
-                let sign = av[av.len() - 1];
-                while av.len() < wid as usize {
-                    av.push(sign);
-                }
-                av
+            Term::ZExt(a, _) => {
+                out.extend_from_slice(word(a));
+                out.resize(w, c.false_lit());
             }
-            Term::Extract { hi, lo, arg } => self.bits[&arg][lo as usize..=hi as usize].to_vec(),
+            Term::SExt(a, _) => {
+                let av = word(a);
+                out.extend_from_slice(av);
+                out.resize(w, av[av.len() - 1]);
+            }
+            Term::Extract { hi, lo, arg } => {
+                let a = span(arg);
+                debug_assert!(hi < a.len);
+                return Span {
+                    start: a.start + lo,
+                    len: hi - lo + 1,
+                };
+            }
             Term::Concat(hi, lo) => {
-                let hv = self.bits[&hi].clone();
-                let mut lv = self.bits[&lo].clone();
-                lv.extend(hv);
-                lv
+                out.extend_from_slice(word(lo));
+                out.extend_from_slice(word(hi));
             }
         }
+        self.push_bits()
+    }
+
+    /// Moves the scratch word onto the arena and names its run.
+    fn push_bits(&mut self) -> Span {
+        let span = Span {
+            start: self.arena.len() as u32,
+            len: self.out.len() as u32,
+        };
+        self.arena.extend_from_slice(&self.out);
+        span
     }
 
     /// Asserts that the width-1 term `t` is true.
     pub fn assert_true(&mut self, pool: &TermPool, t: TermId) {
         debug_assert_eq!(pool.width(t), 1);
-        let b = self.blast(pool, t);
-        self.sat.add_clause(&[b[0]]);
+        let b = self.blast(pool, t)[0];
+        self.c.sat.add_clause(&[b]);
     }
 
     /// Asserts the width-1 term `t` gated on a fresh activation
@@ -728,47 +831,47 @@ impl Blaster {
     /// by [`Blaster::blast`] until a [`Blaster::rollback`] past it.
     pub fn assert_gated(&mut self, pool: &TermPool, t: TermId) -> Lit {
         debug_assert_eq!(pool.width(t), 1);
-        let b = self.blast(pool, t);
-        let act = self.sat.new_activation_lit();
-        self.sat.add_gated_clause(act, &[b[0]]);
+        let b = self.blast(pool, t)[0];
+        let act = self.c.sat.new_activation_lit();
+        self.c.sat.add_gated_clause(act, &[b]);
         act
     }
 
     /// Runs the SAT solver.
     pub fn check(&mut self) -> SolveResult {
-        self.sat.solve()
+        self.c.sat.solve()
     }
 
     /// Runs the SAT solver under `assumptions` (typically activation
     /// literals from [`Blaster::assert_gated`]). Learnt clauses,
     /// variable activities and saved phases persist across calls.
     pub fn check_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.sat.solve_with_assumptions(assumptions)
+        self.c.sat.solve_with_assumptions(assumptions)
     }
 
     /// After a SAT verdict: the value of symbolic variable `id`.
     /// Variables that never appeared in an asserted term return `None`.
     pub fn model_var(&self, id: u32) -> Option<u64> {
-        self.var_bits.get(&id).map(|bits| self.model_bits(bits))
+        self.var_lits(id).map(|bits| self.model_bits(bits))
     }
 
     /// The input bits (LSB first) of symbolic variable `id`, if a term
     /// naming it was blasted in a live scope.
     pub fn var_lits(&self, id: u32) -> Option<&[Lit]> {
-        self.var_bits.get(&id).map(Vec::as_slice)
+        self.var_bits.get(&id).map(|s| &self.arena[s.range()])
     }
 
     /// After a SAT verdict: the value of literal `l` in the model, or
     /// `None` if the call did not assign its variable.
     pub fn model_lit(&self, l: Lit) -> Option<bool> {
-        self.sat.value(l.var()).map(|v| v == l.is_positive())
+        self.c.sat.value(l.var()).map(|v| v == l.is_positive())
     }
 
     /// After a SAT verdict: whether the call's assumptions fixed `l`'s
     /// variable (see [`Solver::fixed_by_assumptions`]), so no model
     /// under them gives it another value.
     pub fn fixed_by_assumptions(&self, l: Lit) -> bool {
-        self.sat.fixed_by_assumptions(l.var())
+        self.c.sat.fixed_by_assumptions(l.var())
     }
 
     /// After a SAT verdict: the value of every variable blasted in a
@@ -776,8 +879,8 @@ impl Blaster {
     /// about, read off without walking those terms.
     pub(crate) fn live_model(&self) -> Assignment {
         let mut a = Assignment::new();
-        for (&id, bits) in &self.var_bits {
-            a.set(id, self.model_bits(bits));
+        for (&id, s) in &self.var_bits {
+            a.set(id, self.model_bits(&self.arena[s.range()]));
         }
         a
     }
@@ -786,7 +889,7 @@ impl Blaster {
     fn model_bits(&self, bits: &[Lit]) -> u64 {
         let mut v = 0u64;
         for (i, &l) in bits.iter().enumerate() {
-            let bit = self.sat.value(l.var()).unwrap_or(false) == l.is_positive();
+            let bit = self.c.sat.value(l.var()).unwrap_or(false) == l.is_positive();
             if bit {
                 v |= 1 << i;
             }
@@ -796,13 +899,13 @@ impl Blaster {
 
     /// Propositional statistics of the underlying solver.
     pub fn sat_stats(&self) -> bitsat::SolverStats {
-        self.sat.stats()
+        self.c.sat.stats()
     }
 
     /// Number of SAT variables currently allocated (a proxy for the
     /// size of the blasted circuit).
     pub fn num_sat_vars(&self) -> usize {
-        self.sat.num_vars()
+        self.c.sat.num_vars()
     }
 }
 
@@ -845,8 +948,8 @@ mod tests {
         spec: impl Fn(&[bool]) -> bool,
     ) {
         let mut bl = Blaster::new();
-        let inputs: Vec<Lit> = (0..arity).map(|_| bl.fresh()).collect();
-        let mut shapes = vec![bl.true_lit, bl.false_lit()];
+        let inputs: Vec<Lit> = (0..arity).map(|_| bl.c.fresh()).collect();
+        let mut shapes = vec![bl.c.true_lit, bl.c.false_lit()];
         shapes.extend(inputs.iter().flat_map(|&x| [x, !x]));
         for pick in 0..shapes.len().pow(arity as u32) {
             let ops: Vec<Lit> = (0..arity)
@@ -868,7 +971,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let value = |l: Lit| assume.contains(&l) || l == bl.true_lit;
+                let value = |l: Lit| assume.contains(&l) || l == bl.c.true_lit;
                 let want = spec(&ops.iter().map(|&l| value(l)).collect::<Vec<_>>());
                 let decisions = bl.sat_stats().decisions;
                 assume.push(if want { out } else { !out });
@@ -888,22 +991,22 @@ mod tests {
 
     #[test]
     fn gates_are_forced_by_propagation_on_every_operand_shape() {
-        gate_is_forced_to(2, |bl, o| bl.g_and(o[0], o[1]), |v| v[0] && v[1]);
-        gate_is_forced_to(2, |bl, o| bl.g_or(o[0], o[1]), |v| v[0] || v[1]);
-        gate_is_forced_to(2, |bl, o| bl.g_xor(o[0], o[1]), |v| v[0] != v[1]);
+        gate_is_forced_to(2, |bl, o| bl.c.g_and(o[0], o[1]), |v| v[0] && v[1]);
+        gate_is_forced_to(2, |bl, o| bl.c.g_or(o[0], o[1]), |v| v[0] || v[1]);
+        gate_is_forced_to(2, |bl, o| bl.c.g_xor(o[0], o[1]), |v| v[0] != v[1]);
         gate_is_forced_to(
             3,
-            |bl, o| bl.g_ite(o[0], o[1], o[2]),
+            |bl, o| bl.c.g_ite(o[0], o[1], o[2]),
             |v| if v[0] { v[1] } else { v[2] },
         );
         gate_is_forced_to(
             3,
-            |bl, o| bl.g_maj(o[0], o[1], o[2]),
+            |bl, o| bl.c.g_maj(o[0], o[1], o[2]),
             |v| usize::from(v[0]) + usize::from(v[1]) + usize::from(v[2]) >= 2,
         );
         gate_is_forced_to(
             3,
-            |bl, o| bl.g_and_all(o.iter().chain(o).copied().collect()),
+            |bl, o| bl.c.g_and_all(&mut o.iter().chain(o).copied().collect()),
             |v| v[0] && v[1] && v[2],
         );
     }
@@ -952,16 +1055,21 @@ mod tests {
             p.mk_sub(k, x),
         ];
         let mut bl = Blaster::new();
-        let xv = bl.blast(&p, x);
-        match alias {
-            Alias::Free => {}
-            // Variable 1 is `y`.
-            Alias::SameAsX => drop(bl.var_bits.insert(1, xv.clone())),
-            Alias::NotX => drop(bl.var_bits.insert(1, xv.iter().map(|&l| !l).collect())),
+        let xv = bl.blast(&p, x).to_vec();
+        // Variable 1 is `y`.
+        let y_bits = match alias {
+            Alias::Free => None,
+            Alias::SameAsX => Some(xv.clone()),
+            Alias::NotX => Some(xv.iter().map(|&l| !l).collect()),
+        };
+        if let Some(y_bits) = y_bits {
+            bl.out = y_bits;
+            let span = bl.push_bits();
+            bl.var_bits.insert(1, span);
         }
-        let yv = bl.blast(&p, y);
-        let cv = bl.blast(&p, c);
-        let outs: Vec<Vec<Lit>> = terms.iter().map(|&t| bl.blast(&p, t)).collect();
+        let yv = bl.blast(&p, y).to_vec();
+        let cv = bl.blast(&p, c).to_vec();
+        let outs: Vec<Vec<Lit>> = terms.iter().map(|&t| bl.blast(&p, t).to_vec()).collect();
         for input in 0..1u64 << 9 {
             let (vx, vy, vc) = (input & 0xF, input >> 4 & 0xF, input >> 8);
             let possible = match alias {

@@ -94,9 +94,9 @@ struct Mode {
     /// Bumped whenever `sums` change: a report searched at the current
     /// generation searched the summaries the mode holds now.
     generation: u64,
-    /// The step-2 solver session, created by the mode's first check:
-    /// its blasted constraints, learnt clauses and saved phases persist
-    /// across every later check in the mode.
+    /// The step-2 solver session, created by the mode's first check or
+    /// longest-path search: its blasted constraints, learnt clauses and
+    /// saved phases persist across every later one in the mode.
     solver: Option<SolveSession>,
     /// UNSAT cores learnt refuting one check's paths prune every later
     /// check in the mode (the constraint terms are hash-consed in the
@@ -165,19 +165,27 @@ impl Engine {
     }
 
     /// A built mode's summaries with the pool they live in and the
-    /// mode's core store, for the analyses beside the property checks.
+    /// mode's solver session (created as [`Engine::check`] creates it)
+    /// and core store, for the analyses beside the property checks.
     pub(crate) fn warm(
         &mut self,
         mode: MapMode,
     ) -> (
         &mut TermPool,
         &PipelineSummaries,
+        &mut SolveSession,
         &mut CoreStore,
         &VerifyConfig,
     ) {
-        let m = &mut self.modes[mode_idx(mode)];
-        let sums = m.sums.as_ref().expect("ensured");
-        (&mut self.pool, sums, &mut m.cores, &self.cfg)
+        let Mode {
+            sums,
+            solver,
+            cores,
+            ..
+        } = &mut self.modes[mode_idx(mode)];
+        let sums = sums.as_ref().expect("ensured");
+        let solver = solver.get_or_insert_with(|| new_session(&self.cfg, cores));
+        (&mut self.pool, sums, solver, cores, &self.cfg)
     }
 
     /// Brings `mode`'s summaries up to date with `pipeline`: builds

@@ -495,7 +495,7 @@ impl<'p> Verifier<'p> {
                         error: Some(format!("step 1 aborted: {e}")),
                     });
                 }
-                let (pool, sums, _, cfg) = self.engine.warm(MapMode::Abstract);
+                let (pool, sums, _, _, cfg) = self.engine.warm(MapMode::Abstract);
                 let findings = analyze(pool, sums, pipeline, cfg);
                 Report::State(StateReport {
                     pipeline: pipeline.name.clone(),
@@ -529,10 +529,10 @@ impl<'p> Verifier<'p> {
         if self.ensure(MapMode::Abstract).is_err() {
             return Vec::new();
         }
-        // The longest-path search prunes with (and feeds) the same
-        // abstract-mode core store as the property checks.
-        let (pool, sums, cores, cfg) = self.engine.warm(MapMode::Abstract);
+        // The longest-path search asks the abstract-mode session of the
+        // property checks, and prunes with (and feeds) their core store.
+        let (pool, sums, solver, cores, cfg) = self.engine.warm(MapMode::Abstract);
         let init = make_initial(pool, sums);
-        longest_paths_from(pool, self.pipeline, sums, init, cfg, cores, n)
+        longest_paths_from(pool, self.pipeline, sums, init, cfg, solver, cores, n)
     }
 }

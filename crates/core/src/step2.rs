@@ -685,12 +685,14 @@ pub struct LongestPath {
 /// decreasing instruction count via a best-first search whose
 /// heuristic (maximum remaining instructions per stage) is admissible,
 /// so paths pop in true length order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn longest_paths_from(
     pool: &mut TermPool,
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     init: ComposedState,
     cfg: &VerifyConfig,
+    solver: &mut SolveSession,
     cores: &mut CoreStore,
     n: usize,
 ) -> Vec<LongestPath> {
@@ -733,7 +735,6 @@ pub(crate) fn longest_paths_from(
         }
     }
 
-    let mut solver = new_session(cfg, cores);
     let mut heap: BinaryHeap<QNode> = BinaryHeap::new();
     heap.push(QNode {
         f: suffix[0],
@@ -750,8 +751,8 @@ pub(crate) fn longest_paths_from(
         }
         if node.terminal {
             // Admissible heuristic ⇒ this is the next-longest path.
-            if let Feas::Sat(m) = check(pool, &mut solver, cores, &node.state, false) {
-                let m = minimal_witness(pool, &mut solver, &sums.input).unwrap_or(m);
+            if let Feas::Sat(m) = check(pool, solver, cores, &node.state, false) {
+                let m = minimal_witness(pool, solver, &sums.input).unwrap_or(m);
                 out.push(LongestPath {
                     instrs: node.state.instrs,
                     packet: CounterExample::from_model(
@@ -772,7 +773,7 @@ pub(crate) fn longest_paths_from(
             }
             let next = compose(pool, &node.state, summary, node.stage, i);
             composed += 1;
-            let feasible = !matches!(check(pool, &mut solver, cores, &next, true), Feas::Unsat);
+            let feasible = !matches!(check(pool, solver, cores, &next, true), Feas::Unsat);
             if !feasible {
                 continue;
             }
@@ -1367,7 +1368,7 @@ mod tests {
             );
         }
 
-        // The longest-path search extracts on a session of its own.
+        // The longest-path search, on a session of its own here.
         let Check {
             mut pool,
             sums,
@@ -1380,6 +1381,7 @@ mod tests {
             &sums,
             init.clone(),
             &cfg(),
+            &mut new_session(&cfg(), &CoreStore::new()),
             &mut CoreStore::new(),
             n,
         );

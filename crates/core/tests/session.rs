@@ -137,6 +137,34 @@ fn check_all_matches_fresh_runs_on_fixed_pipeline() {
 // --------------------------------------------------------------------
 
 #[test]
+fn longest_paths_on_the_warm_session_match_a_fresh_verifier() {
+    // The longest-path search asks the session the checks left warm;
+    // its packets are lexicographically minimal, so learnt clauses,
+    // phases and leftover scopes must not move a byte.
+    let bytes = |paths: Vec<verifier::LongestPath>| -> Vec<_> {
+        paths
+            .into_iter()
+            .map(|p| {
+                (
+                    p.instrs,
+                    p.packet.bytes,
+                    p.packet.description,
+                    p.packet.trace,
+                )
+            })
+            .collect()
+    };
+    for p in [click_bug1(), router()] {
+        let mut warm = Verifier::new(&p).config(cfg());
+        warm.check_all(&[Property::CrashFreedom, Property::Bounded { imax: IMAX }]);
+        let after_checks = bytes(warm.longest_paths(3));
+        let fresh = bytes(Verifier::new(&p).config(cfg()).longest_paths(3));
+        assert_eq!(after_checks.len(), 3, "{}", p.name);
+        assert_eq!(after_checks, fresh, "{}", p.name);
+    }
+}
+
+#[test]
 fn step1_cached_once_per_map_mode() {
     let p = router();
     let mut v = Verifier::new(&p).config(cfg());

@@ -17,7 +17,9 @@ pub enum Route {
     /// delivery on sink 0.
     Next,
     /// To an explicit stage index; an index past the last stage is a
-    /// delivery on sink 0.
+    /// delivery on sink 0. An index at or before this stage's is a
+    /// cycle: the runner reports a packet still going round after 256
+    /// stage entries per stage as stuck.
     To(usize),
     /// Out of the pipeline, delivered on a numbered sink.
     Sink(u8),

@@ -19,9 +19,11 @@ pub enum PipelineOutcome {
         /// Why.
         reason: CrashReason,
     },
-    /// A stage exhausted its fuel (runaway loop).
+    /// A stage exhausted its fuel (runaway loop), or the packet kept
+    /// cycling through backward routes (see [`Runner::run_packet`]).
     Stuck {
-        /// Index of the stuck stage.
+        /// Index of the stuck stage: the one out of fuel, or the one the
+        /// cycling packet was about to enter again.
         stage: usize,
     },
 }
@@ -43,6 +45,14 @@ pub struct RunnerStats {
     /// "longest path" observable).
     pub max_instrs_per_packet: u64,
 }
+
+/// How many times one packet may enter stages, per stage of the
+/// pipeline. A forward-only pipeline enters each stage at most once; a
+/// [`crate::Route`] back to the same or an earlier stage is a cycle,
+/// and a packet still going round after this many entries is
+/// [`PipelineOutcome::Stuck`]. 256 lets a loop that decrements an
+/// 8-bit TTL once a lap run out.
+const ENTRIES_PER_STAGE: usize = 256;
 
 /// Drives packets through a [`Pipeline`] against per-stage stores.
 pub struct Runner {
@@ -83,16 +93,23 @@ impl Runner {
         &self.pipeline
     }
 
-    /// Processes one packet to completion.
+    /// Processes one packet to completion: delivered, dropped, crashed,
+    /// or stuck — out of fuel in a stage, or still cycling through
+    /// backward routes after 256 stage entries per stage.
     pub fn run_packet(&mut self, pkt: &mut PacketData) -> PipelineOutcome {
         let mut stage = 0usize;
         let mut pkt_instrs: u64 = 0;
+        let mut entries_left = ENTRIES_PER_STAGE * self.pipeline.stages.len();
         let outcome = loop {
             // `hop` names only stages that exist: this is the empty
             // pipeline.
             let Some(st) = self.pipeline.stages.get(stage) else {
                 break PipelineOutcome::Delivered(0);
             };
+            if entries_left == 0 {
+                break PipelineOutcome::Stuck { stage };
+            }
+            entries_left -= 1;
             let out = st
                 .element
                 .process(pkt, &mut self.stores[stage], self.fuel_per_stage);
@@ -124,6 +141,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::element::Element;
+    use crate::pipeline::{Route, Stage};
     use dpir::ProgramBuilder;
 
     fn ttl_elem() -> Element {
@@ -171,6 +189,37 @@ mod tests {
         let mut pkt = PacketData::new(vec![2]);
         assert_eq!(r.run_packet(&mut pkt), PipelineOutcome::Dropped);
         assert_eq!(r.stats().dropped, 1);
+    }
+
+    fn pass_elem() -> Element {
+        let mut b = ProgramBuilder::new("pass");
+        b.emit(0);
+        Element::straight("pass", b.build().expect("valid"))
+    }
+
+    #[test]
+    fn a_backward_route_cycle_is_stuck_not_a_hang() {
+        // Stage 1 sends every packet back to stage 0: the packet would
+        // go round forever.
+        let p = Pipeline::new("cycle")
+            .push(pass_elem())
+            .push_stage(Stage::passthrough(pass_elem()).route(0, Route::To(0)));
+        let mut r = Runner::new(p, vec![StoreRuntime::new(), StoreRuntime::new()]);
+        let mut pkt = PacketData::new(vec![0]);
+        assert_eq!(r.run_packet(&mut pkt), PipelineOutcome::Stuck { stage: 0 });
+        assert_eq!(r.stats().stuck, 1);
+    }
+
+    #[test]
+    fn a_ttl_bounded_backward_loop_still_runs_out() {
+        // Two TTL decrements a lap: TTL 255 needs 127 laps to expire.
+        let p = Pipeline::new("recirculate")
+            .push(ttl_elem())
+            .push_stage(Stage::passthrough(ttl_elem()).route(0, Route::To(0)));
+        let mut r = Runner::new(p, vec![StoreRuntime::new(), StoreRuntime::new()]);
+        let mut pkt = PacketData::new(vec![255; 20]);
+        assert_eq!(r.run_packet(&mut pkt), PipelineOutcome::Dropped);
+        assert_eq!(pkt.bytes[0], 1);
     }
 
     #[test]

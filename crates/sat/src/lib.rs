@@ -46,7 +46,7 @@ mod dimacs;
 mod lit;
 mod solver;
 
-pub use clause::{Clause, ClauseRef};
+pub use clause::ClauseRef;
 pub use dimacs::{parse_dimacs, write_dimacs, DimacsError};
 pub use lit::{Lit, Var};
 pub use solver::{Mark, SolveResult, Solver, SolverStats};

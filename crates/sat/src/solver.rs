@@ -220,6 +220,17 @@ pub struct Solver {
     /// [`SolveResult::Sat`], decision levels `1..=assumption_count` are theirs
     /// (see [`Solver::fixed_by_assumptions`]).
     assumption_count: usize,
+    /// Scratch buffers, kept between calls so that adding a clause,
+    /// learning one and rolling back allocate nothing once they have
+    /// grown to the working set: the clause being added or learnt, the
+    /// levels of a learnt clause, a rollback's clause renumbering and
+    /// the literal codes whose watch lists it revisits, with a flag per
+    /// code (all `false` between rollbacks).
+    clause_buf: Vec<Lit>,
+    levels_buf: Vec<u32>,
+    remap_buf: Vec<ClauseRef>,
+    touched_buf: Vec<usize>,
+    touched: Vec<bool>,
 }
 
 impl Solver {
@@ -248,8 +259,12 @@ impl Solver {
         self.activity.push(0.0);
         self.saved_phase.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        // A rollback leaves the lists of dropped variables in place,
+        // empty, so a variable that reuses an index reuses its capacity.
+        for _ in self.watches.len()..2 * self.assigns.len() {
+            self.watches.push(Vec::new());
+            self.touched.push(false);
+        }
         self.order.grow_to(self.assigns.len());
         self.order.push(v, &self.activity);
         v
@@ -310,16 +325,21 @@ impl Solver {
             }
             return self.add_simplified(&c[..n]);
         }
-        let mut c = lits.to_vec();
+        let mut c = std::mem::take(&mut self.clause_buf);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort();
         c.dedup();
         // Sorted, a literal sits next to its complement.
         let tautology = c.windows(2).any(|w| w[0] == !w[1]);
-        if tautology || c.iter().any(|&l| self.lit_value(l) == Some(true)) {
-            return true;
-        }
-        c.retain(|&l| self.lit_value(l).is_none());
-        self.add_simplified(&c)
+        let ok = if tautology || c.iter().any(|&l| self.lit_value(l) == Some(true)) {
+            true
+        } else {
+            c.retain(|&l| self.lit_value(l).is_none());
+            self.add_simplified(&c)
+        };
+        self.clause_buf = c;
+        ok
     }
 
     /// Stores a clause of distinct, unassigned, non-complementary
@@ -341,7 +361,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.add(c.to_vec(), false);
+                let cref = self.db.add(c, false);
                 self.attach(cref);
                 true
             }
@@ -364,6 +384,12 @@ impl Solver {
     /// is assumed. Returns `false` if the solver is already UNSAT at
     /// the top level (as [`Solver::add_clause`]).
     pub fn add_gated_clause(&mut self, act: Lit, lits: &[Lit]) -> bool {
+        if lits.len() < SHORT_CLAUSE {
+            let mut c = [Lit::from_code(0); SHORT_CLAUSE];
+            c[0] = !act;
+            c[1..=lits.len()].copy_from_slice(lits);
+            return self.add_clause(&c[..=lits.len()]);
+        }
         let mut c = Vec::with_capacity(lits.len() + 1);
         c.push(!act);
         c.extend_from_slice(lits);
@@ -407,7 +433,10 @@ impl Solver {
     /// caller must not roll one back.
     ///
     /// Costs the dropped variables and clauses plus the watch lists of
-    /// the surviving literals those clauses watched.
+    /// the surviving literals those clauses watched, and allocates
+    /// nothing: the kept learnt clauses' literals move down inside the
+    /// clause arena, and the dropped variables' watch lists are
+    /// emptied but kept for [`Solver::new_var`] to hand out again.
     pub fn rollback(&mut self, mark: Mark) {
         debug_assert!(
             mark.vars <= self.num_vars() && mark.clauses <= self.db.len(),
@@ -419,17 +448,27 @@ impl Solver {
         self.backtrack_to(0);
         self.last_core.clear();
 
-        let mut touched: Vec<usize> = self.db.clauses[mark.clauses..]
-            .iter()
-            .filter(|c| !c.deleted)
-            .flat_map(|c| &c.lits[..2])
-            .filter(|l| l.var().index() < mark.vars)
-            .map(|&l| (!l).code())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let remap = self.db.truncate_keeping_learnts(mark.clauses, mark.vars);
-        for code in touched {
+        // The surviving literals whose watch lists name a clause past
+        // the mark, each once: a flag per literal code dedups them.
+        let mut touched = std::mem::take(&mut self.touched_buf);
+        for c in &self.db.headers()[mark.clauses..] {
+            if c.deleted {
+                continue;
+            }
+            let start = c.range().start;
+            for &l in &self.db.lits[start..start + 2] {
+                let code = (!l).code();
+                if l.var().index() < mark.vars && !self.touched[code] {
+                    self.touched[code] = true;
+                    touched.push(code);
+                }
+            }
+        }
+        let mut remap = std::mem::take(&mut self.remap_buf);
+        self.db
+            .truncate_keeping_learnts(mark.clauses, mark.vars, &mut remap);
+        for code in touched.drain(..) {
+            self.touched[code] = false;
             self.watches[code].retain_mut(|w| {
                 if let Some(i) = (w.cref.0 as usize).checked_sub(mark.clauses) {
                     w.cref = remap[i];
@@ -437,6 +476,8 @@ impl Solver {
                 !w.cref.is_none()
             });
         }
+        self.touched_buf = touched;
+        self.remap_buf = remap;
 
         // Level-0 reasons are never read, so one that pointed past the
         // mark is simply forgotten.
@@ -461,7 +502,9 @@ impl Solver {
             self.order.remove(Var::from_index(vi), &self.activity);
         }
         self.order.pos.truncate(mark.vars);
-        self.watches.truncate(2 * mark.vars);
+        for ws in &mut self.watches[2 * mark.vars..2 * self.assigns.len()] {
+            ws.clear();
+        }
         self.assigns.truncate(mark.vars);
         self.level.truncate(mark.vars);
         self.reason.truncate(mark.vars);
@@ -479,19 +522,34 @@ impl Solver {
     fn check_invariants(&self) {
         let n = self.num_vars();
         let in_range = |l: Lit| l.var().index() < n;
-        let live_learnt = self.db.clauses.iter().filter(|c| c.learnt && !c.deleted);
+        let headers = self.db.headers();
+        let live_learnt = headers.iter().filter(|c| c.learnt && !c.deleted);
         assert_eq!(self.db.num_learnt(), live_learnt.count(), "learnt count");
-        for c in &self.db.clauses {
-            assert!(c.lits.iter().all(|&l| in_range(l)), "clause {c:?}");
+        let mut end = 0;
+        for c in headers {
+            assert_eq!(c.range().start, end, "clause {c:?} is not packed");
+            end = c.range().end;
+            let lits = &self.db.lits[c.range()];
+            assert!(lits.iter().all(|&l| in_range(l)), "clause {c:?}: {lits:?}");
         }
-        assert_eq!(self.watches.len(), 2 * n);
+        assert_eq!(self.db.lits.len(), end, "literals past the last clause");
+        assert!(self.watches.len() >= 2 * n);
+        assert!(
+            self.watches[2 * n..].iter().all(Vec::is_empty),
+            "dropped watches"
+        );
+        assert_eq!(self.touched.len(), self.watches.len());
+        assert!(!self.touched.contains(&true), "a touched flag left set");
         for (code, ws) in self.watches.iter().enumerate() {
             let watched = !Lit::from_code(code);
             for w in ws {
                 assert!((w.cref.0 as usize) < self.db.len(), "watcher {w:?}");
-                let c = self.db.get(w.cref);
-                assert!(!c.deleted, "watcher {w:?} of a deleted clause");
-                assert!(c.lits[..2].contains(&watched), "{w:?} not on {watched:?}");
+                assert!(
+                    !self.db.header(w.cref).deleted,
+                    "watcher {w:?} of a deleted clause"
+                );
+                let c = self.db.lits(w.cref);
+                assert!(c[..2].contains(&watched), "{w:?} not on {watched:?}");
             }
         }
         for &l in &self.trail {
@@ -589,9 +647,9 @@ impl Solver {
                 // Analysis may backjump below the assumption levels; the
                 // establishment code below re-asserts assumptions in order
                 // and reports UNSAT if one has become falsified.
-                let (learnt, backjump) = self.analyze(confl);
+                let backjump = self.analyze(confl);
                 self.backtrack_to(backjump);
-                self.learn(learnt);
+                self.learn();
                 self.decay_activities();
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
                 if self.stats.conflicts - budget_start >= self.conflict_budget {
@@ -620,7 +678,7 @@ impl Solver {
                             continue;
                         }
                         Some(false) => {
-                            self.last_core = self.analyze_final(a);
+                            self.analyze_final(a);
                             break SolveResult::Unsat;
                         }
                         None => {
@@ -671,9 +729,9 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
+        let c = self.db.lits(cref);
         debug_assert!(c.len() >= 2);
-        let (l0, l1) = (c.lits[0], c.lits[1]);
+        let (l0, l1) = (c[0], c[1]);
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
@@ -696,14 +754,13 @@ impl Solver {
                 }
                 // Normalize: put the false literal (¬p) at position 1.
                 let false_lit = !p;
-                {
-                    let c = self.db.get_mut(w.cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let c = self.db.header(w.cref).range();
+                let lits = &mut self.db.lits[c.clone()];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.get(w.cref).lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 if first != w.blocker && self.lit_value(first) == Some(true) {
                     ws[i].blocker = first;
                     i += 1;
@@ -711,12 +768,10 @@ impl Solver {
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                let len = self.db.get(w.cref).len();
-                for k in 2..len {
-                    let lk = self.db.get(w.cref).lits[k];
+                for k in c.start + 2..c.end {
+                    let lk = self.db.lits[k];
                     if self.lit_value(lk) != Some(false) {
-                        let c = self.db.get_mut(w.cref);
-                        c.lits.swap(1, k);
+                        self.db.lits.swap(c.start + 1, k);
                         self.watches[(!lk).code()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -754,10 +809,13 @@ impl Solver {
         None
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, usize) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause
+    /// (asserting literal first) in the clause buffer and returns the
+    /// backjump level.
+    fn analyze(&mut self, confl: ClauseRef) -> usize {
+        let mut learnt = std::mem::take(&mut self.clause_buf);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut cref = confl;
@@ -767,9 +825,10 @@ impl Solver {
         loop {
             debug_assert!(!cref.is_none());
             self.bump_clause(cref);
-            let lits = self.db.get(cref).lits.clone();
+            let c = self.db.header(cref).range();
             let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            for k in c.start + skip..c.end {
+                let q = self.db.lits[k];
                 let vi = q.var().index();
                 if !self.seen[vi] && self.level[vi] > 0 {
                     self.seen[vi] = true;
@@ -801,13 +860,15 @@ impl Solver {
         learnt[0] = !p.expect("UIP found");
 
         // Clause minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.redundant(l))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if !self.redundant(l) {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
 
         // Clear seen flags.
         for l in &learnt {
@@ -828,7 +889,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, backjump)
+        self.clause_buf = learnt;
+        backjump
     }
 
     /// Local redundancy check: `l` is redundant if every literal in its
@@ -839,8 +901,7 @@ impl Solver {
         if r.is_none() {
             return false;
         }
-        let lits = &self.db.get(r).lits;
-        let red = lits.iter().skip(1).all(|&q| {
+        let red = self.db.lits(r).iter().skip(1).all(|&q| {
             let vi = q.var().index();
             self.seen[vi] || self.level[vi] == 0
         });
@@ -858,11 +919,12 @@ impl Solver {
     /// assignment above level 0 yields exactly the assumption subset
     /// used — the UNSAT core (every decision on the trail during
     /// establishment is an assumption).
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
+    fn analyze_final(&mut self, p: Lit) {
+        self.last_core.clear();
+        self.last_core.push(p);
         if self.decision_level() == 0 {
             // `¬p` is a level-0 fact: `p` alone is the core.
-            return core;
+            return;
         }
         self.seen[p.var().index()] = true;
         let floor = self.trail_lim[0];
@@ -877,9 +939,9 @@ impl Solver {
             if r.is_none() {
                 // A pseudo-decision: an assumption (possibly ¬p itself,
                 // when the assumption list is self-contradictory).
-                core.push(l);
+                self.last_core.push(l);
             } else {
-                for &q in self.db.get(r).lits.iter().skip(1) {
+                for &q in self.db.lits(r).iter().skip(1) {
                     let qi = q.var().index();
                     if self.level[qi] > 0 {
                         self.seen[qi] = true;
@@ -889,17 +951,21 @@ impl Solver {
         }
         // If var(p) was assigned at level 0 the walk never reached it.
         self.seen[p.var().index()] = false;
-        core
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>) {
+    /// Adds the clause [`Solver::analyze`] left in the clause buffer
+    /// and asserts its first literal.
+    fn learn(&mut self) {
+        let learnt = std::mem::take(&mut self.clause_buf);
         debug_assert!(!learnt.is_empty());
         let asserting = learnt[0];
         // LBD (glue): distinct decision levels among the clause's
         // literals. The backjump does not rewrite `level[]`, so the
         // entries still read as of the conflict for every literal,
         // including the (now unassigned) asserting one.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
+        let levels = &mut self.levels_buf;
+        levels.clear();
+        levels.extend(learnt.iter().map(|l| self.level[l.var().index()]));
         levels.sort_unstable();
         levels.dedup();
         let lbd = levels.len() as u32;
@@ -910,12 +976,13 @@ impl Solver {
         if learnt.len() == 1 {
             self.enqueue(asserting, ClauseRef::NONE);
         } else {
-            let cref = self.db.add(learnt, true);
-            self.db.get_mut(cref).lbd = lbd;
+            let cref = self.db.add(&learnt, true);
+            self.db.header_mut(cref).lbd = lbd;
             self.bump_clause(cref);
             self.attach(cref);
             self.enqueue(asserting, cref);
         }
+        self.clause_buf = learnt;
     }
 
     fn backtrack_to(&mut self, level: usize) {
@@ -956,7 +1023,7 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, c: ClauseRef) {
-        let cl = self.db.get_mut(c);
+        let cl = self.db.header_mut(c);
         if !cl.learnt {
             return;
         }
@@ -964,7 +1031,7 @@ impl Solver {
         if cl.activity > 1e20 {
             let inc = &mut self.cla_inc;
             *inc *= 1e-20;
-            for cl in &mut self.db.clauses {
+            for cl in self.db.headers_mut() {
                 cl.activity *= 1e-20;
             }
         }
@@ -985,12 +1052,12 @@ impl Solver {
         let mut learnt: Vec<ClauseRef> = (0..self.db.len() as u32)
             .map(ClauseRef)
             .filter(|&r| {
-                let c = self.db.get(r);
+                let c = self.db.header(r);
                 c.learnt && !c.deleted && c.len() > 2 && c.lbd > 2 && !self.is_reason(r)
             })
             .collect();
         learnt.sort_by(|&a, &b| {
-            let (ca, cb) = (self.db.get(a), self.db.get(b));
+            let (ca, cb) = (self.db.header(a), self.db.header(b));
             cb.lbd.cmp(&ca.lbd).then(
                 ca.activity
                     .partial_cmp(&cb.activity)
@@ -1006,16 +1073,14 @@ impl Solver {
         // so `rollback` only has to visit the lists of the clauses it
         // drops.
         for ws in &mut self.watches {
-            ws.retain(|w| !self.db.get(w.cref).deleted);
+            ws.retain(|w| !self.db.header(w.cref).deleted);
         }
     }
 
     fn is_reason(&self, r: ClauseRef) -> bool {
-        let c = self.db.get(r);
-        if c.is_empty() {
+        let Some(&first) = self.db.lits(r).first() else {
             return false;
-        }
-        let first = c.lits[0];
+        };
         self.reason[first.var().index()] == r && self.lit_value(first) == Some(true)
     }
 }

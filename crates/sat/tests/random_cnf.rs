@@ -158,6 +158,170 @@ proptest! {
     }
 }
 
+/// SplitMix64: the seeded stream behind the scripted differential
+/// below (the proptest stand-in cannot report across cases).
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A live group of the scripted differential: its mark, activation
+/// literal and clauses, and the solver's deletion and learnt counts
+/// when it was pushed.
+struct Group {
+    mark: bitsat::Mark,
+    act: Lit,
+    clauses: Vec<Vec<Lit>>,
+    deleted: u64,
+    learnts: usize,
+}
+
+/// Pushes a group: a fresh activation literal, then either pigeonhole
+/// `holes + 1` → `holes` over fresh variables or (`holes == 0`) 1–3
+/// fresh variables and up to 8 random clauses over every variable,
+/// each clause gated on the activation literal.
+fn push_group(s: &mut Solver, rng: &mut Mix, holes: usize) -> Group {
+    let (mark, deleted, learnts) = (s.mark(), s.stats().deleted_clauses, s.num_learnts());
+    let act = s.new_activation_lit();
+    let mut clauses: Vec<Vec<Lit>> = Vec::new();
+    if holes > 0 {
+        let base = s.num_vars();
+        s.reserve_vars(base + (holes + 1) * holes);
+        let p = |i: usize, j: usize| Lit::pos(Var::from_index(base + i * holes + j));
+        clauses.extend((0..=holes).map(|i| (0..holes).map(|j| p(i, j)).collect()));
+        for j in 0..holes {
+            for a in 0..=holes {
+                clauses.extend((a + 1..=holes).map(|b| vec![!p(a, j), !p(b, j)]));
+            }
+        }
+    } else {
+        s.reserve_vars(s.num_vars() + 1 + rng.below(3));
+        let n = s.num_vars();
+        for _ in 0..rng.below(9) {
+            let len = 1 + rng.below(3);
+            let lit = |rng: &mut Mix| Lit::new(Var::from_index(rng.below(n)), rng.below(2) == 1);
+            clauses.push((0..len).map(|_| lit(rng)).collect());
+        }
+    }
+    for c in &mut clauses {
+        c.insert(0, !act);
+        s.add_clause(c);
+    }
+    Group {
+        mark,
+        act,
+        clauses,
+        deleted,
+        learnts,
+    }
+}
+
+/// `push_pop_matches_a_fresh_solver` never collects 1 000 learnt
+/// clauses, `reduce_db`'s floor, so its rollbacks never meet a deleted
+/// slot. Here a pigeonhole group 8 → 7 (≈ 4 700 conflicts, half its
+/// learnt clauses deleted) is searched with a random group live above
+/// it, so popping that random group compacts the pigeonhole's kept
+/// learnt clauses across the deleted slots between them — inside a
+/// random push/pop script, against a fresh solver at every step.
+#[test]
+fn push_pop_through_db_reductions_matches_a_fresh_solver() {
+    let mut reducing_cases = 0;
+    let mut compacting_pops = 0;
+    for seed in 0..3 {
+        let mut rng = Mix(seed);
+        let mut s = Solver::new();
+        s.reserve_vars(6);
+        let base: Vec<Vec<Lit>> = (0..10)
+            .map(|_| {
+                let len = 2 + rng.below(2);
+                (0..len)
+                    .map(|_| Lit::new(Var::from_index(rng.below(6)), rng.below(2) == 1))
+                    .collect()
+            })
+            .collect();
+        for c in &base {
+            s.add_clause(c);
+        }
+        let mut live: Vec<Group> = Vec::new();
+        // A random prefix, the pigeonhole burst (push it with a random
+        // group above, pop the random group, pop the pigeonhole), a
+        // random suffix. The burst waits for a satisfiable stack, so
+        // that the search reaches the pigeonhole; until then, from the
+        // end of the prefix, every step pops.
+        let prefix = rng.below(6);
+        let mut burst: Option<usize> = None;
+        let mut satisfiable = true;
+        for step in 0..prefix + 12 {
+            if burst.is_none() && step >= prefix && satisfiable {
+                burst = Some(0);
+            }
+            match burst {
+                Some(0) => {
+                    live.push(push_group(&mut s, &mut rng, 7));
+                    live.push(push_group(&mut s, &mut rng, 0));
+                }
+                Some(1 | 2) => {
+                    let g = live.pop().expect("the burst's groups are live");
+                    s.rollback(g.mark);
+                    if s.stats().deleted_clauses > g.deleted && s.num_learnts() > g.learnts {
+                        compacting_pops += 1;
+                    }
+                }
+                // Waiting for the burst, an unsatisfiable stack pops.
+                None if step >= prefix && !live.is_empty() => {
+                    let g = live.pop().expect("non-empty");
+                    s.rollback(g.mark);
+                }
+                _ if rng.below(3) == 0 && !live.is_empty() => {
+                    let g = live.pop().expect("non-empty");
+                    s.rollback(g.mark);
+                }
+                _ => live.push(push_group(&mut s, &mut rng, 0)),
+            }
+            burst = burst.map(|b| b + 1);
+            let mut fresh = Solver::new();
+            fresh.reserve_vars(s.num_vars());
+            let groups = live.iter().flat_map(|g| &g.clauses);
+            let clauses: Vec<&Vec<Lit>> = base.iter().chain(groups).collect();
+            for c in &clauses {
+                fresh.add_clause(c);
+            }
+            let assumptions: Vec<Lit> = live.iter().map(|g| g.act).collect();
+            let got = s.solve_with_assumptions(&assumptions);
+            assert_eq!(
+                got,
+                fresh.solve_with_assumptions(&assumptions),
+                "seed {seed} step {step}"
+            );
+            satisfiable = got.is_sat();
+            if got.is_sat() {
+                let model = s.model();
+                let holds =
+                    |c: &&Vec<Lit>| c.iter().any(|l| model[l.var().index()] == l.is_positive());
+                assert!(clauses.iter().all(holds), "seed {seed} step {step}: model");
+                assert!(assumptions.iter().all(|a| model[a.var().index()]));
+            }
+        }
+        reducing_cases += usize::from(s.stats().deleted_clauses > 0);
+    }
+    assert!(reducing_cases > 0, "no case reached reduce_db");
+    assert!(
+        compacting_pops > 0,
+        "no pop compacted kept learnts past deleted slots"
+    );
+}
+
 #[test]
 fn dimacs_corpus_roundtrip_and_solve() {
     // A small embedded corpus with known verdicts.
