@@ -28,10 +28,26 @@
 //! | `slt`, `sle`      | borrow chain + 2 XOR | n + 2 | 6n + 5 |
 //! | `eq`              | n XNOR under one n-ary AND | n + 1 | 5n + 1 |
 //! | `ite`             | n muxes | n | 6n |
+//! | select run of k links | one `none` + n one-hot outputs | n + 1 | 2kn + 2n + k + 1 |
 //! | `and`, `or`, `xor`| n gates | n | 3n, 3n, 4n |
 //! | `mul`             | shift-add: n(n+1)/2 ANDs, n − 1 shrinking adders | ≈ 2n² | ≈ 8.5n² |
 //! | `shl`, `lshr`     | ⌈log₂ n⌉ mux stages, a range check, n ANDs | ≈ n·(log₂ n + 2) | ≈ 6n·(log₂ n + 1) |
 //! | `udiv`, `urem`    | restoring: n rounds of compare, subtract (one shared chain), mux | ≈ 4n² | ≈ 20n² |
+//!
+//! A **select run** is what the executor makes of a packet access at
+//! a symbolic offset: two or more nested links `ite(x == c_j, v_j, …)`
+//! over one selector `x`, with pairwise distinct constants and
+//! non-constant values, down to a default `d` — the first node that is
+//! no such link, repeats a constant or is already blasted in a live
+//! scope. The equations are pairwise exclusive (`x` equals at most one
+//! constant), so the chain is a multiplexer with a decoded select and
+//! needs no priority chain: a fresh `none` is defined as "no `h_j`"
+//! (`none ∨ h_1 ∨ … ∨ h_k`, `¬none ∨ ¬h_j`), and each output bit `o_i`
+//! is tied to `v_j[i]` under `h_j` and to `d[i]` under `none`, two
+//! clauses each — against k muxes per bit as single ITEs. Only the
+//! run's head gets a memo entry. Single ITEs and constant-valued chains
+//! (Tables-mode lookups, whose muxes fold into AND/OR gates shared with
+//! the lookup's `found` chain) stay muxes.
 //!
 //! Gates are **structurally hashed**: a table maps `(kind, normalised
 //! operands)` to the gate's output, so a gate asked for twice exists
@@ -58,8 +74,9 @@
 
 use crate::eval::Assignment;
 use crate::idhash::IdMap;
-use crate::term::{Term, TermId, TermPool, UnOp};
+use crate::term::{BinOp, Term, TermId, TermPool, UnOp};
 use bitsat::{Lit, SolveResult, Solver};
+use std::ops::Range;
 
 /// A bit-blasting context wrapping a SAT solver.
 ///
@@ -85,6 +102,19 @@ pub struct Blaster {
     /// Scratch: the bits of the term being built, appended to `arena`
     /// once its operands' spans are no longer read.
     out: Vec<Lit>,
+    /// Scratch: the links of every select run the current
+    /// [`Blaster::blast`] walk has recorded, each run a range of it.
+    links: Vec<Link>,
+}
+
+/// One link `ite(x == c, value, …)` of a select run.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The constant `c`.
+    c: u64,
+    /// The `x == c` term.
+    hit: TermId,
+    value: TermId,
 }
 
 /// A run of `arena`: the bits of one term, LSB first.
@@ -180,6 +210,7 @@ impl Blaster {
             var_bits: IdMap::default(),
             memo_log: Vec::new(),
             out: Vec::new(),
+            links: Vec::new(),
         }
     }
 
@@ -200,6 +231,10 @@ impl Blaster {
     /// a fresh output or a clause gated on a fresh activation literal,
     /// the conservative extensions [`bitsat::Solver::rollback`]
     /// requires, so learnt clauses over the surviving circuit are kept.
+    /// A select run's outputs are fresh too, and its equations — whose
+    /// circuits are in the formula — are pairwise exclusive, so exactly
+    /// one of them or `none` holds under any assignment of the older
+    /// variables, and it defines every output as a function of them.
     /// Not for use across [`Blaster::assert_true`], whose unit is
     /// permanent.
     pub fn rollback(&mut self, mark: BlastMark) {
@@ -661,10 +696,14 @@ impl Blaster {
         enum Step {
             Visit(TermId),
             Build(TermId),
+            /// A select run: its head, its links (a range of
+            /// `self.links`) and its default.
+            Select(TermId, Range<usize>, TermId),
         }
+        self.links.clear();
         let mut stack = vec![Step::Visit(t)];
         while let Some(step) = stack.pop() {
-            match step {
+            let (x, span) = match step {
                 Step::Visit(x) => {
                     if self.bits.contains_key(&x) {
                         continue;
@@ -688,24 +727,115 @@ impl Blaster {
                             stack.push(Step::Visit(d));
                         }
                         Term::Ite(c, d, e) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                            stack.push(Step::Visit(d));
-                            stack.push(Step::Visit(e));
+                            if let Some((links, default)) = self.select_run(pool, x) {
+                                stack.push(Step::Select(x, links.clone(), default));
+                                for l in &self.links[links] {
+                                    stack.push(Step::Visit(l.hit));
+                                    stack.push(Step::Visit(l.value));
+                                }
+                                stack.push(Step::Visit(default));
+                            } else {
+                                stack.push(Step::Build(x));
+                                stack.push(Step::Visit(c));
+                                stack.push(Step::Visit(d));
+                                stack.push(Step::Visit(e));
+                            }
                         }
                     }
+                    continue;
                 }
-                Step::Build(x) => {
-                    if self.bits.contains_key(&x) {
-                        continue;
-                    }
-                    let span = self.build_bits(pool, x);
-                    debug_assert_eq!(span.len, pool.width(x), "blasted width mismatch");
-                    self.bits.insert(x, span);
-                    self.memo_log.push(MemoKey::Term(x));
-                }
-            }
+                Step::Build(x) | Step::Select(x, ..) if self.bits.contains_key(&x) => continue,
+                Step::Build(x) => (x, self.build_bits(pool, x)),
+                Step::Select(x, links, default) => (x, self.build_select(links, default)),
+            };
+            debug_assert_eq!(span.len, pool.width(x), "blasted width mismatch");
+            self.bits.insert(x, span);
+            self.memo_log.push(MemoKey::Term(x));
         }
+    }
+
+    /// Records the select run `t` heads, if it heads one: its links,
+    /// appended to `self.links`, and its default. A run is two or
+    /// more nested links `ite(x == c_j, v_j, …)` over one selector
+    /// `x`, with pairwise distinct constants `c_j` and non-constant
+    /// values `v_j`; it ends at the first node that is no such link,
+    /// repeats a constant or is already blasted in a live scope, and
+    /// that node is its default. The term layer puts an equation's
+    /// constant on the left.
+    fn select_run(&mut self, pool: &TermPool, t: TermId) -> Option<(Range<usize>, TermId)> {
+        let start = self.links.len();
+        let mut selector = None;
+        let mut node = t;
+        while let Term::Ite(hit, value, next) = *pool.get(node) {
+            let Term::Binary(BinOp::Eq, k, x) = *pool.get(hit) else {
+                break;
+            };
+            let Some(c) = pool.const_value(k) else {
+                break;
+            };
+            let extends = (node == t || !self.bits.contains_key(&node))
+                && selector.is_none_or(|s| s == x)
+                && pool.const_value(value).is_none()
+                && self.links[start..].iter().all(|l| l.c != c);
+            if !extends {
+                break;
+            }
+            selector = Some(x);
+            self.links.push(Link { c, hit, value });
+            node = next;
+        }
+        if self.links.len() - start < 2 {
+            self.links.truncate(start);
+            return None;
+        }
+        Some((start..self.links.len(), node))
+    }
+
+    /// Lowers a select run whose links' equations and values and whose
+    /// default are already in `self.bits` as one decoded multiplexer:
+    /// a fresh `none` true exactly when no equation holds, and per bit
+    /// one fresh output that each link's equation (or `none`) ties to
+    /// its value's bit. The equations are pairwise exclusive, so
+    /// exactly one of them or `none` holds and each output is a
+    /// function of the inputs.
+    fn build_select(&mut self, links: Range<usize>, default: TermId) -> Span {
+        let Blaster {
+            c,
+            arena,
+            bits,
+            out,
+            links: all,
+            ..
+        } = self;
+        let word = |x: TermId| &arena[bits[&x].range()];
+        let run = &all[links];
+        // `none ∨ h_1 ∨ … ∨ h_k` and `¬none ∨ ¬h_j`; the clause stays
+        // in the scratch word, so `hits[1..]` are the links' `h_j`.
+        let mut hits = std::mem::take(&mut c.tmp);
+        hits.clear();
+        let none = c.fresh();
+        hits.push(none);
+        for l in run {
+            let h = word(l.hit)[0];
+            c.sat.add_clause(&[!none, !h]);
+            hits.push(h);
+        }
+        c.sat.add_clause(&hits);
+        out.clear();
+        let d = word(default);
+        for (i, &di) in d.iter().enumerate() {
+            let o = c.fresh();
+            for (&h, l) in hits[1..].iter().zip(run) {
+                let v = word(l.value)[i];
+                c.sat.add_clause(&[!h, !v, o]);
+                c.sat.add_clause(&[!h, v, !o]);
+            }
+            c.sat.add_clause(&[!none, !di, o]);
+            c.sat.add_clause(&[!none, di, !o]);
+            out.push(o);
+        }
+        c.tmp = hits;
+        self.push_bits()
     }
 
     /// Lowers one node whose children are already in `self.bits`:
@@ -743,7 +873,7 @@ impl Blaster {
                 UnOp::Neg => c.neg_vec(word(a), out),
             },
             Term::Binary(op, a, b) => {
-                use crate::term::BinOp::*;
+                use BinOp::*;
                 let (av, bv) = (word(a), word(b));
                 match op {
                     Add => c.add_vec(av, bv, out),

@@ -18,7 +18,7 @@
 //!
 //! One test in this file: the counting allocator is process-wide.
 
-use bvsolve::{SolveSession, TermPool};
+use bvsolve::{SolveSession, TermId, TermPool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,10 +71,32 @@ fn calls_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (CALLS.get(), out)
 }
 
-/// One assert → check → retire cycle of `x * y == 143` on a session
-/// holding `1 < x`, at `width` bits: the SAT variables the scope held
-/// at its peak and the allocation calls of a warm cycle.
-fn cycle_at(width: u32) -> (usize, u64) {
+/// One warm assert → check → retire cycle of `query` on a session
+/// holding `base`: the SAT variables the scope held at its peak and the
+/// allocation calls of the cycle, once a first one has grown the
+/// arenas, watch lists, memo tables and scratch buffers to its working
+/// set.
+fn warm_cycle(pool: &mut TermPool, base: TermId, query: TermId) -> (usize, u64) {
+    let mut s = SolveSession::new();
+    s.assert_constraint(base);
+    assert!(s.check(pool).is_sat());
+    let depth = s.depth();
+    let cycle = |s: &mut SolveSession, pool: &mut TermPool| {
+        s.assert_constraint(query);
+        let sat = s.check(pool).is_sat();
+        let vars = s.num_sat_vars();
+        s.retire_to(depth);
+        assert!(sat, "every query here is satisfiable");
+        vars
+    };
+    let vars = cycle(&mut s, pool);
+    let (calls, again) = calls_of(|| cycle(&mut s, pool));
+    assert_eq!(again, vars, "the cycle must be the same circuit");
+    (vars, calls)
+}
+
+/// `x * y == 143` on a session holding `1 < x`, at `width` bits.
+fn mul_cycle(width: u32) -> (usize, u64) {
     let mut pool = TermPool::new();
     let x = pool.fresh_var("x", width);
     let y = pool.fresh_var("y", width);
@@ -83,26 +105,30 @@ fn cycle_at(width: u32) -> (usize, u64) {
     let gt1 = pool.mk_ult(one, x);
     let prod = pool.mk_mul(x, y);
     let eq = pool.mk_eq(prod, c143);
+    warm_cycle(&mut pool, gt1, eq)
+}
 
-    let mut s = SolveSession::new();
-    s.assert_constraint(gt1);
-    assert!(s.check(&mut pool).is_sat());
-    let base = s.depth();
-    let cycle = |s: &mut SolveSession, pool: &mut TermPool| {
-        s.assert_constraint(eq);
-        let sat = s.check(pool).is_sat();
-        let vars = s.num_sat_vars();
-        s.retire_to(base);
-        assert!(sat, "143 = 11 * 13 at every width here");
-        vars
-    };
-    // The warm-up cycle grows the arenas, watch lists, memo tables and
-    // scratch buffers to the cycle's working set; the next one reuses
-    // them.
-    let vars = cycle(&mut s, &mut pool);
-    let (calls, again) = calls_of(|| cycle(&mut s, &mut pool));
-    assert_eq!(again, vars, "the cycle must be the same circuit");
-    (vars, calls)
+/// A 2-byte load at a symbolic offset over a 48-byte window — one
+/// select run of 47 links — equal to `0x1234`, on a session holding
+/// `off < 40`.
+fn select_cycle() -> (usize, u64) {
+    let mut pool = TermPool::new();
+    let off = pool.fresh_var("off", 16);
+    let pkt: Vec<TermId> = (0..48)
+        .map(|i| pool.fresh_var(&format!("pkt{i}"), 8))
+        .collect();
+    let mut load = pool.mk_const(16, 0);
+    for s in 0..47 {
+        let at = pool.mk_const(16, s as u64);
+        let hit = pool.mk_eq(off, at);
+        let bytes = pool.mk_concat(pkt[s], pkt[s + 1]);
+        load = pool.mk_ite(hit, bytes, load);
+    }
+    let forty = pool.mk_const(16, 40);
+    let in_window = pool.mk_ult(off, forty);
+    let want = pool.mk_const(16, 0x1234);
+    let eq = pool.mk_eq(load, want);
+    warm_cycle(&mut pool, in_window, eq)
 }
 
 #[test]
@@ -111,20 +137,22 @@ fn cycle_at(width: u32) -> (usize, u64) {
     ignore = "debug builds add the session's allocating cross-checks; run with --release"
 )]
 fn a_warm_blast_solve_pop_cycle_allocates_under_one_call_per_10_sat_vars() {
-    let runs: Vec<(u32, usize, u64)> = [8, 16, 32]
+    let mut runs: Vec<(String, usize, u64)> = [8, 16, 32]
         .into_iter()
         .map(|width| {
-            let (vars, calls) = cycle_at(width);
-            (width, vars, calls)
+            let (vars, calls) = mul_cycle(width);
+            (format!("{width}-bit multiply"), vars, calls)
         })
         .collect();
-    for &(width, vars, calls) in &runs {
-        println!("width {width}: {vars} SAT variables, {calls} allocation calls");
+    let (vars, calls) = select_cycle();
+    runs.push(("47-link select run".into(), vars, calls));
+    for (name, vars, calls) in &runs {
+        println!("{name}: {vars} SAT variables, {calls} allocation calls");
     }
-    for (width, vars, calls) in runs {
+    for (name, vars, calls) in runs {
         assert!(
             calls * 10 < vars as u64,
-            "width {width}: {calls} allocation calls for {vars} SAT variables — \
+            "{name}: {calls} allocation calls for {vars} SAT variables — \
              a per-clause or per-bit allocation is back on the blast/solve/pop path"
         );
     }

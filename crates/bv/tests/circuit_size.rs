@@ -82,3 +82,33 @@ fn the_converse_comparison_shares_the_borrow_chain() {
         "ule(b, a) after ult(a, b) must find every gate in the table"
     );
 }
+
+#[test]
+fn a_symbolic_offset_load_is_one_select_run() {
+    // The executor's 2-byte big-endian load at a symbolic 16-bit
+    // offset over a 48-byte window: `ite(off == s, pkt[s] ++ pkt[s+1],
+    // …)` for every position s = 46 down to 0, over a constant 0. The
+    // equations `off == s` are blasted first; what is left is the
+    // select itself, one `none` and one output per bit. A mux per bit
+    // and position is 47 × 16 = 752.
+    let mut pool = TermPool::new();
+    let off = pool.fresh_var("off", 16);
+    let pkt: Vec<TermId> = (0..48)
+        .map(|i| pool.fresh_var(&format!("pkt{i}"), 8))
+        .collect();
+    let mut blaster = Blaster::new();
+    let mut acc = pool.mk_const(16, 0);
+    for s in 0..47 {
+        let at = pool.mk_const(16, s as u64);
+        let hit = pool.mk_eq(off, at);
+        let bytes = pool.mk_concat(pkt[s], pkt[s + 1]);
+        blaster.blast(&pool, hit);
+        blaster.blast(&pool, bytes);
+        acc = pool.mk_ite(hit, bytes, acc);
+    }
+    let spent = cost(&mut blaster, &pool, acc);
+    assert!(
+        spent <= 17,
+        "a 47-position 16-bit select: {spent} SAT variables, budget 17"
+    );
+}

@@ -194,6 +194,196 @@ proptest! {
     }
 }
 
+/// A link value or chain default: symbolic, constant, or an offset
+/// variable.
+#[derive(Debug, Clone)]
+enum Leaf {
+    Var(u8),
+    Const(u64),
+    Plus(u8, u64),
+}
+
+fn arb_leaf() -> BoxedStrategy<Leaf> {
+    prop_oneof![
+        (0u8..3).prop_map(Leaf::Var),
+        (0u64..1 << 16).prop_map(Leaf::Const),
+        (0u8..3, 1u64..16).prop_map(|(v, k)| Leaf::Plus(v, k)),
+    ]
+    .boxed()
+}
+
+/// The links `(constant, value)` of one chain `ite(sel == c, v, …)`,
+/// outermost first. Constants come from a range narrow enough that
+/// they repeat, and at 4 bits wrap onto each other.
+fn arb_links(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<(u64, Leaf)>> {
+    proptest::collection::vec((0u64..24, arb_leaf()), len)
+}
+
+/// A chain's default: a leaf, or a chain over the other selector.
+#[derive(Debug, Clone)]
+enum ChainEnd {
+    Leaf(Leaf),
+    Chain(Vec<(u64, Leaf)>, Leaf),
+}
+
+/// A select chain the way the executor's symbolic-offset accesses
+/// build one, with the shapes the blaster's select runs must get
+/// right: repeated and out-of-range constants, constant values that
+/// end a run, a default that is a run itself, and an inner node
+/// blasted before the head.
+#[derive(Debug, Clone)]
+struct SelectCase {
+    /// Selector width, 4–16.
+    sel_width: u32,
+    value_width: u32,
+    /// The selector is a 3-bit variable zero-extended, so constants
+    /// from 8 up can never match (their equations blast to false).
+    narrow: bool,
+    links: Vec<(u64, Leaf)>,
+    default: ChainEnd,
+    /// An inner node of the chain blasted before the head.
+    preblast: Option<usize>,
+    /// Values of the selector, the other selector and the three value
+    /// variables; the selectors' from the constants' range.
+    pins: (u64, u64, [u64; 3]),
+}
+
+fn arb_select_case() -> impl Strategy<Value = SelectCase> {
+    let default = prop_oneof![
+        arb_leaf().prop_map(ChainEnd::Leaf),
+        (arb_links(1..=6), arb_leaf()).prop_map(|(l, d)| ChainEnd::Chain(l, d)),
+    ];
+    let pinned = (0u64..24, 0u64..24, proptest::array::uniform3(any::<u64>()));
+    (
+        4u32..=16,
+        prop_oneof![Just(4u32), Just(8), Just(16)],
+        any::<bool>(),
+        arb_links(2..=20),
+        default,
+        prop_oneof![Just(None), (0usize..20).prop_map(Some)],
+        pinned,
+    )
+        .prop_map(
+            |(sel_width, value_width, narrow, links, default, preblast, pins)| SelectCase {
+                sel_width,
+                value_width,
+                narrow,
+                links,
+                default,
+                preblast,
+                pins,
+            },
+        )
+}
+
+/// Lowers `links` over `sel` down to `default`, returning every node,
+/// head first.
+fn lower_chain(
+    pool: &mut TermPool,
+    sel: TermId,
+    links: &[(u64, Leaf)],
+    default: TermId,
+    leaf: &mut impl FnMut(&mut TermPool, &Leaf) -> TermId,
+) -> Vec<TermId> {
+    let sw = pool.width(sel);
+    let mut nodes = Vec::new();
+    let mut acc = default;
+    for (c, v) in links.iter().rev() {
+        let k = pool.mk_const(sw, *c);
+        let hit = pool.mk_eq(sel, k);
+        let v = leaf(pool, v);
+        acc = pool.mk_ite(hit, v, acc);
+        nodes.push(acc);
+    }
+    nodes.reverse();
+    nodes
+}
+
+/// `blaster_matches_eval` for one select chain: pinned variables and
+/// `t == eval(t)` must be Sat, `t != eval(t)` Unsat.
+fn select_chain_matches_eval(case: &SelectCase) {
+    let mut pool = TermPool::new();
+    let sel_var = pool.fresh_var("s", if case.narrow { 3 } else { case.sel_width });
+    let sel2 = pool.fresh_var("s2", case.sel_width);
+    let vw = case.value_width;
+    let vars: Vec<TermId> = (0..3)
+        .map(|i| pool.fresh_var(&format!("v{i}"), vw))
+        .collect();
+    let sel = pool.mk_zext(sel_var, case.sel_width);
+    let mut leaf = |pool: &mut TermPool, l: &Leaf| match *l {
+        Leaf::Var(i) => vars[i as usize],
+        Leaf::Const(k) => pool.mk_const(vw, k),
+        Leaf::Plus(i, k) => {
+            let k = pool.mk_const(vw, k);
+            pool.mk_add(vars[i as usize], k)
+        }
+    };
+    let default = match &case.default {
+        ChainEnd::Leaf(l) => leaf(&mut pool, l),
+        ChainEnd::Chain(links, d) => {
+            let d = leaf(&mut pool, d);
+            lower_chain(&mut pool, sel2, links, d, &mut leaf)[0]
+        }
+    };
+    let nodes = lower_chain(&mut pool, sel, &case.links, default, &mut leaf);
+    let t = nodes[0];
+
+    let (s, s2, vals) = case.pins;
+    let mut a = Assignment::new();
+    let mut pins = Vec::new();
+    let pinned = [(sel_var, s), (sel2, s2)]
+        .into_iter()
+        .chain(vars.iter().copied().zip(vals));
+    // Variable ids follow creation order.
+    for (id, (v, x)) in pinned.enumerate() {
+        let k = pool.mk_const(pool.width(v), x);
+        a.set(id as u32, pool.const_value(k).unwrap());
+        pins.push(pool.mk_eq(v, k));
+    }
+    let concrete = eval(&pool, t, &a);
+    let cval = pool.mk_const(vw, concrete);
+    let eq = pool.mk_eq(t, cval);
+    let ne = pool.mk_not(eq);
+
+    for (goal, sat) in [(eq, true), (ne, false)] {
+        let mut bl = Blaster::new();
+        if let Some(i) = case.preblast {
+            bl.blast(&pool, nodes[1 + i % (nodes.len() - 1)]);
+        }
+        for &p in &pins {
+            bl.assert_true(&pool, p);
+        }
+        bl.assert_true(&pool, goal);
+        assert_eq!(
+            bl.check().is_sat(),
+            sat,
+            "{case:?}: t == {concrete} must be {sat}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Select chains: the blaster agrees with the evaluator.
+    #[test]
+    fn select_chains_match_eval(case in arb_select_case()) {
+        select_chain_matches_eval(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5000))]
+
+    /// `select_chains_match_eval` at 5 000 cases, for the release
+    /// matrix (`PROPTEST_CASES` overrides the count).
+    #[test]
+    #[ignore = "5 000 cases; run in release with --ignored"]
+    fn select_chains_match_eval_5000(case in arb_select_case()) {
+        select_chain_matches_eval(&case);
+    }
+}
+
 /// Direct interpreter of the random AST — independent of the pool.
 fn interp(ast: &Ast, vals: &[u64; 4], w: u32) -> u64 {
     let m = |v: u64| if w >= 64 { v } else { v & ((1u64 << w) - 1) };

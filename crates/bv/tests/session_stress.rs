@@ -551,3 +551,173 @@ fn lex_min_model_matches_brute_force() {
         "{found} / {unsat} / {short}"
     );
 }
+
+/// A select run ends at a link that repeats a constant: in
+/// `ite(x==1, a, ite(x==2, c, ite(x==1, b, d)))` the inner `x==1`
+/// link is shadowed, so its value `b` never decides the term — but it
+/// is still one of the query's free variables, and the default the run
+/// stops at blasts it like any other term. A lowering that skipped the
+/// shadowed link would leave `b` out of the live model.
+#[test]
+fn a_repeated_constant_ends_the_select_run() {
+    let mut pool = TermPool::new();
+    let x = pool.fresh_var("x", 8);
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| pool.fresh_var(n, 8));
+    let [one, two, seven] = [1, 2, 7].map(|k| pool.mk_const(8, k));
+    let x1 = pool.mk_eq(x, one);
+    let x2 = pool.mk_eq(x, two);
+    let shadowed = pool.mk_ite(x1, b, d);
+    let mid = pool.mk_ite(x2, c, shadowed);
+    let head = pool.mk_ite(x1, a, mid);
+    let q = pool.mk_eq(head, seven);
+
+    let mut session = SolveSession::new();
+    let got = session.check_constraints(&mut pool, &[q]);
+    let SatVerdict::Sat(model) = &got else {
+        panic!("expected Sat, got {got:?}");
+    };
+    assert_eq!(model.value_of(q, &pool), 1, "the model misses the query");
+    assert_eq!(session.stats().by_blast, 1, "the blaster must decide it");
+}
+
+/// Select chains built the way the executor builds a symbolic-offset
+/// access — `load_bytes` as `ite(off == s, v_s, …)` over every window
+/// position down to a constant 0, `store_bytes` as one short chain per
+/// cell over the cell's previous content — at 4 bits, under a push/pop
+/// script. Some scopes blast a chain's inner node first, so a run
+/// blasted above it stops at that memo entry; popping the inner scope
+/// and asking again blasts the whole run afresh. Every verdict must
+/// equal exhaustive enumeration over the three variables, which shares
+/// nothing with the blaster; in a debug build the SAT solver checks its
+/// own invariants after every rollback.
+#[test]
+fn scoped_select_runs_match_brute_force() {
+    const W: u32 = 4;
+    let mut pool = TermPool::new();
+    let off = pool.fresh_var("off", W);
+    let a = pool.fresh_var("a", W);
+    let b = pool.fresh_var("b", W);
+    let ids = [off, a, b].map(|v| var_id(&pool, v));
+    let k = |pool: &mut TermPool, v: u64| pool.mk_const(W, v);
+
+    // The packet window: symbolic cells, none of them constant.
+    let mut pkt: Vec<TermId> = (0..12u64)
+        .map(|i| {
+            let ki = k(&mut pool, i);
+            match i % 3 {
+                0 => pool.mk_add(a, ki),
+                1 => pool.mk_xor(b, ki),
+                _ => pool.mk_sub(a, b),
+            }
+        })
+        .collect();
+    // Every node of every chain, head last per chain.
+    let mut nodes: Vec<TermId> = Vec::new();
+    // A load at `off` over the whole window.
+    let mut acc = k(&mut pool, 0);
+    for s in 0..pkt.len() as u64 {
+        let hit = k(&mut pool, s);
+        let hit = pool.mk_eq(off, hit);
+        acc = pool.mk_ite(hit, pkt[s as usize], acc);
+        nodes.push(acc);
+    }
+    // A 2-cell store of `b` and `a + 1` at `off`, then a load at the
+    // other selector `off + 3` over the stored window: each run's
+    // default is a run over `off`.
+    let one = k(&mut pool, 1);
+    let val = [b, pool.mk_add(a, one)];
+    for (i, cell) in pkt.iter_mut().enumerate() {
+        for (j, &v) in val.iter().enumerate().take(i + 1) {
+            let at = k(&mut pool, (i - j) as u64);
+            let hit = pool.mk_eq(off, at);
+            *cell = pool.mk_ite(hit, v, *cell);
+            nodes.push(*cell);
+        }
+    }
+    let three = k(&mut pool, 3);
+    let off3 = pool.mk_add(off, three);
+    let mut acc = k(&mut pool, 0);
+    for (s, &cell) in pkt.iter().enumerate() {
+        let hit = k(&mut pool, s as u64);
+        let hit = pool.mk_eq(off3, hit);
+        acc = pool.mk_ite(hit, cell, acc);
+        nodes.push(acc);
+    }
+
+    // Two constraints per node, and the truth table of each over all
+    // 2^12 assignments of (off, a, b), read off one `eval` of their
+    // concatenation per 32 constraints and assignment.
+    let mut rng = StdRng::seed_from_u64(0x005E_1EC7);
+    let mut cs: Vec<TermId> = Vec::new();
+    for &n in &nodes {
+        for _ in 0..2 {
+            let other = match rng.gen_range(0u32..3) {
+                0 => a,
+                1 => b,
+                _ => k(&mut pool, rng.gen_range(0..16)),
+            };
+            cs.push(match rng.gen_range(0u32..3) {
+                0 => pool.mk_eq(n, other),
+                1 => pool.mk_ne(n, other),
+                _ => pool.mk_ult(n, other),
+            });
+        }
+    }
+    let mut tables = vec![Vec::new(); cs.len()];
+    for (chunk, at) in cs.chunks(32).zip((0..).step_by(32)) {
+        let packed = chunk[1..]
+            .iter()
+            .fold(chunk[0], |acc, &c| pool.mk_concat(c, acc));
+        for bits in 0..1u64 << (3 * W) {
+            let mut asg = bvsolve::Assignment::new();
+            for (i, &id) in ids.iter().enumerate() {
+                asg.set(id, bits >> (W * i as u32) & 0xF);
+            }
+            let v = bvsolve::eval(&pool, packed, &asg);
+            for j in 0..chunk.len() {
+                tables[at + j].push(v >> j & 1 == 1);
+            }
+        }
+    }
+    let vocab: Vec<(TermId, Vec<bool>)> = cs.into_iter().zip(tables).collect();
+    let brute_force =
+        |active: &[usize]| (0..1usize << (3 * W)).any(|i| active.iter().all(|&c| vocab[c].1[i]));
+
+    let mut session = SolveSession::new();
+    let mut active: Vec<usize> = Vec::new();
+    let mut verdicts = [0usize; 2];
+    let mut ask = |session: &mut SolveSession, pool: &mut TermPool, active: &[usize], step| {
+        let cs: Vec<TermId> = active.iter().map(|&c| vocab[c].0).collect();
+        let got = session.check_constraints(pool, &cs);
+        assert!(
+            got.is_sat() || got.is_unsat(),
+            "step {step}: no budget, no Unknown"
+        );
+        assert_eq!(got.is_sat(), brute_force(active), "step {step} diverged");
+        verdicts[usize::from(got.is_sat())] += 1;
+    };
+    // Inner node first, then the head above it; pop the head and ask
+    // again; pop the inner node too and ask for the head alone.
+    let load_head = 2 * (pkt.len() - 1);
+    let inner = 2 * 5;
+    let script = [
+        &[inner, load_head][..],
+        &[inner, load_head + 1],
+        &[inner],
+        &[load_head],
+        &[inner + 1, load_head],
+    ];
+    for (step, stack) in script.iter().enumerate() {
+        active = stack.to_vec();
+        ask(&mut session, &mut pool, &active, step);
+    }
+    for step in script.len()..400 {
+        if !active.is_empty() && (active.len() == 5 || rng.gen_bool(0.4)) {
+            active.truncate(rng.gen_range(0..active.len()));
+        }
+        active.push(rng.gen_range(0..vocab.len()));
+        ask(&mut session, &mut pool, &active, step);
+    }
+    assert!(verdicts[0] > 20 && verdicts[1] > 20, "{verdicts:?}");
+    assert!(session.stats().by_blast > 100, "{:?}", session.stats());
+}

@@ -687,6 +687,11 @@ fn bin_term(pool: &mut TermPool, op: BinOp, x: TermId, y: TermId) -> TermId {
 }
 
 /// Big-endian load of `k` bytes at (possibly symbolic) offset.
+///
+/// At a symbolic offset the load is the chain `ite(off == s, bytes_s,
+/// …)` over every window position `s`, one distinct constant per link,
+/// down to a constant 0: the shape the blaster lowers as one select
+/// run, one output per bit instead of a mux per bit and position.
 fn load_bytes(
     pool: &mut TermPool,
     st: &PathState,
@@ -717,6 +722,11 @@ fn load_bytes(
 }
 
 /// Big-endian store of `k` bytes at (possibly symbolic) offset.
+///
+/// At a symbolic offset each cell `i` becomes `ite(off == i - j, byte_j,
+/// …)` over the value's bytes `j`, one distinct constant per link, down
+/// to the cell's previous content — a select run for the blaster
+/// whenever the stored bytes are symbolic.
 fn store_bytes(
     pool: &mut TermPool,
     st: &mut PathState,
