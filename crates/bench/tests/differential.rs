@@ -11,6 +11,11 @@
 //!   byte-identical in every mode;
 //! * `composed_paths` is identical in every mode.
 //!
+//! Each pipeline is also checked under crash-freedom and a bound on
+//! one walk ([`Verifier::check_all`]) and each property alone on a
+//! fresh `Verifier`: the two must agree report for report in all of
+//! the above.
+//!
 //! Consecutive seeds are then audited together as a three-variant
 //! [`Fleet`] — a pipeline, its clone, and the next seed's pipeline —
 //! which must find exactly two step-2 equivalence classes and hand
@@ -75,10 +80,45 @@ fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
     }
 }
 
-/// Checks one generated pipeline under every mode; returns it with its
+/// Instruction bounds per stage of the shared-walk leg: near the
+/// generated paths' own length, so that some pipelines overrun the
+/// tighter bound — and its walk stops early while crash-freedom's goes
+/// on — and fewer overrun the looser one.
+const IMAX_PER_STAGE: [u64; 2] = [8, 10];
+
+/// Crash-freedom and two bounds on one walk (one `check_all` on one
+/// `Verifier`) against each property on a fresh `Verifier` of its own.
+/// Returns the bounds' verdict labels.
+fn check_shared(g: &Generated, seed: u64) -> Vec<&'static str> {
+    let stages = g.pipeline.stages.len() as u64;
+    let mut properties = vec![Property::CrashFreedom];
+    properties.extend(IMAX_PER_STAGE.map(|k| Property::Bounded { imax: k * stages }));
+    let shared = Verifier::new(&g.pipeline)
+        .config(gen_verify_config())
+        .check_all(&properties);
+    let mut labels = Vec::new();
+    for (property, report) in properties.iter().zip(&shared) {
+        let report = report.as_verify().expect("verify");
+        let separate = Verifier::new(&g.pipeline)
+            .config(gen_verify_config())
+            .check(property.clone());
+        let what = format!("seed {seed} {property:?}: shared walk vs its own");
+        assert_identical_reports(report, separate.as_verify().expect("verify"), &what);
+        labels.push(report.verdict.label());
+    }
+    labels.split_off(1)
+}
+
+/// Checks one generated pipeline under every mode and on a shared walk
+/// (adding the bounds' verdict labels to `bounds`); returns it with its
 /// `seq` baseline for the fleet leg.
-fn check_seed(seed: u64, cfg: GenConfig) -> (Generated, VerifyReport) {
+fn check_seed(
+    seed: u64,
+    cfg: GenConfig,
+    bounds: &mut Vec<&'static str>,
+) -> (Generated, VerifyReport) {
     let g = deep_pipeline_with(seed, cfg);
+    bounds.extend(check_shared(&g, seed));
     let expected = if g.planted { "disproved" } else { "proved" };
     let baseline = run_mode(&g, &MODES[0]);
     assert_eq!(
@@ -122,22 +162,31 @@ fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) {
 /// reduced stage count, so plain `cargo test` stays quick.
 #[test]
 fn differential_smoke() {
+    let mut bounds = Vec::new();
     let checked: Vec<_> = [0u64, 1, 2, 3]
         .into_iter()
         .map(|seed| {
             let mut cfg = GenConfig::from_seed(seed);
             cfg.stages = 20;
             cfg.rounds = 2;
-            check_seed(seed, cfg)
+            check_seed(seed, cfg, &mut bounds)
         })
         .collect();
     for pair in checked.windows(2) {
         check_fleet(&pair[0], &pair[1]);
     }
+    assert_mixed(&bounds);
+}
+
+/// The shared-walk leg must see bounds both overrun and kept.
+fn assert_mixed(bounds: &[&str]) {
+    for label in ["proved", "disproved"] {
+        assert!(bounds.contains(&label), "no bound {label}: {bounds:?}");
+    }
 }
 
 /// The paper-scale matrix: 20 generated pipelines of 50+ stages, all
-/// three modes each. Run explicitly in release:
+/// three modes and the shared walk each. Run explicitly in release:
 /// `cargo test --release -p dpv-bench -- --ignored`.
 #[test]
 #[ignore = "paper-scale matrix; run in release via -- --ignored"]
@@ -145,10 +194,12 @@ fn differential_full() {
     let mut proved = 0usize;
     let mut disproved = 0usize;
     let mut checked = Vec::new();
+    let mut bounds = Vec::new();
     for seed in 0u64..20 {
         let mut cfg = GenConfig::from_seed(seed);
         // Bound the stage count: solver cost on proved pipelines grows
-        // superlinearly with depth, and the matrix is 4 runs per seed.
+        // superlinearly with depth, and the matrix checks each seed
+        // many times over.
         cfg.stages = 50 + (seed as usize * 7) % 11;
         cfg.rounds = 2;
         if cfg.plant_violation {
@@ -156,7 +207,7 @@ fn differential_full() {
         } else {
             proved += 1;
         }
-        checked.push(check_seed(seed, cfg));
+        checked.push(check_seed(seed, cfg, &mut bounds));
     }
     for pair in checked.windows(2) {
         check_fleet(&pair[0], &pair[1]);
@@ -167,4 +218,5 @@ fn differential_full() {
         disproved >= 5,
         "want a healthy disproved mix, got {disproved}"
     );
+    assert_mixed(&bounds);
 }

@@ -467,3 +467,66 @@ fn one_routing_rule() {
         hits.join("\n")
     );
 }
+
+/// Step 2 is one walk per map mode: `step2.rs` defines one
+/// composed-path walk for properties, `search`, which judges a group
+/// of them — crash-freedom and every bound of a call — on the same
+/// compositions. The one-property driver that ran a full search per
+/// property, and its per-segment event type, are deleted; a test-only
+/// `classify` rebuilt from the walk's roles lives below `mod tests`.
+/// The walk composes at one site and the longest-path search at the
+/// other. `session.rs` and `churn.rs` reach step 2 only through the
+/// engine's group check, `Engine::check`, which runs the walk.
+#[test]
+fn one_walk_per_map_mode() {
+    let core = crates_dir().join("core/src");
+    let code = |file: &str| -> Vec<String> {
+        let text = std::fs::read_to_string(core.join(file)).expect("source file");
+        product_lines(&text)
+            .map(|(_, l)| l.trim().to_string())
+            .filter(|l| !l.starts_with("//"))
+            .collect()
+    };
+    let count =
+        |lines: &[String], needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+    let step2 = code("step2.rs");
+    assert_eq!(count(&step2, "fn search("), 1, "step2.rs: one walk");
+    assert_eq!(
+        count(&step2, "compose(pool,"),
+        2,
+        "step2.rs: the walk and the longest-path search compose"
+    );
+    // Built in pieces so that this file does not match itself.
+    let gone = [["Step", "Event"].concat(), ["fn ", "classify("].concat()];
+    let mut files = Vec::new();
+    rust_files(&core, &mut files);
+    for file in files {
+        let name = file
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("file name");
+        for line in code(name) {
+            assert!(
+                !gone.iter().any(|g| line.contains(g.as_str())),
+                "{name}: the one-property driver is back: {line}"
+            );
+        }
+    }
+    let engine = code("engine.rs");
+    assert_eq!(
+        count(&engine, "search("),
+        1,
+        "engine.rs: the group check walks"
+    );
+    for file in ["session.rs", "churn.rs"] {
+        let lines = code(file);
+        assert_eq!(
+            count(&lines, "engine.check("),
+            1,
+            "{file}: reaches step 2 through the group check"
+        );
+        for needle in ["search(", "step2::search", "SolveSession", "CoreStore"] {
+            assert_eq!(count(&lines, needle), 0, "{file}: names {needle}");
+        }
+    }
+}

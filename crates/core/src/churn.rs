@@ -68,7 +68,7 @@
 use crate::engine::Engine;
 use crate::report::{replay, Verdict, VerifyReport};
 use crate::session::Property;
-use crate::step2::{aborted_report, SearchProperty, VerifyConfig};
+use crate::step2::{aborted_reports, walks, SearchProperty, VerifyConfig};
 use crate::summary::SummaryStore;
 use dataplane::{DeltaError, Pipeline, TableDelta};
 use std::collections::{BTreeMap, BTreeSet};
@@ -293,7 +293,9 @@ impl ChurnSession {
     }
 
     /// Checks every property on the warm engine, replaying each decided
-    /// report whose mode's summaries this update left as they were.
+    /// report whose mode's summaries this update left as they were; the
+    /// properties of one walk whose memo is stale are judged together
+    /// on one walk.
     fn run_update(&mut self, touched: Vec<(usize, bool)>, t0: Instant) -> UpdateReport {
         self.changed.extend(
             touched
@@ -302,39 +304,54 @@ impl ChurnSession {
                 .map(|(k, _)| *k),
         );
         let n = self.properties.len();
-        let (mut reports, mut replayed) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (prop, memo) in self.properties.iter().zip(&mut self.memo) {
-            let mode = prop.mode();
+        let mut reports: Vec<Option<VerifyReport>> = vec![None; n];
+        let mut replayed = vec![false; n];
+        for walk in walks(self.properties.iter().map(|p| Some(p.mode()))) {
+            let mode = self.properties[walk[0]].mode();
             let t1 = Instant::now();
             let step1 = match self.engine.ensure(&self.pipeline, mode, &mut self.changed) {
                 Ok(step1) => step1,
                 Err(e) => {
-                    *memo = None;
-                    reports.push(aborted_report(&prop.name(), &self.pipeline, e, t1));
-                    replayed.push(false);
+                    let group: Vec<_> = walk.iter().map(|&i| &self.properties[i]).collect();
+                    let aborted = aborted_reports(&group, &self.pipeline, e, t1);
+                    for (&i, report) in walk.iter().zip(aborted) {
+                        self.memo[i] = None;
+                        reports[i] = Some(report);
+                    }
                     continue;
                 }
             };
             let generation = self.engine.generation(mode);
-            match memo {
-                // Deterministic search over byte-identical summaries:
-                // the previous report *is* the result.
-                Some((g, prev)) if *g == generation => {
-                    reports.push(replay(prev, &self.pipeline.name));
-                    replayed.push(true);
-                    continue;
+            let mut stale = Vec::new();
+            for i in walk {
+                match &self.memo[i] {
+                    // Deterministic search over byte-identical summaries:
+                    // the previous report *is* the result.
+                    Some((g, prev)) if *g == generation => {
+                        reports[i] = Some(replay(prev, &self.pipeline.name));
+                        replayed[i] = true;
+                    }
+                    _ => stale.push(i),
                 }
-                _ => {}
             }
-            let report = self.engine.check(&self.pipeline, prop, step1);
-            // `Unknown` (budget exhausted) is never laundered into a
-            // cached verdict: the warmer session may decide it next
-            // update.
-            *memo = (!matches!(report.verdict, Verdict::Unknown(_)))
-                .then(|| (generation, report.clone()));
-            reports.push(report);
-            replayed.push(false);
+            if stale.is_empty() {
+                continue;
+            }
+            let group: Vec<_> = stale.iter().map(|&i| &self.properties[i]).collect();
+            let searched = self.engine.check(&self.pipeline, &group, step1);
+            for (i, report) in stale.into_iter().zip(searched) {
+                // `Unknown` (budget exhausted) is never laundered into a
+                // cached verdict: the warmer session may decide it next
+                // update, on a walk with the other stale properties.
+                self.memo[i] = (!matches!(report.verdict, Verdict::Unknown(_)))
+                    .then(|| (generation, report.clone()));
+                reports[i] = Some(report);
+            }
         }
+        let reports: Vec<VerifyReport> = reports
+            .into_iter()
+            .map(|r| r.expect("every property is reported"))
+            .collect();
         UpdateReport {
             update: self.stats.updates,
             touched,

@@ -6,19 +6,22 @@
 //!
 //! Step 1 happens in one place, [`Engine::ensure`]: it builds a mode's
 //! summaries on first use, and in Tables mode re-keys the stages a
-//! table delta changed, rebasing only those whose key moved. Every
-//! search-based report is built in one place, [`Engine::check`], and
-//! the step-1 work a report carries is exactly what its own `ensure`
-//! did — the check that built or patched a mode reports the build or
-//! the patch, every other check reports zeros, and a memo hit is
-//! [`crate::report::replay`]ed with no step-1 work at all. The drivers
-//! add only what differs: a borrowed pipeline, or an owned one with a
-//! memo of decided reports.
+//! table delta changed, rebasing only those whose key moved. Step 2 is
+//! one walk per map mode, and every search-based report is built in
+//! one place, [`Engine::check`], which judges a group of properties
+//! sharing a root on one walk — crash-freedom and the bounds of a
+//! call together, each filter alone; a single check is a group of one.
+//! The step-1 work a report carries is exactly what its own `ensure`
+//! did — the walk that built or patched a mode books the build or the
+//! patch on its first report, every other report carries zeros, and a
+//! memo hit is [`crate::report::replay`]ed with no step-1 work at all.
+//! The drivers add only what differs: a borrowed pipeline, or an owned
+//! one with a memo of decided reports.
 
 use crate::cores::CoreStore;
 use crate::report::{SummaryCacheStats, VerifyReport};
 use crate::step2::{
-    new_session, search, segment_count, verdict_of, Node, SearchProperty, VerifyConfig,
+    new_session, search, segment_count, verdict_of, SearchProperty, VerifyConfig, MAX_GROUP,
 };
 use crate::summary::{
     rebase_stage, summarize_keyed, Fetch, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
@@ -280,16 +283,23 @@ impl Engine {
         Ok(())
     }
 
-    /// Searches `prop` over its mode's summaries (built by the caller's
+    /// Judges `group` — properties of one map mode that share a root:
+    /// crash-freedom and any bounds, or one filter ([`walks`]) — on one
+    /// walk over the mode's summaries (built by the caller's
     /// [`Engine::ensure`], whose work `step1` is) through the mode's
-    /// solver session and core store, and builds the report. The solver
-    /// and core counters are this check's deltas.
+    /// solver session and core store, and builds one report per member,
+    /// in group order. Each report's verdict and `composed_paths` are
+    /// its own property's; the walk's solver and core deltas and its
+    /// step-2 time are booked on the first report, beside `step1`, and
+    /// the other members carry zeros.
+    ///
+    /// [`walks`]: crate::step2::walks
     pub(crate) fn check(
         &mut self,
         pipeline: &Pipeline,
-        prop: &SearchProperty,
+        group: &[&SearchProperty],
         step1: Option<Step1>,
-    ) -> VerifyReport {
+    ) -> Vec<VerifyReport> {
         let t0 = Instant::now();
         let Engine {
             cfg,
@@ -298,48 +308,62 @@ impl Engine {
             store,
             ..
         } = self;
+        let mode = group[0].mode();
+        debug_assert!(
+            group.iter().all(|p| p.mode() == mode)
+                && (group.len() == 1 || mode == MapMode::Abstract),
+            "a walk's members share its root"
+        );
         let Mode {
             sums,
             solver,
             cores,
             ..
-        } = &mut modes[mode_idx(prop.mode())];
+        } = &mut modes[mode_idx(mode)];
         let sums = sums.as_ref().expect("ensured");
         let solver = solver.get_or_insert_with(|| new_session(cfg, cores));
-        let root = Node {
-            stage: 0,
-            iter: 0,
-            state: prop.initial(pool, sums),
-        };
+        let root = group[0].initial(pool, sums);
         let (solver0, cores0) = (solver.stats(), cores.stats());
-        let mut composed_paths = 0;
-        let outcome = search(
-            pool,
-            solver,
-            cores,
-            pipeline,
-            sums,
-            cfg,
-            prop,
-            root,
-            &prop.reach(sums),
-            &mut composed_paths,
-        );
-        let step1 = step1.unwrap_or_default();
-        VerifyReport {
-            property: prop.name(),
-            pipeline: pipeline.name.clone(),
-            verdict: verdict_of(outcome),
-            step1_states: sums.total_states,
-            step1_segments: segment_count(sums),
-            suspects: prop.suspects(pipeline, sums),
-            composed_paths,
-            solver: solver.stats().delta(&solver0),
-            cores: cores.stats().delta(&cores0),
-            summary: step1.cache_stats(store),
-            step1_time: step1.time,
-            step2_time: t0.elapsed(),
+        let mut judged = Vec::with_capacity(group.len());
+        for members in group.chunks(MAX_GROUP) {
+            judged.extend(search(
+                pool,
+                solver,
+                cores,
+                pipeline,
+                sums,
+                cfg,
+                members,
+                root.clone(),
+            ));
         }
+        let mut walk = Some((
+            step1.unwrap_or_default(),
+            solver.stats().delta(&solver0),
+            cores.stats().delta(&cores0),
+            t0.elapsed(),
+        ));
+        group
+            .iter()
+            .zip(judged)
+            .map(|(prop, judged)| {
+                let (step1, solver, cores, step2_time) = walk.take().unwrap_or_default();
+                VerifyReport {
+                    property: prop.name(),
+                    pipeline: pipeline.name.clone(),
+                    verdict: verdict_of(judged.outcome),
+                    step1_states: sums.total_states,
+                    step1_segments: segment_count(sums),
+                    suspects: prop.suspects(pipeline, sums),
+                    composed_paths: judged.composed_paths,
+                    solver,
+                    cores,
+                    summary: step1.cache_stats(store),
+                    step1_time: step1.time,
+                    step2_time,
+                }
+            })
+            .collect()
     }
 }
 

@@ -133,11 +133,19 @@ pub struct VerifyReport {
     pub step1_segments: usize,
     /// Suspect segments after step 1.
     pub suspects: usize,
-    /// Paths composed (feasibility-checked) in step 2 — Table 3's
-    /// "# Paths".
+    /// Paths composed (feasibility-checked) in step 2 for *this
+    /// property* — Table 3's "# Paths". When properties share a walk
+    /// ([`crate::Verifier::check_all`] judges crash-freedom and every
+    /// bound of a call on one), this is still the count of the paths
+    /// this property judged, which is what its own one-property check
+    /// composes; the walk composes each path once for all of them.
     pub composed_paths: usize,
     /// Solver layer/reuse counters for this check's step-2 queries
     /// (the per-check delta out of the session's long-lived solver).
+    /// A shared walk's delta is booked once, on the group's first
+    /// report in the caller's order — as step-1 work is — and the
+    /// other members of the walk carry zeros; so are `cores` and
+    /// `step2_time`.
     pub solver: SolverLayerStats,
     /// Conflict-driven pruning counters for this check (cores learned,
     /// queries skipped via core subsumption, continuation subtrees cut

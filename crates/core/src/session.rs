@@ -37,8 +37,10 @@
 //! stored and replayed. The three search-based ones resolve to one
 //! internal type the step-2 search reads, and every search-based check
 //! runs on the same cached summaries and the same search. There is one
-//! step-2 engine — a single-threaded, deterministic DFS
-//! ([`Verifier::check`] has no engine choice);
+//! step-2 engine — a single-threaded, deterministic DFS, one walk per
+//! map mode: [`Verifier::check_all`] judges crash-freedom and every
+//! bound of a call on the same composed paths, and [`Verifier::check`]
+//! is a walk of one (there is no engine choice);
 //! parallelism lives one level up, across the behaviour classes of a
 //! [`crate::fleet::Fleet`].
 //!
@@ -62,8 +64,8 @@ use crate::generic::{run_generic, GenericReport};
 use crate::report::{json_escape, Verdict, VerifyReport};
 use crate::stateful::{analyze, StateFinding};
 use crate::step2::{
-    aborted_report, longest_paths_from, make_initial, FilterProperty, LongestPath, SearchProperty,
-    VerifyConfig,
+    aborted_reports, longest_paths_from, make_initial, walks, FilterProperty, LongestPath,
+    SearchProperty, VerifyConfig,
 };
 use crate::summary::{MapMode, PipelineSummaries, SummaryKey, SummaryStore};
 use dataplane::{Element, ElementKind, Hop, Pipeline, Stage};
@@ -427,6 +429,13 @@ impl<'p> Verifier<'p> {
         self.engine.step1_runs
     }
 
+    /// The lifetime counters of `mode`'s step-2 solver session, which
+    /// must be built.
+    #[cfg(test)]
+    pub(crate) fn step2_solver_stats(&mut self, mode: MapMode) -> bvsolve::SolverLayerStats {
+        self.engine.warm(mode).2.stats()
+    }
+
     /// Ensures summaries for `mode` are cached; returns the step-1 work
     /// when this call built them.
     fn ensure(&mut self, mode: MapMode) -> Result<Option<Step1>, symexec::SymError> {
@@ -507,19 +516,52 @@ impl<'p> Verifier<'p> {
             search => {
                 let prop =
                     SearchProperty::of(&search).expect("every other property is search-based");
-                let t0 = Instant::now();
-                Report::Verify(match self.ensure(prop.mode()) {
-                    Ok(step1) => self.engine.check(pipeline, &prop, step1),
-                    Err(e) => aborted_report(&prop.name(), pipeline, e, t0),
-                })
+                let report = self.walk(&[&prop]).pop().expect("one report per member");
+                Report::Verify(report)
             }
         }
     }
 
-    /// Checks every property in order, reusing the cached summaries —
-    /// step 1 runs at most once per map mode for the whole batch.
+    /// Checks every property, reusing the cached summaries — step 1
+    /// runs at most once per map mode for the whole batch — and returns
+    /// the reports in order. Crash-freedom and every bounded-execution
+    /// bound of the batch are judged on one step-2 walk over the same
+    /// composed paths, run where the first of them stands; each report
+    /// still carries its own property's verdict and `composed_paths`,
+    /// and the walk's solver, core and step-2 time counters are booked
+    /// on the first of them (see [`VerifyReport`]).
     pub fn check_all(&mut self, properties: &[Property]) -> Vec<Report> {
-        properties.iter().map(|p| self.check(p.clone())).collect()
+        let searches: Vec<Option<SearchProperty>> =
+            properties.iter().map(SearchProperty::of).collect();
+        let mut reports: Vec<Option<Report>> = properties.iter().map(|_| None).collect();
+        for walk in walks(
+            searches
+                .iter()
+                .map(|p| p.as_ref().map(SearchProperty::mode)),
+        ) {
+            let group: Vec<&SearchProperty> =
+                walk.iter().filter_map(|&i| searches[i].as_ref()).collect();
+            if group.is_empty() {
+                reports[walk[0]] = Some(self.check(properties[walk[0]].clone()));
+                continue;
+            }
+            for (i, report) in walk.into_iter().zip(self.walk(&group)) {
+                reports[i] = Some(Report::Verify(report));
+            }
+        }
+        reports
+            .into_iter()
+            .map(|r| r.expect("every property is reported"))
+            .collect()
+    }
+
+    /// Judges `group`, properties sharing one root, on one step-2 walk.
+    fn walk(&mut self, group: &[&SearchProperty]) -> Vec<VerifyReport> {
+        let t0 = Instant::now();
+        match self.ensure(group[0].mode()) {
+            Ok(step1) => self.engine.check(self.pipeline, group, step1),
+            Err(e) => aborted_reports(group, self.pipeline, e, t0),
+        }
     }
 
     /// The `n` longest feasible pipeline paths and packets exercising

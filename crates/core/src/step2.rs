@@ -1,18 +1,22 @@
 //! Verification step 2: composing suspect paths and deciding
 //! feasibility.
 //!
-//! The path search is written once (`search`) and parameterized by
-//! `SearchProperty`, the one resolved form of the three §4 properties
-//! it decides (crash-freedom, bounded-execution, filtering); one
-//! engine runs it for both [`crate::session::Verifier`] and
-//! [`crate::churn::ChurnSession`]. Where a segment's packet goes next
-//! — the same loop stage again, another stage, a sink, or nowhere — is
-//! one rule, `successor`, over [`Pipeline::hop`]: the search, the
-//! suspect count, the longest-path search and the generic baseline all
-//! walk by it, so a route past the last stage is a delivery to each of
-//! them, as it is to [`dataplane::Runner`]. Every feasibility query
-//! takes one path: learnt-core store, then an incremental
-//! [`SolveSession`].
+//! One walk per map mode: the path search is written once (`search`)
+//! and judges a *group* of properties on the same compositions —
+//! crash-freedom and every bounded-execution bound compose one root
+//! over the Abstract summaries, so they share one walk, while each
+//! filtering property has a root of its own (`walks`). Every property
+//! is resolved into `SearchProperty`, the one form of the three §4
+//! properties the walk reads, and decides its role at each segment
+//! before anything is composed; one engine runs the walk for both
+//! [`crate::session::Verifier`] and [`crate::churn::ChurnSession`].
+//! Where a segment's packet goes next — the same loop stage again,
+//! another stage, a sink, or nowhere — is one rule, `successor`, over
+//! [`Pipeline::hop`]: the search, the suspect count, the longest-path
+//! search and the generic baseline all walk by it, so a route past the
+//! last stage is a delivery to each of them, as it is to
+//! [`dataplane::Runner`]. Every feasibility query takes one path:
+//! learnt-core store, then an incremental [`SolveSession`].
 //! A violation found feasible is reported with the lexicographically
 //! smallest packet that triggers it, minimised on the session that
 //! just answered it (`minimal_witness`).
@@ -34,8 +38,13 @@ use symexec::{SegOutcome, Segment, SymConfig, SymInput};
 pub struct VerifyConfig {
     /// Step-1 symbolic execution settings.
     pub sym: SymConfig,
-    /// Step-2 budget: maximum paths composed before giving up
-    /// (the analogue of the paper's 12-hour wall).
+    /// Step-2 budget: maximum paths one walk composes before giving
+    /// up (the analogue of the paper's 12-hour wall). A group of
+    /// properties judged on one walk — crash-freedom and the bounds of
+    /// one [`crate::Verifier::check_all`] call — is one walk with one
+    /// budget: when it runs out, every member still walking reads
+    /// `Unknown`. The budget is tested only before a composition, so a
+    /// check that needs exactly this many compositions completes.
     pub max_composed_paths: usize,
     /// CDCL conflict budget per step-2 feasibility query.
     pub solver_conflict_budget: u64,
@@ -52,6 +61,7 @@ impl Default for VerifyConfig {
 }
 
 /// A search node: position in the pipeline plus the composed state.
+/// (The members of a walk that walk it ride beside it on the stack.)
 #[derive(Clone)]
 pub(crate) struct Node {
     pub(crate) stage: usize,
@@ -270,29 +280,21 @@ impl SearchProperty {
         init
     }
 
-    /// `Some(description)` when `seg`, bringing the composed path to
-    /// `instrs` instructions, violates the property if feasible.
-    fn violation(
-        &self,
-        pipeline: &Pipeline,
-        stage: usize,
-        seg: &Segment,
-        instrs: u64,
-    ) -> Option<String> {
+    /// `Some(why)` when `seg`, bringing the composed path to `instrs`
+    /// instructions, violates the property if feasible.
+    fn violation(&self, seg: &Segment, instrs: u64) -> Option<Why> {
         match self {
-            SearchProperty::Crash => seg
-                .outcome
-                .is_crash()
-                .then(|| describe_outcome(pipeline, stage, seg)),
+            SearchProperty::Crash => seg.outcome.is_crash().then_some(Why::Outcome),
             SearchProperty::Bounded { imax } => {
                 if seg.outcome == SegOutcome::FuelExhausted {
                     // Step 1 could not finish this path: if reachable,
                     // an (attacker-exploitable) unbounded path.
-                    Some(describe_outcome(pipeline, stage, seg))
+                    Some(Why::Outcome)
                 } else if instrs > *imax {
-                    Some(format!(
-                        "path executes {instrs} instructions (> imax={imax})"
-                    ))
+                    Some(Why::Overrun {
+                        instrs,
+                        imax: *imax,
+                    })
                 } else {
                     None
                 }
@@ -325,94 +327,101 @@ impl SearchProperty {
     fn sink_violates(&self) -> bool {
         matches!(self, SearchProperty::Filter(_))
     }
-}
 
-/// How one composed segment affects the search — the single
-/// classification point of [`search`].
-pub(crate) enum StepEvent {
-    /// Feasible ⇒ the property is violated, with this description.
-    ViolationCheck(String, ComposedState),
-    /// Feasible ⇒ no full proof (Unknown), without being a violation.
-    BlockerCheck(ComposedState),
-    /// Continue exploring from this node (next loop iteration, next
-    /// stage, or jump target), if feasible.
-    Continue(Node),
-    /// Dead end for this property.
-    Inert,
-}
-
-/// Classifies segment `i` of `node`'s stage under `prop` and composes
-/// it onto `node` — in that order: **decide, then compose**. Whether a
-/// segment is a violation suspect, a proof blocker, a continuation (and
-/// to where) or inert is a function of its outcome, the instruction
-/// count `node.state.instrs + seg.instrs`, the stage's route for its
-/// port and `reach`; none of it reads a composed term. So the state is
-/// built once, for an event that hands it on, and an inert segment —
-/// most of them, on a proof — is never substituted, re-interned or
-/// given fresh havoc variables.
-///
-/// Loops: a segment still requesting another iteration at the
-/// composed-iteration bound is either a violation (bounded-execution)
-/// or a proof blocker (crashes could hide in uncovered iterations).
-/// With the bound set to the packet-size-derived maximum (§3.2: "the
-/// number of loop iterations is bounded by the maximum packet size"),
-/// convergent loops make that branch infeasible and full proofs go
-/// through.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classify(
-    pool: &mut TermPool,
-    pipeline: &Pipeline,
-    sums: &PipelineSummaries,
-    prop: &SearchProperty,
-    node: &Node,
-    i: usize,
-    seg: &Segment,
-    reach: &[bool],
-) -> StepEvent {
-    let summary = &sums.stages[node.stage];
-    let violation = prop.violation(pipeline, node.stage, seg, node.state.instrs + seg.instrs);
-    let role = if let Some(what) = violation {
-        Role::Violation(what)
-    } else if prop.blocker(seg) {
-        Role::Blocker
-    } else {
-        match successor(
-            pipeline,
-            node.stage,
-            node.iter,
-            summary.loop_iters,
-            seg.outcome,
-        ) {
-            Succ::Again(iter) => Role::Continue {
-                stage: node.stage,
-                iter,
-            },
-            Succ::LoopBound if prop.loop_overrun_violates() => {
-                Role::Violation(describe_outcome(pipeline, node.stage, seg))
-            }
+    /// What `seg`, bringing the composed path to `instrs` instructions
+    /// and sending the packet to `succ`, means to this property — the
+    /// single classification point of [`search`]. It is a function of
+    /// the segment's outcome, the instruction count, the successor and
+    /// `reach`; none of it reads a composed term, so the walk decides
+    /// every property's role first and composes the state only for a
+    /// role that hands it on. An inert segment — most of them, on a
+    /// proof — is never substituted, re-interned or given fresh havoc
+    /// variables.
+    ///
+    /// Loops: a segment still requesting another iteration at the
+    /// composed-iteration bound is either a violation (bounded-execution)
+    /// or a proof blocker (crashes could hide in uncovered iterations).
+    /// With the bound set to the packet-size-derived maximum (§3.2: "the
+    /// number of loop iterations is bounded by the maximum packet size"),
+    /// convergent loops make that branch infeasible and full proofs go
+    /// through.
+    pub(crate) fn role(&self, seg: &Segment, instrs: u64, succ: Succ, reach: &[bool]) -> Role {
+        if let Some(why) = self.violation(seg, instrs) {
+            return Role::Violation(why);
+        }
+        if self.blocker(seg) {
+            return Role::Blocker;
+        }
+        match succ {
+            Succ::Again(_) => Role::Continue,
+            Succ::LoopBound if self.loop_overrun_violates() => Role::Violation(Why::Outcome),
             // Still continuing at the bound: proof blocker.
             Succ::LoopBound => Role::Blocker,
-            Succ::Next(stage) if reach[stage] => Role::Continue { stage, iter: 0 },
-            Succ::Sink if prop.sink_violates() => {
-                Role::Violation(sink_violation_desc(&summary.name))
-            }
+            Succ::Next(stage) if reach[stage] => Role::Continue,
+            Succ::Sink if self.sink_violates() => Role::Violation(Why::Sink),
             // A dead end for this property. (Crash segments are suspects
             // under crash-freedom; under other properties the packet
             // simply stops.)
-            Succ::Next(_) | Succ::Sink | Succ::End => return StepEvent::Inert,
+            Succ::Next(_) | Succ::Sink | Succ::End => Role::Inert,
         }
-    };
-    let state = compose(pool, &node.state, summary, node.stage, i);
-    match role {
-        Role::Violation(what) => StepEvent::ViolationCheck(what, state),
-        Role::Blocker => StepEvent::BlockerCheck(state),
-        Role::Continue { stage, iter } => StepEvent::Continue(Node { stage, iter, state }),
+    }
+}
+
+/// What a segment means to one property walking its node, decided
+/// before the state is composed ([`SearchProperty::role`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Role {
+    /// Feasible ⇒ the property is violated, for this reason.
+    Violation(Why),
+    /// Feasible ⇒ no full proof (Unknown), without being a violation.
+    Blocker,
+    /// Continue exploring from the successor node, if feasible.
+    Continue,
+    /// A dead end for this property.
+    Inert,
+}
+
+/// Why a feasible [`Role::Violation`] violates its property, rendered
+/// into a counterexample's description only once one is found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Why {
+    /// The segment's own outcome: a crash, fuel exhaustion, or a loop
+    /// still continuing at its bound.
+    Outcome,
+    /// The path executes more than `imax` instructions.
+    Overrun {
+        /// The path's instruction count.
+        instrs: u64,
+        /// The bound.
+        imax: u64,
+    },
+    /// The packet is delivered on a sink.
+    Sink,
+}
+
+impl Why {
+    /// The description of segment `seg` of `stage` violating for this
+    /// reason.
+    pub(crate) fn describe(
+        self,
+        pipeline: &Pipeline,
+        sums: &PipelineSummaries,
+        stage: usize,
+        seg: &Segment,
+    ) -> String {
+        match self {
+            Why::Outcome => describe_outcome(pipeline, stage, seg),
+            Why::Overrun { instrs, imax } => {
+                format!("path executes {instrs} instructions (> imax={imax})")
+            }
+            Why::Sink => sink_violation_desc(&sums.stages[stage].name),
+        }
     }
 }
 
 /// Where the packet of a segment ending in `outcome` goes next, from
 /// iteration `iter` of `stage` — the one walk rule of every composed
-/// path search ([`classify`], [`SearchProperty::suspects`],
+/// path search ([`search`], [`SearchProperty::suspects`],
 /// [`longest_paths_from`] and the generic baseline). `loop_bound` is
 /// the stage's iteration bound, `None` unless it is a loop element, in
 /// which case an emit on [`PORT_CONTINUE`] asks for another iteration.
@@ -451,24 +460,73 @@ pub(crate) enum Succ {
     End,
 }
 
-/// What a segment that is not inert means to the search, before its
-/// state is composed (see [`classify`]).
-enum Role {
-    Violation(String),
-    Blocker,
-    Continue { stage: usize, iter: u32 },
+impl Succ {
+    /// The `(stage, iteration)` a [`Role::Continue`] from a segment of
+    /// `stage` walks next.
+    pub(crate) fn node(self, stage: usize) -> (usize, u32) {
+        match self {
+            Succ::Again(iter) => (stage, iter),
+            Succ::Next(next) => (next, 0),
+            Succ::LoopBound | Succ::Sink | Succ::End => unreachable!("no node to continue at"),
+        }
+    }
 }
 
-/// Step-2 DFS over composed paths, from `root`.
+/// The most properties one [`search`] carries: a node records the
+/// members walking it as the bits of a `u64`.
+pub(crate) const MAX_GROUP: usize = 64;
+
+/// What one property of a [`search`] found.
+pub(crate) struct Judged {
+    pub(crate) outcome: SearchOutcome,
+    /// The paths this property judged: the compositions its own
+    /// one-property walk makes (Table 3's "# Paths").
+    pub(crate) composed_paths: usize,
+}
+
+/// One property's progress through a [`search`].
+struct Member<'a> {
+    prop: &'a SearchProperty,
+    reach: Vec<bool>,
+    /// Its role at the segment being judged (a buffer reused per
+    /// segment).
+    role: Role,
+    judged: usize,
+    saw_unknown: bool,
+    /// Set once, when the property stops walking.
+    outcome: Option<SearchOutcome>,
+}
+
+/// The members of a walk whose bits are set in `mask`, lowest first.
+fn members(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let m = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            m
+        })
+    })
+}
+
+/// The step-2 walk: a DFS over composed paths from `root`, judging
+/// every property of `group` (at most [`MAX_GROUP`], all of one map
+/// mode and sharing `root`) on the same compositions.
 ///
-/// Segment events come from [`classify`]; this function adds the
-/// solver: violation checks return counterexamples, blocker checks
-/// degrade proofs to Unknown, continuations are feasibility-pruned
-/// before they are pushed.
+/// At each segment every member still walking the node decides its
+/// [`Role`]; if any role is not inert the state is composed once and
+/// one [`check`] answers every member. A feasible violation stops its
+/// member with a counterexample; a feasible or undecided blocker, or
+/// an undecided violation, degrades its member's proof to Unknown; a
+/// continuation not refuted is pushed as one node carrying the members
+/// that continue. Each member therefore walks exactly the nodes, in
+/// exactly the order, and stops at exactly the violation its own
+/// one-property walk would (the members of a node pop where that node
+/// pops), and the walk ends when every member has stopped.
 ///
-/// `composed` counts the paths composed; the search stops with
-/// [`SearchOutcome::Budget`] at exactly
-/// [`VerifyConfig::max_composed_paths`] of them.
+/// One walk has one budget: `composed` counts the states composed, and
+/// before a composition that would pass
+/// [`VerifyConfig::max_composed_paths`] every member still walking
+/// stops with [`SearchOutcome::Budget`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     pool: &mut TermPool,
@@ -477,57 +535,124 @@ pub(crate) fn search(
     pipeline: &Pipeline,
     sums: &PipelineSummaries,
     cfg: &VerifyConfig,
-    prop: &SearchProperty,
-    root: Node,
-    reach: &[bool],
-    composed: &mut usize,
-) -> SearchOutcome {
-    let mut saw_unknown = false;
-    let mut stack = vec![root];
-    while let Some(node) = stack.pop() {
-        for (i, seg) in sums.stages[node.stage].segments.iter().enumerate() {
-            if *composed >= cfg.max_composed_paths {
-                return SearchOutcome::Budget;
+    group: &[&SearchProperty],
+    root: ComposedState,
+) -> Vec<Judged> {
+    assert!(!group.is_empty() && group.len() <= MAX_GROUP);
+    let mut walk: Vec<Member> = group
+        .iter()
+        .map(|&prop| Member {
+            prop,
+            reach: prop.reach(sums),
+            role: Role::Inert,
+            judged: 0,
+            saw_unknown: false,
+            outcome: None,
+        })
+        .collect();
+    let mut live = u64::MAX >> (u64::BITS as usize - group.len());
+    let mut composed = 0usize;
+    let mut stack = vec![(
+        live,
+        Node {
+            stage: 0,
+            iter: 0,
+            state: root,
+        },
+    )];
+    'walk: while let Some((walkers, node)) = stack.pop() {
+        let summary = &sums.stages[node.stage];
+        for (i, seg) in summary.segments.iter().enumerate() {
+            let walking = walkers & live;
+            if walking == 0 {
+                break;
             }
-            match classify(pool, pipeline, sums, prop, &node, i, seg, reach) {
-                StepEvent::ViolationCheck(what, next) => {
-                    *composed += 1;
-                    match check(pool, solver, cores, &next, false) {
-                        Feas::Sat(m) => {
-                            let m = minimal_witness(pool, solver, &sums.input).unwrap_or(m);
-                            return SearchOutcome::Violation(CounterExample::from_model(
+            let instrs = node.state.instrs + seg.instrs;
+            let succ = successor(
+                pipeline,
+                node.stage,
+                node.iter,
+                summary.loop_iters,
+                seg.outcome,
+            );
+            let (mut judged, mut continuing, mut violating) = (0u64, 0u64, 0u64);
+            for m in members(walking) {
+                let member = &mut walk[m];
+                member.role = member.prop.role(seg, instrs, succ, &member.reach);
+                match member.role {
+                    Role::Inert => continue,
+                    Role::Continue => continuing |= 1 << m,
+                    Role::Violation(_) => violating |= 1 << m,
+                    Role::Blocker => {}
+                }
+                judged |= 1 << m;
+            }
+            if judged == 0 {
+                continue;
+            }
+            if composed >= cfg.max_composed_paths {
+                let walking = stack.iter().fold(walking, |w, (s, _)| w | s) & live;
+                for m in members(walking) {
+                    walk[m].outcome = Some(SearchOutcome::Budget);
+                }
+                break 'walk;
+            }
+            let state = compose(pool, &node.state, summary, node.stage, i);
+            composed += 1;
+            for m in members(judged) {
+                walk[m].judged += 1;
+            }
+            // A blocker degrades its member's proof unless refuted, a
+            // violation unless refuted or found.
+            let mut degraded = judged & !continuing;
+            let feas = check(pool, solver, cores, &state, continuing != 0);
+            let refuted = matches!(feas, Feas::Unsat);
+            match feas {
+                Feas::Unsat => degraded = 0,
+                Feas::Unknown => {}
+                Feas::Sat(model) => {
+                    degraded &= !violating;
+                    if violating != 0 {
+                        let m = minimal_witness(pool, solver, &sums.input).unwrap_or(model);
+                        for v in members(violating) {
+                            let Role::Violation(why) = walk[v].role else {
+                                unreachable!("a violating member")
+                            };
+                            let what = why.describe(pipeline, sums, node.stage, seg);
+                            let cex = CounterExample::from_model(
                                 &sums.input,
                                 &m,
                                 what,
-                                next.trace.clone(),
-                            ));
+                                state.trace.clone(),
+                            );
+                            walk[v].outcome = Some(SearchOutcome::Violation(cex));
                         }
-                        Feas::Unsat => {}
-                        Feas::Unknown => saw_unknown = true,
+                        live &= !violating;
                     }
                 }
-                StepEvent::BlockerCheck(next) => {
-                    *composed += 1;
-                    if !matches!(check(pool, solver, cores, &next, false), Feas::Unsat) {
-                        saw_unknown = true;
-                    }
-                }
-                StepEvent::Continue(n) => {
-                    *composed += 1;
-                    match check(pool, solver, cores, &n.state, true) {
-                        Feas::Sat(_) | Feas::Unknown => stack.push(n),
-                        Feas::Unsat => {}
-                    }
-                }
-                StepEvent::Inert => {}
+            }
+            for m in members(degraded) {
+                walk[m].saw_unknown = true;
+            }
+            if continuing != 0 && !refuted {
+                let (stage, iter) = succ.node(node.stage);
+                stack.push((continuing, Node { stage, iter, state }));
+            }
+            if live == 0 {
+                break 'walk;
             }
         }
     }
-    if saw_unknown {
-        SearchOutcome::SolverUnknown(SOLVER_BUDGET.into())
-    } else {
-        SearchOutcome::Clean
-    }
+    walk.into_iter()
+        .map(|m| Judged {
+            outcome: m.outcome.unwrap_or(if m.saw_unknown {
+                SearchOutcome::SolverUnknown(SOLVER_BUDGET.into())
+            } else {
+                SearchOutcome::Clean
+            }),
+            composed_paths: m.judged,
+        })
+        .collect()
 }
 
 pub(crate) fn sink_violation_desc(stage_name: &str) -> String {
@@ -570,21 +695,6 @@ pub(crate) fn segment_count(sums: &PipelineSummaries) -> usize {
     sums.stages.iter().map(|s| s.segments.len()).sum()
 }
 
-/// A step-1 failure report shared by every driver.
-pub(crate) fn aborted_report(
-    property: &str,
-    pipeline: &Pipeline,
-    e: symexec::SymError,
-    t0: Instant,
-) -> VerifyReport {
-    unknown_report(
-        property,
-        pipeline,
-        format!("step 1 aborted: {e}"),
-        t0.elapsed(),
-    )
-}
-
 /// The report of a check that produced nothing but a reason: every
 /// counter zero, the time spent booked to step 1.
 pub(crate) fn unknown_report(
@@ -607,6 +717,50 @@ pub(crate) fn unknown_report(
         step1_time,
         step2_time: Default::default(),
     }
+}
+
+/// The step-1 failure reports of a walk's `group`, in group order,
+/// shared by every driver: the time spent is booked on the first, as a
+/// walk's work is.
+pub(crate) fn aborted_reports(
+    group: &[&SearchProperty],
+    pipeline: &Pipeline,
+    e: symexec::SymError,
+    t0: Instant,
+) -> Vec<VerifyReport> {
+    let reason = format!("step 1 aborted: {e}");
+    let mut time = t0.elapsed();
+    group
+        .iter()
+        .map(|prop| {
+            let report = unknown_report(&prop.name(), pipeline, reason.clone(), time);
+            time = Duration::ZERO;
+            report
+        })
+        .collect()
+}
+
+/// Partitions a call's properties, given by the map mode of each
+/// search property (`None` for a property that is not a search), into
+/// walks of indices, in the order of each walk's first member: the
+/// search properties of Abstract mode (crash-freedom and every bound)
+/// compose one root, so they share one walk; a filter, whose root
+/// carries its pattern, and a property that is not a search stand
+/// alone.
+pub(crate) fn walks(modes: impl IntoIterator<Item = Option<MapMode>>) -> Vec<Vec<usize>> {
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    let mut shared: Option<usize> = None;
+    for (i, mode) in modes.into_iter().enumerate() {
+        match (mode, shared) {
+            (Some(MapMode::Abstract), Some(walk)) => out[walk].push(i),
+            (Some(MapMode::Abstract), None) => {
+                shared = Some(out.len());
+                out.push(vec![i]);
+            }
+            _ => out.push(vec![i]),
+        }
+    }
+    out
 }
 
 pub(crate) fn verdict_of(outcome: SearchOutcome) -> Verdict {
@@ -812,7 +966,7 @@ mod tests {
     use super::*;
     use crate::compose::tests::compose_oracle;
     use crate::compose::COMPOSITIONS;
-    use crate::session::Verifier;
+    use crate::session::{Report, Verifier};
     use crate::summary::summarize_pipeline;
     use dataplane::{Element, Route};
     use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
@@ -940,18 +1094,24 @@ mod tests {
             v.push(ip_fragmenter(variant, 40));
             (to_pipeline(name, v), Property::Bounded { imax: IMAX })
         };
+        vec![
+            frag("table3-bug1", true, FragmenterVariant::ClickBug1),
+            frag("table3-bug2-masked", true, FragmenterVariant::ClickBug2),
+            frag("table3-bug2-exposed", false, FragmenterVariant::ClickBug2),
+            (buggy_nat("table3-bug3"), Property::CrashFreedom),
+        ]
+    }
+
+    /// Click bug #3's pipeline (the NAT's hairpin assertion): Table 3's
+    /// and the repo benchmark's fleet staging variant.
+    fn buggy_nat(name: &str) -> Pipeline {
         let mut nat = preproc();
         nat.push(elements::nat::nat_click_buggy(
             NAT_PUBLIC_IP,
             NAT_PUBLIC_PORT,
             64,
         ));
-        vec![
-            frag("table3-bug1", true, FragmenterVariant::ClickBug1),
-            frag("table3-bug2-masked", true, FragmenterVariant::ClickBug2),
-            frag("table3-bug2-exposed", false, FragmenterVariant::ClickBug2),
-            (to_pipeline("table3-bug3", nat), Property::CrashFreedom),
-        ]
+        to_pipeline(name, nat)
     }
 
     /// The properties of the paper audits, plus a bound the firewalled
@@ -1005,6 +1165,58 @@ mod tests {
         }
     }
 
+    /// How one composed segment affects a one-property walk.
+    enum StepEvent {
+        /// Feasible ⇒ the property is violated, with this description.
+        ViolationCheck(String, ComposedState),
+        /// Feasible ⇒ no full proof (Unknown), without being a violation.
+        BlockerCheck(ComposedState),
+        /// Continue exploring from this node, if feasible.
+        Continue(Node),
+        /// Dead end for this property.
+        Inert,
+    }
+
+    /// What [`search`] does at segment `i` of `node` for one member:
+    /// decide its [`SearchProperty::role`], then compose the state for
+    /// any role but inert — **decide, then compose**.
+    #[allow(clippy::too_many_arguments)]
+    fn classify(
+        pool: &mut TermPool,
+        pipeline: &Pipeline,
+        sums: &PipelineSummaries,
+        prop: &SearchProperty,
+        node: &Node,
+        i: usize,
+        seg: &Segment,
+        reach: &[bool],
+    ) -> StepEvent {
+        let summary = &sums.stages[node.stage];
+        let succ = successor(
+            pipeline,
+            node.stage,
+            node.iter,
+            summary.loop_iters,
+            seg.outcome,
+        );
+        let role = prop.role(seg, node.state.instrs + seg.instrs, succ, reach);
+        if matches!(role, Role::Inert) {
+            return StepEvent::Inert;
+        }
+        let state = compose(pool, &node.state, summary, node.stage, i);
+        match role {
+            Role::Violation(why) => {
+                StepEvent::ViolationCheck(why.describe(pipeline, sums, node.stage, seg), state)
+            }
+            Role::Blocker => StepEvent::BlockerCheck(state),
+            Role::Continue => {
+                let (stage, iter) = succ.node(node.stage);
+                StepEvent::Continue(Node { stage, iter, state })
+            }
+            Role::Inert => unreachable!("returned above"),
+        }
+    }
+
     /// [`classify`] as it was: the state composed first, then read.
     #[allow(clippy::too_many_arguments)]
     fn classify_composed(
@@ -1019,7 +1231,8 @@ mod tests {
         let summary = &sums.stages[node.stage];
         let is_loop = summary.loop_iters.is_some();
         let max_iters = summary.loop_iters.unwrap_or(0);
-        if let Some(what) = prop.violation(pipeline, node.stage, seg, next.instrs) {
+        if let Some(why) = prop.violation(seg, next.instrs) {
+            let what = why.describe(pipeline, sums, node.stage, seg);
             return StepEvent::ViolationCheck(what, next);
         }
         if prop.blocker(seg) {
@@ -1539,6 +1752,19 @@ mod tests {
                 let at = format!("{} {property:?}", pipeline.name);
                 assert_eq!(hex(report.expect_verify()).as_deref(), *want, "{at}: warm");
             }
+            // The pipeline's checks in one call: its crash-freedom and
+            // bounds on one walk, after a warm session's checks.
+            let properties: Vec<Property> = group.iter().map(|((_, p), _)| p.clone()).collect();
+            for (report, ((pipeline, property), want)) in
+                warm.check_all(&properties).into_iter().zip(group)
+            {
+                let at = format!("{} {property:?}", pipeline.name);
+                assert_eq!(
+                    hex(report.expect_verify()).as_deref(),
+                    *want,
+                    "{at}: warm check_all"
+                );
+            }
         }
         let pipeline = firewalled_edge();
         let longest = Verifier::new(&pipeline).config(cfg()).longest_paths(3);
@@ -1548,12 +1774,19 @@ mod tests {
 
     /// The count guard: a check composes exactly the paths it reports.
     /// Before `classify` decided first, the first audit here composed
-    /// 12 352 segments to report 3 292 paths.
+    /// 12 352 segments to report 3 292 paths. And one walk per map
+    /// mode: `check_all` composes crash-freedom's paths once — the
+    /// bounded-execution tree lies inside crash-freedom's on both
+    /// pipelines, which end in a loop stage — while each report judges
+    /// the paths its one-property check does, and the walk's queries
+    /// are booked once.
     #[test]
     fn compositions_performed_equal_composed_paths() {
-        for pipeline in [fixed_frag_prove(), opt_frag_prove()] {
+        let properties = [Property::CrashFreedom, Property::Bounded { imax: IMAX }];
+        for (pipeline, walked) in [(fixed_frag_prove(), 2_057), (opt_frag_prove(), 1_492)] {
             let mut verifier = Verifier::new(&pipeline).config(cfg());
-            for property in [Property::CrashFreedom, Property::Bounded { imax: IMAX }] {
+            let mut separate = Vec::new();
+            for property in properties.clone() {
                 let before = COMPOSITIONS.get();
                 let report = verifier.check(property).expect_verify();
                 let performed = COMPOSITIONS.get() - before;
@@ -1564,7 +1797,92 @@ mod tests {
                     "{}: {}",
                     pipeline.name, report.property
                 );
+                separate.push(report.composed_paths);
             }
+
+            let mut shared = Verifier::new(&pipeline).config(cfg());
+            let before = COMPOSITIONS.get();
+            let reports: Vec<VerifyReport> = shared
+                .check_all(&properties)
+                .into_iter()
+                .map(Report::expect_verify)
+                .collect();
+            let performed = COMPOSITIONS.get() - before;
+            let at = &pipeline.name;
+            assert_eq!(performed, walked, "{at}: compositions of the walk");
+            assert_eq!(performed, separate[0], "{at}: crash-freedom's paths");
+            let judged: Vec<usize> = reports.iter().map(|r| r.composed_paths).collect();
+            assert_eq!(judged, separate, "{at}: each property judges its own paths");
+            let booked: u64 = reports.iter().map(|r| r.solver.queries).sum();
+            let issued = shared.step2_solver_stats(MapMode::Abstract).queries;
+            assert_eq!(booked, issued, "{at}: the walk's queries, booked once");
+            assert!(issued > 0 && reports[1].solver.queries == 0, "{at}");
         }
+    }
+
+    /// Holds a report of a shared walk to the one-property check of a
+    /// fresh `Verifier`: verdict, `Unknown` reason, counterexample
+    /// bytes, description and trace, and `composed_paths`.
+    fn assert_as_its_own_walk(shared: &VerifyReport, fresh: &VerifyReport, at: &str) {
+        assert_eq!(shared.property, fresh.property, "{at}");
+        match (&shared.verdict, &fresh.verdict) {
+            (Verdict::Proved, Verdict::Proved) => {}
+            (Verdict::Disproved(a), Verdict::Disproved(b)) => {
+                assert_eq!(a.bytes, b.bytes, "{at}: counterexample bytes");
+                assert_eq!(a.description, b.description, "{at}: description");
+                assert_eq!(a.trace, b.trace, "{at}: trace");
+            }
+            (Verdict::Unknown(a), Verdict::Unknown(b)) => assert_eq!(a, b, "{at}: reason"),
+            (a, b) => panic!("{at}: {a:?} shared, {b:?} on its own"),
+        }
+        assert_eq!(
+            shared.composed_paths, fresh.composed_paths,
+            "{at}: composed_paths"
+        );
+    }
+
+    /// `properties` checked on one `Verifier` in one call, each report
+    /// held to its property's check on a fresh `Verifier`; returns the
+    /// verdict labels.
+    fn shared_as_separate(pipeline: &Pipeline, properties: &[Property]) -> Vec<&'static str> {
+        let shared = Verifier::new(pipeline).config(cfg()).check_all(properties);
+        properties
+            .iter()
+            .zip(shared)
+            .map(|(property, report)| {
+                let report = report.expect_verify();
+                let fresh = Verifier::new(pipeline)
+                    .config(cfg())
+                    .check(property.clone())
+                    .expect_verify();
+                assert_as_its_own_walk(&report, &fresh, &format!("{} {property:?}", pipeline.name));
+                report.verdict.label()
+            })
+            .collect()
+    }
+
+    /// Members of one walk that stop at different points: each keeps
+    /// its own DFS order, first counterexample and path count.
+    #[test]
+    fn members_of_one_walk_stop_where_their_own_walks_do() {
+        // Crash-freedom disproved while bounded-execution walks on.
+        for (pipeline, imax) in [
+            (buggy_nat("fleet-staging"), 10_000),
+            (buggy_nat("table3-bug3"), IMAX),
+        ] {
+            let properties = [Property::CrashFreedom, Property::Bounded { imax }];
+            let labels = shared_as_separate(&pipeline, &properties);
+            assert_eq!(labels, ["disproved", "proved"], "{}", pipeline.name);
+        }
+        // A tight bound stops at nodes crash-freedom continues past, and
+        // two bounds share the call.
+        let properties = [
+            Property::Bounded { imax: TIGHT_IMAX },
+            Property::CrashFreedom,
+            Property::Bounded { imax: IMAX },
+            Property::Filter(FilterProperty::src(WATCHED_SRC)),
+        ];
+        let labels = shared_as_separate(&firewalled_edge(), &properties);
+        assert_eq!(labels, ["disproved", "proved", "proved", "proved"]);
     }
 }

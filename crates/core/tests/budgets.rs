@@ -80,6 +80,67 @@ fn bounded_budget_degrades_to_unknown() {
     assert_eq!(r.composed_paths, 2, "the budget is exact");
 }
 
+/// The firewalled edge of the paper audits.
+fn firewalled_edge() -> dataplane::Pipeline {
+    to_pipeline(
+        "firewalled-edge",
+        vec![
+            elements::classifier::classifier(),
+            elements::check_ip_header::check_ip_header(false),
+            elements::ip_filter::ip_filter(vec![0x0BAD_0001, 0x0BAD_0010]),
+            elements::dec_ttl::dec_ttl(),
+            elements::ip_options::ip_options(1, Some(ROUTER_IP)),
+            elements::ip_lookup::ip_lookup(4, elements::pipelines::edge_fib()),
+        ],
+    )
+}
+
+/// The budget is tested before a composition, not before every
+/// segment: a check that needs exactly N compositions completes under a
+/// budget of N — its inert segments past the N-th cost nothing — and
+/// reads Unknown, having composed N − 1, under a budget of N − 1.
+#[test]
+fn an_exact_budget_is_enough() {
+    for (property, needed) in [
+        (Property::CrashFreedom, 41),
+        (Property::Bounded { imax: 5_000 }, 39),
+    ] {
+        let run = |budget| {
+            let mut cfg = base_cfg();
+            cfg.max_composed_paths = budget;
+            Verifier::new(&firewalled_edge())
+                .config(cfg)
+                .check(property.clone())
+                .expect_verify()
+        };
+        let short = run(needed - 1);
+        assert!(
+            matches!(&short.verdict, Verdict::Unknown(why) if why == "step-2 path budget exceeded"),
+            "{short}"
+        );
+        assert_eq!(short.composed_paths, needed - 1, "{short}");
+        let exact = run(needed);
+        assert!(exact.verdict.is_proved(), "{exact}");
+        assert_eq!(exact.composed_paths, needed, "{exact}");
+    }
+}
+
+/// A group of properties checked in one call is one walk with one
+/// budget: when it runs out, every member still walking reads Unknown.
+#[test]
+fn a_shared_walk_has_one_budget() {
+    let mut cfg = base_cfg();
+    cfg.max_composed_paths = 3;
+    let reports = Verifier::new(&router())
+        .config(cfg)
+        .check_all(&[Property::CrashFreedom, Property::Bounded { imax: 10_000 }]);
+    for r in reports {
+        let r = r.expect_verify();
+        assert!(matches!(r.verdict, Verdict::Unknown(_)), "{r}");
+        assert!(r.composed_paths <= 3, "{r}");
+    }
+}
+
 #[test]
 fn filtering_dst_property() {
     // dst-based filtering: drop everything to 10.9.9.9 via a one-entry
