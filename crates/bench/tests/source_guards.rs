@@ -530,3 +530,84 @@ fn one_walk_per_map_mode() {
         }
     }
 }
+
+/// `bvsolve`'s term walks — `eval`, substitution, migration and
+/// intervals — are one post-order walk in `term.rs`, with one `Step`
+/// and one operand expansion; the blaster keeps a walk of its own,
+/// because its select runs expand into links that are not operands,
+/// but expands every other node through the same operand order. And
+/// `SolveSession` answers a query only through `check_constraints`.
+#[test]
+fn one_term_walk_one_query_entry() {
+    let bv = crates_dir().join("bv/src");
+    let mut files = Vec::new();
+    rust_files(&bv, &mut files);
+    let (mut steps, mut expansions, mut visits) = (Vec::new(), Vec::new(), Vec::new());
+    for file in &files {
+        let name = file
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("file name")
+            .to_string();
+        let text = std::fs::read_to_string(file).expect("source file");
+        for (i, line) in product_lines(&text) {
+            let line = line.trim();
+            if line.starts_with("//") {
+                continue;
+            }
+            let at = format!("{name}:{i}: {line}");
+            if line.contains("enum Step") && name != "blast.rs" {
+                steps.push(at.clone());
+            }
+            // The arm that takes a binary node and a concatenation
+            // alike is an operand expansion: nothing else groups them.
+            if line.contains("Term::Binary(_,") && line.contains("Term::Concat(") {
+                expansions.push(at.clone());
+            }
+            // Outside the shared walk, a node is expanded only through
+            // `for_each_operand`, and the blaster's select runs into
+            // their links and default.
+            let link = ["for_each_operand", "l.hit", "l.value", "Visit(default)"];
+            if line.contains("push(Step::Visit(")
+                && name != "term.rs"
+                && !link.iter().any(|l| line.contains(l))
+            {
+                visits.push(at);
+            }
+        }
+    }
+    assert!(
+        steps.len() == 1 && steps[0].starts_with("term.rs:"),
+        "one `Step` outside the blaster, in term.rs: {steps:#?}"
+    );
+    assert!(
+        expansions.len() == 1 && expansions[0].starts_with("term.rs:"),
+        "one operand expansion, in term.rs: {expansions:#?}"
+    );
+    assert!(
+        visits.is_empty(),
+        "an operand match of its own: {visits:#?}"
+    );
+
+    // Every public method of `SolveSession` that returns a verdict,
+    // whatever the line breaks of its signature.
+    let text = std::fs::read_to_string(bv.join("session.rs")).expect("session.rs");
+    let product: String = product_lines(&text)
+        .map(|(_, l)| format!("{l}\n"))
+        .collect();
+    let answering: Vec<&str> = product
+        .split("pub fn ")
+        .skip(1)
+        .filter(|f| {
+            f.split('{')
+                .next()
+                .is_some_and(|sig| sig.contains("-> SatVerdict"))
+        })
+        .map(|f| f.split('(').next().unwrap_or(f))
+        .collect();
+    assert_eq!(
+        answering,
+        ["check_constraints"],
+        "session.rs: one query entry"
+    );
+}

@@ -680,9 +680,10 @@ impl Blaster {
 
     /// Lowers `t` to its bit vector (LSB first), memoized.
     ///
-    /// Iterative over an explicit visit/build work stack (the
-    /// `Migrator::import` idiom): deep generic-mode constraint terms
-    /// blast within a bounded thread stack. The word-level circuits
+    /// Iterative over an explicit visit/build work stack, which expands
+    /// a node into its operands as every term walk of this crate does
+    /// and a select run into its links: deep generic-mode constraint
+    /// terms blast within a bounded thread stack. The word-level circuits
     /// called per node are themselves loops, so no path here recurses
     /// on term depth.
     pub fn blast(&mut self, pool: &TermPool, t: TermId) -> &[Lit] {
@@ -708,40 +709,21 @@ impl Blaster {
                     if self.bits.contains_key(&x) {
                         continue;
                     }
-                    match *pool.get(x) {
-                        // Leaves build immediately.
-                        Term::Const { .. } | Term::Var { .. } => {
-                            stack.push(Step::Build(x));
-                        }
-                        Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                        }
-                        Term::Extract { arg, .. } => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(arg));
-                        }
-                        Term::Binary(_, c, d) | Term::Concat(c, d) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                            stack.push(Step::Visit(d));
-                        }
-                        Term::Ite(c, d, e) => {
-                            if let Some((links, default)) = self.select_run(pool, x) {
-                                stack.push(Step::Select(x, links.clone(), default));
-                                for l in &self.links[links] {
-                                    stack.push(Step::Visit(l.hit));
-                                    stack.push(Step::Visit(l.value));
-                                }
-                                stack.push(Step::Visit(default));
-                            } else {
-                                stack.push(Step::Build(x));
-                                stack.push(Step::Visit(c));
-                                stack.push(Step::Visit(d));
-                                stack.push(Step::Visit(e));
+                    let node = *pool.get(x);
+                    if let Term::Ite(..) = node {
+                        if let Some((links, default)) = self.select_run(pool, x) {
+                            stack.push(Step::Select(x, links.clone(), default));
+                            for l in &self.links[links] {
+                                stack.push(Step::Visit(l.hit));
+                                stack.push(Step::Visit(l.value));
                             }
+                            stack.push(Step::Visit(default));
+                            continue;
                         }
                     }
+                    // Leaves have no operands and build immediately.
+                    stack.push(Step::Build(x));
+                    node.for_each_operand(|c| stack.push(Step::Visit(c)));
                     continue;
                 }
                 Step::Build(x) | Step::Select(x, ..) if self.bits.contains_key(&x) => continue,

@@ -1,14 +1,13 @@
 //! Concrete evaluation and substitution of terms.
 //!
 //! `eval` is the reference semantics: the bit-blaster and the interval
-//! analysis are both differential-tested against it. `substitute` is the
-//! workhorse of verification step 2 — composing an element's summary
+//! analysis are both differential-tested against it. A [`Substitution`]
+//! does verification step 2's composing — an element's summary composed
 //! with its upstream neighbor's output is exactly a substitution of
 //! symbolic input variables by output terms.
 
 use crate::idhash::IdMap;
-use crate::term::{mask, sext64, BinOp, Term, TermId, TermPool, UnOp};
-use std::collections::HashMap;
+use crate::term::{fold, mask, sext64, BinOp, Fold, Term, TermId, TermPool, UnOp};
 
 /// An assignment of concrete values to symbolic variables (by var id).
 /// Only ever looked up by id, never iterated.
@@ -34,90 +33,65 @@ impl Assignment {
     }
 }
 
-/// The explicit work-stack step shared by the iterative DAG walks in
-/// this crate (the `Migrator::import` idiom): `Visit` schedules a
-/// node's children, `Build` combines their memoized results. Heap
-/// depth replaces call-stack depth, so arbitrarily deep terms never
-/// overflow the thread stack.
-enum Step {
-    Visit(TermId),
-    Build(TermId),
-}
-
 /// Evaluates `t` under `a`. Unassigned variables read as 0.
 ///
-/// Iterative over an explicit work stack: safe on arbitrarily deep
-/// term DAGs (deep generic-mode constraints reach depths far beyond
-/// the default thread stack).
+/// Iterative, over the crate's one post-order term walk: safe on
+/// arbitrarily deep term DAGs (deep generic-mode constraints reach
+/// depths far beyond the default thread stack).
 pub fn eval(pool: &TermPool, t: TermId, a: &Assignment) -> u64 {
-    let mut memo: IdMap<TermId, u64> = IdMap::default();
-    let mut stack = vec![Step::Visit(t)];
-    while let Some(step) = stack.pop() {
-        match step {
-            Step::Visit(x) => {
-                if memo.contains_key(&x) {
-                    continue;
-                }
-                match *pool.get(x) {
-                    Term::Const { value, .. } => {
-                        memo.insert(x, value);
-                    }
-                    Term::Var { id, width } => {
-                        memo.insert(x, mask(width, a.get(id)));
-                    }
-                    Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                    }
-                    Term::Extract { arg, .. } => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(arg));
-                    }
-                    Term::Binary(_, c, d) | Term::Concat(c, d) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                    }
-                    Term::Ite(c, d, e) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                        stack.push(Step::Visit(e));
-                    }
-                }
-            }
-            Step::Build(x) => {
-                if memo.contains_key(&x) {
-                    continue;
-                }
-                let w = pool.width(x);
-                let v = match *pool.get(x) {
-                    Term::Const { .. } | Term::Var { .. } => unreachable!("handled in Visit"),
-                    Term::Unary(op, c) => {
-                        let cv = memo[&c];
-                        match op {
-                            UnOp::Not => mask(w, !cv),
-                            UnOp::Neg => mask(w, cv.wrapping_neg()),
-                        }
-                    }
-                    Term::Binary(op, c, d) => eval_binop(op, pool.width(c), memo[&c], memo[&d]),
-                    Term::Ite(c, d, e) => {
-                        if memo[&c] == 1 {
-                            memo[&d]
-                        } else {
-                            memo[&e]
-                        }
-                    }
-                    Term::ZExt(c, _) => memo[&c],
-                    Term::SExt(c, wid) => mask(wid, sext64(pool.width(c), memo[&c]) as u64),
-                    Term::Extract { hi, lo, arg } => mask(hi - lo + 1, memo[&arg] >> lo),
-                    Term::Concat(hi, lo) => (memo[&hi] << pool.width(lo)) | memo[&lo],
-                };
-                memo.insert(x, v);
-            }
-        }
+    let mut e = Eval {
+        pool,
+        a,
+        memo: IdMap::default(),
+    };
+    fold(&mut e, t);
+    e.memo[&t]
+}
+
+/// The [`Fold`] behind [`eval`]: each node's value under `a`.
+struct Eval<'a> {
+    pool: &'a TermPool,
+    a: &'a Assignment,
+    memo: IdMap<TermId, u64>,
+}
+
+impl Fold for Eval<'_> {
+    fn pool(&self) -> &TermPool {
+        self.pool
     }
-    memo[&t]
+
+    fn done(&self, x: TermId) -> bool {
+        self.memo.contains_key(&x)
+    }
+
+    fn build(&mut self, x: TermId, node: Term) {
+        let (pool, memo) = (self.pool, &self.memo);
+        let w = pool.width(x);
+        let v = match node {
+            Term::Const { value, .. } => value,
+            Term::Var { id, width } => mask(width, self.a.get(id)),
+            Term::Unary(op, c) => {
+                let cv = memo[&c];
+                match op {
+                    UnOp::Not => mask(w, !cv),
+                    UnOp::Neg => mask(w, cv.wrapping_neg()),
+                }
+            }
+            Term::Binary(op, c, d) => eval_binop(op, pool.width(c), memo[&c], memo[&d]),
+            Term::Ite(c, d, e) => {
+                if memo[&c] == 1 {
+                    memo[&d]
+                } else {
+                    memo[&e]
+                }
+            }
+            Term::ZExt(c, _) => memo[&c],
+            Term::SExt(c, wid) => mask(wid, sext64(pool.width(c), memo[&c]) as u64),
+            Term::Extract { hi, lo, arg } => mask(hi - lo + 1, memo[&arg] >> lo),
+            Term::Concat(hi, lo) => (memo[&hi] << pool.width(lo)) | memo[&lo],
+        };
+        self.memo.insert(x, v);
+    }
 }
 
 /// The concrete semantics of a binary operator on `w`-bit operands.
@@ -161,30 +135,17 @@ pub(crate) fn eval_binop(op: BinOp, w: u32, x: u64, y: u64) -> u64 {
     }
 }
 
-/// Replaces every occurrence of variable `id` in `t` with `map[id]`,
-/// rebuilding (and thus re-simplifying) the term bottom-up.
-///
-/// Variables absent from `map` are left in place. This is the
-/// composition primitive of verification step 2: substituting element
-/// A's output terms for element B's input variables yields
-/// `C_B(S_A(in))` exactly as in the paper's §3.1 walkthrough. Callers
-/// that push many terms through one map use a [`Substitution`], which
-/// rebuilds a shared subterm once.
-///
-/// Iterative over an explicit visit/build work stack (the
-/// `Migrator::import` idiom), so composition never recurses on term
-/// depth — deep pipelines compose within a bounded thread stack.
-pub fn substitute(pool: &mut TermPool, t: TermId, map: &HashMap<u32, TermId>) -> TermId {
-    rebuild(pool, t, |id| map.get(&id).copied(), &mut IdMap::default())
-}
-
 /// One variable substitution applied to many terms: the bindings and a
 /// memo of every subterm rebuilt under them so far, so the terms of one
 /// segment summary — which share most of their structure — cost one
-/// rebuild per distinct node, not one per occurrence. Each
-/// [`Substitution::apply`] returns what [`substitute`] returns for the
-/// same bindings and interns the same new terms in the same order.
-/// Both tables are only looked up, never iterated.
+/// rebuild per distinct node, not one per occurrence. Both tables are
+/// only looked up, never iterated.
+///
+/// This is the composition primitive of verification step 2:
+/// substituting element A's output terms for element B's input
+/// variables yields `C_B(S_A(in))` exactly as in the paper's §3.1
+/// walkthrough. Every term is rebuilt bottom-up, and thus
+/// re-simplified; variables with no binding are left in place.
 #[derive(Debug, Default)]
 pub struct Substitution {
     map: IdMap<u32, TermId>,
@@ -205,112 +166,46 @@ impl Substitution {
         self.map.insert(var, rep);
     }
 
-    /// What `var` is bound to, if anything.
-    pub fn get(&self, var: u32) -> Option<TermId> {
-        self.map.get(&var).copied()
-    }
-
     /// `t` with every bound variable replaced.
     pub fn apply(&mut self, pool: &mut TermPool, t: TermId) -> TermId {
-        let map = &self.map;
-        rebuild(pool, t, |id| map.get(&id).copied(), &mut self.memo)
+        let Substitution { map, memo } = self;
+        fold(&mut Apply { map, memo, pool }, t);
+        self.memo[&t]
     }
 }
 
-/// The walk behind [`substitute`] and [`Substitution::apply`]: `memo`
-/// maps every node already rebuilt under `binding` to its result.
-fn rebuild(
-    pool: &mut TermPool,
-    t: TermId,
-    binding: impl Fn(u32) -> Option<TermId>,
-    memo: &mut IdMap<TermId, TermId>,
-) -> TermId {
-    let mut stack = vec![Step::Visit(t)];
-    while let Some(step) = stack.pop() {
-        match step {
-            Step::Visit(x) => {
-                if memo.contains_key(&x) {
-                    continue;
-                }
-                match *pool.get(x) {
-                    Term::Const { .. } => {
-                        memo.insert(x, x);
-                    }
-                    Term::Var { id, width } => {
-                        let r = match binding(id) {
-                            Some(rep) => {
-                                debug_assert_eq!(
-                                    pool.width(rep),
-                                    width,
-                                    "substitution width mismatch"
-                                );
-                                rep
-                            }
-                            None => x,
-                        };
-                        memo.insert(x, r);
-                    }
-                    Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                    }
-                    Term::Extract { arg, .. } => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(arg));
-                    }
-                    Term::Binary(_, c, d) | Term::Concat(c, d) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                    }
-                    Term::Ite(c, d, e) => {
-                        stack.push(Step::Build(x));
-                        stack.push(Step::Visit(c));
-                        stack.push(Step::Visit(d));
-                        stack.push(Step::Visit(e));
-                    }
-                }
-            }
-            Step::Build(x) => {
-                if memo.contains_key(&x) {
-                    continue;
-                }
-                let r = match *pool.get(x) {
-                    Term::Const { .. } | Term::Var { .. } => unreachable!("handled in Visit"),
-                    Term::Unary(op, c) => {
-                        let c2 = memo[&c];
-                        pool.mk_unary(op, c2)
-                    }
-                    Term::Binary(op, c, d) => {
-                        let (c2, d2) = (memo[&c], memo[&d]);
-                        pool.mk_binary(op, c2, d2)
-                    }
-                    Term::Ite(c, d, e) => {
-                        let (c2, d2, e2) = (memo[&c], memo[&d], memo[&e]);
-                        pool.mk_ite(c2, d2, e2)
-                    }
-                    Term::ZExt(c, w) => {
-                        let c2 = memo[&c];
-                        pool.mk_zext(c2, w)
-                    }
-                    Term::SExt(c, w) => {
-                        let c2 = memo[&c];
-                        pool.mk_sext(c2, w)
-                    }
-                    Term::Extract { hi, lo, arg } => {
-                        let a2 = memo[&arg];
-                        pool.mk_extract(a2, hi, lo)
-                    }
-                    Term::Concat(c, d) => {
-                        let (c2, d2) = (memo[&c], memo[&d]);
-                        pool.mk_concat(c2, d2)
-                    }
-                };
-                memo.insert(x, r);
-            }
-        }
+/// The [`Fold`] behind [`Substitution::apply`].
+struct Apply<'a> {
+    map: &'a IdMap<u32, TermId>,
+    memo: &'a mut IdMap<TermId, TermId>,
+    pool: &'a mut TermPool,
+}
+
+impl Fold for Apply<'_> {
+    fn pool(&self) -> &TermPool {
+        self.pool
     }
-    memo[&t]
+
+    fn done(&self, x: TermId) -> bool {
+        self.memo.contains_key(&x)
+    }
+
+    fn build(&mut self, x: TermId, node: Term) {
+        let (map, memo) = (self.map, &mut *self.memo);
+        let r = match node {
+            // A constant is its own substitution.
+            Term::Const { .. } => x,
+            Term::Var { id, width } => match map.get(&id) {
+                Some(&rep) => {
+                    debug_assert_eq!(self.pool.width(rep), width, "substitution width mismatch");
+                    rep
+                }
+                None => x,
+            },
+            node => self.pool.rebuild(node, |c| memo[&c]),
+        };
+        memo.insert(x, r);
+    }
 }
 
 #[cfg(test)]
@@ -359,9 +254,9 @@ mod tests {
         // E2's constraint over its own input:
         let c2 = p.mk_ult(in2, c128);
         // Compose: substitute in2 := out1.
-        let mut map = HashMap::new();
-        map.insert(1u32, out1);
-        let composed = substitute(&mut p, c2, &map);
+        let mut sub = Substitution::new();
+        sub.bind(1, out1);
+        let composed = sub.apply(&mut p, c2);
         // For any in1, out1 < 128 always holds, so composed must be
         // valid: check by evaluating at the boundary points.
         for v in [0u64, 1, 127, 128, 200, 255] {
@@ -377,15 +272,15 @@ mod tests {
         let x = p.fresh_var("x", 8);
         let y = p.fresh_var("y", 8);
         let s = p.mk_add(x, y);
-        let r = substitute(&mut p, s, &HashMap::new());
+        let r = Substitution::new().apply(&mut p, s);
         assert_eq!(r, s);
     }
 
     #[test]
     fn one_memo_across_terms_changes_no_result() {
         // Three terms over a shared subterm, pushed through one
-        // `Substitution` on one pool and through `substitute` — a memo
-        // per term — on a clone: same results, same pool growth.
+        // `Substitution` on one pool and through a fresh one per term
+        // on a clone: same results, same pool growth.
         let mut p = TermPool::new();
         let x = p.fresh_var("x", 8);
         let y = p.fresh_var("y", 8);
@@ -400,11 +295,11 @@ mod tests {
         let mut sub = Substitution::new();
         sub.bind(0, rep);
         sub.bind(1, z);
-        assert_eq!(sub.get(0), Some(rep));
-        assert_eq!(sub.get(2), None);
-        let map: HashMap<u32, TermId> = [(0, rep), (1, z)].into();
         for t in terms {
-            assert_eq!(sub.apply(&mut p, t), substitute(&mut q, t, &map));
+            let mut fresh = Substitution::new();
+            fresh.bind(0, rep);
+            fresh.bind(1, z);
+            assert_eq!(sub.apply(&mut p, t), fresh.apply(&mut q, t));
             assert_eq!(p.len(), q.len());
         }
     }

@@ -8,7 +8,7 @@
 //! touching the SAT solver — measured by the `ablation_solver` bench.
 
 use crate::idhash::IdMap;
-use crate::term::{mask, BinOp, Term, TermId, TermPool, UnOp};
+use crate::term::{fold, mask, BinOp, Fold, Term, TermId, TermPool, UnOp};
 
 /// An inclusive unsigned range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,134 +74,104 @@ impl IntervalMemo {
 
     /// The interval of `t`, visiting only the nodes not yet held.
     ///
-    /// Iterative over an explicit visit/build work stack: each node's
-    /// interval is a pure function of its children's, so evaluating all
-    /// children before combining yields exactly the recursive result
-    /// (including for `Ite` with a decided condition, where the combine
-    /// simply selects the taken branch's interval) while staying safe on
-    /// arbitrarily deep term DAGs.
+    /// A [`fold`]: each node's interval is a pure function of its
+    /// children's, so evaluating all children before combining yields
+    /// exactly the recursive result (including for `Ite` with a decided
+    /// condition, where the combine simply selects the taken branch's
+    /// interval) while staying safe on arbitrarily deep term DAGs.
     pub(crate) fn interval(&mut self, pool: &TermPool, t: TermId) -> Interval {
-        enum Step {
-            Visit(TermId),
-            Build(TermId),
-        }
-        let IntervalMemo { memo, log } = self;
-        let mut stack = vec![Step::Visit(t)];
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Visit(x) => {
-                    if memo.contains_key(&x) {
-                        continue;
+        fold(&mut Intervals { memo: self, pool }, t);
+        self.memo[&t]
+    }
+}
+
+/// The [`Fold`] behind [`IntervalMemo::interval`].
+struct Intervals<'a> {
+    memo: &'a mut IntervalMemo,
+    pool: &'a TermPool,
+}
+
+impl Fold for Intervals<'_> {
+    fn pool(&self) -> &TermPool {
+        self.pool
+    }
+
+    fn done(&self, x: TermId) -> bool {
+        self.memo.memo.contains_key(&x)
+    }
+
+    fn build(&mut self, x: TermId, node: Term) {
+        let (pool, IntervalMemo { memo, log }) = (self.pool, &mut *self.memo);
+        let w = pool.width(x);
+        let full = Interval::full(w);
+        let r = match node {
+            Term::Const { value, .. } => Interval::point(value),
+            Term::Var { width, .. } => Interval::full(width),
+            Term::Unary(op, c) => {
+                let ia = memo[&c];
+                match op {
+                    // ¬[lo,hi] = [¬hi, ¬lo] within the width.
+                    UnOp::Not => Interval {
+                        lo: mask(w, !ia.hi),
+                        hi: mask(w, !ia.lo),
+                    },
+                    UnOp::Neg => {
+                        if ia.is_point() {
+                            Interval::point(mask(w, ia.lo.wrapping_neg()))
+                        } else {
+                            full
+                        }
                     }
-                    match *pool.get(x) {
-                        Term::Const { value, .. } => {
-                            memo.insert(x, Interval::point(value));
-                            log.push(x);
-                        }
-                        Term::Var { width, .. } => {
-                            memo.insert(x, Interval::full(width));
-                            log.push(x);
-                        }
-                        Term::Unary(_, c) | Term::ZExt(c, _) | Term::SExt(c, _) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                        }
-                        Term::Extract { arg, .. } => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(arg));
-                        }
-                        Term::Binary(_, c, d) | Term::Concat(c, d) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                            stack.push(Step::Visit(d));
-                        }
-                        Term::Ite(c, d, e) => {
-                            stack.push(Step::Build(x));
-                            stack.push(Step::Visit(c));
-                            stack.push(Step::Visit(d));
-                            stack.push(Step::Visit(e));
-                        }
-                    }
-                }
-                Step::Build(x) => {
-                    if memo.contains_key(&x) {
-                        continue;
-                    }
-                    let w = pool.width(x);
-                    let full = Interval::full(w);
-                    let r = match *pool.get(x) {
-                        Term::Const { .. } | Term::Var { .. } => unreachable!("handled in Visit"),
-                        Term::Unary(op, c) => {
-                            let ia = memo[&c];
-                            match op {
-                                // ¬[lo,hi] = [¬hi, ¬lo] within the width.
-                                UnOp::Not => Interval {
-                                    lo: mask(w, !ia.hi),
-                                    hi: mask(w, !ia.lo),
-                                },
-                                UnOp::Neg => {
-                                    if ia.is_point() {
-                                        Interval::point(mask(w, ia.lo.wrapping_neg()))
-                                    } else {
-                                        full
-                                    }
-                                }
-                            }
-                        }
-                        Term::Binary(op, c, d) => {
-                            binop_interval(op, pool.width(c), memo[&c], memo[&d])
-                        }
-                        Term::Ite(c, d, e) => {
-                            let (ic, ia, ib) = (memo[&c], memo[&d], memo[&e]);
-                            if ic == Interval::point(1) {
-                                ia
-                            } else if ic == Interval::point(0) {
-                                ib
-                            } else {
-                                Interval {
-                                    lo: ia.lo.min(ib.lo),
-                                    hi: ia.hi.max(ib.hi),
-                                }
-                            }
-                        }
-                        Term::ZExt(c, _) => memo[&c],
-                        Term::SExt(c, wid) => {
-                            let aw = pool.width(c);
-                            let ia = memo[&c];
-                            // Values with the sign bit clear stay small;
-                            // otherwise the extension fills high bits —
-                            // approximate by width split.
-                            let sign_bit = 1u64 << (aw - 1);
-                            if ia.hi < sign_bit {
-                                ia
-                            } else {
-                                Interval::full(wid)
-                            }
-                        }
-                        Term::Extract { hi, lo, arg } => {
-                            let ia = memo[&arg];
-                            if lo == 0 && ia.hi <= mask(hi + 1, u64::MAX) {
-                                // Low slice of a small value keeps its range.
-                                ia
-                            } else {
-                                full
-                            }
-                        }
-                        Term::Concat(c, d) => {
-                            let lw = pool.width(d);
-                            let (ia, ib) = (memo[&c], memo[&d]);
-                            Interval {
-                                lo: (ia.lo << lw) | ib.lo,
-                                hi: (ia.hi << lw) | ib.hi,
-                            }
-                        }
-                    };
-                    memo.insert(x, r);
-                    log.push(x);
                 }
             }
-        }
-        memo[&t]
+            Term::Binary(op, c, d) => binop_interval(op, pool.width(c), memo[&c], memo[&d]),
+            Term::Ite(c, d, e) => {
+                let (ic, ia, ib) = (memo[&c], memo[&d], memo[&e]);
+                if ic == Interval::point(1) {
+                    ia
+                } else if ic == Interval::point(0) {
+                    ib
+                } else {
+                    Interval {
+                        lo: ia.lo.min(ib.lo),
+                        hi: ia.hi.max(ib.hi),
+                    }
+                }
+            }
+            Term::ZExt(c, _) => memo[&c],
+            Term::SExt(c, wid) => {
+                let aw = pool.width(c);
+                let ia = memo[&c];
+                // Values with the sign bit clear stay small; otherwise
+                // the extension fills high bits — approximate by width
+                // split.
+                let sign_bit = 1u64 << (aw - 1);
+                if ia.hi < sign_bit {
+                    ia
+                } else {
+                    Interval::full(wid)
+                }
+            }
+            Term::Extract { hi, lo, arg } => {
+                let ia = memo[&arg];
+                if lo == 0 && ia.hi <= mask(hi + 1, u64::MAX) {
+                    // Low slice of a small value keeps its range.
+                    ia
+                } else {
+                    full
+                }
+            }
+            Term::Concat(c, d) => {
+                let lw = pool.width(d);
+                let (ia, ib) = (memo[&c], memo[&d]);
+                Interval {
+                    lo: (ia.lo << lw) | ib.lo,
+                    hi: (ia.hi << lw) | ib.hi,
+                }
+            }
+        };
+        memo.insert(x, r);
+        log.push(x);
     }
 }
 

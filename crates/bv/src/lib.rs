@@ -62,7 +62,7 @@ mod solver;
 mod term;
 
 pub use blast::{BlastMark, Blaster};
-pub use eval::{eval, substitute, Assignment, Substitution};
+pub use eval::{eval, Assignment, Substitution};
 pub use interval::{interval_of, Interval};
 pub use migrate::Migrator;
 pub use pretty::print_term;

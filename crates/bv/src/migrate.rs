@@ -16,7 +16,7 @@
 //! reproduce, byte for byte, the master pool a cache miss (or a
 //! store-less run) would have built.
 
-use crate::term::{Term, TermId, TermPool};
+use crate::term::{fold, Fold, Term, TermId, TermPool};
 use std::collections::HashMap;
 
 /// Imports terms and variables from one [`TermPool`] into another.
@@ -36,16 +36,8 @@ impl Migrator {
         Self::default()
     }
 
-    /// Pre-registers an identity between source variable `src_var` and
-    /// destination variable `dst_var` (used when the two pools already
-    /// share a logical variable, e.g. the pipeline input).
-    pub fn alias_var(&mut self, src_var: u32, dst_var: u32, src: &TermPool, dst: &TermPool) {
-        debug_assert_eq!(src.var_width(src_var), dst.var_width(dst_var));
-        self.var_map.insert(src_var, dst_var);
-    }
-
     /// Imports every variable of `src` (in creation order) into `dst`,
-    /// skipping variables already aliased. Importing in creation order
+    /// skipping variables already imported. Importing in creation order
     /// keeps the destination numbering deterministic regardless of
     /// which terms are migrated afterwards.
     pub fn import_all_vars(&mut self, src: &TermPool, dst: &mut TermPool) {
@@ -59,11 +51,9 @@ impl Migrator {
         if let Some(&d) = self.var_map.get(&vid) {
             return d;
         }
-        let t = dst.fresh_var(src.var_name(vid), src.var_width(vid));
-        let d = match *dst.get(t) {
-            Term::Var { id, .. } => id,
-            _ => unreachable!("fresh_var returns a Var term"),
-        };
+        // Variable ids are dense: the next one is the count so far.
+        let d = dst.num_vars() as u32;
+        dst.fresh_var(src.var_name(vid), src.var_width(vid));
         self.var_map.insert(vid, d);
         d
     }
@@ -76,84 +66,48 @@ impl Migrator {
     /// Imports the term `root` (and transitively its subterms) from
     /// `src` into `dst`, returning the destination id.
     pub fn import(&mut self, root: TermId, src: &TermPool, dst: &mut TermPool) -> TermId {
-        if let Some(&d) = self.term_map.get(&root) {
-            return d;
-        }
-        // Iterative post-order: packet-transform terms can be deep.
-        enum Step {
-            Visit(TermId),
-            Build(TermId),
-        }
-        let mut stack = vec![Step::Visit(root)];
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Visit(t) => {
-                    if self.term_map.contains_key(&t) {
-                        continue;
-                    }
-                    stack.push(Step::Build(t));
-                    match *src.get(t) {
-                        Term::Const { .. } | Term::Var { .. } => {}
-                        Term::Unary(_, a) | Term::ZExt(a, _) | Term::SExt(a, _) => {
-                            stack.push(Step::Visit(a));
-                        }
-                        Term::Extract { arg, .. } => stack.push(Step::Visit(arg)),
-                        Term::Binary(_, a, b) | Term::Concat(a, b) => {
-                            stack.push(Step::Visit(a));
-                            stack.push(Step::Visit(b));
-                        }
-                        Term::Ite(c, a, b) => {
-                            stack.push(Step::Visit(c));
-                            stack.push(Step::Visit(a));
-                            stack.push(Step::Visit(b));
-                        }
-                    }
-                }
-                Step::Build(t) => {
-                    if self.term_map.contains_key(&t) {
-                        continue;
-                    }
-                    let built = match *src.get(t) {
-                        Term::Const { width, value } => dst.mk_const(width, value),
-                        Term::Var { id, .. } => {
-                            let d = self.import_var(id, src, dst);
-                            dst.var_term(d)
-                        }
-                        Term::Unary(op, a) => {
-                            let a = self.term_map[&a];
-                            dst.mk_unary(op, a)
-                        }
-                        Term::Binary(op, a, b) => {
-                            let (a, b) = (self.term_map[&a], self.term_map[&b]);
-                            dst.mk_binary(op, a, b)
-                        }
-                        Term::Ite(c, a, b) => {
-                            let (c, a, b) =
-                                (self.term_map[&c], self.term_map[&a], self.term_map[&b]);
-                            dst.mk_ite(c, a, b)
-                        }
-                        Term::ZExt(a, w) => {
-                            let a = self.term_map[&a];
-                            dst.mk_zext(a, w)
-                        }
-                        Term::SExt(a, w) => {
-                            let a = self.term_map[&a];
-                            dst.mk_sext(a, w)
-                        }
-                        Term::Extract { hi, lo, arg } => {
-                            let a = self.term_map[&arg];
-                            dst.mk_extract(a, hi, lo)
-                        }
-                        Term::Concat(a, b) => {
-                            let (a, b) = (self.term_map[&a], self.term_map[&b]);
-                            dst.mk_concat(a, b)
-                        }
-                    };
-                    self.term_map.insert(t, built);
-                }
-            }
-        }
+        // A `fold`: packet-transform terms can be deep.
+        fold(
+            &mut Import {
+                mig: self,
+                src,
+                dst,
+            },
+            root,
+        );
         self.term_map[&root]
+    }
+}
+
+/// The [`Fold`] behind [`Migrator::import`].
+struct Import<'a> {
+    mig: &'a mut Migrator,
+    src: &'a TermPool,
+    dst: &'a mut TermPool,
+}
+
+impl Fold for Import<'_> {
+    fn pool(&self) -> &TermPool {
+        self.src
+    }
+
+    fn done(&self, t: TermId) -> bool {
+        self.mig.term_map.contains_key(&t)
+    }
+
+    fn build(&mut self, t: TermId, node: Term) {
+        let built = match node {
+            Term::Const { width, value } => self.dst.mk_const(width, value),
+            Term::Var { id, .. } => {
+                let d = self.mig.import_var(id, self.src, self.dst);
+                self.dst.var_term(d)
+            }
+            node => {
+                let map = &self.mig.term_map;
+                self.dst.rebuild(node, |c| map[&c])
+            }
+        };
+        self.mig.term_map.insert(t, built);
     }
 }
 
@@ -204,18 +158,5 @@ mod tests {
         // t1 was already imported as a subterm of t2: same destination id.
         assert_eq!(mig.import(t1, &src, &mut dst), b);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn aliased_vars_are_not_duplicated() {
-        let mut src = TermPool::new();
-        let xs = src.fresh_var("shared", 8);
-        let mut dst = TermPool::new();
-        let xd = dst.fresh_var("shared", 8);
-        let mut mig = Migrator::new();
-        mig.alias_var(0, 0, &src, &dst);
-        let t = mig.import(xs, &src, &mut dst);
-        assert_eq!(t, xd);
-        assert_eq!(dst.num_vars(), 1);
     }
 }

@@ -10,7 +10,10 @@
 //! (crate::BvSolver) — the test oracle — re-bit-blasts everything per
 //! query; a [`SolveSession`] instead keeps one [`Blaster`] alive for
 //! its whole lifetime and maintains an *assertion stack* of active
-//! constraints:
+//! constraints. Each query names its whole constraint list
+//! ([`SolveSession::check_constraints`]); the stack is synced to it —
+//! entries past the longest common prefix with the last query's list
+//! retire, the rest are pushed — so the shared prefix is never re-sent:
 //!
 //! * every stack entry is blasted **once**, lazily, on the first
 //!   blast-layer query that sees it active, inside a **scope** of its
@@ -19,8 +22,7 @@
 //!   [`TermId`]) plus one clause gating its root on a fresh
 //!   activation literal;
 //! * a query solves under the activation literals of the active
-//!   entries; ephemeral extras get a scope that lasts for the one
-//!   query;
+//!   entries;
 //! * retiring an entry rolls the blaster back to the entry's mark
 //!   ([`Blaster::rollback`]): the circuit, its variables and every
 //!   learnt clause that names them **leave the solver**, so it holds
@@ -44,8 +46,7 @@
 //! is a left fold kept per stack entry, and the interval of every term
 //! under it sits in a memo with **the blaster's scope rule** — an
 //! entry is logged under the stack entry whose fold first reached it
-//! and leaves in [`SolveSession::retire_to`] with that entry, an
-//! ephemeral extra's entries leave with its query. An interval is a
+//! and retires with that entry. An interval is a
 //! pure function of its term, so the memo answers exactly as
 //! [`interval_of`] on the whole conjunction does (a `debug_assert!`
 //! holds it to that); the scopes keep it at O(live path) entries. A
@@ -99,14 +100,12 @@ use bitsat::Lit;
 /// let gt = pool.mk_ult(c3, x);
 ///
 /// let mut s = SolveSession::new();
-/// s.assert_constraint(lt);
-/// let mark = s.depth();
-/// s.assert_constraint(gt);
-/// assert!(s.check(&mut pool).is_sat()); // 3 < x < 5
-/// s.retire_to(mark);                    // drop `gt`, keep `lt`
+/// assert!(s.check_constraints(&mut pool, &[lt, gt]).is_sat()); // 3 < x < 5
+/// // A sibling query: `gt` retires, `lt` and its circuit stay.
 /// let four = pool.mk_const(8, 4);
 /// let ge4 = pool.mk_ule(four, x);
-/// assert!(s.check_assuming(&mut pool, &[ge4]).is_sat()); // x == 4
+/// assert!(s.check_constraints(&mut pool, &[lt, ge4]).is_sat()); // x == 4
+/// assert_eq!(s.depth(), 2);
 /// ```
 pub struct SolveSession {
     blaster: Blaster,
@@ -114,9 +113,11 @@ pub struct SolveSession {
     /// Active constraints, in assertion order.
     stack: Vec<TermId>,
     /// One scope per blasted stack entry — a prefix of `stack`: the
-    /// mark taken before the entry was blasted and the activation
-    /// literal gating it.
-    scopes: Vec<(BlastMark, Lit)>,
+    /// mark taken before the entry was blasted.
+    scopes: Vec<BlastMark>,
+    /// The activation literal gating each blasted entry, index for
+    /// index with `scopes`: a query's assumptions.
+    acts: Vec<Lit>,
     /// One entry per folded stack entry — a prefix of `stack`: the
     /// conjunction of the stack up to and including the entry, and the
     /// size of `intervals` before the entry's terms went in.
@@ -140,6 +141,7 @@ impl Default for SolveSession {
             stats: SolverLayerStats::default(),
             stack: Vec::new(),
             scopes: Vec::new(),
+            acts: Vec::new(),
             folded: Vec::new(),
             intervals: IntervalMemo::default(),
             extract_cores: true,
@@ -174,14 +176,10 @@ impl SolveSession {
         s
     }
 
-    /// Current assertion-stack depth (a mark for [`SolveSession::retire_to`]).
+    /// Current assertion-stack depth: the length of the last query's
+    /// constraint list.
     pub fn depth(&self) -> usize {
         self.stack.len()
-    }
-
-    /// The active constraints, in assertion order.
-    pub fn active(&self) -> &[TermId] {
-        &self.stack
     }
 
     /// SAT variables the blaster currently holds: the circuits of the
@@ -197,41 +195,38 @@ impl SolveSession {
         self.intervals.len()
     }
 
-    /// Pushes the width-1 constraint `t` onto the assertion stack. The
-    /// term is folded into the conjunction by the next query and
-    /// blasted lazily, on the first blast-layer query that sees it
-    /// active.
-    pub fn assert_constraint(&mut self, t: TermId) {
-        self.sat_trail = false;
-        self.stack.push(t);
-    }
-
-    /// Retires every constraint asserted after `depth` (stack pop back
-    /// to a [`SolveSession::depth`] mark) and drops their circuits
-    /// from the solver and their intervals from the memo.
-    pub fn retire_to(&mut self, depth: usize) {
+    /// Retires every constraint asserted after `depth` and drops their
+    /// circuits from the solver and their intervals from the memo.
+    fn retire_to(&mut self, depth: usize) {
         debug_assert!(depth <= self.stack.len());
-        self.sat_trail &= depth == self.stack.len();
         self.stack.truncate(depth);
         if let Some(&(_, mark)) = self.folded.get(depth) {
             self.intervals.truncate(mark);
             self.folded.truncate(depth);
         }
-        if let Some(&(mark, _)) = self.scopes.get(depth) {
+        if let Some(&mark) = self.scopes.get(depth) {
             self.blaster.rollback(mark);
             self.scopes.truncate(depth);
+            self.acts.truncate(depth);
         }
     }
 
-    /// Decides satisfiability of the active constraint set.
-    pub fn check(&mut self, pool: &mut TermPool) -> SatVerdict {
-        self.check_assuming(pool, &[])
-    }
-
-    /// Decides satisfiability of the active set conjoined with the
-    /// ephemeral width-1 `extra` constraints (asserted, blasted and
-    /// dropped again within this query).
-    pub fn check_assuming(&mut self, pool: &mut TermPool, extra: &[TermId]) -> SatVerdict {
+    /// Decides satisfiability of the conjunction of the width-1
+    /// constraints `cs`, after syncing the assertion stack to exactly
+    /// `cs` — retiring past their longest common prefix with the stack
+    /// and asserting the remainder. Composing a segment (step 2) or
+    /// taking a branch (step 1) asserts its new conjuncts, backtracking
+    /// to a sibling retires the abandoned suffix, and the shared prefix
+    /// is never re-sent to the solver.
+    pub fn check_constraints(&mut self, pool: &mut TermPool, cs: &[TermId]) -> SatVerdict {
+        let lcp = self
+            .stack
+            .iter()
+            .zip(cs)
+            .take_while(|(a, b)| *a == *b)
+            .count();
+        self.retire_to(lcp);
+        self.stack.extend_from_slice(&cs[lcp..]);
         self.stats.queries += 1;
         self.sat_trail = false;
         // Layers 1 and 2 answer for the conjunction of the full active
@@ -249,25 +244,22 @@ impl SolveSession {
             self.intervals.interval(pool, conj);
             self.folded.push((conj, mark));
         }
-        let ephemeral = self.intervals.len();
-        for &t in extra {
-            conj = pool.mk_bool_and(conj, t);
-        }
-        let range = self.intervals.interval(pool, conj);
-        self.intervals.truncate(ephemeral);
-        debug_assert_eq!(
-            range,
-            interval_of(pool, conj),
-            "the scoped interval memo must answer as a whole walk does"
-        );
         if pool.is_true(conj) {
             self.stats.by_simplify += 1;
             return SatVerdict::Sat(Model::default());
         }
         if pool.is_false(conj) {
             self.stats.by_simplify += 1;
-            return SatVerdict::Unsat(self.maybe_cheap_core(pool, extra));
+            return SatVerdict::Unsat(self.cheap_core(pool));
         }
+        // A conjunction that is no constant folds at least one entry,
+        // whose interval the fold left in the memo.
+        let range = self.intervals.interval(pool, conj);
+        debug_assert_eq!(
+            range,
+            interval_of(pool, conj),
+            "the scoped interval memo must answer as a whole walk does"
+        );
         match range {
             Interval { lo: 1, .. } => {
                 self.stats.by_interval += 1;
@@ -275,7 +267,7 @@ impl SolveSession {
             }
             Interval { hi: 0, .. } => {
                 self.stats.by_interval += 1;
-                return SatVerdict::Unsat(self.maybe_cheap_core(pool, extra));
+                return SatVerdict::Unsat(self.cheap_core(pool));
             }
             _ => {}
         }
@@ -283,18 +275,12 @@ impl SolveSession {
         self.stats.by_blast += 1;
         self.stats.sat_solve_calls += 1;
         self.stats.blast_cache_hits += self.scopes.len() as u64;
-        self.stats.blast_cache_misses +=
-            (self.stack.len() + extra.len() - self.scopes.len()) as u64;
+        self.stats.blast_cache_misses += (self.stack.len() - self.scopes.len()) as u64;
         for &t in &self.stack[self.scopes.len()..] {
-            let mark = self.blaster.mark();
-            self.scopes.push((mark, self.blaster.assert_gated(pool, t)));
+            self.scopes.push(self.blaster.mark());
+            self.acts.push(self.blaster.assert_gated(pool, t));
         }
-        let mut assumptions: Vec<Lit> = self.scopes.iter().map(|&(_, act)| act).collect();
-        let query_scope = self.blaster.mark();
-        for &t in extra {
-            assumptions.push(self.blaster.assert_gated(pool, t));
-        }
-        let verdict = match self.blaster.check_assuming(&assumptions) {
+        match self.blaster.check_assuming(&self.acts) {
             bitsat::SolveResult::Sat => {
                 // Every live scope belongs to a queried constraint, so
                 // the blaster's variables are the query's variables.
@@ -310,21 +296,15 @@ impl SolveSession {
                         .all(|id| Some(a.get(id)) == self.blaster.model_var(id)),
                     "the live model must cover every free variable of the query"
                 );
-                self.sat_trail = extra.is_empty();
+                self.sat_trail = true;
                 SatVerdict::Sat(Model::from_assignment(a))
             }
-            bitsat::SolveResult::Unsat if self.extract_cores => SatVerdict::Unsat(map_core(
-                self.blaster.last_core(),
-                &assumptions,
-                &self.queried(extra),
-            )),
+            bitsat::SolveResult::Unsat if self.extract_cores => {
+                SatVerdict::Unsat(map_core(self.blaster.last_core(), &self.acts, &self.stack))
+            }
             bitsat::SolveResult::Unsat => SatVerdict::Unsat(crate::Infeasibility::default()),
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
-        };
-        if !extra.is_empty() {
-            self.blaster.rollback(query_scope);
         }
-        verdict
     }
 
     /// The **lexicographically smallest model** of the active stack over
@@ -348,8 +328,8 @@ impl SolveSession {
     /// `Unsat` pins it to 1 and keeps the old one. The first model is
     /// the trail of the blast-layer `Sat` that just answered the active
     /// stack, when there is one; otherwise (a cheap layer answered, or
-    /// the stack moved since) the pending entries are blasted and
-    /// solved once. No term is interned and no circuit is added beyond
+    /// another extraction ran since) the pending entries are blasted
+    /// and solved once. No term is interned and no circuit is added beyond
     /// those pending entries, which leave again with everything else
     /// the walk did ([`Blaster::mark`]/[`Blaster::rollback`]): depth,
     /// SAT variables and pool are as the session had them, and only
@@ -378,7 +358,7 @@ impl SolveSession {
         fields: &[TermId],
         reported: impl FnOnce(u64) -> usize,
     ) -> Option<Model> {
-        let mut pins: Vec<Lit> = self.scopes.iter().map(|&(_, act)| act).collect();
+        let mut pins = self.acts.clone();
         if !self.sat_trail {
             for &t in &self.stack[self.scopes.len()..] {
                 pins.push(self.blaster.assert_gated(pool, t));
@@ -461,38 +441,20 @@ impl SolveSession {
         }
     }
 
-    /// The constraint list a query with `extra` is about.
-    fn queried(&self, extra: &[TermId]) -> Vec<TermId> {
-        [&self.stack[..], extra].concat()
-    }
-
-    /// Core for a cheap-layer refutation — empty (no clone) when core
-    /// extraction is off.
-    fn maybe_cheap_core(&self, pool: &TermPool, extra: &[TermId]) -> crate::Infeasibility {
-        if self.extract_cores {
-            cheap_core(pool, &self.queried(extra))
-        } else {
-            crate::Infeasibility::default()
+    /// The best core a cheap (non-blast) layer can offer: the single
+    /// constraint that already simplified to `false`, or — when only
+    /// the *conjunction* was refuted — the full queried set, which is
+    /// a trivially correct (if unminimized) core. Empty (no clone)
+    /// when core extraction is off.
+    fn cheap_core(&self, pool: &TermPool) -> crate::Infeasibility {
+        if !self.extract_cores {
+            return crate::Infeasibility::default();
         }
-    }
-
-    /// Syncs the assertion stack to exactly `cs` — retiring past their
-    /// longest common prefix and asserting the remainder — then checks
-    /// satisfiability. This is the one-call form both steps use:
-    /// composing a segment (step 2) or taking a branch (step 1) asserts
-    /// its new conjuncts, backtracking to a sibling retires the
-    /// abandoned suffix, and the shared prefix is never re-sent to the
-    /// solver.
-    pub fn check_constraints(&mut self, pool: &mut TermPool, cs: &[TermId]) -> SatVerdict {
-        let lcp = self
-            .stack
-            .iter()
-            .zip(cs)
-            .take_while(|(a, b)| *a == *b)
-            .count();
-        self.retire_to(lcp);
-        self.stack.extend_from_slice(&cs[lcp..]);
-        self.check_assuming(pool, &[])
+        let core = match self.stack.iter().find(|&&t| pool.is_false(t)) {
+            Some(&t) => vec![t],
+            None => self.stack.clone(),
+        };
+        crate::Infeasibility { core }
     }
 
     /// Layer statistics accumulated over the session's lifetime,
@@ -506,23 +468,6 @@ impl SolveSession {
             ..self.stats
         }
     }
-
-    /// Propositional statistics of the underlying CDCL solver.
-    pub fn sat_stats(&self) -> bitsat::SolverStats {
-        self.blaster.sat_stats()
-    }
-}
-
-/// The best core a cheap (non-blast) layer can offer: the single
-/// constraint that already simplified to `false`, or — when only the
-/// *conjunction* was refuted — the full queried set, which is a
-/// trivially correct (if unminimized) core.
-fn cheap_core(pool: &TermPool, constraints: &[TermId]) -> crate::Infeasibility {
-    let core = match constraints.iter().find(|&&t| pool.is_false(t)) {
-        Some(&t) => vec![t],
-        None => constraints.to_vec(),
-    };
-    crate::Infeasibility { core }
 }
 
 /// Maps the CDCL backend's assumption core back to the constraint
@@ -580,16 +525,11 @@ mod tests {
         let l = pool.mk_ult(x, c20);
 
         let mut s = SolveSession::new();
-        s.assert_constraint(e);
-        assert!(s.check(&mut pool).is_sat());
-        let mark = s.depth();
-        s.assert_constraint(g);
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[e]).is_sat());
+        assert!(s.check_constraints(&mut pool, &[e, g]).is_sat());
         // Sibling branch: retire `g`, assert the contradiction pair.
-        s.retire_to(mark);
-        s.assert_constraint(g);
-        s.assert_constraint(l);
-        assert!(s.check(&mut pool).is_unsat());
+        assert!(s.check_constraints(&mut pool, &[e, l]).is_sat());
+        assert!(s.check_constraints(&mut pool, &[e, g, l]).is_unsat());
         // And the fresh solver agrees on the same active sets.
         assert!(fresh_check(&mut pool, &[e, g]).is_sat());
         assert!(fresh_check(&mut pool, &[e, g, l]).is_unsat());
@@ -611,11 +551,8 @@ mod tests {
         let gy = pool.mk_ult(one, y);
 
         let mut s = SolveSession::new();
-        s.assert_constraint(eq);
-        s.assert_constraint(gx);
-        assert!(s.check(&mut pool).is_sat());
-        s.assert_constraint(gy);
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[eq, gx]).is_sat());
+        assert!(s.check_constraints(&mut pool, &[eq, gx, gy]).is_sat());
         let st = s.stats();
         assert_eq!(st.queries, 2);
         assert_eq!(st.by_blast, 2);
@@ -634,16 +571,14 @@ mod tests {
         let mut s = SolveSession::new();
         // Simplify: x == x.
         let t = pool.mk_eq(x, x);
-        s.assert_constraint(t);
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[t]).is_sat());
         assert_eq!(s.stats().by_simplify, 1);
         // Interval: (x & 3) < 100.
         let c3 = pool.mk_const(8, 3);
         let c100 = pool.mk_const(8, 100);
         let m = pool.mk_and(x, c3);
         let lt = pool.mk_ult(m, c100);
-        s.assert_constraint(lt);
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[t, lt]).is_sat());
         assert_eq!(s.stats().by_interval, 1);
         assert_eq!(s.stats().by_blast, 0);
     }
@@ -682,7 +617,7 @@ mod tests {
             );
         }
         assert_eq!(s.stats().compactions, 0);
-        s.retire_to(0);
+        assert!(s.check_constraints(&mut pool, &[]).is_sat());
         assert_eq!(s.num_sat_vars(), SolveSession::new().num_sat_vars());
     }
 
@@ -701,14 +636,8 @@ mod tests {
         let (c3, c5) = (pool.mk_const(8, 3), pool.mk_const(8, 5));
         let (lt, gt) = (pool.mk_ult(x, c3), pool.mk_ult(c5, x));
         let mut s = SolveSession::new();
-        s.assert_constraint(lt);
-        s.assert_constraint(gt);
-        assert!(
-            s.lex_min_model(&pool, &[x], |_| 0).is_none(),
-            "never checked"
-        );
-        assert!(s.check(&mut pool).is_unsat());
-        assert!(s.lex_min_model(&pool, &[x], |_| 0).is_none(), "checked");
+        assert!(s.check_constraints(&mut pool, &[lt, gt]).is_unsat());
+        assert!(s.lex_min_model(&pool, &[x], |_| 0).is_none());
 
         // 251 * 241 again: one conflict cannot factor it, let alone
         // show that no smaller first factor exists.
@@ -760,24 +689,20 @@ mod tests {
 
         let mut s = SolveSession::new();
         // A blast-layer Sat, whose trail the extraction starts from;
-        // then the same stack after a query with an extra conjunct,
-        // which leaves no trail of the stack behind.
+        // then the same stack after that extraction, which leaves no
+        // trail of the stack behind.
         assert!(s.check_constraints(&mut pool, &[e, g]).is_sat());
-        let l = pool.mk_ult(x, c50);
-        for extra in [None, Some(l)] {
-            if let Some(extra) = extra {
-                assert!(s.check_assuming(&mut pool, &[extra]).is_sat());
-            }
+        for _ in 0..2 {
             let found = (s.depth(), s.num_sat_vars(), pool.len(), s.stats().queries);
             let m = s.lex_min_model(&pool, &fields, |_| 2).expect("sat");
             assert_eq!(want(&pool, &m), [21, 29, 0]);
             let left = (s.depth(), s.num_sat_vars(), pool.len(), s.stats().queries);
             assert_eq!(left, found);
-            assert!(
-                s.check(&mut pool).is_sat(),
-                "the next check answers as before"
-            );
         }
+        assert!(
+            s.check_constraints(&mut pool, &[e, g]).is_sat(),
+            "the next check answers as before"
+        );
 
         // A cheap-layer Sat with nothing blasted yet: the extraction
         // blasts the stack inside its own scope and takes it out again.
@@ -788,25 +713,28 @@ mod tests {
         let m = s.lex_min_model(&pool, &fields, |_| 2).expect("sat");
         assert_eq!(want(&pool, &m), [0, 0, 0]);
         assert_eq!((s.depth(), s.num_sat_vars(), pool.len()), found);
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[small]).is_sat());
         assert_eq!(s.stats().by_blast, 0, "still answered by intervals");
-        s.assert_constraint(l);
-        assert!(s.check(&mut pool).is_sat());
+        let l = pool.mk_ult(x, c50);
+        assert!(s.check_constraints(&mut pool, &[small, l]).is_sat());
         assert!(s.stats().sat_solve_calls > s.stats().by_blast);
     }
 
     #[test]
-    fn ephemeral_extras_do_not_stick() {
+    fn retired_constraints_do_not_stick() {
         let mut pool = TermPool::new();
         let x = pool.fresh_var("x", 8);
         let c5 = pool.mk_const(8, 5);
         let lt = pool.mk_ult(x, c5);
         let ge = pool.mk_ule(c5, x);
         let mut s = SolveSession::new();
-        s.assert_constraint(lt);
-        assert!(s.check_assuming(&mut pool, &[ge]).is_unsat());
-        // The contradicting extra was per-query only.
-        assert!(s.check(&mut pool).is_sat());
+        assert!(s.check_constraints(&mut pool, &[lt]).is_sat());
+        let vars = s.num_sat_vars();
+        assert!(s.check_constraints(&mut pool, &[lt, ge]).is_unsat());
+        // The contradicting top entry retires with the next query's
+        // list, and its circuit with it.
+        assert!(s.check_constraints(&mut pool, &[lt]).is_sat());
         assert_eq!(s.depth(), 1);
+        assert_eq!(s.num_sat_vars(), vars);
     }
 }

@@ -253,17 +253,6 @@ impl BvSolver {
             bitsat::SolveResult::Unknown => SatVerdict::Unknown,
         }
     }
-
-    /// Checks whether `t` is valid (true under every assignment) by
-    /// refuting its negation. Returns `(valid, counterexample)`.
-    pub fn check_valid(&mut self, pool: &mut TermPool, t: TermId) -> (bool, Option<Model>) {
-        let neg = pool.mk_not(t);
-        match self.check(pool, &[neg]) {
-            SatVerdict::Sat(m) => (false, Some(m)),
-            SatVerdict::Unsat(_) => (true, None),
-            SatVerdict::Unknown | SatVerdict::Interrupted => (false, None),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -304,9 +293,12 @@ mod tests {
         let x = pool.fresh_var("x", 8);
         let c200 = pool.mk_const(8, 200);
         let claim = pool.mk_ult(x, c200); // not valid; cex x >= 200
-        let (valid, cex) = s.check_valid(&mut pool, claim);
-        assert!(!valid);
-        let m = cex.expect("counterexample");
+                                          // Valid exactly when its negation is unsatisfiable; a model of
+                                          // the negation is a counterexample.
+        let neg = pool.mk_not(claim);
+        let SatVerdict::Sat(m) = s.check(&mut pool, &[neg]) else {
+            panic!("the claim is not valid");
+        };
         assert!(m.var(0) >= 200);
     }
 

@@ -88,7 +88,7 @@ impl BinOp {
 }
 
 /// A term node. Obtain these via [`TermPool::get`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A constant of the given width (value already masked to width).
     Const {
@@ -220,7 +220,7 @@ impl TermPool {
             Term::Concat(a, b) => self.widths[a.0 as usize] + self.widths[b.0 as usize],
         };
         let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
+        self.terms.push(t);
         self.widths.push(w);
         self.dedup.insert(t, id);
         id
@@ -599,12 +599,6 @@ impl TermPool {
         self.mk_or(a, b)
     }
 
-    /// Boolean implication `a → b`.
-    pub fn mk_implies(&mut self, a: TermId, b: TermId) -> TermId {
-        let na = self.mk_not(a);
-        self.mk_bool_or(na, b)
-    }
-
     /// Conjunction of many width-1 terms (true if empty).
     pub fn mk_conj(&mut self, terms: &[TermId]) -> TermId {
         let mut acc = self.mk_true();
@@ -735,20 +729,91 @@ impl TermPool {
                 continue;
             }
             match *self.get(x) {
-                Term::Const { .. } => {}
                 Term::Var { id, .. } => out.push(id),
-                Term::Unary(_, a) | Term::ZExt(a, _) | Term::SExt(a, _) => stack.push(a),
-                Term::Extract { arg, .. } => stack.push(arg),
-                Term::Binary(_, a, b) | Term::Concat(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Term::Ite(c, a, b) => {
-                    stack.push(c);
-                    stack.push(a);
-                    stack.push(b);
-                }
+                node => node.for_each_operand(|c| stack.push(c)),
             }
+        }
+    }
+
+    /// Interns `node` with every operand `a` replaced by `map(a)`,
+    /// through the simplifying constructors: the node rebuild of
+    /// substitution and of cross-pool migration. `node` is no leaf.
+    pub(crate) fn rebuild(&mut self, node: Term, map: impl Fn(TermId) -> TermId) -> TermId {
+        match node {
+            Term::Const { .. } | Term::Var { .. } => unreachable!("a leaf has no operands"),
+            Term::Unary(op, a) => self.mk_unary(op, map(a)),
+            Term::Binary(op, a, b) => self.mk_binary(op, map(a), map(b)),
+            Term::Ite(c, a, b) => self.mk_ite(map(c), map(a), map(b)),
+            Term::ZExt(a, w) => self.mk_zext(map(a), w),
+            Term::SExt(a, w) => self.mk_sext(map(a), w),
+            Term::Extract { hi, lo, arg } => self.mk_extract(map(arg), hi, lo),
+            Term::Concat(a, b) => self.mk_concat(map(a), map(b)),
+        }
+    }
+}
+
+impl Term {
+    /// Calls `f` on each operand, in the order every walk of this
+    /// crate pushes them: an `Ite`'s condition, then its branches; a
+    /// binary node's left operand, then its right. Leaves have none.
+    pub(crate) fn for_each_operand(self, mut f: impl FnMut(TermId)) {
+        match self {
+            Term::Const { .. } | Term::Var { .. } => {}
+            Term::Unary(_, a) | Term::ZExt(a, _) | Term::SExt(a, _) => f(a),
+            Term::Extract { arg, .. } => f(arg),
+            Term::Binary(_, a, b) | Term::Concat(a, b) => {
+                f(a);
+                f(b);
+            }
+            Term::Ite(c, a, b) => {
+                f(c);
+                f(a);
+                f(b);
+            }
+        }
+    }
+}
+
+/// The work-stack step of [`fold`]: `Visit` schedules a node's
+/// operands, `Build` combines their results. Heap depth replaces call
+/// depth, so arbitrarily deep terms never overflow the thread stack.
+enum Step {
+    Visit(TermId),
+    Build(TermId),
+}
+
+/// A bottom-up computation over a term DAG that [`fold`] drives: one
+/// result per node, which the implementor memoizes.
+pub(crate) trait Fold {
+    /// The pool the walked terms live in.
+    fn pool(&self) -> &TermPool;
+    /// Whether `x` already has its result.
+    fn done(&self, x: TermId) -> bool;
+    /// Computes and records the result of `x`, whose node is `node` and
+    /// whose operands are done.
+    fn build(&mut self, x: TermId, node: Term);
+}
+
+/// Builds every node under `root` that `f` has not done, each once and
+/// after its operands, pushing operands in [`Term::for_each_operand`]
+/// order — the post-order walk behind `eval`, substitution, migration
+/// and intervals. A leaf is built when first visited.
+pub(crate) fn fold(f: &mut impl Fold, root: TermId) {
+    if f.done(root) {
+        return;
+    }
+    let mut stack = vec![Step::Visit(root)];
+    while let Some(step) = stack.pop() {
+        match step {
+            Step::Visit(x) if !f.done(x) => match *f.pool().get(x) {
+                node @ (Term::Const { .. } | Term::Var { .. }) => f.build(x, node),
+                node => {
+                    stack.push(Step::Build(x));
+                    node.for_each_operand(|c| stack.push(Step::Visit(c)));
+                }
+            },
+            Step::Build(x) if !f.done(x) => f.build(x, *f.pool().get(x)),
+            _ => {}
         }
     }
 }

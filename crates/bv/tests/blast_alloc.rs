@@ -71,22 +71,19 @@ fn calls_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (CALLS.get(), out)
 }
 
-/// One warm assert → check → retire cycle of `query` on a session
-/// holding `base`: the SAT variables the scope held at its peak and the
-/// allocation calls of the cycle, once a first one has grown the
-/// arenas, watch lists, memo tables and scratch buffers to its working
-/// set.
+/// One warm cycle of `query` on a session holding `base`: a check of
+/// `[base, query]`, then one of `[base]` that retires `query` again.
+/// The SAT variables the scope held at its peak and the allocation
+/// calls of the cycle, once a first one has grown the arenas, watch
+/// lists, memo tables and scratch buffers to its working set.
 fn warm_cycle(pool: &mut TermPool, base: TermId, query: TermId) -> (usize, u64) {
     let mut s = SolveSession::new();
-    s.assert_constraint(base);
-    assert!(s.check(pool).is_sat());
-    let depth = s.depth();
+    assert!(s.check_constraints(pool, &[base]).is_sat());
     let cycle = |s: &mut SolveSession, pool: &mut TermPool| {
-        s.assert_constraint(query);
-        let sat = s.check(pool).is_sat();
+        let sat = s.check_constraints(pool, &[base, query]).is_sat();
         let vars = s.num_sat_vars();
-        s.retire_to(depth);
-        assert!(sat, "every query here is satisfiable");
+        let popped = s.check_constraints(pool, &[base]).is_sat();
+        assert!(sat && popped, "every query here is satisfiable");
         vars
     };
     let vars = cycle(&mut s, pool);

@@ -1,18 +1,18 @@
 //! Deep and diamond-shaped term DAGs: every traversal in this crate
-//! (width, free_vars, eval, substitute, interval, blast, printing)
-//! must be iterative — linear in DAG *node count* and independent of
-//! the thread stack. A 50k-node chain overflows any recursive walk
-//! even on the 8 MiB default stack; these tests additionally run the
-//! full blast → solve → model → print stack inside a 1 MiB thread.
+//! (width, free_vars, eval, substitution, migration, interval, blast,
+//! printing) must be iterative — linear in DAG *node count* and
+//! independent of the thread stack. A 50k-node chain overflows any
+//! recursive walk even on the 8 MiB default stack; these tests
+//! additionally run the full blast → solve → model → print stack, and
+//! substitution and migration of both shapes, inside a 1 MiB thread.
 //! The small-term tests pin the iterative printer/evaluator to a
 //! recursive reference implementation, so the conversion cannot have
 //! changed observable output.
 
 use bvsolve::{
-    eval, interval_of, print_term, substitute, Assignment, BvSolver, SatVerdict, Term, TermId,
-    TermPool, UnOp,
+    eval, interval_of, print_term, Assignment, BvSolver, Migrator, SatVerdict, Substitution, Term,
+    TermId, TermPool, UnOp,
 };
-use std::collections::HashMap;
 
 /// Local truncation helper (the pool's internal `mask` is not public).
 fn m(w: u32, v: u64) -> u64 {
@@ -77,9 +77,9 @@ fn deep_chain_walks_are_iterative() {
     // original at x + 1.
     let one = pool.mk_const(8, 1);
     let xp1 = pool.mk_add(x, one);
-    let mut map = HashMap::new();
-    map.insert(0u32, xp1);
-    let t2 = substitute(&mut pool, t, &map);
+    let mut sub = Substitution::new();
+    sub.bind(0, xp1);
+    let t2 = sub.apply(&mut pool, t);
     let mut a2 = Assignment::new();
     a2.set(0, 0xA4);
     assert_eq!(eval(&pool, t2, &a2), v1);
@@ -87,6 +87,35 @@ fn deep_chain_walks_are_iterative() {
     // Printing is linear in DAG size here (pure chain, no sharing).
     let s = print_term(&pool, t);
     assert!(s.len() > DEEP, "printer dropped nodes: {} bytes", s.len());
+}
+
+/// Substitutes `x := x + 1` (`x` is variable 0) into `root` and
+/// imports `root` into a fresh pool whose variable ids are shifted:
+/// the substituted root at `x - 1` and the imported root under the
+/// mapped variables must both evaluate as `root` does under `a`.
+fn substitute_and_import(pool: &mut TermPool, root: TermId, a: &Assignment) {
+    let want = eval(pool, root, a);
+    let x = pool.var_term(0);
+    let w = pool.width(x);
+    let one = pool.mk_const(w, 1);
+    let xp1 = pool.mk_add(x, one);
+    let mut sub = Substitution::new();
+    sub.bind(0, xp1);
+    let shifted = sub.apply(pool, root);
+    let mut before = a.clone();
+    before.set(0, a.get(0).wrapping_sub(1));
+    assert_eq!(eval(pool, shifted, &before), want, "substitution");
+
+    let mut dst = TermPool::new();
+    dst.fresh_var("unrelated", 16);
+    let mut mig = Migrator::new();
+    mig.import_all_vars(pool, &mut dst);
+    let imported = mig.import(root, pool, &mut dst);
+    let mut b = Assignment::new();
+    for v in 0..pool.num_vars() as u32 {
+        b.set(mig.mapped_var(v).expect("imported"), a.get(v));
+    }
+    assert_eq!(eval(&dst, imported, &b), want, "migration");
 }
 
 #[test]
@@ -117,20 +146,25 @@ fn deep_chain_blast_solve_model_print_in_1mib_stack() {
                 }
                 other => panic!("expected Sat, got {other:?}"),
             }
+            substitute_and_import(&mut pool, t, &a);
+            let mut pool = TermPool::new();
+            let t = diamond(&mut pool);
+            let mut a = Assignment::new();
+            a.set(0, 123);
+            a.set(1, 456);
+            substitute_and_import(&mut pool, t, &a);
         })
         .expect("spawn")
         .join()
         .expect("blast/solve/model/print must fit a 1 MiB stack");
 }
 
-/// A diamond DAG: each level references the previous level *twice*, so
-/// the expression tree is 2^LEVELS nodes while the DAG stays linear.
-/// Memoized traversals must visit each node once — a traversal keyed
-/// on tree shape would never terminate.
-#[test]
-fn diamond_dag_traversals_are_memoized() {
+/// A diamond DAG over variables `x` and `y`: each level references the
+/// previous level *twice*, so the expression tree is 2^LEVELS nodes
+/// while the DAG stays linear. Memoized traversals must visit each node
+/// once — a traversal keyed on tree shape would never terminate.
+fn diamond(pool: &mut TermPool) -> TermId {
     const LEVELS: usize = 20_000;
-    let mut pool = TermPool::new();
     let x = pool.fresh_var("x", 16);
     let y = pool.fresh_var("y", 16);
     let mut t = x;
@@ -141,6 +175,13 @@ fn diamond_dag_traversals_are_memoized() {
         let r = pool.mk_add(t, c);
         t = pool.mk_xor(l, r);
     }
+    t
+}
+
+#[test]
+fn diamond_dag_traversals_are_memoized() {
+    let mut pool = TermPool::new();
+    let t = diamond(&mut pool);
     assert_eq!(pool.width(t), 16);
     // Deduped, deterministically ordered variables.
     assert_eq!(pool.free_vars(t), vec![0, 1]);
@@ -156,7 +197,7 @@ fn diamond_dag_traversals_are_memoized() {
     assert!(iv.lo <= v && v <= iv.hi, "interval unsound on diamond");
 
     // Identity substitution rebuilds to the same interned node.
-    let t2 = substitute(&mut pool, t, &HashMap::new());
+    let t2 = Substitution::new().apply(&mut pool, t);
     assert_eq!(t, t2);
 }
 

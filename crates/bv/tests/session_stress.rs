@@ -1,6 +1,6 @@
 //! Randomized session-vs-fresh equivalence: drive a [`SolveSession`]
-//! through interleaved assert/retire/check sequences and require every
-//! verdict to match a fresh [`BvSolver::check`] on the same active set.
+//! through constraint lists that grow, shrink and branch, and require
+//! every verdict to match a fresh [`BvSolver::check`] on the same list.
 //!
 //! Outside the one budgeted walk, no conflict budget is set, so both
 //! engines can only answer Sat or Unsat — any divergence is a real
@@ -95,18 +95,14 @@ fn interleaved_assert_retire_check_matches_fresh() {
         let mut checks = 0usize;
         for step in 0..150 {
             match rng.gen_range(0u32..5) {
-                // Assert a new random constraint (biased: growth).
-                0 | 1 => {
-                    let c = random_constraint(&mut pool, &vars, &mut rng);
-                    session.assert_constraint(c);
-                    active.push(c);
-                }
-                // Retire a random suffix.
+                // Grow the list by a new random constraint (biased).
+                0 | 1 => active.push(random_constraint(&mut pool, &vars, &mut rng)),
+                // Cut a random suffix; the next check retires it.
                 2 if !active.is_empty() => {
                     let keep = rng.gen_range(0..active.len());
-                    session.retire_to(keep);
                     active.truncate(keep);
                     if keep == 0 {
+                        session.check_constraints(&mut pool, &[]);
                         assert_eq!(
                             session.num_sat_vars(),
                             empty_vars,
@@ -114,28 +110,31 @@ fn interleaved_assert_retire_check_matches_fresh() {
                         );
                     }
                 }
-                // Check, with or without an ephemeral extra.
+                // Check the list, or a sibling one constraint longer.
                 _ => {
                     let extra: Vec<TermId> = if rng.gen_bool(0.3) {
                         vec![random_constraint(&mut pool, &vars, &mut rng)]
                     } else {
                         Vec::new()
                     };
-                    let got = session.check_assuming(&mut pool, &extra);
+                    let mut cs = active.clone();
+                    cs.extend_from_slice(&extra);
+                    let got = session.check_constraints(&mut pool, &cs);
                     if !extra.is_empty() {
-                        // The first query may have blasted the stack;
-                        // the extra itself must not stay behind.
+                        // Back to the list, and out to the sibling and
+                        // back again: the sibling's entry must not stay
+                        // behind in the solver.
+                        session.check_constraints(&mut pool, &active);
                         let vars = session.num_sat_vars();
-                        let again = session.check_assuming(&mut pool, &extra);
+                        let again = session.check_constraints(&mut pool, &cs);
                         assert_eq!(again.is_sat(), got.is_sat(), "seed {seed} step {step}");
+                        session.check_constraints(&mut pool, &active);
                         assert_eq!(
                             session.num_sat_vars(),
                             vars,
-                            "seed {seed} step {step}: an ephemeral extra leaked its circuit"
+                            "seed {seed} step {step}: a retired entry leaked its circuit"
                         );
                     }
-                    let mut cs = active.clone();
-                    cs.extend_from_slice(&extra);
                     let want = BvSolver::new().check(&mut pool, &cs);
                     match (&got, &want) {
                         (SatVerdict::Sat(_), SatVerdict::Sat(_)) => sat_seen += 1,
@@ -191,7 +190,7 @@ fn sync_form_matches_fresh_on_random_walks() {
             if let SatVerdict::Unsat(inf) = &got {
                 assert_core_sound(&mut pool, inf, &cs, seed, 0);
             }
-            assert_eq!(session.active(), &cs[..], "stack must mirror the vector");
+            assert_eq!(session.depth(), cs.len(), "stack must mirror the vector");
         }
     }
 }
@@ -222,19 +221,17 @@ fn solver_size_stays_bounded_over_5000_cycles() {
     let empty_vars = session.num_sat_vars();
     let mut peak_early = 0;
     let mut peak = 0;
+    let mut stack: Vec<TermId> = Vec::new();
     for cycle in 0..5000 {
-        if session.depth() == DEPTH_CAP || (session.depth() > 0 && rng.gen_bool(0.4)) {
-            session.retire_to(rng.gen_range(0..session.depth()));
+        if stack.len() == DEPTH_CAP || (!stack.is_empty() && rng.gen_bool(0.4)) {
+            stack.truncate(rng.gen_range(0..stack.len()));
         }
-        session.assert_constraint(vocab[rng.gen_range(0..vocab.len())]);
-        let extra: Vec<TermId> = if rng.gen_bool(0.3) {
-            vec![vocab[rng.gen_range(0..vocab.len())]]
-        } else {
-            Vec::new()
-        };
-        let got = session.check_assuming(&mut pool, &extra);
-        let mut cs = session.active().to_vec();
-        cs.extend_from_slice(&extra);
+        stack.push(vocab[rng.gen_range(0..vocab.len())]);
+        let mut cs = stack.clone();
+        if rng.gen_bool(0.3) {
+            cs.push(vocab[rng.gen_range(0..vocab.len())]);
+        }
+        let got = session.check_constraints(&mut pool, &cs);
         let want = BvSolver::new().check(&mut pool, &cs);
         assert_eq!(got.is_sat(), want.is_sat(), "cycle {cycle} diverged");
         peak = peak.max(session.num_sat_vars());
@@ -251,7 +248,7 @@ fn solver_size_stays_bounded_over_5000_cycles() {
         peak <= peak_early + peak_early / 4,
         "solver grew with session age: peak {peak_early} in the first 500 cycles, {peak} overall"
     );
-    session.retire_to(0);
+    session.check_constraints(&mut pool, &[]);
     assert_eq!(session.num_sat_vars(), empty_vars);
 }
 
@@ -321,8 +318,9 @@ fn reachable(pool: &TermPool, roots: &[TermId]) -> usize {
     visited.len()
 }
 
-/// What [`fork_walk`] saw.
+/// What [`fork_walk`] saw, and the pool it built.
 struct Walk {
+    pool: TermPool,
     deepest: usize,
     unknown: usize,
     /// Decided verdicts that came after an `Unknown`.
@@ -338,7 +336,8 @@ struct Walk {
 /// match a fresh, budget-free [`BvSolver`] on the same list — and so
 /// must the layer that gave it, which holds the session's scoped
 /// interval memo to the oracle's whole walk of the conjunction (in a
-/// debug build `check_assuming` also asserts the two intervals equal).
+/// debug build `check_constraints` also asserts the two intervals
+/// equal).
 /// A `Sat` model, read off the blaster's live variables, must satisfy
 /// the conjunction; and the memo never holds more than the terms under
 /// the live stack and its fold.
@@ -350,6 +349,7 @@ fn fork_walk(session: &mut SolveSession, seed: u64, queries: usize) -> Walk {
         .map(|i| pool.fresh_var(&format!("v{i}"), 8))
         .collect();
     let mut walk = Walk {
+        pool: TermPool::new(),
         deepest: 0,
         unknown: 0,
         decided_after_unknown: 0,
@@ -416,6 +416,7 @@ fn fork_walk(session: &mut SolveSession, seed: u64, queries: usize) -> Walk {
             }
         }
     }
+    walk.pool = pool;
     walk
 }
 
@@ -424,7 +425,7 @@ fn deep_fork_walk_matches_fresh_solver() {
     for seed in [0xF0_4B1u64, 0xF0_4B2] {
         let mut session = SolveSession::new();
         session.set_core_extraction(false);
-        let walk = fork_walk(&mut session, seed, 400);
+        let mut walk = fork_walk(&mut session, seed, 400);
         assert!(
             walk.deepest >= 64,
             "seed {seed:#x}: stack only {} deep",
@@ -435,7 +436,7 @@ fn deep_fork_walk_matches_fresh_solver() {
         assert!(st.blast_cache_hits > st.blast_cache_misses, "{st:?}");
         assert!(st.by_interval > 0, "{st:?}");
         assert!(session.num_intervals() > 0);
-        session.retire_to(0);
+        session.check_constraints(&mut walk.pool, &[]);
         assert_eq!(
             session.num_intervals(),
             0,
@@ -470,14 +471,14 @@ fn var_id(pool: &TermPool, t: TermId) -> u32 {
 /// together, the first field saying how many of the other two are
 /// reported. The session reaches the extraction three ways — straight
 /// after the check that answered the stack (the trail is reused),
-/// after a query with an extra conjunct (one solve first), and with
-/// the constraints asserted but never checked (blasted in the
-/// extraction's scope) — and sometimes the third variable appears in
-/// no constraint at all (unconstrained: it reads 0).
+/// after another extraction (one solve first), and after a check a
+/// cheap layer answered (the stack is blasted in the extraction's
+/// scope) — and sometimes the third variable appears in no constraint
+/// at all (unconstrained: it reads 0).
 #[test]
 fn lex_min_model_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(0x1E_A1);
-    let (mut found, mut unsat, mut short) = (0, 0, 0);
+    let (mut found, mut unsat, mut short, mut cheap) = (0, 0, 0, 0);
     for round in 0..240 {
         let mut pool = TermPool::new();
         let widths = [
@@ -501,14 +502,10 @@ fn lex_min_model_matches_brute_force() {
             .collect();
 
         let mut session = SolveSession::new();
-        match round % 3 {
-            0 => drop(session.check_constraints(&mut pool, &cs)),
-            1 => {
-                session.check_constraints(&mut pool, &cs);
-                let extra = random_constraint(&mut pool, used, &mut rng);
-                session.check_assuming(&mut pool, &[extra]);
-            }
-            _ => cs.iter().for_each(|&c| session.assert_constraint(c)),
+        session.check_constraints(&mut pool, &cs);
+        cheap += usize::from(session.stats().by_blast == 0);
+        if round % 2 == 1 {
+            session.lex_min_model(&pool, &vars, |_| 0);
         }
         let got = session.lex_min_model(&pool, &vars, |first| (first % 3) as usize);
 
@@ -547,8 +544,8 @@ fn lex_min_model_matches_brute_force() {
         }
     }
     assert!(
-        found > 100 && unsat > 5 && short > 30,
-        "{found} / {unsat} / {short}"
+        found > 100 && unsat > 5 && short > 30 && cheap > 5,
+        "{found} / {unsat} / {short} / {cheap}"
     );
 }
 

@@ -133,7 +133,7 @@ thread_local! {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use bvsolve::substitute;
+    use bvsolve::Substitution;
     use std::collections::{HashMap, HashSet};
     use symexec::{execute, AbstractMapModel, SegOutcome, Segment, SymConfig};
 
@@ -191,6 +191,14 @@ pub(crate) mod tests {
                 map.entry(vid).or_insert_with(|| fresh(pool, vid));
             }
         }
+        // Each term under a memo of its own.
+        let substitute = |pool: &mut TermPool, t, map: &HashMap<u32, TermId>| {
+            let mut sub = Substitution::new();
+            for (&var, &rep) in map {
+                sub.bind(var, rep);
+            }
+            sub.apply(pool, t)
+        };
         let mut constraint = state.constraint.clone();
         for &c in &segment.constraint {
             let c2 = substitute(pool, c, &map);

@@ -20,9 +20,7 @@
 
 use crate::cores::CoreStore;
 use crate::report::{SummaryCacheStats, VerifyReport};
-use crate::step2::{
-    new_session, search, segment_count, verdict_of, SearchProperty, VerifyConfig, MAX_GROUP,
-};
+use crate::step2::{new_session, search, segment_count, SearchProperty, VerifyConfig, MAX_GROUP};
 use crate::summary::{
     rebase_stage, summarize_keyed, Fetch, MapMode, PipelineSummaries, SummaryKey, SummaryStore,
 };
@@ -351,7 +349,7 @@ impl Engine {
                 VerifyReport {
                     property: prop.name(),
                     pipeline: pipeline.name.clone(),
-                    verdict: verdict_of(judged.outcome),
+                    verdict: judged.verdict,
                     step1_states: sums.total_states,
                     step1_segments: segment_count(sums),
                     suspects: prop.suspects(pipeline, sums),

@@ -170,60 +170,42 @@ impl<'a> Dec<'a> {
 // Term pool section
 // ----------------------------------------------------------------------
 
-fn unop_code(op: UnOp) -> u8 {
-    match op {
-        UnOp::Not => 0,
-        UnOp::Neg => 1,
-    }
+/// The on-disk code of each unary operator is its index here.
+const UNOPS: [UnOp; 2] = [UnOp::Not, UnOp::Neg];
+
+/// The on-disk code of each binary operator is its index here.
+const BINOPS: [BinOp; 15] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::UDiv,
+    BinOp::URem,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Shl,
+    BinOp::Lshr,
+    BinOp::Eq,
+    BinOp::Ult,
+    BinOp::Ule,
+    BinOp::Slt,
+    BinOp::Sle,
+];
+
+/// The code of `op`: its index in `table`, which lists every value.
+fn op_code<T: PartialEq>(table: &[T], op: T) -> u8 {
+    table
+        .iter()
+        .position(|o| *o == op)
+        .expect("every operator has a code") as u8
 }
 
-fn unop_from(code: u8) -> DecodeResult<UnOp> {
-    match code {
-        0 => Ok(UnOp::Not),
-        1 => Ok(UnOp::Neg),
-        _ => corrupt("bad unary op"),
-    }
-}
-
-fn binop_code(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::UDiv => 3,
-        BinOp::URem => 4,
-        BinOp::And => 5,
-        BinOp::Or => 6,
-        BinOp::Xor => 7,
-        BinOp::Shl => 8,
-        BinOp::Lshr => 9,
-        BinOp::Eq => 10,
-        BinOp::Ult => 11,
-        BinOp::Ule => 12,
-        BinOp::Slt => 13,
-        BinOp::Sle => 14,
-    }
-}
-
-fn binop_from(code: u8) -> DecodeResult<BinOp> {
-    Ok(match code {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::UDiv,
-        4 => BinOp::URem,
-        5 => BinOp::And,
-        6 => BinOp::Or,
-        7 => BinOp::Xor,
-        8 => BinOp::Shl,
-        9 => BinOp::Lshr,
-        10 => BinOp::Eq,
-        11 => BinOp::Ult,
-        12 => BinOp::Ule,
-        13 => BinOp::Slt,
-        14 => BinOp::Sle,
-        _ => return corrupt("bad binary op"),
-    })
+/// The operator `table` lists at `code`.
+fn op_from<T: Copy>(table: &[T], code: u8, what: &'static str) -> DecodeResult<T> {
+    table
+        .get(usize::from(code))
+        .copied()
+        .map_or_else(|| corrupt(what), Ok)
 }
 
 /// Serializes `pool` whole: var table in creation order, then one
@@ -248,12 +230,12 @@ fn encode_pool(e: &mut Enc, pool: &TermPool) {
             }
             Term::Unary(op, a) => {
                 e.u8(2);
-                e.u8(unop_code(op));
+                e.u8(op_code(&UNOPS, op));
                 e.idx(a);
             }
             Term::Binary(op, a, b) => {
                 e.u8(3);
-                e.u8(binop_code(op));
+                e.u8(op_code(&BINOPS, op));
                 e.idx(a);
                 e.idx(b);
             }
@@ -387,12 +369,12 @@ fn decode_pool(d: &mut Dec<'_>) -> DecodeResult<DecodedPool> {
                 (pool.fresh_var(name, *w), *w)
             }
             2 => {
-                let op = unop_from(d.u8()?)?;
+                let op = op_from(&UNOPS, d.u8()?, "bad unary op")?;
                 let a = child(d)?;
                 (pool.mk_unary(op, map[a]), widths[a])
             }
             3 => {
-                let op = binop_from(d.u8()?)?;
+                let op = op_from(&BINOPS, d.u8()?, "bad binary op")?;
                 let a = child(d)?;
                 let b = child(d)?;
                 if widths[a] != widths[b] {
@@ -801,6 +783,42 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use symexec::SymConfig;
+
+    /// Every operator code a version-2 file may hold, as the format
+    /// first numbered them: a table edit that moves one fails here,
+    /// not in a store that reads old files as other operators.
+    #[test]
+    fn operator_codes_are_pinned() {
+        let unops = [(UnOp::Not, 0u8), (UnOp::Neg, 1)];
+        let binops = [
+            (BinOp::Add, 0u8),
+            (BinOp::Sub, 1),
+            (BinOp::Mul, 2),
+            (BinOp::UDiv, 3),
+            (BinOp::URem, 4),
+            (BinOp::And, 5),
+            (BinOp::Or, 6),
+            (BinOp::Xor, 7),
+            (BinOp::Shl, 8),
+            (BinOp::Lshr, 9),
+            (BinOp::Eq, 10),
+            (BinOp::Ult, 11),
+            (BinOp::Ule, 12),
+            (BinOp::Slt, 13),
+            (BinOp::Sle, 14),
+        ];
+        assert_eq!(VERSION, 2);
+        for (op, code) in unops {
+            assert_eq!(op_code(&UNOPS, op), code, "{op:?}");
+            assert_eq!(op_from(&UNOPS, code, "").ok(), Some(op));
+        }
+        for (op, code) in binops {
+            assert_eq!(op_code(&BINOPS, op), code, "{op:?}");
+            assert_eq!(op_from(&BINOPS, code, "").ok(), Some(op));
+        }
+        assert!(op_from(&UNOPS, 2, "bad unary op").is_err());
+        assert!(op_from(&BINOPS, 15, "bad binary op").is_err());
+    }
 
     fn sample_key() -> SummaryKey {
         SummaryKey {

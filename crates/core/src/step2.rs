@@ -147,18 +147,8 @@ pub(crate) fn check(
     }
 }
 
-/// Internal search result.
-pub(crate) enum SearchOutcome {
-    Clean,
-    Violation(CounterExample),
-    Budget,
-    /// Some query stayed undecided; the payload says why
-    /// ([`SOLVER_BUDGET`]).
-    SolverUnknown(String),
-}
-
-/// The [`SearchOutcome::SolverUnknown`] reason of a query that ran out
-/// of its CDCL conflict budget.
+/// The [`Verdict::Unknown`] reason of a query that ran out of its CDCL
+/// conflict budget.
 pub(crate) const SOLVER_BUDGET: &str = "solver budget exceeded";
 
 /// A step-2 search property: one of the three §4 properties, resolved
@@ -478,7 +468,7 @@ pub(crate) const MAX_GROUP: usize = 64;
 
 /// What one property of a [`search`] found.
 pub(crate) struct Judged {
-    pub(crate) outcome: SearchOutcome,
+    pub(crate) verdict: Verdict,
     /// The paths this property judged: the compositions its own
     /// one-property walk makes (Table 3's "# Paths").
     pub(crate) composed_paths: usize,
@@ -494,7 +484,7 @@ struct Member<'a> {
     judged: usize,
     saw_unknown: bool,
     /// Set once, when the property stops walking.
-    outcome: Option<SearchOutcome>,
+    verdict: Option<Verdict>,
 }
 
 /// The members of a walk whose bits are set in `mask`, lowest first.
@@ -526,7 +516,7 @@ fn members(mut mask: u64) -> impl Iterator<Item = usize> {
 /// One walk has one budget: `composed` counts the states composed, and
 /// before a composition that would pass
 /// [`VerifyConfig::max_composed_paths`] every member still walking
-/// stops with [`SearchOutcome::Budget`].
+/// stops with an Unknown verdict.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     pool: &mut TermPool,
@@ -547,7 +537,7 @@ pub(crate) fn search(
             role: Role::Inert,
             judged: 0,
             saw_unknown: false,
-            outcome: None,
+            verdict: None,
         })
         .collect();
     let mut live = u64::MAX >> (u64::BITS as usize - group.len());
@@ -593,7 +583,7 @@ pub(crate) fn search(
             if composed >= cfg.max_composed_paths {
                 let walking = stack.iter().fold(walking, |w, (s, _)| w | s) & live;
                 for m in members(walking) {
-                    walk[m].outcome = Some(SearchOutcome::Budget);
+                    walk[m].verdict = Some(Verdict::Unknown("step-2 path budget exceeded".into()));
                 }
                 break 'walk;
             }
@@ -625,7 +615,7 @@ pub(crate) fn search(
                                 what,
                                 state.trace.clone(),
                             );
-                            walk[v].outcome = Some(SearchOutcome::Violation(cex));
+                            walk[v].verdict = Some(Verdict::Disproved(cex));
                         }
                         live &= !violating;
                     }
@@ -645,10 +635,10 @@ pub(crate) fn search(
     }
     walk.into_iter()
         .map(|m| Judged {
-            outcome: m.outcome.unwrap_or(if m.saw_unknown {
-                SearchOutcome::SolverUnknown(SOLVER_BUDGET.into())
+            verdict: m.verdict.unwrap_or(if m.saw_unknown {
+                Verdict::Unknown(SOLVER_BUDGET.into())
             } else {
-                SearchOutcome::Clean
+                Verdict::Proved
             }),
             composed_paths: m.judged,
         })
@@ -761,15 +751,6 @@ pub(crate) fn walks(modes: impl IntoIterator<Item = Option<MapMode>>) -> Vec<Vec
         }
     }
     out
-}
-
-pub(crate) fn verdict_of(outcome: SearchOutcome) -> Verdict {
-    match outcome {
-        SearchOutcome::Clean => Verdict::Proved,
-        SearchOutcome::Violation(cex) => Verdict::Disproved(cex),
-        SearchOutcome::Budget => Verdict::Unknown("step-2 path budget exceeded".into()),
-        SearchOutcome::SolverUnknown(why) => Verdict::Unknown(why),
-    }
 }
 
 /// A filtering property (§4): packets matching the header pattern must
@@ -992,18 +973,16 @@ mod tests {
         input: &SymInput,
     ) -> Option<bvsolve::Model> {
         let mut s = SolveSession::with_conflict_budget(cfg.solver_conflict_budget);
-        for &c in constraint {
-            s.assert_constraint(c);
-        }
-        // `current` always satisfies the full active set (original
-        // constraint plus every pin so far) — it seeds each field's upper
-        // bound, so the search invariant "some model of the active set
-        // gives `t` a value in [lo, hi]" holds throughout: Sat tightens
-        // hi to a freshly-witnessed value, Unsat of `t <= mid` raises lo
-        // past mid. A cheap-layer Sat carries an empty model (value 0) —
-        // sound, it only fires when the active conjunction is
-        // tautological, so every value is achievable.
-        let mut current = match s.check(pool) {
+        let mut cs = constraint.to_vec();
+        // `current` always satisfies the full list (original constraint
+        // plus every pin so far) — it seeds each field's upper bound, so
+        // the search invariant "some model of the list gives `t` a value
+        // in [lo, hi]" holds throughout: Sat tightens hi to a
+        // freshly-witnessed value, Unsat of `t <= mid` raises lo past
+        // mid. A cheap-layer Sat carries an empty model (value 0) —
+        // sound, it only fires when the conjunction is tautological, so
+        // every value is achievable.
+        let mut current = match s.check_constraints(pool, &cs) {
             SatVerdict::Sat(m) => m,
             _ => return None,
         };
@@ -1013,8 +992,10 @@ mod tests {
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 let bound = pool.mk_const(w, mid);
-                let le = pool.mk_ule(t, bound);
-                match s.check_assuming(pool, &[le]) {
+                cs.push(pool.mk_ule(t, bound));
+                let verdict = s.check_constraints(pool, &cs);
+                cs.pop();
+                match verdict {
                     SatVerdict::Sat(m) => {
                         hi = m.var(v).min(mid);
                         current = m;
@@ -1024,8 +1005,7 @@ mod tests {
                 }
             }
             let val = pool.mk_const(w, lo);
-            let pin = pool.mk_eq(t, val);
-            s.assert_constraint(pin);
+            cs.push(pool.mk_eq(t, val));
             Some(lo)
         };
         let mut out = bvsolve::Assignment::new();

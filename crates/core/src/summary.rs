@@ -153,10 +153,6 @@ pub struct PipelineSummaries {
     pub stages: Vec<StageSummary>,
     /// Total states across all stages.
     pub total_states: usize,
-    /// Stages served from the [`SummaryStore`] without re-execution.
-    pub summary_hits: usize,
-    /// Stages that had to be symbolically executed (then cached).
-    pub summary_misses: usize,
 }
 
 /// A per-stage map model: configured static maps become ITE-chain
@@ -651,17 +647,10 @@ pub(crate) fn summarize_keyed(
     let mut stages = Vec::with_capacity(n);
     let mut keys = Vec::with_capacity(n);
     let mut total_states = 0usize;
-    let mut summary_hits = 0usize;
-    let mut summary_misses = 0usize;
     for stage in &pipeline.stages {
         let element = &stage.element;
         let key = SummaryKey::of(element, mode, cfg);
         let (stored, fetch) = store.stage(key, element, cfg)?;
-        if let Fetch::Executed { .. } = fetch {
-            summary_misses += 1;
-        } else {
-            summary_hits += 1;
-        }
         step1.record(&fetch);
         total_states += stored.states;
         stages.push(rebase_stage(pool, &stored, element));
@@ -671,8 +660,6 @@ pub(crate) fn summarize_keyed(
         input,
         stages,
         total_states,
-        summary_hits,
-        summary_misses,
     };
     Ok((sums, keys))
 }
@@ -861,14 +848,17 @@ mod tests {
         let mut pool = TermPool::new();
         let s = summarize_pipeline_with_store(&mut pool, &p, &cfg(), MapMode::Abstract, &store, 1)
             .expect("ok");
-        assert_eq!(s.summary_misses, 1, "first DecTTL executes");
-        assert_eq!(s.summary_hits, 1, "second DecTTL is served from cache");
         assert_eq!(store.len(), 1);
         // The two stages are distinct instantiations: no shared vars.
         assert_ne!(
             s.stages[0].input.pkt_byte_vars, s.stages[1].input.pkt_byte_vars,
             "rebased instances must not alias"
         );
+        // A check's report counts the same two fetches.
+        let report = crate::Verifier::new(&p).check(crate::Property::CrashFreedom);
+        let counted = report.as_verify().expect("a verify report").summary;
+        assert_eq!(counted.misses, 1, "first DecTTL executes");
+        assert_eq!(counted.hits, 1, "second DecTTL is served from cache");
     }
 
     #[test]

@@ -90,16 +90,17 @@ fn warm_store_rebases_byte_identically() {
     for mode in [MapMode::Abstract, MapMode::Tables] {
         let store = SummaryStore::new();
         let mut cold_pool = TermPool::new();
+        let stages = p.stages.len() as u64;
         let cold =
             summarize_pipeline_with_store(&mut cold_pool, &p, &c.sym, mode, &store, 1).expect("ok");
-        assert_eq!(cold.summary_misses, p.stages.len(), "{mode:?}");
-        assert_eq!(cold.summary_hits, 0, "{mode:?}");
+        assert_eq!(store.misses(), stages, "{mode:?}");
+        assert_eq!(store.hits(), 0, "{mode:?}");
 
         let mut warm_pool = TermPool::new();
         let warm =
             summarize_pipeline_with_store(&mut warm_pool, &p, &c.sym, mode, &store, 1).expect("ok");
-        assert_eq!(warm.summary_hits, p.stages.len(), "{mode:?}: all cached");
-        assert_eq!(warm.summary_misses, 0, "{mode:?}");
+        assert_eq!(store.hits(), stages, "{mode:?}: all cached");
+        assert_eq!(store.misses(), stages, "{mode:?}: nothing executed again");
 
         // And a store-less run for the "store off" reference point.
         let mut off_pool = TermPool::new();
@@ -133,7 +134,7 @@ fn warm_store_rebases_byte_identically_threaded() {
     let mut b_pool = TermPool::new();
     let b = summarize_pipeline_with_store(&mut b_pool, &p, &c.sym, MapMode::Tables, &store, 4)
         .expect("ok");
-    assert_eq!(b.summary_hits, p.stages.len());
+    assert_eq!(store.hits(), p.stages.len() as u64);
     assert_eq!(render(&a_pool, &a), render(&b_pool, &b));
     // threads(4) == threads(1).
     let mut s_pool = TermPool::new();

@@ -372,7 +372,7 @@ impl Solver {
     /// ([`Solver::add_gated_clause`]). Assume it (pass it to
     /// [`Solver::solve_with_assumptions`]) to enforce the gated
     /// clauses for that call; leave it out of the assumptions to keep
-    /// them dormant; [`Solver::release`] it to retire them for good.
+    /// them dormant; add the unit clause `¬act` to retire them for good.
     /// Phase saving initializes fresh variables to `false`, so dormant
     /// gates default to disabled during search.
     pub fn new_activation_lit(&mut self) -> Lit {
@@ -394,14 +394,6 @@ impl Solver {
         c.push(!act);
         c.extend_from_slice(lits);
         self.add_clause(&c)
-    }
-
-    /// Permanently releases activation literal `act` (a *releasable
-    /// unit*): every clause gated on it becomes satisfied at the top
-    /// level, and assuming `act` afterwards yields
-    /// [`SolveResult::Unsat`].
-    pub fn release(&mut self, act: Lit) -> bool {
-        self.add_clause(&[!act])
     }
 
     /// Records the current allocation point: every variable and clause
@@ -1277,9 +1269,10 @@ mod tests {
         // Both together contradict; neither leaves the formula free.
         assert!(s.solve_with_assumptions(&[on_a, on_na]).is_unsat());
         assert!(s.solve().is_sat());
-        // Releasing retires the gate: its clauses go dormant forever
-        // and the activation literal itself becomes unassumable.
-        assert!(s.release(on_a));
+        // Releasing (the unit `¬on_a`) retires the gate: its clauses
+        // go dormant forever and the activation literal itself becomes
+        // unassumable.
+        assert!(s.add_clause(&[!on_a]));
         assert!(s.solve_with_assumptions(&[on_na]).is_sat());
         assert!(s.solve_with_assumptions(&[on_a]).is_unsat());
         assert!(s.solve().is_sat(), "release never poisons the formula");
@@ -1341,7 +1334,7 @@ mod tests {
         s.add_clause(&[a]);
         let m = s.mark();
         let act = s.new_activation_lit();
-        assert!(s.release(act), "¬act is now a level-0 fact");
+        assert!(s.add_clause(&[!act]), "¬act is now a level-0 fact");
         assert_eq!(s.value(act.var()), Some(false));
         s.rollback(m);
         assert_eq!(s.value(a.var()), Some(true), "facts below the mark stay");
@@ -1438,7 +1431,7 @@ mod tests {
         let a = lit(&mut s, 0, true);
         let act = s.new_activation_lit();
         s.add_gated_clause(act, &[a]);
-        assert!(s.release(act));
+        assert!(s.add_clause(&[!act]), "released");
         assert!(s.solve_with_assumptions(&[a, act]).is_unsat());
         assert_eq!(s.last_core(), &[act], "only the released lit matters");
     }

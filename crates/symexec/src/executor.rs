@@ -830,7 +830,7 @@ mod tests {
         let rep = run(&p);
         // Segments: crash (len < 1), emit (byte < 10), drop (byte >= 10).
         assert_eq!(rep.segments.len(), 3);
-        let crashes = rep.segments.iter().filter(|s| s.is_crash_suspect()).count();
+        let crashes = rep.segments.iter().filter(|s| s.outcome.is_crash()).count();
         assert_eq!(crashes, 1);
     }
 

@@ -76,16 +76,3 @@ pub struct Segment {
     /// Map operations in execution order.
     pub map_ops: Vec<MapOpRecord>,
 }
-
-impl Segment {
-    /// Whether the segment is suspect for the crash-freedom property.
-    pub fn is_crash_suspect(&self) -> bool {
-        self.outcome.is_crash()
-    }
-
-    /// Whether the segment is suspect for bounded-execution with bound
-    /// `imax` (either it exceeds the bound or it never terminated).
-    pub fn is_bounded_suspect(&self, imax: u64) -> bool {
-        self.outcome == SegOutcome::FuelExhausted || self.instrs > imax
-    }
-}
