@@ -146,8 +146,28 @@ pub(crate) fn eval_binop(op: BinOp, w: u32, x: u64, y: u64) -> u64 {
 /// variables yields `C_B(S_A(in))` exactly as in the paper's §3.1
 /// walkthrough. Every term is rebuilt bottom-up, and thus
 /// re-simplified; variables with no binding are left in place.
+///
+/// The bindings and results come in two layers. The **shared** layer
+/// holds the bindings made with [`Substitution::bind`] and every result
+/// that reaches only those variables and constants. The **local**
+/// layer holds the bindings made with [`Substitution::bind_local`] and
+/// every result that reaches one of them or an unbound variable;
+/// [`Substitution::clear_local`] empties it and keeps the shared one.
+/// Step 2 composes all segments of a search node this way: the
+/// element's input variables, bound once to the node's terms, are
+/// shared, and each segment binds its havocs locally — so a subterm
+/// over the input alone is rebuilt once per node, not once per
+/// segment, and a subterm over a havoc is rebuilt per segment, under
+/// that segment's own renaming.
 #[derive(Debug, Default)]
 pub struct Substitution {
+    shared: Layer,
+    local: Layer,
+}
+
+/// One layer of a [`Substitution`]: its bindings and its results.
+#[derive(Debug, Default)]
+struct Layer {
     map: IdMap<u32, TermId>,
     memo: IdMap<TermId, TermId>,
 }
@@ -158,26 +178,55 @@ impl Substitution {
         Self::default()
     }
 
-    /// Binds variable `var` to `rep`. All bindings come before the
-    /// first [`Substitution::apply`]: the memo holds results under the
-    /// bindings it was filled with.
+    /// Binds variable `var` to `rep` in the shared layer. All shared
+    /// bindings come before the first [`Substitution::apply`]: the
+    /// memos hold results under the bindings they were filled with.
     pub fn bind(&mut self, var: u32, rep: TermId) {
-        debug_assert!(self.memo.is_empty(), "bound after the first apply");
-        self.map.insert(var, rep);
+        debug_assert!(
+            self.shared.memo.is_empty() && self.local.memo.is_empty(),
+            "bound after the first apply"
+        );
+        self.shared.map.insert(var, rep);
+    }
+
+    /// Binds variable `var` to `rep` in the local layer, until the next
+    /// [`Substitution::clear_local`]. Local bindings come before the
+    /// first apply since then, and name no shared variable.
+    pub fn bind_local(&mut self, var: u32, rep: TermId) {
+        debug_assert!(self.local.memo.is_empty(), "bound after the first apply");
+        debug_assert!(!self.shared.map.contains_key(&var), "bound in both layers");
+        self.local.map.insert(var, rep);
+    }
+
+    /// Drops the local layer's bindings and results; the shared layer
+    /// stays.
+    pub fn clear_local(&mut self) {
+        self.local.map.clear();
+        self.local.memo.clear();
     }
 
     /// `t` with every bound variable replaced.
     pub fn apply(&mut self, pool: &mut TermPool, t: TermId) -> TermId {
-        let Substitution { map, memo } = self;
-        fold(&mut Apply { map, memo, pool }, t);
-        self.memo[&t]
+        let Substitution { shared, local } = self;
+        fold(
+            &mut Apply {
+                shared,
+                local,
+                pool,
+            },
+            t,
+        );
+        match self.local.memo.get(&t) {
+            Some(&r) => r,
+            None => self.shared.memo[&t],
+        }
     }
 }
 
 /// The [`Fold`] behind [`Substitution::apply`].
 struct Apply<'a> {
-    map: &'a IdMap<u32, TermId>,
-    memo: &'a mut IdMap<TermId, TermId>,
+    shared: &'a mut Layer,
+    local: &'a mut Layer,
     pool: &'a mut TermPool,
 }
 
@@ -187,24 +236,41 @@ impl Fold for Apply<'_> {
     }
 
     fn done(&self, x: TermId) -> bool {
-        self.memo.contains_key(&x)
+        self.local.memo.contains_key(&x) || self.shared.memo.contains_key(&x)
     }
 
     fn build(&mut self, x: TermId, node: Term) {
-        let (map, memo) = (self.map, &mut *self.memo);
+        let (shared, local) = (&mut *self.shared, &mut *self.local);
+        // Whether the result reaches a local binding or an unbound
+        // variable, and so belongs to the local layer.
+        let mut is_local = false;
         let r = match node {
             // A constant is its own substitution.
             Term::Const { .. } => x,
-            Term::Var { id, width } => match map.get(&id) {
-                Some(&rep) => {
-                    debug_assert_eq!(self.pool.width(rep), width, "substitution width mismatch");
-                    rep
+            Term::Var { id, width } => {
+                let rep = match shared.map.get(&id) {
+                    Some(&rep) => rep,
+                    None => {
+                        is_local = true;
+                        local.map.get(&id).copied().unwrap_or(x)
+                    }
+                };
+                debug_assert_eq!(self.pool.width(rep), width, "substitution width mismatch");
+                rep
+            }
+            node => self.pool.rebuild(node, |c| match local.memo.get(&c) {
+                Some(&r) => {
+                    is_local = true;
+                    r
                 }
-                None => x,
-            },
-            node => self.pool.rebuild(node, |c| memo[&c]),
+                None => shared.memo[&c],
+            }),
         };
-        memo.insert(x, r);
+        if is_local {
+            local.memo.insert(x, r);
+        } else {
+            shared.memo.insert(x, r);
+        }
     }
 }
 
@@ -302,5 +368,45 @@ mod tests {
             assert_eq!(sub.apply(&mut p, t), fresh.apply(&mut q, t));
             assert_eq!(p.len(), q.len());
         }
+    }
+
+    #[test]
+    fn local_layer_clears_and_the_shared_layer_stays() {
+        // One shared binding and, per round, a local binding of `h`
+        // made afresh: every result equals a fresh substitution's under
+        // the round's bindings, with the same pool growth, whether it
+        // reaches `x` alone, the local `h`, or the unbound `u`.
+        let mut p = TermPool::new();
+        let x = p.fresh_var("x", 8);
+        let h = p.fresh_var("h", 8);
+        let u = p.fresh_var("u", 8);
+        let y = p.fresh_var("y", 8);
+        let c3 = p.mk_const(8, 3);
+        let over_x = p.mk_add(x, c3);
+        let over_h = p.mk_mul(over_x, h);
+        let over_u = p.mk_xor(over_x, u);
+        let rep_x = p.mk_add(y, c3);
+        let mut sub = Substitution::new();
+        sub.bind(0, rep_x);
+        let mut seen = Vec::new();
+        for round in 0..2 {
+            let rep_h = p.fresh_var(&format!("h{round}"), 8);
+            sub.clear_local();
+            sub.bind_local(1, rep_h);
+            let mut q = p.clone();
+            for t in [over_h, over_x, over_u] {
+                let mut fresh = Substitution::new();
+                fresh.bind(0, rep_x);
+                fresh.bind(1, rep_h);
+                assert_eq!(
+                    sub.apply(&mut p, t),
+                    fresh.apply(&mut q, t),
+                    "round {round}"
+                );
+                assert_eq!(p.len(), q.len(), "round {round}");
+            }
+            seen.push(sub.apply(&mut p, over_h));
+        }
+        assert_ne!(seen[0], seen[1], "each round's `h` is its own");
     }
 }

@@ -2,8 +2,9 @@
 //! assumption-driven feasibility queries.
 //!
 //! Both verification steps issue streams of closely-related queries.
-//! Step 1's executor asks one feasibility question per fork, and its
-//! LIFO worklist makes consecutive questions extend or share a path
+//! Step 1's executor asks a feasibility question per fork that its
+//! path's witness model does not already answer, and its LIFO
+//! worklist makes consecutive questions extend or share a path
 //! condition; the step-2 path search issues thousands more, each
 //! composed path extending its parent's constraint vector by a few
 //! conjuncts, siblings sharing their whole prefix. A [`BvSolver`]

@@ -738,7 +738,7 @@ impl TermPool {
     /// Interns `node` with every operand `a` replaced by `map(a)`,
     /// through the simplifying constructors: the node rebuild of
     /// substitution and of cross-pool migration. `node` is no leaf.
-    pub(crate) fn rebuild(&mut self, node: Term, map: impl Fn(TermId) -> TermId) -> TermId {
+    pub(crate) fn rebuild(&mut self, node: Term, mut map: impl FnMut(TermId) -> TermId) -> TermId {
         match node {
             Term::Const { .. } | Term::Var { .. } => unreachable!("a leaf has no operands"),
             Term::Unary(op, a) => self.mk_unary(op, map(a)),

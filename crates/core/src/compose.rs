@@ -12,12 +12,17 @@
 //! * **per segment**, once per rebase: which of its variables are
 //!   havocs, and in which order they are renamed — a constant of the
 //!   summary, read from [`StageSummary::havocs`];
-//! * **per composition**: one [`Substitution`] — the element's input
-//!   variables bound to the state's terms, each havoc to a fresh
-//!   variable — and the clones of the state's vectors;
-//! * **per term**: a rebuild of the nodes no earlier term of the same
-//!   segment shared with it; the constraints and outputs of a segment
-//!   overlap heavily and go through the one memo.
+//! * **per search node**: one [`Substitution`] that every segment of
+//!   the node composes through (a [`Composer`]) — the element's input
+//!   variables bound to the node's terms, and every result over those
+//!   variables alone, which the node's segments share;
+//! * **per composition**: each havoc bound to a fresh variable in the
+//!   substitution's local layer, and the clones of the state's vectors;
+//! * **per term**: a rebuild of the nodes that neither an earlier term
+//!   of the same segment nor (for a node over the input alone) an
+//!   earlier segment of the same node rebuilt; the constraints and
+//!   outputs of a segment overlap heavily, and so do a node's
+//!   segments.
 
 use crate::summary::StageSummary;
 use bvsolve::{Substitution, TermId, TermPool};
@@ -56,76 +61,103 @@ impl ComposedState {
     }
 }
 
-/// Composes segment `seg_idx` of `stage` (a summary over the stage's
-/// own symbolic input) onto `state`.
+/// The compositions of one search node: segments of `stage` composed
+/// onto `state`, all through one [`Substitution`] whose shared layer
+/// binds the stage's input variables to the state's terms.
 ///
-/// * every input variable of the stage is replaced by the
-///   corresponding term of `state` (packet bytes, length, metadata);
-/// * every *other* variable of the segment (its havocs, listed by the
-///   summary) is replaced by a fresh variable — including havocs a map
-///   operation records but no term mentions (an unused `found` flag),
-///   so the pool's variable numbering does not depend on which of the
-///   segment's terms a composition substitutes;
-/// * the segment's constraint is substituted and conjoined, its
-///   transforms substituted into the new state.
-pub(crate) fn compose(
-    pool: &mut TermPool,
-    state: &ComposedState,
-    stage: &StageSummary,
+/// A result over input variables and constants alone is the same for
+/// every segment, so the node's segments share it — it is the `TermId`
+/// hash-consing would return anyway. Havoc bindings, and every result
+/// that reaches a havoc or an unbound variable, live in the local layer
+/// and are dropped before the next segment.
+pub(crate) struct Composer<'a> {
+    state: &'a ComposedState,
+    stage: &'a StageSummary,
     stage_idx: usize,
-    seg_idx: usize,
-) -> ComposedState {
-    #[cfg(test)]
-    COMPOSITIONS.with(|n| n.set(n.get() + 1));
-    let segment = &stage.segments[seg_idx];
-    let mut sub = Substitution::new();
-    for (i, &vid) in stage.input.pkt_byte_vars.iter().enumerate() {
-        sub.bind(vid, state.pkt[i]);
-    }
-    sub.bind(stage.input.len_var, state.len);
-    for (s, &vid) in stage.input.meta_vars.iter().enumerate() {
-        sub.bind(vid, state.meta[s]);
-    }
-    for &vid in &stage.havocs[seg_idx] {
-        let w = pool.var_width(vid);
-        let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
-        sub.bind(vid, pool.fresh_var(&name, w));
-    }
+    sub: Substitution,
+}
 
-    let mut constraint = state.constraint.clone();
-    for &c in &segment.constraint {
-        let c2 = sub.apply(pool, c);
-        // Skip trivially-true conjuncts to keep constraints compact.
-        if !pool.is_true(c2) {
-            constraint.push(c2);
+impl<'a> Composer<'a> {
+    /// The compositions of the node `state` at stage `stage_idx`, whose
+    /// summary is `stage`.
+    pub(crate) fn new(state: &'a ComposedState, stage: &'a StageSummary, stage_idx: usize) -> Self {
+        let mut sub = Substitution::new();
+        for (i, &vid) in stage.input.pkt_byte_vars.iter().enumerate() {
+            sub.bind(vid, state.pkt[i]);
+        }
+        sub.bind(stage.input.len_var, state.len);
+        for (s, &vid) in stage.input.meta_vars.iter().enumerate() {
+            sub.bind(vid, state.meta[s]);
+        }
+        Composer {
+            state,
+            stage,
+            stage_idx,
+            sub,
         }
     }
-    let pkt = segment
-        .pkt_out
-        .iter()
-        .map(|&t| sub.apply(pool, t))
-        .collect();
-    let len = sub.apply(pool, segment.len_out);
-    let meta = segment
-        .meta_out
-        .iter()
-        .map(|&t| sub.apply(pool, t))
-        .collect();
-    let mut trace = state.trace.clone();
-    trace.push((stage_idx, seg_idx));
-    ComposedState {
-        constraint,
-        pkt,
-        len,
-        meta,
-        instrs: state.instrs + segment.instrs,
-        trace,
+
+    /// Composes segment `seg_idx` of the stage (a summary over the
+    /// stage's own symbolic input) onto the node's state.
+    ///
+    /// * every input variable of the stage is replaced by the
+    ///   corresponding term of the state (packet bytes, length,
+    ///   metadata);
+    /// * every *other* variable of the segment (its havocs, listed by
+    ///   the summary) is replaced by a fresh variable — including havocs
+    ///   a map operation records but no term mentions (an unused `found`
+    ///   flag), so the pool's variable numbering does not depend on
+    ///   which of the segment's terms a composition substitutes;
+    /// * the segment's constraint is substituted and conjoined, its
+    ///   transforms substituted into the new state.
+    pub(crate) fn compose(&mut self, pool: &mut TermPool, seg_idx: usize) -> ComposedState {
+        #[cfg(test)]
+        COMPOSITIONS.with(|n| n.set(n.get() + 1));
+        let (state, stage, stage_idx) = (self.state, self.stage, self.stage_idx);
+        let segment = &stage.segments[seg_idx];
+        let sub = &mut self.sub;
+        sub.clear_local();
+        for &vid in &stage.havocs[seg_idx] {
+            let w = pool.var_width(vid);
+            let name = format!("{}@{}_{}", pool.var_name(vid), stage_idx, seg_idx);
+            sub.bind_local(vid, pool.fresh_var(&name, w));
+        }
+
+        let mut constraint = state.constraint.clone();
+        for &c in &segment.constraint {
+            let c2 = sub.apply(pool, c);
+            // Skip trivially-true conjuncts to keep constraints compact.
+            if !pool.is_true(c2) {
+                constraint.push(c2);
+            }
+        }
+        let pkt = segment
+            .pkt_out
+            .iter()
+            .map(|&t| sub.apply(pool, t))
+            .collect();
+        let len = sub.apply(pool, segment.len_out);
+        let meta = segment
+            .meta_out
+            .iter()
+            .map(|&t| sub.apply(pool, t))
+            .collect();
+        let mut trace = state.trace.clone();
+        trace.push((stage_idx, seg_idx));
+        ComposedState {
+            constraint,
+            pkt,
+            len,
+            meta,
+            instrs: state.instrs + segment.instrs,
+            trace,
+        }
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// [`compose`] calls made on this thread — what the step-2 count
+    /// [`Composer::compose`] calls made on this thread — what the step-2 count
     /// guard holds equal to the `composed_paths` a search reports.
     pub(crate) static COMPOSITIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
@@ -137,7 +169,7 @@ pub(crate) mod tests {
     use std::collections::{HashMap, HashSet};
     use symexec::{execute, AbstractMapModel, SegOutcome, Segment, SymConfig};
 
-    /// [`compose`] as it was before the summary carried havoc lists:
+    /// [`Composer::compose`] as it was before the summary carried havoc lists:
     /// the havocs found by walking the free variables of every term,
     /// every term substituted under a memo of its own. The oracle of
     /// the step-2 differential tests — same state, `TermId` for
@@ -305,8 +337,8 @@ pub(crate) mod tests {
             if s1.outcome != SegOutcome::Emit(0) {
                 continue;
             }
-            let mid = compose(&mut pool, &init, &e1, 0, i);
-            let full = compose(&mut pool, &mid, &e2, 1, crash_segs[0]);
+            let mid = Composer::new(&init, &e1, 0).compose(&mut pool, i);
+            let full = Composer::new(&mid, &e2, 1).compose(&mut pool, crash_segs[0]);
             let verdict = solver.check(&mut pool, &full.constraint);
             assert!(verdict.is_unsat(), "suspect must be infeasible in context");
             checked += 1;
@@ -347,8 +379,8 @@ pub(crate) mod tests {
             .position(|s| s.outcome == SegOutcome::Emit(0))
             .expect("emit segment");
         let init = ComposedState::initial(&pipeline_input);
-        let c1 = compose(&mut pool, &init, &stage, 0, seg);
-        let c2 = compose(&mut pool, &c1, &stage, 1, seg);
+        let c1 = Composer::new(&init, &stage, 0).compose(&mut pool, seg);
+        let c2 = Composer::new(&c1, &stage, 1).compose(&mut pool, seg);
         // Byte 0 after the second instantiation differs from the first
         // (different havoc), so "byte changed between the two reads" is
         // satisfiable.
@@ -357,5 +389,71 @@ pub(crate) mod tests {
         let mut cs = c2.constraint.clone();
         cs.push(ne);
         assert!(solver.check(&mut pool, &cs).is_sat());
+    }
+
+    #[test]
+    fn siblings_share_input_results_and_rename_their_havocs_apart() {
+        // A map read before a branch on the value read: both sides of
+        // the branch name the read's havoc, and the byte both write back
+        // mixes it with an input byte.
+        let mut b = dpir::ProgramBuilder::new("rd-branch");
+        let m = b.map(dpir::MapDecl {
+            name: "m".into(),
+            key_width: 8,
+            value_width: 8,
+            capacity: 4,
+            is_static: false,
+        });
+        let k = b.pkt_load(8, 1u64);
+        let (_f, v) = b.map_read(m, k);
+        let mixed = b.add(8, v, k);
+        b.pkt_store(8, 0u64, mixed);
+        let small = b.ult(8, v, 16u64);
+        let (_, big) = b.fork(small);
+        b.emit(0);
+        b.switch_to(big);
+        b.emit(1);
+        let prog = b.build().expect("valid");
+        let cfg = SymConfig {
+            max_pkt_bytes: 4,
+            min_pkt_len: 4,
+            ..Default::default()
+        };
+        let mut pool = TermPool::new();
+        let pipeline_input = SymInput::fresh(&mut pool, &cfg, "in");
+        let ein = SymInput::fresh(&mut pool, &cfg, "e0");
+        let mut model = AbstractMapModel::new();
+        let r = execute(&mut pool, &prog, &ein, &mut model, &cfg).expect("ok");
+        let stage = stage_of(&pool, "rd-branch", &ein, r);
+        let emits: Vec<usize> = (0..stage.segments.len())
+            .filter(|&i| matches!(stage.segments[i].outcome, SegOutcome::Emit(_)))
+            .collect();
+        assert_eq!(emits.len(), 2, "one segment per side of the branch");
+        assert_eq!(stage.havocs[emits[0]], stage.havocs[emits[1]]);
+        assert!(
+            !stage.havocs[emits[0]].is_empty(),
+            "the siblings share a havoc"
+        );
+
+        // Every segment through the node's one composer, each against
+        // the oracle on a clone of the pool.
+        let init = ComposedState::initial(&pipeline_input);
+        let mut shadow = pool.clone();
+        let mut composer = Composer::new(&init, &stage, 0);
+        let mut byte0 = Vec::new();
+        for (i, seg) in stage.segments.iter().enumerate() {
+            let new = composer.compose(&mut pool, i);
+            let old = compose_oracle(&mut shadow, &init, &stage.input, seg, 0, i);
+            assert_eq!(new.constraint, old.constraint, "segment {i}: constraint");
+            assert_eq!(new.pkt, old.pkt, "segment {i}: pkt");
+            assert_eq!(new.len, old.len, "segment {i}: len");
+            assert_eq!(new.meta, old.meta, "segment {i}: meta");
+            assert_eq!(pool.len(), shadow.len(), "segment {i}: terms interned");
+            assert_eq!(pool.num_vars(), shadow.num_vars(), "segment {i}: variables");
+            if emits.contains(&i) {
+                byte0.push(new.pkt[0]);
+            }
+        }
+        assert_ne!(byte0[0], byte0[1], "each sibling renames the havoc afresh");
     }
 }

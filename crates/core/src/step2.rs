@@ -21,7 +21,7 @@
 //! smallest packet that triggers it, minimised on the session that
 //! just answered it (`minimal_witness`).
 
-use crate::compose::{compose, ComposedState};
+use crate::compose::{ComposedState, Composer};
 use crate::cores::{CoreStats, CoreStore};
 use crate::report::{CounterExample, Verdict, VerifyReport};
 use crate::session::Property;
@@ -552,6 +552,7 @@ pub(crate) fn search(
     )];
     'walk: while let Some((walkers, node)) = stack.pop() {
         let summary = &sums.stages[node.stage];
+        let mut composer = None;
         for (i, seg) in summary.segments.iter().enumerate() {
             let walking = walkers & live;
             if walking == 0 {
@@ -587,7 +588,9 @@ pub(crate) fn search(
                 }
                 break 'walk;
             }
-            let state = compose(pool, &node.state, summary, node.stage, i);
+            let state = composer
+                .get_or_insert_with(|| Composer::new(&node.state, summary, node.stage))
+                .compose(pool, i);
             composed += 1;
             for m in members(judged) {
                 walk[m].judged += 1;
@@ -902,11 +905,12 @@ pub(crate) fn longest_paths_from(
         }
         let summary = &sums.stages[node.stage];
         let max_iters = summary.loop_iters.unwrap_or(0);
+        let mut composer = Composer::new(&node.state, summary, node.stage);
         for (i, seg) in summary.segments.iter().enumerate() {
             if composed >= cfg.max_composed_paths {
                 break;
             }
-            let next = compose(pool, &node.state, summary, node.stage, i);
+            let next = composer.compose(pool, i);
             composed += 1;
             let feasible = !matches!(check(pool, solver, cores, &next, true), Feas::Unsat);
             if !feasible {
@@ -1183,7 +1187,7 @@ mod tests {
         if matches!(role, Role::Inert) {
             return StepEvent::Inert;
         }
-        let state = compose(pool, &node.state, summary, node.stage, i);
+        let state = Composer::new(&node.state, summary, node.stage).compose(pool, i);
         match role {
             Role::Violation(why) => {
                 StepEvent::ViolationCheck(why.describe(pipeline, sums, node.stage, seg), state)
@@ -1281,8 +1285,9 @@ mod tests {
     }
 
     /// Two searches in lockstep on clones of one pool — one composing
-    /// with [`compose`], one with [`compose_oracle`], both composing
-    /// every segment of every node the search reaches (the old
+    /// every segment of a node through the node's one [`Composer`], one
+    /// with [`compose_oracle`], a memo per term — both composing every
+    /// segment of every node the search reaches (the old
     /// compose-then-classify order) and each asking a solver of its
     /// own. The two states must be equal `TermId` for `TermId` at every
     /// step and the pools must have grown alike. Returns the number of
@@ -1306,9 +1311,10 @@ mod tests {
         }];
         while let Some(node) = stack.pop() {
             let summary = &sums.stages[node.stage];
+            let mut composer = Composer::new(&node.state, summary, node.stage);
             for (i, seg) in summary.segments.iter().enumerate() {
                 let at = format!("{} stage {} segment {i}", pipeline.name, node.stage);
-                let new = compose(&mut pool, &node.state, summary, node.stage, i);
+                let new = composer.compose(&mut pool, i);
                 let old =
                     compose_oracle(&mut shadow, &node.state, &summary.input, seg, node.stage, i);
                 assert_same_state(&new, &old, &at);
@@ -1376,7 +1382,8 @@ mod tests {
                 let event = classify(&mut pool, pipeline, &sums, &prop, &node, i, seg, &reach);
                 let composed = COMPOSITIONS.get() - before;
                 let oracle = {
-                    let next = compose(&mut pool, &node.state, summary, node.stage, i);
+                    let next =
+                        Composer::new(&node.state, summary, node.stage).compose(&mut pool, i);
                     classify_composed(pipeline, &sums, &prop, &node, seg, &reach, next)
                 };
                 assert_eq!(
@@ -1582,7 +1589,8 @@ mod tests {
         for path in paths {
             let mut state = init.clone();
             for &(stage, i) in &path.packet.trace {
-                state = compose(&mut pool, &state, &sums.stages[stage], stage, i);
+                let next = Composer::new(&state, &sums.stages[stage], stage).compose(&mut pool, i);
+                state = next;
             }
             let want = canonical_model(&mut pool, &cfg(), &state.constraint, &sums.input)
                 .expect("in budget");

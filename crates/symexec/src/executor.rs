@@ -1,16 +1,36 @@
 //! The symbolic interpreter: one IR program → all feasible segments.
 //!
-//! ## One solver per call
+//! ## One solver per call, and a witness per path
 //!
 //! Every exact fork question — "can the path condition, extended by
-//! this branch's conjuncts, still hold?" — goes to one
-//! [`bvsolve::SolveSession`] owned by the [`execute`] call, as the full
-//! constraint list ([`SolveSession::check_constraints`]). The worklist
-//! is an explicit LIFO `Vec`, so consecutive questions share a prefix:
-//! the session keeps that prefix blasted, pops what the previous
-//! question added, blasts only the new conjuncts, and carries its learnt
-//! clauses from fork to fork. Cheap fork checking
-//! ([`SymConfig::exact_forks`] off) never touches the session.
+//! this branch's conjuncts, still hold?" — is answered in one of two
+//! ways:
+//!
+//! * by the state's **witness**, when it has one: a model of its path
+//!   condition, the one the `Sat` answer that created the state came
+//!   with (a cheap-layer `Sat` holds under every assignment, so its
+//!   empty model counts too), shared by `Rc` with the states forked
+//!   from it. If the new conjuncts evaluate to 1 under it
+//!   ([`bvsolve::eval`]), the question is `Sat` — the witness is a
+//!   model of the extended condition — and the child inherits it. The
+//!   two sides of a branch cannot both hold under one model, so a
+//!   branch pair whose state has a witness asks at most one question.
+//!   A conjunct pushed without a question (a surviving path's divisor
+//!   or bounds condition) keeps the witness only while it evaluates
+//!   to 1 under it;
+//! * otherwise by one [`bvsolve::SolveSession`] owned by the
+//!   [`execute`] call, as the full constraint list
+//!   ([`SolveSession::check_constraints`]). The worklist is an explicit
+//!   LIFO `Vec`, so consecutive questions share a prefix: the session
+//!   keeps that prefix blasted, pops what the previous question added,
+//!   blasts only the new conjuncts, and carries its learnt clauses from
+//!   fork to fork.
+//!
+//! A witness only ever answers a question whose answer is certainly
+//! `Sat`, so the verdicts — and with them every segment — are those of
+//! asking every question. Cheap fork checking
+//! ([`SymConfig::exact_forks`] off) never touches the session and
+//! holds no witness.
 //!
 //! The program is the only input the executor trusts: every bounds
 //! check and assertion asks the feasibility of its crash branch like
@@ -29,10 +49,13 @@
 //! *verdict-deterministic*: the session's learnt clauses, activities
 //! and phases depend on the questions asked before, but a decided
 //! (Sat/Unsat) verdict is a property of the question alone, the layer
-//! that answers it is the one a fresh solver would use, the only terms
-//! the session interns are the question's conjunction, and no model is
-//! read. Two runs ask the same questions in the same order, so even
-//! the solver's internal state repeats.
+//! that answers it is the one a fresh solver would use, and the only
+//! terms the session interns are the question's conjunction. A model
+//! it returns decides only *whether* a later question is asked, never
+//! a verdict or a term, and is itself a function of the questions
+//! asked before it; evaluating a witness interns nothing. Two runs ask
+//! the same questions in the same order, so even the solver's internal
+//! state repeats.
 //!
 //! The caveat is the conflict budget
 //! ([`SymConfig::fork_conflict_budget`]; see the `bvsolve::session`
@@ -56,8 +79,9 @@
 use crate::input::{SymConfig, SymInput};
 use crate::mapmodel::{MapBranch, MapModel};
 use crate::segment::{MapOpKind, MapOpRecord, SegOutcome, Segment};
-use bvsolve::{SatVerdict, SolveSession, TermId, TermPool};
+use bvsolve::{eval, Model, SatVerdict, SolveSession, TermId, TermPool};
 use dpir::{BinOp, CrashReason, Instr, Operand, Program, Terminator, UnOp, META_WIDTH};
+use std::rc::Rc;
 
 /// Errors aborting a symbolic execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +125,25 @@ pub struct ExecReport {
     /// asked, the layer that answered each, and how much of the blasted
     /// prefix and of the learnt clauses carried between them.
     pub solver_stats: bvsolve::SolverLayerStats,
+    /// Exact fork questions answered by the asking state's witness
+    /// instead of the session: each one `Sat`, and not among
+    /// `solver_stats.queries`.
+    pub witnessed: u64,
 }
+
+/// How [`execute_observed`] reports the answer to one fork question.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum ForkAnswer<'a> {
+    /// The session's verdict.
+    Asked(&'a SatVerdict),
+    /// `Sat` without the session: every new conjunct evaluates to 1
+    /// under this model of the asking state's path condition.
+    Witnessed(&'a Model),
+}
+
+/// A model of a path condition, when one is in hand.
+type Witness = Option<Rc<Model>>;
 
 #[derive(Clone)]
 struct PathState {
@@ -114,6 +156,9 @@ struct PathState {
     constraint: Vec<TermId>,
     instrs: u64,
     map_ops: Vec<MapOpRecord>,
+    /// A model of `constraint`: the one the `Sat` answer that created
+    /// the state came with, or its parent's.
+    witness: Witness,
 }
 
 /// Symbolically executes `prog` from `input`, enumerating all feasible
@@ -129,10 +174,11 @@ pub fn execute(
 }
 
 /// [`execute`], handing every exact fork question — the constraint
-/// list asked and the session's verdict on it — to `observe` as soon
-/// as it is answered. The oracle tests use it to put the same list to
-/// a fresh reference solver; an observer that interns no new term
-/// leaves the execution as it is.
+/// list asked and its answer, the session's verdict or the witness
+/// that made asking unnecessary — to `observe` as soon as it is
+/// answered. The oracle tests use it to put the same list to a fresh
+/// reference solver; an observer that interns no new term leaves the
+/// execution as it is.
 #[doc(hidden)]
 pub fn execute_observed(
     pool: &mut TermPool,
@@ -140,7 +186,7 @@ pub fn execute_observed(
     input: &SymInput,
     model: &mut dyn MapModel,
     cfg: &SymConfig,
-    observe: &mut dyn FnMut(&mut TermPool, &[TermId], &SatVerdict),
+    observe: &mut dyn FnMut(&mut TermPool, &[TermId], ForkAnswer<'_>),
 ) -> Result<ExecReport, SymError> {
     // The 1-bit zero is interned ahead of the registers' initial
     // values: term numbering — which commutative operands are ordered
@@ -160,6 +206,7 @@ pub fn execute_observed(
         constraint: input.base_constraints.clone(),
         instrs: 0,
         map_ops: Vec::new(),
+        witness: None,
     };
     let mut session = SolveSession::with_conflict_budget(cfg.fork_conflict_budget);
     session.set_core_extraction(false);
@@ -174,6 +221,7 @@ pub fn execute_observed(
         segments: Vec::new(),
         states: 1,
         pruned: 0,
+        witnessed: 0,
     };
     ex.run()?;
     Ok(ExecReport {
@@ -181,6 +229,7 @@ pub fn execute_observed(
         states: ex.states,
         pruned: ex.pruned,
         solver_stats: ex.session.stats(),
+        witnessed: ex.witnessed,
     })
 }
 
@@ -193,14 +242,15 @@ struct Exec<'a> {
     /// The call's one solver: its assertion stack is the path
     /// condition last asked about. The worklist is LIFO, so the next
     /// question shares a prefix with it; that prefix stays blasted, a
-    /// sibling costs a rollback plus its own conjuncts, and learnt
-    /// clauses carry from fork to fork.
+    /// sibling the witness did not answer costs a rollback plus its own
+    /// conjuncts, and learnt clauses carry from fork to fork.
     session: SolveSession,
-    observe: &'a mut dyn FnMut(&mut TermPool, &[TermId], &SatVerdict),
+    observe: &'a mut dyn FnMut(&mut TermPool, &[TermId], ForkAnswer<'_>),
     worklist: Vec<PathState>,
     segments: Vec<Segment>,
     states: usize,
     pruned: usize,
+    witnessed: u64,
 }
 
 enum StepFlow {
@@ -288,31 +338,59 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// Whether the path condition `path` extended by `extra` can hold
-    /// — the one question every fork site asks. No `extra` means
-    /// nothing to ask: `path` is the condition of a state already
+    /// Whether `st`'s path condition extended by `extra` can hold — the
+    /// one question every fork site asks — and, if it can, the witness
+    /// of the extended condition: `st`'s own when the new conjuncts hold
+    /// under it, else the model of the session's `Sat`. No `extra`
+    /// means nothing to ask: the condition is that of a state already
     /// being run.
-    fn feasible(&mut self, path: &[TermId], extra: &[TermId]) -> bool {
+    fn feasible(&mut self, st: &PathState, extra: &[TermId]) -> Option<Witness> {
         if extra.is_empty() {
-            return true;
+            return Some(st.witness.clone());
         }
-        let cs = [path, extra].concat();
-        if self.cfg.exact_forks {
-            let verdict = self.session.check_constraints(self.pool, &cs);
-            (self.observe)(self.pool, &cs, &verdict);
-            // Unknown (budget) counts as feasible: over-approximation
-            // keeps verification sound (extra suspects, never missed
-            // ones).
-            !verdict.is_unsat()
-        } else {
+        let cs = [&st.constraint[..], extra].concat();
+        if !self.cfg.exact_forks {
             // Cheap layers only.
             let conj = self.pool.mk_conj(&cs);
             if self.pool.is_false(conj) {
-                return false;
+                return None;
             }
             let iv = bvsolve::interval_of(self.pool, conj);
-            !(iv.lo == 0 && iv.hi == 0)
+            return (!(iv.lo == 0 && iv.hi == 0)).then_some(None);
         }
+        if let Some(w) = &st.witness {
+            if extra
+                .iter()
+                .all(|&c| eval(self.pool, c, w.assignment()) == 1)
+            {
+                self.witnessed += 1;
+                (self.observe)(self.pool, &cs, ForkAnswer::Witnessed(w));
+                return Some(Some(Rc::clone(w)));
+            }
+        }
+        let verdict = self.session.check_constraints(self.pool, &cs);
+        (self.observe)(self.pool, &cs, ForkAnswer::Asked(&verdict));
+        match verdict {
+            SatVerdict::Sat(model) => Some(Some(Rc::new(model))),
+            SatVerdict::Unsat(_) => None,
+            // Unknown (budget) counts as feasible: over-approximation
+            // keeps verification sound (extra suspects, never missed
+            // ones). There is no model to carry.
+            SatVerdict::Unknown | SatVerdict::Interrupted => Some(None),
+        }
+    }
+
+    /// Conjoins `c` to `st`'s path condition without asking whether it
+    /// can hold: the witness stays only if `c` holds under it.
+    fn push_unchecked(&mut self, st: &mut PathState, c: TermId) {
+        if st
+            .witness
+            .as_ref()
+            .is_some_and(|w| eval(self.pool, c, w.assignment()) != 1)
+        {
+            st.witness = None;
+        }
+        st.constraint.push(c);
     }
 
     /// Ends `st` in a segment with `outcome`.
@@ -324,7 +402,7 @@ impl Exec<'_> {
     /// if that is feasible. Only the question is asked of `st`; it is
     /// copied (into the segment) when the answer is yes.
     fn crash_fork(&mut self, st: &PathState, when: TermId, reason: CrashReason) {
-        if self.feasible(&st.constraint, &[when]) {
+        if self.feasible(st, &[when]).is_some() {
             self.states += 1;
             let mut seg = segment_of(st, SegOutcome::Crash(reason));
             seg.constraint.push(when);
@@ -335,20 +413,21 @@ impl Exec<'_> {
     }
 
     /// Forks a new state off `st` under the conjuncts `extra`, if that
-    /// is feasible: a copy of `st` constrained by them, finished by
-    /// `apply`, goes on the worklist.
+    /// is feasible: a copy of `st` constrained by them, holding the
+    /// answer's witness and finished by `apply`, goes on the worklist.
     fn fork_state(
         &mut self,
         st: &PathState,
         extra: &[TermId],
         apply: impl FnOnce(&mut TermPool, &mut PathState),
     ) {
-        if !self.feasible(&st.constraint, extra) {
+        let Some(witness) = self.feasible(st, extra) else {
             self.pruned += 1;
             return;
-        }
+        };
         let mut branch = st.clone();
         branch.constraint.extend_from_slice(extra);
+        branch.witness = witness;
         apply(self.pool, &mut branch);
         self.states += 1;
         self.worklist.push(branch);
@@ -371,7 +450,7 @@ impl Exec<'_> {
                         // Fork a crash branch for divisor == 0.
                         self.crash_fork(st, is_zero, CrashReason::DivByZero);
                         let nz = self.pool.mk_not(is_zero);
-                        st.constraint.push(nz);
+                        self.push_unchecked(st, nz);
                     }
                 }
                 st.regs[dst.index()] = bin_term(self.pool, op, x, y);
@@ -611,7 +690,7 @@ impl Exec<'_> {
         }
         let notc = self.pool.mk_not(cond);
         self.crash_fork(st, notc, reason);
-        st.constraint.push(cond);
+        self.push_unchecked(st, cond);
         true
     }
 

@@ -45,7 +45,7 @@ mod input;
 mod mapmodel;
 mod segment;
 
-pub use executor::{execute, execute_observed, ExecReport, SymError};
+pub use executor::{execute, execute_observed, ExecReport, ForkAnswer, SymError};
 pub use input::{SymConfig, SymInput};
 pub use mapmodel::{AbstractMapModel, ForkingMapModel, MapBranch, MapModel, TableMapModel};
 pub use segment::{MapOpKind, MapOpRecord, SegOutcome, Segment};

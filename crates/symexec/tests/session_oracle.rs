@@ -1,12 +1,19 @@
-//! Oracle differential for step 1. The executor answers every fork
-//! question on one [`bvsolve::SolveSession`] whose learnt clauses and
-//! blasted prefix carry from question to question; the reference is a
-//! fresh [`BvSolver`] per question, which shares none of that state.
+//! Oracle differential for step 1. The executor answers a fork
+//! question from the asking path's witness model when the new conjuncts
+//! hold under it, and otherwise on one [`bvsolve::SolveSession`] whose
+//! learnt clauses and blasted prefix carry from question to question;
+//! the reference is a fresh [`BvSolver`] per question, which shares
+//! none of that state.
 //!
 //! * every stock element program runs twice — once plain, once with
 //!   each fork question also put to the reference — and the two runs
 //!   must agree on every decided verdict, on the state counts and on
-//!   every segment [`bvsolve::TermId`];
+//!   every segment [`bvsolve::TermId`]. A witnessed answer must be a
+//!   model of the whole question, path included, and the reference
+//!   must find the question `Sat`;
+//! * over the stock stages the session queries and the witnessed
+//!   answers are pinned, and no fork off a state that holds a witness
+//!   asks the session about both of its complementary sides;
 //! * the summary files those stages persist must be, name and bytes,
 //!   the goldens below, so a store directory written by an earlier
 //!   build of the same format still serves every stage;
@@ -16,17 +23,17 @@
 
 mod common;
 
-use bvsolve::{BvSolver, SatVerdict, TermPool};
+use bvsolve::{BvSolver, Migrator, Model, SatVerdict, Term, TermId, TermPool, UnOp};
 use dataplane::{Element, Pipeline};
 use dpir::Program;
 use elements::ip_fragmenter::{ip_fragmenter, FragmenterVariant};
 use elements::pipelines::{
     edge_fib, ip_router, network_gateway, to_pipeline, NAT_PUBLIC_IP, NAT_PUBLIC_PORT, ROUTER_IP,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use symexec::{
-    execute, execute_observed, AbstractMapModel, ExecReport, MapModel, SymConfig, SymInput,
-    TableMapModel,
+    execute, execute_observed, AbstractMapModel, ExecReport, ForkAnswer, MapModel, SymConfig,
+    SymInput, TableMapModel,
 };
 use verifier::{summarize_pipeline_with_store, MapMode, SummaryKey, SummaryStore};
 
@@ -96,17 +103,50 @@ fn table_model(e: &Element) -> TableMapModel {
     m
 }
 
+/// The element's map model for `mode`.
+fn map_model(e: &Element, mode: MapMode) -> Box<dyn MapModel> {
+    match mode {
+        MapMode::Abstract => Box::new(AbstractMapModel::new()),
+        MapMode::Tables => Box::new(table_model(e)),
+    }
+}
+
+/// Every distinct stage summary the stock pipelines need: each element
+/// once under the abstract model and, if it has tables, once under
+/// them.
+fn stock_stages() -> Vec<(Element, MapMode)> {
+    let cfg = cfg();
+    let mut seen = HashSet::new();
+    let mut stages = Vec::new();
+    for p in stock_pipelines() {
+        for e in p.stages.into_iter().map(|s| s.element) {
+            for mode in [MapMode::Abstract, MapMode::Tables] {
+                let wanted = mode == MapMode::Abstract || !e.tables.is_empty();
+                if wanted && seen.insert(SummaryKey::of(&e, mode, &cfg)) {
+                    stages.push((e.clone(), mode));
+                }
+            }
+        }
+    }
+    stages
+}
+
 /// What the observer saw of one run's fork questions.
 #[derive(Default)]
 struct Asked {
+    /// Questions of either kind.
     questions: u64,
+    /// Questions the asking state's witness answered.
+    witnessed: u64,
     unknown: u64,
     /// Decided verdicts that came after an `Unknown`.
     decided_after_unknown: u64,
 }
 
 /// [`execute_observed`] with every fork question also put to a fresh,
-/// budget-free [`BvSolver`]: a decided verdict that differs panics.
+/// budget-free [`BvSolver`]: a decided verdict that differs panics, and
+/// so does a witnessed answer whose model fails a conjunct of the
+/// question or whose question the reference finds anything but `Sat`.
 fn execute_checked(
     pool: &mut TermPool,
     prog: &Program,
@@ -117,6 +157,34 @@ fn execute_checked(
     let mut asked = Asked::default();
     let report = execute_observed(pool, prog, input, model, cfg, &mut |pool, cs, got| {
         asked.questions += 1;
+        let got = match got {
+            ForkAnswer::Asked(verdict) => verdict,
+            ForkAnswer::Witnessed(model) => {
+                asked.witnessed += 1;
+                for (k, &c) in cs.iter().enumerate() {
+                    assert_eq!(
+                        model.value_of(c, pool),
+                        1,
+                        "{}: question {}: the witness fails conjunct {k} of {}",
+                        prog.name,
+                        asked.questions,
+                        cs.len()
+                    );
+                }
+                // The reference solves a copy of the question in a pool
+                // of its own, so the run's pool grows as a plain run's.
+                let mut own = TermPool::new();
+                let mut mig = Migrator::new();
+                let copy: Vec<TermId> = cs.iter().map(|&c| mig.import(c, pool, &mut own)).collect();
+                assert!(
+                    BvSolver::new().check(&mut own, &copy).is_sat(),
+                    "{}: question {} witnessed, but a fresh solver finds no model",
+                    prog.name,
+                    asked.questions
+                );
+                return;
+            }
+        };
         let want = BvSolver::new().check(pool, cs);
         match got {
             SatVerdict::Sat(_) | SatVerdict::Unsat(_) => {
@@ -153,7 +221,12 @@ fn assert_oracle_agrees(prog: &Program, mut model: impl FnMut() -> Box<dyn MapMo
         asked.unknown, 0,
         "{what}: the stock budget decides everything"
     );
-    assert_eq!(asked.questions, plain.solver_stats.queries, "{what}");
+    assert_eq!(
+        asked.questions,
+        plain.solver_stats.queries + plain.witnessed,
+        "{what}: every question asked or witnessed"
+    );
+    assert_eq!(asked.witnessed, checked.witnessed, "{what}: witnessed");
     assert_eq!(plain.states, checked.states, "{what}: states");
     assert_eq!(plain.pruned, checked.pruned, "{what}: pruned");
     assert_eq!(plain.segments.len(), checked.segments.len(), "{what}");
@@ -172,19 +245,9 @@ fn assert_oracle_agrees(prog: &Program, mut model: impl FnMut() -> Box<dyn MapMo
 
 #[test]
 fn every_fork_verdict_matches_a_fresh_solver() {
-    let cfg = cfg();
-    let mut seen = HashSet::new();
     let mut questions = 0;
-    for p in stock_pipelines() {
-        for e in p.stages.iter().map(|s| &s.element) {
-            if seen.insert(SummaryKey::of(e, MapMode::Abstract, &cfg)) {
-                questions +=
-                    assert_oracle_agrees(e.program(), || Box::new(AbstractMapModel::new()));
-            }
-            if !e.tables.is_empty() && seen.insert(SummaryKey::of(e, MapMode::Tables, &cfg)) {
-                questions += assert_oracle_agrees(e.program(), || Box::new(table_model(e)));
-            }
-        }
+    for (e, mode) in stock_stages() {
+        questions += assert_oracle_agrees(e.program(), || map_model(&e, mode));
     }
     let busy = common::busy_program();
     questions += assert_oracle_agrees(&busy, || Box::new(AbstractMapModel::new()));
@@ -194,6 +257,103 @@ fn every_fork_verdict_matches_a_fresh_solver() {
         Box::new(m)
     });
     assert!(questions > 300, "only {questions} fork questions compared");
+}
+
+/// Session queries and witnessed answers over [`stock_stages`]. Their
+/// sum is every fork question those stages ask — the number of session
+/// queries before a witness answered any.
+const STOCK_QUERIES: u64 = 212;
+const STOCK_WITNESSED: u64 = 99;
+
+/// Whether `a` and `b` are each other's negation.
+fn negates(pool: &TermPool, a: TermId, b: TermId) -> bool {
+    let not_of = |x: TermId, y: TermId| matches!(*pool.get(x), Term::Unary(UnOp::Not, z) if z == y);
+    not_of(a, b) || not_of(b, a)
+}
+
+/// Runs `prog` and replays the witness rule over its fork questions:
+/// a state's witness is the model of the answer that created it — the
+/// question on the longest prefix of its path an answer created —
+/// while every conjunct of the path holds under it. Two consecutive
+/// questions off one path whose last conjuncts are each other's
+/// negation (a branch's two sides) must not both go to the session
+/// when that path holds a witness. Returns the report and the number
+/// of such forks.
+fn assert_witnessed_forks_ask_once(prog: &Program, model: &mut dyn MapModel) -> (ExecReport, u64) {
+    let cfg = cfg();
+    let mut pool = TermPool::new();
+    let input = SymInput::fresh(&mut pool, &cfg, "e");
+    let mut created: HashMap<Vec<TermId>, Option<Model>> = HashMap::new();
+    created.insert(input.base_constraints.clone(), None);
+    let mut last: Option<(Vec<TermId>, bool)> = None;
+    let mut forks = 0;
+    let report = execute_observed(
+        &mut pool,
+        prog,
+        &input,
+        model,
+        &cfg,
+        &mut |pool, cs, got| {
+            let asked = matches!(got, ForkAnswer::Asked(_));
+            let n = cs.len();
+            if let Some((prev, prev_asked)) = &last {
+                if prev.len() == n
+                    && prev[..n - 1] == cs[..n - 1]
+                    && negates(pool, prev[n - 1], cs[n - 1])
+                {
+                    let path = &cs[..n - 1];
+                    let witness = (0..=path.len())
+                        .rev()
+                        .find_map(|k| created.get(&path[..k]))
+                        .expect("the initial path is recorded");
+                    if witness
+                        .as_ref()
+                        .is_some_and(|m| path.iter().all(|&c| m.value_of(c, pool) == 1))
+                    {
+                        forks += 1;
+                        assert!(
+                            !(*prev_asked && asked),
+                            "{}: a fork off a path with a witness asked the session twice",
+                            prog.name
+                        );
+                    }
+                }
+            }
+            match got {
+                ForkAnswer::Witnessed(m) | ForkAnswer::Asked(SatVerdict::Sat(m)) => {
+                    created.insert(cs.to_vec(), Some(m.clone()));
+                }
+                ForkAnswer::Asked(SatVerdict::Unsat(_)) => {}
+                ForkAnswer::Asked(SatVerdict::Unknown | SatVerdict::Interrupted) => {
+                    created.insert(cs.to_vec(), None);
+                }
+            }
+            last = Some((cs.to_vec(), asked));
+        },
+    )
+    .expect("within the state budget");
+    (report, forks)
+}
+
+/// The count guard of step 1's witness: over the stock stages a fork
+/// off a path that holds a witness asks the session at most once, and
+/// the session queries and witnessed answers are the pinned numbers.
+/// Before the witness, every one of those questions was a query.
+#[test]
+fn a_branch_fork_asks_once_when_its_path_has_a_witness() {
+    let (mut queries, mut witnessed, mut forks) = (0, 0, 0);
+    for (e, mode) in stock_stages() {
+        let (report, n) = assert_witnessed_forks_ask_once(e.program(), &mut *map_model(&e, mode));
+        queries += report.solver_stats.queries;
+        witnessed += report.witnessed;
+        forks += n;
+    }
+    assert!(forks > 80, "only {forks} forks off a path with a witness");
+    assert_eq!(
+        (queries, witnessed),
+        (STOCK_QUERIES, STOCK_WITNESSED),
+        "(session queries, witnessed answers) over the stock stages"
+    );
 }
 
 /// `(file name, fingerprint128 of the file's bytes)` of every summary
