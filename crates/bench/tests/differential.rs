@@ -18,8 +18,9 @@
 //!
 //! Consecutive seeds are then audited together as a three-variant
 //! [`Fleet`] — a pipeline, its clone, and the next seed's pipeline —
-//! which must find exactly two step-2 equivalence classes and hand
-//! every variant the report its own `seq` baseline produced.
+//! under crash-freedom and two bounds, which share one walk: it must
+//! find exactly two step-2 equivalence classes and hand every variant,
+//! for each property, the report of a standalone session.
 //!
 //! `differential_smoke` keeps debug-mode tier-1 fast by shrinking the
 //! pipelines; `differential_full` is the paper-scale matrix (20 seeds,
@@ -86,13 +87,20 @@ fn run_mode(g: &Generated, m: &Mode) -> VerifyReport {
 /// on — and fewer overrun the looser one.
 const IMAX_PER_STAGE: [u64; 2] = [8, 10];
 
+/// Crash-freedom and the bounds of [`IMAX_PER_STAGE`] for `g`: the
+/// properties of one walk.
+fn shared_properties(g: &Generated) -> Vec<Property> {
+    let stages = g.pipeline.stages.len() as u64;
+    let mut properties = vec![Property::CrashFreedom];
+    properties.extend(IMAX_PER_STAGE.map(|k| Property::Bounded { imax: k * stages }));
+    properties
+}
+
 /// Crash-freedom and two bounds on one walk (one `check_all` on one
 /// `Verifier`) against each property on a fresh `Verifier` of its own.
 /// Returns the bounds' verdict labels.
 fn check_shared(g: &Generated, seed: u64) -> Vec<&'static str> {
-    let stages = g.pipeline.stages.len() as u64;
-    let mut properties = vec![Property::CrashFreedom];
-    properties.extend(IMAX_PER_STAGE.map(|k| Property::Bounded { imax: k * stages }));
+    let properties = shared_properties(g);
     let shared = Verifier::new(&g.pipeline)
         .config(gen_verify_config())
         .check_all(&properties);
@@ -133,29 +141,45 @@ fn check_seed(
     (g, baseline)
 }
 
-/// The fleet leg: `[a, a.clone(), b]` is two equivalence classes — the
-/// clone replays `a`'s search, `b` runs its own — and every variant's
-/// report equals the baseline of a standalone session.
-fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) {
+/// The fleet leg: `[a, a.clone(), b]` under `a`'s shared-walk
+/// properties is two equivalence classes, one walk each — the clone
+/// replays `a`'s, `b` runs its own — and every variant's reports equal
+/// those of a standalone session per property (crash-freedom's is the
+/// `seq` baseline). Returns the searched bounds' verdict labels.
+fn check_fleet(a: &(Generated, VerifyReport), b: &(Generated, VerifyReport)) -> Vec<&'static str> {
+    let properties = shared_properties(&a.0);
     let report = Fleet::new()
         .config(gen_verify_config())
         .variant("a", a.0.pipeline.clone())
         .variant("a-clone", a.0.pipeline.clone())
         .variant("b", b.0.pipeline.clone())
-        .properties(&[Property::CrashFreedom])
+        .properties(&properties)
         .run();
     assert_eq!(report.classes, 2, "{}", a.0.pipeline.name);
-    for ((v, baseline), replayed) in report
+    let mut labels = Vec::new();
+    for ((v, (g, baseline)), replayed) in report
         .variants
         .iter()
-        .zip([&a.1, &a.1, &b.1])
+        .zip([a, a, b])
         .zip([false, true, false])
     {
         let what = format!("fleet over {}: variant {}", a.0.pipeline.name, v.variant);
-        assert_eq!(v.replayed, [replayed], "{what}");
-        let rep = v.reports[0].as_verify().expect("verify");
-        assert_identical_reports(rep, baseline, &what);
+        assert_eq!(v.replayed, [replayed; 3], "{what}");
+        let crash = v.reports[0].as_verify().expect("verify");
+        assert_identical_reports(crash, baseline, &what);
+        for (property, report) in properties.iter().zip(&v.reports).skip(1) {
+            let standalone = Verifier::new(&g.pipeline)
+                .config(gen_verify_config())
+                .check(property.clone());
+            let report = report.as_verify().expect("verify");
+            let what = format!("{what} {property:?}");
+            assert_identical_reports(report, standalone.as_verify().expect("verify"), &what);
+            if !replayed {
+                labels.push(report.verdict.label());
+            }
+        }
     }
+    labels
 }
 
 /// Debug-friendly matrix: four seeds (proved and disproved mixes) at
@@ -172,13 +196,15 @@ fn differential_smoke() {
             check_seed(seed, cfg, &mut bounds)
         })
         .collect();
+    let mut fleet_bounds = Vec::new();
     for pair in checked.windows(2) {
-        check_fleet(&pair[0], &pair[1]);
+        fleet_bounds.extend(check_fleet(&pair[0], &pair[1]));
     }
     assert_mixed(&bounds);
+    assert_mixed(&fleet_bounds);
 }
 
-/// The shared-walk leg must see bounds both overrun and kept.
+/// The shared-walk legs must see bounds both overrun and kept.
 fn assert_mixed(bounds: &[&str]) {
     for label in ["proved", "disproved"] {
         assert!(bounds.contains(&label), "no bound {label}: {bounds:?}");
@@ -209,8 +235,9 @@ fn differential_full() {
         }
         checked.push(check_seed(seed, cfg, &mut bounds));
     }
+    let mut fleet_bounds = Vec::new();
     for pair in checked.windows(2) {
-        check_fleet(&pair[0], &pair[1]);
+        fleet_bounds.extend(check_fleet(&pair[0], &pair[1]));
     }
     // The matrix must exercise both outcomes.
     assert!(proved >= 5, "want a healthy proved mix, got {proved}");
@@ -219,4 +246,5 @@ fn differential_full() {
         "want a healthy disproved mix, got {disproved}"
     );
     assert_mixed(&bounds);
+    assert_mixed(&fleet_bounds);
 }

@@ -2,9 +2,9 @@
 //! summaries come from.
 //!
 //! The fleet is FIB-only variants of one router element sequence ×
-//! {crash-freedom, bounded execution} — both table-blind, so the
-//! checks are two step-2 equivalence classes whatever the variant
-//! count. It is audited four ways:
+//! {crash-freedom, bounded execution} — both table-blind and judged on
+//! one step-2 walk, so the checks are one equivalence class whatever
+//! the variant count. It is audited four ways:
 //!
 //! * `cold` / `warm` — one shared in-memory [`SummaryStore`], audited
 //!   twice;
@@ -16,9 +16,14 @@
 //! Every arm must hand every `(variant, property)` the verdict,
 //! counterexample, `Unknown` reason and composed-path count of a
 //! standalone [`Verifier`] on that variant and property alone — no
-//! class, no shared store — and run two searches. The store's worth is asserted as the counts
-//! that cause it, not as a stopwatch ratio: a warm store executes
-//! nothing (`summary_misses == 0`), a restarted one only loads.
+//! class, no shared store — and run one walk. The store's worth is
+//! asserted as the counts that cause it, not as a stopwatch ratio: a
+//! cold store executes each element once, a warm one executes nothing
+//! (`summary_misses == 0`), a restarted one only loads.
+//!
+//! `fleet_composes_a_wirings_abstract_paths_once` pins the walk's
+//! solver work: the class asks exactly what one `check_all` asks, and
+//! fewer questions than a search per property.
 //!
 //! `fleet_store_smoke` keeps debug tier-1 quick; `fleet_store_full`
 //! is the 10-variant, 4-worker fleet and runs in release via
@@ -121,8 +126,8 @@ fn assert_equivalent(reference: &[Vec<VerifyReport>], arm: &FleetReport, what: &
 fn check_arms(name: &str, shape: Shape) {
     let reference = shape.reference();
 
-    // Each element is executed by whichever of the two searches asks
-    // first and served to the other; a second audit executes nothing.
+    // The one walk executes each element once; a second audit executes
+    // nothing.
     let store = SummaryStore::shared();
     let cold = shape.fleet().store(Arc::clone(&store)).run();
     let warm = shape.fleet().store(Arc::clone(&store)).run();
@@ -147,13 +152,17 @@ fn check_arms(name: &str, shape: Shape) {
     ] {
         assert_equivalent(&reference, arm, what);
         assert_eq!(
-            arm.classes, 2,
-            "{what}: FIB-only variants, one class per property"
+            arm.classes, 1,
+            "{what}: FIB-only variants, one walk for both properties"
         );
         assert_eq!(arm.checks_replayed(), checks - 2, "{what}");
     }
 
-    assert!(cold.summary_hits > 0, "the two searches share elements");
+    // The router's stages are distinct elements, and one walk asks
+    // for each once: step 1 runs once per element and nothing hits.
+    let stages = shape.variants().next().expect("a variant").1.stages.len() as u64;
+    assert_eq!(cold.summary_misses, stages, "step 1 once per element");
+    assert_eq!(cold.summary_hits, 0, "one walk fetches each stage once");
     assert_eq!(warm.summary_misses, 0, "a warm store executes nothing");
     assert!(warm.summary_hits > 0, "a warm store serves the searches");
     assert!(cold_disk.store_writes > 0, "cold-disk populates the store");
@@ -210,5 +219,50 @@ fn fleet_store_full() {
             option_iters: 2,
             threads: 4,
         },
+    );
+}
+
+/// A fleet composes a wiring's Abstract paths once: the class's walk
+/// asks the solver exactly what one `check_all` of both properties on
+/// variant 0 asks, and strictly less than a search per property.
+#[test]
+fn fleet_composes_a_wirings_abstract_paths_once() {
+    let shape = Shape {
+        variants: 3,
+        option_iters: 1,
+        threads: 1,
+    };
+    let queries = |reports: &[VerifyReport]| reports.iter().map(|r| r.solver.queries).sum::<u64>();
+    let fleet = shape.fleet().run();
+    let searched: Vec<VerifyReport> = fleet
+        .variants
+        .into_iter()
+        .flat_map(|v| v.reports.into_iter().zip(v.replayed))
+        .filter(|(_, replayed)| !replayed)
+        .map(|(r, _)| r.expect_verify())
+        .collect();
+    let (_, variant0) = shape.variants().next().expect("a variant");
+    let walk: Vec<VerifyReport> = Verifier::new(&variant0)
+        .config(fig_verify_config())
+        .check_all(&properties())
+        .into_iter()
+        .map(|r| r.expect_verify())
+        .collect();
+    let per_property: Vec<VerifyReport> = properties()
+        .into_iter()
+        .map(|prop| {
+            Verifier::new(&variant0)
+                .config(fig_verify_config())
+                .check(prop)
+                .expect_verify()
+        })
+        .collect();
+    assert_eq!(searched.len(), properties().len(), "one searched class");
+    assert_eq!(queries(&searched), queries(&walk), "one walk's questions");
+    assert!(
+        queries(&walk) < queries(&per_property),
+        "one walk asks less than a search per property: {} vs {}",
+        queries(&walk),
+        queries(&per_property)
     );
 }

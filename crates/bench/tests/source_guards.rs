@@ -476,7 +476,9 @@ fn one_routing_rule() {
 /// `classify` rebuilt from the walk's roles lives below `mod tests`.
 /// The walk composes at one site and the longest-path search at the
 /// other. `session.rs` and `churn.rs` reach step 2 only through the
-/// engine's group check, `Engine::check`, which runs the walk.
+/// engine's group check, `Engine::check`, which runs the walk; `fleet.rs`
+/// only through one `Verifier::check_all` per class, never a
+/// one-property `check` or the internal `SearchProperty`.
 #[test]
 fn one_walk_per_map_mode() {
     let core = crates_dir().join("core/src");
@@ -528,6 +530,15 @@ fn one_walk_per_map_mode() {
         for needle in ["search(", "step2::search", "SolveSession", "CoreStore"] {
             assert_eq!(count(&lines, needle), 0, "{file}: names {needle}");
         }
+    }
+    let fleet = code("fleet.rs");
+    assert_eq!(
+        count(&fleet, "check_all("),
+        1,
+        "fleet.rs: one walk per class"
+    );
+    for needle in [".check(", "SearchProperty"] {
+        assert_eq!(count(&fleet, needle), 0, "fleet.rs: names {needle}");
     }
 }
 

@@ -29,23 +29,24 @@
 //!     .properties(&[Property::CrashFreedom, Property::Bounded { imax: 10_000 }])
 //!     .run();
 //! println!("{report}");
-//! assert_eq!(report.classes, 2, "config-only variants: one search per property");
+//! assert_eq!(report.classes, 1, "config-only variants: one walk for both properties");
 //! ```
 //!
 //! ## Scheduling granularity
 //!
-//! The unit of work is the equivalence class. Before scheduling, every
-//! `(variant, property)` check is keyed by what the deterministic
-//! step-2 search reads (`session::search_class`): per stage, the
-//! [`SummaryKey`](crate::SummaryKey) under the property's map mode —
-//! element name, program, `SymConfig`, and in Tables mode the table
-//! contents — the loop composition bound, and where each output port
-//! resolves to. The verification config and the property list are
-//! fleet-wide, so checks are grouped by `(property index, key)`; the
-//! first member of each class (in registration order) is searched by a
-//! fresh [`Verifier`] on the worker pool, and every other member gets
-//! that report as a replay: its own pipeline name, the search's
-//! verdict and step-2 counters, and no step-1 work and zero times —
+//! The unit of work is the equivalence class. The properties split
+//! into step-2 walks as [`Verifier::check_all`] splits them (one for
+//! crash-freedom and every bound, one per other property), and every
+//! `(variant, walk)` pair is keyed by what the deterministic walk reads
+//! (`search_class`): per stage, the [`SummaryKey`] under the walk's map
+//! mode — element name, program, `SymConfig`, and in Tables mode the
+//! table contents — the loop composition bound, and where each output
+//! port resolves to. The config and the properties are fleet-wide, so
+//! pairs are grouped by `(walk index, key)`; the first member of each
+//! class (in registration order) is checked by a fresh [`Verifier`]'s
+//! `check_all` of the walk on the worker pool, and every other member
+//! gets each report as a replay: its own pipeline name, the walk's
+//! verdicts and step-2 counters, and no step-1 work and zero times —
 //! the same replay a [`ChurnSession`](crate::ChurnSession) memo hit
 //! reports. So the reports' step-1 counters sum to the store's.
 //! [`FleetReport::classes`] and [`VariantReport::replayed`] say which
@@ -64,15 +65,15 @@
 //!
 //! Classes, not variants, are scheduled: with more classes than
 //! workers the queue load-balances uneven searches (one slow disproof
-//! does not serialize its variant's other checks behind it). The cost
-//! is that the per-*session* cross-property reuse (solver-session
-//! blast caches, UNSAT-core stores) resets per class — step-1 reuse is
+//! does not serialize its variant's other walks behind it). The cost
+//! is that the per-*session* cross-walk reuse (solver-session blast
+//! caches, UNSAT-core stores) resets per class — step-1 reuse is
 //! unaffected (that is the store's job). A check that panics (an
 //! internal `expect`, a malformed program) yields
-//! `Unknown("internal: check panicked: …")` for its class; every other
-//! class finishes. The class workers are the only threads the crate
-//! starts: step 1 of one pipeline and step 2 of one check each run on
-//! the worker that owns the class.
+//! `Unknown("internal: check panicked: …")` for every property of its
+//! class; every other class finishes. The class workers are the only
+//! threads the crate starts: step 1 of one pipeline and step 2 of one
+//! walk each run on the worker that owns the class.
 //!
 //! ## Determinism
 //!
@@ -95,15 +96,17 @@
 //! cache counters and wall-clock times vary.
 
 use crate::report::{replay, SummaryCacheStats, Verdict};
-use crate::session::{search_class, Property, Report, SearchClass, Verifier};
-use crate::step2::{unknown_report, SearchProperty, VerifyConfig};
-use crate::summary::SummaryStore;
-use dataplane::Pipeline;
+use crate::session::{Property, Report, Verifier};
+use crate::step2::{unknown_report, walks, VerifyConfig};
+use crate::summary::{MapMode, SummaryKey, SummaryStore};
+use dataplane::{Element, ElementKind, Hop, Pipeline, Stage};
+use dpir::PortId;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use symexec::SymConfig;
 
 /// A fleet of pipeline variants to verify against a common property
 /// set, sharing one step-1 [`SummaryStore`]. See the [module
@@ -185,46 +188,48 @@ impl Fleet {
     }
 
     /// Verifies every variant against every property and aggregates
-    /// the reports. The `(variant, property)` checks are grouped into
-    /// step-2 equivalence classes (see the [module docs](self)); one
-    /// search per class is claimed from a shared queue by `threads`
-    /// workers and its report replayed to the class's other members.
-    /// Results are merged in (variant, property) order regardless of
-    /// completion order.
+    /// the reports. The `(variant, walk)` pairs are grouped into step-2
+    /// equivalence classes (see the [module docs](self)); one
+    /// `check_all` per class is claimed from a shared queue by
+    /// `threads` workers and its reports replayed to the class's other
+    /// members. Results are merged in (variant, property) order
+    /// regardless of completion order.
     pub fn run(&self) -> FleetReport {
         let t0 = Instant::now();
         let n_props = self.properties.len();
 
-        // One entry per class: the property index and the member
-        // variants in registration order; the first member is searched.
-        let props: Vec<Option<SearchProperty>> =
-            self.properties.iter().map(SearchProperty::of).collect();
+        // One entry per class: the walk index and the member variants
+        // in registration order; the first member is searched.
+        let walks = walks(self.properties.iter().map(Property::mode));
         let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut by_key: HashMap<(usize, SearchClass), usize> = HashMap::new();
         for (v, (_, pipeline)) in self.variants.iter().enumerate() {
-            for (p, prop) in props.iter().enumerate() {
+            for (w, walk) in walks.iter().enumerate() {
                 // Generic and StateConsistency checks are never shared.
-                let key = prop
-                    .as_ref()
-                    .map(|prop| search_class(pipeline, prop, &self.cfg.sym));
+                let key = self.properties[walk[0]]
+                    .mode()
+                    .map(|mode| search_class(pipeline, mode, &self.cfg.sym));
                 let fresh = classes.len();
                 let class = match key {
-                    Some(key) => *by_key.entry((p, key)).or_insert(fresh),
+                    Some(key) => *by_key.entry((w, key)).or_insert(fresh),
                     None => fresh,
                 };
                 if class == fresh {
-                    classes.push((p, Vec::new()));
+                    classes.push((w, Vec::new()));
                 }
                 classes[class].1.push(v);
             }
         }
 
         let searched = run_indexed(classes.len(), effective_threads(self.threads), |c| {
-            let (p, members) = &classes[c];
+            let (w, members) = &classes[c];
             let pipeline = &self.variants[members[0]].1;
-            let property = &self.properties[*p];
+            let properties: Vec<Property> = walks[*w]
+                .iter()
+                .map(|&p| self.properties[p].clone())
+                .collect();
             // One panicking check (an internal `expect`, a malformed
-            // program) costs its class an `Unknown`, never
+            // program) costs its class an `Unknown` per property, never
             // the audit. Unwind safety: everything the closure mutates
             // is the session it owns, dropped with the panic; the
             // shared store clears its in-flight markers on unwind.
@@ -232,32 +237,29 @@ impl Fleet {
                 Verifier::new(pipeline)
                     .config(self.cfg.clone())
                     .with_store(Arc::clone(&self.store))
-                    .check(property.clone())
+                    .check_all(&properties)
             }))
             .unwrap_or_else(|payload| {
-                Report::Verify(unknown_report(
-                    &property.name(),
-                    pipeline,
-                    format!(
-                        "internal: check panicked: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                    Duration::ZERO,
-                ))
+                let reason = panic_reason(payload.as_ref());
+                properties
+                    .iter()
+                    .map(|p| unknown_report(&p.name(), pipeline, reason.clone(), Duration::ZERO))
+                    .map(Report::Verify)
+                    .collect()
             })
         });
 
         let mut slots: Vec<Option<(Report, bool)>> = Vec::new();
         slots.resize_with(self.variants.len() * n_props, || None);
-        for ((p, members), report) in classes.iter().zip(searched) {
-            for &v in &members[1..] {
-                let Report::Verify(r) = &report else {
-                    unreachable!("only search-based checks are keyed into shared classes")
-                };
-                let member = replay(r, &self.variants[v].1.name);
-                slots[v * n_props + p] = Some((Report::Verify(member), true));
+        for ((w, members), reports) in classes.iter().zip(searched) {
+            for (&p, report) in walks[*w].iter().zip(reports) {
+                for &v in &members[1..] {
+                    let r = report.as_verify().expect("only searches share classes");
+                    let member = replay(r, &self.variants[v].1.name);
+                    slots[v * n_props + p] = Some((Report::Verify(member), true));
+                }
+                slots[members[0] * n_props + p] = Some((report, false));
             }
-            slots[members[0] * n_props + p] = Some((report, false));
         }
         let mut slots = slots.into_iter();
         let variants = self
@@ -305,6 +307,72 @@ impl Fleet {
     }
 }
 
+/// What the step-2 walk of one map mode reads from one stage: the
+/// step-1 summary it composes (by content address), the loop
+/// composition bound, and where each output port leads.
+#[derive(PartialEq, Eq, Hash)]
+struct StageClass {
+    summary: SummaryKey,
+    max_iters: Option<u32>,
+    routes: Vec<(PortId, Hop)>,
+}
+
+/// The step-2 equivalence class of a `(pipeline, walk)` pair under a
+/// fixed [`VerifyConfig`] and a fixed property list: two pairs with
+/// equal classes run the same deterministic walk over byte-identical
+/// summaries, so one's verdicts, counterexamples, traces and counters
+/// are the other's (only the pipeline display name differs).
+/// [`Fleet::run`] searches once per class.
+#[derive(PartialEq, Eq, Hash)]
+struct SearchClass(Vec<StageClass>);
+
+/// Keys `pipeline` for a walk over its `mode` summaries.
+///
+/// Every input struct is destructured exhaustively (no `..`), like
+/// [`SummaryKey::of`] does for `SymConfig`: a new `Pipeline`, `Stage`
+/// or `Element` field fails to compile here until it is keyed or
+/// explicitly ignored. The programs keyed are the ones step 1
+/// executes: nothing rewrites them in between.
+fn search_class(pipeline: &Pipeline, mode: MapMode, sym: &SymConfig) -> SearchClass {
+    // The display name only labels the report; members keep their own.
+    let Pipeline { name: _, stages } = pipeline;
+    let stages = stages
+        .iter()
+        .enumerate()
+        .map(|(k, stage)| {
+            // `routes` is keyed as hops below, so list order, shadowed
+            // entries, implicit `Drop` and `Next` vs `To(k + 1)` do not
+            // split classes.
+            let Stage { element, routes: _ } = stage;
+            // `name`, the program and (in Tables mode only — step 2
+            // never reads `element.tables`) the table contents are
+            // inside the summary key; `info` is inventory metadata.
+            let Element {
+                name: _,
+                kind,
+                info: _,
+                tables: _,
+            } = element;
+            StageClass {
+                summary: SummaryKey::of(element, mode, sym),
+                max_iters: match kind {
+                    ElementKind::Straight(_) => None,
+                    ElementKind::Loop { body: _, max_iters } => Some(*max_iters),
+                },
+                // Every port an `Emit` can name: a straight element may
+                // emit (and route) `PORT_CONTINUE` like any other port.
+                routes: element
+                    .output_ports()
+                    .into_iter()
+                    .chain([dpir::PORT_CONTINUE])
+                    .map(|port| (port, pipeline.hop(k, port)))
+                    .collect(),
+            }
+        })
+        .collect();
+    SearchClass(stages)
+}
+
 /// Resolves a thread-count knob: `0` means all available cores.
 fn effective_threads(threads: usize) -> usize {
     if threads > 0 {
@@ -347,15 +415,16 @@ fn run_indexed<T: Send>(n: usize, threads: usize, task: impl Fn(usize) -> T + Sy
         .collect()
 }
 
-/// The message of a caught panic (`panic!` payloads are `&str` or
-/// `String`), for the `Unknown("internal: …")` verdict a class
-/// degrades to instead of unwinding through [`Fleet::run`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
+/// The `Unknown("internal: …")` reason a class degrades to instead of
+/// unwinding through [`Fleet::run`], with the caught panic's message
+/// (`panic!` payloads are `&str` or `String`).
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
+        .unwrap_or_else(|| "non-string panic payload".into());
+    format!("internal: check panicked: {message}")
 }
 
 /// One variant's reports, in fleet property order.
@@ -388,8 +457,8 @@ impl VariantReport {
 pub struct FleetReport {
     /// Per-variant reports, in registration order.
     pub variants: Vec<VariantReport>,
-    /// Step-2 equivalence classes among the `(variant, property)`
-    /// checks — the number of searches this run actually performed.
+    /// Step-2 equivalence classes among the `(variant, walk)` pairs —
+    /// the number of walks this run actually searched.
     pub classes: usize,
     /// Stage summaries served from the fleet's shared store during
     /// this run: `> 0` whenever two of the run's searches overlap in
@@ -443,8 +512,8 @@ impl FleetReport {
     }
 
     /// Count of `(variant, property)` checks answered by replaying
-    /// their class's search: total checks minus
-    /// [`classes`](FleetReport::classes).
+    /// their class's search: the checks minus those of each class's
+    /// searched member.
     pub fn checks_replayed(&self) -> usize {
         self.variants
             .iter()

@@ -67,14 +67,12 @@ use crate::step2::{
     aborted_reports, longest_paths_from, make_initial, walks, FilterProperty, LongestPath,
     SearchProperty, VerifyConfig,
 };
-use crate::summary::{MapMode, PipelineSummaries, SummaryKey, SummaryStore};
-use dataplane::{Element, ElementKind, Hop, Pipeline, Stage};
+use crate::summary::{MapMode, PipelineSummaries, SummaryStore};
+use dataplane::Pipeline;
 use dpir::analysis::{lint_program, Diagnostic};
-use dpir::PortId;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use symexec::SymConfig;
 
 /// A verifiable property, as a first-class value.
 ///
@@ -117,6 +115,12 @@ impl Property {
                 .expect("every other property is search-based")
                 .name(),
         }
+    }
+
+    /// The map mode of this property's search, `None` for a property
+    /// that is not a search — what [`walks`] partitions a call by.
+    pub(crate) fn mode(&self) -> Option<MapMode> {
+        SearchProperty::of(self).map(|p| p.mode())
     }
 }
 
@@ -289,76 +293,6 @@ impl std::fmt::Display for Report {
             }
         }
     }
-}
-
-/// What the step-2 search of one property reads from one stage: the
-/// step-1 summary it composes (by content address), the loop
-/// composition bound, and where each output port leads.
-#[derive(PartialEq, Eq, Hash)]
-struct StageClass {
-    summary: SummaryKey,
-    max_iters: Option<u32>,
-    routes: Vec<(PortId, Hop)>,
-}
-
-/// The step-2 equivalence class of a `(pipeline, property)` check
-/// under a fixed [`VerifyConfig`] and a fixed property value: two
-/// checks with equal classes run the same deterministic search over
-/// byte-identical summaries, so one's verdict, counterexample, trace
-/// and counters are the other's (only the pipeline display name
-/// differs). [`crate::fleet::Fleet::run`] searches once per class.
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) struct SearchClass(Vec<StageClass>);
-
-/// Keys `pipeline` for `prop`'s search.
-///
-/// Every input struct is destructured exhaustively (no `..`), like
-/// [`SummaryKey::of`] does for `SymConfig`: a new `Pipeline`, `Stage`
-/// or `Element` field fails to compile here until it is keyed or
-/// explicitly ignored. The programs keyed are the ones step 1
-/// executes: nothing rewrites them in between.
-pub(crate) fn search_class(
-    pipeline: &Pipeline,
-    prop: &SearchProperty,
-    sym: &SymConfig,
-) -> SearchClass {
-    // The display name only labels the report; members keep their own.
-    let Pipeline { name: _, stages } = pipeline;
-    let stages = stages
-        .iter()
-        .enumerate()
-        .map(|(k, stage)| {
-            // `routes` is keyed as hops below, so list order, shadowed
-            // entries, implicit `Drop` and `Next` vs `To(k + 1)` do not
-            // split classes.
-            let Stage { element, routes: _ } = stage;
-            // `name`, the program and (in Tables mode only — step 2
-            // never reads `element.tables`) the table contents are
-            // inside the summary key; `info` is inventory metadata.
-            let Element {
-                name: _,
-                kind,
-                info: _,
-                tables: _,
-            } = element;
-            StageClass {
-                summary: SummaryKey::of(element, prop.mode(), sym),
-                max_iters: match kind {
-                    ElementKind::Straight(_) => None,
-                    ElementKind::Loop { body: _, max_iters } => Some(*max_iters),
-                },
-                // Every port an `Emit` can name: a straight element may
-                // emit (and route) `PORT_CONTINUE` like any other port.
-                routes: element
-                    .output_ports()
-                    .into_iter()
-                    .chain([dpir::PORT_CONTINUE])
-                    .map(|port| (port, pipeline.hop(k, port)))
-                    .collect(),
-            }
-        })
-        .collect();
-    SearchClass(stages)
 }
 
 /// A verification session over one pipeline: summaries are built
@@ -534,11 +468,7 @@ impl<'p> Verifier<'p> {
         let searches: Vec<Option<SearchProperty>> =
             properties.iter().map(SearchProperty::of).collect();
         let mut reports: Vec<Option<Report>> = properties.iter().map(|_| None).collect();
-        for walk in walks(
-            searches
-                .iter()
-                .map(|p| p.as_ref().map(SearchProperty::mode)),
-        ) {
+        for walk in walks(properties.iter().map(Property::mode)) {
             let group: Vec<&SearchProperty> =
                 walk.iter().filter_map(|&i| searches[i].as_ref()).collect();
             if group.is_empty() {

@@ -296,10 +296,15 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
     let seq = build_fleet(1);
     let par = build_fleet(4);
 
-    assert!(
-        seq.summary_hits > 0,
-        "variants share elements: the store must hit"
-    );
+    // One walk over variant 0's three distinct stages: step 1 runs
+    // once per element, and nothing else fetches.
+    for fleet_run in [&seq, &par] {
+        assert_eq!(fleet_run.summary_misses, 3, "step 1 once per element");
+        assert_eq!(
+            fleet_run.summary_hits, 0,
+            "one walk fetches each stage once"
+        );
+    }
 
     // Reference: one private session per (variant, property).
     for (i, fib) in fibs.iter().enumerate() {
@@ -320,10 +325,10 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
     }
 
     // Both properties are Abstract-mode and the variants differ in
-    // table contents only: one search per property, run for variant 0
-    // and replayed to the rest — whatever the schedule.
+    // table contents only: one walk for both properties, run for
+    // variant 0 and replayed to the rest — whatever the schedule.
     for (fleet_run, what) in [(&seq, "seq"), (&par, "par")] {
-        assert_eq!(fleet_run.classes, 2, "{what}");
+        assert_eq!(fleet_run.classes, 1, "{what}");
         assert_eq!(fleet_run.checks_replayed(), 6, "{what}");
         for (i, v) in fleet_run.variants.iter().enumerate() {
             assert_eq!(v.replayed, [i > 0, i > 0], "{what}: variant {i}");
@@ -342,11 +347,11 @@ fn fleet_matches_individual_sessions_and_is_schedule_independent() {
     );
     assert!(seq.fork.blast_cache_hits > 0, "step 1 reused its prefix");
     assert!(
-        json.contains("\"classes\":2,\"checks_replayed\":6"),
+        json.contains("\"classes\":1,\"checks_replayed\":6"),
         "{json}"
     );
     assert!(json.contains("fib-3"), "{json}");
-    assert!(seq.to_string().contains("8 checks in 2 classes"), "{seq}");
+    assert!(seq.to_string().contains("8 checks in 1 classes"), "{seq}");
 }
 
 #[test]
@@ -589,9 +594,9 @@ fn fleet_panicking_check_degrades_to_unknown_for_its_class_only() {
             .variant("b", lookup_variant(vec![(0x0B00_0000, 8, 1)]))
             .properties(&props)
             .run();
-        // The table-only pair shares both classes; the broken variant's
-        // program differs, so it has two classes of its own.
-        assert_eq!(report.classes, 4, "threads={threads}");
+        // The table-only pair shares one walk; the broken variant's
+        // program differs, so it has a walk of its own.
+        assert_eq!(report.classes, 2, "threads={threads}");
         let names = ["crash-freedom", "bounded-execution (imax=5000)"];
         for v in &report.variants {
             for (name, r) in names.iter().zip(&v.reports) {

@@ -4,10 +4,10 @@
 //! content-addressed step-1 store.
 //!
 //! Abstract-mode properties (crash-freedom, bounded-execution) are
-//! table-blind, so the eight production sites are *one* step-2
-//! equivalence class per property: the fleet searches once for site 0
-//! and replays the report to the other seven, while the staging site —
-//! different elements — keeps classes of its own. A second audit on the
+//! table-blind and judged on one step-2 walk, so the eight production
+//! sites are *one* equivalence class: the fleet walks once for site 0
+//! and replays both reports to the other seven, while the staging site
+//! — different elements — keeps a class of its own. A second audit on the
 //! same store (the "warm" run below — think re-checking after a config
 //! push) executes no step-1 stage at all.
 //!
@@ -96,15 +96,16 @@ fn main() {
         warm.disproved(),
         "verdicts are store-independent"
     );
-    // 18 checks, 4 searches: the FIB-only sites collapse into one class
-    // per property, the staging site does not collapse into them.
+    // 18 checks, 2 walks: the FIB-only sites collapse into one class
+    // (both properties on one walk), the staging site does not
+    // collapse into them.
     println!(
-        "step-2 classes: {} searches for {} checks ({} replayed)",
+        "step-2 classes: {} walks for {} checks ({} replayed)",
         cold.classes,
-        cold.classes + cold.checks_replayed(),
+        cold.variants.iter().map(|v| v.reports.len()).sum::<usize>(),
         cold.checks_replayed()
     );
-    assert_eq!(cold.classes, 4, "production x 2 properties + staging x 2");
+    assert_eq!(cold.classes, 2, "production + staging, one walk each");
     for (i, v) in cold.variants.iter().enumerate() {
         let expect = (1..8).contains(&i);
         assert_eq!(v.replayed, [expect, expect], "{}", v.variant);
